@@ -26,4 +26,4 @@ from .timeloop import integrate as integrate_in_time
 from .verify import (SuiteConfig, SuiteReport, run_dynamics_suite,
                      run_identity_suite, run_inequality_suite, run_suite)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -13,9 +13,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-_BACKENDS = ("spectral", "fd2")
-
-
 class Grid:
     """Uniform periodic lattice on [0, L1) x ... x [0, Ld), d in {1,2,3}.
 
@@ -23,8 +20,8 @@ class Grid:
     Nyquist handling are well defined.
     """
 
-    __slots__ = ("dim", "n", "length", "spacing", "shape", "_kd", "_lap_mult",
-                 "_dealias_mask", "_coords")
+    __slots__ = ("dim", "n", "length", "spacing", "shape", "_ik", "_lap",
+                 "_mask", "_coords")
 
     def __init__(self, n, length=None):
         if np.isscalar(n):
@@ -53,24 +50,18 @@ class Grid:
         self.spacing = tuple(L / m for L, m in zip(length, n))
         self.shape = n
 
-        # Wavenumbers with the Nyquist mode zeroed, so d/dx of a real field is
-        # real and div(grad f) == laplacian f holds to roundoff by construction.
-        kd = []
-        for m, L in zip(n, length):
-            k = TWO_PI * np.fft.fftfreq(m, d=L / m)
-            k[m // 2] = 0.0
-            kd.append(k)
-        self._kd = kd
-        lap = np.zeros(n)
-        for a in range(dim):
-            lap = lap - self._bcast(kd[a] ** 2, a)
-        self._lap_mult = lap
-
-        mask = np.ones(n, dtype=bool)
-        for a, m in enumerate(n):
-            idx = np.rint(np.fft.fftfreq(m) * m).astype(int)
-            mask = mask & self._bcast(np.abs(idx) <= m // 3, a)
-        self._dealias_mask = mask
+        # Spectral multipliers in rfft layout (last axis halved). Wavenumbers
+        # have the Nyquist mode zeroed, so d/dx of a real field is real and
+        # div(grad f) == laplacian f holds to roundoff by construction.
+        idx = mode_indices(self)
+        ks = [TWO_PI / L * np.where(2 * np.abs(i) == m, 0, i)
+              for i, m, L in zip(idx, n, length)]
+        self._ik = tuple(1j * k for k in ks)
+        self._lap = -sum(k * k for k in ks)
+        mask = True
+        for i, m in zip(idx, n):
+            mask = mask & (np.abs(i) <= m // 3)
+        self._mask = mask
 
         self._coords = tuple(
             np.arange(m) * h for m, h in zip(n, self.spacing))
@@ -185,80 +176,147 @@ class TensorField:
         return ScalarField(self.grid, self.values[i, j])
 
 
+def mode_indices(grid):
+    """Per-axis integer mode indices in rfft layout, shaped to broadcast.
+
+    The last grid axis holds only the nonnegative modes 0..n/2.
+    """
+    out = []
+    for a, m in enumerate(grid.n):
+        if a == grid.dim - 1:
+            idx = np.arange(m // 2 + 1)
+        else:
+            idx = np.rint(np.fft.fftfreq(m) * m).astype(int)
+        shape = [1] * grid.dim
+        shape[a] = idx.size
+        out.append(idx.reshape(shape))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # array-level calculus (used internally; public field ops wrap these)
 # ---------------------------------------------------------------------------
 
+def to_spectral(grid, arr):
+    """Real FFT over the trailing grid axes; leading axes are a batch."""
+    if grid.dim == 1:
+        return np.fft.rfft(arr)
+    return np.fft.rfftn(arr, axes=tuple(range(-grid.dim, 0)))
+
+
+def from_spectral(grid, ahat):
+    """Inverse of to_spectral: real nodal values on the grid."""
+    if grid.dim == 1:
+        return np.fft.irfft(ahat, n=grid.n[0])
+    return np.fft.irfftn(ahat, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
+
+
+def _check_backend(backend):
+    if backend not in ("spectral", "fd2"):
+        raise ValueError(f"unknown backend {backend!r}")
+
+
 def deriv_arr(grid, arr, axis, backend="spectral"):
     """d(arr)/dx_axis on the grid."""
-    if backend == "spectral":
-        ik = 1j * grid._bcast(grid._kd[axis], axis)
-        return np.real(np.fft.ifftn(ik * np.fft.fftn(arr)))
+    _check_backend(backend)
     if backend == "fd2":
         h = grid.spacing[axis]
         return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2 * h)
-    raise ValueError(f"unknown backend {backend!r}")
+    return from_spectral(grid, grid._ik[axis] * to_spectral(grid, arr))
 
 
 def lap_arr(grid, arr, backend="spectral"):
-    if backend == "spectral":
-        return np.real(np.fft.ifftn(grid._lap_mult * np.fft.fftn(arr)))
+    """Laplacian of a scalar, or of each component of a leading-axis stack
+    (spectral backend)."""
+    _check_backend(backend)
     if backend == "fd2":
         out = np.zeros_like(arr)
         for a, h in enumerate(grid.spacing):
             out += (np.roll(arr, -1, a) - 2 * arr + np.roll(arr, 1, a)) / h**2
         return out
-    raise ValueError(f"unknown backend {backend!r}")
+    return from_spectral(grid, grid._lap * to_spectral(grid, arr))
+
+
+def _ik_stack(grid, fhat):
+    """ik_j * fhat for every axis j, stacked on a new axis placed just
+    before the grid axes: (..., *m) -> (..., dim, *m)."""
+    lead = fhat.ndim - grid.dim
+    out = np.empty(fhat.shape[:lead] + (grid.dim,) + fhat.shape[lead:],
+                   dtype=complex)
+    for j, ik in enumerate(grid._ik):
+        np.multiply(ik, fhat, out=out[(slice(None),) * lead + (j,)])
+    return out
+
+
+def _ik_dot(grid, vhat):
+    """sum_j ik_j * vhat[..., j, *m]: contracts the axis just before the
+    grid axes, (..., dim, *m) -> (..., *m)."""
+    lead = (slice(None),) * (vhat.ndim - grid.dim - 1)
+    out = grid._ik[0] * vhat[lead + (0,)]
+    for j in range(1, grid.dim):
+        out += grid._ik[j] * vhat[lead + (j,)]
+    return out
 
 
 def grad_arr(grid, arr, backend="spectral"):
     """(dim, *n) array of first derivatives."""
-    return np.stack([deriv_arr(grid, arr, a, backend)
-                     for a in range(grid.dim)])
+    _check_backend(backend)
+    if backend == "fd2":
+        return np.stack([deriv_arr(grid, arr, a, backend)
+                         for a in range(grid.dim)])
+    return from_spectral(grid, _ik_stack(grid, to_spectral(grid, arr)))
 
 
 def div_arr(grid, vec, backend="spectral"):
-    out = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        out += deriv_arr(grid, vec[a], a, backend)
-    return out
+    _check_backend(backend)
+    if backend == "fd2":
+        return sum(deriv_arr(grid, vec[a], a, backend)
+                   for a in range(grid.dim))
+    return from_spectral(grid, _ik_dot(grid, to_spectral(grid, vec)))
 
 
 def hess_arr(grid, arr, backend="spectral"):
-    """(dim, dim, *n) Hessian; symmetric by construction (spectral)."""
+    """(dim, dim, *n) Hessian; bitwise symmetric by construction."""
+    _check_backend(backend)
     d = grid.dim
-    g = grad_arr(grid, arr, backend)
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    if backend == "fd2":
+        g = grad_arr(grid, arr, backend)
+        upper = [deriv_arr(grid, g[i], j, backend) for i, j in pairs]
+    else:
+        # ik_i * ik_j = -k_i k_j: one inverse for the upper triangle
+        fhat = to_spectral(grid, arr)
+        ik = grid._ik
+        uhat = np.empty((len(pairs),) + fhat.shape, dtype=complex)
+        for p, (i, j) in enumerate(pairs):
+            np.multiply((ik[i] * ik[j]).real, fhat, out=uhat[p])
+        del fhat
+        upper = from_spectral(grid, uhat)
     out = np.empty((d, d) + grid.shape)
-    for i in range(d):
-        for j in range(i, d):
-            if i == j and backend == "spectral":
-                hij = np.real(np.fft.ifftn(
-                    -grid._bcast(grid._kd[i] ** 2, i) * np.fft.fftn(arr)))
-            else:
-                hij = deriv_arr(grid, g[i], j, backend)
-            out[i, j] = hij
-            out[j, i] = hij
+    for (i, j), hij in zip(pairs, upper):
+        out[i, j] = hij
+        out[j, i] = hij
     return out
 
 
 def jac_arr(grid, vec, backend="spectral"):
     """Jacobian (dim, dim, *n) with [i, j] = d(vec_i)/dx_j."""
+    _check_backend(backend)
     d = grid.dim
-    out = np.empty((d, d) + grid.shape)
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = deriv_arr(grid, vec[i], j, backend)
-    return out
+    if backend == "fd2":
+        return np.stack([np.stack([deriv_arr(grid, vec[i], j, backend)
+                                   for j in range(d)]) for i in range(d)])
+    return from_spectral(grid, _ik_stack(grid, to_spectral(grid, vec)))
 
 
 def tdiv_arr(grid, tens, backend="spectral"):
     """Row-wise divergence of a tensor: out_i = sum_j d(T_ij)/dx_j."""
+    _check_backend(backend)
     d = grid.dim
-    out = np.zeros((d,) + grid.shape)
-    for i in range(d):
-        for j in range(d):
-            out[i] += deriv_arr(grid, tens[i, j], j, backend)
-    return out
+    if backend == "fd2":
+        return np.stack([sum(deriv_arr(grid, tens[i, j], j, backend)
+                             for j in range(d)) for i in range(d)])
+    return from_spectral(grid, _ik_dot(grid, to_spectral(grid, tens)))
 
 
 def quad(grid, arr):
@@ -267,7 +325,8 @@ def quad(grid, arr):
 
 
 def dealias_arr(grid, arr):
-    return np.real(np.fft.ifftn(grid._dealias_mask * np.fft.fftn(arr)))
+    """2/3-rule truncation of a scalar or of each component of a stack."""
+    return from_spectral(grid, grid._mask * to_spectral(grid, arr))
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +381,7 @@ def dealias(f):
     if isinstance(f, ScalarField):
         return ScalarField(f.grid, dealias_arr(f.grid, f.values))
     if isinstance(f, VectorField):
-        return VectorField(f.grid, np.stack(
-            [dealias_arr(f.grid, c) for c in f.values]))
+        return VectorField(f.grid, dealias_arr(f.grid, f.values))
     raise TypeError("dealias expects a ScalarField or VectorField")
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import grad_arr, hess_arr, jac_arr, lap_arr, quad
-from .physics import require_positive
+from .fields import div_arr, grad_arr, hess_arr, jac_arr, lap_arr, quad
+from .physics import require_positive, to_u
 
 # Inequality pass criterion: quadrature and roundoff must not flag true
 # inequalities.
@@ -91,7 +91,6 @@ class MonitorRecord:
 def _u_form(state, params):
     if state.form == "u":
         return state
-    from .physics import to_u
     return to_u(state, params)
 
 
@@ -277,7 +276,6 @@ def check_flux_identity(v, r, rel_tol=1e-8):
     q2 = np.sum(q * q, axis=0)
     qg = np.sum(q * gv, axis=0)
 
-    from .fields import div_arr
     flux_r = gv2 ** (r / 2) * gv
     flux_2 = gv2 * gv
     lhs = quad(grid, div_arr(grid, flux_r) * div_arr(grid, flux_2))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField, grad_arr, quad
+from .fields import (Grid, ScalarField, VectorField, from_spectral, grad_arr,
+                     mode_indices, quad, to_spectral)
 from .functionals import log_minus
 from .physics import QnsParams, State, VacuumError
 
@@ -76,12 +77,10 @@ def scenario(name, n=128, length=None):
 
 def _lowpass(grid, arr, cutoff):
     """Keep Fourier modes with every |k_i| <= cutoff (integer index units)."""
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        idx = np.fft.fftfreq(grid.n[axis], d=1.0 / grid.n[axis])
-        keep = np.abs(idx) <= cutoff
-        mask &= grid._bcast(keep, axis)
-    return np.real(np.fft.ifftn(mask * np.fft.fftn(arr)))
+    mask = True
+    for idx in mode_indices(grid):
+        mask = mask & (np.abs(idx) <= cutoff)
+    return from_spectral(grid, mask * to_spectral(grid, arr))
 
 
 def mollify(raw, eps, params):
@@ -104,8 +103,7 @@ def mollify(raw, eps, params):
     r0 = raw.rho0.values
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(r0 > 0, raw.m0.values / np.sqrt(np.where(r0 > 0, r0, 1.0)), 0.0)
-    m_t = np.stack([_lowpass(grid, scaled[i], cutoff)
-                    for i in range(grid.dim)])
+    m_t = _lowpass(grid, scaled, cutoff)
     u = m_t / np.sqrt(rho)
     return State(ScalarField(grid, rho), VectorField(grid, u), form="u",
                  time=0.0)

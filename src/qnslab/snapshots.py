@@ -23,6 +23,7 @@ import numpy as np
 from .fields import Grid, ScalarField, VectorField
 
 _MAGIC = "# qnslab-field v1"
+_CHUNK = 4096
 
 
 def write_field(path, field, name, time=0.0):
@@ -44,7 +45,10 @@ def write_field(path, field, name, time=0.0):
         fh.write(f"kind: {kind}\n")
         fh.write(f"components: {comps}\n")
         fh.write("data:\n")
-        np.savetxt(fh, flat, fmt="%.17g")
+        # same bytes as np.savetxt(fmt="%.17g"), formatted in bounded chunks
+        for start in range(0, flat.size, _CHUNK):
+            chunk = flat[start:start + _CHUNK].tolist()
+            fh.write("".join(map("%.17g\n".__mod__, chunk)))
 
 
 def read_field(path):

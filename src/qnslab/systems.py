@@ -81,7 +81,7 @@ def rhs_target(state, params, breakdown=False, use_dealias=True):
     dvel = total / r
     if use_dealias:
         drho = dealias_arr(grid, drho)
-        dvel = np.stack([dealias_arr(grid, c) for c in dvel])
+        dvel = dealias_arr(grid, dvel)
     return Rhs(ScalarField(grid, drho), VectorField(grid, dvel), "target",
                terms if breakdown else None)
 
@@ -144,7 +144,7 @@ def rhs_approx_u(state, params, breakdown=False, use_dealias=True):
     dvel = total / r
     if use_dealias:
         drho = dealias_arr(grid, drho)
-        dvel = np.stack([dealias_arr(grid, c) for c in dvel])
+        dvel = dealias_arr(grid, dvel)
     return Rhs(ScalarField(grid, drho), VectorField(grid, dvel), "approx-u",
                terms if breakdown else None)
 
@@ -174,8 +174,7 @@ def rhs_approx_w(state, params, breakdown=False, use_dealias=True):
     terms["convection"] = -r * _directional(Jw, w)
     terms["pressure"] = -grad_arr(grid, params.a * r ** params.gamma)
     terms["viscous"] = 2 * (params.nu - mu) * tdiv_arr(grid, r * Dw)
-    terms["mu-laplace"] = mu * r * np.stack(
-        [lap_arr(grid, c) for c in w])
+    terms["mu-laplace"] = mu * r * lap_arr(grid, w)
     gr = grad_arr(grid, r)
     terms["mu-gradrho-gradw"] = 2 * mu * _directional(Jw, gr)
     terms["damping-r0"] = -params.r0 * u
@@ -202,7 +201,7 @@ def rhs_approx_w(state, params, breakdown=False, use_dealias=True):
     dvel = total / r
     if use_dealias:
         drho = dealias_arr(grid, drho)
-        dvel = np.stack([dealias_arr(grid, c) for c in dvel])
+        dvel = dealias_arr(grid, dvel)
     return Rhs(ScalarField(grid, drho), VectorField(grid, dvel), "approx-w",
                terms if breakdown else None)
 

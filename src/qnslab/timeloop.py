@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ScalarField, VectorField, grad_arr, lap_arr, quad
+from .fields import (ScalarField, VectorField, div_arr, from_spectral,
+                     grad_arr, hess_arr, jac_arr, lap_arr, quad, to_spectral)
 from .functionals import (DISSIPATION_KEYS, MonitorRecord, bd_entropy,
                           energy, energy_dissipation, mv_functional)
-from .physics import State, VacuumError, check_constraints, to_u, to_w
+from .physics import (State, VacuumError, bohm_force, check_constraints,
+                      to_u, to_w)
 from .systems import rhs_approx_u, rhs_for
 
 SCHEMES = ("rk4-explicit", "imex")
@@ -109,6 +111,27 @@ def _phi2(z):
     return out
 
 
+def _etd_predict(grid, clap, dt, a0, f0):
+    """ETDRK2 predictor for a scalar or a component stack, with the exact
+    linear part clap = c * Lap in the rfft layout of the grid.
+
+    Returns the stage value and the spectrum M = clap * a_hat + N0 that the
+    corrector subtracts from the stage's transformed right-hand side. Each
+    array is transformed once.
+    """
+    z = clap * dt
+    a0_hat = to_spectral(grid, a0)
+    n0_hat = to_spectral(grid, f0) - clap * a0_hat
+    a_hat = np.exp(z) * a0_hat + dt * _phi1(z) * n0_hat
+    return from_spectral(grid, a_hat), clap * a_hat + n0_hat
+
+
+def _etd_correct(grid, clap, dt, a, m_hat, fa):
+    """ETDRK2 corrector: a + dt * phi2(clap dt) (N(a) - N0)."""
+    diff_hat = to_spectral(grid, fa) - m_hat
+    return a + dt * from_spectral(grid, _phi2(clap * dt) * diff_hat)
+
+
 def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
          positivity_floor=1e-10, use_dealias=True):
     """Advance one step; raises PositivityError if the density drops."""
@@ -145,35 +168,14 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
     elif scheme == "imex":
         formulation = {"u": "approx-u", "w": "approx-w"}.get(state.form)
         c_rho, c_vel = _linear_coeffs(formulation, params, grid.dim)
-        lapm = grid._lap_mult
-
-        def lin(arr, c):
-            if c == 0.0:
-                return np.zeros_like(arr)
-            return np.real(np.fft.ifftn(c * lapm * np.fft.fftn(arr)))
-
-        def etd(arr, c, n_first, n_diff, phase):
-            z = c * lapm * dt
-            if phase == "predict":
-                E = np.exp(z)
-                p1 = _phi1(z)
-                ahat = E * np.fft.fftn(arr) + dt * p1 * np.fft.fftn(n_first)
-                return np.real(np.fft.ifftn(ahat))
-            p2 = _phi2(z)
-            return arr + dt * np.real(np.fft.ifftn(p2 * np.fft.fftn(n_diff)))
-
+        clap_r, clap_u = c_rho * grid._lap, c_vel * grid._lap
         fr, fu = f(r0, u0, t0)
-        n0r = fr - lin(r0, c_rho)
-        n0u = np.stack([fu[i] - lin(u0[i], c_vel) for i in range(grid.dim)])
-        ra = etd(r0, c_rho, n0r, None, "predict")
-        ua = np.stack([etd(u0[i], c_vel, n0u[i], None, "predict")
-                       for i in range(grid.dim)])
+        ra, m_r = _etd_predict(grid, clap_r, dt, r0, fr)
+        ua, m_u = _etd_predict(grid, clap_u, dt, u0, fu)
+        del fr, fu  # not needed by the corrector; frees a field pair
         fra, fua = f(ra, ua, t0 + dt)
-        n1r = fra - lin(ra, c_rho)
-        n1u = np.stack([fua[i] - lin(ua[i], c_vel) for i in range(grid.dim)])
-        r1 = etd(ra, c_rho, None, n1r - n0r, "correct")
-        u1 = np.stack([etd(ua[i], c_vel, None, n1u[i] - n0u[i], "correct")
-                       for i in range(grid.dim)])
+        r1 = _etd_correct(grid, clap_r, dt, ra, m_r, fra)
+        u1 = _etd_correct(grid, clap_u, dt, ua, m_u, fua)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -193,7 +195,7 @@ def cfl_dt(state, params, config):
     grid = state.grid
     r = state.rho.values
     u = state.vel.values
-    kmax = max(np.max(np.abs(k)) for k in grid._kd)
+    kmax = max(np.max(np.abs(ik)) for ik in grid._ik)
     umax = float(np.max(np.sqrt(np.sum(u * u, axis=0))))
     cs = math.sqrt(params.a * params.gamma) * float(
         np.max(r ** ((params.gamma - 1) / 2)))
@@ -328,8 +330,6 @@ def _budget_rate(state, params, use_dealias=True):
     eps, mu, p0 = params.eps, params.mu, params.p0
     v = np.sqrt(r)
 
-    from .fields import div_arr, hess_arr, jac_arr
-
     J = jac_arr(grid, u)
     D = 0.5 * (J + np.swapaxes(J, 0, 1))
     u2 = np.sum(u * u, axis=0)
@@ -347,7 +347,6 @@ def _budget_rate(state, params, use_dealias=True):
         u * grad_arr(grid, params.a * r ** params.gamma), axis=0))
 
     if params.kappa > 0 or eps > 0:
-        from .physics import bohm_force
         bf = bohm_force(state.rho).values
         sources += (params.kappa ** 2 + math.sqrt(eps) * mu) * quad(
             grid, np.sum(bf * u, axis=0))

@@ -66,6 +66,10 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
+    def __post_init__(self):
+        # checks may compute the verdict as numpy.bool, which json rejects
+        object.__setattr__(self, "passed", bool(self.passed))
+
     def to_json(self):
         return json.dumps({
             "check": self.check, "seed": self.seed, "grid": list(self.grid),

@@ -123,6 +123,18 @@ class TestVerify:
         assert main(["verify", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_dynamics_suite_writes_parseable_jsonl(self, tmp_path):
+        cfg = _write(tmp_path, "v.json", {"suites": ["dynamics"]})
+        out = str(tmp_path / "out")
+        assert main(["verify", "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "dynamics_results.jsonl")) as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
+        assert {r["check"] for r in records} == {
+            "steady-battery", "mass-balance", "equivalence", "vacuum-band"}
+        assert all(r["passed"] is True for r in records)
+        with open(os.path.join(out, "dynamics_report.json")) as fh:
+            assert json.load(fh)["overall_pass"] is True
+
     def test_unknown_check_exits_2(self, tmp_path):
         cfg = _write(tmp_path, "v.json", {
             "suites": ["identity"], "checks": ["no-such-check"],

@@ -1,0 +1,91 @@
+"""Ceilings on the FFT calls of the hot layers.
+
+Every numpy.fft entry point is wrapped by a counter; a transform that calls
+another entry point internally counts once. The counts do not depend on the
+grid size, so a small 2D grid pins them. A change that lowers a count
+should lower its ceiling here; a ceiling never moves up.
+"""
+
+import numpy as np
+import pytest
+
+from qnslab import functionals, systems, timeloop
+from qnslab.fields import Grid, random_smooth_positive, random_smooth_vector
+from qnslab.physics import QnsParams, State, to_w
+
+ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
+                "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft",
+                "ihfft")
+
+CEILINGS = {
+    "rhs_approx_u": 32,
+    "rhs_approx_w": 26,
+    "step_imex": 74,
+    "step_rk4": 128,
+    "monitor": 22,
+}
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    count = {"calls": 0, "depth": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            if count["depth"] == 0:
+                count["calls"] += 1
+            count["depth"] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                count["depth"] -= 1
+        return wrapper
+
+    for name in ENTRY_POINTS:
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+
+    def measure(fn):
+        count["calls"] = 0
+        fn()
+        return count["calls"]
+    return measure
+
+
+def _operations():
+    grid = Grid((16, 24))
+    params = QnsParams(nu=1.0, kappa=1.0 / 11.0, eps=1e-3)
+    state = State(random_smooth_positive(grid, 3, 4, 4.0),
+                  random_smooth_vector(grid, 3, 4), form="u")
+    wstate = to_w(state, params)
+
+    def monitor():
+        functionals.energy_dissipation(state, params)
+        functionals.energy(state, params)
+        functionals.bd_entropy(state, params)
+        functionals.mv_functional(state)
+
+    def step(scheme):
+        return lambda: timeloop.step(state, params, systems.rhs_approx_u,
+                                     1e-4, scheme=scheme)
+
+    return {
+        "rhs_approx_u": lambda: systems.rhs_approx_u(state, params),
+        "rhs_approx_w": lambda: systems.rhs_approx_w(wstate, params),
+        "step_imex": step("imex"),
+        "step_rk4": step("rk4-explicit"),
+        "monitor": monitor,
+    }
+
+
+@pytest.mark.parametrize("op", sorted(CEILINGS))
+def test_fft_calls_within_ceiling(fft_calls, op):
+    calls = fft_calls(_operations()[op])
+    assert 0 < calls <= CEILINGS[op], f"{op}: {calls} FFT calls"
+
+
+def test_counter_sees_every_transform(fft_calls):
+    a = np.ones((8, 8))
+
+    def pair():
+        np.fft.irfftn(np.fft.rfftn(a), s=a.shape, axes=(0, 1))
+    assert fft_calls(pair) == 2

@@ -1,5 +1,7 @@
 """Round-trip and error behavior of the text snapshot format."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,38 @@ def test_vector_roundtrip_exact(tmp_path):
     back, name, _ = read_field(path)
     assert isinstance(back, VectorField)
     np.testing.assert_array_equal(back.values, F.values)
+
+
+def _data_section(path):
+    text = open(path).read()
+    return text[text.index("data:\n") + len("data:\n"):]
+
+
+def _savetxt_text(values):
+    buf = io.StringIO()
+    np.savetxt(buf, values.reshape(-1), fmt="%.17g")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+def test_data_bytes_match_savetxt(tmp_path, kind):
+    # several write chunks, with signed zero, extremes and a non-round value
+    g = Grid((48, 96))
+    rng = np.random.default_rng(11)
+    if kind == "scalar":
+        vals = rng.standard_normal(g.shape)
+        vals.flat[:5] = (-0.0, 1e-300, -1.7976931348623157e308, 0.1, 1.0 / 3)
+        f = ScalarField(g, vals)
+    else:
+        vals = rng.standard_normal((2,) + g.shape) * 1e5
+        vals.flat[-3:] = (0.0, -0.0, 5e-324)
+        f = VectorField(g, vals)
+    path = tmp_path / f"{kind}.dat"
+    write_field(path, f, kind)
+    assert _data_section(path) == _savetxt_text(f.values)
+    back, _, _ = read_field(path)
+    np.testing.assert_array_equal(back.values, f.values)
+    assert np.array_equal(np.signbit(back.values), np.signbit(f.values))
 
 
 def test_rejects_non_snapshot_file(tmp_path):
