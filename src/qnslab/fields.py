@@ -9,6 +9,8 @@ generator used by the verification suites.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -20,8 +22,8 @@ class Grid:
     Nyquist handling are well defined.
     """
 
-    __slots__ = ("dim", "n", "length", "spacing", "shape", "_ik", "_lap",
-                 "_mask", "_coords")
+    __slots__ = ("dim", "n", "length", "spacing", "shape", "volume", "kmax",
+                 "_ik", "_lap", "_mask", "_coords")
 
     def __init__(self, n, length=None):
         if np.isscalar(n):
@@ -49,6 +51,7 @@ class Grid:
         self.length = length
         self.spacing = tuple(L / m for L, m in zip(length, n))
         self.shape = n
+        self.volume = float(np.prod(length))
 
         # Spectral multipliers in rfft layout (last axis halved). Wavenumbers
         # have the Nyquist mode zeroed, so d/dx of a real field is real and
@@ -58,6 +61,7 @@ class Grid:
               for i, m, L in zip(idx, n, length)]
         self._ik = tuple(1j * k for k in ks)
         self._lap = -sum(k * k for k in ks)
+        self.kmax = max(np.max(np.abs(ik)) for ik in self._ik)
         mask = True
         for i, m in zip(idx, n):
             mask = mask & (np.abs(i) <= m // 3)
@@ -66,18 +70,9 @@ class Grid:
         self._coords = tuple(
             np.arange(m) * h for m, h in zip(n, self.spacing))
 
-    def _bcast(self, arr1d, axis):
-        shape = [1] * self.dim
-        shape[axis] = self.n[axis]
-        return arr1d.reshape(shape)
-
     @property
     def node_count(self):
         return int(np.prod(self.n))
-
-    @property
-    def volume(self):
-        return float(np.prod(self.length))
 
     def coords(self):
         """Per-axis 1D coordinate arrays."""
@@ -275,28 +270,54 @@ def div_arr(grid, vec, backend="spectral"):
     return from_spectral(grid, _ik_dot(grid, to_spectral(grid, vec)))
 
 
-def hess_arr(grid, arr, backend="spectral"):
-    """(dim, dim, *n) Hessian; bitwise symmetric by construction."""
-    _check_backend(backend)
+def _upper_pairs(d):
+    return [(i, j) for i in range(d) for j in range(i, d)]
+
+
+def _symmetric(grid, upper):
+    """(dim, dim, *n) tensor from its upper-triangle rows, bitwise
+    symmetric."""
     d = grid.dim
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    if backend == "fd2":
-        g = grad_arr(grid, arr, backend)
-        upper = [deriv_arr(grid, g[i], j, backend) for i, j in pairs]
-    else:
-        # ik_i * ik_j = -k_i k_j: one inverse for the upper triangle
-        fhat = to_spectral(grid, arr)
-        ik = grid._ik
-        uhat = np.empty((len(pairs),) + fhat.shape, dtype=complex)
-        for p, (i, j) in enumerate(pairs):
-            np.multiply((ik[i] * ik[j]).real, fhat, out=uhat[p])
-        del fhat
-        upper = from_spectral(grid, uhat)
     out = np.empty((d, d) + grid.shape)
-    for (i, j), hij in zip(pairs, upper):
+    for (i, j), hij in zip(_upper_pairs(d), upper):
         out[i, j] = hij
         out[j, i] = hij
     return out
+
+
+def _hess_hat(grid, fhat, with_grad=False):
+    """Stacked spectra ik_i * ik_j * fhat = -k_i k_j fhat of one scalar for
+    the upper triangle i <= j, preceded by ik_j * fhat for every axis j if
+    with_grad."""
+    ik = grid._ik
+    mults = [(ik[i] * ik[j]).real for i, j in _upper_pairs(grid.dim)]
+    if with_grad:
+        mults = list(ik) + mults
+    out = np.empty((len(mults),) + fhat.shape, dtype=complex)
+    for p, m in enumerate(mults):
+        np.multiply(m, fhat, out=out[p])
+    return out
+
+
+def hess_arr(grid, arr, backend="spectral"):
+    """(dim, dim, *n) Hessian; bitwise symmetric by construction."""
+    _check_backend(backend)
+    if backend == "fd2":
+        g = grad_arr(grid, arr, backend)
+        upper = [deriv_arr(grid, g[i], j, backend)
+                 for i, j in _upper_pairs(grid.dim)]
+    else:
+        upper = from_spectral(grid, _hess_hat(grid, to_spectral(grid, arr)))
+    return _symmetric(grid, upper)
+
+
+def grad_hess_arr(grid, arr):
+    """Gradient and Hessian of a scalar, spectral, from one forward and one
+    inverse transform; each equals grad_arr and hess_arr bitwise."""
+    d = grid.dim
+    rows = from_spectral(grid, _hess_hat(grid, to_spectral(grid, arr),
+                                         with_grad=True))
+    return rows[:d].copy(), _symmetric(grid, rows[d:])
 
 
 def jac_arr(grid, vec, backend="spectral"):
@@ -321,7 +342,8 @@ def tdiv_arr(grid, tens, backend="spectral"):
 
 def quad(grid, arr):
     """Rectangle-rule integral: (mean nodal value) x (domain volume)."""
-    return float(np.mean(arr) * grid.volume)
+    # the sum and division np.mean performs, without its call overhead
+    return float(arr.sum() / arr.size * grid.volume)
 
 
 def dealias_arr(grid, arr):
@@ -404,18 +426,25 @@ def random_smooth_positive(grid, seed, modes, floor):
         c = rng.standard_normal()
         return ScalarField.constant(grid, floor + c * c)
     # spectral synthesis: white noise shaped by (1 + |k|^2)^-2 within the
-    # mode box; FFT of real noise keeps the result real after masking
+    # mode box; the shaped spectrum stays Hermitian, so the field is real
     noise = rng.standard_normal(grid.shape)
-    coeff = np.fft.fftn(noise)
-    k2 = np.zeros(grid.shape)
-    box = np.ones(grid.shape, dtype=bool)
-    for a, m in enumerate(grid.n):
-        idx = np.rint(np.fft.fftfreq(m) * m).astype(int)
-        k2 = k2 + grid._bcast(idx.astype(float) ** 2, a)
-        box &= grid._bcast(np.abs(idx) <= modes, a)
-    amp = np.where(box, (1.0 + k2) ** -2, 0.0)
-    s = np.real(np.fft.ifftn(amp * coeff)) * np.sqrt(grid.node_count)
+    s = from_spectral(grid, _smooth_amplitude(grid, modes)
+                      * to_spectral(grid, noise)) * np.sqrt(grid.node_count)
     return ScalarField(grid, floor + s * s)
+
+
+@functools.lru_cache(maxsize=8)
+def _smooth_amplitude(grid, modes):
+    """Read-only (1 + |k|^2)^-2 on the mode box |k_i| <= modes, zero
+    elsewhere, in rfft layout."""
+    k2 = 0.0
+    box = True
+    for idx in mode_indices(grid):
+        k2 = k2 + idx.astype(float) ** 2
+        box = box & (np.abs(idx) <= modes)
+    amp = np.where(box, (1.0 + k2) ** -2, 0.0)
+    amp.setflags(write=False)
+    return amp
 
 
 def random_smooth_vector(grid, seed, modes, amplitude=1.0):

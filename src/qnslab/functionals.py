@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .fields import div_arr, grad_arr, hess_arr, jac_arr, lap_arr, quad
+from .fields import (div_arr, grad_arr, grad_hess_arr, hess_arr, jac_arr,
+                     lap_arr, quad)
 from .physics import require_positive, to_u
 
 # Inequality pass criterion: quadrature and roundoff must not flag true
@@ -88,10 +90,103 @@ class MonitorRecord:
         return bool(np.all(np.isfinite(vals)))
 
 
-def _u_form(state, params):
-    if state.form == "u":
+class Derived:
+    """Derived state of one u-form state, each piece computed once on first
+    use; the functionals below and a monitor record read from one bundle.
+
+    It holds the pieces that several integrands share. Built from a w-form
+    state, it maps back to u first (needs params). Each derivative group is
+    one forward and one inverse transform; a Hessian asked for before its
+    gradient, or grad(sqrt(rho) u) before J, brings the other along. No
+    spectrum is kept. Each array equals, bitwise, what the plain operators
+    of fields give for it.
+    """
+
+    def __init__(self, state, params=None):
+        if state.form != "u":
+            if params is None:
+                raise ValueError("w-form state needs params to map back to u")
+            state = to_u(state, params)
+        require_positive(state.rho.values)
+        self.state = state
+        self.params = params
+        self.grid = state.grid
+        self.rho = state.rho.values
+        self.u = state.vel.values
+
+    @cached_property
+    def sqrt_rho(self):
+        return np.sqrt(self.rho)
+
+    @cached_property
+    def log_rho(self):
+        return np.log(self.rho)
+
+    @cached_property
+    def rho_neg_p0(self):
+        """rho^-p0."""
+        return self.rho ** (-self.params.p0)
+
+    @cached_property
+    def u2(self):
+        """|u|^2."""
+        return np.sum(self.u * self.u, axis=0)
+
+    @cached_property
+    def jac_u(self):
+        """J[i, j] = d_j u_i."""
+        return jac_arr(self.grid, self.u)
+
+    @cached_property
+    def jac_sqrt_rho_u(self):
+        """grad(sqrt(rho) u), [i, j] = d_j (sqrt(rho) u_i). Unless J is
+        cached already, it comes from the same transform pair."""
+        su = self.sqrt_rho * self.u
+        if "jac_u" in self.__dict__:
+            return jac_arr(self.grid, su)
+        self.__dict__["jac_u"], jsu = jac_arr(self.grid,
+                                              np.stack([self.u, su]))
+        return jsu
+
+    @cached_property
+    def grad_sqrt_rho(self):
+        return grad_arr(self.grid, self.sqrt_rho)
+
+    @cached_property
+    def hess_sqrt_rho(self):
+        return self._hess("grad_sqrt_rho", self.sqrt_rho)
+
+    @cached_property
+    def grad_sqrt_rho2(self):
+        """|grad sqrt(rho)|^2."""
+        gv = self.grad_sqrt_rho
+        return np.sum(gv * gv, axis=0)
+
+    @cached_property
+    def grad_log_rho(self):
+        return grad_arr(self.grid, self.log_rho)
+
+    @cached_property
+    def hess_log_rho(self):
+        return self._hess("grad_log_rho", self.log_rho)
+
+    def _hess(self, grad_name, arr):
+        """Hessian of arr. Unless the gradient is cached already, it comes
+        from the same inverse transform and is cached under grad_name."""
+        if grad_name in self.__dict__:
+            return hess_arr(self.grid, arr)
+        self.__dict__[grad_name], hess = grad_hess_arr(self.grid, arr)
+        return hess
+
+
+def derived(state, params=None):
+    """The Derived bundle of a state; a bundle is returned as it is."""
+    if isinstance(state, Derived):
+        if params is not None and params is not state.params \
+                and params != state.params:
+            raise ValueError("bundle was built with other params")
         return state
-    return to_u(state, params)
+    return Derived(state, params)
 
 
 def log_minus(rho_values):
@@ -101,47 +196,35 @@ def log_minus(rho_values):
 
 def energy(state, params):
     """int(rho|u|^2 + rho + a rho^g + eps rho^-p0
-           + (2k^2 + 2 mu sqrt(eps)) |grad v|^2 + eps mu |grad v|^4)."""
-    state = _u_form(state, params)
-    require_positive(state.rho.values)
-    grid = state.grid
-    r = state.rho.values
-    u = state.vel.values
-    v = np.sqrt(r)
-    gv = grad_arr(grid, v)
-    gv2 = np.sum(gv * gv, axis=0)
-    u2 = np.sum(u * u, axis=0)
+           + (2k^2 + 2 mu sqrt(eps)) |grad v|^2 + eps mu |grad v|^4).
+
+    state is a State or its Derived bundle, as for every functional here."""
+    d = derived(state, params)
+    r = d.rho
+    gv2 = d.grad_sqrt_rho2
     eps, mu = params.eps, params.mu
-    integrand = r * u2 + r + params.a * r ** params.gamma
+    integrand = r * d.u2 + r + params.a * r ** params.gamma
     if eps > 0:
-        integrand = integrand + eps * r ** (-params.p0)
+        integrand = integrand + eps * d.rho_neg_p0
     cgrad = 2 * params.kappa ** 2 + 2 * mu * np.sqrt(eps)
     integrand = integrand + cgrad * gv2 + eps * mu * gv2 ** 2
-    return quad(grid, integrand)
+    return quad(d.grid, integrand)
 
 
 def bd_entropy(state, params):
     """int(|grad v|^2 + eps |grad v|^4 - r0 log_-(rho))."""
-    state = _u_form(state, params)
-    require_positive(state.rho.values)
-    grid = state.grid
-    v = np.sqrt(state.rho.values)
-    gv2 = np.sum(grad_arr(grid, v) ** 2, axis=0)
+    d = derived(state, params)
+    gv2 = d.grad_sqrt_rho2
     integrand = gv2 + params.eps * gv2 ** 2 \
-        - params.r0 * log_minus(state.rho.values)
-    return quad(grid, integrand)
+        - params.r0 * np.minimum(d.log_rho, 0.0)
+    return quad(d.grid, integrand)
 
 
 def mv_functional(state, params=None):
     """Mellet-Vasseur functional int rho (e + |u|^2) ln(e + |u|^2)."""
-    if state.form != "u" and params is None:
-        raise ValueError("w-form state needs params to map back to u")
-    if state.form != "u":
-        state = _u_form(state, params)
-    require_positive(state.rho.values)
-    u2 = np.sum(state.vel.values ** 2, axis=0)
-    arg = np.e + u2
-    return quad(state.grid, state.rho.values * arg * np.log(arg))
+    d = derived(state, params)
+    arg = np.e + d.u2
+    return quad(d.grid, d.rho * arg * np.log(arg))
 
 
 def energy_dissipation(state, params):
@@ -150,62 +233,48 @@ def energy_dissipation(state, params):
     Time integration of these is the time loop's job; this returns the
     integrands' quadratures at the given state.
     """
-    state = _u_form(state, params)
-    require_positive(state.rho.values)
-    grid = state.grid
-    r = state.rho.values
-    u = state.vel.values
-    v = np.sqrt(r)
+    d = derived(state, params)
+    grid = d.grid
+    r, u, v, u2 = d.rho, d.u, d.sqrt_rho, d.u2
     eps, mu, p0 = params.eps, params.mu, params.p0
 
-    J = jac_arr(grid, u)                       # J[i,j] = d_j u_i
+    # Hessians and grad(sqrt(rho) u) first: each brings its gradient, or J,
+    # in the same transform
+    Hv, Hlog, Jsu = d.hess_sqrt_rho, d.hess_log_rho, d.jac_sqrt_rho_u
+    J = d.jac_u
     D = 0.5 * (J + np.swapaxes(J, 0, 1))
-    D2 = np.sum(D * D, axis=(0, 1))
-    J2 = np.sum(J * J, axis=(0, 1))
-    u2 = np.sum(u * u, axis=0)
-
-    gv = grad_arr(grid, v)
-    gv2 = np.sum(gv * gv, axis=0)
-    Hv = hess_arr(grid, v)
-    Hv2 = np.sum(Hv * Hv, axis=(0, 1))
-    g_gv2 = grad_arr(grid, gv2)
-    g_gv2_2 = np.sum(g_gv2 * g_gv2, axis=0)
-
-    w = u + mu * grad_arr(grid, np.log(r))
-    w3 = np.sum(w * w, axis=0) ** 1.5
-
-    Hlog = hess_arr(grid, np.log(r))
-    Hlog2 = np.sum(Hlog * Hlog, axis=(0, 1))
-
+    gv, gv2 = d.grad_sqrt_rho, d.grad_sqrt_rho2
+    w = u + mu * d.grad_log_rho
     g_rg = grad_arr(grid, r ** (params.gamma / 2))
-    g_rg2 = np.sum(g_rg * g_rg, axis=0)
+    # grad(sqrt(rho) u) - u (x) grad(sqrt(rho))
+    diff = Jsu - u[:, None] * gv[None, :]
+    neg_p = d.rho_neg_p0 if eps > 0 else np.zeros_like(r)
 
-    # grad(sqrt(rho) u) - u (x) grad(sqrt(rho)), Frobenius norm squared
-    gsr = grad_arr(grid, v)
-    sru = v * u
-    Jsru = jac_arr(grid, sru)
-    diff = Jsru - u[:, None] * gsr[None, :]
-    diff2 = np.sum(diff * diff, axis=(0, 1))
-
-    ckap = (2 * params.kappa ** 2 + 2 * mu * np.sqrt(eps)) * eps
-    quartic = gv2 * Hv2 + g_gv2_2 + (2 * p0 + 1) * gv2 * v ** (-2 * p0 - 2)
-
-    neg_p = r ** (-p0) if eps > 0 else np.zeros_like(r)
-
-    return {
-        "nu_rho_Du2": params.nu * quad(grid, r * D2),
+    out = {
+        "nu_rho_Du2": params.nu * quad(grid, r * np.sum(D * D, axis=(0, 1))),
         "r0_u2": params.r0 * quad(grid, u2),
         "r1_rho_u4": params.r1 * quad(grid, r * u2 ** 2),
-        "sqrt_eps_rho_gradu2": np.sqrt(eps) * quad(grid, r * J2),
+        "sqrt_eps_rho_gradu2": np.sqrt(eps) * quad(
+            grid, r * np.sum(J * J, axis=(0, 1))),
         "eps_gradv4": eps * quad(grid, gv2 ** 2),
         "eps_gradv4_u2": eps * quad(grid, gv2 ** 2 * u2),
         "eps_rho_negp_u2": eps * quad(grid, neg_p * u2),
-        "eps32_rho_w3_u2": eps ** 1.5 * quad(grid, r * w3 * u2),
-        "kappa_quartic_group": ckap * quad(grid, quartic) if eps > 0 else 0.0,
-        "kappa2_rho_hesslog2": params.kappa ** 2 * quad(grid, r * Hlog2),
-        "grad_rho_gamma_half2": quad(grid, g_rg2),
-        "grad_sqrtrho_u2": quad(grid, diff2),
+        "eps32_rho_w3_u2": eps ** 1.5 * quad(
+            grid, r * np.sum(w * w, axis=0) ** 1.5 * u2),
+        "kappa_quartic_group": 0.0,
+        "kappa2_rho_hesslog2": params.kappa ** 2 * quad(
+            grid, r * np.sum(Hlog * Hlog, axis=(0, 1))),
+        "grad_rho_gamma_half2": quad(grid, np.sum(g_rg * g_rg, axis=0)),
+        "grad_sqrtrho_u2": quad(grid, np.sum(diff * diff, axis=(0, 1))),
     }
+    if eps > 0:
+        ckap = (2 * params.kappa ** 2 + 2 * mu * np.sqrt(eps)) * eps
+        g_gv2 = grad_arr(grid, gv2)
+        quartic = (gv2 * np.sum(Hv * Hv, axis=(0, 1))
+                   + np.sum(g_gv2 * g_gv2, axis=0)
+                   + (2 * p0 + 1) * gv2 * v ** (-2 * p0 - 2))
+        out["kappa_quartic_group"] = ckap * quad(grid, quartic)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,17 @@ no-vacuum regime is a property to observe, not enforce.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import (ScalarField, VectorField, div_arr, from_spectral,
-                     grad_arr, hess_arr, jac_arr, lap_arr, quad, to_spectral)
-from .functionals import (DISSIPATION_KEYS, MonitorRecord, bd_entropy,
-                          energy, energy_dissipation, mv_functional)
+                     grad_arr, lap_arr, quad, to_spectral)
+from .functionals import (DISSIPATION_KEYS, Derived, MonitorRecord,
+                          bd_entropy, derived, energy, energy_dissipation,
+                          mv_functional)
 from .physics import (State, VacuumError, bohm_force, check_constraints,
                       to_u, to_w)
 from .systems import rhs_approx_u, rhs_for
@@ -111,25 +113,48 @@ def _phi2(z):
     return out
 
 
-def _etd_predict(grid, clap, dt, a0, f0):
+@functools.lru_cache(maxsize=4)
+def _etd_multipliers(grid, c, dt):
+    """Read-only (exp(z), dt * phi1(z), phi2(z)) for z = c * Lap * dt in
+    the rfft layout of the grid.
+
+    A fixed-dt run reuses one entry per linear coefficient; four entries
+    hold both coefficients of two step sizes. A multiplier that is the same
+    number everywhere (all three at c = 0) is kept as a broadcast scalar, so
+    the cache holds no array for it.
+    """
+    z = c * grid._lap * dt
+    mults = []
+    for m in (np.exp(z), dt * _phi1(z), _phi2(z)):
+        bits = m.view(np.uint64)
+        if (bits == bits.flat[0]).all():
+            m = np.broadcast_to(m.flat[0], m.shape)
+        else:
+            m.setflags(write=False)
+        mults.append(m)
+    return tuple(mults)
+
+
+def _etd_predict(grid, clap, mults, a0, f0):
     """ETDRK2 predictor for a scalar or a component stack, with the exact
-    linear part clap = c * Lap in the rfft layout of the grid.
+    linear part clap = c * Lap in the rfft layout of the grid and the
+    multipliers of _etd_multipliers.
 
     Returns the stage value and the spectrum M = clap * a_hat + N0 that the
     corrector subtracts from the stage's transformed right-hand side. Each
     array is transformed once.
     """
-    z = clap * dt
+    ez, dt_phi1, _ = mults
     a0_hat = to_spectral(grid, a0)
     n0_hat = to_spectral(grid, f0) - clap * a0_hat
-    a_hat = np.exp(z) * a0_hat + dt * _phi1(z) * n0_hat
+    a_hat = ez * a0_hat + dt_phi1 * n0_hat
     return from_spectral(grid, a_hat), clap * a_hat + n0_hat
 
 
-def _etd_correct(grid, clap, dt, a, m_hat, fa):
+def _etd_correct(grid, mults, dt, a, m_hat, fa):
     """ETDRK2 corrector: a + dt * phi2(clap dt) (N(a) - N0)."""
     diff_hat = to_spectral(grid, fa) - m_hat
-    return a + dt * from_spectral(grid, _phi2(clap * dt) * diff_hat)
+    return a + dt * from_spectral(grid, mults[2] * diff_hat)
 
 
 def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
@@ -168,14 +193,15 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
     elif scheme == "imex":
         formulation = {"u": "approx-u", "w": "approx-w"}.get(state.form)
         c_rho, c_vel = _linear_coeffs(formulation, params, grid.dim)
-        clap_r, clap_u = c_rho * grid._lap, c_vel * grid._lap
+        mults_r = _etd_multipliers(grid, c_rho, dt)
+        mults_u = _etd_multipliers(grid, c_vel, dt)
         fr, fu = f(r0, u0, t0)
-        ra, m_r = _etd_predict(grid, clap_r, dt, r0, fr)
-        ua, m_u = _etd_predict(grid, clap_u, dt, u0, fu)
+        ra, m_r = _etd_predict(grid, c_rho * grid._lap, mults_r, r0, fr)
+        ua, m_u = _etd_predict(grid, c_vel * grid._lap, mults_u, u0, fu)
         del fr, fu  # not needed by the corrector; frees a field pair
         fra, fua = f(ra, ua, t0 + dt)
-        r1 = _etd_correct(grid, clap_r, dt, ra, m_r, fra)
-        u1 = _etd_correct(grid, clap_u, dt, ua, m_u, fua)
+        r1 = _etd_correct(grid, mults_r, dt, ra, m_r, fra)
+        u1 = _etd_correct(grid, mults_u, dt, ua, m_u, fua)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -195,7 +221,7 @@ def cfl_dt(state, params, config):
     grid = state.grid
     r = state.rho.values
     u = state.vel.values
-    kmax = max(np.max(np.abs(ik)) for ik in grid._ik)
+    kmax = grid.kmax
     umax = float(np.max(np.sqrt(np.sum(u * u, axis=0))))
     cs = math.sqrt(params.a * params.gamma) * float(
         np.max(r ** ((params.gamma - 1) / 2)))
@@ -205,6 +231,30 @@ def cfl_dt(state, params, config):
     if rate <= 0:
         return config.dt_max
     return config.cfl_target / rate
+
+
+def _monitor_sample(state, params):
+    """The functionals of one monitor record, all read from one Derived
+    bundle, and the continuity source flux
+    eps * int |grad v|^4 - eps * int rho^-p0 of the mass balance.
+
+    Returns (MonitorRecord fields but time and residual, flux).
+    """
+    d = Derived(state, params)
+    values = {
+        "dissipation": energy_dissipation(d, params),
+        "energy": energy(d, params),
+        "bd_entropy": bd_entropy(d, params),
+        "mv": mv_functional(d),
+        "mass": quad(d.grid, d.rho),
+        "rho_min": float(np.min(d.rho)),
+        "rho_max": float(np.max(d.rho)),
+    }
+    flux = 0.0
+    if params.eps != 0:
+        flux = params.eps * (quad(d.grid, d.grad_sqrt_rho2 ** 2)
+                             - quad(d.grid, d.rho_neg_p0))
+    return values, flux
 
 
 def integrate(initial, params, config, formulation=None, use_dealias=True,
@@ -224,43 +274,29 @@ def integrate(initial, params, config, formulation=None, use_dealias=True,
     traj = Trajectory()
     state = initial
     accum = {k: 0.0 for k in DISSIPATION_KEYS}
-    prev_diss = None
-    prev_monitor = None
+    prev = None     # (time, mass, mass flux, dissipation) of the last record
 
-    def mass_flux(s):
-        # eps * int |grad v|^4 - eps * int rho^-p0 (continuity source terms)
-        if params.eps == 0:
-            return 0.0
-        grid = s.grid
-        gv = grad_arr(grid, np.sqrt(s.rho.values))
-        gv2 = np.sum(gv * gv, axis=0)
-        return params.eps * (quad(grid, gv2 ** 2)
-                             - quad(grid, s.rho.values ** -params.p0))
-
-    def record(s, residual):
-        u_state = s if s.form == "u" else to_u(s, params)
-        diss = energy_dissipation(u_state, params)
-        rec = MonitorRecord(
-            time=s.time,
-            mass=quad(s.grid, s.rho.values),
-            energy=energy(u_state, params),
-            bd_entropy=bd_entropy(u_state, params),
-            mv=mv_functional(u_state),
-            rho_min=float(np.min(s.rho.values)),
-            rho_max=float(np.max(s.rho.values)),
-            mass_balance_residual=residual,
-            dissipation=diss,
-        )
+    def record(s):
+        nonlocal prev
+        values, flux = _monitor_sample(s, params)
+        mass, diss = values["mass"], values["dissipation"]
+        residual = 0.0
+        if prev is not None:
+            # discrete mass balance; trapezoid accumulation of the
+            # dissipation integrals
+            t_prev, m_prev, flux_prev, d_prev = prev
+            residual = abs((mass - m_prev) / (s.time - t_prev)
+                           + 0.5 * (flux + flux_prev))
+            for k in DISSIPATION_KEYS:
+                accum[k] += 0.5 * (d_prev[k] + diss[k]) * (s.time - t_prev)
         traj.times.append(s.time)
         if keep_states:
             traj.states.append(s)
-        traj.records.append(rec)
-        return rec, diss
+        traj.records.append(MonitorRecord(
+            time=s.time, mass_balance_residual=residual, **values))
+        prev = (s.time, mass, flux, diss)
 
-    rec, diss = record(state, 0.0)
-    prev_diss = (state.time, diss)
-    prev_monitor = (state.time, rec.mass, mass_flux(state))
-
+    record(state)
     steps_since_monitor = 0
     while state.time < config.t_end - 1e-14:
         dt = min(cfl_dt(state, params, config), config.dt_max)
@@ -280,19 +316,7 @@ def integrate(initial, params, config, formulation=None, use_dealias=True,
         steps_since_monitor += 1
         at_end = state.time >= config.t_end - 1e-14
         if steps_since_monitor >= config.monitor_every or at_end:
-            t_prev, m_prev, flux_prev = prev_monitor
-            flux_now = mass_flux(state)
-            m_now = quad(state.grid, state.rho.values)
-            dt_mon = state.time - t_prev
-            residual = abs((m_now - m_prev) / dt_mon
-                           + 0.5 * (flux_now + flux_prev))
-            rec, diss = record(state, residual)
-            # trapezoid accumulation of the dissipation integrals
-            t0, d0 = prev_diss
-            for k in DISSIPATION_KEYS:
-                accum[k] += 0.5 * (d0[k] + diss[k]) * (state.time - t0)
-            prev_diss = (state.time, diss)
-            prev_monitor = (state.time, m_now, flux_now)
+            record(state)
             steps_since_monitor = 0
     traj.dissipation_time_integrals = accum
     traj.status = "completed"
@@ -318,24 +342,24 @@ class EnergyBudgetReport:
 
 
 def _budget_rate(state, params, use_dealias=True):
-    """Analytic instantaneous dE/dt, grouped as -(dissipation) + sources.
+    """Analytic instantaneous dE/dt, grouped as -(dissipation) + sources,
+    of a u-form State or its Derived bundle.
 
     Kinetic part from the weak-form decomposition of the momentum equation
     (dissipation integrals, pressure work, the epsilon exchange terms); the
     remaining energy parts by the chain rule through the continuity source.
     """
-    grid = state.grid
-    r = state.rho.values
-    u = state.vel.values
+    d = derived(state, params)
+    state = d.state
+    grid, r, u, v, u2 = d.grid, d.rho, d.u, d.sqrt_rho, d.u2
     eps, mu, p0 = params.eps, params.mu, params.p0
-    v = np.sqrt(r)
 
-    J = jac_arr(grid, u)
+    J = d.jac_u
     D = 0.5 * (J + np.swapaxes(J, 0, 1))
-    u2 = np.sum(u * u, axis=0)
-    gv = grad_arr(grid, v)
-    gv2 = np.sum(gv * gv, axis=0)
-    glog = grad_arr(grid, np.log(r))
+    gv, gv2 = d.grad_sqrt_rho, d.grad_sqrt_rho2
+    if eps > 0:
+        Hlog = d.hess_log_rho  # brings grad log rho in the same transform
+    glog = d.grad_log_rho
     w = u + mu * glog
     w3 = np.sum(w * w, axis=0) ** 1.5
 
@@ -354,8 +378,7 @@ def _budget_rate(state, params, use_dealias=True):
     if eps > 0:
         flux = gv2 * gv
         Q = div_arr(grid, flux)
-        neg_p = r ** (-p0)
-        Hlog = hess_arr(grid, np.log(r))
+        neg_p = d.rho_neg_p0
         diss += (eps / 2 * quad(grid, neg_p * u2)
                  + eps ** 1.5 * quad(grid, r * w3 * u2)
                  + eps / 2 * quad(grid, gv2 ** 2 * u2))
@@ -379,7 +402,6 @@ def _budget_rate(state, params, use_dealias=True):
     cgrad = 2 * params.kappa ** 2 + 2 * mu * math.sqrt(eps)
     pot_rate += cgrad * (-quad(grid, lv / v * drho))
     if eps > 0:
-        Q = div_arr(grid, gv2 * gv)
         pot_rate += -eps * p0 * quad(grid, r ** (-p0 - 1) * drho)
         pot_rate += eps * mu * (-2 * quad(grid, Q / v * drho))
 
@@ -406,13 +428,15 @@ def energy_budget(trajectory, params, use_dealias=True):
         if np.max(dts) > 1.5 * np.min(dts):
             raise ValueError("energy budget requires monitor cadence 1 "
                              "(uniform per-step snapshots)")
-    energies = np.array([energy(s, params) for s in states])
-    rates, disses, srcs = [], [], []
+    energies, rates, disses, srcs = [], [], [], []
     for s in states:
-        rate, d, src = _budget_rate(s, params, use_dealias=use_dealias)
+        d = Derived(s, params)
+        energies.append(energy(d, params))
+        rate, diss, src = _budget_rate(d, params, use_dealias=use_dealias)
         rates.append(rate)
-        disses.append(d)
+        disses.append(diss)
         srcs.append(src)
+    energies = np.array(energies)
     rates = np.asarray(rates)
     dE = np.diff(energies) / np.diff(times)
     mid_rate = 0.5 * (rates[1:] + rates[:-1])

@@ -22,7 +22,9 @@ CEILINGS = {
     "rhs_approx_w": 26,
     "step_imex": 74,
     "step_rk4": 128,
-    "monitor": 22,
+    "monitor": 14,
+    "monitor_record": 10,
+    "budget_rate": 52,
 }
 
 
@@ -59,10 +61,15 @@ def _operations():
     wstate = to_w(state, params)
 
     def monitor():
+        # the public functionals, one at a time
         functionals.energy_dissipation(state, params)
         functionals.energy(state, params)
         functionals.bd_entropy(state, params)
         functionals.mv_functional(state)
+
+    def monitor_record():
+        # what one record of integrate evaluates, mass flux included
+        timeloop._monitor_sample(state, params)
 
     def step(scheme):
         return lambda: timeloop.step(state, params, systems.rhs_approx_u,
@@ -74,6 +81,8 @@ def _operations():
         "step_imex": step("imex"),
         "step_rk4": step("rk4-explicit"),
         "monitor": monitor,
+        "monitor_record": monitor_record,
+        "budget_rate": lambda: timeloop._budget_rate(state, params),
     }
 
 

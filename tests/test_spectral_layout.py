@@ -11,7 +11,8 @@ import pytest
 
 from qnslab.fields import (Grid, ScalarField, VectorField, dealias,
                            dealias_arr, deriv_arr, div_arr, grad_arr,
-                           hess_arr, jac_arr, lap_arr, tdiv_arr)
+                           grad_hess_arr, hess_arr, jac_arr, lap_arr,
+                           random_smooth_positive, tdiv_arr)
 
 GRIDS = [
     Grid((16, 32), length=(1.0, 3.0)),
@@ -128,6 +129,17 @@ class TestIdentities:
         H = hess_arr(grid, f)
         _close(np.trace(H, axis1=0, axis2=1), lap_arr(grid, f))
 
+    def test_grad_hess_is_grad_and_hess_bitwise(self, grid):
+        f = _noise(grid, seed=13)
+        g, H = grad_hess_arr(grid, f)
+        np.testing.assert_array_equal(g, grad_arr(grid, f))
+        np.testing.assert_array_equal(H, hess_arr(grid, f))
+
+    def test_kmax_is_largest_retained_wavenumber(self, grid):
+        kmax = max(float(np.max(np.abs(_wavenumber(grid, a))))
+                   for a in range(grid.dim))
+        assert grid.kmax == pytest.approx(kmax, rel=1e-14)
+
     def test_hessian_bitwise_symmetric(self, grid):
         H = hess_arr(grid, _noise(grid, seed=8))
         for i in range(grid.dim):
@@ -180,3 +192,32 @@ class TestIdentities:
         _close(dealias(once).values, once.values)
         s = ScalarField(grid, _noise(grid, seed=12))
         _close(dealias(dealias(s)).values, dealias(s).values)
+
+
+# --- seeded field synthesis ----------------------------------------------
+
+def _ref_smooth_positive(grid, seed, modes, floor):
+    """The complex full-layout synthesis: white noise shaped by
+    (1 + |k|^2)^-2 on the mode box, fftn/ifftn."""
+    noise = np.random.default_rng(seed).standard_normal(grid.shape)
+    k2 = np.zeros(grid.shape)
+    box = np.ones(grid.shape, dtype=bool)
+    for a, m in enumerate(grid.n):
+        idx = np.rint(np.fft.fftfreq(m) * m).astype(int)
+        shape = [1] * grid.dim
+        shape[a] = m
+        k2 = k2 + (idx.astype(float) ** 2).reshape(shape)
+        box = box & (np.abs(idx) <= modes).reshape(shape)
+    amp = np.where(box, (1.0 + k2) ** -2, 0.0)
+    s = np.real(np.fft.ifftn(amp * np.fft.fftn(noise))) \
+        * np.sqrt(np.prod(grid.n))
+    return floor + s * s
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+def test_random_smooth_positive_matches_complex_synthesis(grid):
+    modes = min(grid.n) // 3
+    for seed in (0, 5):
+        got = random_smooth_positive(grid, seed, modes, 0.5).values
+        np.testing.assert_allclose(
+            got, _ref_smooth_positive(grid, seed, modes, 0.5), rtol=1e-14)
