@@ -30,7 +30,7 @@ import numpy as np
 from .functionals import DISSIPATION_KEYS
 from .initdata import SCENARIOS, mollify, scenario, validate_initial
 from .physics import (DESK_P0, DESK_SIGMA0, PAPER_P0, PAPER_SIGMA0, QnsParams,
-                      State, check_constraints)
+                      State, VacuumError, check_constraints)
 from .snapshots import read_field, write_field
 from .timeloop import IntegratorConfig, integrate
 from .verify import (DYNAMICS_CHECKS, IDENTITY_CHECKS, INEQUALITY_CHECKS,
@@ -89,19 +89,29 @@ def _build_integrator(cfg):
         raise ConfigError(f"invalid integrator block: {exc}") from exc
 
 
+def _read_snapshot(path):
+    if not os.path.exists(path):
+        raise ConfigError(f"snapshot not found: {path}")
+    try:
+        return read_field(path)
+    except ValueError as exc:
+        raise ConfigError(f"bad snapshot: {exc}") from exc
+
+
 def _build_initial(cfg, params):
     if "snapshot" in cfg:
         path = cfg["snapshot"]
-        if not os.path.exists(path):
-            raise ConfigError(f"snapshot not found: {path}")
-        rho, _, time = read_field(path)
+        rho, _, time = _read_snapshot(path)
         vel_path = cfg.get("snapshot_velocity")
         if vel_path:
-            vel, _, _ = read_field(vel_path)
+            vel, _, _ = _read_snapshot(vel_path)
         else:
             from .fields import VectorField
             vel = VectorField.zero(rho.grid)
-        return State(rho, vel, form="u", time=time)
+        try:
+            return State(rho, vel, form="u", time=time)
+        except ValueError as exc:
+            raise ConfigError(f"snapshots do not match: {exc}") from exc
     name = cfg.get("scenario")
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; known: {SCENARIOS}")
@@ -137,7 +147,11 @@ def cmd_run(args):
             if not (c.passed or c.informational):
                 raise ConfigError(f"admissibility violated: {c.name} "
                                   f"(lhs={c.lhs:g}, rhs={c.rhs:g})")
-    init_report = validate_initial(initial, params)
+    try:
+        init_report = validate_initial(initial, params)
+    except VacuumError as exc:
+        raise ConfigError(f"initial density must be positive and finite: "
+                          f"{exc}") from exc
     traj = integrate(initial, params, config, check_strict=False)
     _write_monitors(os.path.join(out, "monitors.csv"), traj.records)
     if traj.states:

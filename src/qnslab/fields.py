@@ -193,10 +193,15 @@ def mode_indices(grid):
 # ---------------------------------------------------------------------------
 
 def to_spectral(grid, arr):
-    """Real FFT over the trailing grid axes; leading axes are a batch."""
+    """Real FFT over the trailing grid axes; leading axes are a batch.
+
+    The transform writes every axis pass into one preallocated output, so it
+    allocates once instead of once per axis.
+    """
     if grid.dim == 1:
         return np.fft.rfft(arr)
-    return np.fft.rfftn(arr, axes=tuple(range(-grid.dim, 0)))
+    out = np.empty(arr.shape[:-1] + (grid.n[-1] // 2 + 1,), dtype=complex)
+    return np.fft.rfftn(arr, axes=tuple(range(-grid.dim, 0)), out=out)
 
 
 def from_spectral(grid, ahat):
@@ -204,6 +209,38 @@ def from_spectral(grid, ahat):
     if grid.dim == 1:
         return np.fft.irfft(ahat, n=grid.n[0])
     return np.fft.irfftn(ahat, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
+
+
+def split_rows(arr, counts):
+    """Consecutive leading-axis views of arr, one per count."""
+    views, start = [], 0
+    for c in counts:
+        views.append(arr[start:start + c])
+        start += c
+    return views
+
+
+def nodal_stack(grid, *counts):
+    """An uninitialized real stack of sum(counts) rows on the grid and one
+    view per count, so each group is written in place before one batched
+    to_spectral."""
+    arr = np.empty((sum(counts),) + grid.shape)
+    return arr, split_rows(arr, counts)
+
+
+def inverse_groups(grid, *groups):
+    """Inverse-transform several groups of spectral rows as one stack.
+
+    A row is a list of (multiplier, spectrum) pairs and stands for the sum
+    of their products. Returns one nodal (len(group), *n) view per group.
+    """
+    rows = [row for group in groups for row in group]
+    out = np.empty((len(rows),) + rows[0][0][1].shape, dtype=complex)
+    for o, ((m, s), *rest) in zip(out, rows):
+        np.multiply(m, s, out=o)
+        for m, s in rest:
+            o += m * s
+    return split_rows(from_spectral(grid, out), map(len, groups))
 
 
 def _check_backend(backend):
@@ -285,14 +322,19 @@ def _symmetric(grid, upper):
     return out
 
 
+def hess_multipliers(grid):
+    """ik_i * ik_j = -k_i k_j for the upper triangle i <= j, real."""
+    ik = grid._ik
+    return [(ik[i] * ik[j]).real for i, j in _upper_pairs(grid.dim)]
+
+
 def _hess_hat(grid, fhat, with_grad=False):
     """Stacked spectra ik_i * ik_j * fhat = -k_i k_j fhat of one scalar for
     the upper triangle i <= j, preceded by ik_j * fhat for every axis j if
     with_grad."""
-    ik = grid._ik
-    mults = [(ik[i] * ik[j]).real for i, j in _upper_pairs(grid.dim)]
+    mults = hess_multipliers(grid)
     if with_grad:
-        mults = list(ik) + mults
+        mults = list(grid._ik) + mults
     out = np.empty((len(mults),) + fhat.shape, dtype=complex)
     for p, m in enumerate(mults):
         np.multiply(m, fhat, out=out[p])

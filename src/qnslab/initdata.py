@@ -17,7 +17,7 @@ import numpy as np
 from .fields import (Grid, ScalarField, VectorField, from_spectral, grad_arr,
                      mode_indices, quad, to_spectral)
 from .functionals import log_minus
-from .physics import QnsParams, State, VacuumError
+from .physics import QnsParams, State, require_positive
 
 SCENARIOS = ("uniform-rest", "acoustic-1d", "acoustic-2d", "vacuum-bump-1d")
 
@@ -133,8 +133,7 @@ def validate_initial(state, params):
     """
     grid = state.grid
     r = state.rho.values
-    if np.min(r) <= 0:
-        raise VacuumError(int(np.count_nonzero(r <= 0)), float(np.min(r)))
+    require_positive(r)
     u = state.vel.values
     v = np.sqrt(r)
     gv = grad_arr(grid, v)

@@ -180,7 +180,10 @@ class State:
 
 
 def require_positive(rho_values):
-    bad = np.count_nonzero(rho_values <= 0)
+    """Raise VacuumError unless every value is positive and finite (a NaN
+    fails the test as a nonpositive value does)."""
+    bad = rho_values.size - np.count_nonzero(
+        (rho_values > 0) & np.isfinite(rho_values))
     if bad:
         raise VacuumError(bad, np.min(rho_values))
 

@@ -18,6 +18,8 @@ Values are written with 17 significant digits so round-trips are exact.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .fields import Grid, ScalarField, VectorField
@@ -52,7 +54,12 @@ def write_field(path, field, name, time=0.0):
 
 
 def read_field(path):
-    """Returns (field, name, time); field is Scalar- or VectorField."""
+    """Returns (field, name, time); field is Scalar- or VectorField.
+
+    Raises ValueError for a file that is not a complete snapshot: a bad
+    magic line, header or data marker, unparsable values, or a payload
+    whose length differs from what the header declares.
+    """
     with open(path) as fh:
         magic = fh.readline().strip()
         if magic != _MAGIC:
@@ -64,17 +71,34 @@ def read_field(path):
         marker = fh.readline().strip()
         if marker != "data:":
             raise ValueError(f"corrupt snapshot (missing data marker): {path}")
-        data = np.loadtxt(fh)
-    dim = int(header["dim"])
-    n = tuple(int(m) for m in header["n"].split())
-    length = tuple(float(L) for L in header["length"].split())
+        try:
+            with warnings.catch_warnings():
+                # an empty payload is reported below, by its length
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"corrupt snapshot data ({exc}): {path}") from exc
+    try:
+        dim = int(header["dim"])
+        n = tuple(int(m) for m in header["n"].split())
+        length = tuple(float(L) for L in header["length"].split())
+        comps = int(header["components"])
+        kind = header["kind"]
+        name = header["name"]
+        time = float(header["time"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"corrupt snapshot header ({exc}): {path}") from exc
     if len(n) != dim:
         raise ValueError("corrupt header: n/dim mismatch")
+    if (kind, comps) not in (("scalar", 1), ("vector", dim)):
+        raise ValueError(f"corrupt header: kind {kind!r} with {comps} "
+                         f"components: {path}")
     grid = Grid(n, length)
-    comps = int(header["components"])
-    name = header["name"]
-    time = float(header["time"])
-    if header["kind"] == "scalar":
+    expected = comps * grid.node_count
+    if data.shape != (expected,):
+        raise ValueError(f"truncated or corrupt snapshot: {data.size} values "
+                         f"where the header declares {expected}: {path}")
+    if kind == "scalar":
         field = ScalarField(grid, data.reshape(grid.shape))
     else:
         field = VectorField(grid, data.reshape((comps,) + grid.shape))

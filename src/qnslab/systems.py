@@ -8,13 +8,16 @@ callers pass use_dealias=False to bypass truncation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ScalarField, VectorField, dealias_arr, div_arr,
-                     grad_arr, hess_arr, jac_arr, lap_arr, quad, tdiv_arr)
-from .physics import bohm_force, require_positive
+from .fields import (ScalarField, VectorField, _symmetric, dealias_arr,
+                     grad_arr, hess_multipliers, inverse_groups, jac_arr,
+                     lap_arr, nodal_stack, quad, split_rows, tdiv_arr,
+                     to_spectral)
+from .physics import require_positive
 
 FORMULATIONS = ("target", "approx-u", "approx-w")
 
@@ -51,159 +54,276 @@ def _directional(J, b):
     return np.einsum("ij...,j...->i...", J, b)
 
 
-def rhs_target(state, params, breakdown=False, use_dealias=True):
-    """Target system: mass transport plus momentum with pressure a*rho^gamma,
-    degenerate viscosity 2*nu*div(rho D u), Bohm force, and damping."""
+def continuity_rate(div_flux, eps=0.0, v_q=None, neg_p=None):
+    """d rho/dt before dealiasing: -div_flux + eps * (v Q + rho^-p0), where
+    div_flux is the divergence of the mass flux and v Q = sqrt(rho) *
+    div(|grad sqrt(rho)|^2 grad sqrt(rho))."""
+    if eps > 0:
+        return eps * (v_q + neg_p) - div_flux
+    return -div_flux
+
+
+class _Terms:
+    """Nodal momentum terms, summed as they are made; each is kept by label
+    only for a breakdown."""
+
+    def __init__(self, breakdown):
+        self.total = None
+        self.by_label = {} if breakdown else None
+
+    def add(self, label, value):
+        if self.by_label is not None:
+            self.by_label[label] = value
+        if self.total is None:
+            # the sum must not alias a term the breakdown keeps
+            self.total = value if self.by_label is None else value.copy()
+        else:
+            self.total += value
+
+
+def _finish(state, formulation, eps, drho, lin, terms, linear_terms,
+            use_dealias):
+    """Rhs from the nodal d rho/dt, the momentum terms summed in spectral
+    space (lin) and the nodal ones (a _Terms): divide the sum by rho and
+    dealias [drho, dvel] as one stack.
+
+    A breakdown gains the labels of linear_terms() and zeros for the other
+    labels of the formulation ("eps-" labels only when eps > 0).
+    """
+    grid, r = state.grid, state.rho.values
+    lin += terms.total
+    out = np.empty((1 + grid.dim,) + grid.shape)
+    out[0] = drho
+    np.divide(lin, r, out=out[1:])
+    if use_dealias:
+        out = dealias_arr(grid, out)
+    breakdown = terms.by_label
+    if breakdown is not None:
+        breakdown.update(linear_terms())
+        labels = TERM_LABELS_W if state.form == "w" else TERM_LABELS_U
+        for label in labels:
+            if eps > 0 or not label.startswith("eps-"):
+                breakdown.setdefault(label, np.zeros_like(lin))
+    return Rhs(ScalarField(grid, out[0]), VectorField(grid, out[1:]),
+               formulation, breakdown)
+
+
+def _rhs_u(state, params, eps, formulation, breakdown, use_dealias):
+    """The u-form right-hand side, evaluated one dependency level at a time
+    with one batched forward and one batched inverse transform per level.
+    eps = 0 is the target system."""
+    name = "rhs_" + formulation.replace("-", "_")
     if state.form != "u":
-        raise ValueError("rhs_target expects a u-form state")
+        raise ValueError(f"{name} expects a u-form state")
     require_positive(state.rho.values)
     grid = state.grid
-    r = state.rho.values
-    u = state.vel.values
+    d, ik = grid.dim, grid._ik
+    r, u = state.rho.values, state.vel.values
+    nu, mu, p0 = params.nu, params.mu, params.p0
+    reg, bohm = eps > 0, params.kappa > 0
+    se = math.sqrt(eps)
+    v_q = neg_p = None
 
-    J = jac_arr(grid, u)
-    D = 0.5 * (J + np.swapaxes(J, 0, 1))
+    # level 1: [u, rho u, sqrt(rho), log(rho)] -> J, div(rho u), lap sqrt(rho),
+    # grad sqrt(rho), grad log(rho), upper Hess log(rho)
+    a, (ua, rua, va, la) = nodal_stack(grid, d, d, reg or bohm, reg)
+    ua[...] = u
+    np.multiply(r, u, out=rua)
+    if reg or bohm:
+        v = np.sqrt(r, out=va[0])
+    if reg:
+        np.log(r, out=la[0])
+    uh, ruh, vh, lh = split_rows(to_spectral(grid, a), (d, d, len(va), reg))
+    J, div_ru, lapv, gv, glog, hlog = inverse_groups(
+        grid,
+        [[(ik[j], uh[i])] for i in range(d) for j in range(d)],
+        [list(zip(ik, ruh))],
+        [[(grid._lap, vh[0])]] if bohm else [],
+        [[(k, vh[0])] for k in ik] if reg else [],
+        [[(k, lh[0])] for k in ik] if reg else [],
+        [[(m, lh[0])] for m in hess_multipliers(grid)] if reg else [])
+    J = J.reshape((d, d) + grid.shape)
 
-    terms = {}
-    terms["convection"] = -r * _directional(J, u)
-    terms["viscous"] = 2 * params.nu * tdiv_arr(grid, r * D)
-    terms["pressure"] = -grad_arr(grid, params.a * r ** params.gamma)
-    if params.kappa > 0:
-        terms["bohm"] = params.kappa ** 2 * bohm_force(state.rho).values
-    else:
-        terms["bohm"] = np.zeros_like(u)
-    terms["damping-r0"] = -params.r0 * u
-    u2 = np.sum(u * u, axis=0)
-    terms["damping-r1"] = -params.r1 * r * u2 * u
+    # level 2: [T, flux, lap sqrt(rho)/sqrt(rho), P if it needs no Q] ->
+    # Q = div(flux), grad(lap sqrt(rho)/sqrt(rho)); div T stays a spectrum
+    # T = rho (2 nu D + sqrt(eps) J + sqrt(eps) mu Hess log rho)
+    b, (tb, fb, qb, pb) = nodal_stack(grid, d * d, d * reg, bohm, not reg)
+    T = tb.reshape(J.shape)
+    np.multiply(J, nu + se, out=T)
+    T += nu * np.swapaxes(J, 0, 1)
+    terms = _Terms(breakdown)
+    terms.add("convection", -r * _directional(J, u))
+    if params.r0:
+        terms.add("damping-r0", -params.r0 * u)
+    if params.r1:
+        terms.add("damping-r1", -params.r1 * r * np.sum(u * u, axis=0) * u)
+    if reg:
+        H = _symmetric(grid, hlog)
+        T += se * mu * H
+        flux = fb
+        np.multiply(np.sum(gv * gv, axis=0), gv, out=flux)
+        neg_p = r ** (-p0)
+        w = u + mu * glog
+        w3 = np.sum(w * w, axis=0) ** 1.5
+        terms.add("eps-flux-advect", eps * v * _directional(J, flux))
+        terms.add("eps-mu-flux-hesslog",
+                  eps * mu * v * _directional(H, flux))
+        terms.add("eps-source-drag", -eps * neg_p * u)
+        terms.add("eps-cubic-drag", -(eps ** 1.5) * r * w3 * u)
+    T *= r
+    if bohm:
+        np.divide(lapv[0], v, out=qb[0])
+    # the pressure-like terms are grad P, P = -(a rho^gamma + eps mu
+    # (rho^-p0 + v Q)); without regularization P needs no Q
+    pressure = params.a * r ** params.gamma
+    if not reg:
+        np.negative(pressure, out=pb[0])
+    th, fh, qh, ph = split_rows(to_spectral(grid, b),
+                                (d * d, d * reg, bohm, not reg))
+    th = th.reshape((d, d) + th.shape[1:])
 
-    drho = -div_arr(grid, r * u)
-    total = sum(terms.values())
-    dvel = total / r
-    if use_dealias:
-        drho = dealias_arr(grid, drho)
-        dvel = dealias_arr(grid, dvel)
-    return Rhs(ScalarField(grid, drho), VectorField(grid, dvel), "target",
-               terms if breakdown else None)
+    def lin_rows(p_hat):
+        return [[(ik[j], th[i, j]) for j in range(d)] + [(ik[i], p_hat)]
+                for i in range(d)]
+
+    Q, gq, lin = inverse_groups(
+        grid,
+        [list(zip(ik, fh))] if reg else [],
+        [[(k, qh[0])] for k in ik] if bohm else [],
+        [] if reg else lin_rows(ph[0]))
+    if bohm:
+        terms.add("bohm", params.kappa ** 2 * (2.0 * r * gq))
+    if reg:
+        # level 3: [P] -> div T + grad P
+        v_q = v * Q[0]
+        terms.add("eps-mu-flux-gradlog", eps * mu * v_q * glog)
+        pressure += eps * mu * (neg_p + v_q)
+        lin, = inverse_groups(grid, lin_rows(to_spectral(grid, -pressure)))
+    drho = continuity_rate(div_ru[0], eps, v_q, neg_p)
+
+    def linear_terms():
+        """The terms summed in spectral space, one by one."""
+        out = {"viscous": nu * tdiv_arr(grid, r * (J + np.swapaxes(J, 0, 1))),
+               "pressure": -grad_arr(grid, params.a * r ** params.gamma)}
+        if reg:
+            out["eps-viscous"] = se * tdiv_arr(grid, r * J)
+            out["eps-mu-viscous"] = se * mu * tdiv_arr(grid, r * H)
+            out["eps-mu-pgrad"] = -eps * mu * grad_arr(grid, neg_p)
+            out["eps-mu-flux-grad"] = -eps * mu * grad_arr(grid, v_q)
+        return out
+    return _finish(state, formulation, eps, drho, lin, terms, linear_terms,
+                   use_dealias)
+
+
+def rhs_target(state, params, breakdown=False, use_dealias=True):
+    """Target system: mass transport plus momentum with pressure a*rho^gamma,
+    degenerate viscosity 2*nu*div(rho D u), Bohm force, and damping; the
+    eps = 0 path of the u-form right-hand side."""
+    return _rhs_u(state, params, 0.0, "target", breakdown, use_dealias)
 
 
 def rhs_approx_u(state, params, breakdown=False, use_dealias=True):
     """Regularized system in (rho, u): parabolic mass regularization
     eps*v*div(|grad v|^2 grad v) + eps*rho^-p0 and the matching
     epsilon-weighted momentum corrections. Setting eps = 0 reproduces
-    rhs_target exactly."""
-    if state.form != "u":
-        raise ValueError("rhs_approx_u expects a u-form state")
-    require_positive(state.rho.values)
-    grid = state.grid
-    r = state.rho.values
-    u = state.vel.values
-    eps, mu, p0 = params.eps, params.mu, params.p0
+    rhs_target exactly.
 
-    J = jac_arr(grid, u)
-    D = 0.5 * (J + np.swapaxes(J, 0, 1))
-
-    terms = {}
-    terms["convection"] = -r * _directional(J, u)
-    terms["viscous"] = 2 * params.nu * tdiv_arr(grid, r * D)
-    terms["pressure"] = -grad_arr(grid, params.a * r ** params.gamma)
-    if params.kappa > 0:
-        terms["bohm"] = params.kappa ** 2 * bohm_force(state.rho).values
-    else:
-        terms["bohm"] = np.zeros_like(u)
-    terms["damping-r0"] = -params.r0 * u
-    u2 = np.sum(u * u, axis=0)
-    terms["damping-r1"] = -params.r1 * r * u2 * u
-
-    drho = -div_arr(grid, r * u)
-
-    if eps > 0:
-        v = np.sqrt(r)
-        gv = grad_arr(grid, v)
-        gv2 = np.sum(gv * gv, axis=0)
-        flux = gv2 * gv                       # |grad v|^2 grad v
-        Q = div_arr(grid, flux)               # div(|grad v|^2 grad v)
-        neg_p = r ** (-p0)
-        glog = grad_arr(grid, np.log(r))
-        w = u + mu * glog
-        w3 = np.sum(w * w, axis=0) ** 1.5
-        Hlog = hess_arr(grid, np.log(r))
-
-        drho = drho + eps * v * Q + eps * neg_p
-
-        terms["eps-viscous"] = np.sqrt(eps) * tdiv_arr(grid, r * J)
-        terms["eps-mu-viscous"] = np.sqrt(eps) * mu * tdiv_arr(grid, r * Hlog)
-        terms["eps-flux-advect"] = eps * v * _directional(J, flux)
-        terms["eps-mu-flux-hesslog"] = eps * mu * v * _directional(Hlog, flux)
-        terms["eps-source-drag"] = -eps * neg_p * u
-        terms["eps-cubic-drag"] = -(eps ** 1.5) * r * w3 * u
-        terms["eps-mu-pgrad"] = -eps * mu * grad_arr(grid, neg_p)
-        terms["eps-mu-flux-grad"] = -eps * mu * grad_arr(grid, v * Q)
-        terms["eps-mu-flux-gradlog"] = eps * mu * v * Q * glog
-
-    total = sum(terms.values())
-    dvel = total / r
-    if use_dealias:
-        drho = dealias_arr(grid, drho)
-        dvel = dealias_arr(grid, dvel)
-    return Rhs(ScalarField(grid, drho), VectorField(grid, dvel), "approx-u",
-               terms if breakdown else None)
+    Eight FFT calls: one batched forward and one batched inverse transform
+    for each of three dependency levels, and one pair to dealias [drho,
+    dvel]. The terms whose derivative is outermost are summed in spectral
+    space: div T with T = rho (2 nu D + sqrt(eps) J + sqrt(eps) mu
+    Hess log rho), and grad P with the one pressure-like scalar
+    P = -(a rho^gamma + eps mu rho^-p0 + eps mu sqrt(rho) Q)."""
+    return _rhs_u(state, params, params.eps, "approx-u", breakdown,
+                  use_dealias)
 
 
 def rhs_approx_w(state, params, breakdown=False, use_dealias=True):
     """Regularized system in (rho, w): the effective-velocity form. The
     momentum line contains no third-order dispersive operator; the highest
     derivative applied to the velocity is second order and the only density
-    operators are first derivatives and one Laplacian."""
+    operators are first derivatives and one Laplacian.
+
+    Staged like rhs_approx_u; P = -a rho^gamma needs no derivative, so two
+    levels and the dealiasing pair take six FFT calls."""
     if state.form != "w":
         raise ValueError("rhs_approx_w expects a w-form state")
     require_positive(state.rho.values)
     grid = state.grid
-    r = state.rho.values
-    w = state.vel.values
-    eps, mu, p0 = params.eps, params.mu, params.p0
+    d, ik = grid.dim, grid._ik
+    r, w = state.rho.values, state.vel.values
+    eps, mu = params.eps, params.mu
+    reg = eps > 0
+    v_q = neg_p = None
 
-    glog = grad_arr(grid, np.log(r))
+    # level 1: [w, rho w, rho, log(rho), P, sqrt(rho)] -> Jw,
+    # div(rho w) - mu lap(rho), grad(rho), grad log(rho), lap w,
+    # grad sqrt(rho); the spectrum of P waits for level 2
+    a, (wa, rwa, ra, la, pa, va) = nodal_stack(grid, d, d, 1, 1, 1, reg)
+    wa[...] = w
+    np.multiply(r, w, out=rwa)
+    ra[0] = r
+    np.log(r, out=la[0])
+    np.negative(params.a * r ** params.gamma, out=pa[0])
+    if reg:
+        v = np.sqrt(r, out=va[0])
+    wh, rwh, rh, lh, ph, vh = split_rows(to_spectral(grid, a),
+                                         (d, d, 1, 1, 1, reg))
+    Jw, div_m, gr, glog, lapw, gv = inverse_groups(
+        grid,
+        [[(ik[j], wh[i])] for i in range(d) for j in range(d)],
+        [list(zip(ik, rwh)) + [(-mu * grid._lap, rh[0])]],
+        [[(k, rh[0])] for k in ik],
+        [[(k, lh[0])] for k in ik],
+        [[(grid._lap, s)] for s in wh],
+        [[(k, vh[0])] for k in ik] if reg else [])
+    Jw = Jw.reshape((d, d) + grid.shape)
     u = w - mu * glog
 
-    Jw = jac_arr(grid, w)
-    Dw = 0.5 * (Jw + np.swapaxes(Jw, 0, 1))
-
-    drho = -div_arr(grid, r * w) + mu * lap_arr(grid, r)
-
-    terms = {}
-    terms["convection"] = -r * _directional(Jw, w)
-    terms["pressure"] = -grad_arr(grid, params.a * r ** params.gamma)
-    terms["viscous"] = 2 * (params.nu - mu) * tdiv_arr(grid, r * Dw)
-    terms["mu-laplace"] = mu * r * lap_arr(grid, w)
-    gr = grad_arr(grid, r)
-    terms["mu-gradrho-gradw"] = 2 * mu * _directional(Jw, gr)
-    terms["damping-r0"] = -params.r0 * u
-    u2 = np.sum(u * u, axis=0)
-    terms["damping-r1"] = -params.r1 * r * u2 * u
-
-    if eps > 0:
-        v = np.sqrt(r)
-        gv = grad_arr(grid, v)
-        gv2 = np.sum(gv * gv, axis=0)
-        flux = gv2 * gv
-        Q = div_arr(grid, flux)
-        neg_p = r ** (-p0)
+    # level 2: [T, flux] -> div T + grad P, Q = div(flux)
+    # T = rho (2 (nu - mu) Dw + sqrt(eps) Jw)
+    b, (tb, fb) = nodal_stack(grid, d * d, d * reg)
+    T = tb.reshape(Jw.shape)
+    np.multiply(Jw, params.nu - mu + math.sqrt(eps), out=T)
+    T += (params.nu - mu) * np.swapaxes(Jw, 0, 1)
+    T *= r
+    terms = _Terms(breakdown)
+    terms.add("convection", -r * _directional(Jw, w))
+    terms.add("mu-laplace", mu * r * lapw)
+    terms.add("mu-gradrho-gradw", 2 * mu * _directional(Jw, gr))
+    if params.r0:
+        terms.add("damping-r0", -params.r0 * u)
+    if params.r1:
+        terms.add("damping-r1", -params.r1 * r * np.sum(u * u, axis=0) * u)
+    if reg:
+        flux = fb
+        np.multiply(np.sum(gv * gv, axis=0), gv, out=flux)
+        neg_p = r ** (-params.p0)
         w3 = np.sum(w * w, axis=0) ** 1.5
+        terms.add("eps-flux-advect", eps * v * _directional(Jw, flux))
+        terms.add("eps-cubic-drag", -(eps ** 1.5) * r * w3 * u)
+        terms.add("eps-source-drag", -eps * neg_p * w)
+    th, fh = split_rows(to_spectral(grid, b), (d * d, d * reg))
+    th = th.reshape((d, d) + th.shape[1:])
+    lin, Q = inverse_groups(
+        grid,
+        [[(ik[j], th[i, j]) for j in range(d)] + [(ik[i], ph[0])]
+         for i in range(d)],
+        [list(zip(ik, fh))] if reg else [])
+    if reg:
+        v_q = v * Q[0]
+    drho = continuity_rate(div_m[0], eps, v_q, neg_p)
 
-        drho = drho + eps * v * Q + eps * neg_p
-
-        terms["eps-viscous"] = np.sqrt(eps) * tdiv_arr(grid, r * Jw)
-        terms["eps-flux-advect"] = eps * v * _directional(Jw, flux)
-        terms["eps-cubic-drag"] = -(eps ** 1.5) * r * w3 * u
-        terms["eps-source-drag"] = -eps * neg_p * w
-
-    total = sum(terms.values())
-    dvel = total / r
-    if use_dealias:
-        drho = dealias_arr(grid, drho)
-        dvel = dealias_arr(grid, dvel)
-    return Rhs(ScalarField(grid, drho), VectorField(grid, dvel), "approx-w",
-               terms if breakdown else None)
+    def linear_terms():
+        """The terms summed in spectral space, one by one."""
+        out = {"pressure": -grad_arr(grid, params.a * r ** params.gamma),
+               "viscous": (params.nu - mu) * tdiv_arr(
+                   grid, r * (Jw + np.swapaxes(Jw, 0, 1)))}
+        if reg:
+            out["eps-viscous"] = math.sqrt(eps) * tdiv_arr(grid, r * Jw)
+        return out
+    return _finish(state, "approx-w", eps, drho, lin, terms, linear_terms,
+                   use_dealias)
 
 
 def rhs_for(formulation):

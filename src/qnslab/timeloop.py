@@ -17,20 +17,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (ScalarField, VectorField, div_arr, from_spectral,
-                     grad_arr, lap_arr, quad, to_spectral)
+from .fields import (ScalarField, VectorField, dealias_arr, div_arr,
+                     from_spectral, grad_arr, lap_arr, quad, to_spectral)
 from .functionals import (DISSIPATION_KEYS, Derived, MonitorRecord,
                           bd_entropy, derived, energy, energy_dissipation,
                           mv_functional)
 from .physics import (State, VacuumError, bohm_force, check_constraints,
                       to_u, to_w)
-from .systems import rhs_approx_u, rhs_for
+from .systems import continuity_rate, rhs_for
 
 SCHEMES = ("rk4-explicit", "imex")
 
 
 class PositivityError(RuntimeError):
-    """Post-step density fell to or below the positivity floor."""
+    """Post-step density fell to or below the positivity floor, or is not
+    finite."""
 
     def __init__(self, time, bad_nodes, rho_min):
         self.time = float(time)
@@ -135,81 +136,95 @@ def _etd_multipliers(grid, c, dt):
     return tuple(mults)
 
 
-def _etd_predict(grid, clap, mults, a0, f0):
-    """ETDRK2 predictor for a scalar or a component stack, with the exact
+def _etd_predict(grid, blocks, stack):
+    """ETDRK2 predictor for a stack whose first half holds the values a0 and
+    second half their right-hand side f0, transformed as one.
+
+    blocks lists (rows, clap, mults): a slice of the value rows, its exact
     linear part clap = c * Lap in the rfft layout of the grid and the
-    multipliers of _etd_multipliers.
-
-    Returns the stage value and the spectrum M = clap * a_hat + N0 that the
-    corrector subtracts from the stage's transformed right-hand side. Each
-    array is transformed once.
+    multipliers of _etd_multipliers. Returns the stage values and the
+    spectrum M = clap * a_hat + N0 that the corrector subtracts from the
+    stage's transformed right-hand side.
     """
-    ez, dt_phi1, _ = mults
-    a0_hat = to_spectral(grid, a0)
-    n0_hat = to_spectral(grid, f0) - clap * a0_hat
-    a_hat = ez * a0_hat + dt_phi1 * n0_hat
-    return from_spectral(grid, a_hat), clap * a_hat + n0_hat
+    hat = to_spectral(grid, stack)
+    m = len(stack) // 2
+    a_hat, m_hat = np.empty_like(hat[:m]), np.empty_like(hat[:m])
+    for rows, clap, (ez, dt_phi1, _) in blocks:
+        a0_hat = hat[:m][rows]
+        n0_hat = hat[m:][rows] - clap * a0_hat
+        a_hat[rows] = ez * a0_hat + dt_phi1 * n0_hat
+        m_hat[rows] = clap * a_hat[rows] + n0_hat
+    return from_spectral(grid, a_hat), m_hat
 
 
-def _etd_correct(grid, mults, dt, a, m_hat, fa):
-    """ETDRK2 corrector: a + dt * phi2(clap dt) (N(a) - N0)."""
+def _etd_correct(grid, blocks, dt, a, m_hat, fa):
+    """ETDRK2 corrector: a + dt * phi2(clap dt) (N(a) - N0), per block."""
     diff_hat = to_spectral(grid, fa) - m_hat
-    return a + dt * from_spectral(grid, mults[2] * diff_hat)
+    for rows, _, (_, _, phi2) in blocks:
+        diff_hat[rows] *= phi2
+    return a + dt * from_spectral(grid, diff_hat)
 
 
 def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
          positivity_floor=1e-10, use_dealias=True):
-    """Advance one step; raises PositivityError if the density drops."""
+    """Advance one step; raises PositivityError if the density drops to the
+    floor or is not finite.
+
+    The density and the velocity travel as one (1 + dim, *n) stack."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = state.grid
+    m = 1 + grid.dim
 
-    def pack(s):
-        return s.rho.values, s.vel.values
-
-    def unpack(r, vel, t):
-        return State(ScalarField(grid, r), VectorField(grid, vel),
+    def unpack(y, t):
+        return State(ScalarField(grid, y[0]), VectorField(grid, y[1:]),
                      form=state.form, time=t)
 
-    def f(r, vel, t):
+    def f(y, t, out=None):
         try:
-            rhs = rhs_fn(unpack(r, vel, t), params, use_dealias=use_dealias)
+            rhs = rhs_fn(unpack(y, t), params, use_dealias=use_dealias)
         except VacuumError as exc:
             # a stage value already left the positive cone: same failure
             # mode as a post-step violation
             raise PositivityError(t, exc.bad_nodes, exc.rho_min) from exc
-        return rhs.drho.values, rhs.dvel.values
+        if out is None:
+            out = np.empty_like(y)
+        out[0] = rhs.drho.values
+        out[1:] = rhs.dvel.values
+        return out
 
-    r0, u0 = pack(state)
     t0 = state.time
+    work = np.empty((2 * m,) + grid.shape)  # [y0, f(y0)] for the predictor
+    y0 = work[:m]
+    y0[0] = state.rho.values
+    y0[1:] = state.vel.values
 
     if scheme == "rk4-explicit":
-        k1r, k1u = f(r0, u0, t0)
-        k2r, k2u = f(r0 + 0.5 * dt * k1r, u0 + 0.5 * dt * k1u, t0 + dt / 2)
-        k3r, k3u = f(r0 + 0.5 * dt * k2r, u0 + 0.5 * dt * k2u, t0 + dt / 2)
-        k4r, k4u = f(r0 + dt * k3r, u0 + dt * k3u, t0 + dt)
-        r1 = r0 + dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
-        u1 = u0 + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        k1 = f(y0, t0)
+        k2 = f(y0 + 0.5 * dt * k1, t0 + dt / 2)
+        k3 = f(y0 + 0.5 * dt * k2, t0 + dt / 2)
+        k4 = f(y0 + dt * k3, t0 + dt)
+        y1 = y0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     elif scheme == "imex":
         formulation = {"u": "approx-u", "w": "approx-w"}.get(state.form)
         c_rho, c_vel = _linear_coeffs(formulation, params, grid.dim)
-        mults_r = _etd_multipliers(grid, c_rho, dt)
-        mults_u = _etd_multipliers(grid, c_vel, dt)
-        fr, fu = f(r0, u0, t0)
-        ra, m_r = _etd_predict(grid, c_rho * grid._lap, mults_r, r0, fr)
-        ua, m_u = _etd_predict(grid, c_vel * grid._lap, mults_u, u0, fu)
-        del fr, fu  # not needed by the corrector; frees a field pair
-        fra, fua = f(ra, ua, t0 + dt)
-        r1 = _etd_correct(grid, mults_r, dt, ra, m_r, fra)
-        u1 = _etd_correct(grid, mults_u, dt, ua, m_u, fua)
+        blocks = [(slice(0, 1), c_rho * grid._lap,
+                   _etd_multipliers(grid, c_rho, dt)),
+                  (slice(1, m), c_vel * grid._lap,
+                   _etd_multipliers(grid, c_vel, dt))]
+        f(y0, t0, out=work[m:])
+        ya, m_hat = _etd_predict(grid, blocks, work)
+        del work, y0  # not needed by the corrector; frees two stacks
+        y1 = _etd_correct(grid, blocks, dt, ya, m_hat, f(ya, t0 + dt))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    rmin = float(np.min(r1))
-    if rmin <= positivity_floor:
-        bad = int(np.count_nonzero(r1 <= positivity_floor))
-        raise PositivityError(t0 + dt, bad, rmin)
-    return unpack(r1, u1, t0 + dt)
+    r1 = y1[0]
+    bad = r1.size - np.count_nonzero((r1 > positivity_floor)
+                                     & np.isfinite(r1))
+    if bad:
+        raise PositivityError(t0 + dt, bad, float(np.min(r1)))
+    return unpack(y1, t0 + dt)
 
 
 def cfl_dt(state, params, config):
@@ -375,9 +390,11 @@ def _budget_rate(state, params, use_dealias=True):
         sources += (params.kappa ** 2 + math.sqrt(eps) * mu) * quad(
             grid, np.sum(bf * u, axis=0))
 
+    v_q = neg_p = None
     if eps > 0:
         flux = gv2 * gv
         Q = div_arr(grid, flux)
+        v_q = v * Q
         neg_p = d.rho_neg_p0
         diss += (eps / 2 * quad(grid, neg_p * u2)
                  + eps ** 1.5 * quad(grid, r * w3 * u2)
@@ -387,14 +404,16 @@ def _budget_rate(state, params, use_dealias=True):
                 u * grad_arr(grid, neg_p), axis=0))
             + eps * mu * quad(grid, v * np.sum(
                 np.einsum("ij...,j...->i...", Hlog, flux) * u, axis=0))
-            + eps * mu * quad(grid, v * Q * np.sum(glog * u, axis=0))
+            + eps * mu * quad(grid, v_q * np.sum(glog * u, axis=0))
             - eps * mu * quad(grid, np.sum(
-                grad_arr(grid, v * Q) * u, axis=0)))
+                grad_arr(grid, v_q) * u, axis=0)))
 
     kinetic_rate = 2 * (sources - diss)
 
     # chain rule through d rho/dt for the non-kinetic energy parts
-    drho = rhs_approx_u(state, params, use_dealias=use_dealias).drho.values
+    drho = continuity_rate(div_arr(grid, r * u), eps, v_q, neg_p)
+    if use_dealias:
+        drho = dealias_arr(grid, drho)
     lv = lap_arr(grid, v)
     pot_rate = quad(grid, drho)
     pot_rate += params.a * params.gamma * quad(

@@ -4,10 +4,13 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from qnslab.cli import MONITOR_COLUMNS, main
+from qnslab.fields import Grid, ScalarField
 from qnslab.functionals import DISSIPATION_KEYS
+from qnslab.snapshots import write_field
 
 
 def _write(tmp_path, name, doc):
@@ -102,6 +105,51 @@ class TestRun:
         cfg = _write(tmp_path, "run.json", doc)
         assert main(["run", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
+
+
+class TestBadSnapshot:
+    """A bad initial snapshot is an input error (exit 2), never a traceback
+    and never a completed run."""
+
+    DOC = {"params": {"nu": 1.0, "kappa": 0.0909, "eps": 1e-3},
+           "integrator": {"scheme": "imex", "dt_init": 1e-3, "dt_min": 1e-3,
+                          "dt_max": 1e-3, "t_end": 0.003}}
+
+    def _snapshot(self, tmp_path, values):
+        path = tmp_path / "rho.dat"
+        write_field(path, ScalarField(Grid(32), values), "rho")
+        return path
+
+    def _run(self, tmp_path, snapshot):
+        cfg = _write(tmp_path, "run.json",
+                     dict(self.DOC, snapshot=str(snapshot)))
+        out = tmp_path / "o"
+        return main(["run", "--config", cfg, "--out", str(out)]), out
+
+    def test_snapshot_runs(self, tmp_path):
+        path = self._snapshot(tmp_path, np.full(32, 1.5))
+        code, out = self._run(tmp_path, path)
+        assert code == 0
+        with open(out / "summary.json") as fh:
+            assert json.load(fh)["status"] == "completed"
+
+    def test_truncated_snapshot_exits_2(self, tmp_path, capsys):
+        path = self._snapshot(tmp_path, np.full(32, 1.5))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-5]))
+        code, out = self._run(tmp_path, path)
+        assert code == 2
+        assert "truncated" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_non_finite_density_exits_2(self, tmp_path, capsys, bad):
+        values = np.full(32, 1.5)
+        values[7] = bad
+        code, out = self._run(tmp_path, self._snapshot(tmp_path, values))
+        assert code == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
 
 class TestVerify:

@@ -142,6 +142,15 @@ class TestValidateInitial:
         with pytest.raises(VacuumError):
             validate_initial(st, QnsParams())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_density(self, bad):
+        g = Grid(32)
+        rho = np.full(32, 1.0)
+        rho[4] = bad
+        st = State(ScalarField(g, rho), VectorField.zero(g))
+        with pytest.raises(VacuumError):
+            validate_initial(st, QnsParams())
+
     def test_refinement_invariance(self):
         vals = []
         for n in (128, 256):

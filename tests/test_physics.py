@@ -124,6 +124,13 @@ class TestState:
         with pytest.raises(VacuumError):
             require_positive(np.array([1.0, 0.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_require_positive_rejects_non_finite(self, bad):
+        with pytest.raises(VacuumError) as info:
+            require_positive(np.array([1.0, bad, 2.0]))
+        assert info.value.bad_nodes == 1
+        require_positive(np.array([1.0, 1e-300, 2.0]))
+
 
 class TestBohmForce:
     @pytest.mark.parametrize("spec", [(128,), (64, 64)])

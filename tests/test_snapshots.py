@@ -81,3 +81,54 @@ def test_scalar_distinguished_from_1d_vector(tmp_path):
     write_field(tmp_path / "s.dat", ScalarField.constant(g, 2.0), "s")
     back, _, _ = read_field(tmp_path / "s.dat")
     assert isinstance(back, ScalarField)
+
+
+def _truncate(path, keep_lines):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:keep_lines]))
+
+
+@pytest.mark.parametrize("drop", [1, 100])
+def test_rejects_truncated_payload(tmp_path, drop):
+    g = Grid((16, 24))
+    path = tmp_path / "rho.dat"
+    write_field(path, random_smooth_positive(g, 2, 3, 1.0), "rho")
+    _truncate(path, 9 + g.node_count - drop)
+    with pytest.raises(ValueError, match="truncated"):
+        read_field(path)
+
+
+def test_rejects_empty_and_partial_payload(tmp_path):
+    g = Grid(16)
+    path = tmp_path / "rho.dat"
+    write_field(path, ScalarField.constant(g, 2.0), "rho")
+    text = path.read_text()
+    _truncate(path, 9)
+    with pytest.raises(ValueError, match="truncated"):
+        read_field(path)
+    # a write cut inside the last number
+    path.write_text(text[:-4])
+    with pytest.raises(ValueError):
+        read_field(path)
+
+
+def test_rejects_extra_values(tmp_path):
+    g = Grid(16)
+    path = tmp_path / "rho.dat"
+    write_field(path, ScalarField.constant(g, 2.0), "rho")
+    path.write_text(path.read_text() + "2\n")
+    with pytest.raises(ValueError):
+        read_field(path)
+
+
+def test_rejects_bad_header(tmp_path):
+    g = Grid(16)
+    path = tmp_path / "rho.dat"
+    write_field(path, ScalarField.constant(g, 2.0), "rho")
+    text = path.read_text()
+    path.write_text(text.replace("components: 1", "components: 3"))
+    with pytest.raises(ValueError, match="components"):
+        read_field(path)
+    path.write_text(text.replace("dim: 1", "dim: one"))
+    with pytest.raises(ValueError, match="header"):
+        read_field(path)

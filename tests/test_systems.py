@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from qnslab.fields import (Grid, ScalarField, VectorField, grad_arr, quad,
-                           random_smooth_positive, random_smooth_vector)
-from qnslab.physics import QnsParams, State, to_w
+from qnslab.fields import (Grid, ScalarField, VectorField, dealias_arr,
+                           div_arr, from_spectral, grad_arr, hess_arr,
+                           jac_arr, lap_arr, quad, random_smooth_positive,
+                           random_smooth_vector, tdiv_arr, to_spectral)
+from qnslab.physics import QnsParams, State, bohm_force, to_w
 from qnslab.systems import (FORMULATIONS, TERM_LABELS_U, TERM_LABELS_W,
                             rhs_approx_u, rhs_approx_w, rhs_for, rhs_target,
                             trig_test_function, weak_residual)
@@ -175,3 +177,163 @@ class TestWeakResidual:
         test = trig_test_function(g, 1.0)
         with pytest.raises(ValueError):
             weak_residual([0.0], [st], test, PARAMS)
+
+
+# ---------------------------------------------------------------------------
+# staged right-hand sides against the term-by-term formulas
+# ---------------------------------------------------------------------------
+
+def _dir(J, b):
+    return np.einsum("ij...,j...->i...", J, b)
+
+
+def _reference_u(state, params, eps, use_dealias):
+    """The u-form right-hand side term by term, one operator per term."""
+    grid, r, u = state.grid, state.rho.values, state.vel.values
+    mu, p0 = params.mu, params.p0
+    J = jac_arr(grid, u)
+    D = 0.5 * (J + np.swapaxes(J, 0, 1))
+    terms = [-r * _dir(J, u),
+             2 * params.nu * tdiv_arr(grid, r * D),
+             -grad_arr(grid, params.a * r ** params.gamma),
+             params.kappa ** 2 * bohm_force(state.rho).values,
+             -params.r0 * u,
+             -params.r1 * r * np.sum(u * u, axis=0) * u]
+    drho = -div_arr(grid, r * u)
+    if eps > 0:
+        v = np.sqrt(r)
+        gv = grad_arr(grid, v)
+        flux = np.sum(gv * gv, axis=0) * gv
+        Q = div_arr(grid, flux)
+        neg_p = r ** (-p0)
+        glog = grad_arr(grid, np.log(r))
+        w = u + mu * glog
+        H = hess_arr(grid, np.log(r))
+        drho = drho + eps * v * Q + eps * neg_p
+        terms += [np.sqrt(eps) * tdiv_arr(grid, r * J),
+                  np.sqrt(eps) * mu * tdiv_arr(grid, r * H),
+                  eps * v * _dir(J, flux),
+                  eps * mu * v * _dir(H, flux),
+                  -eps * neg_p * u,
+                  -(eps ** 1.5) * r * np.sum(w * w, axis=0) ** 1.5 * u,
+                  -eps * mu * grad_arr(grid, neg_p),
+                  -eps * mu * grad_arr(grid, v * Q),
+                  eps * mu * v * Q * glog]
+    dvel = sum(terms) / r
+    if use_dealias:
+        drho, dvel = dealias_arr(grid, drho), dealias_arr(grid, dvel)
+    return drho, dvel
+
+
+def _reference_w(state, params, use_dealias):
+    """The w-form right-hand side term by term, one operator per term."""
+    grid, r, w = state.grid, state.rho.values, state.vel.values
+    eps, mu = params.eps, params.mu
+    u = w - mu * grad_arr(grid, np.log(r))
+    Jw = jac_arr(grid, w)
+    Dw = 0.5 * (Jw + np.swapaxes(Jw, 0, 1))
+    drho = -div_arr(grid, r * w) + mu * lap_arr(grid, r)
+    terms = [-r * _dir(Jw, w),
+             -grad_arr(grid, params.a * r ** params.gamma),
+             2 * (params.nu - mu) * tdiv_arr(grid, r * Dw),
+             mu * r * lap_arr(grid, w),
+             2 * mu * _dir(Jw, grad_arr(grid, r)),
+             -params.r0 * u,
+             -params.r1 * r * np.sum(u * u, axis=0) * u]
+    if eps > 0:
+        v = np.sqrt(r)
+        gv = grad_arr(grid, v)
+        flux = np.sum(gv * gv, axis=0) * gv
+        Q = div_arr(grid, flux)
+        neg_p = r ** (-params.p0)
+        drho = drho + eps * v * Q + eps * neg_p
+        terms += [np.sqrt(eps) * tdiv_arr(grid, r * Jw),
+                  eps * v * _dir(Jw, flux),
+                  -(eps ** 1.5) * r * np.sum(w * w, axis=0) ** 1.5 * u,
+                  -eps * neg_p * w]
+    dvel = sum(terms) / r
+    if use_dealias:
+        drho, dvel = dealias_arr(grid, drho), dealias_arr(grid, dvel)
+    return drho, dvel
+
+
+def _assert_rel(actual, expected, rtol=1e-13):
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+STAGED_GRIDS = [(32,), (16, 24), (8, 12, 16)]
+STAGED_PARAMS = [dict(eps=eps, kappa=kappa, r0=r0, r1=r1)
+                 for eps in (0.0, 1e-3) for kappa in (0.0, 1.0 / 11.0)
+                 for r0, r1 in ((0.0, 0.0), (0.1, 0.05))]
+
+
+def _staged_state(spec, seed=4):
+    g = Grid(spec)
+    return State(random_smooth_positive(g, seed, 2, 2.0),
+                 random_smooth_vector(g, seed, 2))
+
+
+class TestStaged:
+    @pytest.mark.parametrize("use_dealias", [True, False])
+    @pytest.mark.parametrize("kw", STAGED_PARAMS)
+    @pytest.mark.parametrize("spec", STAGED_GRIDS)
+    def test_u_form_matches_term_formulas(self, spec, kw, use_dealias):
+        st = _staged_state(spec)
+        p = QnsParams(nu=1.0, **kw)
+        rhs = rhs_approx_u(st, p, use_dealias=use_dealias)
+        drho, dvel = _reference_u(st, p, p.eps, use_dealias)
+        _assert_rel(rhs.drho.values, drho)
+        _assert_rel(rhs.dvel.values, dvel)
+        # the target system ignores eps
+        rt = rhs_target(st, p, use_dealias=use_dealias)
+        drho, dvel = _reference_u(st, p, 0.0, use_dealias)
+        _assert_rel(rt.drho.values, drho)
+        _assert_rel(rt.dvel.values, dvel)
+
+    @pytest.mark.parametrize("use_dealias", [True, False])
+    @pytest.mark.parametrize("kw", STAGED_PARAMS)
+    @pytest.mark.parametrize("spec", STAGED_GRIDS)
+    def test_w_form_matches_term_formulas(self, spec, kw, use_dealias):
+        p = QnsParams(nu=1.0, **kw)
+        st = to_w(_staged_state(spec), p)
+        rhs = rhs_approx_w(st, p, use_dealias=use_dealias)
+        drho, dvel = _reference_w(st, p, use_dealias)
+        _assert_rel(rhs.drho.values, drho)
+        _assert_rel(rhs.dvel.values, dvel)
+
+    @pytest.mark.parametrize("spec", STAGED_GRIDS)
+    def test_breakdown_bohm_is_form_a(self, spec):
+        st = _staged_state(spec)
+        for rhs_fn in (rhs_target, rhs_approx_u):
+            rhs = rhs_fn(st, PARAMS, breakdown=True)
+            expected = PARAMS.kappa ** 2 * bohm_force(st.rho, "A").values
+            _assert_rel(rhs.breakdown["bohm"], expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("spec", STAGED_GRIDS)
+    def test_breakdown_sums_to_dvel_in_every_form(self, spec):
+        st = _staged_state(spec)
+        for rhs_fn, s, labels in (
+                (rhs_target, st, TERM_LABELS_U[:6]),
+                (rhs_approx_u, st, TERM_LABELS_U),
+                (rhs_approx_w, to_w(st, PARAMS), TERM_LABELS_W)):
+            rhs = rhs_fn(s, PARAMS, breakdown=True, use_dealias=False)
+            plain = rhs_fn(s, PARAMS, use_dealias=False)
+            assert plain.breakdown is None
+            assert set(rhs.breakdown) == set(labels)
+            _assert_rel(sum(rhs.breakdown.values()) / s.rho.values,
+                        plain.dvel.values, rtol=1e-12)
+            np.testing.assert_array_equal(rhs.dvel.values, plain.dvel.values)
+
+
+@pytest.mark.parametrize("spec", [(128,), (64, 64), (8, 12, 16)])
+def test_batched_transform_equals_rows_bitwise(spec):
+    g = Grid(spec)
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((5,) + g.shape)
+    hat = to_spectral(g, stack)
+    back = from_spectral(g, hat)
+    for k in range(len(stack)):
+        row_hat = to_spectral(g, stack[k])
+        np.testing.assert_array_equal(hat[k], row_hat)
+        np.testing.assert_array_equal(back[k], from_spectral(g, row_hat))

@@ -5,8 +5,8 @@ import pytest
 
 from qnslab.fields import Grid, ScalarField, VectorField
 from qnslab.functionals import DISSIPATION_KEYS
-from qnslab.physics import QnsParams, State, to_w
-from qnslab.systems import rhs_approx_u
+from qnslab.physics import QnsParams, State, VacuumError, to_w
+from qnslab.systems import Rhs, rhs_approx_u
 from qnslab.timeloop import (IntegratorConfig, PositivityError, cfl_dt,
                              energy_budget, equivalence_run, integrate, step)
 
@@ -60,6 +60,20 @@ class TestStep:
             step(st, PARAMS.with_(nu=1e-6, kappa=0.0), rhs_approx_u, 5.0,
                  scheme="rk4-explicit")
 
+    @pytest.mark.parametrize("scheme", ["imex", "rk4-explicit"])
+    def test_non_finite_density_is_a_failure(self, scheme):
+        st = _acoustic(32)
+
+        def nan_rhs(state, params, use_dealias=True):
+            rhs = rhs_approx_u(state, params, use_dealias=use_dealias)
+            drho = rhs.drho.values.copy()
+            drho[3] = np.nan
+            return Rhs(ScalarField(state.grid, drho), rhs.dvel,
+                       rhs.formulation)
+        with pytest.raises(PositivityError) as info:
+            step(st, PARAMS, nan_rhs, 1e-4, scheme=scheme)
+        assert info.value.bad_nodes >= 1
+
     def test_imex_second_order_in_time(self):
         st = _acoustic(64)
         ref = st
@@ -109,6 +123,16 @@ class TestIntegrate:
                                         positivity_floor=0.2)
         traj = integrate(st, p, cfg)
         assert traj.status.startswith("positivity-failure")
+
+    def test_nan_density_never_completes(self):
+        # one NaN node used to run to status "completed" at time nan
+        st = _acoustic(32)
+        rho = st.rho.values.copy()
+        rho[5] = np.nan
+        bad = State(ScalarField(st.grid, rho), st.vel)
+        cfg = IntegratorConfig.fixed_dt(1e-3, t_end=0.005)
+        with pytest.raises(VacuumError):
+            integrate(bad, PARAMS, cfg)
 
     def test_keep_states_false_drops_snapshots(self):
         cfg = IntegratorConfig.fixed_dt(1e-3, t_end=5e-3)
