@@ -3,8 +3,8 @@ compressible quantum Navier-Stokes system with damping."""
 
 from .fields import (Grid, ScalarField, TensorField, VectorField, dealias,
                      div, div_tensor, grad, grad_vec, hessian, integrate,
-                     laplacian, lp_norm, quad, random_smooth_positive,
-                     random_smooth_vector, sym_grad)
+                     laplacian, lp_norm, quad, random_smooth_ensemble,
+                     random_smooth_positive, random_smooth_vector, sym_grad)
 from .functionals import (DISSIPATION_KEYS, FunctionalReport, MonitorRecord,
                           bd_entropy, check_div_vs_D, check_flux_identity,
                           check_grad6, check_grad_sqrtrho_u, check_jungel,
@@ -13,17 +13,19 @@ from .functionals import (DISSIPATION_KEYS, FunctionalReport, MonitorRecord,
 from .initdata import (SCENARIOS, InitialDataReport, RawData, mollify,
                        scenario, validate_initial)
 from .physics import (AdmissibilityError, ConstraintReport, QnsParams, State,
-                      VacuumError, bohm_force, check_constraints, mu_of,
-                      p_flux, p_flux_div, paper_params, to_u, to_w)
+                      VacuumError, bohm_arr, bohm_force, check_constraints,
+                      mu_of, p_flux, p_flux_div, paper_params, to_u, to_w)
 from .snapshots import read_field, write_field
 from .systems import (FORMULATIONS, Rhs, SpaceTimeTestFunction, rhs_approx_u,
                       rhs_approx_w, rhs_for, rhs_target, trig_test_function,
                       weak_residual)
 from .timeloop import (EnergyBudgetReport, EquivalenceReport,
-                       IntegratorConfig, PositivityError, Trajectory, cfl_dt,
-                       energy_budget, equivalence_run, step)
+                       IntegratorConfig, NonFiniteError, PositivityError,
+                       Trajectory, cfl_dt, energy_budget, equivalence_run,
+                       step)
 from .timeloop import integrate as integrate_in_time
 from .verify import (SuiteConfig, SuiteReport, run_dynamics_suite,
-                     run_identity_suite, run_inequality_suite, run_suite)
+                     run_identity_suite, run_inequality_suite, run_suite,
+                     run_suites)
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .physics import (DESK_P0, DESK_SIGMA0, PAPER_P0, PAPER_SIGMA0, QnsParams,
 from .snapshots import read_field, write_field
 from .timeloop import IntegratorConfig, integrate
 from .verify import (DYNAMICS_CHECKS, IDENTITY_CHECKS, INEQUALITY_CHECKS,
-                     SuiteConfig, run_suite)
+                     SuiteConfig, run_suites)
 
 MONITOR_COLUMNS = ("time", "mass", "energy", "bd_entropy", "mv", "rho_min",
                    "rho_max", "mass_balance_residual") + DISSIPATION_KEYS
@@ -216,7 +216,7 @@ def cmd_verify(args):
         "inequality": INEQUALITY_CHECKS,
         "dynamics": DYNAMICS_CHECKS,
     }
-    overall = True
+    configs = {}
     for name in suites:
         if name not in defaults:
             raise ConfigError(f"unknown suite {name!r}")
@@ -226,8 +226,9 @@ def cmd_verify(args):
             if key in cfg and key not in block:
                 block[key] = cfg[key]
         block.setdefault("checks", list(defaults[name]))
-        sc = _suite_config(block)
-        report = run_suite(name, sc)
+        configs[name] = _suite_config(block)
+    overall = True
+    for name, report in run_suites(configs).items():
         with open(os.path.join(out, f"{name}_report.json"), "w") as fh:
             fh.write(report.to_json() + "\n")
         with open(os.path.join(out, f"{name}_results.jsonl"), "w") as fh:

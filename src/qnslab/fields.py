@@ -248,22 +248,37 @@ def _check_backend(backend):
         raise ValueError(f"unknown backend {backend!r}")
 
 
+def _comp(grid, *idx):
+    """Index of the component axes just before the grid axes, counted from
+    the grid end, so leading batch axes pass through: _comp(grid, i) picks
+    row i of a vector stack, _comp(grid, i, j) entry (i, j) of a tensor."""
+    return (Ellipsis,) + idx + (slice(None),) * grid.dim
+
+
+def per_node(grid, arr, depth=1):
+    """arr with depth unit axes inserted before the grid axes, so a scalar
+    stack broadcasts against a vector (depth 1) or tensor (2) stack."""
+    return arr.reshape(arr.shape[:arr.ndim - grid.dim] + (1,) * depth
+                       + grid.shape)
+
+
 def deriv_arr(grid, arr, axis, backend="spectral"):
     """d(arr)/dx_axis on the grid."""
     _check_backend(backend)
     if backend == "fd2":
         h = grid.spacing[axis]
-        return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2 * h)
+        a = axis - grid.dim
+        return (np.roll(arr, -1, a) - np.roll(arr, 1, a)) / (2 * h)
     return from_spectral(grid, grid._ik[axis] * to_spectral(grid, arr))
 
 
 def lap_arr(grid, arr, backend="spectral"):
-    """Laplacian of a scalar, or of each component of a leading-axis stack
-    (spectral backend)."""
+    """Laplacian of a scalar, or of each row of a leading-axis stack."""
     _check_backend(backend)
     if backend == "fd2":
         out = np.zeros_like(arr)
         for a, h in enumerate(grid.spacing):
+            a -= grid.dim
             out += (np.roll(arr, -1, a) - 2 * arr + np.roll(arr, 1, a)) / h**2
         return out
     return from_spectral(grid, grid._lap * to_spectral(grid, arr))
@@ -291,18 +306,18 @@ def _ik_dot(grid, vhat):
 
 
 def grad_arr(grid, arr, backend="spectral"):
-    """(dim, *n) array of first derivatives."""
+    """(..., dim, *n) array of first derivatives."""
     _check_backend(backend)
     if backend == "fd2":
         return np.stack([deriv_arr(grid, arr, a, backend)
-                         for a in range(grid.dim)])
+                         for a in range(grid.dim)], axis=-grid.dim - 1)
     return from_spectral(grid, _ik_stack(grid, to_spectral(grid, arr)))
 
 
 def div_arr(grid, vec, backend="spectral"):
     _check_backend(backend)
     if backend == "fd2":
-        return sum(deriv_arr(grid, vec[a], a, backend)
+        return sum(deriv_arr(grid, vec[_comp(grid, a)], a, backend)
                    for a in range(grid.dim))
     return from_spectral(grid, _ik_dot(grid, to_spectral(grid, vec)))
 
@@ -312,13 +327,18 @@ def _upper_pairs(d):
 
 
 def _symmetric(grid, upper):
-    """(dim, dim, *n) tensor from its upper-triangle rows, bitwise
-    symmetric."""
+    """(..., dim, dim, *n) tensor from its upper-triangle rows (the axis
+    before the grid axes), bitwise symmetric."""
     d = grid.dim
-    out = np.empty((d, d) + grid.shape)
+    lead = upper.ndim - grid.dim - 1
+    out = np.empty(upper.shape[:lead] + (d, d) + grid.shape)
+    # component axes first as views, so an unbatched tensor is filled by
+    # plain row indexing
+    rows, upper = ((np.moveaxis(out, (lead, lead + 1), (0, 1)),
+                    np.moveaxis(upper, lead, 0)) if lead else (out, upper))
     for (i, j), hij in zip(_upper_pairs(d), upper):
-        out[i, j] = hij
-        out[j, i] = hij
+        rows[i, j] = hij
+        rows[j, i] = hij
     return out
 
 
@@ -329,46 +349,52 @@ def hess_multipliers(grid):
 
 
 def _hess_hat(grid, fhat, with_grad=False):
-    """Stacked spectra ik_i * ik_j * fhat = -k_i k_j fhat of one scalar for
-    the upper triangle i <= j, preceded by ik_j * fhat for every axis j if
-    with_grad."""
+    """Spectra ik_i * ik_j * fhat = -k_i k_j fhat for the upper triangle
+    i <= j, preceded by ik_j * fhat for every axis j if with_grad, stacked
+    on a new axis just before the grid axes."""
     mults = hess_multipliers(grid)
     if with_grad:
         mults = list(grid._ik) + mults
-    out = np.empty((len(mults),) + fhat.shape, dtype=complex)
+    lead = fhat.ndim - grid.dim
+    out = np.empty(fhat.shape[:lead] + (len(mults),) + fhat.shape[lead:],
+                   dtype=complex)
+    rows = np.moveaxis(out, lead, 0) if lead else out
     for p, m in enumerate(mults):
-        np.multiply(m, fhat, out=out[p])
+        np.multiply(m, fhat, out=rows[p])
     return out
 
 
 def hess_arr(grid, arr, backend="spectral"):
-    """(dim, dim, *n) Hessian; bitwise symmetric by construction."""
+    """(..., dim, dim, *n) Hessian; bitwise symmetric by construction."""
     _check_backend(backend)
     if backend == "fd2":
         g = grad_arr(grid, arr, backend)
-        upper = [deriv_arr(grid, g[i], j, backend)
-                 for i, j in _upper_pairs(grid.dim)]
+        upper = np.stack([deriv_arr(grid, g[_comp(grid, i)], j, backend)
+                          for i, j in _upper_pairs(grid.dim)],
+                         axis=-grid.dim - 1)
     else:
         upper = from_spectral(grid, _hess_hat(grid, to_spectral(grid, arr)))
     return _symmetric(grid, upper)
 
 
 def grad_hess_arr(grid, arr):
-    """Gradient and Hessian of a scalar, spectral, from one forward and one
-    inverse transform; each equals grad_arr and hess_arr bitwise."""
+    """Gradient and Hessian of a scalar (stack), spectral, from one forward
+    and one inverse transform; each equals grad_arr and hess_arr bitwise."""
     d = grid.dim
     rows = from_spectral(grid, _hess_hat(grid, to_spectral(grid, arr),
                                          with_grad=True))
-    return rows[:d].copy(), _symmetric(grid, rows[d:])
+    lead = (slice(None),) * (rows.ndim - d - 1)
+    return (rows[lead + (slice(None, d),)].copy(),
+            _symmetric(grid, rows[lead + (slice(d, None),)]))
 
 
 def jac_arr(grid, vec, backend="spectral"):
-    """Jacobian (dim, dim, *n) with [i, j] = d(vec_i)/dx_j."""
+    """Jacobian (..., dim, dim, *n) with [i, j] = d(vec_i)/dx_j."""
     _check_backend(backend)
     d = grid.dim
     if backend == "fd2":
-        return np.stack([np.stack([deriv_arr(grid, vec[i], j, backend)
-                                   for j in range(d)]) for i in range(d)])
+        return np.stack([grad_arr(grid, vec[_comp(grid, i)], backend)
+                         for i in range(d)], axis=-d - 2)
     return from_spectral(grid, _ik_stack(grid, to_spectral(grid, vec)))
 
 
@@ -377,15 +403,21 @@ def tdiv_arr(grid, tens, backend="spectral"):
     _check_backend(backend)
     d = grid.dim
     if backend == "fd2":
-        return np.stack([sum(deriv_arr(grid, tens[i, j], j, backend)
-                             for j in range(d)) for i in range(d)])
+        return np.stack([sum(deriv_arr(grid, tens[_comp(grid, i, j)], j,
+                                       backend) for j in range(d))
+                         for i in range(d)], axis=-d - 1)
     return from_spectral(grid, _ik_dot(grid, to_spectral(grid, tens)))
 
 
 def quad(grid, arr):
-    """Rectangle-rule integral: (mean nodal value) x (domain volume)."""
-    # the sum and division np.mean performs, without its call overhead
-    return float(arr.sum() / arr.size * grid.volume)
+    """Rectangle-rule integral: (mean nodal value) x (domain volume); one
+    value per field of a stack with leading batch axes."""
+    if arr.ndim == grid.dim:
+        # the sum and division np.mean performs, without its call overhead
+        return float(arr.sum() / arr.size * grid.volume)
+    n = grid.node_count
+    return arr.reshape(arr.shape[:-grid.dim] + (n,)).sum(axis=-1) / n \
+        * grid.volume
 
 
 def dealias_arr(grid, arr):
@@ -449,13 +481,18 @@ def dealias(f):
     raise TypeError("dealias expects a ScalarField or VectorField")
 
 
-def random_smooth_positive(grid, seed, modes, floor):
-    """floor + s^2 for a seeded truncated random Fourier series s.
+def random_smooth_ensemble(grid, seeds, modes, floor=None, amplitude=None):
+    """Seeded smooth fields for a stack of seeds, from one synthesis pair.
 
-    Coefficients decay like (1 + |k|^2)^-2 so the result is well resolved;
-    modes must not exceed n/3 per axis (dealias-safe). Deterministic per seed.
+    Returns (rho, u). rho is (S, *n), floor + s^2 for a seeded truncated
+    random Fourier series s per seed, or None if floor is None. u is
+    (S, dim, *n), one mean-free smooth field per component scaled by
+    amplitude, or None if amplitude is None. Coefficients decay like
+    (1 + |k|^2)^-2 so the fields are well resolved; modes must not exceed
+    n/3 per axis (dealias-safe). Each seed has its own generator, so a row
+    does not depend on the other seeds of the stack.
     """
-    if floor <= 0:
+    if floor is not None and floor <= 0:
         raise ValueError("floor must be positive")
     modes = int(modes)
     if modes < 0:
@@ -463,16 +500,48 @@ def random_smooth_positive(grid, seed, modes, floor):
     if modes > min(grid.n) // 3:
         raise ValueError(
             f"modes={modes} exceeds dealias-safe limit {min(grid.n) // 3}")
-    rng = np.random.default_rng(seed)
+    d, ns = grid.dim, len(seeds)
+    rows = list(seeds) if floor is not None else []
+    nr = len(rows)
+    if amplitude is not None:
+        rows += [(seed + 1) * 7919 + i for seed in seeds for i in range(d)]
+    floors = np.array([floor] * nr + [1.0] * (len(rows) - nr))
+    floors = floors.reshape((-1,) + (1,) * d)
     if modes == 0:
-        c = rng.standard_normal()
-        return ScalarField.constant(grid, floor + c * c)
-    # spectral synthesis: white noise shaped by (1 + |k|^2)^-2 within the
-    # mode box; the shaped spectrum stays Hermitian, so the field is real
-    noise = rng.standard_normal(grid.shape)
-    s = from_spectral(grid, _smooth_amplitude(grid, modes)
-                      * to_spectral(grid, noise)) * np.sqrt(grid.node_count)
-    return ScalarField(grid, floor + s * s)
+        c = np.array([np.random.default_rng(r).standard_normal()
+                      for r in rows]).reshape(floors.shape)
+        fields = floors + np.broadcast_to(c * c, (len(rows),) + grid.shape)
+    else:
+        # spectral synthesis: white noise shaped by (1 + |k|^2)^-2 within
+        # the mode box; the shaped spectrum stays Hermitian, so the field
+        # is real. In place, each step gives the bits of floor + s * s.
+        fields = np.empty((len(rows),) + grid.shape)
+        for out, r in zip(fields, rows):
+            out[...] = np.random.default_rng(r).standard_normal(grid.shape)
+        spec = to_spectral(grid, fields)
+        spec *= _smooth_amplitude(grid, modes)
+        fields = from_spectral(grid, spec)
+        del spec
+        fields *= np.sqrt(grid.node_count)
+        fields *= fields
+        fields += floors
+    rho = fields[:nr] if floor is not None else None
+    u = None
+    if amplitude is not None:
+        comps = fields[nr:]
+        n = grid.node_count
+        comps -= (comps.reshape(-1, n).sum(axis=-1) / n).reshape(
+            floors[nr:].shape)
+        comps *= amplitude
+        u = comps.reshape((ns, d) + grid.shape)
+    return rho, u
+
+
+def random_smooth_positive(grid, seed, modes, floor):
+    """floor + s^2 for a seeded truncated random Fourier series s; see
+    random_smooth_ensemble. Deterministic per seed."""
+    return ScalarField(grid, random_smooth_ensemble(grid, (seed,), modes,
+                                                    floor=floor)[0][0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -490,10 +559,7 @@ def _smooth_amplitude(grid, modes):
 
 
 def random_smooth_vector(grid, seed, modes, amplitude=1.0):
-    """Seeded smooth vector field for identity/inequality test ensembles."""
-    comps = []
-    for i in range(grid.dim):
-        f = random_smooth_positive(grid, (seed + 1) * 7919 + i, modes,
-                                   floor=1.0)
-        comps.append(amplitude * (f.values - np.mean(f.values)))
-    return VectorField(grid, np.stack(comps))
+    """Seeded smooth vector field for identity/inequality test ensembles;
+    see random_smooth_ensemble."""
+    return VectorField(grid, random_smooth_ensemble(
+        grid, (seed,), modes, amplitude=amplitude)[1][0])

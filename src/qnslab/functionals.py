@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import (div_arr, grad_arr, grad_hess_arr, hess_arr, jac_arr,
-                     lap_arr, quad)
+                     lap_arr, per_node, quad)
 from .physics import require_positive, to_u
 
 # Inequality pass criterion: quadrature and roundoff must not flag true
@@ -281,98 +281,149 @@ def energy_dissipation(state, params):
 # inequality / identity checkers
 # ---------------------------------------------------------------------------
 
-def check_jungel(rho):
-    """int |grad rho^(1/4)|^4 <= 8 int rho |hess log rho|^2 and
-       int |hess rho^(1/2)|^2 <= 7 int rho |hess log rho|^2."""
-    require_positive(rho.values)
-    grid = rho.grid
-    r = rho.values
+# The checkers take fields; each is a wrapper over a batch-aware kernel
+# that takes arrays, or stacks of them with leading batch axes, and returns
+# one FunctionalReport per field of the stack.
+
+def _reports(name, lhs, rhs, **tols):
+    """One FunctionalReport per field from per-field lhs and rhs values."""
+    return [FunctionalReport(name, a, b, **tols)
+            for a, b in zip(np.ravel(lhs).tolist(), np.ravel(rhs).tolist())]
+
+
+def jungel_batch(grid, r):
+    """int |grad r^(1/4)|^4 <= 8 int r |hess log r|^2 and
+       int |hess r^(1/2)|^2 <= 7 int r |hess log r|^2, as two report
+       lists."""
+    require_positive(r)
+    ca = -grid.dim - 1
     g14 = grad_arr(grid, r ** 0.25)
-    lhs1 = quad(grid, np.sum(g14 * g14, axis=0) ** 2)
+    lhs1 = quad(grid, np.sum(g14 * g14, axis=ca) ** 2)
     Hs = hess_arr(grid, np.sqrt(r))
-    lhs2 = quad(grid, np.sum(Hs * Hs, axis=(0, 1)))
+    lhs2 = quad(grid, np.sum(Hs * Hs, axis=(ca - 1, ca)))
     Hlog = hess_arr(grid, np.log(r))
-    base = quad(grid, r * np.sum(Hlog * Hlog, axis=(0, 1)))
-    return (FunctionalReport("jungel_quartic", lhs1, 8.0 * base),
-            FunctionalReport("jungel_hessian", lhs2, 7.0 * base))
+    base = quad(grid, r * np.sum(Hlog * Hlog, axis=(ca - 1, ca)))
+    return (_reports("jungel_quartic", lhs1, 8.0 * base),
+            _reports("jungel_hessian", lhs2, 7.0 * base))
+
+
+def check_jungel(rho):
+    """The two Jungel bounds of one density; see jungel_batch."""
+    quartic, hessian = jungel_batch(rho.grid, rho.values)
+    return quartic[0], hessian[0]
+
+
+def grad6_batch(grid, v):
+    """int v^-2 |grad v|^6 <= 2 int |grad v|^2 |lap v|^2
+                              + 8 int |grad |grad v|^2|^2."""
+    require_positive(v)
+    ca = -grid.dim - 1
+    gv = grad_arr(grid, v)
+    gv2 = np.sum(gv * gv, axis=ca)
+    lhs = quad(grid, v ** -2 * gv2 ** 3)
+    lv = lap_arr(grid, v)
+    g_gv2 = grad_arr(grid, gv2)
+    rhs = (2.0 * quad(grid, gv2 * lv * lv)
+           + 8.0 * quad(grid, np.sum(g_gv2 * g_gv2, axis=ca)))
+    return _reports("grad6", lhs, rhs)
 
 
 def check_grad6(v):
-    """int v^-2 |grad v|^6 <= 2 int |grad v|^2 |lap v|^2
-                              + 8 int |grad |grad v|^2|^2."""
-    require_positive(v.values)
-    grid = v.grid
-    gv = grad_arr(grid, v.values)
-    gv2 = np.sum(gv * gv, axis=0)
-    lhs = quad(grid, v.values ** -2 * gv2 ** 3)
-    lv = lap_arr(grid, v.values)
-    g_gv2 = grad_arr(grid, gv2)
-    rhs = (2.0 * quad(grid, gv2 * lv * lv)
-           + 8.0 * quad(grid, np.sum(g_gv2 * g_gv2, axis=0)))
-    return FunctionalReport("grad6", lhs, rhs)
+    """The |grad v|^6 bound of one field; see grad6_batch."""
+    return grad6_batch(v.grid, v.values)[0]
+
+
+def div_vs_D_batch(grid, r, u):
+    """int rho (div u)^2 <= 3 int rho |D u|^2 (dimension bound, d <= 3)."""
+    require_positive(r)
+    ca = -grid.dim - 1
+    J = jac_arr(grid, u)
+    divu = np.trace(J, axis1=ca - 1, axis2=ca)
+    D = 0.5 * (J + np.swapaxes(J, ca - 1, ca))
+    lhs = quad(grid, r * divu ** 2)
+    rhs = 3.0 * quad(grid, r * np.sum(D * D, axis=(ca - 1, ca)))
+    return _reports("div_vs_D", lhs, rhs)
 
 
 def check_div_vs_D(rho, u):
-    """int rho (div u)^2 <= 3 int rho |D u|^2 (dimension bound, d <= 3)."""
-    require_positive(rho.values)
-    grid = rho.grid
-    J = jac_arr(grid, u.values)
-    divu = np.trace(J, axis1=0, axis2=1)
-    D = 0.5 * (J + np.swapaxes(J, 0, 1))
-    lhs = quad(grid, rho.values * divu ** 2)
-    rhs = 3.0 * quad(grid, rho.values * np.sum(D * D, axis=(0, 1)))
-    return FunctionalReport("div_vs_D", lhs, rhs)
+    """The div-vs-D bound of one (rho, u) pair; see div_vs_D_batch."""
+    return div_vs_D_batch(rho.grid, rho.values, u.values)[0]
 
 
-def check_flux_identity(v, r, rel_tol=1e-8):
-    """Pairing identity for the quartic flux, exponent r >= 0:
+def flux_identity_batch(grid, v, exponents, rel_tol=1e-8):
+    """Pairing identity for the quartic flux, for each exponent r >= 0:
 
     int div(|gv|^r gv) div(|gv|^2 gv)
       = int( 2r (gv . Hv gv)^2 |gv|^(r-4) |gv|^2
              + (r+2) |Hv gv|^2 |gv|^r + |gv|^(r+2) |Hv|^2 )
 
     written with q = Hv gv, the first term is 2r (q.gv)^2 |gv|^(r-2).
-    Checked as a two-sided equality within rel_tol.
+    Checked as a two-sided equality within rel_tol. The exponents share
+    grad v, Hess v and div(|gv|^2 gv); returns {r: report list}.
     """
-    if r < 0:
+    if any(r < 0 for r in exponents):
         raise ValueError("r must be nonnegative")
-    grid = v.grid
-    gv = grad_arr(grid, v.values)
-    gv2 = np.sum(gv * gv, axis=0)
-    Hv = hess_arr(grid, v.values)
-    Hv2 = np.sum(Hv * Hv, axis=(0, 1))
-    q = np.einsum("ij...,j...->i...", Hv, gv)
-    q2 = np.sum(q * q, axis=0)
-    qg = np.sum(q * gv, axis=0)
+    ca = -grid.dim - 1
+    gv, Hv = grad_hess_arr(grid, v)
+    gv2 = np.sum(gv * gv, axis=ca)
+    Hv2 = np.sum(Hv * Hv, axis=(ca - 1, ca))
+    x = "xyz"[:grid.dim]
+    q = np.einsum(f"...ij{x},...j{x}->...i{x}", Hv, gv)
+    del Hv  # the largest arrays go before the fluxes are transformed
+    q2 = np.sum(q * q, axis=ca)
+    qg = np.sum(q * gv, axis=ca)
+    del q
 
-    flux_r = gv2 ** (r / 2) * gv
-    flux_2 = gv2 * gv
-    lhs = quad(grid, div_arr(grid, flux_r) * div_arr(grid, flux_2))
+    # one divergence for the distinct fluxes; the r = 2 flux is the right
+    # factor of every pairing
+    powers = sorted(set(exponents) | {2})
+    fluxes = np.stack([per_node(grid, gv2 ** (r / 2)) * gv for r in powers],
+                      axis=ca - 1)
+    divs = dict(zip(powers, np.moveaxis(div_arr(grid, fluxes), ca, 0)))
 
-    if r == 0:
-        first = np.zeros_like(gv2)
-    else:
-        safe = np.where(gv2 > 0, gv2, 1.0)
-        first = np.where(gv2 > 0, 2 * r * qg ** 2 * safe ** (r / 2 - 1), 0.0)
-    rhs = quad(grid, first + (r + 2) * q2 * gv2 ** (r / 2)
-               + gv2 ** (r / 2 + 1) * Hv2)
+    out = {}
+    for r in exponents:
+        lhs = quad(grid, divs[r] * divs[2])
+        if r == 0:
+            first = np.zeros_like(gv2)
+        else:
+            safe = np.where(gv2 > 0, gv2, 1.0)
+            first = np.where(gv2 > 0, 2 * r * qg ** 2 * safe ** (r / 2 - 1),
+                             0.0)
+        rhs = quad(grid, first + (r + 2) * q2 * gv2 ** (r / 2)
+                   + gv2 ** (r / 2 + 1) * Hv2)
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+        out[r] = _reports("flux_identity", np.abs(lhs - rhs),
+                          rel_tol * scale, rel_tol=0.0, abs_tol=ABS_TOL)
+    return out
 
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return FunctionalReport("flux_identity", abs(lhs - rhs), rel_tol * scale,
-                            rel_tol=0.0, abs_tol=ABS_TOL)
+
+def check_flux_identity(v, r, rel_tol=1e-8):
+    """The quartic-flux pairing identity of one field at exponent r; see
+    flux_identity_batch."""
+    return flux_identity_batch(v.grid, v.values, (r,), rel_tol)[r][0]
+
+
+def grad_sqrtrho_u_batch(grid, r, u, tol=1e-8):
+    """Nodal product rule grad(sqrt(rho) u) = sqrt(rho) grad u
+       + 2 rho^(1/4) u (x) grad rho^(1/4)."""
+    require_positive(r)
+    ca = -grid.dim - 1
+    v = np.sqrt(r)
+    lhs = jac_arr(grid, per_node(grid, v) * u)
+    r14 = r ** 0.25
+    g14 = grad_arr(grid, r14)
+    rhs = per_node(grid, v, 2) * jac_arr(grid, u) \
+        + 2 * per_node(grid, r14, 2) * np.expand_dims(u, ca) \
+        * np.expand_dims(g14, ca - 1)
+    flat = lhs.shape[:r.ndim - grid.dim] + (-1,)
+    err = np.max(np.abs(lhs - rhs).reshape(flat), axis=-1)
+    scale = np.maximum(np.max(np.abs(lhs).reshape(flat), axis=-1), 1.0)
+    return _reports("grad_sqrtrho_u", err, tol * scale,
+                    rel_tol=0.0, abs_tol=0.0)
 
 
 def check_grad_sqrtrho_u(rho, u, tol=1e-8):
-    """Nodal product rule grad(sqrt(rho) u) = sqrt(rho) grad u
-       + 2 rho^(1/4) u (x) grad rho^(1/4)."""
-    require_positive(rho.values)
-    grid = rho.grid
-    v = np.sqrt(rho.values)
-    lhs = jac_arr(grid, v * u.values)
-    g14 = grad_arr(grid, rho.values ** 0.25)
-    rhs = v * jac_arr(grid, u.values) \
-        + 2 * rho.values ** 0.25 * u.values[:, None] * g14[None, :]
-    err = float(np.max(np.abs(lhs - rhs)))
-    scale = max(float(np.max(np.abs(lhs))), 1.0)
-    return FunctionalReport("grad_sqrtrho_u", err, tol * scale,
-                            rel_tol=0.0, abs_tol=0.0)
+    """The sqrt(rho) u product rule of one (rho, u) pair; see
+    grad_sqrtrho_u_batch."""
+    return grad_sqrtrho_u_batch(rho.grid, rho.values, u.values, tol)[0]

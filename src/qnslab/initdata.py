@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Grid, ScalarField, VectorField, from_spectral, grad_arr,
+from .fields import (Grid, ScalarField, VectorField, from_spectral,
                      mode_indices, quad, to_spectral)
-from .functionals import log_minus
-from .physics import QnsParams, State, require_positive
+from .functionals import Derived
+from .physics import QnsParams, State
 
 SCENARIOS = ("uniform-rest", "acoustic-1d", "acoustic-2d", "vacuum-bump-1d")
 
@@ -130,15 +130,11 @@ def validate_initial(state, params):
     norms, the eps-weighted negative-power mass, the damped log-negative-part
     mass, and the slightly-higher-integrability norms used by the
     damping-free compactness argument (exponent 2 + eta, eta = 1/2 here).
+    The derived state is read from one functionals.Derived bundle, so a
+    w-form state is mapped back to u first.
     """
-    grid = state.grid
-    r = state.rho.values
-    require_positive(r)
-    u = state.vel.values
-    v = np.sqrt(r)
-    gv = grad_arr(grid, v)
-    gv2 = np.sum(gv * gv, axis=0)
-    u2 = np.sum(u * u, axis=0)
+    d = Derived(state, params)
+    grid, r, v, gv2, u2 = d.grid, d.rho, d.sqrt_rho, d.grad_sqrt_rho2, d.u2
     eta = 0.5
     norms = {
         "mass_l1": quad(grid, r),
@@ -146,9 +142,10 @@ def validate_initial(state, params):
         "kinetic": quad(grid, r * u2),
         "grad_sqrtrho_l2": math.sqrt(quad(grid, gv2)),
         "eps_grad_sqrtrho_l4_4": params.eps * quad(grid, gv2 ** 2),
-        "eps_rho_negp_l1": (params.eps * quad(grid, r ** -params.p0)
+        "eps_rho_negp_l1": (params.eps * quad(grid, d.rho_neg_p0)
                             if params.eps > 0 else 0.0),
-        "r0_logminus_l1": params.r0 * quad(grid, np.abs(log_minus(r))),
+        "r0_logminus_l1": params.r0 * quad(
+            grid, np.abs(np.minimum(d.log_rho, 0.0))),
         "sqrtrho_l2eta": quad(grid, v ** (2 + eta)) ** (1 / (2 + eta)),
         "sqrtrho_u_l2eta": quad(grid, (v * np.sqrt(u2)) ** (2 + eta))
         ** (1 / (2 + eta)),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (ScalarField, VectorField, div_arr, grad_arr,
-                     hess_arr, lap_arr, tdiv_arr)
+                     hess_arr, lap_arr, per_node, tdiv_arr)
 
 # Analysis-mode constants: these make the regularization terms either
 # negligible or catastrophically stiff numerically, so simulation defaults
@@ -189,7 +189,14 @@ def require_positive(rho_values):
 
 
 def bohm_force(rho, form="A", backend="spectral"):
-    """The dispersive force 2*rho*grad(lap(sqrt(rho))/sqrt(rho)).
+    """The dispersive force 2*rho*grad(lap(sqrt(rho))/sqrt(rho)) of a
+    ScalarField, in one of the three forms of bohm_arr."""
+    return VectorField(rho.grid, bohm_arr(rho.grid, rho.values, form, backend))
+
+
+def bohm_arr(grid, r, form="A", backend="spectral"):
+    """The Bohm force of a density array or of a stack of densities with
+    leading batch axes, as a (..., dim, *n) array.
 
     Three independently coded algebraic forms:
       A: direct quotient 2 rho grad(lap v / v), v = sqrt(rho);
@@ -197,25 +204,22 @@ def bohm_force(rho, form="A", backend="spectral"):
       C: grad(lap rho) - 4 div(grad v (x) grad v).
     They agree on resolved strictly positive fields.
     """
-    require_positive(rho.values)
-    grid = rho.grid
-    r = rho.values
+    require_positive(r)
     if form == "A":
         v = np.sqrt(r)
         q = lap_arr(grid, v, backend) / v
-        out = 2.0 * r * grad_arr(grid, q, backend)
-    elif form == "B":
+        return 2.0 * per_node(grid, r) * grad_arr(grid, q, backend)
+    if form == "B":
         H = hess_arr(grid, np.log(r), backend)
-        out = tdiv_arr(grid, r * H, backend)
-    elif form == "C":
+        return tdiv_arr(grid, per_node(grid, r, 2) * H, backend)
+    if form == "C":
         v = np.sqrt(r)
         gv = grad_arr(grid, v, backend)
-        outer = gv[:, None] * gv[None, :]
-        out = (grad_arr(grid, lap_arr(grid, r, backend), backend)
-               - 4.0 * tdiv_arr(grid, outer, backend))
-    else:
-        raise ValueError(f"form must be 'A', 'B', or 'C', got {form!r}")
-    return VectorField(grid, out)
+        ca = -grid.dim - 1
+        outer = np.expand_dims(gv, ca) * np.expand_dims(gv, ca - 1)
+        return (grad_arr(grid, lap_arr(grid, r, backend), backend)
+                - 4.0 * tdiv_arr(grid, outer, backend))
+    raise ValueError(f"form must be 'A', 'B', or 'C', got {form!r}")
 
 
 def p_flux(v, backend="spectral"):

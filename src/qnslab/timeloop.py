@@ -41,6 +41,17 @@ class PositivityError(RuntimeError):
                          f"{bad_nodes} node(s), rho_min={rho_min:.6g}")
 
 
+class NonFiniteError(RuntimeError):
+    """Post-step velocity has a NaN or infinite node while the density is
+    finite and positive."""
+
+    def __init__(self, time, bad_nodes):
+        self.time = float(time)
+        self.bad_nodes = int(bad_nodes)
+        super().__init__(f"non-finite velocity at t={time:.6g}: "
+                         f"{bad_nodes} node(s)")
+
+
 class StepUnderflowError(RuntimeError):
     pass
 
@@ -168,7 +179,7 @@ def _etd_correct(grid, blocks, dt, a, m_hat, fa):
 def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
          positivity_floor=1e-10, use_dealias=True):
     """Advance one step; raises PositivityError if the density drops to the
-    floor or is not finite.
+    floor or is not finite, NonFiniteError if the velocity is not finite.
 
     The density and the velocity travel as one (1 + dim, *n) stack."""
     if dt <= 0:
@@ -224,6 +235,9 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
                                      & np.isfinite(r1))
     if bad:
         raise PositivityError(t0 + dt, bad, float(np.min(r1)))
+    bad = y1[1:].size - np.count_nonzero(np.isfinite(y1[1:]))
+    if bad:
+        raise NonFiniteError(t0 + dt, bad)
     return unpack(y1, t0 + dt)
 
 
@@ -327,6 +341,10 @@ def integrate(initial, params, config, formulation=None, use_dealias=True,
         except PositivityError as exc:
             traj.status = (f"positivity-failure at t={exc.time:.6g} "
                            f"({exc.bad_nodes} nodes, rho_min={exc.rho_min:g})")
+            return traj
+        except NonFiniteError as exc:
+            traj.status = (f"non-finite at t={exc.time:.6g} "
+                           f"({exc.bad_nodes} velocity nodes)")
             return traj
         steps_since_monitor += 1
         at_end = state.time >= config.t_end - 1e-14

@@ -12,17 +12,15 @@ perturbation that must fail, proving the checks are not vacuous.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (Grid, ScalarField, VectorField, grad_arr, quad,
-                     random_smooth_positive, random_smooth_vector)
-from .functionals import (check_div_vs_D, check_flux_identity, check_grad6,
-                          check_grad_sqrtrho_u, check_jungel)
+from .fields import Grid, grad_arr, quad, random_smooth_ensemble
+from .functionals import (div_vs_D_batch, flux_identity_batch, grad6_batch,
+                          grad_sqrtrho_u_batch, jungel_batch)
 from .initdata import mollify, scenario
-from .physics import State, bohm_force
+from .physics import State, bohm_arr
 from .systems import trig_test_function, weak_residual
 from .timeloop import (IntegratorConfig, energy_budget, equivalence_run,
                        integrate)
@@ -129,84 +127,154 @@ class SuiteReport:
         return "\n".join(r.to_json() for r in self.results)
 
 
+# A seed chunk is the stack of seeds evaluated together on one grid; it
+# holds at most this many grid nodes per field (all 25 seeds of a (128,)
+# ensemble, one seed at 64^2). Larger chunks raise the peak memory of a pass
+# without a matching gain in speed.
+CHUNK_NODES = 4096
+
+
+def chunk_size(grid):
+    """Seeds per chunk on the grid."""
+    return max(1, CHUNK_NODES // grid.node_count)
+
+
 def _rel_l2(grid, a, b):
-    num = math.sqrt(quad(grid, np.sum((a - b) ** 2, axis=0)))
-    den = math.sqrt(quad(grid, np.sum(a * a, axis=0)))
-    return num / den if den > 0 else num
+    """Per-field relative L2 distance of two vector stacks."""
+    ca = -grid.dim - 1
+    num = np.sqrt(quad(grid, np.sum((a - b) ** 2, axis=ca)))
+    den = np.sqrt(quad(grid, np.sum(a * a, axis=ca)))
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), num)
 
 
-def _canary_bohm(rho):
+def _canary_bohm(grid, r):
     """Form C deliberately corrupted by +1e-3 * grad(rho)."""
-    out = bohm_force(rho, form="C")
-    bad = out.values + 1e-3 * grad_arr(rho.grid, rho.values)
-    return VectorField(rho.grid, bad)
+    return bohm_arr(grid, r, form="C") + 1e-3 * grad_arr(grid, r)
+
+
+def _bohm_error(grid, r, canary):
+    """Per-field largest pairwise relative L2 distance of the three Bohm
+    forms (form C corrupted if canary)."""
+    fa = bohm_arr(grid, r, "A")
+    fb = bohm_arr(grid, r, "B")
+    fc = _canary_bohm(grid, r) if canary else bohm_arr(grid, r, "C")
+    return np.maximum(np.maximum(_rel_l2(grid, fa, fb), _rel_l2(grid, fa, fc)),
+                      _rel_l2(grid, fb, fc)).tolist()
+
+
+def _identity_chunk(grid, r, u, config):
+    """{check: [(margin, passed, detail) per seed]} of the exact-identity
+    checks (Bohm forms, quartic flux identity, product rule) on one chunk."""
+    checks, tol = config.checks, config.rel_tol
+    out = {}
+    if "bohm-forms" in checks:
+        out["bohm-forms"] = [(tol - e, e < tol,
+                              f"max pairwise rel L2 = {e:.3e}")
+                             for e in _bohm_error(grid, r, config.canary)]
+    flux = {0: "flux-identity-0", 2: "flux-identity-2"}
+    exponents = [p for p, name in flux.items() if name in checks]
+    if exponents:
+        reports = flux_identity_batch(grid, np.sqrt(r), exponents, tol)
+        for p in exponents:
+            out[flux[p]] = [
+                (fr.margin, fr.passed,
+                 f"|lhs-rhs| = {fr.lhs:.3e}, allowance = {fr.rhs:.3e}")
+                for fr in reports[p]]
+    if "grad-sqrtrho-u" in checks:
+        out["grad-sqrtrho-u"] = [
+            (fr.margin, fr.passed,
+             f"nodal max = {fr.lhs:.3e}, allowance = {fr.rhs:.3e}")
+            for fr in grad_sqrtrho_u_batch(grid, r, u, tol=tol)]
+    return out
+
+
+def _inequality_chunk(grid, r, u, config):
+    """{check: [(margin, passed, detail) per seed]} of the functional
+    inequalities with their stated constants on one chunk; a check passes
+    when lhs <= rhs."""
+    checks = config.checks
+    reports = {}
+    if "jungel-quartic" in checks or "jungel-hessian" in checks:
+        reports["jungel-quartic"], reports["jungel-hessian"] = \
+            jungel_batch(grid, r)
+    if "grad6" in checks:
+        reports["grad6"] = grad6_batch(grid, np.sqrt(r))
+    if "div-vs-D" in checks:
+        reports["div-vs-D"] = div_vs_D_batch(grid, r, u)
+    return {name: [(fr.margin, fr.passed,
+                    f"lhs = {fr.lhs:.6e}, rhs = {fr.rhs:.6e}") for fr in frs]
+            for name, frs in reports.items() if name in checks}
+
+
+SEEDED_SUITES = {
+    "identity": (_identity_chunk, IDENTITY_CHECKS),
+    "inequality": (_inequality_chunk, INEQUALITY_CHECKS),
+}
+
+
+def _ensemble_key(config):
+    """Seeded suites with equal keys evaluate the same (rho, u) chunks."""
+    return (tuple(config.seeds), tuple(map(tuple, config.grids)),
+            config.modes, config.floor)
+
+
+def _run_seeded(names, configs, reports):
+    """Evaluate the seeded suites that share one ensemble, chunk by chunk:
+    each chunk is generated once and read by every suite of names."""
+    config = configs[names[0]]
+    seeds = list(config.seeds)
+    for spec in config.grids:
+        grid = Grid(spec)
+        size = chunk_size(grid)
+        for start in range(0, len(seeds), size):
+            chunk = seeds[start:start + size]
+            r, u = random_smooth_ensemble(grid, chunk, config.modes,
+                                          floor=config.floor, amplitude=1.0)
+            for name in names:
+                chunk_fn, order = SEEDED_SUITES[name]
+                out = chunk_fn(grid, r, u, configs[name])
+                results = reports[name].results
+                for k, seed in enumerate(chunk):
+                    for check in order:
+                        if check in out:
+                            margin, passed, detail = out[check][k]
+                            results.append(CheckResult(
+                                check, seed, spec, margin, passed, detail))
+
+
+def run_suites(configs):
+    """Run several suites, {name: SuiteConfig} -> {name: SuiteReport}.
+
+    Seeded suites (identity, inequality) that agree on seeds, grids, modes
+    and floor share one generated ensemble; each grid's seeds are evaluated
+    in chunks of chunk_size(grid) seeds, one batched transform pair per
+    derivative group and chunk.
+    """
+    for name in configs:
+        if name not in SEEDED_SUITES and name != "dynamics":
+            raise ValueError(f"unknown suite {name!r}")
+    reports = {name: SuiteReport(suite=name) for name in configs}
+    shared = {}
+    for name in configs:
+        if name in SEEDED_SUITES:
+            shared.setdefault(_ensemble_key(configs[name]), []).append(name)
+    for names in shared.values():
+        _run_seeded(names, configs, reports)
+    if "dynamics" in configs:
+        reports["dynamics"] = run_dynamics_suite(configs["dynamics"])
+    return reports
 
 
 def run_identity_suite(config):
-    """Exact-identity checks (Bohm forms, quartic flux identity, product rule)
-    over the seeded ensemble; optional canary run that must fail."""
-    report = SuiteReport(suite="identity")
-    for spec in config.grids:
-        grid = Grid(spec)
-        for seed in config.seeds:
-            rho = random_smooth_positive(grid, seed, config.modes,
-                                         config.floor)
-            u = random_smooth_vector(grid, seed, config.modes)
-            v = ScalarField(grid, np.sqrt(rho.values))
-            if "bohm-forms" in config.checks:
-                fa = bohm_force(rho, "A").values
-                fb = bohm_force(rho, "B").values
-                fc = (_canary_bohm(rho).values if config.canary
-                      else bohm_force(rho, "C").values)
-                err = max(_rel_l2(grid, fa, fb), _rel_l2(grid, fa, fc),
-                          _rel_l2(grid, fb, fc))
-                report.results.append(CheckResult(
-                    "bohm-forms", seed, spec, config.rel_tol - err,
-                    err < config.rel_tol,
-                    f"max pairwise rel L2 = {err:.3e}"))
-            for r_exp, name in ((0, "flux-identity-0"), (2, "flux-identity-2")):
-                if name not in config.checks:
-                    continue
-                fr = check_flux_identity(v, r_exp, rel_tol=config.rel_tol)
-                report.results.append(CheckResult(
-                    name, seed, spec, fr.margin, fr.passed,
-                    f"|lhs-rhs| = {fr.lhs:.3e}, allowance = {fr.rhs:.3e}"))
-            if "grad-sqrtrho-u" in config.checks:
-                fr = check_grad_sqrtrho_u(rho, u, tol=config.rel_tol)
-                report.results.append(CheckResult(
-                    "grad-sqrtrho-u", seed, spec, fr.margin, fr.passed,
-                    f"nodal max = {fr.lhs:.3e}, allowance = {fr.rhs:.3e}"))
-    return report
+    """Exact-identity checks over the seeded ensemble; optional canary run
+    that must fail."""
+    return run_suite("identity", config)
 
 
 def run_inequality_suite(config):
-    """Functional inequalities with their stated constants over the
-    ensemble; pass requires every report's lhs <= rhs."""
-    report = SuiteReport(suite="inequality")
-    for spec in config.grids:
-        grid = Grid(spec)
-        for seed in config.seeds:
-            rho = random_smooth_positive(grid, seed, config.modes,
-                                         config.floor)
-            v = ScalarField(grid, np.sqrt(rho.values))
-            u = random_smooth_vector(grid, seed, config.modes)
-            frs = []
-            if "jungel-quartic" in config.checks or \
-                    "jungel-hessian" in config.checks:
-                quartic, hess = check_jungel(rho)
-                if "jungel-quartic" in config.checks:
-                    frs.append(("jungel-quartic", quartic))
-                if "jungel-hessian" in config.checks:
-                    frs.append(("jungel-hessian", hess))
-            if "grad6" in config.checks:
-                frs.append(("grad6", check_grad6(v)))
-            if "div-vs-D" in config.checks:
-                frs.append(("div-vs-D", check_div_vs_D(rho, u)))
-            for name, fr in frs:
-                report.results.append(CheckResult(
-                    name, seed, spec, fr.margin, fr.passed,
-                    f"lhs = {fr.lhs:.6e}, rhs = {fr.rhs:.6e}"))
-    return report
+    """Functional inequalities over the seeded ensemble; pass requires every
+    report's lhs <= rhs."""
+    return run_suite("inequality", config)
 
 
 def _steady_battery(result_sink, params_kw=None):
@@ -287,10 +355,4 @@ def run_dynamics_suite(config):
 
 
 def run_suite(name, config):
-    if name == "identity":
-        return run_identity_suite(config)
-    if name == "inequality":
-        return run_inequality_suite(config)
-    if name == "dynamics":
-        return run_dynamics_suite(config)
-    raise ValueError(f"unknown suite {name!r}")
+    return run_suites({name: config})[name]

@@ -7,10 +7,12 @@ import os
 import numpy as np
 import pytest
 
+from qnslab import timeloop
 from qnslab.cli import MONITOR_COLUMNS, main
-from qnslab.fields import Grid, ScalarField
+from qnslab.fields import Grid, ScalarField, VectorField
 from qnslab.functionals import DISSIPATION_KEYS
 from qnslab.snapshots import write_field
+from qnslab.systems import Rhs, rhs_approx_u
 
 
 def _write(tmp_path, name, doc):
@@ -105,6 +107,32 @@ class TestRun:
         cfg = _write(tmp_path, "run.json", doc)
         assert main(["run", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
+
+
+class TestNonFiniteVelocity:
+    def test_run_exits_1_with_non_finite_status(self, tmp_path, monkeypatch):
+        # ten fixed IMEX steps, two right-hand sides each; the last one
+        # returns a NaN velocity node while the density stays finite
+        count = {"n": 0}
+
+        def poisoned(state, params, use_dealias=True):
+            out = rhs_approx_u(state, params, use_dealias=use_dealias)
+            count["n"] += 1
+            if count["n"] < 20:
+                return out
+            dvel = out.dvel.values.copy()
+            dvel[0, 5] = np.nan
+            return Rhs(out.drho, VectorField(state.grid, dvel),
+                       out.formulation)
+        monkeypatch.setattr(timeloop, "rhs_for", lambda formulation: poisoned)
+        doc = dict(RUN_DOC, integrator=dict(RUN_DOC["integrator"],
+                                            dt_min=1e-3))
+        cfg = _write(tmp_path, "run.json", doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        with open(out / "summary.json") as fh:
+            assert json.load(fh)["status"].startswith("non-finite at t=0.01")
+        assert count["n"] == 20
 
 
 class TestBadSnapshot:

@@ -9,7 +9,7 @@ should lower its ceiling here; a ceiling never moves up.
 import numpy as np
 import pytest
 
-from qnslab import functionals, systems, timeloop
+from qnslab import functionals, systems, timeloop, verify
 from qnslab.fields import Grid, random_smooth_positive, random_smooth_vector
 from qnslab.physics import QnsParams, State, to_w
 
@@ -26,6 +26,7 @@ CEILINGS = {
     "monitor": 14,
     "monitor_record": 10,
     "budget_rate": 24,
+    "verify_pass_1d": 42,
 }
 
 
@@ -52,6 +53,16 @@ def fft_calls(monkeypatch):
         fn()
         return count["calls"]
     return measure
+
+
+def _verify_pass(count):
+    """identity plus inequality suites, count seeds on (64,): one chunk."""
+    seeds = tuple(range(count))
+    return lambda: verify.run_suites({
+        "identity": verify.SuiteConfig(seeds=seeds, grids=((64,),),
+                                       checks=verify.IDENTITY_CHECKS),
+        "inequality": verify.SuiteConfig(seeds=seeds, grids=((64,),),
+                                         checks=verify.INEQUALITY_CHECKS)})
 
 
 def _operations():
@@ -85,6 +96,7 @@ def _operations():
         "monitor": monitor,
         "monitor_record": monitor_record,
         "budget_rate": lambda: timeloop._budget_rate(state, params),
+        "verify_pass_1d": _verify_pass(25),
     }
 
 
@@ -92,6 +104,10 @@ def _operations():
 def test_fft_calls_within_ceiling(fft_calls, op):
     calls = fft_calls(_operations()[op])
     assert 0 < calls <= CEILINGS[op], f"{op}: {calls} FFT calls"
+
+
+def test_verify_pass_does_not_scale_with_seed_count(fft_calls):
+    assert fft_calls(_verify_pass(1)) == fft_calls(_verify_pass(25))
 
 
 def test_counter_sees_every_transform(fft_calls):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qnslab.fields import Grid, ScalarField, VectorField, quad
+from qnslab.fields import (Grid, ScalarField, VectorField, grad_arr, quad,
+                           random_smooth_positive, random_smooth_vector)
+from qnslab.functionals import log_minus
 from qnslab.initdata import (SCENARIOS, RawData, mollify, scenario,
                              validate_initial)
 from qnslab.physics import QnsParams, State, VacuumError
@@ -150,6 +152,34 @@ class TestValidateInitial:
         st = State(ScalarField(g, rho), VectorField.zero(g))
         with pytest.raises(VacuumError):
             validate_initial(st, QnsParams())
+
+    @pytest.mark.parametrize("spec", [(32,), (16, 24), (8, 12, 16)])
+    def test_norms_equal_direct_formulas(self, spec):
+        # the norms read a Derived bundle; each equals, bit for bit, the
+        # formula computed from the plain operators
+        g = Grid(spec)
+        st = State(random_smooth_positive(g, 4, 2, 0.5),
+                   random_smooth_vector(g, 4, 2))
+        params = QnsParams(eps=1e-3, r0=0.2, gamma=1.4)
+        r, u = st.rho.values, st.vel.values
+        v = np.sqrt(r)
+        gv = grad_arr(g, v)
+        gv2 = np.sum(gv * gv, axis=0)
+        u2 = np.sum(u * u, axis=0)
+        eta = 0.5
+        expected = {
+            "mass_l1": quad(g, r),
+            "rho_lgamma": quad(g, r ** params.gamma) ** (1 / params.gamma),
+            "kinetic": quad(g, r * u2),
+            "grad_sqrtrho_l2": math.sqrt(quad(g, gv2)),
+            "eps_grad_sqrtrho_l4_4": params.eps * quad(g, gv2 ** 2),
+            "eps_rho_negp_l1": params.eps * quad(g, r ** -params.p0),
+            "r0_logminus_l1": params.r0 * quad(g, np.abs(log_minus(r))),
+            "sqrtrho_l2eta": quad(g, v ** (2 + eta)) ** (1 / (2 + eta)),
+            "sqrtrho_u_l2eta": quad(g, (v * np.sqrt(u2)) ** (2 + eta))
+            ** (1 / (2 + eta)),
+        }
+        assert validate_initial(st, params).norms == expected
 
     def test_refinement_invariance(self):
         vals = []

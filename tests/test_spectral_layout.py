@@ -9,10 +9,13 @@ modes, and results are compared against a full complex-FFT reference.
 import numpy as np
 import pytest
 
+from qnslab import functionals
 from qnslab.fields import (Grid, ScalarField, VectorField, dealias,
                            dealias_arr, deriv_arr, div_arr, grad_arr,
-                           grad_hess_arr, hess_arr, jac_arr, lap_arr,
-                           random_smooth_positive, tdiv_arr)
+                           grad_hess_arr, hess_arr, jac_arr, lap_arr, quad,
+                           random_smooth_ensemble, random_smooth_positive,
+                           random_smooth_vector, tdiv_arr)
+from qnslab.physics import bohm_arr
 
 GRIDS = [
     Grid((16, 32), length=(1.0, 3.0)),
@@ -215,9 +218,167 @@ def _ref_smooth_positive(grid, seed, modes, floor):
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+def test_random_smooth_vector_matches_complex_synthesis(grid):
+    # component i is the mean-free floor-1 field of seed (seed+1)*7919 + i
+    modes = min(grid.n) // 3
+    for seed in (0, 5):
+        got = random_smooth_vector(grid, seed, modes, 2.5).values
+        for i in range(grid.dim):
+            ref = _ref_smooth_positive(grid, (seed + 1) * 7919 + i, modes,
+                                       1.0)
+            ref = 2.5 * (ref - ref.mean())
+            np.testing.assert_allclose(got[i], ref, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
 def test_random_smooth_positive_matches_complex_synthesis(grid):
     modes = min(grid.n) // 3
     for seed in (0, 5):
         got = random_smooth_positive(grid, seed, modes, 0.5).values
         np.testing.assert_allclose(
             got, _ref_smooth_positive(grid, seed, modes, 0.5), rtol=1e-14)
+
+
+# --- leading batch axes ----------------------------------------------------
+#
+# A (S, ...) stack of fields must give, row by row, the bits of one call per
+# row: the verification suites evaluate a seed chunk as one stack.
+
+BATCH_GRIDS = [Grid(32), Grid((16, 24), length=(1.0, 3.0)),
+               Grid((8, 12, 16), length=(2.0, 1.0, 0.5))]
+BATCH_IDS = ["x".join(map(str, g.n)) for g in BATCH_GRIDS]
+LEADS = [(3,), (2, 2)]
+
+
+def _rows(lead):
+    return list(np.ndindex(*lead))
+
+
+def _positive(grid, lead, seed=0):
+    """A stack of smooth strictly positive densities."""
+    rows = [random_smooth_positive(grid, seed + k, 2, 0.5).values
+            for k in range(int(np.prod(lead)))]
+    return np.stack(rows).reshape(lead + grid.shape)
+
+
+def _vectors(grid, lead, seed=0):
+    rows = [random_smooth_vector(grid, seed + k, 2).values
+            for k in range(int(np.prod(lead)))]
+    return np.stack(rows).reshape(lead + (grid.dim,) + grid.shape)
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=["S", "SxT"])
+@pytest.mark.parametrize("backend", ["spectral", "fd2"])
+@pytest.mark.parametrize("grid", BATCH_GRIDS, ids=BATCH_IDS)
+class TestBatchedOperators:
+    def test_scalar_operators(self, grid, backend, lead):
+        f = _noise(grid, lead, seed=20)
+        ops = [lambda a: hess_arr(grid, a, backend),
+               lambda a: grad_arr(grid, a, backend),
+               lambda a: lap_arr(grid, a, backend)]
+        ops += [lambda a, j=j: deriv_arr(grid, a, j, backend)
+                for j in range(grid.dim)]
+        for op in ops:
+            out = op(f)
+            for k in _rows(lead):
+                np.testing.assert_array_equal(out[k], op(f[k]))
+
+    def test_vector_and_tensor_operators(self, grid, backend, lead):
+        d = grid.dim
+        vec = _noise(grid, lead + (d,), seed=21)
+        tens = _noise(grid, lead + (d, d), seed=22)
+        J, D = jac_arr(grid, vec, backend), div_arr(grid, vec, backend)
+        T = tdiv_arr(grid, tens, backend)
+        for k in _rows(lead):
+            np.testing.assert_array_equal(J[k], jac_arr(grid, vec[k], backend))
+            np.testing.assert_array_equal(D[k], div_arr(grid, vec[k], backend))
+            np.testing.assert_array_equal(T[k],
+                                          tdiv_arr(grid, tens[k], backend))
+
+    def test_bohm_kernels(self, grid, backend, lead):
+        r = _positive(grid, lead, seed=3)
+        for form in "ABC":
+            out = bohm_arr(grid, r, form, backend)
+            assert out.shape == lead + (grid.dim,) + grid.shape
+            for k in _rows(lead):
+                np.testing.assert_array_equal(
+                    out[k], bohm_arr(grid, r[k], form, backend))
+
+
+@pytest.mark.parametrize("grid", BATCH_GRIDS, ids=BATCH_IDS)
+class TestBatchedKernels:
+    def test_grad_hess_rows(self, grid):
+        f = _noise(grid, (3,), seed=23)
+        g, H = grad_hess_arr(grid, f)
+        for k in range(3):
+            gk, Hk = grad_hess_arr(grid, f[k])
+            np.testing.assert_array_equal(g[k], gk)
+            np.testing.assert_array_equal(H[k], Hk)
+
+    def test_quad_one_value_per_field(self, grid):
+        f = _noise(grid, (2, 3), seed=24)
+        q = quad(grid, f)
+        assert q.shape == (2, 3)
+        for k in _rows((2, 3)):
+            assert q[k] == quad(grid, f[k])
+        assert isinstance(quad(grid, f[0, 0]), float)
+
+    def test_checker_kernels(self, grid):
+        r, u = _positive(grid, (4,), seed=7), _vectors(grid, (4,), seed=7)
+        v = np.sqrt(r)
+
+        def reports(r, u, v):
+            out = list(functionals.jungel_batch(grid, r))
+            out.append(functionals.grad6_batch(grid, v))
+            out.append(functionals.div_vs_D_batch(grid, r, u))
+            out += functionals.flux_identity_batch(
+                grid, v, (0, 1, 2, 3.5)).values()
+            out.append(functionals.grad_sqrtrho_u_batch(grid, r, u))
+            return out
+
+        batched = reports(r, u, v)
+        for k in range(4):
+            row = reports(r[k], u[k], v[k])
+            assert [frs[k] for frs in batched] == [frs[0] for frs in row]
+
+    def test_checkers_wrap_the_kernels(self, grid):
+        r, u = _positive(grid, (2,), seed=9), _vectors(grid, (2,), seed=9)
+        rho, vel = ScalarField(grid, r[1]), VectorField(grid, u[1])
+        v = ScalarField(grid, np.sqrt(r[1]))
+        quartic, hessian = functionals.jungel_batch(grid, r)
+        assert functionals.check_jungel(rho) == (quartic[1], hessian[1])
+        assert functionals.check_grad6(v) == \
+            functionals.grad6_batch(grid, np.sqrt(r))[1]
+        assert functionals.check_div_vs_D(rho, vel) == \
+            functionals.div_vs_D_batch(grid, r, u)[1]
+        assert functionals.check_flux_identity(v, 2) == \
+            functionals.flux_identity_batch(grid, np.sqrt(r), (0, 2))[2][1]
+        assert functionals.check_grad_sqrtrho_u(rho, vel) == \
+            functionals.grad_sqrtrho_u_batch(grid, r, u)[1]
+
+    @pytest.mark.parametrize("modes", [0, 2])
+    def test_ensemble_rows_are_the_single_seed_fields(self, grid, modes):
+        seeds = [4, 0, 17, 4]
+        rho, u = random_smooth_ensemble(grid, seeds, modes, floor=0.5,
+                                        amplitude=2.0)
+        assert rho.shape == (4,) + grid.shape
+        assert u.shape == (4, grid.dim) + grid.shape
+        for k, seed in enumerate(seeds):
+            np.testing.assert_array_equal(
+                rho[k], random_smooth_positive(grid, seed, modes, 0.5).values)
+            np.testing.assert_array_equal(
+                u[k], random_smooth_vector(grid, seed, modes, 2.0).values)
+        # the parts are optional and do not change each other's bits
+        alone, none = random_smooth_ensemble(grid, seeds[1:2], modes,
+                                             floor=0.5)
+        assert none is None
+        np.testing.assert_array_equal(alone[0], rho[1])
+
+    def test_ensemble_rejects_what_the_single_seed_fields_reject(self, grid):
+        with pytest.raises(ValueError):
+            random_smooth_ensemble(grid, [0], 2, floor=0.0)
+        with pytest.raises(ValueError):
+            random_smooth_ensemble(grid, [0], min(grid.n) // 3 + 1, floor=1.0)
+        with pytest.raises(ValueError):
+            random_smooth_ensemble(grid, [0], -1, amplitude=1.0)

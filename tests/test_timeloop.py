@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from qnslab import timeloop
 from qnslab.fields import Grid, ScalarField, VectorField
 from qnslab.functionals import DISSIPATION_KEYS
 from qnslab.physics import QnsParams, State, VacuumError, to_w
 from qnslab.systems import Rhs, rhs_approx_u
-from qnslab.timeloop import (IntegratorConfig, PositivityError, cfl_dt,
-                             energy_budget, equivalence_run, integrate, step)
+from qnslab.timeloop import (IntegratorConfig, NonFiniteError,
+                             PositivityError, cfl_dt, energy_budget,
+                             equivalence_run, integrate, step)
 
 
 def _acoustic(n=128, amp=0.1):
@@ -18,6 +20,22 @@ def _acoustic(n=128, amp=0.1):
 
 
 PARAMS = QnsParams(nu=1.0, kappa=1.0 / 11.0)
+
+
+def _poisoned_velocity(last_call):
+    """rhs_approx_u whose call number last_call returns a NaN velocity
+    node."""
+    count = {"n": 0}
+
+    def rhs(state, params, use_dealias=True):
+        out = rhs_approx_u(state, params, use_dealias=use_dealias)
+        count["n"] += 1
+        if count["n"] != last_call:
+            return out
+        dvel = out.dvel.values.copy()
+        dvel[0, 3] = np.nan
+        return Rhs(out.drho, VectorField(state.grid, dvel), out.formulation)
+    return rhs
 
 
 class TestConfig:
@@ -74,6 +92,17 @@ class TestStep:
             step(st, PARAMS, nan_rhs, 1e-4, scheme=scheme)
         assert info.value.bad_nodes >= 1
 
+    @pytest.mark.parametrize("scheme", ["imex", "rk4-explicit"])
+    def test_non_finite_velocity_is_a_failure(self, scheme):
+        # only the last stage (RK4 k4, the IMEX corrector) is poisoned, so
+        # the density stays finite and only the velocity is NaN
+        calls = {"imex": 2, "rk4-explicit": 4}[scheme]
+        with pytest.raises(NonFiniteError) as info:
+            step(_acoustic(32), PARAMS, _poisoned_velocity(calls), 1e-4,
+                 scheme=scheme)
+        assert info.value.bad_nodes >= 1
+        assert info.value.time == pytest.approx(1e-4)
+
     def test_imex_second_order_in_time(self):
         st = _acoustic(64)
         ref = st
@@ -123,6 +152,21 @@ class TestIntegrate:
                                         positivity_floor=0.2)
         traj = integrate(st, p, cfg)
         assert traj.status.startswith("positivity-failure")
+
+    @pytest.mark.parametrize("scheme", ["imex", "rk4-explicit"])
+    def test_non_finite_velocity_at_last_step_never_completes(self, scheme,
+                                                              monkeypatch):
+        # five fixed steps; the last right-hand side of the last step
+        # returns one NaN velocity node
+        calls = 5 * {"imex": 2, "rk4-explicit": 4}[scheme]
+        monkeypatch.setattr(timeloop, "rhs_for",
+                            lambda formulation: _poisoned_velocity(calls))
+        cfg = IntegratorConfig.fixed_dt(1e-3, t_end=0.005, scheme=scheme,
+                                        monitor_every=1)
+        traj = integrate(_acoustic(32), PARAMS, cfg)
+        assert traj.status.startswith("non-finite at t=0.005")
+        assert traj.times[-1] == pytest.approx(0.004)
+        assert all(np.all(np.isfinite(s.vel.values)) for s in traj.states)
 
     def test_nan_density_never_completes(self):
         # one NaN node used to run to status "completed" at time nan

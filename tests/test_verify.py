@@ -1,12 +1,21 @@
 """Suite orchestration: configs, reports, canaries, dynamics checks."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from qnslab.verify import (ALL_CHECKS, SuiteConfig, run_dynamics_suite,
-                           run_identity_suite, run_inequality_suite,
-                           run_suite)
+from qnslab.fields import (Grid, ScalarField, grad_arr, quad,
+                           random_smooth_positive, random_smooth_vector)
+from qnslab.functionals import (check_div_vs_D, check_flux_identity,
+                                check_grad6, check_grad_sqrtrho_u,
+                                check_jungel)
+from qnslab.physics import bohm_force
+from qnslab.verify import (ALL_CHECKS, IDENTITY_CHECKS, INEQUALITY_CHECKS,
+                           CheckResult, SuiteConfig, chunk_size,
+                           run_dynamics_suite, run_identity_suite,
+                           run_inequality_suite, run_suite, run_suites)
 
 SMALL = dict(seeds=(0, 1, 2), grids=((64,),))
 
@@ -119,3 +128,128 @@ def test_run_suite_dispatch():
     assert rep.suite == "identity"
     with pytest.raises(ValueError):
         run_suite("nope", SuiteConfig(**SMALL))
+
+
+# --- seed-chunked suites against a per-seed transcription -----------------
+
+def _rel_l2(grid, a, b):
+    num = math.sqrt(quad(grid, np.sum((a - b) ** 2, axis=0)))
+    den = math.sqrt(quad(grid, np.sum(a * a, axis=0)))
+    return num / den if den > 0 else num
+
+
+def _per_seed(suite, config):
+    """The suite evaluated one seed at a time with the public single-field
+    checkers, fields regenerated per seed."""
+    out = []
+    tol = config.rel_tol
+    for spec in config.grids:
+        grid = Grid(spec)
+        for seed in config.seeds:
+            rho = random_smooth_positive(grid, seed, config.modes,
+                                         config.floor)
+            u = random_smooth_vector(grid, seed, config.modes)
+            v = ScalarField(grid, np.sqrt(rho.values))
+            rows = {}
+            if suite == "identity":
+                fa = bohm_force(rho, "A").values
+                fb = bohm_force(rho, "B").values
+                fc = bohm_force(rho, "C").values
+                if config.canary:
+                    # form C corrupted by +1e-3 grad(rho)
+                    fc = fc + 1e-3 * grad_arr(grid, rho.values)
+                err = max(_rel_l2(grid, fa, fb), _rel_l2(grid, fa, fc),
+                          _rel_l2(grid, fb, fc))
+                rows["bohm-forms"] = (tol - err, err < tol,
+                                      f"max pairwise rel L2 = {err:.3e}")
+                for r in (0, 2):
+                    fr = check_flux_identity(v, r, rel_tol=tol)
+                    rows[f"flux-identity-{r}"] = (
+                        fr.margin, fr.passed,
+                        f"|lhs-rhs| = {fr.lhs:.3e}, "
+                        f"allowance = {fr.rhs:.3e}")
+                fr = check_grad_sqrtrho_u(rho, u, tol=tol)
+                rows["grad-sqrtrho-u"] = (
+                    fr.margin, fr.passed,
+                    f"nodal max = {fr.lhs:.3e}, allowance = {fr.rhs:.3e}")
+            else:
+                quartic, hessian = check_jungel(rho)
+                for name, fr in (("jungel-quartic", quartic),
+                                 ("jungel-hessian", hessian),
+                                 ("grad6", check_grad6(v)),
+                                 ("div-vs-D", check_div_vs_D(rho, u))):
+                    rows[name] = (fr.margin, fr.passed,
+                                  f"lhs = {fr.lhs:.6e}, rhs = {fr.rhs:.6e}")
+            for name in (IDENTITY_CHECKS if suite == "identity"
+                         else INEQUALITY_CHECKS):
+                if name in config.checks:
+                    out.append(CheckResult(name, seed, spec, *rows[name]))
+    return out
+
+
+CHUNK_GRIDS = [(64,), (16, 16), (8, 8, 8)]
+
+
+@pytest.mark.parametrize("spec", CHUNK_GRIDS,
+                         ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("count", [1, 7, 33])
+def test_chunked_suites_equal_per_seed_checks(spec, count):
+    seeds = tuple(range(200, 200 + count))
+    configs = {"identity": SuiteConfig(seeds=seeds, grids=(spec,), modes=2,
+                                       checks=IDENTITY_CHECKS),
+               "inequality": SuiteConfig(seeds=seeds, grids=(spec,), modes=2,
+                                         checks=INEQUALITY_CHECKS)}
+    reports = run_suites(configs)
+    for name, config in configs.items():
+        assert reports[name].results == _per_seed(name, config)
+    # 33 seeds cross a chunk edge on every grid but (64,)
+    if count == 33 and spec != (64,):
+        assert chunk_size(Grid(spec)) < count
+
+
+def test_chunk_size_budget():
+    assert chunk_size(Grid(128)) == 32
+    assert chunk_size(Grid((64, 64))) == 1
+    assert chunk_size(Grid((32, 32, 32))) == 1
+
+
+def test_check_subset_keeps_suite_order():
+    config = SuiteConfig(seeds=(3, 1), grids=((32,),), modes=2,
+                         checks=("grad-sqrtrho-u", "flux-identity-2"))
+    rep = run_identity_suite(config)
+    assert [(r.seed, r.check) for r in rep.results] == [
+        (3, "flux-identity-2"), (3, "grad-sqrtrho-u"),
+        (1, "flux-identity-2"), (1, "grad-sqrtrho-u")]
+    assert rep.results == _per_seed("identity", config)
+
+
+def test_canary_fails_every_bohm_instance_and_nothing_else():
+    # resolved grids: on coarse ones the identities fail with or without
+    # the canary
+    config = SuiteConfig(seeds=tuple(range(40, 59)), grids=((64,), (64, 64)),
+                         canary=True)
+    rep = run_identity_suite(config)
+    assert rep.results == _per_seed("identity", config)
+    bohm = [r for r in rep.results if r.check == "bohm-forms"]
+    assert len(bohm) == 2 * 19 and not any(r.passed for r in bohm)
+    assert all(r.passed for r in rep.results if r.check != "bohm-forms")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seeds", (0, 1, 3)), ("grids", ((16, 16),)), ("modes", 3),
+    ("floor", 2.0)])
+def test_suites_with_different_ensembles_keep_their_own(field, value):
+    # the two configs differ in one ensemble field only
+    base = dict(seeds=(0, 1, 2), grids=((32,),), modes=2, floor=4.0)
+    identity = SuiteConfig(**base, checks=IDENTITY_CHECKS)
+    inequality = SuiteConfig(**dict(base, **{field: value}),
+                             checks=INEQUALITY_CHECKS)
+    reports = run_suites({"identity": identity, "inequality": inequality})
+    assert reports["identity"].results == _per_seed("identity", identity)
+    assert reports["inequality"].results == _per_seed("inequality",
+                                                       inequality)
+
+
+def test_run_suites_rejects_unknown_suite():
+    with pytest.raises(ValueError):
+        run_suites({"identity": SuiteConfig(**SMALL), "nope": SuiteConfig()})
