@@ -9,11 +9,19 @@ generator used by the verification suites.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import threading
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+# Transform stacks of at least this many bytes are drawn from the calling
+# thread's workspace and reused; smaller ones are plain np.empty arrays.
+# glibc hands freed heap tops above about 128 KiB back to the system, so a
+# large stack allocated afresh on every call faults its pages in again.
+POOL_MIN_BYTES = 1 << 17
 
 class Grid:
     """Uniform periodic lattice on [0, L1) x ... x [0, Ld), d in {1,2,3}.
@@ -23,7 +31,7 @@ class Grid:
     """
 
     __slots__ = ("dim", "n", "length", "spacing", "shape", "volume", "kmax",
-                 "_ik", "_lap", "_mask", "_coords")
+                 "_ik", "_lap", "_hess", "_mask", "_coords", "_rows")
 
     def __init__(self, n, length=None):
         if np.isscalar(n):
@@ -61,6 +69,9 @@ class Grid:
               for i, m, L in zip(idx, n, length)]
         self._ik = tuple(1j * k for k in ks)
         self._lap = -sum(k * k for k in ks)
+        # ik_i * ik_j = -k_i k_j for the upper triangle i <= j, real
+        self._hess = tuple(_freeze((self._ik[i] * self._ik[j]).real)
+                           for i, j in _upper_pairs(dim))
         self.kmax = max(np.max(np.abs(ik)) for ik in self._ik)
         mask = True
         for i, m in zip(idx, n):
@@ -69,6 +80,11 @@ class Grid:
 
         self._coords = tuple(
             np.arange(m) * h for m, h in zip(n, self.spacing))
+        # (row shape, bytes per row, dtype) of a nodal and of a spectral
+        # stack
+        spec = n[:-1] + (n[-1] // 2 + 1,)
+        self._rows = ((n, 8 * int(np.prod(n)), float),
+                      (spec, 16 * int(np.prod(spec)), complex))
 
     @property
     def node_count(self):
@@ -189,26 +205,139 @@ def mode_indices(grid):
 
 
 # ---------------------------------------------------------------------------
+# transform workspace: reused stacks for the right-hand sides and the step
+# ---------------------------------------------------------------------------
+
+class _Workspace(threading.local):
+    """One thread's pool of transform stacks.
+
+    A free buffer is raw bytes; sizes holds their byte counts in ascending
+    order, parallel to free. A stack is a view of the smallest free buffer
+    that holds it, so a buffer serves stacks of any row count and either
+    dtype. lent maps id(buffer) to the buffer, which is the base of every
+    view of the stack. grid is the grid the free buffers were used on, and
+    depth counts the nested in_workspace scopes."""
+
+    def __init__(self):
+        self.grid = None
+        self.sizes, self.free = [], []
+        self.lent = {}
+        self.depth = 0
+
+    def put(self, buf):
+        i = bisect.bisect_left(self.sizes, buf.nbytes)
+        self.sizes.insert(i, buf.nbytes)
+        self.free.insert(i, buf)
+
+
+_workspace = _Workspace()
+
+
+def in_workspace(fn):
+    """fn run in a workspace scope: when the thread's outermost scope exits,
+    normally or by an exception, every stack still lent returns to the
+    pool."""
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        ws = _workspace
+        ws.depth += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            ws.depth -= 1
+            if not ws.depth and ws.lent:
+                # a stage that raised left its stacks lent; nothing reads
+                # them
+                for buf in ws.lent.values():
+                    ws.put(buf)
+                ws.lent.clear()
+    return scoped
+
+
+def take(grid, rows, spectral=False):
+    """An uninitialized (rows, *n) real stack, or (rows, *m) complex stack
+    in the rfft layout if spectral.
+
+    A stack of POOL_MIN_BYTES or more comes from the thread's workspace. It
+    goes back through release() once read for the last time, or when the
+    enclosing in_workspace scope exits, and must not escape. The pool keeps
+    the buffers of one grid only."""
+    shape, row_bytes, dtype = grid._rows[spectral]
+    nbytes = rows * row_bytes
+    if nbytes < POOL_MIN_BYTES:
+        return np.empty((rows,) + shape, dtype)
+    ws = _workspace
+    if ws.grid is not grid:
+        if ws.grid != grid:
+            ws.sizes, ws.free = [], []
+        ws.grid = grid
+    i = bisect.bisect_left(ws.sizes, nbytes)
+    if i < len(ws.sizes):
+        del ws.sizes[i]
+        buf = ws.free.pop(i)
+    else:
+        buf = np.empty(nbytes, np.uint8)
+    ws.lent[id(buf)] = buf
+    return buf[:nbytes].view(dtype).reshape((rows,) + shape)
+
+
+def release(*stacks):
+    """Return stacks from take(), or the inverse_once() of one, to the
+    pool; other arrays are ignored."""
+    ws = _workspace
+    lent = ws.lent
+    if lent:
+        for arr in stacks:
+            buf = lent.pop(id(arr.base), None)
+            if buf is not None:
+                ws.put(buf)
+
+
+def forward_once(grid, stack):
+    """to_spectral of a nodal stack that is not read again, into a stack
+    from take(); the nodal stack goes back to the workspace."""
+    hat = to_spectral(grid, stack, out=take(grid, len(stack), spectral=True))
+    release(stack)
+    return hat
+
+
+def inverse_once(grid, spec):
+    """from_spectral of a spectral stack that is not read again. The real
+    rows of a workspace stack are written over its own memory (a real row
+    takes fewer bytes than a row of the rfft layout; numpy resolves the
+    overlap), so release() of the result returns the buffer."""
+    if spec.base is None:
+        return from_spectral(grid, spec)
+    count = spec.size // (grid.n[-1] // 2 + 1) * grid.n[-1]
+    out = spec.reshape(-1).view(float)[:count].reshape(
+        spec.shape[:spec.ndim - grid.dim] + grid.shape)
+    return from_spectral(grid, spec, out=out)
+
+
+# ---------------------------------------------------------------------------
 # array-level calculus (used internally; public field ops wrap these)
 # ---------------------------------------------------------------------------
 
-def to_spectral(grid, arr):
+def to_spectral(grid, arr, out=None):
     """Real FFT over the trailing grid axes; leading axes are a batch.
 
-    The transform writes every axis pass into one preallocated output, so it
-    allocates once instead of once per axis.
+    The transform writes every axis pass into one output, out if given, so
+    it allocates once instead of once per axis.
     """
     if grid.dim == 1:
-        return np.fft.rfft(arr)
-    out = np.empty(arr.shape[:-1] + (grid.n[-1] // 2 + 1,), dtype=complex)
+        return np.fft.rfft(arr, out=out)
+    if out is None:
+        out = np.empty(arr.shape[:-1] + (grid.n[-1] // 2 + 1,), dtype=complex)
     return np.fft.rfftn(arr, axes=tuple(range(-grid.dim, 0)), out=out)
 
 
-def from_spectral(grid, ahat):
-    """Inverse of to_spectral: real nodal values on the grid."""
+def from_spectral(grid, ahat, out=None):
+    """Inverse of to_spectral: real nodal values on the grid, written to out
+    if given."""
     if grid.dim == 1:
-        return np.fft.irfft(ahat, n=grid.n[0])
-    return np.fft.irfftn(ahat, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
+        return np.fft.irfft(ahat, n=grid.n[0], out=out)
+    return np.fft.irfftn(ahat, s=grid.shape, axes=tuple(range(-grid.dim, 0)),
+                         out=out)
 
 
 def split_rows(arr, counts):
@@ -221,26 +350,31 @@ def split_rows(arr, counts):
 
 
 def nodal_stack(grid, *counts):
-    """An uninitialized real stack of sum(counts) rows on the grid and one
-    view per count, so each group is written in place before one batched
-    to_spectral."""
-    arr = np.empty((sum(counts),) + grid.shape)
+    """An uninitialized real stack of sum(counts) rows on the grid, from
+    take(), and one view per count, so each group is written in place before
+    one batched to_spectral."""
+    arr = take(grid, sum(counts))
     return arr, split_rows(arr, counts)
 
 
-def inverse_groups(grid, *groups):
+def inverse_groups(grid, *groups, done=()):
     """Inverse-transform several groups of spectral rows as one stack.
 
     A row is a list of (multiplier, spectrum) pairs and stands for the sum
-    of their products. Returns one nodal (len(group), *n) view per group.
+    of their products. The spectra in done are released once the rows are
+    formed, before the transform. Returns the nodal stack, a workspace
+    stack written over the rows, and one (len(group), *n) view of it per
+    group.
     """
     rows = [row for group in groups for row in group]
-    out = np.empty((len(rows),) + rows[0][0][1].shape, dtype=complex)
-    for o, ((m, s), *rest) in zip(out, rows):
+    spec = take(grid, len(rows), spectral=True)
+    for o, ((m, s), *rest) in zip(spec, rows):
         np.multiply(m, s, out=o)
         for m, s in rest:
             o += m * s
-    return split_rows(from_spectral(grid, out), map(len, groups))
+    release(*done)
+    out = inverse_once(grid, spec)
+    return out, split_rows(out, map(len, groups))
 
 
 def _check_backend(backend):
@@ -342,19 +476,13 @@ def _symmetric(grid, upper):
     return out
 
 
-def hess_multipliers(grid):
-    """ik_i * ik_j = -k_i k_j for the upper triangle i <= j, real."""
-    ik = grid._ik
-    return [(ik[i] * ik[j]).real for i, j in _upper_pairs(grid.dim)]
-
-
 def _hess_hat(grid, fhat, with_grad=False):
     """Spectra ik_i * ik_j * fhat = -k_i k_j fhat for the upper triangle
     i <= j, preceded by ik_j * fhat for every axis j if with_grad, stacked
     on a new axis just before the grid axes."""
-    mults = hess_multipliers(grid)
+    mults = grid._hess
     if with_grad:
-        mults = list(grid._ik) + mults
+        mults = grid._ik + mults
     lead = fhat.ndim - grid.dim
     out = np.empty(fhat.shape[:lead] + (len(mults),) + fhat.shape[lead:],
                    dtype=complex)

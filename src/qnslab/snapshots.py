@@ -49,8 +49,8 @@ def write_field(path, field, name, time=0.0):
         fh.write("data:\n")
         # same bytes as np.savetxt(fmt="%.17g"), formatted in bounded chunks
         for start in range(0, flat.size, _CHUNK):
-            chunk = flat[start:start + _CHUNK].tolist()
-            fh.write("".join(map("%.17g\n".__mod__, chunk)))
+            chunk = tuple(flat[start:start + _CHUNK].tolist())
+            fh.write(("%.17g\n" * len(chunk)) % chunk)
 
 
 def read_field(path):

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ScalarField, VectorField, _symmetric, dealias_arr,
-                     grad_arr, hess_multipliers, inverse_groups, jac_arr,
-                     lap_arr, nodal_stack, quad, split_rows, tdiv_arr,
-                     to_spectral)
+from .fields import (ScalarField, VectorField, _symmetric, forward_once,
+                     grad_arr, in_workspace, inverse_groups, inverse_once,
+                     jac_arr, lap_arr, nodal_stack, quad, release, split_rows,
+                     take, tdiv_arr, to_spectral)
 from .physics import require_positive
 
 FORMULATIONS = ("target", "approx-u", "approx-w")
@@ -82,21 +82,25 @@ class _Terms:
 
 
 def _finish(state, formulation, eps, drho, lin, terms, linear_terms,
-            use_dealias):
+            use_dealias, done):
     """Rhs from the nodal d rho/dt, the momentum terms summed in spectral
     space (lin) and the nodal ones (a _Terms): divide the sum by rho and
-    dealias [drho, dvel] as one stack.
+    dealias [drho, dvel] as one stack. The stacks in done go back to the
+    workspace once the Rhs holds its copies.
 
     A breakdown gains the labels of linear_terms() and zeros for the other
     labels of the formulation ("eps-" labels only when eps > 0).
     """
     grid, r = state.grid, state.rho.values
     lin += terms.total
-    out = np.empty((1 + grid.dim,) + grid.shape)
+    out = take(grid, 1 + grid.dim)
     out[0] = drho
     np.divide(lin, r, out=out[1:])
     if use_dealias:
-        out = dealias_arr(grid, out)
+        # dealias_arr on workspace stacks
+        hat = forward_once(grid, out)
+        hat *= grid._mask
+        out = inverse_once(grid, hat)
     breakdown = terms.by_label
     if breakdown is not None:
         breakdown.update(linear_terms())
@@ -104,14 +108,20 @@ def _finish(state, formulation, eps, drho, lin, terms, linear_terms,
         for label in labels:
             if eps > 0 or not label.startswith("eps-"):
                 breakdown.setdefault(label, np.zeros_like(lin))
-    return Rhs(ScalarField(grid, out[0]), VectorField(grid, out[1:]),
-               formulation, breakdown)
+    rhs = Rhs(ScalarField(grid, out[0]), VectorField(grid, out[1:]),
+              formulation, breakdown)
+    release(out, *done)
+    return rhs
 
 
+@in_workspace
 def _rhs_u(state, params, eps, formulation, breakdown, use_dealias):
     """The u-form right-hand side, evaluated one dependency level at a time
     with one batched forward and one batched inverse transform per level.
-    eps = 0 is the target system."""
+    eps = 0 is the target system. Each stack goes back to the workspace
+    after its last read: a nodal stack after its forward transform, a
+    level's spectra once the rows of the inverse that reads them last are
+    formed."""
     name = "rhs_" + formulation.replace("-", "_")
     if state.form != "u":
         raise ValueError(f"{name} expects a u-form state")
@@ -130,18 +140,21 @@ def _rhs_u(state, params, eps, formulation, breakdown, use_dealias):
     ua[...] = u
     np.multiply(r, u, out=rua)
     if reg or bohm:
-        v = np.sqrt(r, out=va[0])
+        v = np.sqrt(r)  # read after the stack is released
+        va[0] = v
     if reg:
         np.log(r, out=la[0])
-    uh, ruh, vh, lh = split_rows(to_spectral(grid, a), (d, d, len(va), reg))
-    J, div_ru, lapv, gv, glog, hlog = inverse_groups(
+    hat = forward_once(grid, a)
+    uh, ruh, vh, lh = split_rows(hat, (d, d, len(va), reg))
+    out1, (J, div_ru, lapv, gv, glog, hlog) = inverse_groups(
         grid,
         [[(ik[j], uh[i])] for i in range(d) for j in range(d)],
         [list(zip(ik, ruh))],
         [[(grid._lap, vh[0])]] if bohm else [],
         [[(k, vh[0])] for k in ik] if reg else [],
         [[(k, lh[0])] for k in ik] if reg else [],
-        [[(m, lh[0])] for m in hess_multipliers(grid)] if reg else [])
+        [[(m, lh[0])] for m in grid._hess] if reg else [],
+        done=(hat,))
     J = J.reshape((d, d) + grid.shape)
 
     # level 2: [T, flux, lap sqrt(rho)/sqrt(rho), P if it needs no Q] ->
@@ -178,27 +191,33 @@ def _rhs_u(state, params, eps, formulation, breakdown, use_dealias):
     pressure = params.a * r ** params.gamma
     if not reg:
         np.negative(pressure, out=pb[0])
-    th, fh, qh, ph = split_rows(to_spectral(grid, b),
-                                (d * d, d * reg, bohm, not reg))
+    hat2 = forward_once(grid, b)
+    th, fh, qh, ph = split_rows(hat2, (d * d, d * reg, bohm, not reg))
     th = th.reshape((d, d) + th.shape[1:])
 
     def lin_rows(p_hat):
         return [[(ik[j], th[i, j]) for j in range(d)] + [(ik[i], p_hat)]
                 for i in range(d)]
 
-    Q, gq, lin = inverse_groups(
+    out2, (Q, gq, lin) = inverse_groups(
         grid,
         [list(zip(ik, fh))] if reg else [],
         [[(k, qh[0])] for k in ik] if bohm else [],
-        [] if reg else lin_rows(ph[0]))
+        [] if reg else lin_rows(ph[0]),
+        done=() if reg else (hat2,))
     if bohm:
         terms.add("bohm", params.kappa ** 2 * (2.0 * r * gq))
+    done = (out1, out2)
     if reg:
         # level 3: [P] -> div T + grad P
         v_q = v * Q[0]
         terms.add("eps-mu-flux-gradlog", eps * mu * v_q * glog)
         pressure += eps * mu * (neg_p + v_q)
-        lin, = inverse_groups(grid, lin_rows(to_spectral(grid, -pressure)))
+        p_hat = take(grid, 1, spectral=True)
+        to_spectral(grid, -pressure, out=p_hat[0])
+        out3, (lin,) = inverse_groups(grid, lin_rows(p_hat[0]),
+                                      done=(hat2, p_hat))
+        done += (out3,)
     drho = continuity_rate(div_ru[0], eps, v_q, neg_p)
 
     def linear_terms():
@@ -212,7 +231,7 @@ def _rhs_u(state, params, eps, formulation, breakdown, use_dealias):
             out["eps-mu-flux-grad"] = -eps * mu * grad_arr(grid, v_q)
         return out
     return _finish(state, formulation, eps, drho, lin, terms, linear_terms,
-                   use_dealias)
+                   use_dealias, done)
 
 
 def rhs_target(state, params, breakdown=False, use_dealias=True):
@@ -238,6 +257,7 @@ def rhs_approx_u(state, params, breakdown=False, use_dealias=True):
                   use_dealias)
 
 
+@in_workspace
 def rhs_approx_w(state, params, breakdown=False, use_dealias=True):
     """Regularized system in (rho, w): the effective-velocity form. The
     momentum line contains no third-order dispersive operator; the highest
@@ -256,33 +276,34 @@ def rhs_approx_w(state, params, breakdown=False, use_dealias=True):
     reg = eps > 0
     v_q = neg_p = None
 
-    # level 1: [w, rho w, rho, log(rho), P, sqrt(rho)] -> Jw,
+    # level 1: [w, rho w, rho, log(rho), sqrt(rho)] -> Jw,
     # div(rho w) - mu lap(rho), grad(rho), grad log(rho), lap w,
-    # grad sqrt(rho); the spectrum of P waits for level 2
-    a, (wa, rwa, ra, la, pa, va) = nodal_stack(grid, d, d, 1, 1, 1, reg)
+    # grad sqrt(rho)
+    a, (wa, rwa, ra, la, va) = nodal_stack(grid, d, d, 1, 1, reg)
     wa[...] = w
     np.multiply(r, w, out=rwa)
     ra[0] = r
     np.log(r, out=la[0])
-    np.negative(params.a * r ** params.gamma, out=pa[0])
     if reg:
-        v = np.sqrt(r, out=va[0])
-    wh, rwh, rh, lh, ph, vh = split_rows(to_spectral(grid, a),
-                                         (d, d, 1, 1, 1, reg))
-    Jw, div_m, gr, glog, lapw, gv = inverse_groups(
+        v = np.sqrt(r)  # read after the stack is released
+        va[0] = v
+    hat = forward_once(grid, a)
+    wh, rwh, rh, lh, vh = split_rows(hat, (d, d, 1, 1, reg))
+    out1, (Jw, div_m, gr, glog, lapw, gv) = inverse_groups(
         grid,
         [[(ik[j], wh[i])] for i in range(d) for j in range(d)],
         [list(zip(ik, rwh)) + [(-mu * grid._lap, rh[0])]],
         [[(k, rh[0])] for k in ik],
         [[(k, lh[0])] for k in ik],
         [[(grid._lap, s)] for s in wh],
-        [[(k, vh[0])] for k in ik] if reg else [])
+        [[(k, vh[0])] for k in ik] if reg else [],
+        done=(hat,))
     Jw = Jw.reshape((d, d) + grid.shape)
     u = w - mu * glog
 
-    # level 2: [T, flux] -> div T + grad P, Q = div(flux)
+    # level 2: [T, flux, P] -> div T + grad P, Q = div(flux)
     # T = rho (2 (nu - mu) Dw + sqrt(eps) Jw)
-    b, (tb, fb) = nodal_stack(grid, d * d, d * reg)
+    b, (tb, fb, pb) = nodal_stack(grid, d * d, d * reg, 1)
     T = tb.reshape(Jw.shape)
     np.multiply(Jw, params.nu - mu + math.sqrt(eps), out=T)
     T += (params.nu - mu) * np.swapaxes(Jw, 0, 1)
@@ -303,13 +324,16 @@ def rhs_approx_w(state, params, breakdown=False, use_dealias=True):
         terms.add("eps-flux-advect", eps * v * _directional(Jw, flux))
         terms.add("eps-cubic-drag", -(eps ** 1.5) * r * w3 * u)
         terms.add("eps-source-drag", -eps * neg_p * w)
-    th, fh = split_rows(to_spectral(grid, b), (d * d, d * reg))
+    np.negative(params.a * r ** params.gamma, out=pb[0])
+    hat2 = forward_once(grid, b)
+    th, fh, ph = split_rows(hat2, (d * d, d * reg, 1))
     th = th.reshape((d, d) + th.shape[1:])
-    lin, Q = inverse_groups(
+    out2, (lin, Q) = inverse_groups(
         grid,
         [[(ik[j], th[i, j]) for j in range(d)] + [(ik[i], ph[0])]
          for i in range(d)],
-        [list(zip(ik, fh))] if reg else [])
+        [list(zip(ik, fh))] if reg else [],
+        done=(hat2,))
     if reg:
         v_q = v * Q[0]
     drho = continuity_rate(div_m[0], eps, v_q, neg_p)
@@ -323,7 +347,7 @@ def rhs_approx_w(state, params, breakdown=False, use_dealias=True):
             out["eps-viscous"] = math.sqrt(eps) * tdiv_arr(grid, r * Jw)
         return out
     return _finish(state, "approx-w", eps, drho, lin, terms, linear_terms,
-                   use_dealias)
+                   use_dealias, (out1, out2))
 
 
 def rhs_for(formulation):

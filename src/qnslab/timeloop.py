@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (ScalarField, VectorField, dealias_arr, div_arr,
-                     from_spectral, grad_arr, lap_arr, quad, to_spectral)
+                     forward_once, grad_arr, in_workspace, inverse_once,
+                     lap_arr, quad, release, take)
 from .functionals import (DISSIPATION_KEYS, Derived, MonitorRecord,
                           bd_entropy, derived, energy, energy_dissipation,
                           mv_functional)
@@ -153,35 +154,46 @@ def _etd_predict(grid, blocks, stack):
 
     blocks lists (rows, clap, mults): a slice of the value rows, its exact
     linear part clap = c * Lap in the rfft layout of the grid and the
-    multipliers of _etd_multipliers. Returns the stage values and the
-    spectrum M = clap * a_hat + N0 that the corrector subtracts from the
-    stage's transformed right-hand side.
+    multipliers of _etd_multipliers. Releases the stack; returns the stage
+    values and the spectrum M = clap * a_hat + N0 that the corrector
+    subtracts from the stage's transformed right-hand side, both workspace
+    stacks.
     """
-    hat = to_spectral(grid, stack)
     m = len(stack) // 2
-    a_hat, m_hat = np.empty_like(hat[:m]), np.empty_like(hat[:m])
+    hat = forward_once(grid, stack)
+    a_hat, m_hat = take(grid, m, spectral=True), take(grid, m, spectral=True)
     for rows, clap, (ez, dt_phi1, _) in blocks:
         a0_hat = hat[:m][rows]
         n0_hat = hat[m:][rows] - clap * a0_hat
         a_hat[rows] = ez * a0_hat + dt_phi1 * n0_hat
         m_hat[rows] = clap * a_hat[rows] + n0_hat
-    return from_spectral(grid, a_hat), m_hat
+    release(hat)
+    return inverse_once(grid, a_hat), m_hat
 
 
 def _etd_correct(grid, blocks, dt, a, m_hat, fa):
-    """ETDRK2 corrector: a + dt * phi2(clap dt) (N(a) - N0), per block."""
-    diff_hat = to_spectral(grid, fa) - m_hat
+    """ETDRK2 corrector: a + dt * phi2(clap dt) (N(a) - N0), per block.
+    Releases a, m_hat and fa; returns a workspace stack."""
+    diff_hat = forward_once(grid, fa)
+    diff_hat -= m_hat
+    release(m_hat)
     for rows, _, (_, _, phi2) in blocks:
         diff_hat[rows] *= phi2
-    return a + dt * from_spectral(grid, diff_hat)
+    out = inverse_once(grid, diff_hat)
+    out *= dt
+    out += a
+    release(a)
+    return out
 
 
+@in_workspace
 def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
          positivity_floor=1e-10, use_dealias=True):
     """Advance one step; raises PositivityError if the density drops to the
     floor or is not finite, NonFiniteError if the velocity is not finite.
 
-    The density and the velocity travel as one (1 + dim, *n) stack."""
+    The density and the velocity travel as one (1 + dim, *n) stack. Stage
+    stacks come from the workspace; the returned State holds copies."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = state.grid
@@ -191,31 +203,33 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
         return State(ScalarField(grid, y[0]), VectorField(grid, y[1:]),
                      form=state.form, time=t)
 
-    def f(y, t, out=None):
+    def f(s, lead=0):
+        """A stack of lead + 1 + dim rows whose last rows hold the right-hand
+        side at the stage State s; it is taken once the right-hand side has
+        returned its stacks."""
         try:
-            rhs = rhs_fn(unpack(y, t), params, use_dealias=use_dealias)
+            rhs = rhs_fn(s, params, use_dealias=use_dealias)
         except VacuumError as exc:
             # a stage value already left the positive cone: same failure
             # mode as a post-step violation
-            raise PositivityError(t, exc.bad_nodes, exc.rho_min) from exc
-        if out is None:
-            out = np.empty_like(y)
-        out[0] = rhs.drho.values
-        out[1:] = rhs.dvel.values
+            raise PositivityError(s.time, exc.bad_nodes,
+                                  exc.rho_min) from exc
+        out = take(grid, lead + m)
+        out[lead] = rhs.drho.values
+        out[lead + 1:] = rhs.dvel.values
         return out
 
     t0 = state.time
-    work = np.empty((2 * m,) + grid.shape)  # [y0, f(y0)] for the predictor
-    y0 = work[:m]
-    y0[0] = state.rho.values
-    y0[1:] = state.vel.values
-
     if scheme == "rk4-explicit":
-        k1 = f(y0, t0)
-        k2 = f(y0 + 0.5 * dt * k1, t0 + dt / 2)
-        k3 = f(y0 + 0.5 * dt * k2, t0 + dt / 2)
-        k4 = f(y0 + dt * k3, t0 + dt)
+        y0 = take(grid, m)
+        y0[0] = state.rho.values
+        y0[1:] = state.vel.values
+        k1 = f(state)
+        k2 = f(unpack(y0 + 0.5 * dt * k1, t0 + dt / 2))
+        k3 = f(unpack(y0 + 0.5 * dt * k2, t0 + dt / 2))
+        k4 = f(unpack(y0 + dt * k3, t0 + dt))
         y1 = y0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        release(y0, k1, k2, k3, k4)
     elif scheme == "imex":
         formulation = {"u": "approx-u", "w": "approx-w"}.get(state.form)
         c_rho, c_vel = _linear_coeffs(formulation, params, grid.dim)
@@ -223,10 +237,12 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
                    _etd_multipliers(grid, c_rho, dt)),
                   (slice(1, m), c_vel * grid._lap,
                    _etd_multipliers(grid, c_vel, dt))]
-        f(y0, t0, out=work[m:])
+        work = f(state, lead=m)  # [y0, f(y0)] for the predictor
+        work[0] = state.rho.values
+        work[1:m] = state.vel.values
         ya, m_hat = _etd_predict(grid, blocks, work)
-        del work, y0  # not needed by the corrector; frees two stacks
-        y1 = _etd_correct(grid, blocks, dt, ya, m_hat, f(ya, t0 + dt))
+        y1 = _etd_correct(grid, blocks, dt, ya, m_hat,
+                          f(unpack(ya, t0 + dt)))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -238,7 +254,9 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
     bad = y1[1:].size - np.count_nonzero(np.isfinite(y1[1:]))
     if bad:
         raise NonFiniteError(t0 + dt, bad)
-    return unpack(y1, t0 + dt)
+    new = unpack(y1, t0 + dt)
+    release(y1)
+    return new
 
 
 def cfl_dt(state, params, config):

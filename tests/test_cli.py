@@ -251,11 +251,19 @@ class TestSweep:
                      "--out", str(tmp_path / "o")]) == 2
 
     def test_threads_option(self, tmp_path):
-        doc = dict(RUN_DOC, sweep={"eps": [1e-3, 1e-4]})
+        # a 2D grid whose transform stacks come from each thread's workspace
+        doc = dict(RUN_DOC, scenario="acoustic-2d", n=64,
+                   sweep={"eps": [1e-3, 1e-4]})
         cfg = _write(tmp_path, "s.json", doc)
-        out = str(tmp_path / "out")
-        assert main(["sweep", "--config", cfg, "--out", out,
-                     "--threads", "2"]) == 0
+        text = {}
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"out{threads}")
+            assert main(["sweep", "--config", cfg, "--out", out,
+                         "--threads", threads]) == 0
+            with open(os.path.join(out, "sweep.csv"), "rb") as fh:
+                text[threads] = fh.read()
+        assert text["2"] == text["1"]
+        assert text["1"].count(b"completed") == 2
 
 
 class TestReport:
