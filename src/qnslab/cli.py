@@ -152,6 +152,11 @@ def cmd_run(args):
     except VacuumError as exc:
         raise ConfigError(f"initial density must be positive and finite: "
                           f"{exc}") from exc
+    vel = initial.vel.values
+    bad = vel.size - np.count_nonzero(np.isfinite(vel))
+    if bad:
+        raise ConfigError(f"initial velocity must be finite: {bad} "
+                          f"non-finite node value(s)")
     traj = integrate(initial, params, config, check_strict=False)
     _write_monitors(os.path.join(out, "monitors.csv"), traj.records)
     if traj.states:

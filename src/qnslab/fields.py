@@ -418,14 +418,14 @@ def lap_arr(grid, arr, backend="spectral"):
     return from_spectral(grid, grid._lap * to_spectral(grid, arr))
 
 
-def _ik_stack(grid, fhat):
-    """ik_j * fhat for every axis j, stacked on a new axis placed just
-    before the grid axes: (..., *m) -> (..., dim, *m)."""
+def _mult_stack(grid, fhat, mults):
+    """m * fhat for each multiplier m of mults, stacked on a new axis placed
+    just before the grid axes: (..., *m) -> (..., len(mults), *m)."""
     lead = fhat.ndim - grid.dim
-    out = np.empty(fhat.shape[:lead] + (grid.dim,) + fhat.shape[lead:],
+    out = np.empty(fhat.shape[:lead] + (len(mults),) + fhat.shape[lead:],
                    dtype=complex)
-    for j, ik in enumerate(grid._ik):
-        np.multiply(ik, fhat, out=out[(slice(None),) * lead + (j,)])
+    for p, m in enumerate(mults):
+        np.multiply(m, fhat, out=out[_comp(grid, p)])
     return out
 
 
@@ -445,7 +445,8 @@ def grad_arr(grid, arr, backend="spectral"):
     if backend == "fd2":
         return np.stack([deriv_arr(grid, arr, a, backend)
                          for a in range(grid.dim)], axis=-grid.dim - 1)
-    return from_spectral(grid, _ik_stack(grid, to_spectral(grid, arr)))
+    return from_spectral(grid, _mult_stack(grid, to_spectral(grid, arr),
+                                           grid._ik))
 
 
 def div_arr(grid, vec, backend="spectral"):
@@ -464,31 +465,11 @@ def _symmetric(grid, upper):
     """(..., dim, dim, *n) tensor from its upper-triangle rows (the axis
     before the grid axes), bitwise symmetric."""
     d = grid.dim
-    lead = upper.ndim - grid.dim - 1
-    out = np.empty(upper.shape[:lead] + (d, d) + grid.shape)
-    # component axes first as views, so an unbatched tensor is filled by
-    # plain row indexing
-    rows, upper = ((np.moveaxis(out, (lead, lead + 1), (0, 1)),
-                    np.moveaxis(upper, lead, 0)) if lead else (out, upper))
-    for (i, j), hij in zip(_upper_pairs(d), upper):
-        rows[i, j] = hij
-        rows[j, i] = hij
-    return out
-
-
-def _hess_hat(grid, fhat, with_grad=False):
-    """Spectra ik_i * ik_j * fhat = -k_i k_j fhat for the upper triangle
-    i <= j, preceded by ik_j * fhat for every axis j if with_grad, stacked
-    on a new axis just before the grid axes."""
-    mults = grid._hess
-    if with_grad:
-        mults = grid._ik + mults
-    lead = fhat.ndim - grid.dim
-    out = np.empty(fhat.shape[:lead] + (len(mults),) + fhat.shape[lead:],
-                   dtype=complex)
-    rows = np.moveaxis(out, lead, 0) if lead else out
-    for p, m in enumerate(mults):
-        np.multiply(m, fhat, out=rows[p])
+    out = np.empty(upper.shape[:-grid.dim - 1] + (d, d) + grid.shape)
+    for p, (i, j) in enumerate(_upper_pairs(d)):
+        hij = upper[_comp(grid, p)]
+        out[_comp(grid, i, j)] = hij
+        out[_comp(grid, j, i)] = hij
     return out
 
 
@@ -501,19 +482,37 @@ def hess_arr(grid, arr, backend="spectral"):
                           for i, j in _upper_pairs(grid.dim)],
                          axis=-grid.dim - 1)
     else:
-        upper = from_spectral(grid, _hess_hat(grid, to_spectral(grid, arr)))
+        upper = from_spectral(grid, _mult_stack(grid, to_spectral(grid, arr),
+                                                grid._hess))
     return _symmetric(grid, upper)
 
 
-def grad_hess_arr(grid, arr):
-    """Gradient and Hessian of a scalar (stack), spectral, from one forward
-    and one inverse transform; each equals grad_arr and hess_arr bitwise."""
-    d = grid.dim
-    rows = from_spectral(grid, _hess_hat(grid, to_spectral(grid, arr),
-                                         with_grad=True))
-    lead = (slice(None),) * (rows.ndim - d - 1)
-    return (rows[lead + (slice(None, d),)].copy(),
-            _symmetric(grid, rows[lead + (slice(d, None),)]))
+def _multipliers(grid, kind):
+    """The spectral multipliers of a derivative kind of derivatives_arr."""
+    return {"grad": grid._ik, "hess": grid._hess, "lap": (grid._lap,)}[kind]
+
+
+def derivatives_arr(grid, arr, kinds):
+    """Several derivatives of a stack with leading batch axes from one
+    forward and one inverse transform, spectral, in the order of kinds:
+    "grad" (jac_arr for a vector stack), "hess" or "lap". Each equals
+    grad_arr, jac_arr, hess_arr or lap_arr bitwise."""
+    groups = [_multipliers(grid, kind) for kind in kinds]
+    rows = from_spectral(grid, _mult_stack(grid, to_spectral(grid, arr),
+                                           [m for ms in groups for m in ms]))
+    out, start = [], 0
+    for kind, ms in zip(kinds, groups):
+        block = rows[_comp(grid, slice(start, start + len(ms)))]
+        start += len(ms)
+        if kind == "hess":
+            out.append(_symmetric(grid, block))
+            continue
+        if kind == "lap":
+            block = block[_comp(grid, 0)]
+        # a block that shares the rows with another kind is copied, so the
+        # rows are freed once read
+        out.append(block.copy() if len(kinds) > 1 else block)
+    return out
 
 
 def jac_arr(grid, vec, backend="spectral"):
@@ -523,7 +522,8 @@ def jac_arr(grid, vec, backend="spectral"):
     if backend == "fd2":
         return np.stack([grad_arr(grid, vec[_comp(grid, i)], backend)
                          for i in range(d)], axis=-d - 2)
-    return from_spectral(grid, _ik_stack(grid, to_spectral(grid, vec)))
+    return from_spectral(grid, _mult_stack(grid, to_spectral(grid, vec),
+                                           grid._ik))
 
 
 def tdiv_arr(grid, tens, backend="spectral"):

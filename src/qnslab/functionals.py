@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .fields import (div_arr, grad_arr, grad_hess_arr, hess_arr, jac_arr,
-                     lap_arr, per_node, quad)
-from .physics import require_positive, to_u
+from .fields import div_arr, grad_arr, per_node, quad
+from .physics import Derived, require_positive
 
 # Inequality pass criterion: quadrature and roundoff must not flag true
 # inequalities.
@@ -90,95 +88,6 @@ class MonitorRecord:
         return bool(np.all(np.isfinite(vals)))
 
 
-class Derived:
-    """Derived state of one u-form state, each piece computed once on first
-    use; the functionals below and a monitor record read from one bundle.
-
-    It holds the pieces that several integrands share. Built from a w-form
-    state, it maps back to u first (needs params). Each derivative group is
-    one forward and one inverse transform; a Hessian asked for before its
-    gradient, or grad(sqrt(rho) u) before J, brings the other along. No
-    spectrum is kept. Each array equals, bitwise, what the plain operators
-    of fields give for it.
-    """
-
-    def __init__(self, state, params=None):
-        if state.form != "u":
-            if params is None:
-                raise ValueError("w-form state needs params to map back to u")
-            state = to_u(state, params)
-        require_positive(state.rho.values)
-        self.state = state
-        self.params = params
-        self.grid = state.grid
-        self.rho = state.rho.values
-        self.u = state.vel.values
-
-    @cached_property
-    def sqrt_rho(self):
-        return np.sqrt(self.rho)
-
-    @cached_property
-    def log_rho(self):
-        return np.log(self.rho)
-
-    @cached_property
-    def rho_neg_p0(self):
-        """rho^-p0."""
-        return self.rho ** (-self.params.p0)
-
-    @cached_property
-    def u2(self):
-        """|u|^2."""
-        return np.sum(self.u * self.u, axis=0)
-
-    @cached_property
-    def jac_u(self):
-        """J[i, j] = d_j u_i."""
-        return jac_arr(self.grid, self.u)
-
-    @cached_property
-    def jac_sqrt_rho_u(self):
-        """grad(sqrt(rho) u), [i, j] = d_j (sqrt(rho) u_i). Unless J is
-        cached already, it comes from the same transform pair."""
-        su = self.sqrt_rho * self.u
-        if "jac_u" in self.__dict__:
-            return jac_arr(self.grid, su)
-        self.__dict__["jac_u"], jsu = jac_arr(self.grid,
-                                              np.stack([self.u, su]))
-        return jsu
-
-    @cached_property
-    def grad_sqrt_rho(self):
-        return grad_arr(self.grid, self.sqrt_rho)
-
-    @cached_property
-    def hess_sqrt_rho(self):
-        return self._hess("grad_sqrt_rho", self.sqrt_rho)
-
-    @cached_property
-    def grad_sqrt_rho2(self):
-        """|grad sqrt(rho)|^2."""
-        gv = self.grad_sqrt_rho
-        return np.sum(gv * gv, axis=0)
-
-    @cached_property
-    def grad_log_rho(self):
-        return grad_arr(self.grid, self.log_rho)
-
-    @cached_property
-    def hess_log_rho(self):
-        return self._hess("grad_log_rho", self.log_rho)
-
-    def _hess(self, grad_name, arr):
-        """Hessian of arr. Unless the gradient is cached already, it comes
-        from the same inverse transform and is cached under grad_name."""
-        if grad_name in self.__dict__:
-            return hess_arr(self.grid, arr)
-        self.__dict__[grad_name], hess = grad_hess_arr(self.grid, arr)
-        return hess
-
-
 def derived(state, params=None):
     """The Derived bundle of a state; a bundle is returned as it is."""
     if isinstance(state, Derived):
@@ -238,10 +147,10 @@ def energy_dissipation(state, params):
     r, u, v, u2 = d.rho, d.u, d.sqrt_rho, d.u2
     eps, mu, p0 = params.eps, params.mu, params.p0
 
-    # Hessians and grad(sqrt(rho) u) first: each brings its gradient, or J,
-    # in the same transform
-    Hv, Hlog, Jsu = d.hess_sqrt_rho, d.hess_log_rho, d.jac_sqrt_rho_u
-    J = d.jac_u
+    d.load("grad_sqrt_rho", "hess_sqrt_rho", "grad_log_rho", "hess_log_rho",
+           "jac_u", "jac_sqrt_rho_u")
+    Hv, Hlog, Jsu, J = (d.hess_sqrt_rho, d.hess_log_rho, d.jac_sqrt_rho_u,
+                        d.jac_u)
     D = 0.5 * (J + np.swapaxes(J, 0, 1))
     gv, gv2 = d.grad_sqrt_rho, d.grad_sqrt_rho2
     w = u + mu * d.grad_log_rho
@@ -282,8 +191,9 @@ def energy_dissipation(state, params):
 # ---------------------------------------------------------------------------
 
 # The checkers take fields; each is a wrapper over a batch-aware kernel
-# that takes arrays, or stacks of them with leading batch axes, and returns
-# one FunctionalReport per field of the stack.
+# that reads a Derived bundle, of one field or of a stack of them with
+# leading batch axes, and returns one FunctionalReport per field of the
+# stack. A kernel reads its first-level derivatives from the bundle.
 
 def _reports(name, lhs, rhs, **tols):
     """One FunctionalReport per field from per-field lhs and rhs values."""
@@ -291,37 +201,37 @@ def _reports(name, lhs, rhs, **tols):
             for a, b in zip(np.ravel(lhs).tolist(), np.ravel(rhs).tolist())]
 
 
-def jungel_batch(grid, r):
+def jungel_batch(d):
     """int |grad r^(1/4)|^4 <= 8 int r |hess log r|^2 and
        int |hess r^(1/2)|^2 <= 7 int r |hess log r|^2, as two report
        lists."""
-    require_positive(r)
+    grid = d.grid
     ca = -grid.dim - 1
-    g14 = grad_arr(grid, r ** 0.25)
+    g14 = d.grad_rho14
     lhs1 = quad(grid, np.sum(g14 * g14, axis=ca) ** 2)
-    Hs = hess_arr(grid, np.sqrt(r))
+    Hs = d.hess_sqrt_rho
     lhs2 = quad(grid, np.sum(Hs * Hs, axis=(ca - 1, ca)))
-    Hlog = hess_arr(grid, np.log(r))
-    base = quad(grid, r * np.sum(Hlog * Hlog, axis=(ca - 1, ca)))
+    Hlog = d.hess_log_rho
+    base = quad(grid, d.rho * np.sum(Hlog * Hlog, axis=(ca - 1, ca)))
     return (_reports("jungel_quartic", lhs1, 8.0 * base),
             _reports("jungel_hessian", lhs2, 7.0 * base))
 
 
 def check_jungel(rho):
     """The two Jungel bounds of one density; see jungel_batch."""
-    quartic, hessian = jungel_batch(rho.grid, rho.values)
+    quartic, hessian = jungel_batch(Derived.of(rho.grid, rho.values))
     return quartic[0], hessian[0]
 
 
-def grad6_batch(grid, v):
+def grad6_batch(d):
     """int v^-2 |grad v|^6 <= 2 int |grad v|^2 |lap v|^2
-                              + 8 int |grad |grad v|^2|^2."""
+                              + 8 int |grad |grad v|^2|^2, v = sqrt(rho)."""
+    grid, v = d.grid, d.sqrt_rho
     require_positive(v)
     ca = -grid.dim - 1
-    gv = grad_arr(grid, v)
-    gv2 = np.sum(gv * gv, axis=ca)
+    gv2 = d.grad_sqrt_rho2
     lhs = quad(grid, v ** -2 * gv2 ** 3)
-    lv = lap_arr(grid, v)
+    lv = d.lap_sqrt_rho
     g_gv2 = grad_arr(grid, gv2)
     rhs = (2.0 * quad(grid, gv2 * lv * lv)
            + 8.0 * quad(grid, np.sum(g_gv2 * g_gv2, axis=ca)))
@@ -330,14 +240,14 @@ def grad6_batch(grid, v):
 
 def check_grad6(v):
     """The |grad v|^6 bound of one field; see grad6_batch."""
-    return grad6_batch(v.grid, v.values)[0]
+    return grad6_batch(Derived.of(v.grid, sqrt_rho=v.values))[0]
 
 
-def div_vs_D_batch(grid, r, u):
+def div_vs_D_batch(d):
     """int rho (div u)^2 <= 3 int rho |D u|^2 (dimension bound, d <= 3)."""
-    require_positive(r)
+    grid, r = d.grid, d.rho
     ca = -grid.dim - 1
-    J = jac_arr(grid, u)
+    J = d.jac_u
     divu = np.trace(J, axis1=ca - 1, axis2=ca)
     D = 0.5 * (J + np.swapaxes(J, ca - 1, ca))
     lhs = quad(grid, r * divu ** 2)
@@ -347,11 +257,12 @@ def div_vs_D_batch(grid, r, u):
 
 def check_div_vs_D(rho, u):
     """The div-vs-D bound of one (rho, u) pair; see div_vs_D_batch."""
-    return div_vs_D_batch(rho.grid, rho.values, u.values)[0]
+    return div_vs_D_batch(Derived.of(rho.grid, rho.values, u.values))[0]
 
 
-def flux_identity_batch(grid, v, exponents, rel_tol=1e-8):
-    """Pairing identity for the quartic flux, for each exponent r >= 0:
+def flux_identity_batch(d, exponents, rel_tol=1e-8):
+    """Pairing identity for the quartic flux of v = sqrt(rho), for each
+    exponent r >= 0:
 
     int div(|gv|^r gv) div(|gv|^2 gv)
       = int( 2r (gv . Hv gv)^2 |gv|^(r-4) |gv|^2
@@ -363,13 +274,14 @@ def flux_identity_batch(grid, v, exponents, rel_tol=1e-8):
     """
     if any(r < 0 for r in exponents):
         raise ValueError("r must be nonnegative")
+    grid = d.grid
     ca = -grid.dim - 1
-    gv, Hv = grad_hess_arr(grid, v)
-    gv2 = np.sum(gv * gv, axis=ca)
+    d.load("grad_sqrt_rho", "hess_sqrt_rho")
+    gv, Hv = d.grad_sqrt_rho, d.hess_sqrt_rho
+    gv2 = d.grad_sqrt_rho2
     Hv2 = np.sum(Hv * Hv, axis=(ca - 1, ca))
     x = "xyz"[:grid.dim]
     q = np.einsum(f"...ij{x},...j{x}->...i{x}", Hv, gv)
-    del Hv  # the largest arrays go before the fluxes are transformed
     q2 = np.sum(q * q, axis=ca)
     qg = np.sum(q * gv, axis=ca)
     del q
@@ -401,21 +313,19 @@ def flux_identity_batch(grid, v, exponents, rel_tol=1e-8):
 def check_flux_identity(v, r, rel_tol=1e-8):
     """The quartic-flux pairing identity of one field at exponent r; see
     flux_identity_batch."""
-    return flux_identity_batch(v.grid, v.values, (r,), rel_tol)[r][0]
+    return flux_identity_batch(Derived.of(v.grid, sqrt_rho=v.values), (r,),
+                               rel_tol)[r][0]
 
 
-def grad_sqrtrho_u_batch(grid, r, u, tol=1e-8):
+def grad_sqrtrho_u_batch(d, tol=1e-8):
     """Nodal product rule grad(sqrt(rho) u) = sqrt(rho) grad u
        + 2 rho^(1/4) u (x) grad rho^(1/4)."""
-    require_positive(r)
+    grid, r, u = d.grid, d.rho, d.u
     ca = -grid.dim - 1
-    v = np.sqrt(r)
-    lhs = jac_arr(grid, per_node(grid, v) * u)
-    r14 = r ** 0.25
-    g14 = grad_arr(grid, r14)
-    rhs = per_node(grid, v, 2) * jac_arr(grid, u) \
-        + 2 * per_node(grid, r14, 2) * np.expand_dims(u, ca) \
-        * np.expand_dims(g14, ca - 1)
+    lhs = d.jac_sqrt_rho_u
+    rhs = per_node(grid, d.sqrt_rho, 2) * d.jac_u \
+        + 2 * per_node(grid, d.rho14, 2) * np.expand_dims(u, ca) \
+        * np.expand_dims(d.grad_rho14, ca - 1)
     flat = lhs.shape[:r.ndim - grid.dim] + (-1,)
     err = np.max(np.abs(lhs - rhs).reshape(flat), axis=-1)
     scale = np.maximum(np.max(np.abs(lhs).reshape(flat), axis=-1), 1.0)
@@ -426,4 +336,5 @@ def grad_sqrtrho_u_batch(grid, r, u, tol=1e-8):
 def check_grad_sqrtrho_u(rho, u, tol=1e-8):
     """The sqrt(rho) u product rule of one (rho, u) pair; see
     grad_sqrtrho_u_batch."""
-    return grad_sqrtrho_u_batch(rho.grid, rho.values, u.values, tol)[0]
+    return grad_sqrtrho_u_batch(Derived.of(rho.grid, rho.values, u.values),
+                                tol)[0]

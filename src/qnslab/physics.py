@@ -1,6 +1,7 @@
 """Model parameters, admissibility constraints, and QNS-specific operators.
 
-Houses the derived coefficient mu = nu - sqrt(nu^2 - kappa^2), the three
+Houses the derived coefficient mu = nu - sqrt(nu^2 - kappa^2), the Derived
+bundle of a density-velocity pair (or of a seed chunk of them), the three
 equivalent algebraic forms of the Bohm (quantum-pressure) force, the quartic
 gradient flux used by the parabolic regularization, and the effective-velocity
 change of variables w = u + mu * grad(log rho).
@@ -10,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .fields import (ScalarField, VectorField, div_arr, grad_arr,
-                     hess_arr, lap_arr, per_node, tdiv_arr)
+from .fields import (ScalarField, VectorField, derivatives_arr, div_arr,
+                     grad_arr, hess_arr, lap_arr, per_node, tdiv_arr)
 
 # Analysis-mode constants: these make the regularization terms either
 # negligible or catastrophically stiff numerically, so simulation defaults
@@ -188,36 +190,160 @@ def require_positive(rho_values):
         raise VacuumError(bad, np.min(rho_values))
 
 
+# The first-level pieces of a Derived bundle: name -> (input, derivative).
+# The derivative is the spectral grad_arr (jac_arr of a vector input),
+# hess_arr or lap_arr of fields applied to the input, with the same bits.
+PIECES = {
+    "grad_sqrt_rho": ("sqrt_rho", "grad"),
+    "hess_sqrt_rho": ("sqrt_rho", "hess"),
+    "lap_sqrt_rho": ("sqrt_rho", "lap"),
+    "grad_log_rho": ("log_rho", "grad"),
+    "hess_log_rho": ("log_rho", "hess"),
+    "grad_rho14": ("rho14", "grad"),
+    "lap_rho": ("rho", "lap"),
+    "jac_u": ("u", "grad"),                # [i, j] = d_j u_i
+    "jac_sqrt_rho_u": ("sqrt_rho_u", "grad"),
+}
+
+
+class Derived:
+    """Derived state of one u-form state, or of a stack of densities
+    (..., *n) and velocities (..., dim, *n) such as a seed chunk; the
+    functionals, the checker kernels and bohm_arr read from one bundle.
+
+    Nodal inputs (sqrt_rho, log_rho, ...) are computed once on first use.
+    The derivative pieces of PIECES come from load(), or on first use one
+    at a time. No spectrum is kept. Each array equals, bitwise, what the
+    plain operators of fields give for it.
+    """
+
+    def __init__(self, state, params=None):
+        if state.form != "u":
+            if params is None:
+                raise ValueError("w-form state needs params to map back to u")
+            state = to_u(state, params)
+        self._init(state.grid, state.rho.values, state.vel.values, params)
+
+    @classmethod
+    def of(cls, grid, rho=None, u=None, params=None, sqrt_rho=None):
+        """The bundle of a density array or stack, with an optional velocity
+        array or stack. Given sqrt_rho in place of rho, it holds the pieces
+        of that field alone, which need not be positive."""
+        d = cls.__new__(cls)
+        d._init(grid, rho, u, params)
+        if sqrt_rho is not None:
+            d.__dict__["sqrt_rho"] = sqrt_rho
+        return d
+
+    def _init(self, grid, rho, u, params):
+        if rho is not None:
+            require_positive(rho)
+        self.grid = grid
+        self.rho = rho
+        self.u = u
+        self.params = params
+
+    def __getattr__(self, name):
+        # reached only for a piece that is not held yet
+        if name not in PIECES:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.load(name)
+        return self.__dict__[name]
+
+    def load(self, *names):
+        """Compute the named pieces that are not held yet. Each input is
+        transformed once and its pieces are inverted together; inputs of one
+        shape that ask for the same derivatives share one stacked transform
+        pair."""
+        wanted = {}
+        for name in names:
+            if name not in self.__dict__:
+                source, kind = PIECES[name]
+                wanted.setdefault(source, {})[kind] = name
+        stacks = {}
+        for source, named in wanted.items():
+            x = getattr(self, source)
+            # one order of the kinds, so equal requests share a stack
+            kinds = tuple(sorted(named))
+            stacks.setdefault((x.shape, kinds), []).append((x, named))
+        for (_, kinds), members in stacks.items():
+            arrays = [x for x, _ in members]
+            x = np.stack(arrays) if len(arrays) > 1 else arrays[0][None]
+            parts = derivatives_arr(self.grid, x, kinds)
+            for k, (_, named) in enumerate(members):
+                for kind, part in zip(kinds, parts):
+                    self.__dict__[named[kind]] = part[k]
+
+    @cached_property
+    def sqrt_rho(self):
+        return np.sqrt(self.rho)
+
+    @cached_property
+    def log_rho(self):
+        return np.log(self.rho)
+
+    @cached_property
+    def rho14(self):
+        """rho^(1/4)."""
+        return self.rho ** 0.25
+
+    @cached_property
+    def rho_neg_p0(self):
+        """rho^-p0."""
+        return self.rho ** (-self.params.p0)
+
+    @cached_property
+    def sqrt_rho_u(self):
+        return per_node(self.grid, self.sqrt_rho) * self.u
+
+    @cached_property
+    def u2(self):
+        """|u|^2."""
+        return np.sum(self.u * self.u, axis=-self.grid.dim - 1)
+
+    @cached_property
+    def grad_sqrt_rho2(self):
+        """|grad sqrt(rho)|^2."""
+        gv = self.grad_sqrt_rho
+        return np.sum(gv * gv, axis=-self.grid.dim - 1)
+
+
 def bohm_force(rho, form="A", backend="spectral"):
     """The dispersive force 2*rho*grad(lap(sqrt(rho))/sqrt(rho)) of a
     ScalarField, in one of the three forms of bohm_arr."""
-    return VectorField(rho.grid, bohm_arr(rho.grid, rho.values, form, backend))
+    return VectorField(rho.grid, bohm_arr(Derived.of(rho.grid, rho.values),
+                                          form, backend))
 
 
-def bohm_arr(grid, r, form="A", backend="spectral"):
-    """The Bohm force of a density array or of a stack of densities with
-    leading batch axes, as a (..., dim, *n) array.
+def bohm_arr(d, form="A", backend="spectral"):
+    """The Bohm force of the density of a Derived bundle, or of each density
+    of its stack, as a (..., dim, *n) array.
 
     Three independently coded algebraic forms:
       A: direct quotient 2 rho grad(lap v / v), v = sqrt(rho);
       B: div(rho * hess(log rho));
       C: grad(lap rho) - 4 div(grad v (x) grad v).
-    They agree on resolved strictly positive fields.
+    They agree on resolved strictly positive fields. The spectral forms read
+    lap v, hess log rho, grad v and lap rho from the bundle and assemble
+    the rest themselves; the fd2 forms compute everything with fd2.
     """
-    require_positive(r)
+    grid, r = d.grid, d.rho
+    spectral = backend == "spectral"
     if form == "A":
-        v = np.sqrt(r)
-        q = lap_arr(grid, v, backend) / v
-        return 2.0 * per_node(grid, r) * grad_arr(grid, q, backend)
+        v = d.sqrt_rho
+        lv = d.lap_sqrt_rho if spectral else lap_arr(grid, v, backend)
+        return 2.0 * per_node(grid, r) * grad_arr(grid, lv / v, backend)
     if form == "B":
-        H = hess_arr(grid, np.log(r), backend)
+        H = d.hess_log_rho if spectral else hess_arr(grid, d.log_rho, backend)
         return tdiv_arr(grid, per_node(grid, r, 2) * H, backend)
     if form == "C":
-        v = np.sqrt(r)
-        gv = grad_arr(grid, v, backend)
+        gv = (d.grad_sqrt_rho if spectral
+              else grad_arr(grid, d.sqrt_rho, backend))
+        lr = d.lap_rho if spectral else lap_arr(grid, r, backend)
         ca = -grid.dim - 1
         outer = np.expand_dims(gv, ca) * np.expand_dims(gv, ca - 1)
-        return (grad_arr(grid, lap_arr(grid, r, backend), backend)
+        return (grad_arr(grid, lr, backend)
                 - 4.0 * tdiv_arr(grid, outer, backend))
     raise ValueError(f"form must be 'A', 'B', or 'C', got {form!r}")
 

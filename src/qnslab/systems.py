@@ -15,9 +15,9 @@ import numpy as np
 
 from .fields import (ScalarField, VectorField, _symmetric, forward_once,
                      grad_arr, in_workspace, inverse_groups, inverse_once,
-                     jac_arr, lap_arr, nodal_stack, quad, release, split_rows,
+                     jac_arr, nodal_stack, quad, release, split_rows,
                      take, tdiv_arr, to_spectral)
-from .physics import require_positive
+from .physics import Derived, require_positive
 
 FORMULATIONS = ("target", "approx-u", "approx-w")
 
@@ -407,23 +407,22 @@ def weak_residual(times, states, test, params):
     total = quad(grid, np.sum(m0 * psi, axis=0)) * test.chi(times[0])
 
     def space_terms(state):
-        r = state.rho.values
-        u = state.vel.values
-        v = np.sqrt(r)
+        d = Derived(state)
+        d.load("grad_sqrt_rho", "lap_sqrt_rho", "jac_sqrt_rho_u")
+        r, u, v = d.rho, d.u, d.sqrt_rho
         # transport + pressure (multiply chi), and the phi_t pairing (chi')
         momentum_pair = quad(grid, np.sum(r * u * psi, axis=0))
         conv = quad(grid, np.einsum("i...,j...,ij...->...",
                                     u, u, Jpsi) * r)
         press = quad(grid, params.a * r ** params.gamma * div_psi)
         # split viscous terms in grad(sqrt(rho) u) - u (x) grad(sqrt rho) form
-        gsr = grad_arr(grid, v)
-        Jsru = jac_arr(grid, v * u)
+        gsr, Jsru = d.grad_sqrt_rho, d.jac_sqrt_rho_u
         A = Jsru - u[:, None] * gsr[None, :]
         B = np.swapaxes(Jsru, 0, 1) - gsr[:, None] * u[None, :]
         visc = params.nu * quad(grid, v * np.sum((A + B) * Jpsi, axis=(0, 1)))
         # damping and the two kappa^2 terms
-        lv = lap_arr(grid, v)
-        u2 = np.sum(u * u, axis=0)
+        lv = d.lap_sqrt_rho
+        u2 = d.u2
         rhs = quad(grid, params.r0 * np.sum(u * psi, axis=0)
                    + params.r1 * r * u2 * np.sum(u * psi, axis=0)
                    + 4 * params.kappa ** 2 * lv * np.sum(gsr * psi, axis=0)

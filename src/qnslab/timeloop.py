@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (ScalarField, VectorField, dealias_arr, div_arr,
-                     forward_once, grad_arr, in_workspace, inverse_once,
-                     lap_arr, quad, release, take)
+                     forward_once, grad_arr, in_workspace, inverse_once, quad,
+                     release, take)
 from .functionals import (DISSIPATION_KEYS, Derived, MonitorRecord,
                           bd_entropy, derived, energy, energy_dissipation,
                           mv_functional)
-from .physics import (State, VacuumError, bohm_force, check_constraints,
-                      to_u, to_w)
+from .physics import (State, VacuumError, bohm_arr, check_constraints, to_u,
+                      to_w)
 from .systems import continuity_rate, rhs_for
 
 SCHEMES = ("rk4-explicit", "imex")
@@ -345,9 +345,14 @@ def integrate(initial, params, config, formulation=None, use_dealias=True,
 
     record(state)
     steps_since_monitor = 0
+    # with dt_min == dt_max the clamp below discards the CFL estimate
+    fixed = config.dt_min == config.dt_max
     while state.time < config.t_end - 1e-14:
-        dt = min(cfl_dt(state, params, config), config.dt_max)
-        dt = max(dt, config.dt_min)
+        if fixed:
+            dt = config.dt_max
+        else:
+            dt = min(cfl_dt(state, params, config), config.dt_max)
+            dt = max(dt, config.dt_min)
         dt = min(dt, config.t_end - state.time)
         if dt < config.dt_min * (1 - 1e-12) and dt < config.t_end - state.time:
             traj.status = "step-underflow"
@@ -401,15 +406,16 @@ def _budget_rate(state, params, use_dealias=True):
     remaining energy parts by the chain rule through the continuity source.
     """
     d = derived(state, params)
-    state = d.state
     grid, r, u, v, u2 = d.grid, d.rho, d.u, d.sqrt_rho, d.u2
     eps, mu, p0 = params.eps, params.mu, params.p0
 
+    d.load("jac_u", "grad_sqrt_rho", "lap_sqrt_rho", "grad_log_rho",
+           *(("hess_log_rho",) if eps > 0 else ()))
     J = d.jac_u
     D = 0.5 * (J + np.swapaxes(J, 0, 1))
     gv, gv2 = d.grad_sqrt_rho, d.grad_sqrt_rho2
     if eps > 0:
-        Hlog = d.hess_log_rho  # brings grad log rho in the same transform
+        Hlog = d.hess_log_rho
     glog = d.grad_log_rho
     w = u + mu * glog
     w3 = np.sum(w * w, axis=0) ** 1.5
@@ -422,7 +428,7 @@ def _budget_rate(state, params, use_dealias=True):
         u * grad_arr(grid, params.a * r ** params.gamma), axis=0))
 
     if params.kappa > 0 or eps > 0:
-        bf = bohm_force(state.rho).values
+        bf = bohm_arr(d, "A")
         sources += (params.kappa ** 2 + math.sqrt(eps) * mu) * quad(
             grid, np.sum(bf * u, axis=0))
 
@@ -450,7 +456,7 @@ def _budget_rate(state, params, use_dealias=True):
     drho = continuity_rate(div_arr(grid, r * u), eps, v_q, neg_p)
     if use_dealias:
         drho = dealias_arr(grid, drho)
-    lv = lap_arr(grid, v)
+    lv = d.lap_sqrt_rho
     pot_rate = quad(grid, drho)
     pot_rate += params.a * params.gamma * quad(
         grid, r ** (params.gamma - 1) * drho)
@@ -486,8 +492,9 @@ def energy_budget(trajectory, params, use_dealias=True):
     energies, rates, disses, srcs = [], [], [], []
     for s in states:
         d = Derived(s, params)
-        energies.append(energy(d, params))
+        # the rate loads grad sqrt(rho) with lap sqrt(rho); energy reads it
         rate, diss, src = _budget_rate(d, params, use_dealias=use_dealias)
+        energies.append(energy(d, params))
         rates.append(rate)
         disses.append(diss)
         srcs.append(src)

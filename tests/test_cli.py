@@ -179,6 +179,21 @@ class TestBadSnapshot:
         assert "positive and finite" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_velocity_exits_2(self, tmp_path, capsys, bad):
+        values = np.zeros((1, 32))
+        values[0, 7] = bad
+        vel = tmp_path / "vel.dat"
+        write_field(vel, VectorField(Grid(32), values), "vel")
+        cfg = _write(tmp_path, "run.json",
+                     dict(self.DOC, snapshot_velocity=str(vel),
+                          snapshot=str(self._snapshot(tmp_path,
+                                                      np.full(32, 1.5)))))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "initial velocity must be finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
 
 class TestVerify:
     def test_default_suites_pass(self, tmp_path):

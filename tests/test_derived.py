@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from qnslab import timeloop
-from qnslab.fields import (Grid, grad_arr, hess_arr, jac_arr, quad,
+from qnslab.fields import (Grid, grad_arr, hess_arr, jac_arr, lap_arr,
+                           per_node, quad, random_smooth_ensemble,
                            random_smooth_positive, random_smooth_vector)
 from qnslab.functionals import (DISSIPATION_KEYS, Derived, bd_entropy,
                                 derived, energy, energy_dissipation,
                                 mv_functional)
-from qnslab.physics import QnsParams, State, to_u, to_w
+from qnslab.physics import PIECES, QnsParams, State, to_u, to_w
 from qnslab.systems import rhs_approx_u, rhs_approx_w
 from qnslab.timeloop import IntegratorConfig, integrate, step
 
@@ -138,14 +139,55 @@ def test_bundle_arrays_equal_plain_operators(grid, pairs_first):
     r, u = st.rho.values, d.u
     v, logr = np.sqrt(r), np.log(r)
     if pairs_first:
-        # each brings its partner from the same transform pair
-        d.hess_sqrt_rho, d.hess_log_rho, d.jac_sqrt_rho_u
+        # grouped: one transform pair per input shape and derivative kinds
+        d.load("hess_sqrt_rho", "hess_log_rho", "jac_sqrt_rho_u",
+               "grad_sqrt_rho", "grad_log_rho", "jac_u")
     np.testing.assert_array_equal(d.grad_sqrt_rho, grad_arr(grid, v))
     np.testing.assert_array_equal(d.hess_sqrt_rho, hess_arr(grid, v))
     np.testing.assert_array_equal(d.grad_log_rho, grad_arr(grid, logr))
     np.testing.assert_array_equal(d.hess_log_rho, hess_arr(grid, logr))
     np.testing.assert_array_equal(d.jac_u, jac_arr(grid, u))
     np.testing.assert_array_equal(d.jac_sqrt_rho_u, jac_arr(grid, v * u))
+
+
+def _plain_pieces(grid, r, u):
+    """Every bundle piece of (r, u), from the plain operators of fields."""
+    v, logr = np.sqrt(r), np.log(r)
+    return {
+        "grad_sqrt_rho": grad_arr(grid, v),
+        "hess_sqrt_rho": hess_arr(grid, v),
+        "lap_sqrt_rho": lap_arr(grid, v),
+        "grad_log_rho": grad_arr(grid, logr),
+        "hess_log_rho": hess_arr(grid, logr),
+        "grad_rho14": grad_arr(grid, r ** 0.25),
+        "lap_rho": lap_arr(grid, r),
+        "jac_u": jac_arr(grid, u),
+        "jac_sqrt_rho_u": jac_arr(grid, per_node(grid, v) * u),
+    }
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)],
+                         ids=["single", "S", "2x2"])
+@pytest.mark.parametrize("loaded", [True, False], ids=["load", "lazy"])
+def test_stack_bundle_pieces_equal_plain_operators(grid, lead, loaded):
+    count = int(np.prod(lead))
+    r, u = random_smooth_ensemble(grid, range(5, 5 + count),
+                                  min(grid.n) // 3, floor=2.0, amplitude=1.0)
+    r = r.reshape(lead + grid.shape)
+    u = u.reshape(lead + (grid.dim,) + grid.shape)
+    d = Derived.of(grid, r, u)
+    if loaded:
+        d.load(*PIECES)
+    whole = _plain_pieces(grid, r, u)
+    assert set(whole) == set(PIECES)
+    for name, ref in whole.items():
+        got = getattr(d, name)
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, ref)
+    for k in np.ndindex(*lead):
+        for name, ref in _plain_pieces(grid, r[k], u[k]).items():
+            np.testing.assert_array_equal(getattr(d, name)[k], ref)
 
 
 def test_bundle_checks_its_inputs():

@@ -23,10 +23,11 @@ CEILINGS = {
     "rhs_approx_w": 6,
     "step_imex": 20,
     "step_rk4": 32,
-    "monitor": 14,
-    "monitor_record": 10,
-    "budget_rate": 24,
-    "verify_pass_1d": 42,
+    "monitor": 12,
+    "monitor_record": 8,
+    "budget_rate": 20,
+    "verify_pass_1d": 24,
+    "verify_pass_2d": 24,
 }
 
 
@@ -55,13 +56,14 @@ def fft_calls(monkeypatch):
     return measure
 
 
-def _verify_pass(count):
-    """identity plus inequality suites, count seeds on (64,): one chunk."""
+def _verify_pass(count, spec=(64,)):
+    """identity plus inequality suites, count seeds on spec; one chunk on
+    (64,), one chunk per seed on (64, 64)."""
     seeds = tuple(range(count))
     return lambda: verify.run_suites({
-        "identity": verify.SuiteConfig(seeds=seeds, grids=((64,),),
+        "identity": verify.SuiteConfig(seeds=seeds, grids=(spec,),
                                        checks=verify.IDENTITY_CHECKS),
-        "inequality": verify.SuiteConfig(seeds=seeds, grids=((64,),),
+        "inequality": verify.SuiteConfig(seeds=seeds, grids=(spec,),
                                          checks=verify.INEQUALITY_CHECKS)})
 
 
@@ -97,6 +99,7 @@ def _operations():
         "monitor_record": monitor_record,
         "budget_rate": lambda: timeloop._budget_rate(state, params),
         "verify_pass_1d": _verify_pass(25),
+        "verify_pass_2d": _verify_pass(1, (64, 64)),
     }
 
 

@@ -11,11 +11,11 @@ import pytest
 
 from qnslab import functionals
 from qnslab.fields import (Grid, ScalarField, VectorField, dealias,
-                           dealias_arr, deriv_arr, div_arr, grad_arr,
-                           grad_hess_arr, hess_arr, jac_arr, lap_arr, quad,
+                           dealias_arr, deriv_arr, derivatives_arr, div_arr,
+                           grad_arr, hess_arr, jac_arr, lap_arr, quad,
                            random_smooth_ensemble, random_smooth_positive,
                            random_smooth_vector, tdiv_arr)
-from qnslab.physics import bohm_arr
+from qnslab.physics import Derived, bohm_arr
 
 GRIDS = [
     Grid((16, 32), length=(1.0, 3.0)),
@@ -134,9 +134,10 @@ class TestIdentities:
 
     def test_grad_hess_is_grad_and_hess_bitwise(self, grid):
         f = _noise(grid, seed=13)
-        g, H = grad_hess_arr(grid, f)
+        g, H, L = derivatives_arr(grid, f, ("grad", "hess", "lap"))
         np.testing.assert_array_equal(g, grad_arr(grid, f))
         np.testing.assert_array_equal(H, hess_arr(grid, f))
+        np.testing.assert_array_equal(L, lap_arr(grid, f))
 
     def test_kmax_is_largest_retained_wavenumber(self, grid):
         kmax = max(float(np.max(np.abs(_wavenumber(grid, a))))
@@ -299,22 +300,22 @@ class TestBatchedOperators:
     def test_bohm_kernels(self, grid, backend, lead):
         r = _positive(grid, lead, seed=3)
         for form in "ABC":
-            out = bohm_arr(grid, r, form, backend)
+            out = bohm_arr(Derived.of(grid, r), form, backend)
             assert out.shape == lead + (grid.dim,) + grid.shape
             for k in _rows(lead):
                 np.testing.assert_array_equal(
-                    out[k], bohm_arr(grid, r[k], form, backend))
+                    out[k], bohm_arr(Derived.of(grid, r[k]), form, backend))
 
 
 @pytest.mark.parametrize("grid", BATCH_GRIDS, ids=BATCH_IDS)
 class TestBatchedKernels:
     def test_grad_hess_rows(self, grid):
         f = _noise(grid, (3,), seed=23)
-        g, H = grad_hess_arr(grid, f)
+        kinds = ("grad", "hess", "lap")
+        parts = derivatives_arr(grid, f, kinds)
         for k in range(3):
-            gk, Hk = grad_hess_arr(grid, f[k])
-            np.testing.assert_array_equal(g[k], gk)
-            np.testing.assert_array_equal(H[k], Hk)
+            for part, row in zip(parts, derivatives_arr(grid, f[k], kinds)):
+                np.testing.assert_array_equal(part[k], row)
 
     def test_quad_one_value_per_field(self, grid):
         f = _noise(grid, (2, 3), seed=24)
@@ -326,36 +327,35 @@ class TestBatchedKernels:
 
     def test_checker_kernels(self, grid):
         r, u = _positive(grid, (4,), seed=7), _vectors(grid, (4,), seed=7)
-        v = np.sqrt(r)
 
-        def reports(r, u, v):
-            out = list(functionals.jungel_batch(grid, r))
-            out.append(functionals.grad6_batch(grid, v))
-            out.append(functionals.div_vs_D_batch(grid, r, u))
-            out += functionals.flux_identity_batch(
-                grid, v, (0, 1, 2, 3.5)).values()
-            out.append(functionals.grad_sqrtrho_u_batch(grid, r, u))
+        def reports(r, u):
+            d = Derived.of(grid, r, u)
+            out = list(functionals.jungel_batch(d))
+            out.append(functionals.grad6_batch(d))
+            out.append(functionals.div_vs_D_batch(d))
+            out += functionals.flux_identity_batch(d, (0, 1, 2, 3.5)).values()
+            out.append(functionals.grad_sqrtrho_u_batch(d))
             return out
 
-        batched = reports(r, u, v)
+        batched = reports(r, u)
         for k in range(4):
-            row = reports(r[k], u[k], v[k])
+            row = reports(r[k], u[k])
             assert [frs[k] for frs in batched] == [frs[0] for frs in row]
 
     def test_checkers_wrap_the_kernels(self, grid):
         r, u = _positive(grid, (2,), seed=9), _vectors(grid, (2,), seed=9)
         rho, vel = ScalarField(grid, r[1]), VectorField(grid, u[1])
         v = ScalarField(grid, np.sqrt(r[1]))
-        quartic, hessian = functionals.jungel_batch(grid, r)
+        d = Derived.of(grid, r, u)
+        quartic, hessian = functionals.jungel_batch(d)
         assert functionals.check_jungel(rho) == (quartic[1], hessian[1])
-        assert functionals.check_grad6(v) == \
-            functionals.grad6_batch(grid, np.sqrt(r))[1]
+        assert functionals.check_grad6(v) == functionals.grad6_batch(d)[1]
         assert functionals.check_div_vs_D(rho, vel) == \
-            functionals.div_vs_D_batch(grid, r, u)[1]
+            functionals.div_vs_D_batch(d)[1]
         assert functionals.check_flux_identity(v, 2) == \
-            functionals.flux_identity_batch(grid, np.sqrt(r), (0, 2))[2][1]
+            functionals.flux_identity_batch(d, (0, 2))[2][1]
         assert functionals.check_grad_sqrtrho_u(rho, vel) == \
-            functionals.grad_sqrtrho_u_batch(grid, r, u)[1]
+            functionals.grad_sqrtrho_u_batch(d)[1]
 
     @pytest.mark.parametrize("modes", [0, 2])
     def test_ensemble_rows_are_the_single_seed_fields(self, grid, modes):

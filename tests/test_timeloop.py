@@ -184,6 +184,21 @@ class TestIntegrate:
         assert traj.states == []
         assert len(traj.records) > 1
 
+    def test_fixed_dt_skips_the_cfl_estimate(self, monkeypatch):
+        calls = []
+
+        def counted(state, params, config):
+            calls.append(state.time)
+            return cfl_dt(state, params, config)
+        monkeypatch.setattr(timeloop, "cfl_dt", counted)
+        fixed = integrate(_acoustic(32), PARAMS,
+                          IntegratorConfig.fixed_dt(1e-3, t_end=5e-3))
+        assert fixed.status == "completed" and calls == []
+        adaptive = integrate(_acoustic(32), PARAMS, IntegratorConfig(
+            dt_init=1e-3, dt_min=1e-4, dt_max=1e-3, t_end=5e-3))
+        assert adaptive.status == "completed"
+        assert len(calls) == len(adaptive.times) - 1
+
     def test_cfl_estimate_positive_and_resolution_dependent(self):
         coarse = cfl_dt(_acoustic(32), PARAMS,
                         IntegratorConfig(scheme="imex"))

@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from qnslab.fields import (Grid, ScalarField, grad_arr, quad,
-                           random_smooth_positive, random_smooth_vector)
-from qnslab.functionals import (check_div_vs_D, check_flux_identity,
-                                check_grad6, check_grad_sqrtrho_u,
-                                check_jungel)
-from qnslab.physics import bohm_force
-from qnslab.verify import (ALL_CHECKS, IDENTITY_CHECKS, INEQUALITY_CHECKS,
-                           CheckResult, SuiteConfig, chunk_size,
+from qnslab.fields import (Grid, div_arr, grad_arr, hess_arr, jac_arr,
+                           lap_arr, quad, random_smooth_ensemble,
+                           random_smooth_positive, random_smooth_vector,
+                           tdiv_arr)
+from qnslab.functionals import ABS_TOL, FunctionalReport
+from qnslab.physics import Derived
+from qnslab.verify import (ALL_CHECKS, CHECK_PIECES, IDENTITY_CHECKS,
+                           INEQUALITY_CHECKS, CheckResult, SuiteConfig,
+                           _identity_chunk, chunk_size,
                            run_dynamics_suite, run_identity_suite,
                            run_inequality_suite, run_suite, run_suites)
 
@@ -138,50 +139,108 @@ def _rel_l2(grid, a, b):
     return num / den if den > 0 else num
 
 
+def _identity_rows(grid, r, u, tol, canary):
+    """The identity checks of one seed, each written out with the plain
+    operators of fields."""
+    v = np.sqrt(r)
+    rows = {}
+    fa = 2.0 * r * grad_arr(grid, lap_arr(grid, v) / v)
+    fb = tdiv_arr(grid, r * hess_arr(grid, np.log(r)))
+    gv = grad_arr(grid, v)
+    fc = (grad_arr(grid, lap_arr(grid, r))
+          - 4.0 * tdiv_arr(grid, gv[:, None] * gv[None, :]))
+    if canary:
+        # form C corrupted by +1e-3 grad(rho)
+        fc = fc + 1e-3 * grad_arr(grid, r)
+    err = max(_rel_l2(grid, fa, fb), _rel_l2(grid, fa, fc),
+              _rel_l2(grid, fb, fc))
+    rows["bohm-forms"] = (tol - err, err < tol,
+                          f"max pairwise rel L2 = {err:.3e}")
+
+    Hv = hess_arr(grid, v)
+    gv2 = np.sum(gv * gv, axis=0)
+    Hv2 = np.sum(Hv * Hv, axis=(0, 1))
+    x = "xyz"[:grid.dim]
+    q = np.einsum(f"...ij{x},...j{x}->...i{x}", Hv, gv)
+    q2, qg = np.sum(q * q, axis=0), np.sum(q * gv, axis=0)
+    div2 = div_arr(grid, gv2 * gv)
+    for p in (0, 2):
+        lhs = quad(grid, div_arr(grid, gv2 ** (p / 2) * gv) * div2)
+        first = 0.0
+        if p:
+            first = 2 * p * qg ** 2 * gv2 ** (p / 2 - 1)
+        rhs = quad(grid, first + (p + 2) * q2 * gv2 ** (p / 2)
+                   + gv2 ** (p / 2 + 1) * Hv2)
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+        fr = FunctionalReport("flux_identity", abs(lhs - rhs), tol * scale,
+                              rel_tol=0.0, abs_tol=ABS_TOL)
+        rows[f"flux-identity-{p}"] = (
+            fr.margin, fr.passed,
+            f"|lhs-rhs| = {fr.lhs:.3e}, allowance = {fr.rhs:.3e}")
+
+    lhs = jac_arr(grid, v * u)
+    r14 = r ** 0.25
+    rhs = v * jac_arr(grid, u) \
+        + 2 * r14 * u[:, None] * grad_arr(grid, r14)[None, :]
+    fr = FunctionalReport(
+        "grad_sqrtrho_u", float(np.max(np.abs(lhs - rhs))),
+        tol * max(float(np.max(np.abs(lhs))), 1.0), rel_tol=0.0, abs_tol=0.0)
+    rows["grad-sqrtrho-u"] = (
+        fr.margin, fr.passed,
+        f"nodal max = {fr.lhs:.3e}, allowance = {fr.rhs:.3e}")
+    return rows
+
+
+def _inequality_rows(grid, r, u):
+    """The inequality checks of one seed, each written out with the plain
+    operators of fields, as (lhs, rhs) pairs."""
+    v = np.sqrt(r)
+    g14 = grad_arr(grid, r ** 0.25)
+    Hs = hess_arr(grid, v)
+    Hlog = hess_arr(grid, np.log(r))
+    base = quad(grid, r * np.sum(Hlog * Hlog, axis=(0, 1)))
+    gv = grad_arr(grid, v)
+    gv2 = np.sum(gv * gv, axis=0)
+    lv = lap_arr(grid, v)
+    g_gv2 = grad_arr(grid, gv2)
+    J = jac_arr(grid, u)
+    D = 0.5 * (J + np.swapaxes(J, 0, 1))
+    return {
+        "jungel-quartic": (quad(grid, np.sum(g14 * g14, axis=0) ** 2),
+                           8.0 * base),
+        "jungel-hessian": (quad(grid, np.sum(Hs * Hs, axis=(0, 1))),
+                           7.0 * base),
+        "grad6": (quad(grid, v ** -2 * gv2 ** 3),
+                  2.0 * quad(grid, gv2 * lv * lv)
+                  + 8.0 * quad(grid, np.sum(g_gv2 * g_gv2, axis=0))),
+        "div-vs-D": (quad(grid, r * np.trace(J, axis1=0, axis2=1) ** 2),
+                     3.0 * quad(grid, r * np.sum(D * D, axis=(0, 1)))),
+    }
+
+
 def _per_seed(suite, config):
-    """The suite evaluated one seed at a time with the public single-field
-    checkers, fields regenerated per seed."""
+    """The suite evaluated one seed at a time with fields regenerated per
+    seed and every check written out with the plain operators of fields,
+    sharing no transform between checks."""
     out = []
-    tol = config.rel_tol
     for spec in config.grids:
         grid = Grid(spec)
         for seed in config.seeds:
-            rho = random_smooth_positive(grid, seed, config.modes,
-                                         config.floor)
-            u = random_smooth_vector(grid, seed, config.modes)
-            v = ScalarField(grid, np.sqrt(rho.values))
-            rows = {}
+            r = random_smooth_positive(grid, seed, config.modes,
+                                       config.floor).values
+            u = random_smooth_vector(grid, seed, config.modes).values
             if suite == "identity":
-                fa = bohm_force(rho, "A").values
-                fb = bohm_force(rho, "B").values
-                fc = bohm_force(rho, "C").values
-                if config.canary:
-                    # form C corrupted by +1e-3 grad(rho)
-                    fc = fc + 1e-3 * grad_arr(grid, rho.values)
-                err = max(_rel_l2(grid, fa, fb), _rel_l2(grid, fa, fc),
-                          _rel_l2(grid, fb, fc))
-                rows["bohm-forms"] = (tol - err, err < tol,
-                                      f"max pairwise rel L2 = {err:.3e}")
-                for r in (0, 2):
-                    fr = check_flux_identity(v, r, rel_tol=tol)
-                    rows[f"flux-identity-{r}"] = (
-                        fr.margin, fr.passed,
-                        f"|lhs-rhs| = {fr.lhs:.3e}, "
-                        f"allowance = {fr.rhs:.3e}")
-                fr = check_grad_sqrtrho_u(rho, u, tol=tol)
-                rows["grad-sqrtrho-u"] = (
-                    fr.margin, fr.passed,
-                    f"nodal max = {fr.lhs:.3e}, allowance = {fr.rhs:.3e}")
+                rows = _identity_rows(grid, r, u, config.rel_tol,
+                                      config.canary)
+                order = IDENTITY_CHECKS
             else:
-                quartic, hessian = check_jungel(rho)
-                for name, fr in (("jungel-quartic", quartic),
-                                 ("jungel-hessian", hessian),
-                                 ("grad6", check_grad6(v)),
-                                 ("div-vs-D", check_div_vs_D(rho, u))):
+                rows = {}
+                for name, (lhs, rhs) in _inequality_rows(grid, r, u).items():
+                    fr = FunctionalReport(name, lhs, rhs)
                     rows[name] = (fr.margin, fr.passed,
                                   f"lhs = {fr.lhs:.6e}, rhs = {fr.rhs:.6e}")
-            for name in (IDENTITY_CHECKS if suite == "identity"
-                         else INEQUALITY_CHECKS):
+                order = INEQUALITY_CHECKS
+            for name in order:
                 if name in config.checks:
                     out.append(CheckResult(name, seed, spec, *rows[name]))
     return out
@@ -233,6 +292,35 @@ def test_canary_fails_every_bohm_instance_and_nothing_else():
     bohm = [r for r in rep.results if r.check == "bohm-forms"]
     assert len(bohm) == 2 * 19 and not any(r.passed for r in bohm)
     assert all(r.passed for r in rep.results if r.check != "bohm-forms")
+
+
+SHARED_PIECES = sorted({p for ps in CHECK_PIECES.values() for p in ps})
+
+
+@pytest.mark.parametrize("spec", [(64,), (48, 48)],
+                         ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("piece", SHARED_PIECES)
+def test_perturbed_shared_piece_fails_an_identity_check(spec, piece):
+    # every piece a chunk's checks share is read by at least one identity
+    # check, so an error in a shared transform cannot pass unseen
+    grid = Grid(spec)
+    config = SuiteConfig(seeds=(0, 1, 2), grids=(spec,), modes=2)
+
+    def identity(perturb):
+        d = Derived.of(grid, *random_smooth_ensemble(
+            grid, config.seeds, config.modes, floor=config.floor,
+            amplitude=1.0))
+        d.load(*SHARED_PIECES)
+        if perturb:
+            x = d.__dict__[piece]
+            pattern = np.cos(grid.meshgrid()[0])
+            d.__dict__[piece] = x + 1e-3 * np.max(np.abs(x)) * pattern
+        out = _identity_chunk(d, config)
+        return [[out[c][k][1] for c in IDENTITY_CHECKS]
+                for k in range(len(config.seeds))]
+
+    assert all(all(row) for row in identity(False))
+    assert not any(all(row) for row in identity(True))
 
 
 @pytest.mark.parametrize("field, value", [
