@@ -15,12 +15,18 @@ grid = Grid((64, 64))
 rho = random_smooth_positive(grid, seed=7, modes=6, floor=4.0)
 u = random_smooth_vector(grid, seed=7, modes=6)
 
+
+def magnitude(values):
+    """The pointwise Euclidean norm of vector-field values: lp_norm of a
+    VectorField gives one norm per component."""
+    return ScalarField(grid, np.sqrt(np.sum(values ** 2, axis=0)))
+
+
 print("=== dispersive force: three independent forms ===")
 forms = {name: bohm_force(rho, form=name) for name in ("A", "B", "C")}
-ref = lp_norm(forms["A"], 2)
+ref = lp_norm(magnitude(forms["A"].values), 2)
 for a, b in (("A", "B"), ("A", "C"), ("B", "C")):
-    diff = ScalarField(grid, np.sqrt(np.sum(
-        (forms[a].values - forms[b].values) ** 2, axis=0)))
+    diff = magnitude(forms[a].values - forms[b].values)
     print(f"  |{a} - {b}|_2 / |A|_2 = {lp_norm(diff, 2) / ref:.3e}")
 
 print("\n=== quartic-flux pairing identity ===")

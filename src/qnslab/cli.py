@@ -33,8 +33,7 @@ from .physics import (DESK_P0, DESK_SIGMA0, PAPER_P0, PAPER_SIGMA0, QnsParams,
                       State, VacuumError, check_constraints)
 from .snapshots import read_field, write_field
 from .timeloop import IntegratorConfig, integrate
-from .verify import (DYNAMICS_CHECKS, IDENTITY_CHECKS, INEQUALITY_CHECKS,
-                     SuiteConfig, run_suites)
+from .verify import SUITE_CHECKS, SuiteConfig, check_suites, run_suites
 
 MONITOR_COLUMNS = ("time", "mass", "energy", "bd_entropy", "mv", "rho_min",
                    "rho_max", "mass_balance_residual") + DISSIPATION_KEYS
@@ -216,22 +215,21 @@ def cmd_verify(args):
     cfg = _load_config(args.config)
     out = _out_dir(cfg, args)
     suites = cfg.get("suites", ["identity", "inequality"])
-    defaults = {
-        "identity": IDENTITY_CHECKS,
-        "inequality": INEQUALITY_CHECKS,
-        "dynamics": DYNAMICS_CHECKS,
-    }
     configs = {}
     for name in suites:
-        if name not in defaults:
+        if name not in SUITE_CHECKS:
             raise ConfigError(f"unknown suite {name!r}")
         block = dict(cfg.get(name, {}))
         for key in ("seeds", "num_seeds", "grids", "modes", "floor",
                     "rel_tol", "canary", "checks"):
             if key in cfg and key not in block:
                 block[key] = cfg[key]
-        block.setdefault("checks", list(defaults[name]))
+        block.setdefault("checks", list(SUITE_CHECKS[name]))
         configs[name] = _suite_config(block)
+    try:
+        check_suites(configs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     overall = True
     for name, report in run_suites(configs).items():
         with open(os.path.join(out, f"{name}_report.json"), "w") as fh:

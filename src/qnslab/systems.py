@@ -82,24 +82,32 @@ class _Terms:
 
 
 def _finish(state, formulation, eps, drho, lin, terms, linear_terms,
-            use_dealias, done):
-    """Rhs from the nodal d rho/dt, the momentum terms summed in spectral
-    space (lin) and the nodal ones (a _Terms): divide the sum by rho and
-    dealias [drho, dvel] as one stack. The stacks in done go back to the
-    workspace once the Rhs holds its copies.
+            use_dealias, spectral, done):
+    """The right-hand side from the nodal d rho/dt, the momentum terms summed
+    in spectral space (lin) and the nodal ones (a _Terms): the sum divided
+    by rho and [drho, dvel] dealiased as one stack. The stacks in done go
+    back to the workspace once the result holds its values.
 
-    A breakdown gains the labels of linear_terms() and zeros for the other
-    labels of the formulation ("eps-" labels only when eps > 0).
+    spectral stops at the spectrum of [drho, dvel] in the rfft layout, 2/3
+    masked if use_dealias: a workspace stack of 1 + dim rows that the caller
+    releases, valid inside the caller's in_workspace scope. Otherwise the
+    spectrum is inverted into an Rhs; a breakdown gains the labels of
+    linear_terms() and zeros for the other labels of the formulation
+    ("eps-" labels only when eps > 0).
     """
     grid, r = state.grid, state.rho.values
     lin += terms.total
     out = take(grid, 1 + grid.dim)
     out[0] = drho
     np.divide(lin, r, out=out[1:])
-    if use_dealias:
-        # dealias_arr on workspace stacks
+    if use_dealias or spectral:
+        # dealias_arr on workspace stacks, stopping at the spectrum
         hat = forward_once(grid, out)
-        hat *= grid._mask
+        if use_dealias:
+            hat *= grid._mask
+        if spectral:
+            release(*done)
+            return hat
         out = inverse_once(grid, hat)
     breakdown = terms.by_label
     if breakdown is not None:
@@ -115,7 +123,8 @@ def _finish(state, formulation, eps, drho, lin, terms, linear_terms,
 
 
 @in_workspace
-def _rhs_u(state, params, eps, formulation, breakdown, use_dealias):
+def _rhs_u(state, params, eps, formulation, breakdown, use_dealias,
+           spectral):
     """The u-form right-hand side, evaluated one dependency level at a time
     with one batched forward and one batched inverse transform per level.
     eps = 0 is the target system. Each stack goes back to the workspace
@@ -231,17 +240,20 @@ def _rhs_u(state, params, eps, formulation, breakdown, use_dealias):
             out["eps-mu-flux-grad"] = -eps * mu * grad_arr(grid, v_q)
         return out
     return _finish(state, formulation, eps, drho, lin, terms, linear_terms,
-                   use_dealias, done)
+                   use_dealias, spectral, done)
 
 
-def rhs_target(state, params, breakdown=False, use_dealias=True):
+def rhs_target(state, params, breakdown=False, use_dealias=True,
+               spectral=False):
     """Target system: mass transport plus momentum with pressure a*rho^gamma,
     degenerate viscosity 2*nu*div(rho D u), Bohm force, and damping; the
     eps = 0 path of the u-form right-hand side."""
-    return _rhs_u(state, params, 0.0, "target", breakdown, use_dealias)
+    return _rhs_u(state, params, 0.0, "target", breakdown, use_dealias,
+                  spectral)
 
 
-def rhs_approx_u(state, params, breakdown=False, use_dealias=True):
+def rhs_approx_u(state, params, breakdown=False, use_dealias=True,
+                 spectral=False):
     """Regularized system in (rho, u): parabolic mass regularization
     eps*v*div(|grad v|^2 grad v) + eps*rho^-p0 and the matching
     epsilon-weighted momentum corrections. Setting eps = 0 reproduces
@@ -252,20 +264,26 @@ def rhs_approx_u(state, params, breakdown=False, use_dealias=True):
     dvel]. The terms whose derivative is outermost are summed in spectral
     space: div T with T = rho (2 nu D + sqrt(eps) J + sqrt(eps) mu
     Hess log rho), and grad P with the one pressure-like scalar
-    P = -(a rho^gamma + eps mu rho^-p0 + eps mu sqrt(rho) Q)."""
+    P = -(a rho^gamma + eps mu rho^-p0 + eps mu sqrt(rho) Q).
+
+    spectral (for the IMEX step) returns the masked spectrum of [drho,
+    dvel] instead, a workspace stack (see _finish), and skips the inverse
+    of the dealiasing pair: seven calls."""
     return _rhs_u(state, params, params.eps, "approx-u", breakdown,
-                  use_dealias)
+                  use_dealias, spectral)
 
 
 @in_workspace
-def rhs_approx_w(state, params, breakdown=False, use_dealias=True):
+def rhs_approx_w(state, params, breakdown=False, use_dealias=True,
+                 spectral=False):
     """Regularized system in (rho, w): the effective-velocity form. The
     momentum line contains no third-order dispersive operator; the highest
     derivative applied to the velocity is second order and the only density
     operators are first derivatives and one Laplacian.
 
     Staged like rhs_approx_u; P = -a rho^gamma needs no derivative, so two
-    levels and the dealiasing pair take six FFT calls."""
+    levels and the dealiasing pair take six FFT calls, and five with
+    spectral."""
     if state.form != "w":
         raise ValueError("rhs_approx_w expects a w-form state")
     require_positive(state.rho.values)
@@ -347,7 +365,7 @@ def rhs_approx_w(state, params, breakdown=False, use_dealias=True):
             out["eps-viscous"] = math.sqrt(eps) * tdiv_arr(grid, r * Jw)
         return out
     return _finish(state, "approx-w", eps, drho, lin, terms, linear_terms,
-                   use_dealias, (out1, out2))
+                   use_dealias, spectral, (out1, out2))
 
 
 def rhs_for(formulation):

@@ -31,6 +31,8 @@ INEQUALITY_CHECKS = ("jungel-quartic", "jungel-hessian", "grad6", "div-vs-D")
 DYNAMICS_CHECKS = ("steady-battery", "mass-balance", "equivalence",
                    "vacuum-band")
 ALL_CHECKS = IDENTITY_CHECKS + INEQUALITY_CHECKS + DYNAMICS_CHECKS
+SUITE_CHECKS = {"identity": IDENTITY_CHECKS, "inequality": INEQUALITY_CHECKS,
+                "dynamics": DYNAMICS_CHECKS}
 
 
 @dataclass(frozen=True)
@@ -227,10 +229,7 @@ CHECK_PIECES = {
 }
 
 
-SEEDED_SUITES = {
-    "identity": (_identity_chunk, IDENTITY_CHECKS),
-    "inequality": (_inequality_chunk, INEQUALITY_CHECKS),
-}
+SEEDED_SUITES = {"identity": _identity_chunk, "inequality": _inequality_chunk}
 
 
 def _ensemble_key(config):
@@ -244,7 +243,7 @@ def _run_seeded(names, configs, reports):
     each chunk is generated once and read by every suite of names."""
     config = configs[names[0]]
     seeds = list(config.seeds)
-    pieces = [p for name in names for check in SEEDED_SUITES[name][1]
+    pieces = [p for name in names for check in SUITE_CHECKS[name]
               if check in configs[name].checks for p in CHECK_PIECES[check]]
     for spec in config.grids:
         grid = Grid(spec)
@@ -255,16 +254,28 @@ def _run_seeded(names, configs, reports):
                 grid, chunk, config.modes, floor=config.floor, amplitude=1.0))
             d.load(*pieces)
             for name in names:
-                chunk_fn, order = SEEDED_SUITES[name]
-                out = chunk_fn(d, configs[name])
+                out = SEEDED_SUITES[name](d, configs[name])
                 results = reports[name].results
                 for k, seed in enumerate(chunk):
-                    for check in order:
+                    for check in SUITE_CHECKS[name]:
                         if check in out:
                             margin, passed, detail = out[check][k]
                             results.append(CheckResult(
                                 check, seed, spec, margin, passed, detail))
             del d  # the next chunk is generated without this one
+
+
+def check_suites(configs):
+    """Raise ValueError unless every suite of {name: SuiteConfig} is known
+    and lists at least one of its own checks. A suite runs only its own
+    checks, so one that lists none would run nothing and pass."""
+    for name, config in configs.items():
+        if name not in SUITE_CHECKS:
+            raise ValueError(f"unknown suite {name!r}")
+        if not set(config.checks) & set(SUITE_CHECKS[name]):
+            raise ValueError(
+                f"suite {name!r} would run none of {list(config.checks)}; "
+                f"its checks are {list(SUITE_CHECKS[name])}")
 
 
 def run_suites(configs):
@@ -275,9 +286,7 @@ def run_suites(configs):
     in chunks of chunk_size(grid) seeds. The suites read one Derived bundle
     per chunk, so each input of the checks is transformed once per chunk.
     """
-    for name in configs:
-        if name not in SEEDED_SUITES and name != "dynamics":
-            raise ValueError(f"unknown suite {name!r}")
+    check_suites(configs)
     reports = {name: SuiteReport(suite=name) for name in configs}
     shared = {}
     for name in configs:
@@ -286,7 +295,7 @@ def run_suites(configs):
     for names in shared.values():
         _run_seeded(names, configs, reports)
     if "dynamics" in configs:
-        reports["dynamics"] = run_dynamics_suite(configs["dynamics"])
+        reports["dynamics"] = _run_dynamics(configs["dynamics"])
     return reports
 
 
@@ -367,6 +376,10 @@ def _vacuum_band(result_sink):
 def run_dynamics_suite(config):
     """Time-dependent structure checks on canonical scenarios (seeds unused:
     each check is a deterministic canonical run)."""
+    return run_suite("dynamics", config)
+
+
+def _run_dynamics(config):
     report = SuiteReport(suite="dynamics")
     if "steady-battery" in config.checks:
         _steady_battery(report.results)

@@ -115,10 +115,14 @@ class TestNonFiniteVelocity:
         # returns a NaN velocity node while the density stays finite
         count = {"n": 0}
 
-        def poisoned(state, params, use_dealias=True):
-            out = rhs_approx_u(state, params, use_dealias=use_dealias)
+        def poisoned(state, params, use_dealias=True, spectral=False):
+            out = rhs_approx_u(state, params, use_dealias=use_dealias,
+                               spectral=spectral)
             count["n"] += 1
             if count["n"] < 20:
+                return out
+            if spectral:
+                out[1, 5] = np.nan  # one velocity mode
                 return out
             dvel = out.dvel.values.copy()
             dvel[0, 5] = np.nan
@@ -232,6 +236,19 @@ class TestVerify:
         })
         assert main(["verify", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"suites": ["identity"], "identity": {"checks": ["grad6"]}},
+        # a top-level list reaches every suite; identity has none of these
+        {"suites": ["identity", "inequality"], "checks": ["grad6"],
+         "num_seeds": 1},
+    ])
+    def test_suite_without_its_own_checks_exits_2(self, tmp_path, capsys,
+                                                   doc):
+        cfg = _write(tmp_path, "v.json", doc)
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "'identity' would run none" in capsys.readouterr().err
 
     def test_unknown_suite_exits_2(self, tmp_path):
         cfg = _write(tmp_path, "v.json", {"suites": ["mystery"]})

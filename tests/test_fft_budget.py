@@ -21,7 +21,7 @@ CEILINGS = {
     "rhs_target": 6,
     "rhs_approx_u": 8,
     "rhs_approx_w": 6,
-    "step_imex": 20,
+    "step_imex": 17,
     "step_rk4": 32,
     "monitor": 12,
     "monitor_record": 8,
@@ -56,6 +56,17 @@ def fft_calls(monkeypatch):
     return measure
 
 
+# Exact counts of each right-hand side, called as the public function and
+# as the IMEX step calls it (spectral: the masked spectrum of [drho, dvel],
+# one inverse transform short of the public call).
+RHS_CALLS = [
+    ("rhs_target", False, 6), ("rhs_approx_u", False, 8),
+    ("rhs_approx_w", False, 6),
+    ("rhs_target", True, 5), ("rhs_approx_u", True, 7),
+    ("rhs_approx_w", True, 5),
+]
+
+
 def _verify_pass(count, spec=(64,)):
     """identity plus inequality suites, count seeds on spec; one chunk on
     (64,), one chunk per seed on (64, 64)."""
@@ -67,12 +78,17 @@ def _verify_pass(count, spec=(64,)):
                                          checks=verify.INEQUALITY_CHECKS)})
 
 
-def _operations():
+def _inputs():
+    """Parameters and matching u- and w-form states on a small 2D grid."""
     grid = Grid((16, 24))
     params = QnsParams(nu=1.0, kappa=1.0 / 11.0, eps=1e-3)
     state = State(random_smooth_positive(grid, 3, 4, 4.0),
                   random_smooth_vector(grid, 3, 4), form="u")
-    wstate = to_w(state, params)
+    return params, state, to_w(state, params)
+
+
+def _operations():
+    params, state, wstate = _inputs()
 
     def monitor():
         # the public functionals, one at a time
@@ -107,6 +123,15 @@ def _operations():
 def test_fft_calls_within_ceiling(fft_calls, op):
     calls = fft_calls(_operations()[op])
     assert 0 < calls <= CEILINGS[op], f"{op}: {calls} FFT calls"
+
+
+@pytest.mark.parametrize("name, spectral, calls", RHS_CALLS)
+def test_rhs_calls_exact(fft_calls, name, spectral, calls):
+    params, state, wstate = _inputs()
+    if name == "rhs_approx_w":
+        state = wstate
+    fn = getattr(systems, name)
+    assert fft_calls(lambda: fn(state, params, spectral=spectral)) == calls
 
 
 def test_verify_pass_does_not_scale_with_seed_count(fft_calls):

@@ -1,5 +1,7 @@
 """Time integration: schemes, step control, monitors, budgets, equivalence."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -22,15 +24,36 @@ def _acoustic(n=128, amp=0.1):
 PARAMS = QnsParams(nu=1.0, kappa=1.0 / 11.0)
 
 
+def _phi2_exact(z):
+    """phi2 at the float z, summed in rationals to 40 Taylor terms (the
+    remainder is below 1e-40 for |z| <= 1) and rounded once."""
+    z, term, total = Fraction(z), Fraction(1, 2), Fraction(0)
+    for k in range(40):
+        total += term
+        term *= z / (k + 3)
+    return float(total)
+
+
+def test_phi2_relative_error_at_roundoff():
+    z = -np.concatenate([np.logspace(-12, 0, 241), np.linspace(0.01, 1, 100)])
+    exact = np.array([_phi2_exact(v) for v in z])
+    err = np.abs(timeloop._phi2(z) - exact) / exact
+    assert np.max(err) <= 1e-14, (np.max(err), z[np.argmax(err)])
+
+
 def _poisoned_velocity(last_call):
     """rhs_approx_u whose call number last_call returns a NaN velocity
     node."""
     count = {"n": 0}
 
-    def rhs(state, params, use_dealias=True):
-        out = rhs_approx_u(state, params, use_dealias=use_dealias)
+    def rhs(state, params, use_dealias=True, spectral=False):
+        out = rhs_approx_u(state, params, use_dealias=use_dealias,
+                           spectral=spectral)
         count["n"] += 1
         if count["n"] != last_call:
+            return out
+        if spectral:
+            out[1, 3] = np.nan  # one velocity mode
             return out
         dvel = out.dvel.values.copy()
         dvel[0, 3] = np.nan
@@ -82,8 +105,12 @@ class TestStep:
     def test_non_finite_density_is_a_failure(self, scheme):
         st = _acoustic(32)
 
-        def nan_rhs(state, params, use_dealias=True):
-            rhs = rhs_approx_u(state, params, use_dealias=use_dealias)
+        def nan_rhs(state, params, use_dealias=True, spectral=False):
+            rhs = rhs_approx_u(state, params, use_dealias=use_dealias,
+                               spectral=spectral)
+            if spectral:
+                rhs[0, 3] = np.nan  # one density mode
+                return rhs
             drho = rhs.drho.values.copy()
             drho[3] = np.nan
             return Rhs(ScalarField(state.grid, drho), rhs.dvel,

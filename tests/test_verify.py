@@ -123,6 +123,17 @@ class TestDynamicsSuite:
         assert rep.overall_pass, rep.results[0].detail
 
 
+@pytest.mark.parametrize("run, checks", [
+    (run_identity_suite, ("grad6",)),
+    (run_inequality_suite, ("bohm-forms", "steady-battery")),
+    (run_dynamics_suite, IDENTITY_CHECKS),
+])
+def test_suite_without_its_own_checks_is_rejected(run, checks):
+    # such a suite used to run nothing and report a pass
+    with pytest.raises(ValueError, match="would run none"):
+        run(SuiteConfig(seeds=(0,), grids=((32,),), modes=2, checks=checks))
+
+
 def test_run_suite_dispatch():
     rep = run_suite("identity", SuiteConfig(**SMALL,
                                             checks=("flux-identity-0",)))

@@ -2,6 +2,7 @@
 sides and steps, go back to the pool after use (also when a stage raises),
 stay bounded, and are kept per thread."""
 
+import functools
 import resource
 import sys
 import threading
@@ -77,8 +78,9 @@ def _same_rhs(a, b):
 
 
 def _parent_step(state, params, rhs_fn, dt, scheme):
-    """The step before the workspace, on plain arrays; returns the new
-    [rho, vel] stack."""
+    """The step before the workspace, on plain arrays, whose IMEX branch
+    transforms the nodal right-hand sides; returns the new [rho, vel]
+    stack."""
     grid = state.grid
     m = 1 + grid.dim
 
@@ -126,6 +128,36 @@ def _parent_step(state, params, rhs_fn, dt, scheme):
     return ya + dt * from_spectral(grid, diff_hat)
 
 
+def _imex_step(state, params, rhs_fn, dt):
+    """The IMEX step on plain arrays, reading each right-hand side as its
+    spectrum; returns the new [rho, vel] stack."""
+    grid = state.grid
+    m = 1 + grid.dim
+    y0 = np.empty((m,) + grid.shape)
+    y0[0] = state.rho.values
+    y0[1:] = state.vel.values
+    formulation = {"u": "approx-u", "w": "approx-w"}[state.form]
+    c_rho, c_vel = timeloop._linear_coeffs(formulation, params, grid.dim)
+    blocks = [(slice(0, 1), c_rho * grid._lap,
+               timeloop._etd_multipliers(grid, c_rho, dt)),
+              (slice(1, m), c_vel * grid._lap,
+               timeloop._etd_multipliers(grid, c_vel, dt))]
+    f0_hat = rhs_fn(state, params, spectral=True)
+    y0_hat = to_spectral(grid, y0)
+    a_hat, m_hat = np.empty_like(y0_hat), np.empty_like(y0_hat)
+    for rows, clap, (ez, dt_phi1, _) in blocks:
+        n0_hat = f0_hat[rows] - clap * y0_hat[rows]
+        a_hat[rows] = ez * y0_hat[rows] + dt_phi1 * n0_hat
+        m_hat[rows] = clap * a_hat[rows] + n0_hat
+    ya = from_spectral(grid, a_hat)
+    stage = State(ScalarField(grid, ya[0]), VectorField(grid, ya[1:]),
+                  form=state.form, time=state.time + dt)
+    diff_hat = rhs_fn(stage, params, spectral=True) - m_hat
+    for rows, _, (_, _, phi2) in blocks:
+        diff_hat[rows] *= phi2
+    return ya + dt * from_spectral(grid, diff_hat)
+
+
 def _rhs_for_state(state):
     return systems.rhs_approx_w if state.form == "w" else systems.rhs_approx_u
 
@@ -156,6 +188,9 @@ def test_rhs_sequence_equals_fresh_calls(pool, n, formulation):
 @pytest.mark.parametrize("form", ["u", "w"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_step_equals_parent_transcription(pool, n, form, scheme):
+    # RK4 keeps the parent's bits. The IMEX step takes each right-hand
+    # side's masked spectrum where the parent inverted it and transformed
+    # it again, so it matches the parent to roundoff only.
     s = _state(n, 5, form)
     rhs_fn = _rhs_for_state(s)
     for dt in (1e-4, 2e-4):
@@ -163,8 +198,35 @@ def test_step_equals_parent_transcription(pool, n, form, scheme):
         _poison(pool)
         new = timeloop.step(s, PARAMS, rhs_fn, dt, scheme=scheme)
         assert not pool.lent
-        _same(new.rho.values, ref[0])
-        _same(new.vel.values, ref[1:])
+        for got, want in ((new.rho.values, ref[0]), (new.vel.values, ref[1:])):
+            if scheme == "imex":
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-13 * np.max(np.abs(want))
+            else:
+                _same(got, want)
+        s = new
+
+
+@pytest.mark.parametrize("n", GRIDS)
+@pytest.mark.parametrize("form", ["u", "w"])
+@pytest.mark.parametrize("use_dealias", [True, False])
+def test_imex_step_equals_transcription(pool, n, form, use_dealias):
+    s = _state(n, 5, form)
+    rhs_fn = functools.partial(_rhs_for_state(s), use_dealias=use_dealias)
+    for dt in (1e-4, 2e-4):
+        refs = [_bypassed(lambda: _imex_step(s, PARAMS, rhs_fn, dt))]
+        if not use_dealias:
+            # the spectrum of an undealiased right-hand side is the forward
+            # transform the parent step made: the parent's bits
+            refs.append(_bypassed(lambda: _parent_step(s, PARAMS, rhs_fn, dt,
+                                                       "imex")))
+        _poison(pool)
+        new = timeloop.step(s, PARAMS, _rhs_for_state(s), dt, scheme="imex",
+                            use_dealias=use_dealias)
+        assert not pool.lent
+        for ref in refs:
+            _same(new.rho.values, ref[0])
+            _same(new.vel.values, ref[1:])
         s = new
 
 
@@ -172,19 +234,24 @@ def _raising(rhs_fn, on_call):
     """rhs_fn whose call number on_call raises VacuumError."""
     count = {"n": 0}
 
-    def rhs(state, params, use_dealias=True):
+    def rhs(state, params, use_dealias=True, spectral=False):
         count["n"] += 1
         if count["n"] == on_call:
             raise VacuumError(1, -1.0)
-        return rhs_fn(state, params, use_dealias=use_dealias)
+        return rhs_fn(state, params, use_dealias=use_dealias,
+                      spectral=spectral)
     return rhs
 
 
-def _draining(state, params, use_dealias=True):
-    """An Rhs that empties the density within any step."""
-    return systems.Rhs(ScalarField(state.grid, np.full(state.grid.shape,
-                                                       -1e9)),
-                       VectorField.zero(state.grid), "approx-u")
+def _draining(state, params, use_dealias=True, spectral=False):
+    """A right-hand side that empties the density within any step."""
+    grid = state.grid
+    y = np.zeros((1 + grid.dim,) + grid.shape)
+    y[0] = -1e9
+    if spectral:
+        return to_spectral(grid, y)
+    return systems.Rhs(ScalarField(grid, y[0]), VectorField(grid, y[1:]),
+                       "approx-u")
 
 
 @pytest.mark.parametrize("n", GRIDS)
@@ -246,9 +313,10 @@ def test_stages_see_only_live_stacks(pool, scheme, lent):
     # RK4: y0 and the slopes made so far
     seen = []
 
-    def rhs(state, params, use_dealias=True):
+    def rhs(state, params, use_dealias=True, spectral=False):
         seen.append(len(pool.lent))
-        return systems.rhs_approx_u(state, params, use_dealias=use_dealias)
+        return systems.rhs_approx_u(state, params, use_dealias=use_dealias,
+                                    spectral=spectral)
     timeloop.step(_state((64, 64), 11), PARAMS, rhs, 1e-4, scheme=scheme)
     assert seen == lent
 
