@@ -2,9 +2,9 @@
 compressible quantum Navier-Stokes system with damping."""
 
 from .fields import (Grid, ScalarField, TensorField, VectorField, dealias,
-                     div, div_tensor, grad, grad_vec, hessian, integrate,
-                     laplacian, lp_norm, quad, random_smooth_ensemble,
-                     random_smooth_positive, random_smooth_vector, sym_grad)
+                     div, grad, hessian, integrate, laplacian, lp_norm, quad,
+                     random_smooth_ensemble, random_smooth_positive,
+                     random_smooth_vector, sym_grad)
 from .functionals import (DISSIPATION_KEYS, FunctionalReport, MonitorRecord,
                           bd_entropy, check_div_vs_D, check_flux_identity,
                           check_grad6, check_grad_sqrtrho_u, check_jungel,
@@ -17,8 +17,8 @@ from .physics import (AdmissibilityError, ConstraintReport, QnsParams, State,
                       mu_of, p_flux, p_flux_div, paper_params, to_u, to_w)
 from .snapshots import read_field, write_field
 from .systems import (FORMULATIONS, Rhs, SpaceTimeTestFunction, rhs_approx_u,
-                      rhs_approx_w, rhs_for, rhs_target, trig_test_function,
-                      weak_residual)
+                      rhs_approx_w, rhs_for, rhs_target, rhs_terms,
+                      trig_test_function, weak_residual)
 from .timeloop import (EnergyBudgetReport, EquivalenceReport,
                        IntegratorConfig, NonFiniteError, PositivityError,
                        Trajectory, cfl_dt, energy_budget, equivalence_run,

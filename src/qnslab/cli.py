@@ -43,6 +43,8 @@ EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_POSITIVITY = 3
 
+MODES = ("desk", "paper")
+
 
 class ConfigError(ValueError):
     pass
@@ -64,16 +66,19 @@ def _out_dir(cfg, args):
     return out
 
 
+def _mode(cfg, args):
+    mode = args.mode or cfg.get("mode", "desk")
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}; known: {MODES}")
+    return mode
+
+
 def _build_params(cfg, mode):
     block = dict(cfg.get("params", {}))
-    if mode == "paper":
-        block.setdefault("p0", PAPER_P0)
-        block.setdefault("sigma0", PAPER_SIGMA0)
-        block["mode"] = "paper"
-    else:
-        block.setdefault("p0", DESK_P0)
-        block.setdefault("sigma0", DESK_SIGMA0)
-        block["mode"] = "desk"
+    paper = mode == "paper"
+    block.setdefault("p0", PAPER_P0 if paper else DESK_P0)
+    block.setdefault("sigma0", PAPER_SIGMA0 if paper else DESK_SIGMA0)
+    block["mode"] = mode
     try:
         return QnsParams(**block)
     except (TypeError, ValueError) as exc:
@@ -114,7 +119,10 @@ def _build_initial(cfg, params):
     name = cfg.get("scenario")
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; known: {SCENARIOS}")
-    raw, _ = scenario(name, n=cfg.get("n", 128))
+    try:
+        raw, _ = scenario(name, n=cfg.get("n", 128))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad grid for scenario {name!r}: {exc}") from exc
     if cfg.get("mollify", False) or np.min(raw.rho0.values) <= 0:
         if params.eps <= 0:
             raise ConfigError("mollification requires eps > 0")
@@ -136,8 +144,7 @@ def _write_monitors(path, records):
 def cmd_run(args):
     cfg = _load_config(args.config)
     out = _out_dir(cfg, args)
-    mode = args.mode or cfg.get("mode", "desk")
-    params = _build_params(cfg, mode)
+    params = _build_params(cfg, _mode(cfg, args))
     config = _build_integrator(cfg)
     initial = _build_initial(cfg, params)
     constraint_report = check_constraints(params)
@@ -193,19 +200,17 @@ def cmd_run(args):
 
 
 def _suite_config(cfg):
-    kwargs = {}
-    if "seeds" in cfg:
-        kwargs["seeds"] = tuple(cfg["seeds"])
-    elif "num_seeds" in cfg:
-        kwargs["seeds"] = tuple(range(int(cfg["num_seeds"])))
-    if "grids" in cfg:
-        kwargs["grids"] = tuple(tuple(g) for g in cfg["grids"])
-    for key in ("modes", "floor", "rel_tol", "canary"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    if "checks" in cfg:
-        kwargs["checks"] = tuple(cfg["checks"])
+    kwargs = {key: cfg[key] for key in ("modes", "floor", "rel_tol", "canary")
+              if key in cfg}
     try:
+        if "seeds" in cfg:
+            kwargs["seeds"] = tuple(cfg["seeds"])
+        elif "num_seeds" in cfg:
+            kwargs["seeds"] = tuple(range(int(cfg["num_seeds"])))
+        if "grids" in cfg:
+            kwargs["grids"] = tuple(tuple(g) for g in cfg["grids"])
+        if "checks" in cfg:
+            kwargs["checks"] = tuple(cfg["checks"])
         return SuiteConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid suite config: {exc}") from exc
@@ -251,7 +256,7 @@ SWEEP_AXES = ("kappa", "r0", "r1", "eps")
 def cmd_sweep(args):
     cfg = _load_config(args.config)
     out = _out_dir(cfg, args)
-    mode = args.mode or cfg.get("mode", "desk")
+    mode = _mode(cfg, args)
     sweep = cfg.get("sweep", {})
     for key in sweep:
         if key not in SWEEP_AXES:
@@ -339,12 +344,16 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config path",
                        required=(name != "report"))
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--mode", choices=("paper", "desk"),
-                       help="constant set (overrides config)")
-        p.add_argument("--threads", type=int, default=1)
-        if name == "report":
+        # each flag only on the subcommands that read it
+        if name != "report":
+            p.add_argument("--out", help="output directory")
+        else:
             p.add_argument("--monitors", help="monitors.csv path")
+        if name in ("run", "sweep"):
+            p.add_argument("--mode", choices=MODES,
+                           help="constant set (overrides config)")
+        if name == "sweep":
+            p.add_argument("--threads", type=int, default=1)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

@@ -155,13 +155,6 @@ class VectorField:
         raise AttributeError("VectorField is immutable")
 
     @classmethod
-    def from_components(cls, *components):
-        grid = components[0].grid
-        if len(components) != grid.dim:
-            raise ValueError("need one component per axis")
-        return cls(grid, np.stack([c.values for c in components]))
-
-    @classmethod
     def zero(cls, grid):
         return cls(grid, np.zeros((grid.dim,) + grid.shape))
 
@@ -573,17 +566,9 @@ def hessian(f, backend="spectral"):
     return TensorField(f.grid, hess_arr(f.grid, f.values, backend))
 
 
-def grad_vec(F, backend="spectral"):
-    return TensorField(F.grid, jac_arr(F.grid, F.values, backend))
-
-
 def sym_grad(F, backend="spectral"):
     J = jac_arr(F.grid, F.values, backend)
     return TensorField(F.grid, 0.5 * (J + np.swapaxes(J, 0, 1)))
-
-
-def div_tensor(T, backend="spectral"):
-    return VectorField(T.grid, tdiv_arr(T.grid, T.values, backend))
 
 
 def integrate(f):
@@ -609,6 +594,20 @@ def dealias(f):
     raise TypeError("dealias expects a ScalarField or VectorField")
 
 
+def check_smooth_args(grid, modes, floor=None):
+    """modes as an int, once it (0 <= modes <= n/3 on every axis, dealias-safe)
+    and floor (positive unless None) are in random_smooth_ensemble's range."""
+    if floor is not None and not float(floor) > 0:
+        raise ValueError("floor must be positive")
+    modes = int(modes)
+    if modes < 0:
+        raise ValueError("modes must be nonnegative")
+    if modes > min(grid.n) // 3:
+        raise ValueError(
+            f"modes={modes} exceeds dealias-safe limit {min(grid.n) // 3}")
+    return modes
+
+
 def random_smooth_ensemble(grid, seeds, modes, floor=None, amplitude=None):
     """Seeded smooth fields for a stack of seeds, from one synthesis pair.
 
@@ -620,14 +619,7 @@ def random_smooth_ensemble(grid, seeds, modes, floor=None, amplitude=None):
     n/3 per axis (dealias-safe). Each seed has its own generator, so a row
     does not depend on the other seeds of the stack.
     """
-    if floor is not None and floor <= 0:
-        raise ValueError("floor must be positive")
-    modes = int(modes)
-    if modes < 0:
-        raise ValueError("modes must be nonnegative")
-    if modes > min(grid.n) // 3:
-        raise ValueError(
-            f"modes={modes} exceeds dealias-safe limit {min(grid.n) // 3}")
+    modes = check_smooth_args(grid, modes, floor)
     d, ns = grid.dim, len(seeds)
     rows = list(seeds) if floor is not None else []
     nr = len(rows)

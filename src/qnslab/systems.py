@@ -3,7 +3,8 @@
 The velocity is evolved nonconservatively (divide by rho nodally); this is
 legitimate because the solver operates strictly away from vacuum. Nonlinear
 products feeding the dynamics are dealiased by the 2/3 rule; verification
-callers pass use_dealias=False to bypass truncation.
+callers pass use_dealias=False to bypass truncation. rhs_terms is the same
+right-hand side written term by term, independently of the staged ones.
 """
 
 from __future__ import annotations
@@ -13,40 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ScalarField, VectorField, _symmetric, forward_once,
-                     grad_arr, in_workspace, inverse_groups, inverse_once,
-                     jac_arr, nodal_stack, quad, release, split_rows,
-                     take, tdiv_arr, to_spectral)
-from .physics import Derived, require_positive
+from .fields import (ScalarField, VectorField, _symmetric, div_arr,
+                     forward_once, grad_arr, hess_arr, in_workspace,
+                     inverse_groups, inverse_once, jac_arr, lap_arr,
+                     nodal_stack, quad, release, split_rows, take, tdiv_arr,
+                     to_spectral)
+from .physics import Derived, bohm_force, require_positive
 
 FORMULATIONS = ("target", "approx-u", "approx-w")
-
-# Fixed public vocabulary of momentum-term labels (monitor/report columns).
-TERM_LABELS_U = (
-    "convection", "viscous", "pressure", "bohm", "damping-r0", "damping-r1",
-    "eps-viscous", "eps-mu-viscous", "eps-flux-advect", "eps-mu-flux-hesslog",
-    "eps-source-drag", "eps-cubic-drag", "eps-mu-pgrad", "eps-mu-flux-grad",
-    "eps-mu-flux-gradlog",
-)
-TERM_LABELS_W = (
-    "convection", "pressure", "viscous", "mu-laplace", "eps-viscous",
-    "mu-gradrho-gradw", "eps-flux-advect", "eps-cubic-drag", "damping-r0",
-    "damping-r1", "eps-source-drag",
-)
 
 
 @dataclass(frozen=True)
 class Rhs:
-    """Time derivatives (d rho/dt, d vel/dt) plus optional term breakdown.
-
-    breakdown, when present, maps term labels to momentum contributions whose
-    sum equals rho * dvel.
-    """
+    """Time derivatives (d rho/dt, d vel/dt)."""
 
     drho: ScalarField
     dvel: VectorField
-    formulation: str
-    breakdown: dict = None
 
 
 def _directional(J, b):
@@ -63,40 +46,19 @@ def continuity_rate(div_flux, eps=0.0, v_q=None, neg_p=None):
     return -div_flux
 
 
-class _Terms:
-    """Nodal momentum terms, summed as they are made; each is kept by label
-    only for a breakdown."""
-
-    def __init__(self, breakdown):
-        self.total = None
-        self.by_label = {} if breakdown else None
-
-    def add(self, label, value):
-        if self.by_label is not None:
-            self.by_label[label] = value
-        if self.total is None:
-            # the sum must not alias a term the breakdown keeps
-            self.total = value if self.by_label is None else value.copy()
-        else:
-            self.total += value
-
-
-def _finish(state, formulation, eps, drho, lin, terms, linear_terms,
-            use_dealias, spectral, done):
-    """The right-hand side from the nodal d rho/dt, the momentum terms summed
-    in spectral space (lin) and the nodal ones (a _Terms): the sum divided
-    by rho and [drho, dvel] dealiased as one stack. The stacks in done go
-    back to the workspace once the result holds its values.
+def _finish(state, drho, lin, nodal, use_dealias, spectral, done):
+    """The right-hand side from the nodal d rho/dt and the momentum terms
+    summed in spectral space (lin) and nodally (nodal): the sum divided by
+    rho and [drho, dvel] dealiased as one stack. The stacks in done go back
+    to the workspace once the result holds its values.
 
     spectral stops at the spectrum of [drho, dvel] in the rfft layout, 2/3
     masked if use_dealias: a workspace stack of 1 + dim rows that the caller
     releases, valid inside the caller's in_workspace scope. Otherwise the
-    spectrum is inverted into an Rhs; a breakdown gains the labels of
-    linear_terms() and zeros for the other labels of the formulation
-    ("eps-" labels only when eps > 0).
+    spectrum is inverted into an Rhs.
     """
     grid, r = state.grid, state.rho.values
-    lin += terms.total
+    lin += nodal
     out = take(grid, 1 + grid.dim)
     out[0] = drho
     np.divide(lin, r, out=out[1:])
@@ -109,31 +71,21 @@ def _finish(state, formulation, eps, drho, lin, terms, linear_terms,
             release(*done)
             return hat
         out = inverse_once(grid, hat)
-    breakdown = terms.by_label
-    if breakdown is not None:
-        breakdown.update(linear_terms())
-        labels = TERM_LABELS_W if state.form == "w" else TERM_LABELS_U
-        for label in labels:
-            if eps > 0 or not label.startswith("eps-"):
-                breakdown.setdefault(label, np.zeros_like(lin))
-    rhs = Rhs(ScalarField(grid, out[0]), VectorField(grid, out[1:]),
-              formulation, breakdown)
+    rhs = Rhs(ScalarField(grid, out[0]), VectorField(grid, out[1:]))
     release(out, *done)
     return rhs
 
 
 @in_workspace
-def _rhs_u(state, params, eps, formulation, breakdown, use_dealias,
-           spectral):
+def _rhs_u(state, params, eps, use_dealias, spectral):
     """The u-form right-hand side, evaluated one dependency level at a time
     with one batched forward and one batched inverse transform per level.
     eps = 0 is the target system. Each stack goes back to the workspace
     after its last read: a nodal stack after its forward transform, a
     level's spectra once the rows of the inverse that reads them last are
     formed."""
-    name = "rhs_" + formulation.replace("-", "_")
     if state.form != "u":
-        raise ValueError(f"{name} expects a u-form state")
+        raise ValueError("rhs_target and rhs_approx_u expect a u-form state")
     require_positive(state.rho.values)
     grid = state.grid
     d, ik = grid.dim, grid._ik
@@ -173,12 +125,12 @@ def _rhs_u(state, params, eps, formulation, breakdown, use_dealias,
     T = tb.reshape(J.shape)
     np.multiply(J, nu + se, out=T)
     T += nu * np.swapaxes(J, 0, 1)
-    terms = _Terms(breakdown)
-    terms.add("convection", -r * _directional(J, u))
+    # the momentum terms without an outermost derivative, summed nodally
+    nodal = -r * _directional(J, u)
     if params.r0:
-        terms.add("damping-r0", -params.r0 * u)
+        nodal -= params.r0 * u
     if params.r1:
-        terms.add("damping-r1", -params.r1 * r * np.sum(u * u, axis=0) * u)
+        nodal -= params.r1 * r * np.sum(u * u, axis=0) * u
     if reg:
         H = _symmetric(grid, hlog)
         T += se * mu * H
@@ -187,11 +139,10 @@ def _rhs_u(state, params, eps, formulation, breakdown, use_dealias,
         neg_p = r ** (-p0)
         w = u + mu * glog
         w3 = np.sum(w * w, axis=0) ** 1.5
-        terms.add("eps-flux-advect", eps * v * _directional(J, flux))
-        terms.add("eps-mu-flux-hesslog",
-                  eps * mu * v * _directional(H, flux))
-        terms.add("eps-source-drag", -eps * neg_p * u)
-        terms.add("eps-cubic-drag", -(eps ** 1.5) * r * w3 * u)
+        nodal += eps * v * _directional(J, flux)
+        nodal += eps * mu * v * _directional(H, flux)
+        nodal -= eps * neg_p * u
+        nodal -= (eps ** 1.5) * r * w3 * u
     T *= r
     if bohm:
         np.divide(lapv[0], v, out=qb[0])
@@ -215,12 +166,12 @@ def _rhs_u(state, params, eps, formulation, breakdown, use_dealias,
         [] if reg else lin_rows(ph[0]),
         done=() if reg else (hat2,))
     if bohm:
-        terms.add("bohm", params.kappa ** 2 * (2.0 * r * gq))
+        nodal += params.kappa ** 2 * (2.0 * r * gq)
     done = (out1, out2)
     if reg:
         # level 3: [P] -> div T + grad P
         v_q = v * Q[0]
-        terms.add("eps-mu-flux-gradlog", eps * mu * v_q * glog)
+        nodal += eps * mu * v_q * glog
         pressure += eps * mu * (neg_p + v_q)
         p_hat = take(grid, 1, spectral=True)
         to_spectral(grid, -pressure, out=p_hat[0])
@@ -228,32 +179,17 @@ def _rhs_u(state, params, eps, formulation, breakdown, use_dealias,
                                       done=(hat2, p_hat))
         done += (out3,)
     drho = continuity_rate(div_ru[0], eps, v_q, neg_p)
-
-    def linear_terms():
-        """The terms summed in spectral space, one by one."""
-        out = {"viscous": nu * tdiv_arr(grid, r * (J + np.swapaxes(J, 0, 1))),
-               "pressure": -grad_arr(grid, params.a * r ** params.gamma)}
-        if reg:
-            out["eps-viscous"] = se * tdiv_arr(grid, r * J)
-            out["eps-mu-viscous"] = se * mu * tdiv_arr(grid, r * H)
-            out["eps-mu-pgrad"] = -eps * mu * grad_arr(grid, neg_p)
-            out["eps-mu-flux-grad"] = -eps * mu * grad_arr(grid, v_q)
-        return out
-    return _finish(state, formulation, eps, drho, lin, terms, linear_terms,
-                   use_dealias, spectral, done)
+    return _finish(state, drho, lin, nodal, use_dealias, spectral, done)
 
 
-def rhs_target(state, params, breakdown=False, use_dealias=True,
-               spectral=False):
+def rhs_target(state, params, use_dealias=True, spectral=False):
     """Target system: mass transport plus momentum with pressure a*rho^gamma,
     degenerate viscosity 2*nu*div(rho D u), Bohm force, and damping; the
     eps = 0 path of the u-form right-hand side."""
-    return _rhs_u(state, params, 0.0, "target", breakdown, use_dealias,
-                  spectral)
+    return _rhs_u(state, params, 0.0, use_dealias, spectral)
 
 
-def rhs_approx_u(state, params, breakdown=False, use_dealias=True,
-                 spectral=False):
+def rhs_approx_u(state, params, use_dealias=True, spectral=False):
     """Regularized system in (rho, u): parabolic mass regularization
     eps*v*div(|grad v|^2 grad v) + eps*rho^-p0 and the matching
     epsilon-weighted momentum corrections. Setting eps = 0 reproduces
@@ -269,13 +205,11 @@ def rhs_approx_u(state, params, breakdown=False, use_dealias=True,
     spectral (for the IMEX step) returns the masked spectrum of [drho,
     dvel] instead, a workspace stack (see _finish), and skips the inverse
     of the dealiasing pair: seven calls."""
-    return _rhs_u(state, params, params.eps, "approx-u", breakdown,
-                  use_dealias, spectral)
+    return _rhs_u(state, params, params.eps, use_dealias, spectral)
 
 
 @in_workspace
-def rhs_approx_w(state, params, breakdown=False, use_dealias=True,
-                 spectral=False):
+def rhs_approx_w(state, params, use_dealias=True, spectral=False):
     """Regularized system in (rho, w): the effective-velocity form. The
     momentum line contains no third-order dispersive operator; the highest
     derivative applied to the velocity is second order and the only density
@@ -326,22 +260,22 @@ def rhs_approx_w(state, params, breakdown=False, use_dealias=True,
     np.multiply(Jw, params.nu - mu + math.sqrt(eps), out=T)
     T += (params.nu - mu) * np.swapaxes(Jw, 0, 1)
     T *= r
-    terms = _Terms(breakdown)
-    terms.add("convection", -r * _directional(Jw, w))
-    terms.add("mu-laplace", mu * r * lapw)
-    terms.add("mu-gradrho-gradw", 2 * mu * _directional(Jw, gr))
+    # the momentum terms without an outermost derivative, summed nodally
+    nodal = -r * _directional(Jw, w)
+    nodal += mu * r * lapw
+    nodal += 2 * mu * _directional(Jw, gr)
     if params.r0:
-        terms.add("damping-r0", -params.r0 * u)
+        nodal -= params.r0 * u
     if params.r1:
-        terms.add("damping-r1", -params.r1 * r * np.sum(u * u, axis=0) * u)
+        nodal -= params.r1 * r * np.sum(u * u, axis=0) * u
     if reg:
         flux = fb
         np.multiply(np.sum(gv * gv, axis=0), gv, out=flux)
         neg_p = r ** (-params.p0)
         w3 = np.sum(w * w, axis=0) ** 1.5
-        terms.add("eps-flux-advect", eps * v * _directional(Jw, flux))
-        terms.add("eps-cubic-drag", -(eps ** 1.5) * r * w3 * u)
-        terms.add("eps-source-drag", -eps * neg_p * w)
+        nodal += eps * v * _directional(Jw, flux)
+        nodal -= (eps ** 1.5) * r * w3 * u
+        nodal -= eps * neg_p * w
     np.negative(params.a * r ** params.gamma, out=pb[0])
     hat2 = forward_once(grid, b)
     th, fh, ph = split_rows(hat2, (d * d, d * reg, 1))
@@ -355,23 +289,74 @@ def rhs_approx_w(state, params, breakdown=False, use_dealias=True,
     if reg:
         v_q = v * Q[0]
     drho = continuity_rate(div_m[0], eps, v_q, neg_p)
-
-    def linear_terms():
-        """The terms summed in spectral space, one by one."""
-        out = {"pressure": -grad_arr(grid, params.a * r ** params.gamma),
-               "viscous": (params.nu - mu) * tdiv_arr(
-                   grid, r * (Jw + np.swapaxes(Jw, 0, 1)))}
-        if reg:
-            out["eps-viscous"] = math.sqrt(eps) * tdiv_arr(grid, r * Jw)
-        return out
-    return _finish(state, "approx-w", eps, drho, lin, terms, linear_terms,
-                   use_dealias, spectral, (out1, out2))
+    return _finish(state, drho, lin, nodal, use_dealias, spectral,
+                   (out1, out2))
 
 
 def rhs_for(formulation):
     """Dispatch table for the time loop."""
     return {"target": rhs_target, "approx-u": rhs_approx_u,
             "approx-w": rhs_approx_w}[formulation]
+
+
+def rhs_terms(state, params, formulation):
+    """The right-hand side of a formulation term by term: (drho, {label:
+    momentum term}), nodal arrays whose terms sum to rho * dvel. Written
+    apart from the staged right-hand sides as their reference: one plain
+    fields operator (or bohm_force) per term, undealiased and unbatched.
+    Every label of the formulation is present, zero where its coefficient
+    vanishes; the "eps-" labels only when eps > 0 (never for the target).
+    """
+    form = "w" if formulation == "approx-w" else "u"
+    if formulation not in FORMULATIONS or state.form != form:
+        raise ValueError(f"no {formulation!r} right-hand side of a "
+                         f"{state.form}-form state")
+    require_positive(state.rho.values)
+    grid, r, vel = state.grid, state.rho.values, state.vel.values
+    eps = 0.0 if formulation == "target" else params.eps
+    mu, se = params.mu, math.sqrt(eps)
+    J = jac_arr(grid, vel)
+    D = 0.5 * (J + np.swapaxes(J, 0, 1))
+    if form == "u":
+        u = vel
+        drho = -div_arr(grid, r * u)
+        terms = {"convection": -r * _directional(J, u),
+                 "viscous": 2 * params.nu * tdiv_arr(grid, r * D),
+                 "pressure": -grad_arr(grid, params.a * r ** params.gamma),
+                 "bohm": params.kappa ** 2 * bohm_force(state.rho).values}
+    else:
+        w = vel
+        u = w - mu * grad_arr(grid, np.log(r))
+        drho = -div_arr(grid, r * w) + mu * lap_arr(grid, r)
+        terms = {"convection": -r * _directional(J, w),
+                 "pressure": -grad_arr(grid, params.a * r ** params.gamma),
+                 "viscous": 2 * (params.nu - mu) * tdiv_arr(grid, r * D),
+                 "mu-laplace": mu * r * lap_arr(grid, w),
+                 "mu-gradrho-gradw": 2 * mu * _directional(
+                     J, grad_arr(grid, r))}
+    terms["damping-r0"] = -params.r0 * u
+    terms["damping-r1"] = -params.r1 * r * np.sum(u * u, axis=0) * u
+    if eps > 0:
+        v = np.sqrt(r)
+        gv = grad_arr(grid, v)
+        flux = np.sum(gv * gv, axis=0) * gv
+        Q = div_arr(grid, flux)
+        neg_p = r ** (-params.p0)
+        drho = drho + eps * v * Q + eps * neg_p
+        terms["eps-viscous"] = se * tdiv_arr(grid, r * J)
+        terms["eps-flux-advect"] = eps * v * _directional(J, flux)
+        terms["eps-source-drag"] = -eps * neg_p * vel
+        if form == "u":
+            glog, H = grad_arr(grid, np.log(r)), hess_arr(grid, np.log(r))
+            w = u + mu * glog
+            terms["eps-mu-viscous"] = se * mu * tdiv_arr(grid, r * H)
+            terms["eps-mu-flux-hesslog"] = eps * mu * v * _directional(H, flux)
+            terms["eps-mu-pgrad"] = -eps * mu * grad_arr(grid, neg_p)
+            terms["eps-mu-flux-grad"] = -eps * mu * grad_arr(grid, v * Q)
+            terms["eps-mu-flux-gradlog"] = eps * mu * v * Q * glog
+        terms["eps-cubic-drag"] = (-(eps ** 1.5) * r
+                                   * np.sum(w * w, axis=0) ** 1.5 * u)
+    return drho, terms
 
 
 # ---------------------------------------------------------------------------

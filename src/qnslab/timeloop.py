@@ -53,10 +53,6 @@ class NonFiniteError(RuntimeError):
                          f"{bad_nodes} node(s)")
 
 
-class StepUnderflowError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     scheme: str = "imex"

@@ -12,11 +12,13 @@ perturbation that must fail, proving the checks are not vacuous.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, grad_arr, quad, random_smooth_ensemble
+from .fields import (Grid, check_smooth_args, grad_arr, quad,
+                     random_smooth_ensemble)
 from .functionals import (div_vs_D_batch, flux_identity_batch, grad6_batch,
                           grad_sqrtrho_u_batch, jungel_batch)
 from .initdata import mollify, scenario
@@ -48,6 +50,10 @@ class SuiteConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        if not all(isinstance(s, numbers.Integral) and s >= 0
+                   for s in self.seeds):
+            raise ValueError(f"seeds must be nonnegative integers: "
+                             f"{self.seeds}")
         if not self.checks:
             raise ValueError("checks must be nonempty")
         for c in self.checks:
@@ -55,6 +61,9 @@ class SuiteConfig:
                 raise ValueError(f"unknown check {c!r}; known: {ALL_CHECKS}")
         if not self.grids:
             raise ValueError("grids must be nonempty")
+        # each grid's ensemble must be one random_smooth_ensemble accepts
+        for spec in self.grids:
+            check_smooth_args(Grid(spec), self.modes, self.floor)
 
 
 @dataclass(frozen=True)
@@ -267,8 +276,9 @@ def _run_seeded(names, configs, reports):
 
 def check_suites(configs):
     """Raise ValueError unless every suite of {name: SuiteConfig} is known
-    and lists at least one of its own checks. A suite runs only its own
-    checks, so one that lists none would run nothing and pass."""
+    and lists one of its own checks, and every listed check is one suite's.
+    A suite runs only its own checks: one that lists none would run nothing
+    and pass, and a check no suite owns would be neither run nor reported."""
     for name, config in configs.items():
         if name not in SUITE_CHECKS:
             raise ValueError(f"unknown suite {name!r}")
@@ -276,6 +286,12 @@ def check_suites(configs):
             raise ValueError(
                 f"suite {name!r} would run none of {list(config.checks)}; "
                 f"its checks are {list(SUITE_CHECKS[name])}")
+    owned = {c for name in configs for c in SUITE_CHECKS[name]}
+    orphans = sorted({c for config in configs.values()
+                      for c in config.checks} - owned)
+    if orphans:
+        raise ValueError(f"checks {orphans} belong to none of the suites "
+                         f"{list(configs)}")
 
 
 def run_suites(configs):

@@ -75,6 +75,36 @@ class TestRun:
         assert main(["run", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        dict(RUN_DOC, n=7), dict(RUN_DOC, n=[64]), dict(RUN_DOC, n="abc"),
+        dict(RUN_DOC, scenario="acoustic-2d", n=7),
+        dict(RUN_DOC, scenario="uniform-rest", n=[64, 9]),
+    ], ids=["n7", "n-list", "n-str", "2d-n7", "rest-odd"])
+    def test_bad_grid_exits_2(self, tmp_path, capsys, doc):
+        cfg = _write(tmp_path, "run.json", doc)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "bad grid for scenario" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_unknown_mode_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "run.json", dict(RUN_DOC, mode="banana"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown mode 'banana'" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        doc = dict(RUN_DOC, mode="banana", sweep={"eps": [1e-3]})
+        cfg = _write(tmp_path, "s.json", doc)
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "sweep.csv").exists()
+
+    def test_config_mode_is_kept(self, tmp_path):
+        cfg = _write(tmp_path, "run.json", dict(RUN_DOC, mode="paper"))
+        out = tmp_path / "o"
+        main(["run", "--config", cfg, "--out", str(out)])
+        with open(out / "summary.json") as fh:
+            assert json.load(fh)["mode"] == "paper"
+
     def test_uniform_rest_monitors_constant(self, tmp_path):
         doc = dict(RUN_DOC, scenario="uniform-rest")
         doc["params"] = {"nu": 1.0, "kappa": 0.0909}
@@ -126,8 +156,7 @@ class TestNonFiniteVelocity:
                 return out
             dvel = out.dvel.values.copy()
             dvel[0, 5] = np.nan
-            return Rhs(out.drho, VectorField(state.grid, dvel),
-                       out.formulation)
+            return Rhs(out.drho, VectorField(state.grid, dvel))
         monkeypatch.setattr(timeloop, "rhs_for", lambda formulation: poisoned)
         doc = dict(RUN_DOC, integrator=dict(RUN_DOC["integrator"],
                                             dt_min=1e-3))
@@ -250,6 +279,31 @@ class TestVerify:
                      "--out", str(tmp_path / "o")]) == 2
         assert "'identity' would run none" in capsys.readouterr().err
 
+    def test_check_no_selected_suite_owns_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "v.json", {
+            "suites": ["identity"], "checks": ["bohm-forms", "grad6"],
+            "num_seeds": 1, "grids": [[32]], "modes": 2,
+        })
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert "['grad6'] belong to none" in capsys.readouterr().err
+        assert not (out / "identity_report.json").exists()
+
+    @pytest.mark.parametrize("extra", [
+        {"grids": [[7]]}, {"grids": [7]}, {"grids": [[32]], "modes": 20},
+        {"floor": -1}, {"seeds": ["a"]}, {"seeds": 3}, {"num_seeds": "abc"},
+        {"modes": "abc"},
+    ], ids=["grid7", "grid-int", "modes20", "floor-1", "seed-str",
+            "seeds-int", "num-seeds-str", "modes-str"])
+    def test_bad_numeric_input_exits_2(self, tmp_path, capsys, extra):
+        doc = {"suites": ["identity"], "num_seeds": 1, "grids": [[32]],
+               "modes": 2, **extra}
+        cfg = _write(tmp_path, "v.json", doc)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert "invalid suite config" in capsys.readouterr().err
+        assert not (out / "identity_report.json").exists()
+
     def test_unknown_suite_exits_2(self, tmp_path):
         cfg = _write(tmp_path, "v.json", {"suites": ["mystery"]})
         assert main(["verify", "--config", cfg,
@@ -296,6 +350,22 @@ class TestSweep:
                 text[threads] = fh.read()
         assert text["2"] == text["1"]
         assert text["1"].count(b"completed") == 2
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--config", "v.json", "--threads", "2"],
+        ["run", "--config", "r.json", "--threads", "2"],
+        ["report", "--monitors", "m.csv", "--threads", "2"],
+        ["verify", "--config", "v.json", "--mode", "paper"],
+        ["report", "--monitors", "m.csv", "--mode", "desk"],
+        ["report", "--monitors", "m.csv", "--out", "o"],
+    ])
+    def test_flag_not_read_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReport:

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+import inspect
+
 from qnslab.fields import (Grid, ScalarField, VectorField, dealias_arr,
-                           div_arr, from_spectral, grad_arr, hess_arr,
-                           jac_arr, lap_arr, quad, random_smooth_positive,
-                           random_smooth_vector, tdiv_arr, to_spectral)
+                           from_spectral, grad_arr, quad,
+                           random_smooth_positive, random_smooth_vector,
+                           to_spectral)
 from qnslab.physics import QnsParams, State, bohm_force, to_w
-from qnslab.systems import (FORMULATIONS, TERM_LABELS_U, TERM_LABELS_W,
-                            rhs_approx_u, rhs_approx_w, rhs_for, rhs_target,
+from qnslab.systems import (FORMULATIONS, rhs_approx_u, rhs_approx_w,
+                            rhs_for, rhs_target, rhs_terms,
                             trig_test_function, weak_residual)
 
 
@@ -20,6 +22,17 @@ def _state(grid, seed, modes=6, floor=1.0):
 
 
 PARAMS = QnsParams(nu=1.0, kappa=1.0 / 11.0, r0=0.1, r1=0.05, eps=1e-3)
+
+# The momentum-term labels of rhs_terms; the eps- ones only when eps > 0.
+LABELS_U = {"convection", "viscous", "pressure", "bohm", "damping-r0",
+            "damping-r1"}
+EPS_LABELS_U = {"eps-viscous", "eps-mu-viscous", "eps-flux-advect",
+                "eps-mu-flux-hesslog", "eps-source-drag", "eps-cubic-drag",
+                "eps-mu-pgrad", "eps-mu-flux-grad", "eps-mu-flux-gradlog"}
+LABELS_W = {"convection", "pressure", "viscous", "mu-laplace",
+            "mu-gradrho-gradw", "damping-r0", "damping-r1"}
+EPS_LABELS_W = {"eps-viscous", "eps-flux-advect", "eps-cubic-drag",
+                "eps-source-drag"}
 
 
 class TestTarget:
@@ -39,12 +52,13 @@ class TestTarget:
     def test_momentum_breakdown_sums(self):
         g = Grid(64)
         st = _state(g, 5)
-        rhs = rhs_target(st, PARAMS.with_(eps=0.0), breakdown=True,
-                         use_dealias=False)
-        total = sum(rhs.breakdown.values())
+        p = PARAMS.with_(eps=0.0)
+        rhs = rhs_target(st, p, use_dealias=False)
+        _, terms = rhs_terms(st, p, "target")
+        total = sum(terms.values())
         np.testing.assert_allclose(total / st.rho.values, rhs.dvel.values,
                                    atol=1e-12)
-        assert set(rhs.breakdown) <= set(TERM_LABELS_U)
+        assert set(terms) == LABELS_U
 
     def test_rejects_w_form(self):
         g = Grid(16)
@@ -97,9 +111,10 @@ class TestApproxU:
     def test_breakdown_labels_and_sum(self):
         g = Grid(64)
         st = _state(g, 1)
-        rhs = rhs_approx_u(st, PARAMS, breakdown=True, use_dealias=False)
-        assert set(rhs.breakdown) == set(TERM_LABELS_U)
-        total = sum(rhs.breakdown.values())
+        rhs = rhs_approx_u(st, PARAMS, use_dealias=False)
+        _, terms = rhs_terms(st, PARAMS, "approx-u")
+        assert set(terms) == LABELS_U | EPS_LABELS_U
+        total = sum(terms.values())
         np.testing.assert_allclose(total / st.rho.values, rhs.dvel.values,
                                    atol=1e-11)
 
@@ -108,8 +123,8 @@ class TestApproxW:
     def test_breakdown_labels(self):
         g = Grid(64)
         st = to_w(_state(g, 2), PARAMS)
-        rhs = rhs_approx_w(st, PARAMS, breakdown=True, use_dealias=False)
-        assert set(rhs.breakdown) == set(TERM_LABELS_W)
+        _, terms = rhs_terms(st, PARAMS, "approx-w")
+        assert set(terms) == LABELS_W | EPS_LABELS_W
 
     def test_rejects_u_form(self):
         g = Grid(16)
@@ -140,8 +155,9 @@ class TestApproxW:
         g = Grid(64)
         p = PARAMS.with_(eps=0.0)
         st = to_w(_state(g, 3), p)
-        rhs = rhs_approx_w(st, p, breakdown=True, use_dealias=False)
-        assert "eps-viscous" not in rhs.breakdown
+        _, terms = rhs_terms(st, p, "approx-w")
+        assert "eps-viscous" not in terms
+        assert set(terms) == LABELS_W
 
 
 class TestDispatch:
@@ -180,80 +196,16 @@ class TestWeakResidual:
 
 
 # ---------------------------------------------------------------------------
-# staged right-hand sides against the term-by-term formulas
+# staged right-hand sides against the term-by-term reference
 # ---------------------------------------------------------------------------
 
-def _dir(J, b):
-    return np.einsum("ij...,j...->i...", J, b)
-
-
-def _reference_u(state, params, eps, use_dealias):
-    """The u-form right-hand side term by term, one operator per term."""
-    grid, r, u = state.grid, state.rho.values, state.vel.values
-    mu, p0 = params.mu, params.p0
-    J = jac_arr(grid, u)
-    D = 0.5 * (J + np.swapaxes(J, 0, 1))
-    terms = [-r * _dir(J, u),
-             2 * params.nu * tdiv_arr(grid, r * D),
-             -grad_arr(grid, params.a * r ** params.gamma),
-             params.kappa ** 2 * bohm_force(state.rho).values,
-             -params.r0 * u,
-             -params.r1 * r * np.sum(u * u, axis=0) * u]
-    drho = -div_arr(grid, r * u)
-    if eps > 0:
-        v = np.sqrt(r)
-        gv = grad_arr(grid, v)
-        flux = np.sum(gv * gv, axis=0) * gv
-        Q = div_arr(grid, flux)
-        neg_p = r ** (-p0)
-        glog = grad_arr(grid, np.log(r))
-        w = u + mu * glog
-        H = hess_arr(grid, np.log(r))
-        drho = drho + eps * v * Q + eps * neg_p
-        terms += [np.sqrt(eps) * tdiv_arr(grid, r * J),
-                  np.sqrt(eps) * mu * tdiv_arr(grid, r * H),
-                  eps * v * _dir(J, flux),
-                  eps * mu * v * _dir(H, flux),
-                  -eps * neg_p * u,
-                  -(eps ** 1.5) * r * np.sum(w * w, axis=0) ** 1.5 * u,
-                  -eps * mu * grad_arr(grid, neg_p),
-                  -eps * mu * grad_arr(grid, v * Q),
-                  eps * mu * v * Q * glog]
-    dvel = sum(terms) / r
+def _assembled(state, params, formulation, use_dealias):
+    """(drho, dvel) summed from rhs_terms, dealiased if use_dealias."""
+    drho, terms = rhs_terms(state, params, formulation)
+    dvel = sum(terms.values()) / state.rho.values
     if use_dealias:
-        drho, dvel = dealias_arr(grid, drho), dealias_arr(grid, dvel)
-    return drho, dvel
-
-
-def _reference_w(state, params, use_dealias):
-    """The w-form right-hand side term by term, one operator per term."""
-    grid, r, w = state.grid, state.rho.values, state.vel.values
-    eps, mu = params.eps, params.mu
-    u = w - mu * grad_arr(grid, np.log(r))
-    Jw = jac_arr(grid, w)
-    Dw = 0.5 * (Jw + np.swapaxes(Jw, 0, 1))
-    drho = -div_arr(grid, r * w) + mu * lap_arr(grid, r)
-    terms = [-r * _dir(Jw, w),
-             -grad_arr(grid, params.a * r ** params.gamma),
-             2 * (params.nu - mu) * tdiv_arr(grid, r * Dw),
-             mu * r * lap_arr(grid, w),
-             2 * mu * _dir(Jw, grad_arr(grid, r)),
-             -params.r0 * u,
-             -params.r1 * r * np.sum(u * u, axis=0) * u]
-    if eps > 0:
-        v = np.sqrt(r)
-        gv = grad_arr(grid, v)
-        flux = np.sum(gv * gv, axis=0) * gv
-        Q = div_arr(grid, flux)
-        neg_p = r ** (-params.p0)
-        drho = drho + eps * v * Q + eps * neg_p
-        terms += [np.sqrt(eps) * tdiv_arr(grid, r * Jw),
-                  eps * v * _dir(Jw, flux),
-                  -(eps ** 1.5) * r * np.sum(w * w, axis=0) ** 1.5 * u,
-                  -eps * neg_p * w]
-    dvel = sum(terms) / r
-    if use_dealias:
-        drho, dvel = dealias_arr(grid, drho), dealias_arr(grid, dvel)
+        drho, dvel = dealias_arr(state.grid, drho), dealias_arr(state.grid,
+                                                                dvel)
     return drho, dvel
 
 
@@ -282,12 +234,12 @@ class TestStaged:
         st = _staged_state(spec)
         p = QnsParams(nu=1.0, **kw)
         rhs = rhs_approx_u(st, p, use_dealias=use_dealias)
-        drho, dvel = _reference_u(st, p, p.eps, use_dealias)
+        drho, dvel = _assembled(st, p, "approx-u", use_dealias)
         _assert_rel(rhs.drho.values, drho)
         _assert_rel(rhs.dvel.values, dvel)
         # the target system ignores eps
         rt = rhs_target(st, p, use_dealias=use_dealias)
-        drho, dvel = _reference_u(st, p, 0.0, use_dealias)
+        drho, dvel = _assembled(st, p, "target", use_dealias)
         _assert_rel(rt.drho.values, drho)
         _assert_rel(rt.dvel.values, dvel)
 
@@ -298,32 +250,73 @@ class TestStaged:
         p = QnsParams(nu=1.0, **kw)
         st = to_w(_staged_state(spec), p)
         rhs = rhs_approx_w(st, p, use_dealias=use_dealias)
-        drho, dvel = _reference_w(st, p, use_dealias)
+        drho, dvel = _assembled(st, p, "approx-w", use_dealias)
         _assert_rel(rhs.drho.values, drho)
         _assert_rel(rhs.dvel.values, dvel)
 
     @pytest.mark.parametrize("spec", STAGED_GRIDS)
     def test_breakdown_bohm_is_form_a(self, spec):
         st = _staged_state(spec)
+        expected = PARAMS.kappa ** 2 * bohm_force(st.rho, "A").values
+        # at rest, without pressure or damping, the staged momentum is the
+        # Bohm term alone
+        rest = State(st.rho, VectorField.zero(st.grid))
+        p = QnsParams(nu=1.0, kappa=PARAMS.kappa, a=0.0)
         for rhs_fn in (rhs_target, rhs_approx_u):
-            rhs = rhs_fn(st, PARAMS, breakdown=True)
-            expected = PARAMS.kappa ** 2 * bohm_force(st.rho, "A").values
-            _assert_rel(rhs.breakdown["bohm"], expected, rtol=1e-14)
+            rhs = rhs_fn(rest, p, use_dealias=False)
+            _assert_rel(st.rho.values * rhs.dvel.values, expected,
+                        rtol=1e-14)
+        for formulation in ("target", "approx-u"):
+            _, terms = rhs_terms(st, PARAMS, formulation)
+            _assert_rel(terms["bohm"], expected, rtol=1e-14)
 
     @pytest.mark.parametrize("spec", STAGED_GRIDS)
     def test_breakdown_sums_to_dvel_in_every_form(self, spec):
         st = _staged_state(spec)
-        for rhs_fn, s, labels in (
-                (rhs_target, st, TERM_LABELS_U[:6]),
-                (rhs_approx_u, st, TERM_LABELS_U),
-                (rhs_approx_w, to_w(st, PARAMS), TERM_LABELS_W)):
-            rhs = rhs_fn(s, PARAMS, breakdown=True, use_dealias=False)
+        for rhs_fn, formulation, s, labels in (
+                (rhs_target, "target", st, LABELS_U),
+                (rhs_approx_u, "approx-u", st, LABELS_U | EPS_LABELS_U),
+                (rhs_approx_w, "approx-w", to_w(st, PARAMS),
+                 LABELS_W | EPS_LABELS_W)):
+            _, terms = rhs_terms(s, PARAMS, formulation)
             plain = rhs_fn(s, PARAMS, use_dealias=False)
-            assert plain.breakdown is None
-            assert set(rhs.breakdown) == set(labels)
-            _assert_rel(sum(rhs.breakdown.values()) / s.rho.values,
+            assert set(terms) == labels
+            _assert_rel(sum(terms.values()) / s.rho.values,
                         plain.dvel.values, rtol=1e-12)
-            np.testing.assert_array_equal(rhs.dvel.values, plain.dvel.values)
+
+    def test_staged_signature(self):
+        for rhs_fn in (rhs_target, rhs_approx_u, rhs_approx_w):
+            assert list(inspect.signature(rhs_fn).parameters) == [
+                "state", "params", "use_dealias", "spectral"]
+
+
+class TestRhsTerms:
+    def test_rejects_mismatched_form(self):
+        st = _staged_state((32,))
+        with pytest.raises(ValueError):
+            rhs_terms(st, PARAMS, "approx-w")
+        with pytest.raises(ValueError):
+            rhs_terms(to_w(st, PARAMS), PARAMS, "target")
+        with pytest.raises(ValueError):
+            rhs_terms(st, PARAMS, "banana")
+
+    def test_target_ignores_eps(self):
+        st = _staged_state((16, 24))
+        drho, terms = rhs_terms(st, PARAMS, "target")
+        drho0, terms0 = rhs_terms(st, PARAMS.with_(eps=0.0), "approx-u")
+        np.testing.assert_array_equal(drho, drho0)
+        assert terms.keys() == terms0.keys()
+        for label in terms:
+            np.testing.assert_array_equal(terms[label], terms0[label])
+
+    def test_zero_coefficients_give_zero_terms(self):
+        st = _staged_state((32,))
+        p = QnsParams(nu=1.0, eps=1e-3)
+        for s, formulation in ((st, "approx-u"), (to_w(st, p), "approx-w")):
+            _, terms = rhs_terms(s, p, formulation)
+            for label in ("damping-r0", "damping-r1") + (
+                    ("bohm",) if formulation == "approx-u" else ()):
+                assert not np.any(terms[label])
 
 
 @pytest.mark.parametrize("spec", [(128,), (64, 64), (8, 12, 16)])

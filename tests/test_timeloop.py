@@ -57,7 +57,7 @@ def _poisoned_velocity(last_call):
             return out
         dvel = out.dvel.values.copy()
         dvel[0, 3] = np.nan
-        return Rhs(out.drho, VectorField(state.grid, dvel), out.formulation)
+        return Rhs(out.drho, VectorField(state.grid, dvel))
     return rhs
 
 
@@ -113,8 +113,7 @@ class TestStep:
                 return rhs
             drho = rhs.drho.values.copy()
             drho[3] = np.nan
-            return Rhs(ScalarField(state.grid, drho), rhs.dvel,
-                       rhs.formulation)
+            return Rhs(ScalarField(state.grid, drho), rhs.dvel)
         with pytest.raises(PositivityError) as info:
             step(st, PARAMS, nan_rhs, 1e-4, scheme=scheme)
         assert info.value.bad_nodes >= 1

@@ -38,6 +38,25 @@ class TestSuiteConfig:
         with pytest.raises(ValueError):
             SuiteConfig(grids=())
 
+    @pytest.mark.parametrize("kw", [
+        dict(grids=((7,),)), dict(grids=((32, 33),)), dict(grids=((),)),
+        dict(grids=((32,),), modes=20), dict(grids=((32,),), modes=-1),
+        dict(floor=-1.0), dict(floor=0.0), dict(floor=float("nan")),
+        dict(seeds=("a",)), dict(seeds=(0, -1)), dict(seeds=(1.5,)),
+    ])
+    def test_rejects_inputs_the_ensemble_cannot_take(self, kw):
+        with pytest.raises(ValueError):
+            SuiteConfig(**kw)
+
+    def test_modes_limit_is_the_ensemble_limit(self):
+        # (32,) allows modes up to 32 // 3 = 10, and so does the ensemble
+        SuiteConfig(grids=((32,),), modes=10)
+        random_smooth_ensemble(Grid(32), (0,), 10, floor=1.0)
+        with pytest.raises(ValueError, match="dealias-safe limit 10"):
+            SuiteConfig(grids=((32,),), modes=11)
+        with pytest.raises(ValueError, match="dealias-safe limit 10"):
+            random_smooth_ensemble(Grid(32), (0,), 11, floor=1.0)
+
     def test_all_checks_enumerated(self):
         assert "bohm-forms" in ALL_CHECKS
         assert "jungel-quartic" in ALL_CHECKS
@@ -132,6 +151,21 @@ def test_suite_without_its_own_checks_is_rejected(run, checks):
     # such a suite used to run nothing and report a pass
     with pytest.raises(ValueError, match="would run none"):
         run(SuiteConfig(seeds=(0,), grids=((32,),), modes=2, checks=checks))
+
+
+def test_check_no_selected_suite_owns_is_rejected():
+    # identity runs bohm-forms; grad6 belongs to the inequality suite, which
+    # is not selected, so it would be neither run nor reported
+    config = SuiteConfig(seeds=(0,), grids=((32,),), modes=2,
+                         checks=("bohm-forms", "grad6"))
+    with pytest.raises(ValueError, match=r"\['grad6'\] belong to none"):
+        run_suites({"identity": config})
+    with pytest.raises(ValueError, match="belong to none"):
+        run_identity_suite(config)
+    # with the owning suite selected as well, every check runs
+    reports = run_suites({"identity": config, "inequality": config})
+    assert {r.check for r in reports["identity"].results} == {"bohm-forms"}
+    assert {r.check for r in reports["inequality"].results} == {"grad6"}
 
 
 def test_run_suite_dispatch():

@@ -70,11 +70,6 @@ def _same_state(a, b):
 def _same_rhs(a, b):
     _same(a.drho.values, b.drho.values)
     _same(a.dvel.values, b.dvel.values)
-    assert (a.breakdown is None) == (b.breakdown is None)
-    if a.breakdown is not None:
-        assert a.breakdown.keys() == b.breakdown.keys()
-        for key in a.breakdown:
-            _same(a.breakdown[key], b.breakdown[key])
 
 
 def _parent_step(state, params, rhs_fn, dt, scheme):
@@ -168,12 +163,11 @@ def test_rhs_sequence_equals_fresh_calls(pool, n, formulation):
     form = "w" if formulation == "approx-w" else "u"
     fn = RHS[formulation]
     s1, s2 = _state(n, 3, form), _state(n, 4, form)
-    refs = [_bypassed(lambda s=s: fn(s, PARAMS, breakdown=True))
-            for s in (s1, s2)]
+    refs = [_bypassed(lambda s=s: fn(s, PARAMS)) for s in (s1, s2)]
     kept = []
     for s, ref in ((s1, refs[0]), (s2, refs[1]), (s1, refs[0])):
         _poison(pool)
-        kept.append(fn(s, PARAMS, breakdown=True))
+        kept.append(fn(s, PARAMS))
         _same_rhs(kept[-1], ref)
         _same_rhs(fn(s, PARAMS, use_dealias=False),
                   _bypassed(lambda s=s: fn(s, PARAMS, use_dealias=False)))
@@ -250,8 +244,7 @@ def _draining(state, params, use_dealias=True, spectral=False):
     y[0] = -1e9
     if spectral:
         return to_spectral(grid, y)
-    return systems.Rhs(ScalarField(grid, y[0]), VectorField(grid, y[1:]),
-                       "approx-u")
+    return systems.Rhs(ScalarField(grid, y[0]), VectorField(grid, y[1:]))
 
 
 @pytest.mark.parametrize("n", GRIDS)
