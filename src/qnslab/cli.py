@@ -12,7 +12,8 @@ Subcommands:
 Exit codes: 0 success; 1 verification/run check failure; 2 configuration
 error; 3 positivity failure during integration. Configs are JSON files; the
 QNSLAB_OUT environment variable may override the output directory (nothing
-else is overridable from the environment).
+else is overridable from the environment). The output directory is created
+only once the config is validated, so a configuration error writes nothing.
 """
 
 from __future__ import annotations
@@ -55,13 +56,27 @@ def _load_config(path):
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    return cfg
+
+
+def _block(cfg, key):
+    """A copy of the object cfg[key], empty if the key is absent."""
+    block = cfg.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key!r} must be an object, got {block!r}")
+    return dict(block)
 
 
 def _out_dir(cfg, args):
+    """The output directory, created; called once the config is valid."""
     out = os.environ.get("QNSLAB_OUT") or args.out or cfg.get("out") or "."
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a path, got {out!r}")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -73,8 +88,9 @@ def _mode(cfg, args):
     return mode
 
 
-def _build_params(cfg, mode):
-    block = dict(cfg.get("params", {}))
+def _build_params(cfg, mode, overrides=()):
+    block = _block(cfg, "params")
+    block.update(overrides)
     paper = mode == "paper"
     block.setdefault("p0", PAPER_P0 if paper else DESK_P0)
     block.setdefault("sigma0", PAPER_SIGMA0 if paper else DESK_SIGMA0)
@@ -86,7 +102,7 @@ def _build_params(cfg, mode):
 
 
 def _build_integrator(cfg):
-    block = dict(cfg.get("integrator", {}))
+    block = _block(cfg, "integrator")
     try:
         return IntegratorConfig(**block)
     except (TypeError, ValueError) as exc:
@@ -141,10 +157,11 @@ def _write_monitors(path, records):
             writer.writerow([repr(float(x)) for x in row])
 
 
-def cmd_run(args):
-    cfg = _load_config(args.config)
-    out = _out_dir(cfg, args)
-    params = _build_params(cfg, _mode(cfg, args))
+def _prepare_run(cfg, mode, overrides=()):
+    """(params, integrator config, initial state, constraint report,
+    initial-data report) of a run config with the params overrides applied;
+    raises ConfigError unless the run may start."""
+    params = _build_params(cfg, mode, overrides)
     config = _build_integrator(cfg)
     initial = _build_initial(cfg, params)
     constraint_report = check_constraints(params)
@@ -163,7 +180,15 @@ def cmd_run(args):
     if bad:
         raise ConfigError(f"initial velocity must be finite: {bad} "
                           f"non-finite node value(s)")
-    traj = integrate(initial, params, config, check_strict=False)
+    return params, config, initial, constraint_report, init_report
+
+
+def cmd_run(args):
+    cfg = _load_config(args.config)
+    params, config, initial, constraint_report, init_report = _prepare_run(
+        cfg, _mode(cfg, args))
+    out = _out_dir(cfg, args)
+    traj = integrate(initial, params, config)
     _write_monitors(os.path.join(out, "monitors.csv"), traj.records)
     if traj.states:
         final = traj.states[-1]
@@ -218,13 +243,14 @@ def _suite_config(cfg):
 
 def cmd_verify(args):
     cfg = _load_config(args.config)
-    out = _out_dir(cfg, args)
     suites = cfg.get("suites", ["identity", "inequality"])
+    if not isinstance(suites, list):
+        raise ConfigError(f"suites must be a list, got {suites!r}")
     configs = {}
     for name in suites:
         if name not in SUITE_CHECKS:
             raise ConfigError(f"unknown suite {name!r}")
-        block = dict(cfg.get(name, {}))
+        block = _block(cfg, name)
         for key in ("seeds", "num_seeds", "grids", "modes", "floor",
                     "rel_tol", "canary", "checks"):
             if key in cfg and key not in block:
@@ -235,6 +261,7 @@ def cmd_verify(args):
         check_suites(configs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    out = _out_dir(cfg, args)
     overall = True
     for name, report in run_suites(configs).items():
         with open(os.path.join(out, f"{name}_report.json"), "w") as fh:
@@ -255,41 +282,42 @@ SWEEP_AXES = ("kappa", "r0", "r1", "eps")
 
 def cmd_sweep(args):
     cfg = _load_config(args.config)
-    out = _out_dir(cfg, args)
     mode = _mode(cfg, args)
-    sweep = cfg.get("sweep", {})
-    for key in sweep:
+    _block(cfg, "params")  # each point overrides it, so it must be an object
+    sweep = _block(cfg, "sweep")
+    for key, vals in sweep.items():
         if key not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {key!r}; "
                               f"allowed: {SWEEP_AXES}")
-    axes = [(k, list(sweep[k])) for k in SWEEP_AXES if k in sweep]
+        if not isinstance(vals, list):
+            raise ConfigError(f"sweep axis {key!r} must be a list of values")
+    axes = [(k, sweep[k]) for k in SWEEP_AXES if k in sweep]
     if not axes:
         axes = [("eps", [_build_params(cfg, mode).eps])]
     points = list(itertools.product(*(vals for _, vals in axes)))
     names = [k for k, _ in axes]
+    out = _out_dir(cfg, args)
 
     def one_point(point):
-        sub = json.loads(json.dumps(cfg))
-        sub.setdefault("params", {}).update(dict(zip(names, point)))
+        """One row of sweep.csv: the point run as `run` would run it, or
+        an error row if the point fails validation or the run raises."""
+        values = dict(zip(names, point))
         try:
-            params = _build_params(sub, mode)
-            config = _build_integrator(sub)
-            initial = _build_initial(sub, params)
-            traj = integrate(initial, params, config, keep_states=False,
-                             check_strict=False)
-            recs = traj.records
-            return {
-                **dict(zip(names, point)),
-                "status": traj.status,
-                "sup_energy": max(r.energy for r in recs),
-                "sup_bd_entropy": max(r.bd_entropy for r in recs),
-                "sup_mv": max(r.mv for r in recs),
-                "min_rho": min(r.rho_min for r in recs),
-                "max_rho": max(r.rho_max for r in recs),
-                "final_mass": recs[-1].mass,
-            }
+            params, config, initial, _, _ = _prepare_run(cfg, mode, values)
+            traj = integrate(initial, params, config, keep_states=False)
         except (ValueError, RuntimeError) as exc:
-            return {**dict(zip(names, point)), "status": f"error: {exc}"}
+            return {**values, "status": f"error: {exc}"}
+        recs = traj.records
+        return {
+            **values,
+            "status": traj.status,
+            "sup_energy": max(r.energy for r in recs),
+            "sup_bd_entropy": max(r.bd_entropy for r in recs),
+            "sup_mv": max(r.mv for r in recs),
+            "min_rho": min(r.rho_min for r in recs),
+            "max_rho": max(r.rho_max for r in recs),
+            "final_mass": recs[-1].mass,
+        }
 
     if args.threads and args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:

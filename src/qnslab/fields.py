@@ -433,7 +433,9 @@ def _ik_dot(grid, vhat):
 
 
 def grad_arr(grid, arr, backend="spectral"):
-    """(..., dim, *n) array of first derivatives."""
+    """First derivatives as a new axis just before the grid axes: the
+    (..., dim, *n) gradient of a scalar, and of a vector v the Jacobian
+    (..., dim, dim, *n) with [i, j] = d(v_i)/dx_j."""
     _check_backend(backend)
     if backend == "fd2":
         return np.stack([deriv_arr(grid, arr, a, backend)
@@ -443,6 +445,8 @@ def grad_arr(grid, arr, backend="spectral"):
 
 
 def div_arr(grid, vec, backend="spectral"):
+    """Divergence over the axis before the grid axes: sum_j d(v_j)/dx_j of
+    a vector, and of a tensor the row-wise out_i = sum_j d(T_ij)/dx_j."""
     _check_backend(backend)
     if backend == "fd2":
         return sum(deriv_arr(grid, vec[_comp(grid, a)], a, backend)
@@ -488,8 +492,8 @@ def _multipliers(grid, kind):
 def derivatives_arr(grid, arr, kinds):
     """Several derivatives of a stack with leading batch axes from one
     forward and one inverse transform, spectral, in the order of kinds:
-    "grad" (jac_arr for a vector stack), "hess" or "lap". Each equals
-    grad_arr, jac_arr, hess_arr or lap_arr bitwise."""
+    "grad" (the Jacobian of a vector stack), "hess" or "lap". Each equals
+    grad_arr, hess_arr or lap_arr bitwise."""
     groups = [_multipliers(grid, kind) for kind in kinds]
     rows = from_spectral(grid, _mult_stack(grid, to_spectral(grid, arr),
                                            [m for ms in groups for m in ms]))
@@ -506,28 +510,6 @@ def derivatives_arr(grid, arr, kinds):
         # rows are freed once read
         out.append(block.copy() if len(kinds) > 1 else block)
     return out
-
-
-def jac_arr(grid, vec, backend="spectral"):
-    """Jacobian (..., dim, dim, *n) with [i, j] = d(vec_i)/dx_j."""
-    _check_backend(backend)
-    d = grid.dim
-    if backend == "fd2":
-        return np.stack([grad_arr(grid, vec[_comp(grid, i)], backend)
-                         for i in range(d)], axis=-d - 2)
-    return from_spectral(grid, _mult_stack(grid, to_spectral(grid, vec),
-                                           grid._ik))
-
-
-def tdiv_arr(grid, tens, backend="spectral"):
-    """Row-wise divergence of a tensor: out_i = sum_j d(T_ij)/dx_j."""
-    _check_backend(backend)
-    d = grid.dim
-    if backend == "fd2":
-        return np.stack([sum(deriv_arr(grid, tens[_comp(grid, i, j)], j,
-                                       backend) for j in range(d))
-                         for i in range(d)], axis=-d - 1)
-    return from_spectral(grid, _ik_dot(grid, to_spectral(grid, tens)))
 
 
 def quad(grid, arr):
@@ -567,7 +549,7 @@ def hessian(f, backend="spectral"):
 
 
 def sym_grad(F, backend="spectral"):
-    J = jac_arr(F.grid, F.values, backend)
+    J = grad_arr(F.grid, F.values, backend)
     return TensorField(F.grid, 0.5 * (J + np.swapaxes(J, 0, 1)))
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import (ScalarField, VectorField, derivatives_arr, div_arr,
-                     grad_arr, hess_arr, lap_arr, per_node, tdiv_arr)
+                     grad_arr, hess_arr, lap_arr, per_node)
 
 # Analysis-mode constants: these make the regularization terms either
 # negligible or catastrophically stiff numerically, so simulation defaults
@@ -191,7 +191,7 @@ def require_positive(rho_values):
 
 
 # The first-level pieces of a Derived bundle: name -> (input, derivative).
-# The derivative is the spectral grad_arr (jac_arr of a vector input),
+# The derivative is the spectral grad_arr (a Jacobian of a vector input),
 # hess_arr or lap_arr of fields applied to the input, with the same bits.
 PIECES = {
     "grad_sqrt_rho": ("sqrt_rho", "grad"),
@@ -336,7 +336,7 @@ def bohm_arr(d, form="A", backend="spectral"):
         return 2.0 * per_node(grid, r) * grad_arr(grid, lv / v, backend)
     if form == "B":
         H = d.hess_log_rho if spectral else hess_arr(grid, d.log_rho, backend)
-        return tdiv_arr(grid, per_node(grid, r, 2) * H, backend)
+        return div_arr(grid, per_node(grid, r, 2) * H, backend)
     if form == "C":
         gv = (d.grad_sqrt_rho if spectral
               else grad_arr(grid, d.sqrt_rho, backend))
@@ -344,7 +344,7 @@ def bohm_arr(d, form="A", backend="spectral"):
         ca = -grid.dim - 1
         outer = np.expand_dims(gv, ca) * np.expand_dims(gv, ca - 1)
         return (grad_arr(grid, lr, backend)
-                - 4.0 * tdiv_arr(grid, outer, backend))
+                - 4.0 * div_arr(grid, outer, backend))
     raise ValueError(f"form must be 'A', 'B', or 'C', got {form!r}")
 
 

@@ -16,9 +16,8 @@ import numpy as np
 
 from .fields import (ScalarField, VectorField, _symmetric, div_arr,
                      forward_once, grad_arr, hess_arr, in_workspace,
-                     inverse_groups, inverse_once, jac_arr, lap_arr,
-                     nodal_stack, quad, release, split_rows, take, tdiv_arr,
-                     to_spectral)
+                     inverse_groups, inverse_once, lap_arr, nodal_stack, quad,
+                     release, split_rows, take, to_spectral)
 from .physics import Derived, bohm_force, require_positive
 
 FORMULATIONS = ("target", "approx-u", "approx-w")
@@ -202,7 +201,7 @@ def rhs_approx_u(state, params, use_dealias=True, spectral=False):
     Hess log rho), and grad P with the one pressure-like scalar
     P = -(a rho^gamma + eps mu rho^-p0 + eps mu sqrt(rho) Q).
 
-    spectral (for the IMEX step) returns the masked spectrum of [drho,
+    spectral (for the time step) returns the masked spectrum of [drho,
     dvel] instead, a workspace stack (see _finish), and skips the inverse
     of the dealiasing pair: seven calls."""
     return _rhs_u(state, params, params.eps, use_dealias, spectral)
@@ -315,13 +314,13 @@ def rhs_terms(state, params, formulation):
     grid, r, vel = state.grid, state.rho.values, state.vel.values
     eps = 0.0 if formulation == "target" else params.eps
     mu, se = params.mu, math.sqrt(eps)
-    J = jac_arr(grid, vel)
+    J = grad_arr(grid, vel)
     D = 0.5 * (J + np.swapaxes(J, 0, 1))
     if form == "u":
         u = vel
         drho = -div_arr(grid, r * u)
         terms = {"convection": -r * _directional(J, u),
-                 "viscous": 2 * params.nu * tdiv_arr(grid, r * D),
+                 "viscous": 2 * params.nu * div_arr(grid, r * D),
                  "pressure": -grad_arr(grid, params.a * r ** params.gamma),
                  "bohm": params.kappa ** 2 * bohm_force(state.rho).values}
     else:
@@ -330,7 +329,7 @@ def rhs_terms(state, params, formulation):
         drho = -div_arr(grid, r * w) + mu * lap_arr(grid, r)
         terms = {"convection": -r * _directional(J, w),
                  "pressure": -grad_arr(grid, params.a * r ** params.gamma),
-                 "viscous": 2 * (params.nu - mu) * tdiv_arr(grid, r * D),
+                 "viscous": 2 * (params.nu - mu) * div_arr(grid, r * D),
                  "mu-laplace": mu * r * lap_arr(grid, w),
                  "mu-gradrho-gradw": 2 * mu * _directional(
                      J, grad_arr(grid, r))}
@@ -343,13 +342,13 @@ def rhs_terms(state, params, formulation):
         Q = div_arr(grid, flux)
         neg_p = r ** (-params.p0)
         drho = drho + eps * v * Q + eps * neg_p
-        terms["eps-viscous"] = se * tdiv_arr(grid, r * J)
+        terms["eps-viscous"] = se * div_arr(grid, r * J)
         terms["eps-flux-advect"] = eps * v * _directional(J, flux)
         terms["eps-source-drag"] = -eps * neg_p * vel
         if form == "u":
             glog, H = grad_arr(grid, np.log(r)), hess_arr(grid, np.log(r))
             w = u + mu * glog
-            terms["eps-mu-viscous"] = se * mu * tdiv_arr(grid, r * H)
+            terms["eps-mu-viscous"] = se * mu * div_arr(grid, r * H)
             terms["eps-mu-flux-hesslog"] = eps * mu * v * _directional(H, flux)
             terms["eps-mu-pgrad"] = -eps * mu * grad_arr(grid, neg_p)
             terms["eps-mu-flux-grad"] = -eps * mu * grad_arr(grid, v * Q)
@@ -402,7 +401,7 @@ def weak_residual(times, states, test, params):
         raise ValueError("times and states must align")
     grid = states[0].grid
     psi = test.psi.values
-    Jpsi = jac_arr(grid, psi)
+    Jpsi = grad_arr(grid, psi)
     div_psi = np.trace(Jpsi, axis1=0, axis2=1)
 
     rho0 = states[0].rho.values

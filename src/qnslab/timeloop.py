@@ -23,8 +23,7 @@ from .fields import (ScalarField, VectorField, dealias_arr, div_arr,
 from .functionals import (DISSIPATION_KEYS, Derived, MonitorRecord,
                           bd_entropy, derived, energy, energy_dissipation,
                           mv_functional)
-from .physics import (State, VacuumError, bohm_arr, check_constraints, to_u,
-                      to_w)
+from .physics import State, VacuumError, bohm_arr, to_u, to_w
 from .systems import continuity_rate, rhs_for
 
 SCHEMES = ("rk4-explicit", "imex")
@@ -90,10 +89,6 @@ class Trajectory:
     records: list = field(default_factory=list)
     dissipation_time_integrals: dict = field(default_factory=dict)
     status: str = "completed"
-
-    @property
-    def final_state(self):
-        return self.states[-1]
 
 
 def _linear_coeffs(formulation, params, dim):
@@ -191,14 +186,15 @@ def _etd_correct(grid, blocks, dt, a, m_hat, fa_hat):
 
 @in_workspace
 def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
-         positivity_floor=1e-10, use_dealias=True):
+         positivity_floor=1e-10):
     """Advance one step; raises PositivityError if the density drops to the
     floor or is not finite, NonFiniteError if the velocity is not finite.
 
     The density and the velocity travel as one (1 + dim, *n) stack. Stage
-    stacks come from the workspace; the returned State holds copies. RK4
-    reads each right-hand side as an Rhs; the IMEX step reads it as the
-    spectrum rhs_fn(..., spectral=True) returns, a workspace stack."""
+    stacks come from the workspace; the returned State holds copies. Both
+    schemes read each right-hand side as the masked spectrum
+    rhs_fn(s, params, spectral=True) returns, a workspace stack; an RK4
+    slope is its inverse."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = state.grid
@@ -215,32 +211,26 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
         y[1:] = state.vel.values
         return y
 
-    def f(s, spectral=False):
-        """The right-hand side at the stage State s: its spectrum if
-        spectral, else a stack taken once the right-hand side has returned
-        its stacks."""
+    def f(s):
+        """The spectrum of the right-hand side at the stage State s."""
         try:
-            rhs = rhs_fn(s, params, use_dealias=use_dealias,
-                         spectral=spectral)
+            return rhs_fn(s, params, spectral=True)
         except VacuumError as exc:
             # a stage value already left the positive cone: same failure
             # mode as a post-step violation
             raise PositivityError(s.time, exc.bad_nodes,
                                   exc.rho_min) from exc
-        if spectral:
-            return rhs
-        out = take(grid, m)
-        out[0] = rhs.drho.values
-        out[1:] = rhs.dvel.values
-        return out
+
+    def slope(s):
+        return inverse_once(grid, f(s))
 
     t0 = state.time
     if scheme == "rk4-explicit":
         y0 = values()
-        k1 = f(state)
-        k2 = f(unpack(y0 + 0.5 * dt * k1, t0 + dt / 2))
-        k3 = f(unpack(y0 + 0.5 * dt * k2, t0 + dt / 2))
-        k4 = f(unpack(y0 + dt * k3, t0 + dt))
+        k1 = slope(state)
+        k2 = slope(unpack(y0 + 0.5 * dt * k1, t0 + dt / 2))
+        k3 = slope(unpack(y0 + 0.5 * dt * k2, t0 + dt / 2))
+        k4 = slope(unpack(y0 + dt * k3, t0 + dt))
         y1 = y0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         release(y0, k1, k2, k3, k4)
     elif scheme == "imex":
@@ -250,11 +240,10 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
                    _etd_multipliers(grid, c_rho, dt)),
                   (slice(1, m), c_vel * grid._lap,
                    _etd_multipliers(grid, c_vel, dt))]
-        f0_hat = f(state, spectral=True)
+        f0_hat = f(state)
         ya, m_hat = _etd_predict(grid, blocks, forward_once(grid, values()),
                                  f0_hat)
-        y1 = _etd_correct(grid, blocks, dt, ya, m_hat,
-                          f(unpack(ya, t0 + dt), spectral=True))
+        y1 = _etd_correct(grid, blocks, dt, ya, m_hat, f(unpack(ya, t0 + dt)))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -316,16 +305,13 @@ def _monitor_sample(state, params):
     return values, flux
 
 
-def integrate(initial, params, config, formulation=None, use_dealias=True,
-              check_strict=True, keep_states=True):
+def integrate(initial, params, config, formulation=None, keep_states=True):
     """Advance to t_end (or failure), recording monitors at cadence.
 
     Time-integrated dissipation is accumulated by the trapezoid rule over
     monitor samples. The mass-balance residual column is the discrete form of
     d(int rho)/dt + eps*int|grad v|^4 - eps*int rho^-p0.
     """
-    if check_strict:
-        check_constraints(params)
     if formulation is None:
         formulation = {"u": "approx-u", "w": "approx-w"}[initial.form]
     rhs_fn = rhs_for(formulation)
@@ -366,13 +352,9 @@ def integrate(initial, params, config, formulation=None, use_dealias=True,
             dt = min(cfl_dt(state, params, config), config.dt_max)
             dt = max(dt, config.dt_min)
         dt = min(dt, config.t_end - state.time)
-        if dt < config.dt_min * (1 - 1e-12) and dt < config.t_end - state.time:
-            traj.status = "step-underflow"
-            return traj
         try:
             state = step(state, params, rhs_fn, dt, scheme=config.scheme,
-                         positivity_floor=config.positivity_floor,
-                         use_dealias=use_dealias)
+                         positivity_floor=config.positivity_floor)
         except PositivityError as exc:
             traj.status = (f"positivity-failure at t={exc.time:.6g} "
                            f"({exc.bad_nodes} nodes, rho_min={exc.rho_min:g})")
@@ -409,7 +391,7 @@ class EnergyBudgetReport:
         return float(np.max(self.residuals)) if len(self.residuals) else 0.0
 
 
-def _budget_rate(state, params, use_dealias=True):
+def _budget_rate(state, params):
     """Analytic instantaneous dE/dt, grouped as -(dissipation) + sources,
     of a u-form State or its Derived bundle.
 
@@ -465,9 +447,8 @@ def _budget_rate(state, params, use_dealias=True):
     kinetic_rate = 2 * (sources - diss)
 
     # chain rule through d rho/dt for the non-kinetic energy parts
-    drho = continuity_rate(div_arr(grid, r * u), eps, v_q, neg_p)
-    if use_dealias:
-        drho = dealias_arr(grid, drho)
+    drho = dealias_arr(grid, continuity_rate(div_arr(grid, r * u), eps, v_q,
+                                             neg_p))
     lv = d.lap_sqrt_rho
     pot_rate = quad(grid, drho)
     pot_rate += params.a * params.gamma * quad(
@@ -481,7 +462,7 @@ def _budget_rate(state, params, use_dealias=True):
     return kinetic_rate + pot_rate, 2 * diss, kinetic_rate + pot_rate + 2 * diss
 
 
-def energy_budget(trajectory, params, use_dealias=True):
+def energy_budget(trajectory, params):
     """Per-step residual of the discrete energy identity.
 
     Requires monitor cadence 1 (a state snapshot at every step) from an
@@ -505,7 +486,7 @@ def energy_budget(trajectory, params, use_dealias=True):
     for s in states:
         d = Derived(s, params)
         # the rate loads grad sqrt(rho) with lap sqrt(rho); energy reads it
-        rate, diss, src = _budget_rate(d, params, use_dealias=use_dealias)
+        rate, diss, src = _budget_rate(d, params)
         energies.append(energy(d, params))
         rates.append(rate)
         disses.append(diss)
@@ -544,7 +525,7 @@ class EquivalenceReport:
         return max(self.max_rho_error, self.max_vel_error)
 
 
-def equivalence_run(initial, params, config, use_dealias=True):
+def equivalence_run(initial, params, config):
     """Integrate matched data through both formulations and compare.
 
     The same initial u-form data is run once via approx-u and once via
@@ -553,12 +534,11 @@ def equivalence_run(initial, params, config, use_dealias=True):
     """
     if initial.form != "u":
         raise ValueError("equivalence_run expects u-form initial data")
-    traj_u = integrate(initial, params, config, formulation="approx-u",
-                       use_dealias=use_dealias)
+    traj_u = integrate(initial, params, config, formulation="approx-u")
     if traj_u.status != "completed":
         raise RuntimeError(f"u-form run failed: {traj_u.status}")
     traj_w = integrate(to_w(initial, params), params, config,
-                       formulation="approx-w", use_dealias=use_dealias)
+                       formulation="approx-w")
     if traj_w.status != "completed":
         raise RuntimeError(f"w-form run failed: {traj_w.status}")
     if len(traj_u.times) != len(traj_w.times):

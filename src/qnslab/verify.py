@@ -12,6 +12,7 @@ perturbation that must fail, proving the checks are not vacuous.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -59,6 +60,10 @@ class SuiteConfig:
         for c in self.checks:
             if c not in ALL_CHECKS:
                 raise ValueError(f"unknown check {c!r}; known: {ALL_CHECKS}")
+        if not (isinstance(self.rel_tol, numbers.Real)
+                and math.isfinite(self.rel_tol)):
+            raise ValueError(f"rel_tol must be a finite number: "
+                             f"{self.rel_tol!r}")
         if not self.grids:
             raise ValueError("grids must be nonempty")
         # each grid's ensemble must be one random_smooth_ensemble accepts
@@ -327,11 +332,9 @@ def run_inequality_suite(config):
     return run_suite("inequality", config)
 
 
-def _steady_battery(result_sink, params_kw=None):
+def _steady_battery():
     """Constant state: mass, energy-budget, and weak residuals ~ roundoff."""
     raw, params = scenario("uniform-rest", n=64)
-    if params_kw:
-        params = params.with_(**params_kw)
     state = State(raw.rho0, raw.m0, form="u")
     config = IntegratorConfig.fixed_dt(1e-3, t_end=2e-2, monitor_every=1)
     traj = integrate(state, params, config)
@@ -341,14 +344,14 @@ def _steady_battery(result_sink, params_kw=None):
     test = trig_test_function(state.grid, config.t_end)
     wres = weak_residual(traj.times, traj.states, test, params)
     worst = max(mass_drift, budget.max_residual, wres)
-    result_sink.append(CheckResult(
+    return CheckResult(
         "steady-battery", -1, state.grid.n, 1e-10 - worst,
         traj.status == "completed" and worst < 1e-10,
         f"mass drift {mass_drift:.2e}, budget {budget.max_residual:.2e}, "
-        f"weak {wres:.2e}, status {traj.status}"))
+        f"weak {wres:.2e}, status {traj.status}")
 
 
-def _mass_balance(result_sink):
+def _mass_balance():
     """eps > 0 continuity-source balance residual stays at truncation level."""
     raw, params = scenario("acoustic-1d", n=128)
     params = params.with_(eps=1e-3)
@@ -356,26 +359,26 @@ def _mass_balance(result_sink):
     config = IntegratorConfig.fixed_dt(2e-4, t_end=2e-2, monitor_every=1)
     traj = integrate(state, params, config)
     worst = max(r.mass_balance_residual for r in traj.records)
-    result_sink.append(CheckResult(
+    return CheckResult(
         "mass-balance", -1, state.grid.n, 1e-4 - worst,
         traj.status == "completed" and worst < 1e-4,
-        f"worst residual {worst:.3e}, status {traj.status}"))
+        f"worst residual {worst:.3e}, status {traj.status}")
 
 
-def _equivalence(result_sink):
+def _equivalence():
     """u-form vs w-form short matched run stays within tolerance."""
     raw, params = scenario("acoustic-1d", n=128)
     params = params.with_(eps=1e-3)
     state = State(raw.rho0, raw.m0, form="u")
     config = IntegratorConfig.fixed_dt(1e-4, t_end=2e-2, monitor_every=10)
     rep = equivalence_run(state, params, config)
-    result_sink.append(CheckResult(
+    return CheckResult(
         "equivalence", -1, state.grid.n, 1e-5 - rep.max_error,
         rep.max_error < 1e-5,
-        f"max-in-time L2 discrepancy {rep.max_error:.3e}"))
+        f"max-in-time L2 discrepancy {rep.max_error:.3e}")
 
 
-def _vacuum_band(result_sink):
+def _vacuum_band():
     """Mollified vacuum data integrates with a strictly positive band."""
     raw, params = scenario("vacuum-bump-1d", n=128)
     state = mollify(raw, params.eps, params)
@@ -384,9 +387,15 @@ def _vacuum_band(result_sink):
     rho_min = min(r.rho_min for r in traj.records)
     rho_max = max(r.rho_max for r in traj.records)
     ok = traj.status == "completed" and rho_min > 0
-    result_sink.append(CheckResult(
+    return CheckResult(
         "vacuum-band", -1, state.grid.n, rho_min, ok,
-        f"band [{rho_min:.4e}, {rho_max:.4e}], status {traj.status}"))
+        f"band [{rho_min:.4e}, {rho_max:.4e}], status {traj.status}")
+
+
+# The dynamics checks in report order: each runs its canonical scenario and
+# returns one CheckResult.
+DYNAMICS = {"steady-battery": _steady_battery, "mass-balance": _mass_balance,
+            "equivalence": _equivalence, "vacuum-band": _vacuum_band}
 
 
 def run_dynamics_suite(config):
@@ -396,16 +405,8 @@ def run_dynamics_suite(config):
 
 
 def _run_dynamics(config):
-    report = SuiteReport(suite="dynamics")
-    if "steady-battery" in config.checks:
-        _steady_battery(report.results)
-    if "mass-balance" in config.checks:
-        _mass_balance(report.results)
-    if "equivalence" in config.checks:
-        _equivalence(report.results)
-    if "vacuum-band" in config.checks:
-        _vacuum_band(report.results)
-    return report
+    return SuiteReport("dynamics", [run() for check, run in DYNAMICS.items()
+                                    if check in config.checks])
 
 
 def run_suite(name, config):

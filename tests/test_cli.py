@@ -12,7 +12,7 @@ from qnslab.cli import MONITOR_COLUMNS, main
 from qnslab.fields import Grid, ScalarField, VectorField
 from qnslab.functionals import DISSIPATION_KEYS
 from qnslab.snapshots import write_field
-from qnslab.systems import Rhs, rhs_approx_u
+from qnslab.systems import rhs_approx_u
 
 
 def _write(tmp_path, name, doc):
@@ -145,18 +145,12 @@ class TestNonFiniteVelocity:
         # returns a NaN velocity node while the density stays finite
         count = {"n": 0}
 
-        def poisoned(state, params, use_dealias=True, spectral=False):
-            out = rhs_approx_u(state, params, use_dealias=use_dealias,
-                               spectral=spectral)
+        def poisoned(state, params, **kw):
+            out = rhs_approx_u(state, params, **kw)
             count["n"] += 1
-            if count["n"] < 20:
-                return out
-            if spectral:
-                out[1, 5] = np.nan  # one velocity mode
-                return out
-            dvel = out.dvel.values.copy()
-            dvel[0, 5] = np.nan
-            return Rhs(out.drho, VectorField(state.grid, dvel))
+            if count["n"] == 20:
+                out[1, 5] = np.nan  # one velocity mode of the spectrum
+            return out
         monkeypatch.setattr(timeloop, "rhs_for", lambda formulation: poisoned)
         doc = dict(RUN_DOC, integrator=dict(RUN_DOC["integrator"],
                                             dt_min=1e-3))
@@ -330,6 +324,18 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
 
+    def test_strict_point_is_an_error_row(self, tmp_path):
+        # each point passes the checks of `run`: with "strict" the second
+        # point violates 11 kappa <= nu and 20 mu < nu
+        doc = dict(RUN_DOC, strict=True, sweep={"kappa": [0.05, 0.5]})
+        cfg = _write(tmp_path, "s.json", doc)
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", cfg, "--out", out]) == 1
+        with open(os.path.join(out, "sweep.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["status"] == "completed"
+        assert rows[1]["status"].startswith("error: admissibility violated")
+
     def test_unknown_axis_exits_2(self, tmp_path):
         doc = dict(RUN_DOC, sweep={"gamma": [2.0]})
         cfg = _write(tmp_path, "s.json", doc)
@@ -350,6 +356,48 @@ class TestSweep:
                 text[threads] = fh.read()
         assert text["2"] == text["1"]
         assert text["1"].count(b"completed") == 2
+
+
+class TestConfigErrors:
+    """A config error exits 2 with a message, never a traceback, and
+    creates no output directory."""
+
+    @pytest.mark.parametrize("command, doc", [
+        ("run", dict(RUN_DOC, params=5)),
+        ("run", dict(RUN_DOC, integrator=[1])),
+        ("verify", {"suites": ["identity"], "identity": 5}),
+        ("verify", {"suites": ["identity"], "num_seeds": 1, "grids": [[32]],
+                    "modes": 2, "rel_tol": "abc"}),
+        ("sweep", dict(RUN_DOC, params=5, sweep={"eps": [1e-3]})),
+        ("run", [RUN_DOC]),
+        ("verify", {"suites": 5}),
+    ], ids=["params-int", "integrator-list", "suite-block-int",
+            "rel-tol-str", "sweep-params-int", "config-list", "suites-int"])
+    def test_malformed_block_exits_2(self, tmp_path, capsys, command, doc):
+        cfg = _write(tmp_path, "c.json", doc)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, doc", [
+        ("run", dict(RUN_DOC, scenario="nope")),
+        ("verify", {"suites": ["mystery"]}),
+        ("sweep", dict(RUN_DOC, sweep={"gamma": [2.0]})),
+        ("sweep", dict(RUN_DOC, sweep={"eps": 1e-3})),
+    ], ids=["run-scenario", "verify-suite", "sweep-axis", "sweep-values"])
+    def test_config_error_leaves_no_directory(self, tmp_path, command, doc):
+        cfg = _write(tmp_path, "c.json", doc)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_out_that_is_not_a_path_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "run.json", dict(RUN_DOC, out=5))
+        assert main(["run", "--config", cfg]) == 2
+        assert "out must be a path" in capsys.readouterr().err
 
 
 class TestFlags:

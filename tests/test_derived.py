@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from qnslab import timeloop
-from qnslab.fields import (Grid, grad_arr, hess_arr, jac_arr, lap_arr,
-                           per_node, quad, random_smooth_ensemble,
-                           random_smooth_positive, random_smooth_vector)
+from qnslab.fields import (Grid, grad_arr, hess_arr, lap_arr, per_node, quad,
+                           random_smooth_ensemble, random_smooth_positive,
+                           random_smooth_vector)
 from qnslab.functionals import (DISSIPATION_KEYS, Derived, bd_entropy,
                                 derived, energy, energy_dissipation,
                                 mv_functional)
@@ -36,7 +36,7 @@ def _state(grid, seed=3):
 def _reference(state, p):
     """Energy, BD entropy, MV functional, dissipation integrals and the
     continuity source flux of a u-form state, each written out on its own
-    with grad_arr, hess_arr and jac_arr."""
+    with grad_arr and hess_arr."""
     grid = state.grid
     r, u = state.rho.values, state.vel.values
     eps, mu, p0 = p.eps, p.mu, p.p0
@@ -53,14 +53,14 @@ def _reference(state, p):
         "mv": quad(grid, r * (np.e + u2) * np.log(np.e + u2)),
         "flux": eps * (quad(grid, gv2 ** 2) - quad(grid, r ** (-p0))),
     }
-    J = jac_arr(grid, u)
+    J = grad_arr(grid, u)
     D = 0.5 * (J + np.swapaxes(J, 0, 1))
     Hv = hess_arr(grid, v)
     g_gv2 = grad_arr(grid, gv2)
     w = u + mu * grad_arr(grid, np.log(r))
     Hlog = hess_arr(grid, np.log(r))
     g_rg = grad_arr(grid, r ** (p.gamma / 2))
-    diff = jac_arr(grid, v * u) - u[:, None] * gv[None, :]
+    diff = grad_arr(grid, v * u) - u[:, None] * gv[None, :]
     quartic = (gv2 * np.sum(Hv * Hv, axis=(0, 1))
                + np.sum(g_gv2 * g_gv2, axis=0)
                + (2 * p0 + 1) * gv2 * v ** (-2 * p0 - 2))
@@ -146,8 +146,8 @@ def test_bundle_arrays_equal_plain_operators(grid, pairs_first):
     np.testing.assert_array_equal(d.hess_sqrt_rho, hess_arr(grid, v))
     np.testing.assert_array_equal(d.grad_log_rho, grad_arr(grid, logr))
     np.testing.assert_array_equal(d.hess_log_rho, hess_arr(grid, logr))
-    np.testing.assert_array_equal(d.jac_u, jac_arr(grid, u))
-    np.testing.assert_array_equal(d.jac_sqrt_rho_u, jac_arr(grid, v * u))
+    np.testing.assert_array_equal(d.jac_u, grad_arr(grid, u))
+    np.testing.assert_array_equal(d.jac_sqrt_rho_u, grad_arr(grid, v * u))
 
 
 def _plain_pieces(grid, r, u):
@@ -161,8 +161,8 @@ def _plain_pieces(grid, r, u):
         "hess_log_rho": hess_arr(grid, logr),
         "grad_rho14": grad_arr(grid, r ** 0.25),
         "lap_rho": lap_arr(grid, r),
-        "jac_u": jac_arr(grid, u),
-        "jac_sqrt_rho_u": jac_arr(grid, per_node(grid, v) * u),
+        "jac_u": grad_arr(grid, u),
+        "jac_sqrt_rho_u": grad_arr(grid, per_node(grid, v) * u),
     }
 
 

@@ -12,9 +12,9 @@ import pytest
 from qnslab import functionals
 from qnslab.fields import (Grid, ScalarField, VectorField, dealias,
                            dealias_arr, deriv_arr, derivatives_arr, div_arr,
-                           grad_arr, hess_arr, jac_arr, lap_arr, quad,
+                           grad_arr, hess_arr, lap_arr, quad,
                            random_smooth_ensemble, random_smooth_positive,
-                           random_smooth_vector, tdiv_arr)
+                           random_smooth_vector)
 from qnslab.physics import Derived, bohm_arr
 
 GRIDS = [
@@ -95,8 +95,8 @@ class TestAgainstComplexReference:
         tens = _noise(grid, (d, d), seed=3)
         _close(div_arr(grid, vec),
                sum(_ref_deriv(grid, vec[j], j) for j in range(d)))
-        J = jac_arr(grid, vec)
-        T = tdiv_arr(grid, tens)
+        J = grad_arr(grid, vec)
+        T = div_arr(grid, tens)
         for i in range(d):
             for j in range(d):
                 _close(J[i, j], _ref_deriv(grid, vec[i], j))
@@ -152,7 +152,7 @@ class TestIdentities:
 
     def test_jacobian_rows_are_derivatives(self, grid):
         vec = _noise(grid, (grid.dim,), seed=9)
-        J = jac_arr(grid, vec)
+        J = grad_arr(grid, vec)
         for i in range(grid.dim):
             for j in range(grid.dim):
                 _close(J[i, j], deriv_arr(grid, vec[i], j))
@@ -160,7 +160,7 @@ class TestIdentities:
     def test_tensor_divergence_rowwise(self, grid):
         d = grid.dim
         tens = _noise(grid, (d, d), seed=10)
-        T = tdiv_arr(grid, tens)
+        T = div_arr(grid, tens)
         for i in range(d):
             _close(T[i], div_arr(grid, tens[i]))
 
@@ -289,13 +289,29 @@ class TestBatchedOperators:
         d = grid.dim
         vec = _noise(grid, lead + (d,), seed=21)
         tens = _noise(grid, lead + (d, d), seed=22)
-        J, D = jac_arr(grid, vec, backend), div_arr(grid, vec, backend)
-        T = tdiv_arr(grid, tens, backend)
+        J, D = grad_arr(grid, vec, backend), div_arr(grid, vec, backend)
+        T = div_arr(grid, tens, backend)
         for k in _rows(lead):
-            np.testing.assert_array_equal(J[k], jac_arr(grid, vec[k], backend))
+            np.testing.assert_array_equal(J[k], grad_arr(grid, vec[k], backend))
             np.testing.assert_array_equal(D[k], div_arr(grid, vec[k], backend))
             np.testing.assert_array_equal(T[k],
-                                          tdiv_arr(grid, tens[k], backend))
+                                          div_arr(grid, tens[k], backend))
+
+    def test_jacobian_and_row_divergence(self, grid, backend, lead):
+        # grad of a vector is its Jacobian, [..., i, j] = d_j v_i, and div
+        # of a tensor is row-wise, [..., i] = sum_j d_j T_ij
+        d = grid.dim
+        nodes = (slice(None),) * d
+        vec = _noise(grid, lead + (d,), seed=23)
+        tens = _noise(grid, lead + (d, d), seed=24)
+        J, T = grad_arr(grid, vec, backend), div_arr(grid, tens, backend)
+        for i in range(d):
+            for j in range(d):
+                _close(J[(Ellipsis, i, j) + nodes],
+                       deriv_arr(grid, vec[(Ellipsis, i) + nodes], j, backend))
+            _close(T[(Ellipsis, i) + nodes],
+                   sum(deriv_arr(grid, tens[(Ellipsis, i, j) + nodes], j,
+                                 backend) for j in range(d)))
 
     def test_bohm_kernels(self, grid, backend, lead):
         r = _positive(grid, lead, seed=3)

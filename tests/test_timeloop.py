@@ -9,7 +9,7 @@ from qnslab import timeloop
 from qnslab.fields import Grid, ScalarField, VectorField
 from qnslab.functionals import DISSIPATION_KEYS
 from qnslab.physics import QnsParams, State, VacuumError, to_w
-from qnslab.systems import Rhs, rhs_approx_u
+from qnslab.systems import rhs_approx_u
 from qnslab.timeloop import (IntegratorConfig, NonFiniteError,
                              PositivityError, cfl_dt, energy_budget,
                              equivalence_run, integrate, step)
@@ -46,18 +46,12 @@ def _poisoned_velocity(last_call):
     node."""
     count = {"n": 0}
 
-    def rhs(state, params, use_dealias=True, spectral=False):
-        out = rhs_approx_u(state, params, use_dealias=use_dealias,
-                           spectral=spectral)
+    def rhs(state, params, **kw):
+        out = rhs_approx_u(state, params, **kw)
         count["n"] += 1
-        if count["n"] != last_call:
-            return out
-        if spectral:
-            out[1, 3] = np.nan  # one velocity mode
-            return out
-        dvel = out.dvel.values.copy()
-        dvel[0, 3] = np.nan
-        return Rhs(out.drho, VectorField(state.grid, dvel))
+        if count["n"] == last_call:
+            out[1, 3] = np.nan  # one velocity mode of the spectrum
+        return out
     return rhs
 
 
@@ -105,15 +99,10 @@ class TestStep:
     def test_non_finite_density_is_a_failure(self, scheme):
         st = _acoustic(32)
 
-        def nan_rhs(state, params, use_dealias=True, spectral=False):
-            rhs = rhs_approx_u(state, params, use_dealias=use_dealias,
-                               spectral=spectral)
-            if spectral:
-                rhs[0, 3] = np.nan  # one density mode
-                return rhs
-            drho = rhs.drho.values.copy()
-            drho[3] = np.nan
-            return Rhs(ScalarField(state.grid, drho), rhs.dvel)
+        def nan_rhs(state, params, **kw):
+            rhs = rhs_approx_u(state, params, **kw)
+            rhs[0, 3] = np.nan  # one density mode of the spectrum
+            return rhs
         with pytest.raises(PositivityError) as info:
             step(st, PARAMS, nan_rhs, 1e-4, scheme=scheme)
         assert info.value.bad_nodes >= 1
@@ -128,6 +117,18 @@ class TestStep:
                  scheme=scheme)
         assert info.value.bad_nodes >= 1
         assert info.value.time == pytest.approx(1e-4)
+
+    @pytest.mark.parametrize("scheme, calls", [("imex", 2),
+                                                ("rk4-explicit", 4)])
+    def test_right_hand_sides_are_read_as_spectra(self, scheme, calls):
+        # both schemes ask only for the masked spectrum of each stage
+        seen = []
+
+        def rhs(state, params, *args, **kw):
+            seen.append((args, kw))
+            return rhs_approx_u(state, params, *args, **kw)
+        step(_acoustic(32), PARAMS, rhs, 1e-4, scheme=scheme)
+        assert seen == [((), {"spectral": True})] * calls
 
     def test_imex_second_order_in_time(self):
         st = _acoustic(64)

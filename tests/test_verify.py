@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from qnslab.fields import (Grid, div_arr, grad_arr, hess_arr, jac_arr,
-                           lap_arr, quad, random_smooth_ensemble,
-                           random_smooth_positive, random_smooth_vector,
-                           tdiv_arr)
+from qnslab.fields import (Grid, div_arr, grad_arr, hess_arr, lap_arr, quad,
+                           random_smooth_ensemble, random_smooth_positive,
+                           random_smooth_vector)
 from qnslab.functionals import ABS_TOL, FunctionalReport
 from qnslab.physics import Derived
 from qnslab.verify import (ALL_CHECKS, CHECK_PIECES, IDENTITY_CHECKS,
@@ -47,6 +46,13 @@ class TestSuiteConfig:
     def test_rejects_inputs_the_ensemble_cannot_take(self, kw):
         with pytest.raises(ValueError):
             SuiteConfig(**kw)
+
+    @pytest.mark.parametrize("rel_tol", ["abc", None, float("nan"),
+                                         float("inf")])
+    def test_rejects_rel_tol_that_is_not_a_finite_number(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            SuiteConfig(rel_tol=rel_tol)
+        SuiteConfig(rel_tol=1)
 
     def test_modes_limit_is_the_ensemble_limit(self):
         # (32,) allows modes up to 32 // 3 = 10, and so does the ensemble
@@ -190,10 +196,10 @@ def _identity_rows(grid, r, u, tol, canary):
     v = np.sqrt(r)
     rows = {}
     fa = 2.0 * r * grad_arr(grid, lap_arr(grid, v) / v)
-    fb = tdiv_arr(grid, r * hess_arr(grid, np.log(r)))
+    fb = div_arr(grid, r * hess_arr(grid, np.log(r)))
     gv = grad_arr(grid, v)
     fc = (grad_arr(grid, lap_arr(grid, r))
-          - 4.0 * tdiv_arr(grid, gv[:, None] * gv[None, :]))
+          - 4.0 * div_arr(grid, gv[:, None] * gv[None, :]))
     if canary:
         # form C corrupted by +1e-3 grad(rho)
         fc = fc + 1e-3 * grad_arr(grid, r)
@@ -223,9 +229,9 @@ def _identity_rows(grid, r, u, tol, canary):
             fr.margin, fr.passed,
             f"|lhs-rhs| = {fr.lhs:.3e}, allowance = {fr.rhs:.3e}")
 
-    lhs = jac_arr(grid, v * u)
+    lhs = grad_arr(grid, v * u)
     r14 = r ** 0.25
-    rhs = v * jac_arr(grid, u) \
+    rhs = v * grad_arr(grid, u) \
         + 2 * r14 * u[:, None] * grad_arr(grid, r14)[None, :]
     fr = FunctionalReport(
         "grad_sqrtrho_u", float(np.max(np.abs(lhs - rhs))),
@@ -248,7 +254,7 @@ def _inequality_rows(grid, r, u):
     gv2 = np.sum(gv * gv, axis=0)
     lv = lap_arr(grid, v)
     g_gv2 = grad_arr(grid, gv2)
-    J = jac_arr(grid, u)
+    J = grad_arr(grid, u)
     D = 0.5 * (J + np.swapaxes(J, 0, 1))
     return {
         "jungel-quartic": (quad(grid, np.sum(g14 * g14, axis=0) ** 2),
