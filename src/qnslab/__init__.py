@@ -14,15 +14,14 @@ from .initdata import (SCENARIOS, InitialDataReport, RawData, mollify,
                        scenario, validate_initial)
 from .physics import (AdmissibilityError, ConstraintReport, QnsParams, State,
                       VacuumError, bohm_arr, bohm_force, check_constraints,
-                      mu_of, p_flux, p_flux_div, paper_params, to_u, to_w)
+                      mu_of, paper_params, to_u, to_w)
 from .snapshots import read_field, write_field
-from .systems import (FORMULATIONS, Rhs, SpaceTimeTestFunction, rhs_approx_u,
-                      rhs_approx_w, rhs_for, rhs_target, rhs_terms,
-                      trig_test_function, weak_residual)
-from .timeloop import (EnergyBudgetReport, EquivalenceReport,
+from .systems import (FORMULATIONS, Rhs, SpaceTimeTestFunction, WeakResidual,
+                      rhs_approx_u, rhs_approx_w, rhs_for, rhs_target,
+                      rhs_terms, trig_test_function)
+from .timeloop import (EnergyBudget, EnergyBudgetReport, EquivalenceReport,
                        IntegratorConfig, NonFiniteError, PositivityError,
-                       Trajectory, cfl_dt, energy_budget, equivalence_run,
-                       step)
+                       Trajectory, cfl_dt, equivalence_run, step)
 from .timeloop import integrate as integrate_in_time
 from .verify import (SuiteConfig, SuiteReport, run_dynamics_suite,
                      run_identity_suite, run_inequality_suite, run_suite,

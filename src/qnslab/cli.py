@@ -28,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .fields import VectorField
 from .functionals import DISSIPATION_KEYS
 from .initdata import SCENARIOS, mollify, scenario, validate_initial
 from .physics import (DESK_P0, DESK_SIGMA0, PAPER_P0, PAPER_SIGMA0, QnsParams,
@@ -118,16 +119,14 @@ def _read_snapshot(path):
         raise ConfigError(f"bad snapshot: {exc}") from exc
 
 
-def _build_initial(cfg, params):
+def _initial_source(cfg):
+    """The snapshot State, or the raw data of the scenario: the part of the
+    initial state that no params override changes."""
     if "snapshot" in cfg:
-        path = cfg["snapshot"]
-        rho, _, time = _read_snapshot(path)
+        rho, _, time = _read_snapshot(cfg["snapshot"])
         vel_path = cfg.get("snapshot_velocity")
-        if vel_path:
-            vel, _, _ = _read_snapshot(vel_path)
-        else:
-            from .fields import VectorField
-            vel = VectorField.zero(rho.grid)
+        vel = (_read_snapshot(vel_path)[0] if vel_path
+               else VectorField.zero(rho.grid))
         try:
             return State(rho, vel, form="u", time=time)
         except ValueError as exc:
@@ -139,6 +138,14 @@ def _build_initial(cfg, params):
         raw, _ = scenario(name, n=cfg.get("n", 128))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid for scenario {name!r}: {exc}") from exc
+    return raw
+
+
+def _build_initial(cfg, params, raw):
+    """The initial State from _initial_source: a snapshot as it is, scenario
+    data mollified if it asks for it or touches vacuum."""
+    if isinstance(raw, State):
+        return raw
     if cfg.get("mollify", False) or np.min(raw.rho0.values) <= 0:
         if params.eps <= 0:
             raise ConfigError("mollification requires eps > 0")
@@ -157,13 +164,20 @@ def _write_monitors(path, records):
             writer.writerow([repr(float(x)) for x in row])
 
 
-def _prepare_run(cfg, mode, overrides=()):
+def _shared(cfg):
+    """(integrator config, initial source) of a config: what every sweep
+    point shares."""
+    return _build_integrator(cfg), _initial_source(cfg)
+
+
+def _prepare_run(cfg, mode, overrides=(), shared=None):
     """(params, integrator config, initial state, constraint report,
     initial-data report) of a run config with the params overrides applied;
-    raises ConfigError unless the run may start."""
+    raises ConfigError unless the run may start. shared is _shared(cfg),
+    built here if not given."""
     params = _build_params(cfg, mode, overrides)
-    config = _build_integrator(cfg)
-    initial = _build_initial(cfg, params)
+    config, raw = shared or _shared(cfg)
+    initial = _build_initial(cfg, params, raw)
     constraint_report = check_constraints(params)
     if params.strict or cfg.get("strict", False):
         for c in constraint_report.checks:
@@ -190,12 +204,11 @@ def cmd_run(args):
     out = _out_dir(cfg, args)
     traj = integrate(initial, params, config)
     _write_monitors(os.path.join(out, "monitors.csv"), traj.records)
-    if traj.states:
-        final = traj.states[-1]
-        write_field(os.path.join(out, "final_rho.dat"), final.rho,
-                    "rho", final.time)
-        write_field(os.path.join(out, "final_vel.dat"), final.vel,
-                    "vel", final.time)
+    final = traj.final
+    write_field(os.path.join(out, "final_rho.dat"), final.rho, "rho",
+                final.time)
+    write_field(os.path.join(out, "final_vel.dat"), final.vel, "vel",
+                final.time)
     final_rec = traj.records[-1]
     summary = {
         "status": traj.status,
@@ -296,6 +309,7 @@ def cmd_sweep(args):
         axes = [("eps", [_build_params(cfg, mode).eps])]
     points = list(itertools.product(*(vals for _, vals in axes)))
     names = [k for k, _ in axes]
+    shared = _shared(cfg)
     out = _out_dir(cfg, args)
 
     def one_point(point):
@@ -303,8 +317,9 @@ def cmd_sweep(args):
         an error row if the point fails validation or the run raises."""
         values = dict(zip(names, point))
         try:
-            params, config, initial, _, _ = _prepare_run(cfg, mode, values)
-            traj = integrate(initial, params, config, keep_states=False)
+            params, config, initial, _, _ = _prepare_run(cfg, mode, values,
+                                                         shared)
+            traj = integrate(initial, params, config)
         except (ValueError, RuntimeError) as exc:
             return {**values, "status": f"error: {exc}"}
         recs = traj.records

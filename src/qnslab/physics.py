@@ -2,9 +2,8 @@
 
 Houses the derived coefficient mu = nu - sqrt(nu^2 - kappa^2), the Derived
 bundle of a density-velocity pair (or of a seed chunk of them), the three
-equivalent algebraic forms of the Bohm (quantum-pressure) force, the quartic
-gradient flux used by the parabolic regularization, and the effective-velocity
-change of variables w = u + mu * grad(log rho).
+equivalent algebraic forms of the Bohm (quantum-pressure) force, and the
+effective-velocity change of variables w = u + mu * grad(log rho).
 """
 
 from __future__ import annotations
@@ -346,22 +345,6 @@ def bohm_arr(d, form="A", backend="spectral"):
         return (grad_arr(grid, lr, backend)
                 - 4.0 * div_arr(grid, outer, backend))
     raise ValueError(f"form must be 'A', 'B', or 'C', got {form!r}")
-
-
-def p_flux(v, backend="spectral"):
-    """Quartic gradient flux |grad v|^2 grad v."""
-    grid = v.grid
-    gv = grad_arr(grid, v.values, backend)
-    g2 = np.sum(gv * gv, axis=0)
-    return VectorField(grid, g2 * gv)
-
-
-def p_flux_div(v, backend="spectral"):
-    """div(|grad v|^2 grad v)."""
-    grid = v.grid
-    gv = grad_arr(grid, v.values, backend)
-    g2 = np.sum(gv * gv, axis=0)
-    return ScalarField(grid, div_arr(grid, g2 * gv, backend))
 
 
 def to_w(state, params):

@@ -18,7 +18,7 @@ from .fields import (ScalarField, VectorField, _symmetric, div_arr,
                      forward_once, grad_arr, hess_arr, in_workspace,
                      inverse_groups, inverse_once, lap_arr, nodal_stack, quad,
                      release, split_rows, take, to_spectral)
-from .physics import Derived, bohm_force, require_positive
+from .physics import bohm_force, require_positive
 
 FORMULATIONS = ("target", "approx-u", "approx-w")
 
@@ -366,54 +366,51 @@ class SpaceTimeTestFunction:
     """phi(x, t) = psi(x) * chi(t), psi a trigonometric-polynomial vector
     field and chi a smooth cutoff with chi(T) = 0 (here cos^2(pi t / 2T))."""
 
-    def __init__(self, psi, t_end, amplitude=1.0):
+    def __init__(self, psi, t_end):
         self.psi = psi
         self.t_end = float(t_end)
-        self.amplitude = float(amplitude)
 
     def chi(self, t):
-        return self.amplitude * np.cos(np.pi * t / (2 * self.t_end)) ** 2
+        return np.cos(np.pi * t / (2 * self.t_end)) ** 2
 
     def chi_t(self, t):
         T = self.t_end
-        return -self.amplitude * (np.pi / (2 * T)) * np.sin(np.pi * t / T)
+        return -(np.pi / (2 * T)) * np.sin(np.pi * t / T)
 
 
-def trig_test_function(grid, t_end, mode=1, amplitude=1.0):
+def trig_test_function(grid, t_end, mode=1):
     """Simple single-mode test field: psi_i = sin(mode * 2 pi x_i / L_i)."""
     mesh = grid.meshgrid()
     comps = [np.sin(mode * 2 * np.pi * mesh[i] / grid.length[i])
              for i in range(grid.dim)]
-    return SpaceTimeTestFunction(VectorField(grid, np.stack(comps)), t_end,
-                                 amplitude)
+    return SpaceTimeTestFunction(VectorField(grid, np.stack(comps)), t_end)
 
 
-def weak_residual(times, states, test, params):
-    """Residual of the weak momentum formulation over a trajectory.
+class WeakResidual:
+    """Observer of integrate: the weak momentum residual of uniform-cadence
+    u-form records against one space-time test function. Quadrature in
+    space, trapezoid rule in time; value() is the residual magnitude (zero
+    for an exact solution)."""
 
-    times/states: uniform-cadence u-form snapshots. Spatial integrals by
-    quadrature, time integral by the trapezoid rule. Returns the residual
-    magnitude (zero for an exact solution).
-    """
-    if len(times) < 2:
-        raise ValueError("trajectory must contain at least 2 samples")
-    if len(times) != len(states):
-        raise ValueError("times and states must align")
-    grid = states[0].grid
-    psi = test.psi.values
-    Jpsi = grad_arr(grid, psi)
-    div_psi = np.trace(Jpsi, axis1=0, axis2=1)
+    def __init__(self, test, params):
+        self.test, self.params = test, params
+        self._Jpsi = grad_arr(test.psi.grid, test.psi.values)
+        self._div_psi = np.trace(self._Jpsi, axis1=0, axis2=1)
+        self._initial = None    # the pairing of the initial momentum
+        self._times, self._integrand = [], []
 
-    rho0 = states[0].rho.values
-    m0 = rho0 * states[0].vel.values
-    total = quad(grid, np.sum(m0 * psi, axis=0)) * test.chi(times[0])
-
-    def space_terms(state):
-        d = Derived(state)
+    def __call__(self, state, d):
+        if state.form != "u":
+            raise ValueError("weak residual requires u-form states")
+        params, test, t = self.params, self.test, state.time
+        grid, psi = d.grid, test.psi.values
+        Jpsi, div_psi = self._Jpsi, self._div_psi
         d.load("grad_sqrt_rho", "lap_sqrt_rho", "jac_sqrt_rho_u")
         r, u, v = d.rho, d.u, d.sqrt_rho
         # transport + pressure (multiply chi), and the phi_t pairing (chi')
         momentum_pair = quad(grid, np.sum(r * u * psi, axis=0))
+        if self._initial is None:
+            self._initial = momentum_pair * test.chi(t)
         conv = quad(grid, np.einsum("i...,j...,ij...->...",
                                     u, u, Jpsi) * r)
         press = quad(grid, params.a * r ** params.gamma * div_psi)
@@ -429,11 +426,13 @@ def weak_residual(times, states, test, params):
                    + params.r1 * r * u2 * np.sum(u * psi, axis=0)
                    + 4 * params.kappa ** 2 * lv * np.sum(gsr * psi, axis=0)
                    + 2 * params.kappa ** 2 * lv * v * div_psi)
-        return momentum_pair, conv + press - visc - rhs
+        # (rho u . psi) chi'(t) + (other terms) chi(t)
+        self._times.append(t)
+        self._integrand.append(momentum_pair * test.chi_t(t)
+                               + (conv + press - visc - rhs) * test.chi(t))
 
-    pairs = [space_terms(s) for s in states]
-    # trapezoid in time of (rho u . psi) chi'(t) + (other terms) chi(t)
-    integrand = [m * test.chi_t(t) + o * test.chi(t)
-                 for (m, o), t in zip(pairs, times)]
-    total += float(np.trapezoid(integrand, times))
-    return abs(total)
+    def value(self):
+        if len(self._times) < 2:
+            raise ValueError("trajectory must contain at least 2 samples")
+        return abs(self._initial
+                   + float(np.trapezoid(self._integrand, self._times)))

@@ -23,7 +23,7 @@ from .fields import (ScalarField, VectorField, dealias_arr, div_arr,
 from .functionals import (DISSIPATION_KEYS, Derived, MonitorRecord,
                           bd_entropy, derived, energy, energy_dissipation,
                           mv_functional)
-from .physics import State, VacuumError, bohm_arr, to_u, to_w
+from .physics import State, VacuumError, bohm_arr, to_w
 from .systems import continuity_rate, rhs_for
 
 SCHEMES = ("rk4-explicit", "imex")
@@ -84,9 +84,8 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
     records: list = field(default_factory=list)
+    final: State = None         # the State of the last record
     dissipation_time_integrals: dict = field(default_factory=dict)
     status: str = "completed"
 
@@ -283,12 +282,12 @@ def cfl_dt(state, params, config):
 
 def _monitor_sample(state, params):
     """The functionals of one monitor record, all read from one Derived
-    bundle, and the continuity source flux
-    eps * int |grad v|^4 - eps * int rho^-p0 of the mass balance.
+    bundle (the State's, or the bundle given), and the continuity source
+    flux eps * int |grad v|^4 - eps * int rho^-p0 of the mass balance.
 
     Returns (MonitorRecord fields but time and residual, flux).
     """
-    d = Derived(state, params)
+    d = derived(state, params)
     values = {
         "dissipation": energy_dissipation(d, params),
         "energy": energy(d, params),
@@ -305,44 +304,47 @@ def _monitor_sample(state, params):
     return values, flux
 
 
-def integrate(initial, params, config, formulation=None, keep_states=True):
+def integrate(initial, params, config, formulation=None, observers=()):
     """Advance to t_end (or failure), recording monitors at cadence.
 
     Time-integrated dissipation is accumulated by the trapezoid rule over
     monitor samples. The mass-balance residual column is the discrete form of
     d(int rho)/dt + eps*int|grad v|^4 - eps*int rho^-p0.
+
+    Each observer is called as observe(state, d) at every record, after the
+    record's functionals, with the Derived bundle they read: the u-form
+    bundle of the state. No state is kept but the last record's.
     """
-    if formulation is None:
-        formulation = {"u": "approx-u", "w": "approx-w"}[initial.form]
-    rhs_fn = rhs_for(formulation)
+    rhs_fn = rhs_for(formulation
+                     or {"u": "approx-u", "w": "approx-w"}[initial.form])
 
     traj = Trajectory()
     state = initial
     accum = {k: 0.0 for k in DISSIPATION_KEYS}
-    prev = None     # (time, mass, mass flux, dissipation) of the last record
+    flux_prev = None    # the mass flux of the last record
 
     def record(s):
-        nonlocal prev
-        values, flux = _monitor_sample(s, params)
-        mass, diss = values["mass"], values["dissipation"]
+        nonlocal flux_prev
+        d = Derived(s, params)
+        values, flux = _monitor_sample(d, params)
         residual = 0.0
-        if prev is not None:
+        if traj.records:
             # discrete mass balance; trapezoid accumulation of the
             # dissipation integrals
-            t_prev, m_prev, flux_prev, d_prev = prev
-            residual = abs((mass - m_prev) / (s.time - t_prev)
+            last = traj.records[-1]
+            h = s.time - last.time
+            residual = abs((values["mass"] - last.mass) / h
                            + 0.5 * (flux + flux_prev))
-            for k in DISSIPATION_KEYS:
-                accum[k] += 0.5 * (d_prev[k] + diss[k]) * (s.time - t_prev)
-        traj.times.append(s.time)
-        if keep_states:
-            traj.states.append(s)
+            for k, v in values["dissipation"].items():
+                accum[k] += 0.5 * (last.dissipation[k] + v) * h
         traj.records.append(MonitorRecord(
             time=s.time, mass_balance_residual=residual, **values))
-        prev = (s.time, mass, flux, diss)
+        traj.final, flux_prev = s, flux
+        for observe in observers:
+            observe(s, d)
 
     record(state)
-    steps_since_monitor = 0
+    steps = 0
     # with dt_min == dt_max the clamp below discards the CFL estimate
     fixed = config.dt_min == config.dt_max
     while state.time < config.t_end - 1e-14:
@@ -363,13 +365,11 @@ def integrate(initial, params, config, formulation=None, keep_states=True):
             traj.status = (f"non-finite at t={exc.time:.6g} "
                            f"({exc.bad_nodes} velocity nodes)")
             return traj
-        steps_since_monitor += 1
-        at_end = state.time >= config.t_end - 1e-14
-        if steps_since_monitor >= config.monitor_every or at_end:
+        steps += 1
+        if (steps % config.monitor_every == 0
+                or state.time >= config.t_end - 1e-14):
             record(state)
-            steps_since_monitor = 0
     traj.dissipation_time_integrals = accum
-    traj.status = "completed"
     return traj
 
 
@@ -388,7 +388,7 @@ class EnergyBudgetReport:
 
     @property
     def max_residual(self):
-        return float(np.max(self.residuals)) if len(self.residuals) else 0.0
+        return float(np.max(self.residuals))
 
 
 def _budget_rate(state, params):
@@ -462,42 +462,37 @@ def _budget_rate(state, params):
     return kinetic_rate + pot_rate, 2 * diss, kinetic_rate + pot_rate + 2 * diss
 
 
-def energy_budget(trajectory, params):
-    """Per-step residual of the discrete energy identity.
+class EnergyBudget:
+    """Observer of integrate: the per-step residual of the discrete energy
+    identity over an approx-u run at monitor cadence 1. report() compares
+    the discrete energy increment per step against the trapezoid of the
+    analytic rate; the residual shrinks at the scheme's temporal order."""
 
-    Requires monitor cadence 1 (a state snapshot at every step) from an
-    approx-u run. The residual compares the discrete energy increment per
-    step against the trapezoid of the analytic rate; it shrinks at the
-    scheme's temporal order.
-    """
-    states = trajectory.states
-    if len(states) < 2:
-        raise ValueError("trajectory too short for a budget")
-    for s in states:
-        if s.form != "u":
+    def __init__(self, params):
+        self.params = params
+        self._samples = []      # (time, energy, rate, dissipation, sources)
+
+    def __call__(self, state, d):
+        if state.form != "u":
             raise ValueError("energy budget requires u-form snapshots")
-    times = np.asarray(trajectory.times)
-    if len(times) > 2:
+        # the rate loads grad sqrt(rho) with lap sqrt(rho); energy reads it
+        rate, diss, src = _budget_rate(d, self.params)
+        self._samples.append((state.time, energy(d, self.params), rate,
+                              diss, src))
+
+    def report(self):
+        if len(self._samples) < 2:
+            raise ValueError("trajectory too short for a budget")
+        times, energies, rates, disses, srcs = map(np.asarray,
+                                                   zip(*self._samples))
         dts = np.diff(times)
-        if np.max(dts) > 1.5 * np.min(dts):
+        if len(times) > 2 and np.max(dts) > 1.5 * np.min(dts):
             raise ValueError("energy budget requires monitor cadence 1 "
                              "(uniform per-step snapshots)")
-    energies, rates, disses, srcs = [], [], [], []
-    for s in states:
-        d = Derived(s, params)
-        # the rate loads grad sqrt(rho) with lap sqrt(rho); energy reads it
-        rate, diss, src = _budget_rate(d, params)
-        energies.append(energy(d, params))
-        rates.append(rate)
-        disses.append(diss)
-        srcs.append(src)
-    energies = np.array(energies)
-    rates = np.asarray(rates)
-    dE = np.diff(energies) / np.diff(times)
-    mid_rate = 0.5 * (rates[1:] + rates[:-1])
-    residuals = np.abs(dE - mid_rate)
-    return EnergyBudgetReport(times, energies, rates, residuals,
-                              np.asarray(disses), np.asarray(srcs))
+        mid_rate = 0.5 * (rates[1:] + rates[:-1])
+        residuals = np.abs(np.diff(energies) / dts - mid_rate)
+        return EnergyBudgetReport(times, energies, rates, residuals, disses,
+                                  srcs)
 
 
 # ---------------------------------------------------------------------------
@@ -529,28 +524,32 @@ def equivalence_run(initial, params, config):
     """Integrate matched data through both formulations and compare.
 
     The same initial u-form data is run once via approx-u and once via
-    approx-w (after the effective-velocity transform); w-snapshots are mapped
-    back with to_u and max-over-time L2 discrepancies reported.
+    approx-w (after the effective-velocity transform). The u-run keeps each
+    record's (rho, u); each w-run record, mapped back with to_u, is compared
+    against them and max-over-time L2 discrepancies are reported.
     """
     if initial.form != "u":
         raise ValueError("equivalence_run expects u-form initial data")
-    traj_u = integrate(initial, params, config, formulation="approx-u")
+    ref = []
+    traj_u = integrate(initial, params, config, formulation="approx-u",
+                       observers=(lambda s, d: ref.append((d.rho, d.u)),))
     if traj_u.status != "completed":
         raise RuntimeError(f"u-form run failed: {traj_u.status}")
+    grid, errs = initial.grid, []
+
+    def compare(s, d):
+        if ref:     # a w-run with more records fails the count check below
+            rho_u, u_u = ref.pop(0)
+            dr, du = rho_u - d.rho, u_u - d.u
+            errs.append((math.sqrt(quad(grid, dr * dr)),
+                         math.sqrt(quad(grid, np.sum(du * du, axis=0)))))
+
     traj_w = integrate(to_w(initial, params), params, config,
-                       formulation="approx-w")
+                       formulation="approx-w", observers=(compare,))
     if traj_w.status != "completed":
         raise RuntimeError(f"w-form run failed: {traj_w.status}")
-    if len(traj_u.times) != len(traj_w.times):
+    if len(traj_w.records) != len(traj_u.records):
         raise RuntimeError("snapshot cadences diverged between runs")
-    grid = initial.grid
-    rho_errs, vel_errs = [], []
-    for su, sw in zip(traj_u.states, traj_w.states):
-        sw_u = to_u(sw, params)
-        dr = su.rho.values - sw_u.rho.values
-        du = su.vel.values - sw_u.vel.values
-        rho_errs.append(math.sqrt(quad(grid, dr * dr)))
-        vel_errs.append(math.sqrt(quad(grid, np.sum(du * du, axis=0))))
-    return EquivalenceReport(np.asarray(traj_u.times),
-                             np.asarray(rho_errs), np.asarray(vel_errs),
-                             traj_u.status, traj_w.status)
+    rho_errs, vel_errs = np.array(errs).T
+    return EquivalenceReport(np.array([r.time for r in traj_u.records]),
+                             rho_errs, vel_errs, traj_u.status, traj_w.status)

@@ -24,8 +24,8 @@ from .functionals import (div_vs_D_batch, flux_identity_batch, grad6_batch,
                           grad_sqrtrho_u_batch, jungel_batch)
 from .initdata import mollify, scenario
 from .physics import Derived, State, bohm_arr
-from .systems import trig_test_function, weak_residual
-from .timeloop import (IntegratorConfig, energy_budget, equivalence_run,
+from .systems import WeakResidual, trig_test_function
+from .timeloop import (EnergyBudget, IntegratorConfig, equivalence_run,
                        integrate)
 
 IDENTITY_CHECKS = ("bohm-forms", "flux-identity-0", "flux-identity-2",
@@ -337,12 +337,13 @@ def _steady_battery():
     raw, params = scenario("uniform-rest", n=64)
     state = State(raw.rho0, raw.m0, form="u")
     config = IntegratorConfig.fixed_dt(1e-3, t_end=2e-2, monitor_every=1)
-    traj = integrate(state, params, config)
+    budget = EnergyBudget(params)
+    weak = WeakResidual(trig_test_function(state.grid, config.t_end), params)
+    traj = integrate(state, params, config, observers=(budget, weak))
     recs = traj.records
     mass_drift = max(abs(r.mass - recs[0].mass) / recs[0].mass for r in recs)
-    budget = energy_budget(traj, params)
-    test = trig_test_function(state.grid, config.t_end)
-    wres = weak_residual(traj.times, traj.states, test, params)
+    budget = budget.report()
+    wres = weak.value()
     worst = max(mass_drift, budget.max_residual, wres)
     return CheckResult(
         "steady-battery", -1, state.grid.n, 1e-10 - worst,

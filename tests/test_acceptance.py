@@ -16,10 +16,10 @@ from qnslab.functionals import (check_div_vs_D, check_flux_identity,
                                 check_jungel)
 from qnslab.initdata import RawData, mollify, scenario
 from qnslab.physics import QnsParams, State, mu_of
-from qnslab.systems import (rhs_approx_u, rhs_target, trig_test_function,
-                            weak_residual)
-from qnslab.timeloop import (IntegratorConfig, energy_budget,
-                             equivalence_run, integrate)
+from qnslab.systems import (WeakResidual, rhs_approx_u, rhs_target,
+                            trig_test_function)
+from qnslab.timeloop import (EnergyBudget, IntegratorConfig, equivalence_run,
+                             integrate)
 from qnslab.verify import SuiteConfig, run_identity_suite
 
 SEEDS = tuple(range(100))
@@ -139,7 +139,7 @@ def test_criterion_07_mass_conservation_and_balance_order():
     st = State(raw.rho0, raw.m0)
     cfg = IntegratorConfig(scheme="imex", dt_init=1e-3, dt_min=1e-6,
                            dt_max=1e-3, t_end=1.0, monitor_every=20)
-    traj = integrate(st, p.with_(eps=0.0), cfg, keep_states=False)
+    traj = integrate(st, p.with_(eps=0.0), cfg)
     m0 = traj.records[0].mass
     drift = max(abs(r.mass - m0) / m0 for r in traj.records)
     cons_ok = traj.status == "completed" and drift < 1e-12
@@ -153,7 +153,7 @@ def test_criterion_07_mass_conservation_and_balance_order():
     residuals = []
     for dt in (2e-3, 1e-3, 5e-4, 2.5e-4):
         c = IntegratorConfig.fixed_dt(dt, t_end=0.04, monitor_every=1)
-        t = integrate(strong, peps, c, keep_states=False)
+        t = integrate(strong, peps, c)
         residuals.append(max(r.mass_balance_residual for r in t.records[1:]))
     orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(3)]
     order_ok = all(o >= 1.8 for o in orders)
@@ -181,13 +181,25 @@ def test_criterion_08_formulation_equivalence():
              + ", ".join(f"{e:.2e}" for e in errors) + f", {elapsed:.1f}s")
 
 
+def _budget_residual(state, params, config):
+    budget = EnergyBudget(params)
+    integrate(state, params, config, observers=(budget,))
+    return budget.report().max_residual
+
+
+def _weak_value(state, params, config):
+    weak = WeakResidual(trig_test_function(state.grid, config.t_end), params)
+    integrate(state, params, config, observers=(weak,))
+    return weak.value()
+
+
 def test_criterion_09_energy_budget():
     # steady state: residual at roundoff
     g = Grid(64)
     steady = State(ScalarField.constant(g, 1.0), VectorField.zero(g))
     p = QnsParams(nu=1.0, kappa=1.0 / 11.0)
     cfg = IntegratorConfig.fixed_dt(1e-3, t_end=0.01)
-    steady_res = energy_budget(integrate(steady, p, cfg), p).max_residual
+    steady_res = _budget_residual(steady, p, cfg)
 
     # short viscous run: residual shrinks at the scheme order (2)
     gx = Grid(128)
@@ -199,7 +211,7 @@ def test_criterion_09_energy_budget():
     res = []
     for dt in dts:
         c = IntegratorConfig.fixed_dt(dt, t_end=0.02)
-        res.append(energy_budget(integrate(st, peps, c), peps).max_residual)
+        res.append(_budget_residual(st, peps, c))
     slope = np.polyfit(np.log(dts), np.log(res), 1)[0]
     ok = steady_res < 1e-10 and abs(slope - 2.0) <= 0.3
     _verdict(9, "energy budget residual (steady + order fit)", ok,
@@ -211,9 +223,7 @@ def test_criterion_10_weak_residual():
     p = QnsParams(nu=1.0, kappa=1.0 / 11.0)
     steady = State(ScalarField.constant(g, 1.0), VectorField.zero(g))
     cfg = IntegratorConfig.fixed_dt(1e-3, t_end=0.02)
-    traj = integrate(steady, p, cfg)
-    test_fn = trig_test_function(g, cfg.t_end)
-    steady_res = weak_residual(traj.times, traj.states, test_fn, p)
+    steady_res = _weak_value(steady, p, cfg)
 
     gx = Grid(128)
     x = gx.coords()[0]
@@ -223,9 +233,7 @@ def test_criterion_10_weak_residual():
     res = []
     for dt in (4e-4, 2e-4, 1e-4):
         c = IntegratorConfig.fixed_dt(dt, t_end=0.05)
-        t = integrate(moving, pm, c)
-        res.append(weak_residual(t.times, t.states,
-                                 trig_test_function(gx, c.t_end), pm))
+        res.append(_weak_value(moving, pm, c))
     ok = steady_res < 1e-10 and res[0] > res[1] > res[2]
     _verdict(10, "weak-form residual (steady + refinement decay)", ok,
              f"steady {steady_res:.2e}, refining "
@@ -238,7 +246,7 @@ def test_criterion_11_monitor_boundedness():
     st = State(raw.rho0, raw.m0)
     cfg = IntegratorConfig(scheme="imex", dt_init=1e-3, dt_min=1e-6,
                            dt_max=1e-3, t_end=1.0, monitor_every=20)
-    traj = integrate(st, p, cfg, keep_states=False)
+    traj = integrate(st, p, cfg)
     recs = traj.records
     mv_ok = max(r.mv for r in recs) <= 10 * recs[0].mv
     bd0 = recs[0].bd_entropy

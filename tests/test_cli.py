@@ -336,6 +336,33 @@ class TestSweep:
         assert rows[0]["status"] == "completed"
         assert rows[1]["status"].startswith("error: admissibility violated")
 
+    def test_point_specific_failure_is_an_error_row(self, tmp_path):
+        # mollification needs eps > 0: only the eps = 0 point fails
+        doc = dict(RUN_DOC, mollify=True, sweep={"eps": [0.0, 1e-3]})
+        cfg = _write(tmp_path, "s.json", doc)
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", cfg, "--out", out]) == 1
+        with open(os.path.join(out, "sweep.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["status"] == "error: mollification requires eps > 0"
+        assert rows[1]["status"] == "completed"
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"scenario": "nope"}, "unknown scenario 'nope'"),
+        ({"scenario": "acoustic-2d", "n": 7}, "bad grid for scenario"),
+        ({"snapshot": "missing.dat"}, "snapshot not found"),
+        ({"integrator": {"scheme": "euler"}}, "invalid integrator block"),
+    ], ids=["scenario", "grid", "snapshot", "integrator"])
+    def test_shared_config_error_exits_2(self, tmp_path, capsys, extra,
+                                         message):
+        # what every point shares is a config error, not an error row
+        doc = dict(RUN_DOC, sweep={"eps": [1e-3, 1e-4]}, **extra)
+        cfg = _write(tmp_path, "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_axis_exits_2(self, tmp_path):
         doc = dict(RUN_DOC, sweep={"gamma": [2.0]})
         cfg = _write(tmp_path, "s.json", doc)

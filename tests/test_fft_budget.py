@@ -11,7 +11,7 @@ import pytest
 
 from qnslab import functionals, systems, timeloop, verify
 from qnslab.fields import Grid, random_smooth_positive, random_smooth_vector
-from qnslab.physics import QnsParams, State, to_w
+from qnslab.physics import Derived, QnsParams, State, to_w
 
 ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
                 "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft",
@@ -26,6 +26,7 @@ CEILINGS = {
     "monitor": 12,
     "monitor_record": 8,
     "budget_rate": 20,
+    "budgeted_record": 24,
     "verify_pass_1d": 24,
     "verify_pass_2d": 24,
 }
@@ -101,6 +102,13 @@ def _operations():
         # what one record of integrate evaluates, mass flux included
         timeloop._monitor_sample(state, params)
 
+    def budgeted_record():
+        # a record of integrate with an EnergyBudget observer: both read
+        # the record's one bundle
+        d = Derived(state, params)
+        timeloop._monitor_sample(d, params)
+        timeloop.EnergyBudget(params)(state, d)
+
     def step(scheme):
         return lambda: timeloop.step(state, params, systems.rhs_approx_u,
                                      1e-4, scheme=scheme)
@@ -114,6 +122,7 @@ def _operations():
         "monitor": monitor,
         "monitor_record": monitor_record,
         "budget_rate": lambda: timeloop._budget_rate(state, params),
+        "budgeted_record": budgeted_record,
         "verify_pass_1d": _verify_pass(25),
         "verify_pass_2d": _verify_pass(1, (64, 64)),
     }

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnslab.fields import (Grid, ScalarField, div, grad_arr,
+from qnslab.fields import (Grid, ScalarField, grad_arr,
                            random_smooth_positive, random_smooth_vector)
 from qnslab.physics import (AdmissibilityError, QnsParams, State, VacuumError,
-                            bohm_force, check_constraints, mu_of, p_flux,
-                            p_flux_div, paper_params, require_positive, to_u,
-                            to_w)
+                            bohm_force, check_constraints, mu_of,
+                            paper_params, require_positive, to_u, to_w)
 
 
 class TestMu:
@@ -171,24 +170,6 @@ class TestBohmForce:
             fd = bohm_force(rho, "A", backend="fd2").values
             errs.append(np.max(np.abs(fa - fd)))
         assert errs[1] < 0.3 * errs[0]
-
-
-class TestQuarticFlux:
-    def test_p_flux_div_consistent(self):
-        g = Grid((48, 48))
-        rho = random_smooth_positive(g, 8, 6, 1.0)
-        v = ScalarField(g, np.sqrt(rho.values))
-        flux = p_flux(v)
-        np.testing.assert_allclose(p_flux_div(v).values, div(flux).values,
-                                   atol=1e-10)
-
-    def test_closed_form_1d(self):
-        # v = sin x: flux = (cos x)^2 cos x = cos^3 x
-        g = Grid(128)
-        x = g.coords()[0]
-        v = ScalarField(g, np.sin(x) + 2.0)
-        np.testing.assert_allclose(p_flux(v).values[0], np.cos(x) ** 3,
-                                   atol=1e-10)
 
 
 class TestVelocityTransform:

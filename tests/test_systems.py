@@ -9,10 +9,10 @@ from qnslab.fields import (Grid, ScalarField, VectorField, dealias_arr,
                            from_spectral, grad_arr, quad,
                            random_smooth_positive, random_smooth_vector,
                            to_spectral)
-from qnslab.physics import QnsParams, State, bohm_force, to_w
-from qnslab.systems import (FORMULATIONS, rhs_approx_u, rhs_approx_w,
-                            rhs_for, rhs_target, rhs_terms,
-                            trig_test_function, weak_residual)
+from qnslab.physics import Derived, QnsParams, State, bohm_force, to_w
+from qnslab.systems import (FORMULATIONS, WeakResidual, rhs_approx_u,
+                            rhs_approx_w, rhs_for, rhs_target, rhs_terms,
+                            trig_test_function)
 
 
 def _state(grid, seed, modes=6, floor=1.0):
@@ -172,14 +172,19 @@ class TestDispatch:
 
 
 class TestWeakResidual:
+    @staticmethod
+    def _observe(weak, states, params):
+        for s in states:
+            weak(s, Derived(s, params))
+        return weak
+
     def test_steady_state_near_zero(self):
         g = Grid(64)
         st = State(ScalarField.constant(g, 1.0), VectorField.zero(g))
-        times = [0.0, 0.05, 0.1]
-        states = [State(st.rho, st.vel, time=t) for t in times]
-        test = trig_test_function(g, 0.1)
-        res = weak_residual(times, states, test, PARAMS.with_(eps=0.0))
-        assert res < 1e-10
+        states = [State(st.rho, st.vel, time=t) for t in (0.0, 0.05, 0.1)]
+        params = PARAMS.with_(eps=0.0)
+        weak = WeakResidual(trig_test_function(g, 0.1), params)
+        assert self._observe(weak, states, params).value() < 1e-10
 
     def test_cutoff_vanishes_at_final_time(self):
         g = Grid(32)
@@ -190,9 +195,16 @@ class TestWeakResidual:
     def test_requires_two_samples(self):
         g = Grid(32)
         st = State(ScalarField.constant(g, 1.0), VectorField.zero(g))
-        test = trig_test_function(g, 1.0)
+        weak = WeakResidual(trig_test_function(g, 1.0), PARAMS)
         with pytest.raises(ValueError):
-            weak_residual([0.0], [st], test, PARAMS)
+            self._observe(weak, [st], PARAMS).value()
+
+    def test_rejects_w_form_state(self):
+        g = Grid(32)
+        st = to_w(_state(g, 2), PARAMS)
+        weak = WeakResidual(trig_test_function(g, 1.0), PARAMS)
+        with pytest.raises(ValueError, match="u-form"):
+            self._observe(weak, [st], PARAMS)
 
 
 # ---------------------------------------------------------------------------

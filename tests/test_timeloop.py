@@ -1,5 +1,6 @@
 """Time integration: schemes, step control, monitors, budgets, equivalence."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from qnslab import timeloop
 from qnslab.fields import Grid, ScalarField, VectorField
 from qnslab.functionals import DISSIPATION_KEYS
-from qnslab.physics import QnsParams, State, VacuumError, to_w
+from qnslab.initdata import scenario
+from qnslab.physics import QnsParams, State, VacuumError, to_u, to_w
 from qnslab.systems import rhs_approx_u
-from qnslab.timeloop import (IntegratorConfig, NonFiniteError,
-                             PositivityError, cfl_dt, energy_budget,
-                             equivalence_run, integrate, step)
+from qnslab.timeloop import (EnergyBudget, IntegratorConfig, NonFiniteError,
+                             PositivityError, cfl_dt, equivalence_run,
+                             integrate, step)
 
 
 def _acoustic(n=128, amp=0.1):
@@ -152,7 +154,8 @@ class TestIntegrate:
         cfg = IntegratorConfig.fixed_dt(1e-3, t_end=0.01)
         traj = integrate(_acoustic(64), PARAMS, cfg)
         assert traj.status == "completed"
-        assert traj.times[-1] == pytest.approx(0.01, abs=1e-12)
+        assert traj.records[-1].time == pytest.approx(0.01, abs=1e-12)
+        assert traj.final.time == traj.records[-1].time
 
     def test_monitor_cadence(self):
         cfg = IntegratorConfig.fixed_dt(1e-3, t_end=0.01, monitor_every=5)
@@ -190,10 +193,13 @@ class TestIntegrate:
                             lambda formulation: _poisoned_velocity(calls))
         cfg = IntegratorConfig.fixed_dt(1e-3, t_end=0.005, scheme=scheme,
                                         monitor_every=1)
-        traj = integrate(_acoustic(32), PARAMS, cfg)
+        finite = []
+        traj = integrate(_acoustic(32), PARAMS, cfg, observers=(
+            lambda s, d: finite.append(np.isfinite(s.vel.values).all()),))
         assert traj.status.startswith("non-finite at t=0.005")
-        assert traj.times[-1] == pytest.approx(0.004)
-        assert all(np.all(np.isfinite(s.vel.values)) for s in traj.states)
+        assert traj.records[-1].time == pytest.approx(0.004)
+        assert traj.final.time == traj.records[-1].time
+        assert len(finite) == len(traj.records) and all(finite)
 
     def test_nan_density_never_completes(self):
         # one NaN node used to run to status "completed" at time nan
@@ -205,11 +211,42 @@ class TestIntegrate:
         with pytest.raises(VacuumError):
             integrate(bad, PARAMS, cfg)
 
-    def test_keep_states_false_drops_snapshots(self):
-        cfg = IntegratorConfig.fixed_dt(1e-3, t_end=5e-3)
-        traj = integrate(_acoustic(64), PARAMS, cfg, keep_states=False)
-        assert traj.states == []
-        assert len(traj.records) > 1
+    @pytest.mark.parametrize("form", ["u", "w"])
+    def test_observers_see_each_record_with_its_bundle(self, form):
+        st = _acoustic(64)
+        if form == "w":
+            st = to_w(st, PARAMS)
+        seen = []
+
+        def observe(s, d):
+            u = s if s.form == "u" else to_u(s, PARAMS)
+            assert np.array_equal(d.rho, u.rho.values)
+            assert np.array_equal(d.u, u.vel.values)
+            seen.append(s)
+        cfg = IntegratorConfig.fixed_dt(1e-3, t_end=5e-3, monitor_every=2)
+        traj = integrate(st, PARAMS, cfg, observers=(observe, observe))
+        assert [s.time for s in seen[::2]] == [r.time for r in traj.records]
+        assert seen[-1] is traj.final and traj.final.form == form
+
+    def test_memory_does_not_grow_with_steps(self):
+        # integrate keeps no state per record: from 100 to 400 steps the
+        # peak grows by the records only (about 0.3 MB at 2D n=32)
+        raw, params = scenario("acoustic-2d", n=32)
+        st = State(raw.rho0, raw.m0)
+
+        def peak(steps):
+            cfg = IntegratorConfig.fixed_dt(1e-4, t_end=steps * 1e-4)
+            tracemalloc.start()
+            try:
+                traj = integrate(st, params, cfg)
+                return tracemalloc.get_traced_memory()[1], traj
+            finally:
+                tracemalloc.stop()
+        peak(10)      # warm the transform workspace and caches
+        small, _ = peak(100)
+        large, traj = peak(400)
+        assert traj.status == "completed" and len(traj.records) == 401
+        assert large - small < 1e6
 
     def test_fixed_dt_skips_the_cfl_estimate(self, monkeypatch):
         calls = []
@@ -224,7 +261,7 @@ class TestIntegrate:
         adaptive = integrate(_acoustic(32), PARAMS, IntegratorConfig(
             dt_init=1e-3, dt_min=1e-4, dt_max=1e-3, t_end=5e-3))
         assert adaptive.status == "completed"
-        assert len(calls) == len(adaptive.times) - 1
+        assert len(calls) == len(adaptive.records) - 1
 
     def test_cfl_estimate_positive_and_resolution_dependent(self):
         coarse = cfl_dt(_acoustic(32), PARAMS,
@@ -238,7 +275,13 @@ class TestIntegrate:
         cfg = IntegratorConfig.fixed_dt(1e-3, t_end=5e-3)
         traj = integrate(st, PARAMS, cfg)
         assert traj.status == "completed"
-        assert traj.states[-1].form == "w"
+        assert traj.final.form == "w"
+
+
+def _budget(state, params, config):
+    budget = EnergyBudget(params)
+    integrate(state, params, config, observers=(budget,))
+    return budget.report()
 
 
 class TestEnergyBudget:
@@ -246,14 +289,21 @@ class TestEnergyBudget:
         g = Grid(64)
         st = State(ScalarField.constant(g, 1.0), VectorField.zero(g))
         cfg = IntegratorConfig.fixed_dt(1e-3, t_end=0.01)
-        traj = integrate(st, PARAMS, cfg)
-        assert energy_budget(traj, PARAMS).max_residual < 1e-10
+        assert _budget(st, PARAMS, cfg).max_residual < 1e-10
 
     def test_requires_uniform_cadence(self):
         cfg = IntegratorConfig.fixed_dt(1e-3, t_end=9e-3, monitor_every=4)
-        traj = integrate(_acoustic(64), PARAMS, cfg)
-        with pytest.raises(ValueError):
-            energy_budget(traj, PARAMS)  # cadence 4 then remainder 1
+        with pytest.raises(ValueError, match="cadence"):
+            _budget(_acoustic(64), PARAMS, cfg)  # cadence 4 then remainder 1
+
+    def test_requires_u_form(self):
+        cfg = IntegratorConfig.fixed_dt(1e-3, t_end=5e-3)
+        with pytest.raises(ValueError, match="u-form"):
+            _budget(to_w(_acoustic(64), PARAMS), PARAMS, cfg)
+
+    def test_requires_two_records(self):
+        with pytest.raises(ValueError, match="too short"):
+            EnergyBudget(PARAMS).report()
 
     def test_residual_second_order(self):
         st = _acoustic(64, amp=0.3)
@@ -261,16 +311,14 @@ class TestEnergyBudget:
         res = []
         for dt in (4e-4, 2e-4, 1e-4):
             cfg = IntegratorConfig.fixed_dt(dt, t_end=0.01)
-            traj = integrate(st, p, cfg)
-            res.append(energy_budget(traj, p).max_residual)
+            res.append(_budget(st, p, cfg).max_residual)
         assert np.log2(res[0] / res[1]) == pytest.approx(2.0, abs=0.3)
         assert np.log2(res[1] / res[2]) == pytest.approx(2.0, abs=0.3)
 
     def test_dissipation_column_nonnegative(self):
         cfg = IntegratorConfig.fixed_dt(2e-4, t_end=4e-3)
         p = PARAMS.with_(r0=0.1, r1=0.1)
-        traj = integrate(_acoustic(64), p, cfg)
-        budget = energy_budget(traj, p)
+        budget = _budget(_acoustic(64), p, cfg)
         assert np.all(budget.dissipation >= 0.0)
 
 
