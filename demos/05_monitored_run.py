@@ -15,7 +15,7 @@ raw, _ = scenario("acoustic-1d", n=128)
 params = QnsParams(nu=1.0, kappa=1.0 / 11.0, r0=0.1, r1=0.05, eps=1e-3)
 cfg = IntegratorConfig(scheme="imex", dt_init=5e-4, dt_min=1e-6, dt_max=5e-4,
                        t_end=0.2, monitor_every=1)
-budget = EnergyBudget(params)
+budget = EnergyBudget(params, cfg)
 traj = integrate_in_time(State(raw.rho0, raw.m0), params, cfg,
                          observers=(budget,))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 import threading
 
 import numpy as np
@@ -88,7 +89,7 @@ class Grid:
 
     @property
     def node_count(self):
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     def coords(self):
         """Per-axis 1D coordinate arrays."""

@@ -107,7 +107,8 @@ def energy(state, params):
     """int(rho|u|^2 + rho + a rho^g + eps rho^-p0
            + (2k^2 + 2 mu sqrt(eps)) |grad v|^2 + eps mu |grad v|^4).
 
-    state is a State or its Derived bundle, as for every functional here."""
+    state is a State or its Derived bundle, as for every functional here;
+    a stacked bundle gives one value per state of the stack."""
     d = derived(state, params)
     r = d.rho
     gv2 = d.grad_sqrt_rho2
@@ -140,10 +141,13 @@ def energy_dissipation(state, params):
     """Instantaneous values of the named dissipation integrals.
 
     Time integration of these is the time loop's job; this returns the
-    integrands' quadratures at the given state.
+    integrands' quadratures at the given state, or one value per state of
+    a stacked bundle (kappa_quartic_group is 0.0 for all of them at
+    eps = 0).
     """
     d = derived(state, params)
     grid = d.grid
+    ca = -grid.dim - 1
     r, u, v, u2 = d.rho, d.u, d.sqrt_rho, d.u2
     eps, mu, p0 = params.eps, params.mu, params.p0
 
@@ -151,36 +155,37 @@ def energy_dissipation(state, params):
            "jac_u", "jac_sqrt_rho_u")
     Hv, Hlog, Jsu, J = (d.hess_sqrt_rho, d.hess_log_rho, d.jac_sqrt_rho_u,
                         d.jac_u)
-    D = 0.5 * (J + np.swapaxes(J, 0, 1))
+    D = 0.5 * (J + np.swapaxes(J, ca - 1, ca))
     gv, gv2 = d.grad_sqrt_rho, d.grad_sqrt_rho2
     w = u + mu * d.grad_log_rho
     g_rg = grad_arr(grid, r ** (params.gamma / 2))
     # grad(sqrt(rho) u) - u (x) grad(sqrt(rho))
-    diff = Jsu - u[:, None] * gv[None, :]
+    diff = Jsu - np.expand_dims(u, ca) * np.expand_dims(gv, ca - 1)
     neg_p = d.rho_neg_p0 if eps > 0 else np.zeros_like(r)
+    tensor = (ca - 1, ca)
 
     out = {
-        "nu_rho_Du2": params.nu * quad(grid, r * np.sum(D * D, axis=(0, 1))),
+        "nu_rho_Du2": params.nu * quad(grid, r * np.sum(D * D, axis=tensor)),
         "r0_u2": params.r0 * quad(grid, u2),
         "r1_rho_u4": params.r1 * quad(grid, r * u2 ** 2),
         "sqrt_eps_rho_gradu2": np.sqrt(eps) * quad(
-            grid, r * np.sum(J * J, axis=(0, 1))),
+            grid, r * np.sum(J * J, axis=tensor)),
         "eps_gradv4": eps * quad(grid, gv2 ** 2),
         "eps_gradv4_u2": eps * quad(grid, gv2 ** 2 * u2),
         "eps_rho_negp_u2": eps * quad(grid, neg_p * u2),
         "eps32_rho_w3_u2": eps ** 1.5 * quad(
-            grid, r * np.sum(w * w, axis=0) ** 1.5 * u2),
+            grid, r * np.sum(w * w, axis=ca) ** 1.5 * u2),
         "kappa_quartic_group": 0.0,
         "kappa2_rho_hesslog2": params.kappa ** 2 * quad(
-            grid, r * np.sum(Hlog * Hlog, axis=(0, 1))),
-        "grad_rho_gamma_half2": quad(grid, np.sum(g_rg * g_rg, axis=0)),
-        "grad_sqrtrho_u2": quad(grid, np.sum(diff * diff, axis=(0, 1))),
+            grid, r * np.sum(Hlog * Hlog, axis=tensor)),
+        "grad_rho_gamma_half2": quad(grid, np.sum(g_rg * g_rg, axis=ca)),
+        "grad_sqrtrho_u2": quad(grid, np.sum(diff * diff, axis=tensor)),
     }
     if eps > 0:
         ckap = (2 * params.kappa ** 2 + 2 * mu * np.sqrt(eps)) * eps
         g_gv2 = grad_arr(grid, gv2)
-        quartic = (gv2 * np.sum(Hv * Hv, axis=(0, 1))
-                   + np.sum(g_gv2 * g_gv2, axis=0)
+        quartic = (gv2 * np.sum(Hv * Hv, axis=tensor)
+                   + np.sum(g_gv2 * g_gv2, axis=ca)
                    + (2 * p0 + 1) * gv2 * v ** (-2 * p0 - 2))
         out["kappa_quartic_group"] = ckap * quad(grid, quartic)
     return out

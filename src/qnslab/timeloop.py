@@ -23,7 +23,7 @@ from .fields import (ScalarField, VectorField, dealias_arr, div_arr,
 from .functionals import (DISSIPATION_KEYS, Derived, MonitorRecord,
                           bd_entropy, derived, energy, energy_dissipation,
                           mv_functional)
-from .physics import State, VacuumError, bohm_arr, to_w
+from .physics import State, VacuumError, bohm_arr, chunk_size, to_w
 from .systems import continuity_rate, rhs_for
 
 SCHEMES = ("rk4-explicit", "imex")
@@ -281,26 +281,30 @@ def cfl_dt(state, params, config):
 
 
 def _monitor_sample(state, params):
-    """The functionals of one monitor record, all read from one Derived
-    bundle (the State's, or the bundle given), and the continuity source
-    flux eps * int |grad v|^4 - eps * int rho^-p0 of the mass balance.
+    """The functionals of monitor records, all read from one Derived bundle
+    (the State's, or the bundle given, of one state or of a stack), and the
+    continuity source flux eps * int |grad v|^4 - eps * int rho^-p0 of the
+    mass balance.
 
-    Returns (MonitorRecord fields but time and residual, flux).
+    Returns (MonitorRecord fields but time and residual, flux): each value
+    one number, or one per state of a stacked bundle.
     """
     d = derived(state, params)
+    grid = d.grid
+    flat_rho = d.rho.reshape(d.rho.shape[:d.rho.ndim - grid.dim] + (-1,))
     values = {
         "dissipation": energy_dissipation(d, params),
         "energy": energy(d, params),
         "bd_entropy": bd_entropy(d, params),
         "mv": mv_functional(d),
-        "mass": quad(d.grid, d.rho),
-        "rho_min": float(np.min(d.rho)),
-        "rho_max": float(np.max(d.rho)),
+        "mass": quad(grid, d.rho),
+        "rho_min": flat_rho.min(axis=-1),
+        "rho_max": flat_rho.max(axis=-1),
     }
     flux = 0.0
     if params.eps != 0:
-        flux = params.eps * (quad(d.grid, d.grad_sqrt_rho2 ** 2)
-                             - quad(d.grid, d.rho_neg_p0))
+        flux = params.eps * (quad(grid, d.grad_sqrt_rho2 ** 2)
+                             - quad(grid, d.rho_neg_p0))
     return values, flux
 
 
@@ -311,9 +315,15 @@ def integrate(initial, params, config, formulation=None, observers=()):
     monitor samples. The mass-balance residual column is the discrete form of
     d(int rho)/dt + eps*int|grad v|^4 - eps*int rho^-p0.
 
-    Each observer is called as observe(state, d) at every record, after the
-    record's functionals, with the Derived bundle they read: the u-form
-    bundle of the state. No state is kept but the last record's.
+    The recorded states are evaluated a chunk at a time (chunk_size of the
+    grid: 32 records at 1D n=128, one at 64^2 and above), from one Derived
+    bundle of the stacked states. A chunk is evaluated when it is full, at
+    t_end and before a positivity or non-finite stop; its records then
+    follow in order. Each observer is called as observe(state, d) for every
+    record, after the record's functionals, with the record's row of the
+    chunk bundle: the u-form bundle of the state, whose arrays are views of
+    the chunk's and must not be written to. No state is kept but the last
+    record's and those of the chunk being filled.
     """
     rhs_fn = rhs_for(formulation
                      or {"u": "approx-u", "w": "approx-w"}[initial.form])
@@ -322,26 +332,48 @@ def integrate(initial, params, config, formulation=None, observers=()):
     state = initial
     accum = {k: 0.0 for k in DISSIPATION_KEYS}
     flux_prev = None    # the mass flux of the last record
+    size = chunk_size(initial.grid)
+    pending = []        # states recorded, not yet evaluated
+
+    def flush():
+        nonlocal flux_prev
+        if not pending:
+            return
+        d = Derived.stacked(pending, params)
+        values, flux = _monitor_sample(d, params)
+
+        def per_record(v):
+            return np.broadcast_to(v, len(pending)).tolist()
+        diss = {k: per_record(v) for k, v in values.pop("dissipation").items()}
+        columns = {k: per_record(v) for k, v in values.items()}
+        for k, (s, flux) in enumerate(zip(pending, per_record(flux))):
+            rec = {key: col[k] for key, col in columns.items()}
+            dissipation = {key: col[k] for key, col in diss.items()}
+            residual = 0.0
+            if traj.records:
+                # discrete mass balance; trapezoid accumulation of the
+                # dissipation integrals
+                last = traj.records[-1]
+                h = s.time - last.time
+                residual = abs((rec["mass"] - last.mass) / h
+                               + 0.5 * (flux + flux_prev))
+                for key, v in dissipation.items():
+                    accum[key] += 0.5 * (last.dissipation[key] + v) * h
+            traj.records.append(MonitorRecord(
+                time=s.time, mass_balance_residual=residual,
+                dissipation=dissipation, **rec))
+            flux_prev = flux
+            if observers:
+                row = d.row(k)
+                for observe in observers:
+                    observe(s, row)
+        traj.final = pending[-1]
+        pending.clear()
 
     def record(s):
-        nonlocal flux_prev
-        d = Derived(s, params)
-        values, flux = _monitor_sample(d, params)
-        residual = 0.0
-        if traj.records:
-            # discrete mass balance; trapezoid accumulation of the
-            # dissipation integrals
-            last = traj.records[-1]
-            h = s.time - last.time
-            residual = abs((values["mass"] - last.mass) / h
-                           + 0.5 * (flux + flux_prev))
-            for k, v in values["dissipation"].items():
-                accum[k] += 0.5 * (last.dissipation[k] + v) * h
-        traj.records.append(MonitorRecord(
-            time=s.time, mass_balance_residual=residual, **values))
-        traj.final, flux_prev = s, flux
-        for observe in observers:
-            observe(s, d)
+        pending.append(s)
+        if len(pending) == size:
+            flush()
 
     record(state)
     steps = 0
@@ -360,15 +392,16 @@ def integrate(initial, params, config, formulation=None, observers=()):
         except PositivityError as exc:
             traj.status = (f"positivity-failure at t={exc.time:.6g} "
                            f"({exc.bad_nodes} nodes, rho_min={exc.rho_min:g})")
-            return traj
+            break
         except NonFiniteError as exc:
             traj.status = (f"non-finite at t={exc.time:.6g} "
                            f"({exc.bad_nodes} velocity nodes)")
-            return traj
+            break
         steps += 1
         if (steps % config.monitor_every == 0
                 or state.time >= config.t_end - 1e-14):
             record(state)
+    flush()
     traj.dissipation_time_integrals = accum
     return traj
 
@@ -466,10 +499,17 @@ class EnergyBudget:
     """Observer of integrate: the per-step residual of the discrete energy
     identity over an approx-u run at monitor cadence 1. report() compares
     the discrete energy increment per step against the trapezoid of the
-    analytic rate; the residual shrinks at the scheme's temporal order."""
+    analytic rate; the residual shrinks at the scheme's temporal order.
 
-    def __init__(self, params):
+    config is the run's IntegratorConfig, if known. Record times alone
+    cannot tell a cadence-1 run whose last step integrate cut short to land
+    on t_end from a run at a larger cadence with a remainder, so without it
+    every interval must be uniform; with it, the cadence must be 1 and the
+    last interval may be the shorter step."""
+
+    def __init__(self, params, config=None):
         self.params = params
+        self.config = config
         self._samples = []      # (time, energy, rate, dissipation, sources)
 
     def __call__(self, state, d):
@@ -486,7 +526,10 @@ class EnergyBudget:
         times, energies, rates, disses, srcs = map(np.asarray,
                                                    zip(*self._samples))
         dts = np.diff(times)
-        if len(times) > 2 and np.max(dts) > 1.5 * np.min(dts):
+        cadence = None if self.config is None else self.config.monitor_every
+        regular = dts if cadence is None else dts[:-1]
+        if cadence not in (None, 1) or (
+                len(times) > 2 and np.max(dts) > 1.5 * np.min(regular)):
             raise ValueError("energy budget requires monitor cadence 1 "
                              "(uniform per-step snapshots)")
         mid_rate = 0.5 * (rates[1:] + rates[:-1])

@@ -23,7 +23,7 @@ from .fields import (Grid, check_smooth_args, grad_arr, quad,
 from .functionals import (div_vs_D_batch, flux_identity_batch, grad6_batch,
                           grad_sqrtrho_u_batch, jungel_batch)
 from .initdata import mollify, scenario
-from .physics import Derived, State, bohm_arr
+from .physics import Derived, State, bohm_arr, chunk_size
 from .systems import WeakResidual, trig_test_function
 from .timeloop import (EnergyBudget, IntegratorConfig, equivalence_run,
                        integrate)
@@ -141,21 +141,6 @@ class SuiteReport:
 
     def to_jsonl(self):
         return "\n".join(r.to_json() for r in self.results)
-
-
-# A seed chunk is the stack of seeds evaluated together on one grid; it
-# holds at most this many grid nodes per field (all 25 seeds of a (128,)
-# ensemble, one seed at 64^2). A 25-seed identity+inequality pass on (128,)
-# and (64, 64) took a median 128, 125 and 126 ms at 4096, 8192 and 16384
-# nodes, with overlapping quartiles (30 interleaved passes each), and peaked
-# at 38.7, 41.0 and 44.7 MB RSS (2-core Xeon, numpy 2.4.6, CPython 3.11.7,
-# one thread): larger chunks cost memory without a measurable speed-up.
-CHUNK_NODES = 4096
-
-
-def chunk_size(grid):
-    """Seeds per chunk on the grid."""
-    return max(1, CHUNK_NODES // grid.node_count)
 
 
 def _rel_l2(grid, a, b):
@@ -337,7 +322,7 @@ def _steady_battery():
     raw, params = scenario("uniform-rest", n=64)
     state = State(raw.rho0, raw.m0, form="u")
     config = IntegratorConfig.fixed_dt(1e-3, t_end=2e-2, monitor_every=1)
-    budget = EnergyBudget(params)
+    budget = EnergyBudget(params, config)
     weak = WeakResidual(trig_test_function(state.grid, config.t_end), params)
     traj = integrate(state, params, config, observers=(budget, weak))
     recs = traj.records

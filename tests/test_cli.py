@@ -3,10 +3,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qnslab
 from qnslab import timeloop
 from qnslab.cli import MONITOR_COLUMNS, main
 from qnslab.fields import Grid, ScalarField, VectorField
@@ -457,3 +460,14 @@ class TestReport:
     def test_missing_monitors_exits_2(self, tmp_path):
         assert main(["report", "--monitors",
                      str(tmp_path / "nope.csv")]) == 2
+
+
+def test_python_m_qnslab_runs_from_a_checkout():
+    # the package directory's parent on PYTHONPATH, nothing installed
+    src = os.path.dirname(os.path.dirname(qnslab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "qnslab", "--help"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: qnslab")

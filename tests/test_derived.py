@@ -17,7 +17,7 @@ from qnslab.fields import (Grid, grad_arr, hess_arr, lap_arr, per_node, quad,
 from qnslab.functionals import (DISSIPATION_KEYS, Derived, bd_entropy,
                                 derived, energy, energy_dissipation,
                                 mv_functional)
-from qnslab.physics import PIECES, QnsParams, State, to_u, to_w
+from qnslab.physics import PIECES, QnsParams, State, chunk_size, to_u, to_w
 from qnslab.systems import rhs_approx_u, rhs_approx_w
 from qnslab.timeloop import IntegratorConfig, integrate, step
 
@@ -132,6 +132,70 @@ class TestMonitorRecord:
                            + 0.5 * (refs[k]["flux"] + refs[k - 1]["flux"]))
             np.testing.assert_allclose(
                 traj.records[k].mass_balance_residual, residual, rtol=1e-10)
+
+
+def _chunked_run(state, extra=3):
+    """A fixed-dt run of chunk_size + extra records, so its second chunk
+    is partial, with the State and the observer bundle of each record."""
+    size = chunk_size(state.grid)
+    cfg = IntegratorConfig.fixed_dt(1e-4, t_end=(size + extra - 1) * 1e-4)
+    seen = []
+    traj = integrate(state, PARAMS, cfg,
+                     observers=(lambda s, d: seen.append((s, d)),))
+    assert traj.status == "completed"
+    assert len(traj.records) == len(seen) == size + extra
+    return traj, seen
+
+
+@pytest.mark.parametrize("form", ["u", "w"])
+@pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+class TestChunkedRecords:
+    """integrate evaluates its records a chunk at a time; every record,
+    residual, integral and observer bundle is the one of its own state."""
+
+    def _traj(self, grid, form):
+        st = _state(grid)
+        return _chunked_run(st if form == "u" else to_w(st, PARAMS))
+
+    def test_records_equal_single_records(self, grid, form):
+        traj, seen = self._traj(grid, form)
+        acc = dict.fromkeys(DISSIPATION_KEYS, 0.0)
+        last = flux_last = None
+        for (s, _), rec in zip(seen, traj.records):
+            values, flux = timeloop._monitor_sample(s, PARAMS)
+            assert rec.time == s.time
+            for key in ("energy", "bd_entropy", "mv", "mass", "rho_min",
+                        "rho_max"):
+                assert getattr(rec, key) == values[key], key
+            assert rec.dissipation == values["dissipation"]
+            residual = 0.0
+            if last is not None:
+                h = rec.time - last.time
+                residual = abs((rec.mass - last.mass) / h
+                               + 0.5 * (flux + flux_last))
+                for k in DISSIPATION_KEYS:
+                    acc[k] += 0.5 * (last.dissipation[k]
+                                     + rec.dissipation[k]) * h
+            assert rec.mass_balance_residual == residual
+            last, flux_last = rec, flux
+        assert traj.dissipation_time_integrals == acc
+        assert traj.final is seen[-1][0]
+
+    def test_observer_bundles_equal_own_bundles(self, grid, form):
+        _, seen = self._traj(grid, form)
+        for s, d in seen:
+            ref = Derived(s, PARAMS)
+            held = [name for name, x in vars(d).items()
+                    if isinstance(x, np.ndarray)]
+            # the record's pieces come loaded, as views of the chunk's
+            assert {"rho", "u", "grad_sqrt_rho", "hess_log_rho",
+                    "jac_u"} <= set(held)
+            assert d.grad_sqrt_rho.base is not None
+            for name in held:
+                np.testing.assert_array_equal(getattr(d, name),
+                                              getattr(ref, name))
+            # a piece the record did not load is the row's own
+            np.testing.assert_array_equal(d.lap_sqrt_rho, ref.lap_sqrt_rho)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)

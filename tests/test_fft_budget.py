@@ -25,6 +25,7 @@ CEILINGS = {
     "step_rk4": 32,
     "monitor": 12,
     "monitor_record": 8,
+    "monitor_chunk_1d": 8,
     "budget_rate": 20,
     "budgeted_record": 24,
     "verify_pass_1d": 24,
@@ -88,6 +89,19 @@ def _inputs():
     return params, state, to_w(state, params)
 
 
+def _monitor_chunk(count, form="u"):
+    """What one chunk of count records of integrate evaluates at 1D
+    n=128 (32 records is a full chunk there)."""
+    grid = Grid(128)
+    params = QnsParams(nu=1.0, kappa=1.0 / 11.0, eps=1e-3)
+    states = [State(random_smooth_positive(grid, k, 6, 4.0),
+                    random_smooth_vector(grid, k, 6)) for k in range(count)]
+    if form == "w":
+        states = [to_w(s, params) for s in states]
+    return lambda: timeloop._monitor_sample(Derived.stacked(states, params),
+                                            params)
+
+
 def _operations():
     params, state, wstate = _inputs()
 
@@ -123,6 +137,7 @@ def _operations():
         "monitor_record": monitor_record,
         "budget_rate": lambda: timeloop._budget_rate(state, params),
         "budgeted_record": budgeted_record,
+        "monitor_chunk_1d": _monitor_chunk(32),
         "verify_pass_1d": _verify_pass(25),
         "verify_pass_2d": _verify_pass(1, (64, 64)),
     }
@@ -141,6 +156,16 @@ def test_rhs_calls_exact(fft_calls, name, spectral, calls):
         state = wstate
     fn = getattr(systems, name)
     assert fft_calls(lambda: fn(state, params, spectral=spectral)) == calls
+
+
+def test_monitor_chunk_does_not_scale_with_record_count(fft_calls):
+    assert timeloop.chunk_size(Grid(128)) == 32
+    one = fft_calls(_monitor_chunk(1))
+    assert fft_calls(_monitor_chunk(5)) == fft_calls(_monitor_chunk(32)) \
+        == one
+    # a w-form chunk maps to u with one batched gradient of log rho
+    assert fft_calls(_monitor_chunk(1, "w")) \
+        == fft_calls(_monitor_chunk(32, "w")) == one + 2
 
 
 def test_verify_pass_does_not_scale_with_seed_count(fft_calls):

@@ -1,5 +1,6 @@
 """Time integration: schemes, step control, monitors, budgets, equivalence."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from qnslab import timeloop
-from qnslab.fields import Grid, ScalarField, VectorField
-from qnslab.functionals import DISSIPATION_KEYS
+from qnslab.fields import (Grid, ScalarField, VectorField,
+                           random_smooth_positive, random_smooth_vector)
+from qnslab.functionals import DISSIPATION_KEYS, Derived
 from qnslab.initdata import scenario
 from qnslab.physics import QnsParams, State, VacuumError, to_u, to_w
 from qnslab.systems import rhs_approx_u
@@ -201,6 +203,40 @@ class TestIntegrate:
         assert traj.final.time == traj.records[-1].time
         assert len(finite) == len(traj.records) and all(finite)
 
+    def test_failed_run_keeps_its_dissipation_integrals(self):
+        st = _acoustic(32, amp=0.95)
+        p = PARAMS.with_(nu=1e-8, kappa=0.0)
+        cfg = IntegratorConfig.fixed_dt(0.05, t_end=5.0, scheme="rk4-explicit",
+                                        positivity_floor=0.05)
+        traj = integrate(st, p, cfg)
+        assert traj.status.startswith("positivity-failure at t=1.7")
+        assert len(traj.records) == 34
+        acc = traj.dissipation_time_integrals
+        assert set(acc) == set(DISSIPATION_KEYS) and acc["nu_rho_Du2"] > 0
+        assert acc == _trapezoid(traj.records)
+
+    def test_run_failing_mid_chunk_keeps_every_record(self, monkeypatch):
+        # ten records per chunk on 16x24; the 14th step fails, so the
+        # first chunk is full and the second holds four records
+        grid = Grid((16, 24))
+        st = State(random_smooth_positive(grid, 3, 4, 2.0),
+                   random_smooth_vector(grid, 3, 4))
+        assert timeloop.chunk_size(grid) == 10
+        monkeypatch.setattr(timeloop, "rhs_for",
+                            lambda formulation: _poisoned_velocity(2 * 14))
+        cfg = IntegratorConfig.fixed_dt(1e-4, t_end=2e-3)
+        seen = []
+        traj = integrate(st, PARAMS, cfg,
+                         observers=(lambda s, d: seen.append(s),))
+        assert traj.status.startswith("non-finite at t=0.0014")
+        assert len(traj.records) == len(seen) == 14
+        assert traj.final is seen[-1]
+        for s, rec in zip(seen, traj.records):
+            values, _ = timeloop._monitor_sample(s, PARAMS)
+            assert rec.time == s.time and rec.energy == values["energy"]
+            assert rec.dissipation == values["dissipation"]
+        assert traj.dissipation_time_integrals == _trapezoid(traj.records)
+
     def test_nan_density_never_completes(self):
         # one NaN node used to run to status "completed" at time nan
         st = _acoustic(32)
@@ -278,6 +314,17 @@ class TestIntegrate:
         assert traj.final.form == "w"
 
 
+def _trapezoid(records):
+    """The dissipation integrals over the records, summed as integrate
+    sums them."""
+    acc = dict.fromkeys(DISSIPATION_KEYS, 0.0)
+    for last, rec in zip(records, records[1:]):
+        h = rec.time - last.time
+        for k in DISSIPATION_KEYS:
+            acc[k] += 0.5 * (last.dissipation[k] + rec.dissipation[k]) * h
+    return acc
+
+
 def _budget(state, params, config):
     budget = EnergyBudget(params)
     integrate(state, params, config, observers=(budget,))
@@ -295,6 +342,39 @@ class TestEnergyBudget:
         cfg = IntegratorConfig.fixed_dt(1e-3, t_end=9e-3, monitor_every=4)
         with pytest.raises(ValueError, match="cadence"):
             _budget(_acoustic(64), PARAMS, cfg)  # cadence 4 then remainder 1
+
+    def test_short_last_step_of_a_cadence_1_run(self):
+        # 33 steps of 3e-4, then one of 1e-4 to land on t_end
+        cfg = IntegratorConfig.fixed_dt(3e-4, t_end=0.01)
+        st = _acoustic(64, amp=0.3)
+        budget = EnergyBudget(PARAMS, cfg)
+        integrate(st, PARAMS, cfg, observers=(budget,))
+        rep = budget.report()
+        dts = np.diff(rep.times)
+        assert len(dts) == 34
+        assert dts[-1] == pytest.approx(1e-4)
+        assert np.allclose(dts[:-1], 3e-4)
+        assert rep.residuals[-1] <= np.max(rep.residuals[:-1])
+        # the record times alone match a larger cadence with a remainder
+        with pytest.raises(ValueError, match="cadence"):
+            _budget(st, PARAMS, cfg)
+
+    def test_uniformity_still_checked_before_the_last_step(self):
+        cfg = IntegratorConfig.fixed_dt(1e-3, t_end=5e-3)
+        st = _acoustic(64)
+        budget = EnergyBudget(PARAMS, cfg)
+        for t in (0.0, 1e-3, 3e-3, 4e-3, 4.5e-3):
+            s = dataclasses.replace(st, time=t)
+            budget(s, Derived(s, PARAMS))
+        with pytest.raises(ValueError, match="cadence"):
+            budget.report()
+
+    def test_a_config_at_a_larger_cadence_is_rejected(self):
+        cfg = IntegratorConfig.fixed_dt(1e-3, t_end=8e-3, monitor_every=4)
+        budget = EnergyBudget(PARAMS, cfg)
+        integrate(_acoustic(64), PARAMS, cfg, observers=(budget,))
+        with pytest.raises(ValueError, match="cadence"):
+            budget.report()
 
     def test_requires_u_form(self):
         cfg = IntegratorConfig.fixed_dt(1e-3, t_end=5e-3)
