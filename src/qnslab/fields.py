@@ -519,9 +519,8 @@ def quad(grid, arr):
     if arr.ndim == grid.dim:
         # the sum and division np.mean performs, without its call overhead
         return float(arr.sum() / arr.size * grid.volume)
-    n = grid.node_count
-    return arr.reshape(arr.shape[:-grid.dim] + (n,)).sum(axis=-1) / n \
-        * grid.volume
+    flat = arr.reshape(arr.shape[:arr.ndim - grid.dim] + (-1,))
+    return np.add.reduce(flat, axis=-1) / flat.shape[-1] * grid.volume
 
 
 def dealias_arr(grid, arr):

@@ -350,13 +350,13 @@ class Derived:
     @cached_property
     def u2(self):
         """|u|^2."""
-        return np.sum(self.u * self.u, axis=-self.grid.dim - 1)
+        return np.add.reduce(self.u * self.u, axis=-self.grid.dim - 1)
 
     @cached_property
     def grad_sqrt_rho2(self):
         """|grad sqrt(rho)|^2."""
         gv = self.grad_sqrt_rho
-        return np.sum(gv * gv, axis=-self.grid.dim - 1)
+        return np.add.reduce(gv * gv, axis=-self.grid.dim - 1)
 
 
 def bohm_force(rho, form="A", backend="spectral"):

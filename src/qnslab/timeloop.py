@@ -343,7 +343,10 @@ def integrate(initial, params, config, formulation=None, observers=()):
         values, flux = _monitor_sample(d, params)
 
         def per_record(v):
-            return np.broadcast_to(v, len(pending)).tolist()
+            # a value is one per record, or one number for all of them
+            if isinstance(v, np.ndarray):
+                return v.tolist()
+            return [v] * len(pending)
         diss = {k: per_record(v) for k, v in values.pop("dissipation").items()}
         columns = {k: per_record(v) for k, v in values.items()}
         for k, (s, flux) in enumerate(zip(pending, per_record(flux))):
@@ -501,13 +504,11 @@ class EnergyBudget:
     the discrete energy increment per step against the trapezoid of the
     analytic rate; the residual shrinks at the scheme's temporal order.
 
-    config is the run's IntegratorConfig, if known. Record times alone
-    cannot tell a cadence-1 run whose last step integrate cut short to land
-    on t_end from a run at a larger cadence with a remainder, so without it
-    every interval must be uniform; with it, the cadence must be 1 and the
-    last interval may be the shorter step."""
+    config is the run's IntegratorConfig. Its cadence must be 1; the last
+    interval may be the shorter step with which integrate lands on t_end,
+    every other interval must be uniform."""
 
-    def __init__(self, params, config=None):
+    def __init__(self, params, config):
         self.params = params
         self.config = config
         self._samples = []      # (time, energy, rate, dissipation, sources)
@@ -526,10 +527,8 @@ class EnergyBudget:
         times, energies, rates, disses, srcs = map(np.asarray,
                                                    zip(*self._samples))
         dts = np.diff(times)
-        cadence = None if self.config is None else self.config.monitor_every
-        regular = dts if cadence is None else dts[:-1]
-        if cadence not in (None, 1) or (
-                len(times) > 2 and np.max(dts) > 1.5 * np.min(regular)):
+        if self.config.monitor_every != 1 or (
+                len(times) > 2 and np.max(dts) > 1.5 * np.min(dts[:-1])):
             raise ValueError("energy budget requires monitor cadence 1 "
                              "(uniform per-step snapshots)")
         mid_rate = 0.5 * (rates[1:] + rates[:-1])

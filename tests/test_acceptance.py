@@ -182,7 +182,7 @@ def test_criterion_08_formulation_equivalence():
 
 
 def _budget_residual(state, params, config):
-    budget = EnergyBudget(params)
+    budget = EnergyBudget(params, config)
     integrate(state, params, config, observers=(budget,))
     return budget.report().max_residual
 

@@ -121,7 +121,8 @@ def _operations():
         # the record's one bundle
         d = Derived(state, params)
         timeloop._monitor_sample(d, params)
-        timeloop.EnergyBudget(params)(state, d)
+        config = timeloop.IntegratorConfig.fixed_dt(1e-4, t_end=1e-3)
+        timeloop.EnergyBudget(params, config)(state, d)
 
     def step(scheme):
         return lambda: timeloop.step(state, params, systems.rhs_approx_u,

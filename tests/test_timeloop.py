@@ -326,7 +326,7 @@ def _trapezoid(records):
 
 
 def _budget(state, params, config):
-    budget = EnergyBudget(params)
+    budget = EnergyBudget(params, config)
     integrate(state, params, config, observers=(budget,))
     return budget.report()
 
@@ -355,9 +355,6 @@ class TestEnergyBudget:
         assert dts[-1] == pytest.approx(1e-4)
         assert np.allclose(dts[:-1], 3e-4)
         assert rep.residuals[-1] <= np.max(rep.residuals[:-1])
-        # the record times alone match a larger cadence with a remainder
-        with pytest.raises(ValueError, match="cadence"):
-            _budget(st, PARAMS, cfg)
 
     def test_uniformity_still_checked_before_the_last_step(self):
         cfg = IntegratorConfig.fixed_dt(1e-3, t_end=5e-3)
@@ -369,13 +366,6 @@ class TestEnergyBudget:
         with pytest.raises(ValueError, match="cadence"):
             budget.report()
 
-    def test_a_config_at_a_larger_cadence_is_rejected(self):
-        cfg = IntegratorConfig.fixed_dt(1e-3, t_end=8e-3, monitor_every=4)
-        budget = EnergyBudget(PARAMS, cfg)
-        integrate(_acoustic(64), PARAMS, cfg, observers=(budget,))
-        with pytest.raises(ValueError, match="cadence"):
-            budget.report()
-
     def test_requires_u_form(self):
         cfg = IntegratorConfig.fixed_dt(1e-3, t_end=5e-3)
         with pytest.raises(ValueError, match="u-form"):
@@ -383,7 +373,8 @@ class TestEnergyBudget:
 
     def test_requires_two_records(self):
         with pytest.raises(ValueError, match="too short"):
-            EnergyBudget(PARAMS).report()
+            EnergyBudget(PARAMS,
+                         IntegratorConfig.fixed_dt(1e-3, t_end=0.01)).report()
 
     def test_residual_second_order(self):
         st = _acoustic(64, amp=0.3)
