@@ -17,8 +17,8 @@ from .physics import (AdmissibilityError, ConstraintReport, QnsParams, State,
                       mu_of, paper_params, to_u, to_w)
 from .snapshots import read_field, write_field
 from .systems import (FORMULATIONS, Rhs, SpaceTimeTestFunction, WeakResidual,
-                      rhs_approx_u, rhs_approx_w, rhs_for, rhs_target,
-                      rhs_terms, trig_test_function)
+                      rhs_approx_u, rhs_approx_w, rhs_target, rhs_terms,
+                      trig_test_function)
 from .timeloop import (EnergyBudget, EnergyBudgetReport, EquivalenceReport,
                        IntegratorConfig, NonFiniteError, PositivityError,
                        Trajectory, cfl_dt, equivalence_run, step)

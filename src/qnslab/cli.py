@@ -34,7 +34,7 @@ from .initdata import SCENARIOS, mollify, scenario, validate_initial
 from .physics import (DESK_P0, DESK_SIGMA0, PAPER_P0, PAPER_SIGMA0, QnsParams,
                       State, VacuumError, check_constraints)
 from .snapshots import read_field, write_field
-from .timeloop import IntegratorConfig, integrate
+from .timeloop import IntegratorConfig, PositivityError, integrate
 from .verify import SUITE_CHECKS, SuiteConfig, check_suites, run_suites
 
 MONITOR_COLUMNS = ("time", "mass", "energy", "bd_entropy", "mv", "rho_min",
@@ -204,20 +204,15 @@ def cmd_run(args):
     out = _out_dir(cfg, args)
     traj = integrate(initial, params, config)
     _write_monitors(os.path.join(out, "monitors.csv"), traj.records)
-    final = traj.final
-    write_field(os.path.join(out, "final_rho.dat"), final.rho, "rho",
-                final.time)
-    write_field(os.path.join(out, "final_vel.dat"), final.vel, "vel",
-                final.time)
+    for key in ("rho", "vel"):
+        write_field(os.path.join(out, f"final_{key}.dat"),
+                    getattr(traj.final, key), key, traj.final.time)
     final_rec = traj.records[-1]
     summary = {
         "status": traj.status,
         "final_time": final_rec.time,
-        "final": {
-            "mass": final_rec.mass, "energy": final_rec.energy,
-            "bd_entropy": final_rec.bd_entropy, "mv": final_rec.mv,
-            "rho_min": final_rec.rho_min, "rho_max": final_rec.rho_max,
-        },
+        "final": {key: getattr(final_rec, key) for key in (
+            "mass", "energy", "bd_entropy", "mv", "rho_min", "rho_max")},
         "initial_norms": init_report.norms,
         "constraints": [{
             "name": c.name, "lhs": c.lhs, "rhs": c.rhs,
@@ -230,11 +225,9 @@ def cmd_run(args):
         fh.write("\n")
     print(f"run: status={traj.status} t={final_rec.time:g} "
           f"mass={final_rec.mass:.6g} energy={final_rec.energy:.6g}")
-    if traj.status.startswith("positivity-failure"):
+    if isinstance(traj.failure, PositivityError):
         return EXIT_POSITIVITY
-    if traj.status != "completed":
-        return EXIT_CHECK_FAILURE
-    return EXIT_OK
+    return EXIT_OK if traj.failure is None else EXIT_CHECK_FAILURE
 
 
 def _suite_config(cfg):
@@ -313,15 +306,16 @@ def cmd_sweep(args):
     out = _out_dir(cfg, args)
 
     def one_point(point):
-        """One row of sweep.csv: the point run as `run` would run it, or
-        an error row if the point fails validation or the run raises."""
+        """(row of sweep.csv, whether the point failed): the point run as
+        `run` would run it, or an error row if the point fails validation
+        or the run raises."""
         values = dict(zip(names, point))
         try:
             params, config, initial, _, _ = _prepare_run(cfg, mode, values,
                                                          shared)
             traj = integrate(initial, params, config)
         except (ValueError, RuntimeError) as exc:
-            return {**values, "status": f"error: {exc}"}
+            return {**values, "status": f"error: {exc}"}, True
         recs = traj.records
         return {
             **values,
@@ -332,23 +326,23 @@ def cmd_sweep(args):
             "min_rho": min(r.rho_min for r in recs),
             "max_rho": max(r.rho_max for r in recs),
             "final_mass": recs[-1].mass,
-        }
+        }, traj.failure is not None
 
     if args.threads and args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one_point, points))
+            results = list(pool.map(one_point, points))
     else:
-        rows = [one_point(p) for p in points]
+        results = [one_point(p) for p in points]
+    rows = [row for row, _ in results]
+    failed = sum(bad for _, bad in results)
 
     columns = names + ["status", "sup_energy", "sup_bd_entropy", "sup_mv",
                        "min_rho", "max_rho", "final_mass"]
     with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, restval="")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    failed = [r for r in rows if r["status"] != "completed"]
-    print(f"sweep: {len(rows)} runs, {len(failed)} failed")
+        writer.writerows(rows)
+    print(f"sweep: {len(rows)} runs, {failed} failed")
     return EXIT_CHECK_FAILURE if failed else EXIT_OK
 
 

@@ -137,6 +137,29 @@ def mv_functional(state, params=None):
     return quad(d.grid, d.rho * arg * np.log(arg))
 
 
+def _kinetic_dissipation(d, params):
+    """The seven channels of energy_dissipation that the energy budget's
+    dissipation group sums; they read jac_u, grad_sqrt_rho and
+    grad_log_rho."""
+    grid, r, u2, J, gv2 = d.grid, d.rho, d.u2, d.jac_u, d.grad_sqrt_rho2
+    ca = -grid.dim - 1
+    tensor, total, eps = (ca - 1, ca), np.add.reduce, params.eps
+    D = 0.5 * (J + np.swapaxes(J, ca - 1, ca))
+    w = d.u + params.mu * d.grad_log_rho
+    neg_p = d.rho_neg_p0 if eps > 0 else np.zeros_like(r)
+    return {
+        "nu_rho_Du2": params.nu * quad(grid, r * total(D * D, axis=tensor)),
+        "r0_u2": params.r0 * quad(grid, u2),
+        "r1_rho_u4": params.r1 * quad(grid, r * u2 ** 2),
+        "sqrt_eps_rho_gradu2": np.sqrt(eps) * quad(
+            grid, r * total(J * J, axis=tensor)),
+        "eps_gradv4_u2": eps * quad(grid, gv2 ** 2 * u2),
+        "eps_rho_negp_u2": eps * quad(grid, neg_p * u2),
+        "eps32_rho_w3_u2": eps ** 1.5 * quad(
+            grid, r * total(w * w, axis=ca) ** 1.5 * u2),
+    }
+
+
 def energy_dissipation(state, params):
     """Instantaneous values of the named dissipation integrals.
 
@@ -148,16 +171,13 @@ def energy_dissipation(state, params):
     d = derived(state, params)
     grid = d.grid
     ca = -grid.dim - 1
-    r, u, v, u2 = d.rho, d.u, d.sqrt_rho, d.u2
+    r, u, v = d.rho, d.u, d.sqrt_rho
     eps, mu, p0 = params.eps, params.mu, params.p0
 
     d.load("grad_sqrt_rho", "hess_sqrt_rho", "grad_log_rho", "hess_log_rho",
            "jac_u", "jac_sqrt_rho_u")
-    Hv, Hlog, Jsu, J = (d.hess_sqrt_rho, d.hess_log_rho, d.jac_sqrt_rho_u,
-                        d.jac_u)
-    D = 0.5 * (J + np.swapaxes(J, ca - 1, ca))
+    Hv, Hlog, Jsu = d.hess_sqrt_rho, d.hess_log_rho, d.jac_sqrt_rho_u
     gv, gv2 = d.grad_sqrt_rho, d.grad_sqrt_rho2
-    w = u + mu * d.grad_log_rho
     g_rg = grad_arr(grid, r ** (params.gamma / 2))
     # grad(sqrt(rho) u) - u (x) grad(sqrt(rho)). Unit axes come by indexing
     # and sums by np.add.reduce (np.sum without its wrapper): a 1D record
@@ -165,27 +185,15 @@ def energy_dissipation(state, params):
     nodes = (slice(None),) * grid.dim
     diff = Jsu - (u[(..., None) + nodes]
                   * gv[(..., None, slice(None)) + nodes])
-    neg_p = d.rho_neg_p0 if eps > 0 else np.zeros_like(r)
-    tensor = (ca - 1, ca)
-    total = np.add.reduce
+    tensor, total = (ca - 1, ca), np.add.reduce
 
-    out = {
-        "nu_rho_Du2": params.nu * quad(grid, r * total(D * D, axis=tensor)),
-        "r0_u2": params.r0 * quad(grid, u2),
-        "r1_rho_u4": params.r1 * quad(grid, r * u2 ** 2),
-        "sqrt_eps_rho_gradu2": np.sqrt(eps) * quad(
-            grid, r * total(J * J, axis=tensor)),
-        "eps_gradv4": eps * quad(grid, gv2 ** 2),
-        "eps_gradv4_u2": eps * quad(grid, gv2 ** 2 * u2),
-        "eps_rho_negp_u2": eps * quad(grid, neg_p * u2),
-        "eps32_rho_w3_u2": eps ** 1.5 * quad(
-            grid, r * total(w * w, axis=ca) ** 1.5 * u2),
-        "kappa_quartic_group": 0.0,
-        "kappa2_rho_hesslog2": params.kappa ** 2 * quad(
-            grid, r * total(Hlog * Hlog, axis=tensor)),
-        "grad_rho_gamma_half2": quad(grid, total(g_rg * g_rg, axis=ca)),
-        "grad_sqrtrho_u2": quad(grid, total(diff * diff, axis=tensor)),
-    }
+    out = _kinetic_dissipation(d, params)
+    out["eps_gradv4"] = eps * quad(grid, gv2 ** 2)
+    out["kappa_quartic_group"] = 0.0
+    out["kappa2_rho_hesslog2"] = params.kappa ** 2 * quad(
+        grid, r * total(Hlog * Hlog, axis=tensor))
+    out["grad_rho_gamma_half2"] = quad(grid, total(g_rg * g_rg, axis=ca))
+    out["grad_sqrtrho_u2"] = quad(grid, total(diff * diff, axis=tensor))
     if eps > 0:
         ckap = (2 * params.kappa ** 2 + 2 * mu * np.sqrt(eps)) * eps
         g_gv2 = grad_arr(grid, gv2)

@@ -243,11 +243,8 @@ class Derived:
     """
 
     def __init__(self, state, params=None):
-        if state.form != "u":
-            if params is None:
-                raise ValueError("w-form state needs params to map back to u")
-            state = to_u(state, params)
-        self._init(state.grid, state.rho.values, state.vel.values, params)
+        self._init(state.grid, state.rho.values, state.vel.values, params,
+                   state.form)
 
     @classmethod
     def of(cls, grid, rho=None, u=None, params=None, sqrt_rho=None):
@@ -266,14 +263,10 @@ class Derived:
         of K states of one grid and form. w-form velocities map to u with
         one batched gradient of log rho, with the bits of to_u row by
         row."""
-        first = states[0]
-        d = cls.of(first.grid, _stack([s.rho.values for s in states]),
-                   params=params)
-        d.u = _stack([s.vel.values for s in states])
-        if first.form != "u":
-            if params is None:
-                raise ValueError("w-form state needs params to map back to u")
-            d.u = d.u - params.mu * grad_arr(first.grid, d.log_rho)
+        d = cls.__new__(cls)
+        d._init(states[0].grid, _stack([s.rho.values for s in states]),
+                _stack([s.vel.values for s in states]), params,
+                states[0].form)
         return d
 
     def row(self, k):
@@ -286,13 +279,17 @@ class Derived:
         d.grid, d.params = self.grid, self.params
         return d
 
-    def _init(self, grid, rho, u, params):
+    def _init(self, grid, rho, u, params, form="u"):
+        # a w-form velocity maps to u with the bundle's log rho
+        if form != "u" and params is None:
+            raise ValueError("w-form state needs params to map back to u")
         if rho is not None:
             require_positive(rho)
         self.grid = grid
         self.rho = rho
-        self.u = u
         self.params = params
+        self.u = u if form == "u" else _shift_velocity(
+            grid, u, self.log_rho, -params.mu)
 
     def __getattr__(self, name):
         # reached only for a piece that is not held yet
@@ -398,21 +395,28 @@ def bohm_arr(d, form="A", backend="spectral"):
     raise ValueError(f"form must be 'A', 'B', or 'C', got {form!r}")
 
 
+def _shift_velocity(grid, vel, log_rho, coeff):
+    """vel + coeff * grad(log rho), per state of a stack: w of u at coeff =
+    mu, u of w at -mu (-mu * g is -(mu * g), so u keeps the bits of
+    w - mu * g). The one w <-> u map of to_w, to_u and Derived."""
+    return vel + coeff * grad_arr(grid, log_rho)
+
+
+def _to_form(state, form, coeff):
+    source = {"u": "w", "w": "u"}[form]
+    if state.form != source:
+        raise ValueError(f"to_{form} expects a {source}-form state")
+    require_positive(state.rho.values)
+    vel = _shift_velocity(state.grid, state.vel.values,
+                          np.log(state.rho.values), coeff)
+    return State(state.rho, VectorField(state.grid, vel), form, state.time)
+
+
 def to_w(state, params):
     """u-form -> w-form via w = u + mu * grad(log rho)."""
-    if state.form != "u":
-        raise ValueError("to_w expects a u-form state")
-    require_positive(state.rho.values)
-    grid = state.grid
-    w = state.vel.values + params.mu * grad_arr(grid, np.log(state.rho.values))
-    return State(state.rho, VectorField(grid, w), form="w", time=state.time)
+    return _to_form(state, "w", params.mu)
 
 
 def to_u(state, params):
     """w-form -> u-form via u = w - mu * grad(log rho)."""
-    if state.form != "w":
-        raise ValueError("to_u expects a w-form state")
-    require_positive(state.rho.values)
-    grid = state.grid
-    u = state.vel.values - params.mu * grad_arr(grid, np.log(state.rho.values))
-    return State(state.rho, VectorField(grid, u), form="u", time=state.time)
+    return _to_form(state, "u", -params.mu)

@@ -292,12 +292,6 @@ def rhs_approx_w(state, params, use_dealias=True, spectral=False):
                    (out1, out2))
 
 
-def rhs_for(formulation):
-    """Dispatch table for the time loop."""
-    return {"target": rhs_target, "approx-u": rhs_approx_u,
-            "approx-w": rhs_approx_w}[formulation]
-
-
 def rhs_terms(state, params, formulation):
     """The right-hand side of a formulation term by term: (drho, {label:
     momentum term}), nodal arrays whose terms sum to rho * dvel. Written

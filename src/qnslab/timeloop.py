@@ -21,39 +21,44 @@ from .fields import (ScalarField, VectorField, dealias_arr, div_arr,
                      forward_once, grad_arr, in_workspace, inverse_once, quad,
                      release, take)
 from .functionals import (DISSIPATION_KEYS, Derived, MonitorRecord,
-                          bd_entropy, derived, energy, energy_dissipation,
-                          mv_functional)
+                          _kinetic_dissipation, bd_entropy, derived, energy,
+                          energy_dissipation, mv_functional)
 from .physics import State, VacuumError, bohm_arr, chunk_size, to_w
-from .systems import continuity_rate, rhs_for
+from .systems import continuity_rate, rhs_approx_u, rhs_approx_w
 
 SCHEMES = ("rk4-explicit", "imex")
 
 
 class PositivityError(RuntimeError):
     """Post-step density fell to or below the positivity floor, or is not
-    finite."""
+    finite. Its message is the status line of the run it stops."""
 
     def __init__(self, time, bad_nodes, rho_min):
         self.time = float(time)
         self.bad_nodes = int(bad_nodes)
         self.rho_min = float(rho_min)
-        super().__init__(f"positivity failure at t={time:.6g}: "
-                         f"{bad_nodes} node(s), rho_min={rho_min:.6g}")
+        super().__init__(f"positivity-failure at t={self.time:.6g} "
+                         f"({self.bad_nodes} nodes, rho_min={self.rho_min:g})")
 
 
 class NonFiniteError(RuntimeError):
     """Post-step velocity has a NaN or infinite node while the density is
-    finite and positive."""
+    finite and positive. Its message is the status line of the run it
+    stops."""
 
     def __init__(self, time, bad_nodes):
         self.time = float(time)
         self.bad_nodes = int(bad_nodes)
-        super().__init__(f"non-finite velocity at t={time:.6g}: "
-                         f"{bad_nodes} node(s)")
+        super().__init__(f"non-finite at t={self.time:.6g} "
+                         f"({self.bad_nodes} velocity nodes)")
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Step control of integrate: every step, the first included, is the
+    CFL estimate cut to [dt_min, dt_max]. dt_init is validated and never
+    read; it stays because run configs, perfbench's too, still set it."""
+
     scheme: str = "imex"
     dt_init: float = 1e-3
     dt_min: float = 1e-8
@@ -87,10 +92,15 @@ class Trajectory:
     records: list = field(default_factory=list)
     final: State = None         # the State of the last record
     dissipation_time_integrals: dict = field(default_factory=dict)
-    status: str = "completed"
+    # the PositivityError or NonFiniteError that stopped the run, or None
+    failure: RuntimeError = None
+
+    @property
+    def status(self):
+        return "completed" if self.failure is None else str(self.failure)
 
 
-def _linear_coeffs(formulation, params, dim):
+def _linear_coeffs(form, params, dim):
     """Constant-coefficient implicit Laplacian weights (c_rho, c_vel).
 
     In 1D the full degenerate viscous operator linearizes to 2*nu*Lap; in
@@ -99,14 +109,13 @@ def _linear_coeffs(formulation, params, dim):
     """
     visc = 2 * params.nu if dim == 1 else params.nu
     c_vel = visc + math.sqrt(params.eps)
-    c_rho = params.mu if formulation == "approx-w" else 0.0
+    c_rho = params.mu if form == "w" else 0.0
     return c_rho, c_vel
 
 
 def _phi1(z):
-    out = np.where(np.abs(z) > 1e-7, np.expm1(z) / np.where(z == 0, 1.0, z),
-                   1.0 + z / 2 + z * z / 6)
-    return out
+    return np.where(np.abs(z) > 1e-7, np.expm1(z) / np.where(z == 0, 1.0, z),
+                    1.0 + z / 2 + z * z / 6)
 
 
 # Horner coefficients of phi2(z) = sum_k z^k / (k + 2)!, k <= 16; the first
@@ -233,8 +242,7 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
         y1 = y0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         release(y0, k1, k2, k3, k4)
     elif scheme == "imex":
-        formulation = {"u": "approx-u", "w": "approx-w"}.get(state.form)
-        c_rho, c_vel = _linear_coeffs(formulation, params, grid.dim)
+        c_rho, c_vel = _linear_coeffs(state.form, params, grid.dim)
         blocks = [(slice(0, 1), c_rho * grid._lap,
                    _etd_multipliers(grid, c_rho, dt)),
                   (slice(1, m), c_vel * grid._lap,
@@ -308,8 +316,11 @@ def _monitor_sample(state, params):
     return values, flux
 
 
-def integrate(initial, params, config, formulation=None, observers=()):
-    """Advance to t_end (or failure), recording monitors at cadence.
+def integrate(initial, params, config, observers=()):
+    """Advance to t_end (or failure), recording monitors at cadence. The
+    state's form picks rhs_approx_u (the target system at eps = 0) or
+    rhs_approx_w; the PositivityError or NonFiniteError that stops a run
+    is kept as Trajectory.failure.
 
     Time-integrated dissipation is accumulated by the trapezoid rule over
     monitor samples. The mass-balance residual column is the discrete form of
@@ -325,8 +336,7 @@ def integrate(initial, params, config, formulation=None, observers=()):
     the chunk's and must not be written to. No state is kept but the last
     record's and those of the chunk being filled.
     """
-    rhs_fn = rhs_for(formulation
-                     or {"u": "approx-u", "w": "approx-w"}[initial.form])
+    rhs_fn = rhs_approx_w if initial.form == "w" else rhs_approx_u
 
     traj = Trajectory()
     state = initial
@@ -392,13 +402,8 @@ def integrate(initial, params, config, formulation=None, observers=()):
         try:
             state = step(state, params, rhs_fn, dt, scheme=config.scheme,
                          positivity_floor=config.positivity_floor)
-        except PositivityError as exc:
-            traj.status = (f"positivity-failure at t={exc.time:.6g} "
-                           f"({exc.bad_nodes} nodes, rho_min={exc.rho_min:g})")
-            break
-        except NonFiniteError as exc:
-            traj.status = (f"non-finite at t={exc.time:.6g} "
-                           f"({exc.bad_nodes} velocity nodes)")
+        except (PositivityError, NonFiniteError) as exc:
+            traj.failure = exc
             break
         steps += 1
         if (steps % config.monitor_every == 0
@@ -436,24 +441,19 @@ def _budget_rate(state, params):
     remaining energy parts by the chain rule through the continuity source.
     """
     d = derived(state, params)
-    grid, r, u, v, u2 = d.grid, d.rho, d.u, d.sqrt_rho, d.u2
+    grid, r, u, v = d.grid, d.rho, d.u, d.sqrt_rho
     eps, mu, p0 = params.eps, params.mu, params.p0
 
     d.load("jac_u", "grad_sqrt_rho", "lap_sqrt_rho", "grad_log_rho",
            *(("hess_log_rho",) if eps > 0 else ()))
-    J = d.jac_u
-    D = 0.5 * (J + np.swapaxes(J, 0, 1))
     gv, gv2 = d.grad_sqrt_rho, d.grad_sqrt_rho2
-    if eps > 0:
-        Hlog = d.hess_log_rho
-    glog = d.grad_log_rho
-    w = u + mu * glog
-    w3 = np.sum(w * w, axis=0) ** 1.5
 
-    diss = (2 * params.nu * quad(grid, r * np.sum(D * D, axis=(0, 1)))
-            + math.sqrt(eps) * quad(grid, r * np.sum(J * J, axis=(0, 1)))
-            + params.r0 * quad(grid, u2)
-            + params.r1 * quad(grid, r * u2 ** 2))
+    # the dissipation channels of the monitor records, weighted as the
+    # kinetic energy identity weights them
+    k = _kinetic_dissipation(d, params)
+    diss = (2 * k["nu_rho_Du2"] + k["sqrt_eps_rho_gradu2"] + k["r0_u2"]
+            + k["r1_rho_u4"] + 0.5 * k["eps_rho_negp_u2"]
+            + k["eps32_rho_w3_u2"] + 0.5 * k["eps_gradv4_u2"])
     sources = -quad(grid, np.sum(
         u * grad_arr(grid, params.a * r ** params.gamma), axis=0))
 
@@ -468,15 +468,12 @@ def _budget_rate(state, params):
         Q = div_arr(grid, flux)
         v_q = v * Q
         neg_p = d.rho_neg_p0
-        diss += (eps / 2 * quad(grid, neg_p * u2)
-                 + eps ** 1.5 * quad(grid, r * w3 * u2)
-                 + eps / 2 * quad(grid, gv2 ** 2 * u2))
         sources += (
             - eps * mu * quad(grid, np.sum(
                 u * grad_arr(grid, neg_p), axis=0))
-            + eps * mu * quad(grid, v * np.sum(
-                np.einsum("ij...,j...->i...", Hlog, flux) * u, axis=0))
-            + eps * mu * quad(grid, v_q * np.sum(glog * u, axis=0))
+            + eps * mu * quad(grid, v * np.sum(np.einsum(
+                "ij...,j...->i...", d.hess_log_rho, flux) * u, axis=0))
+            + eps * mu * quad(grid, v_q * np.sum(d.grad_log_rho * u, axis=0))
             - eps * mu * quad(grid, np.sum(
                 grad_arr(grid, v_q) * u, axis=0)))
 
@@ -546,8 +543,6 @@ class EquivalenceReport:
     times: np.ndarray
     rho_l2_errors: np.ndarray
     vel_l2_errors: np.ndarray
-    status_u: str
-    status_w: str
 
     @property
     def max_rho_error(self):
@@ -568,15 +563,21 @@ def equivalence_run(initial, params, config):
     The same initial u-form data is run once via approx-u and once via
     approx-w (after the effective-velocity transform). The u-run keeps each
     record's (rho, u); each w-run record, mapped back with to_u, is compared
-    against them and max-over-time L2 discrepancies are reported.
+    against them and max-over-time L2 discrepancies are reported. A failed
+    run raises RuntimeError from its failure.
     """
     if initial.form != "u":
         raise ValueError("equivalence_run expects u-form initial data")
+
+    def run(state, observe):
+        traj = integrate(state, params, config, observers=(observe,))
+        if traj.failure is not None:
+            raise RuntimeError(f"{state.form}-form run failed: "
+                               f"{traj.status}") from traj.failure
+        return traj
+
     ref = []
-    traj_u = integrate(initial, params, config, formulation="approx-u",
-                       observers=(lambda s, d: ref.append((d.rho, d.u)),))
-    if traj_u.status != "completed":
-        raise RuntimeError(f"u-form run failed: {traj_u.status}")
+    traj_u = run(initial, lambda s, d: ref.append((d.rho, d.u)))
     grid, errs = initial.grid, []
 
     def compare(s, d):
@@ -586,12 +587,9 @@ def equivalence_run(initial, params, config):
             errs.append((math.sqrt(quad(grid, dr * dr)),
                          math.sqrt(quad(grid, np.sum(du * du, axis=0)))))
 
-    traj_w = integrate(to_w(initial, params), params, config,
-                       formulation="approx-w", observers=(compare,))
-    if traj_w.status != "completed":
-        raise RuntimeError(f"w-form run failed: {traj_w.status}")
+    traj_w = run(to_w(initial, params), compare)
     if len(traj_w.records) != len(traj_u.records):
         raise RuntimeError("snapshot cadences diverged between runs")
     rho_errs, vel_errs = np.array(errs).T
     return EquivalenceReport(np.array([r.time for r in traj_u.records]),
-                             rho_errs, vel_errs, traj_u.status, traj_w.status)
+                             rho_errs, vel_errs)

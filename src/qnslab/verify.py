@@ -332,7 +332,7 @@ def _steady_battery():
     worst = max(mass_drift, budget.max_residual, wres)
     return CheckResult(
         "steady-battery", -1, state.grid.n, 1e-10 - worst,
-        traj.status == "completed" and worst < 1e-10,
+        traj.failure is None and worst < 1e-10,
         f"mass drift {mass_drift:.2e}, budget {budget.max_residual:.2e}, "
         f"weak {wres:.2e}, status {traj.status}")
 
@@ -347,7 +347,7 @@ def _mass_balance():
     worst = max(r.mass_balance_residual for r in traj.records)
     return CheckResult(
         "mass-balance", -1, state.grid.n, 1e-4 - worst,
-        traj.status == "completed" and worst < 1e-4,
+        traj.failure is None and worst < 1e-4,
         f"worst residual {worst:.3e}, status {traj.status}")
 
 
@@ -372,7 +372,7 @@ def _vacuum_band():
     traj = integrate(state, params, config)
     rho_min = min(r.rho_min for r in traj.records)
     rho_max = max(r.rho_max for r in traj.records)
-    ok = traj.status == "completed" and rho_min > 0
+    ok = traj.failure is None and rho_min > 0
     return CheckResult(
         "vacuum-band", -1, state.grid.n, rho_min, ok,
         f"band [{rho_min:.4e}, {rho_max:.4e}], status {traj.status}")

@@ -154,14 +154,15 @@ class TestNonFiniteVelocity:
             if count["n"] == 20:
                 out[1, 5] = np.nan  # one velocity mode of the spectrum
             return out
-        monkeypatch.setattr(timeloop, "rhs_for", lambda formulation: poisoned)
+        monkeypatch.setattr(timeloop, "rhs_approx_u", poisoned)
         doc = dict(RUN_DOC, integrator=dict(RUN_DOC["integrator"],
                                             dt_min=1e-3))
         cfg = _write(tmp_path, "run.json", doc)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
         with open(out / "summary.json") as fh:
-            assert json.load(fh)["status"].startswith("non-finite at t=0.01")
+            assert json.load(fh)["status"] == \
+                "non-finite at t=0.01 (64 velocity nodes)"
         assert count["n"] == 20
 
 

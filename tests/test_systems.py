@@ -11,7 +11,7 @@ from qnslab.fields import (Grid, ScalarField, VectorField, dealias_arr,
                            to_spectral)
 from qnslab.physics import Derived, QnsParams, State, bohm_force, to_w
 from qnslab.systems import (FORMULATIONS, WeakResidual, rhs_approx_u,
-                            rhs_approx_w, rhs_for, rhs_target, rhs_terms,
+                            rhs_approx_w, rhs_target, rhs_terms,
                             trig_test_function)
 
 
@@ -163,12 +163,6 @@ class TestApproxW:
 class TestDispatch:
     def test_formulations_enumerated(self):
         assert FORMULATIONS == ("target", "approx-u", "approx-w")
-        for f in FORMULATIONS:
-            assert callable(rhs_for(f))
-
-    def test_unknown_formulation(self):
-        with pytest.raises(KeyError):
-            rhs_for("banana")
 
 
 class TestWeakResidual:

@@ -45,13 +45,12 @@ def test_phi2_relative_error_at_roundoff():
     assert np.max(err) <= 1e-14, (np.max(err), z[np.argmax(err)])
 
 
-def _poisoned_velocity(last_call):
-    """rhs_approx_u whose call number last_call returns a NaN velocity
-    node."""
+def _poisoned_velocity(last_call, rhs_fn=rhs_approx_u):
+    """rhs_fn whose call number last_call returns a NaN velocity node."""
     count = {"n": 0}
 
     def rhs(state, params, **kw):
-        out = rhs_approx_u(state, params, **kw)
+        out = rhs_fn(state, params, **kw)
         count["n"] += 1
         if count["n"] == last_call:
             out[1, 3] = np.nan  # one velocity mode of the spectrum
@@ -183,7 +182,10 @@ class TestIntegrate:
         cfg = IntegratorConfig.fixed_dt(0.5, t_end=5.0,
                                         positivity_floor=0.2)
         traj = integrate(st, p, cfg)
-        assert traj.status.startswith("positivity-failure")
+        assert isinstance(traj.failure, PositivityError)
+        assert traj.status == \
+            "positivity-failure at t=0.5 (5 nodes, rho_min=0.061875)"
+        assert traj.status == str(traj.failure)
 
     @pytest.mark.parametrize("scheme", ["imex", "rk4-explicit"])
     def test_non_finite_velocity_at_last_step_never_completes(self, scheme,
@@ -191,14 +193,16 @@ class TestIntegrate:
         # five fixed steps; the last right-hand side of the last step
         # returns one NaN velocity node
         calls = 5 * {"imex": 2, "rk4-explicit": 4}[scheme]
-        monkeypatch.setattr(timeloop, "rhs_for",
-                            lambda formulation: _poisoned_velocity(calls))
+        monkeypatch.setattr(timeloop, "rhs_approx_u",
+                            _poisoned_velocity(calls))
         cfg = IntegratorConfig.fixed_dt(1e-3, t_end=0.005, scheme=scheme,
                                         monitor_every=1)
         finite = []
         traj = integrate(_acoustic(32), PARAMS, cfg, observers=(
             lambda s, d: finite.append(np.isfinite(s.vel.values).all()),))
-        assert traj.status.startswith("non-finite at t=0.005")
+        assert isinstance(traj.failure, NonFiniteError)
+        bad = {"imex": 32, "rk4-explicit": 30}[scheme]
+        assert traj.status == f"non-finite at t=0.005 ({bad} velocity nodes)"
         assert traj.records[-1].time == pytest.approx(0.004)
         assert traj.final.time == traj.records[-1].time
         assert len(finite) == len(traj.records) and all(finite)
@@ -209,7 +213,8 @@ class TestIntegrate:
         cfg = IntegratorConfig.fixed_dt(0.05, t_end=5.0, scheme="rk4-explicit",
                                         positivity_floor=0.05)
         traj = integrate(st, p, cfg)
-        assert traj.status.startswith("positivity-failure at t=1.7")
+        assert traj.status == \
+            "positivity-failure at t=1.7 (2 nodes, rho_min=-0.0108649)"
         assert len(traj.records) == 34
         acc = traj.dissipation_time_integrals
         assert set(acc) == set(DISSIPATION_KEYS) and acc["nu_rho_Du2"] > 0
@@ -222,13 +227,14 @@ class TestIntegrate:
         st = State(random_smooth_positive(grid, 3, 4, 2.0),
                    random_smooth_vector(grid, 3, 4))
         assert timeloop.chunk_size(grid) == 10
-        monkeypatch.setattr(timeloop, "rhs_for",
-                            lambda formulation: _poisoned_velocity(2 * 14))
+        monkeypatch.setattr(timeloop, "rhs_approx_u",
+                            _poisoned_velocity(2 * 14))
         cfg = IntegratorConfig.fixed_dt(1e-4, t_end=2e-3)
         seen = []
         traj = integrate(st, PARAMS, cfg,
                          observers=(lambda s, d: seen.append(s),))
-        assert traj.status.startswith("non-finite at t=0.0014")
+        assert isinstance(traj.failure, NonFiniteError)
+        assert traj.failure.time == pytest.approx(0.0014)
         assert len(traj.records) == len(seen) == 14
         assert traj.final is seen[-1]
         for s, rec in zip(seen, traj.records):
@@ -400,7 +406,19 @@ class TestEquivalence:
         cfg = IntegratorConfig.fixed_dt(1e-4, t_end=0.01, monitor_every=10)
         rep = equivalence_run(st, p, cfg)
         assert rep.max_error < 1e-6
-        assert rep.status_u == rep.status_w == "completed"
+
+    def test_failed_w_run_raises_from_its_failure(self, monkeypatch):
+        # the fourth w-form right-hand side returns a NaN velocity node,
+        # so the second IMEX step of the w-run fails
+        monkeypatch.setattr(timeloop, "rhs_approx_w",
+                            _poisoned_velocity(4, timeloop.rhs_approx_w))
+        p = QnsParams(nu=1.0, kappa=1.0 / 11.0, eps=1e-3)
+        cfg = IntegratorConfig.fixed_dt(1e-4, t_end=1e-3)
+        with pytest.raises(RuntimeError, match="w-form run failed: "
+                           "non-finite at t=0.0002 ") as info:
+            equivalence_run(_acoustic(64), p, cfg)
+        assert isinstance(info.value.__cause__, NonFiniteError)
+        assert info.value.__cause__.time == pytest.approx(2e-4)
 
     def test_requires_u_form(self):
         st = to_w(_acoustic(64), PARAMS)

@@ -102,8 +102,7 @@ def _parent_step(state, params, rhs_fn, dt, scheme):
         k3 = f(y0 + 0.5 * dt * k2, t0 + dt / 2)
         k4 = f(y0 + dt * k3, t0 + dt)
         return y0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    formulation = {"u": "approx-u", "w": "approx-w"}[state.form]
-    c_rho, c_vel = timeloop._linear_coeffs(formulation, params, grid.dim)
+    c_rho, c_vel = timeloop._linear_coeffs(state.form, params, grid.dim)
     blocks = [(slice(0, 1), c_rho * grid._lap,
                timeloop._etd_multipliers(grid, c_rho, dt)),
               (slice(1, m), c_vel * grid._lap,
@@ -131,8 +130,7 @@ def _imex_step(state, params, rhs_fn, dt):
     y0 = np.empty((m,) + grid.shape)
     y0[0] = state.rho.values
     y0[1:] = state.vel.values
-    formulation = {"u": "approx-u", "w": "approx-w"}[state.form]
-    c_rho, c_vel = timeloop._linear_coeffs(formulation, params, grid.dim)
+    c_rho, c_vel = timeloop._linear_coeffs(state.form, params, grid.dim)
     blocks = [(slice(0, 1), c_rho * grid._lap,
                timeloop._etd_multipliers(grid, c_rho, dt)),
               (slice(1, m), c_vel * grid._lap,
