@@ -297,6 +297,9 @@ def cmd_sweep(args):
                               f"allowed: {SWEEP_AXES}")
         if not isinstance(vals, list):
             raise ConfigError(f"sweep axis {key!r} must be a list of values")
+        if not vals:
+            # an empty axis leaves no point to run, and the sweep would pass
+            raise ConfigError(f"sweep axis {key!r} lists no values")
     axes = [(k, sweep[k]) for k in SWEEP_AXES if k in sweep]
     if not axes:
         axes = [("eps", [_build_params(cfg, mode).eps])]

@@ -19,7 +19,9 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 # Transform stacks of at least this many bytes are drawn from the calling
-# thread's workspace and reused; smaller ones are plain np.empty arrays.
+# thread's workspace and reused; smaller ones are plain np.empty arrays,
+# except those of the spectral operators and of lend() on a 2D or 3D grid
+# inside a workspace scope (see _lend).
 # glibc hands freed heap tops above about 128 KiB back to the system, so a
 # large stack allocated afresh on every call faults its pages in again.
 POOL_MIN_BYTES = 1 << 17
@@ -230,7 +232,12 @@ _workspace = _Workspace()
 def in_workspace(fn):
     """fn run in a workspace scope: when the thread's outermost scope exits,
     normally or by an exception, every stack still lent returns to the
-    pool."""
+    pool. Inside a scope the spectral operators (grad_arr, div_arr,
+    lap_arr, hess_arr, derivatives_arr) draw their spectra and outputs from
+    the workspace too, and so does lend() (see _lend): a spectrum goes back
+    once read, and an output stays lent until the outermost scope exits, so
+    no array they return may outlive it. Outside any scope they return
+    plain arrays."""
     @functools.wraps(fn)
     def scoped(*args, **kwargs):
         ws = _workspace
@@ -254,12 +261,21 @@ def take(grid, rows, spectral=False):
 
     A stack of POOL_MIN_BYTES or more comes from the thread's workspace. It
     goes back through release() once read for the last time, or when the
-    enclosing in_workspace scope exits, and must not escape. The pool keeps
-    the buffers of one grid only."""
+    enclosing in_workspace scope exits, and must not escape. The right-hand
+    sides and the step take their stacks here, and so do the spectral
+    operators inside a scope, such as a seed chunk of verify; monitor
+    records and observers run outside any scope and keep plain arrays. The
+    pool keeps the buffers of one grid only."""
     shape, row_bytes, dtype = grid._rows[spectral]
     nbytes = rows * row_bytes
     if nbytes < POOL_MIN_BYTES:
         return np.empty((rows,) + shape, dtype)
+    return _pooled(grid, (rows,) + shape, nbytes, dtype)
+
+
+def _pooled(grid, shape, nbytes, dtype):
+    """An uninitialized stack of the shape, nbytes of dtype on the grid,
+    from the workspace whatever its size."""
     ws = _workspace
     if ws.grid is not grid:
         if ws.grid != grid:
@@ -272,7 +288,7 @@ def take(grid, rows, spectral=False):
     else:
         buf = np.empty(nbytes, np.uint8)
     ws.lent[id(buf)] = buf
-    return buf[:nbytes].view(dtype).reshape((rows,) + shape)
+    return np.ndarray(shape, dtype, buf)
 
 
 def release(*stacks):
@@ -285,6 +301,47 @@ def release(*stacks):
             buf = lent.pop(id(arr.base), None)
             if buf is not None:
                 ws.put(buf)
+
+
+def _lend(grid, lead, spectral=False):
+    """An uninitialized stack of shape lead + the grid's nodal row shape, or
+    + its rfft-layout row shape if spectral: from the workspace inside an
+    in_workspace scope, where it stays lent until release() or the scope's
+    exit, and a plain array outside any scope."""
+    row, row_bytes, dtype = grid._rows[spectral]
+    shape = lead + row
+    if not _workspace.depth:
+        return np.empty(shape, dtype)
+    # A 2D or 3D scope pools its stacks whatever their size: their rows
+    # are large, and a seed chunk's many small stacks, all lent until the
+    # scope exits, add up to more than glibc keeps at the heap top. 1D
+    # stacks keep take()'s cut, so a 1D chunk leaves alone the pool of the
+    # other grids of a verify pass (the pool keeps one grid's buffers).
+    nbytes = math.prod(lead) * row_bytes
+    if grid.dim == 1 and nbytes < POOL_MIN_BYTES:
+        return np.empty(shape, dtype)
+    return _pooled(grid, shape, nbytes, dtype)
+
+
+def lend(grid, shape):
+    """An uninitialized real array of shape, whose trailing axes are the
+    grid's, as _lend() gives it: lent from the workspace inside an
+    in_workspace scope, plain outside any scope. Inside a scope the seed
+    chunks of verify take their nodal arrays here (the generated fields,
+    the Derived pieces and the checkers' larger intermediates), so what a
+    chunk allocates plainly stays below glibc's trim threshold."""
+    return _lend(grid, shape[:len(shape) - grid.dim])
+
+
+def _lead(grid, arr, depth=0):
+    """The leading batch axes of arr before its grid axes and depth
+    component axes."""
+    return arr.shape[:arr.ndim - grid.dim - depth]
+
+
+def _forward(grid, arr):
+    """to_spectral of arr into a _lend() stack."""
+    return to_spectral(grid, arr, out=_lend(grid, _lead(grid, arr), True))
 
 
 def forward_once(grid, stack):
@@ -409,25 +466,37 @@ def lap_arr(grid, arr, backend="spectral"):
             a -= grid.dim
             out += (np.roll(arr, -1, a) - 2 * arr + np.roll(arr, 1, a)) / h**2
         return out
-    return from_spectral(grid, grid._lap * to_spectral(grid, arr))
+    hat = _forward(grid, arr)
+    np.multiply(grid._lap, hat, out=hat)
+    return inverse_once(grid, hat)
 
 
 def _mult_stack(grid, fhat, mults):
     """m * fhat for each multiplier m of mults, stacked on a new axis placed
-    just before the grid axes: (..., *m) -> (..., len(mults), *m)."""
-    lead = fhat.ndim - grid.dim
-    out = np.empty(fhat.shape[:lead] + (len(mults),) + fhat.shape[lead:],
-                   dtype=complex)
+    just before the grid axes: (..., *m) -> (..., len(mults), *m), a
+    _lend() stack."""
+    out = _lend(grid, _lead(grid, fhat) + (len(mults),), spectral=True)
     for p, m in enumerate(mults):
         np.multiply(m, fhat, out=out[_comp(grid, p)])
     return out
 
 
+def _derivative_rows(grid, arr, mults):
+    """from_spectral of m * to_spectral(arr) for each multiplier m of mults,
+    on a new axis before the grid axes; the spectra go back to the
+    workspace once read."""
+    hat = _forward(grid, arr)
+    spec = _mult_stack(grid, hat, mults)
+    release(hat)
+    return inverse_once(grid, spec)
+
+
 def _ik_dot(grid, vhat):
     """sum_j ik_j * vhat[..., j, *m]: contracts the axis just before the
-    grid axes, (..., dim, *m) -> (..., *m)."""
+    grid axes, (..., dim, *m) -> (..., *m), into a _lend() stack."""
     lead = (slice(None),) * (vhat.ndim - grid.dim - 1)
-    out = grid._ik[0] * vhat[lead + (0,)]
+    out = _lend(grid, _lead(grid, vhat, 1), spectral=True)
+    np.multiply(grid._ik[0], vhat[lead + (0,)], out=out)
     for j in range(1, grid.dim):
         out += grid._ik[j] * vhat[lead + (j,)]
     return out
@@ -441,8 +510,7 @@ def grad_arr(grid, arr, backend="spectral"):
     if backend == "fd2":
         return np.stack([deriv_arr(grid, arr, a, backend)
                          for a in range(grid.dim)], axis=-grid.dim - 1)
-    return from_spectral(grid, _mult_stack(grid, to_spectral(grid, arr),
-                                           grid._ik))
+    return _derivative_rows(grid, arr, grid._ik)
 
 
 def div_arr(grid, vec, backend="spectral"):
@@ -452,18 +520,22 @@ def div_arr(grid, vec, backend="spectral"):
     if backend == "fd2":
         return sum(deriv_arr(grid, vec[_comp(grid, a)], a, backend)
                    for a in range(grid.dim))
-    return from_spectral(grid, _ik_dot(grid, to_spectral(grid, vec)))
+    hat = _forward(grid, vec)
+    spec = _ik_dot(grid, hat)
+    release(hat)
+    return inverse_once(grid, spec)
 
 
 def _upper_pairs(d):
     return [(i, j) for i in range(d) for j in range(i, d)]
 
 
-def _symmetric(grid, upper):
+def _symmetric(grid, upper, out=None):
     """(..., dim, dim, *n) tensor from its upper-triangle rows (the axis
-    before the grid axes), bitwise symmetric."""
+    before the grid axes), bitwise symmetric, written to out if given."""
     d = grid.dim
-    out = np.empty(upper.shape[:-grid.dim - 1] + (d, d) + grid.shape)
+    if out is None:
+        out = np.empty(upper.shape[:-grid.dim - 1] + (d, d) + grid.shape)
     for p, (i, j) in enumerate(_upper_pairs(d)):
         hij = upper[_comp(grid, p)]
         out[_comp(grid, i, j)] = hij
@@ -476,13 +548,19 @@ def hess_arr(grid, arr, backend="spectral"):
     _check_backend(backend)
     if backend == "fd2":
         g = grad_arr(grid, arr, backend)
-        upper = np.stack([deriv_arr(grid, g[_comp(grid, i)], j, backend)
-                          for i, j in _upper_pairs(grid.dim)],
-                         axis=-grid.dim - 1)
-    else:
-        upper = from_spectral(grid, _mult_stack(grid, to_spectral(grid, arr),
-                                                grid._hess))
-    return _symmetric(grid, upper)
+        return _symmetric(grid, np.stack(
+            [deriv_arr(grid, g[_comp(grid, i)], j, backend)
+             for i, j in _upper_pairs(grid.dim)], axis=-grid.dim - 1))
+    upper = _derivative_rows(grid, arr, grid._hess)
+    out = _lent_symmetric(grid, upper)
+    release(upper)
+    return out
+
+
+def _lent_symmetric(grid, upper):
+    """_symmetric into a _lend() stack."""
+    return _symmetric(grid, upper,
+                      _lend(grid, _lead(grid, upper, 1) + (grid.dim,) * 2))
 
 
 def _multipliers(grid, kind):
@@ -496,20 +574,23 @@ def derivatives_arr(grid, arr, kinds):
     "grad" (the Jacobian of a vector stack), "hess" or "lap". Each equals
     grad_arr, hess_arr or lap_arr bitwise."""
     groups = [_multipliers(grid, kind) for kind in kinds]
-    rows = from_spectral(grid, _mult_stack(grid, to_spectral(grid, arr),
-                                           [m for ms in groups for m in ms]))
+    rows = _derivative_rows(grid, arr, [m for ms in groups for m in ms])
+    # outside a workspace scope, a block that shares the rows with another
+    # kind is copied, so the rows are freed once read; inside one they stay
+    # lent until the scope exits anyway
+    copy = len(kinds) > 1 and not _workspace.depth
     out, start = [], 0
     for kind, ms in zip(kinds, groups):
         block = rows[_comp(grid, slice(start, start + len(ms)))]
         start += len(ms)
         if kind == "hess":
-            out.append(_symmetric(grid, block))
+            out.append(_lent_symmetric(grid, block))
             continue
         if kind == "lap":
             block = block[_comp(grid, 0)]
-        # a block that shares the rows with another kind is copied, so the
-        # rows are freed once read
-        out.append(block.copy() if len(kinds) > 1 else block)
+        out.append(block.copy() if copy else block)
+    if all(kind == "hess" for kind in kinds):
+        release(rows)  # no view of them is returned
     return out
 
 
@@ -599,7 +680,8 @@ def random_smooth_ensemble(grid, seeds, modes, floor=None, amplitude=None):
     amplitude, or None if amplitude is None. Coefficients decay like
     (1 + |k|^2)^-2 so the fields are well resolved; modes must not exceed
     n/3 per axis (dealias-safe). Each seed has its own generator, so a row
-    does not depend on the other seeds of the stack.
+    does not depend on the other seeds of the stack. Inside an in_workspace
+    scope rho and u are views of a lent stack (see lend).
     """
     modes = check_smooth_args(grid, modes, floor)
     d, ns = grid.dim, len(seeds)
@@ -617,12 +699,13 @@ def random_smooth_ensemble(grid, seeds, modes, floor=None, amplitude=None):
         # spectral synthesis: white noise shaped by (1 + |k|^2)^-2 within
         # the mode box; the shaped spectrum stays Hermitian, so the field
         # is real. In place, each step gives the bits of floor + s * s.
-        fields = np.empty((len(rows),) + grid.shape)
-        for out, r in zip(fields, rows):
+        noise = _lend(grid, (len(rows),))
+        for out, r in zip(noise, rows):
             out[...] = np.random.default_rng(r).standard_normal(grid.shape)
-        spec = to_spectral(grid, fields)
+        spec = _forward(grid, noise)
+        release(noise)
         spec *= _smooth_amplitude(grid, modes)
-        fields = from_spectral(grid, spec)
+        fields = inverse_once(grid, spec)
         del spec
         fields *= np.sqrt(grid.node_count)
         fields *= fields

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import div_arr, grad_arr, per_node, quad
+from .fields import div_arr, grad_arr, lend, per_node, quad, release
 from .physics import Derived, require_positive
 
 # Inequality pass criterion: quadrature and roundoff must not flag true
@@ -267,9 +267,11 @@ def div_vs_D_batch(d):
     ca = -grid.dim - 1
     J = d.jac_u
     divu = np.trace(J, axis1=ca - 1, axis2=ca)
-    D = 0.5 * (J + np.swapaxes(J, ca - 1, ca))
+    D = np.add(J, np.swapaxes(J, ca - 1, ca), out=lend(grid, J.shape))
+    D *= 0.5
+    D *= D
     lhs = quad(grid, r * divu ** 2)
-    rhs = 3.0 * quad(grid, r * np.sum(D * D, axis=(ca - 1, ca)))
+    rhs = 3.0 * quad(grid, r * np.sum(D, axis=(ca - 1, ca)))
     return _reports("div_vs_D", lhs, rhs)
 
 
@@ -307,9 +309,12 @@ def flux_identity_batch(d, exponents, rel_tol=1e-8):
     # one divergence for the distinct fluxes; the r = 2 flux is the right
     # factor of every pairing
     powers = sorted(set(exponents) | {2})
-    fluxes = np.stack([per_node(grid, gv2 ** (r / 2)) * gv for r in powers],
-                      axis=ca - 1)
+    fluxes = lend(grid, gv.shape[:ca] + (len(powers),) + gv.shape[ca:])
+    for flux, r in zip(np.moveaxis(fluxes, ca - 1, 0), powers):
+        np.multiply(per_node(grid, gv2 ** (r / 2)), gv, out=flux)
     divs = dict(zip(powers, np.moveaxis(div_arr(grid, fluxes), ca, 0)))
+    release(fluxes)
+    del fluxes
 
     out = {}
     for r in exponents:
@@ -341,12 +346,17 @@ def grad_sqrtrho_u_batch(d, tol=1e-8):
     grid, r, u = d.grid, d.rho, d.u
     ca = -grid.dim - 1
     lhs = d.jac_sqrt_rho_u
-    rhs = per_node(grid, d.sqrt_rho, 2) * d.jac_u \
-        + 2 * per_node(grid, d.rho14, 2) * np.expand_dims(u, ca) \
-        * np.expand_dims(d.grad_rho14, ca - 1)
+    rhs, term = lend(grid, lhs.shape), lend(grid, lhs.shape)
+    np.multiply(per_node(grid, d.sqrt_rho, 2), d.jac_u, out=rhs)
+    np.multiply(2 * per_node(grid, d.rho14, 2) * np.expand_dims(u, ca),
+                np.expand_dims(d.grad_rho14, ca - 1), out=term)
+    rhs += term
     flat = lhs.shape[:r.ndim - grid.dim] + (-1,)
-    err = np.max(np.abs(lhs - rhs).reshape(flat), axis=-1)
-    scale = np.maximum(np.max(np.abs(lhs).reshape(flat), axis=-1), 1.0)
+    err = np.max(np.abs(np.subtract(lhs, rhs, out=term), out=term)
+                 .reshape(flat), axis=-1)
+    scale = np.maximum(np.max(np.abs(lhs, out=term).reshape(flat), axis=-1),
+                       1.0)
+    release(rhs, term)
     return _reports("grad_sqrtrho_u", err, tol * scale,
                     rel_tol=0.0, abs_tol=0.0)
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import (ScalarField, VectorField, derivatives_arr, div_arr,
-                     grad_arr, hess_arr, lap_arr, per_node)
+                     grad_arr, hess_arr, lap_arr, lend, per_node, release)
 
 # Analysis-mode constants: these make the regularization terms either
 # negligible or catastrophically stiff numerically, so simulation defaults
@@ -189,10 +189,12 @@ def require_positive(rho_values):
         raise VacuumError(bad, np.min(rho_values))
 
 
-def _stack(arrays):
-    """The arrays stacked on a new leading axis; a single array is viewed
-    with a unit axis, not copied."""
-    return np.stack(arrays) if len(arrays) > 1 else arrays[0][None]
+def _stack(grid, arrays):
+    """The arrays of the grid stacked on a new leading axis, a lend()
+    array; a single array is viewed with a unit axis, not copied."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    return np.stack(arrays, out=lend(grid, (len(arrays),) + arrays[0].shape))
 
 
 # The first-level pieces of a Derived bundle: name -> (input, derivative).
@@ -264,8 +266,9 @@ class Derived:
         one batched gradient of log rho, with the bits of to_u row by
         row."""
         d = cls.__new__(cls)
-        d._init(states[0].grid, _stack([s.rho.values for s in states]),
-                _stack([s.vel.values for s in states]), params,
+        grid = states[0].grid
+        d._init(grid, _stack(grid, [s.rho.values for s in states]),
+                _stack(grid, [s.vel.values for s in states]), params,
                 states[0].form)
         return d
 
@@ -316,24 +319,33 @@ class Derived:
             kinds = tuple(sorted(named))
             stacks.setdefault((x.shape, kinds), []).append((x, named))
         for (_, kinds), members in stacks.items():
-            x = _stack([x for x, _ in members])
+            x = _stack(self.grid, [x for x, _ in members])
             parts = derivatives_arr(self.grid, x, kinds)
+            if len(members) > 1:
+                release(x)  # a stack of its own, not read again
             for k, (_, named) in enumerate(members):
                 for kind, part in zip(kinds, parts):
                     self.__dict__[named[kind]] = part[k]
 
+    # The nodal inputs are lend() arrays: lent inside a workspace scope, such
+    # as a seed chunk of verify, plain outside any.
+
+    def _scalar(self):
+        """A lend() array of the density's shape."""
+        return lend(self.grid, self.rho.shape)
+
     @cached_property
     def sqrt_rho(self):
-        return np.sqrt(self.rho)
+        return np.sqrt(self.rho, out=self._scalar())
 
     @cached_property
     def log_rho(self):
-        return np.log(self.rho)
+        return np.log(self.rho, out=self._scalar())
 
     @cached_property
     def rho14(self):
         """rho^(1/4)."""
-        return self.rho ** 0.25
+        return np.power(self.rho, 0.25, out=self._scalar())
 
     @cached_property
     def rho_neg_p0(self):
@@ -342,18 +354,25 @@ class Derived:
 
     @cached_property
     def sqrt_rho_u(self):
-        return per_node(self.grid, self.sqrt_rho) * self.u
+        return np.multiply(per_node(self.grid, self.sqrt_rho), self.u,
+                           out=lend(self.grid, self.u.shape))
 
     @cached_property
     def u2(self):
         """|u|^2."""
-        return np.add.reduce(self.u * self.u, axis=-self.grid.dim - 1)
+        return _norm2(self.grid, self.u)
 
     @cached_property
     def grad_sqrt_rho2(self):
         """|grad sqrt(rho)|^2."""
-        gv = self.grad_sqrt_rho
-        return np.add.reduce(gv * gv, axis=-self.grid.dim - 1)
+        return _norm2(self.grid, self.grad_sqrt_rho)
+
+
+def _norm2(grid, vec):
+    """|vec|^2 of a (..., dim, *n) stack, a lend() array."""
+    ca = -grid.dim - 1
+    return np.add.reduce(vec * vec, axis=ca,
+                         out=lend(grid, vec.shape[:ca] + grid.shape))
 
 
 def bohm_force(rho, form="A", backend="spectral"):
@@ -377,21 +396,34 @@ def bohm_arr(d, form="A", backend="spectral"):
     """
     grid, r = d.grid, d.rho
     spectral = backend == "spectral"
+    # the products are lend() arrays, and the operators' outputs are
+    # overwritten in place, so a verify chunk keeps them in its workspace
     if form == "A":
         v = d.sqrt_rho
         lv = d.lap_sqrt_rho if spectral else lap_arr(grid, v, backend)
-        return 2.0 * per_node(grid, r) * grad_arr(grid, lv / v, backend)
+        g = grad_arr(grid, lv / v, backend)
+        return np.multiply(2.0 * per_node(grid, r), g, out=g)
     if form == "B":
         H = d.hess_log_rho if spectral else hess_arr(grid, d.log_rho, backend)
-        return div_arr(grid, per_node(grid, r, 2) * H, backend)
+        flux = np.multiply(per_node(grid, r, 2), H, out=lend(grid, H.shape))
+        out = div_arr(grid, flux, backend)
+        release(flux)
+        return out
     if form == "C":
         gv = (d.grad_sqrt_rho if spectral
               else grad_arr(grid, d.sqrt_rho, backend))
         lr = d.lap_rho if spectral else lap_arr(grid, r, backend)
         ca = -grid.dim - 1
-        outer = np.expand_dims(gv, ca) * np.expand_dims(gv, ca - 1)
-        return (grad_arr(grid, lr, backend)
-                - 4.0 * div_arr(grid, outer, backend))
+        outer = np.multiply(np.expand_dims(gv, ca), np.expand_dims(gv, ca - 1),
+                            out=lend(grid, gv.shape[:ca] + (grid.dim,)
+                                     + gv.shape[ca:]))
+        out = div_arr(grid, outer, backend)
+        release(outer)
+        out *= 4.0
+        g = grad_arr(grid, lr, backend)
+        np.subtract(g, out, out=out)
+        release(g)
+        return out
     raise ValueError(f"form must be 'A', 'B', or 'C', got {form!r}")
 
 

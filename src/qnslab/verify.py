@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (Grid, check_smooth_args, grad_arr, quad,
-                     random_smooth_ensemble)
+from .fields import (Grid, check_smooth_args, grad_arr, in_workspace, quad,
+                     random_smooth_ensemble, release)
 from .functionals import (div_vs_D_batch, flux_identity_batch, grad6_batch,
                           grad_sqrtrho_u_batch, jungel_batch)
 from .initdata import mollify, scenario
@@ -163,8 +163,11 @@ def _bohm_error(d, canary):
     fa = bohm_arr(d, "A")
     fb = bohm_arr(d, "B")
     fc = _canary_bohm(d) if canary else bohm_arr(d, "C")
-    return np.maximum(np.maximum(_rel_l2(grid, fa, fb), _rel_l2(grid, fa, fc)),
-                      _rel_l2(grid, fb, fc)).tolist()
+    errors = np.maximum(np.maximum(_rel_l2(grid, fa, fb),
+                                   _rel_l2(grid, fa, fc)),
+                        _rel_l2(grid, fb, fc)).tolist()
+    release(fa, fb, fc)
+    return errors
 
 
 def _identity_chunk(d, config):
@@ -248,20 +251,29 @@ def _run_seeded(names, configs, reports):
         grid = Grid(spec)
         size = chunk_size(grid)
         for start in range(0, len(seeds), size):
-            chunk = seeds[start:start + size]
-            d = Derived.of(grid, *random_smooth_ensemble(
-                grid, chunk, config.modes, floor=config.floor, amplitude=1.0))
-            d.load(*pieces)
-            for name in names:
-                out = SEEDED_SUITES[name](d, configs[name])
-                results = reports[name].results
-                for k, seed in enumerate(chunk):
-                    for check in SUITE_CHECKS[name]:
-                        if check in out:
-                            margin, passed, detail = out[check][k]
-                            results.append(CheckResult(
-                                check, seed, spec, margin, passed, detail))
-            del d  # the next chunk is generated without this one
+            _run_chunk(grid, seeds[start:start + size], spec, names, configs,
+                       pieces, reports)
+
+
+@in_workspace
+def _run_chunk(grid, chunk, spec, names, configs, pieces, reports):
+    """Generate one seed chunk, load its bundle's pieces and append every
+    suite's results, in one workspace scope: the chunk's transform stacks
+    come from the pool and return to it when the chunk is done. Only
+    margins and detail strings leave the chunk."""
+    config = configs[names[0]]
+    d = Derived.of(grid, *random_smooth_ensemble(
+        grid, chunk, config.modes, floor=config.floor, amplitude=1.0))
+    d.load(*pieces)
+    for name in names:
+        out = SEEDED_SUITES[name](d, configs[name])
+        results = reports[name].results
+        for k, seed in enumerate(chunk):
+            for check in SUITE_CHECKS[name]:
+                if check in out:
+                    margin, passed, detail = out[check][k]
+                    results.append(CheckResult(
+                        check, seed, spec, margin, passed, detail))
 
 
 def check_suites(configs):

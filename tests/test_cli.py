@@ -373,6 +373,15 @@ class TestSweep:
         assert main(["sweep", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_empty_axis_exits_2(self, tmp_path, capsys):
+        # no point to run is a config error, not a sweep that passes
+        doc = dict(RUN_DOC, sweep={"eps": [1e-3], "kappa": []})
+        cfg = _write(tmp_path, "s.json", doc)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "sweep axis 'kappa' lists no values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_option(self, tmp_path):
         # a 2D grid whose transform stacks come from each thread's workspace
         doc = dict(RUN_DOC, scenario="acoustic-2d", n=64,

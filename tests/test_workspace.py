@@ -3,18 +3,23 @@ sides and steps, go back to the pool after use (also when a stage raises),
 stay bounded, and are kept per thread."""
 
 import functools
+import json
+import os
 import resource
+import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qnslab import fields, systems, timeloop
-from qnslab.fields import (Grid, ScalarField, VectorField, from_spectral,
-                           random_smooth_positive, random_smooth_vector,
-                           to_spectral)
-from qnslab.physics import QnsParams, State, VacuumError, to_w
+from qnslab import fields, systems, timeloop, verify
+from qnslab.fields import (Grid, ScalarField, VectorField, div_arr,
+                           from_spectral, grad_arr, random_smooth_positive,
+                           random_smooth_vector, to_spectral)
+from qnslab.physics import (PIECES, Derived, QnsParams, State, VacuumError,
+                            to_w)
 from qnslab.timeloop import PositivityError
 
 GRIDS = [(32,), (64, 64), (16, 16, 16)]
@@ -384,3 +389,159 @@ def test_steady_2d_step_page_faults():
         faults()
     counts = sorted(faults() for _ in range(3))
     assert counts[1] <= FAULT_BUDGET, counts
+
+
+# --- the seed chunks of verify -------------------------------------------
+
+def _suites(seeds=tuple(range(500, 525)), grids=((128,), (64, 64))):
+    """The identity and inequality suites of one ensemble, as verify runs
+    them for `qnslab verify`."""
+    return {name: verify.SuiteConfig(seeds=seeds, grids=grids, checks=checks)
+            for name, checks in (("identity", verify.IDENTITY_CHECKS),
+                                 ("inequality", verify.INEQUALITY_CHECKS))}
+
+
+def _results(configs):
+    reports = verify.run_suites(configs)
+    return {name: [r.to_json() for r in rep.results]
+            for name, rep in reports.items()}
+
+
+@pytest.fixture
+def workspace(monkeypatch):
+    """An empty workspace of the test's own, at the pool's real cut."""
+    ws = fields._Workspace()
+    monkeypatch.setattr(fields, "_workspace", ws)
+    return ws
+
+
+def test_verify_chunks_equal_a_pass_without_the_pool(workspace,
+                                                     monkeypatch):
+    # 25 seeds: one chunk of (128,), whose stacks stay below the pool's cut,
+    # and 25 chunks of (64, 64), whose stacks are pooled
+    configs = _suites()
+    with monkeypatch.context() as mp:
+        # each chunk outside any scope: every stack a plain array
+        mp.setattr(verify, "_run_chunk", verify._run_chunk.__wrapped__)
+        ref = _results(configs)
+        assert not workspace.free and not workspace.lent
+    for _ in range(2):
+        _poison(workspace)
+        assert _results(configs) == ref
+        assert not workspace.lent
+    assert workspace.free
+
+
+def test_verify_pooled_bytes_stop_growing(workspace):
+    configs = _suites(seeds=tuple(range(5)))
+    verify.run_suites(configs)
+    warm = sum(workspace.sizes)
+    assert warm > 0
+    for _ in range(3):
+        verify.run_suites(configs)
+        assert not workspace.lent
+        assert sum(workspace.sizes) == warm
+
+
+def test_failed_check_returns_every_stack(workspace, monkeypatch):
+    configs = _suites(seeds=(3, 4), grids=((64, 64),))
+    ref = _results(configs)
+
+    def fail(d):
+        # the bundle and the identity suite's stacks are lent by now
+        assert workspace.lent
+        raise VacuumError(1, -1.0)
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "grad6_batch", fail)
+        with pytest.raises(VacuumError):
+            verify.run_suites(configs)
+    assert not workspace.lent
+    _poison(workspace)
+    assert _results(configs) == ref
+
+
+def test_operators_outside_a_scope_keep_plain_arrays(pool):
+    # every stack would be pooled inside a scope; outside one, none is
+    grid = Grid((64, 64))
+    s = _state((64, 64), 12)
+    r, u = s.rho.values, s.vel.values
+    grad_arr(grid, r)
+    div_arr(grid, u)
+    Derived(s, PARAMS).load(*PIECES)
+    assert not pool.free and not pool.lent
+
+
+# Minor page faults of a steady identity+inequality pass of _suites(), in a
+# fresh interpreter (getrusage, 2-core Xeon, numpy 2.4.6, glibc 2.36). The
+# figures depend on where glibc's heap puts things, which the number of
+# environment variables alone moves: over 8 such layouts the median of
+# three passes was 4918 to 9787 when each chunk allocated its transform
+# stacks afresh (8627 in the layout first measured). With the stacks
+# pooled but the chunk's nodal arrays plain it was 3 to 3301 over 16
+# layouts, about half of them above 2400; with those arrays pooled too
+# (see test_verify_chunk_plain_bytes) it is 52 to 109 over 20 layouts,
+# nearly all of them the 1D chunk's, whose arrays stay plain. The budget
+# is 5 % of 8627.
+VERIFY_FAULT_BUDGET = 431
+VERIFY_PASSES = """
+import json, resource
+from qnslab import verify
+configs = {name: verify.SuiteConfig(seeds=tuple(range(500, 525)),
+                                    grids=((128,), (64, 64)), checks=checks)
+           for name, checks in (("identity", verify.IDENTITY_CHECKS),
+                                ("inequality", verify.INEQUALITY_CHECKS))}
+def faults():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    verify.run_suites(configs)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+for _ in range(2):
+    faults()
+print(json.dumps([faults() for _ in range(3)]))
+"""
+
+
+# Traced bytes a steady 64^2 seed chunk allocates plainly, as its peak over
+# its start: 719 KiB with only its transform stacks pooled, 305 KiB with its
+# nodal arrays (generated fields, Derived pieces, the checkers' larger
+# intermediates) pooled too; what remains is mostly irfftn's internal
+# spectrum. glibc trims its heap top once that exceeds twice the largest
+# block it has mmapped and freed, here the bundle's 8-row inverse spectrum
+# of 264 KiB, and it grows the heap by what it needs plus a 128 KiB pad; a
+# chunk that allocates under 528 - 128 = 400 KiB plainly leaves no heap
+# top to trim, wherever the heap puts its blocks. The ceiling is 5 % above
+# 305 KiB, and moves only down.
+CHUNK_PLAIN_KIB = 320
+
+
+def test_verify_chunk_plain_bytes(workspace, monkeypatch):
+    configs = _suites(seeds=(500, 501), grids=((64, 64),))
+    verify.run_suites(configs)
+    peaks = []
+    run_chunk = verify._run_chunk
+
+    def traced(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_chunk(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    monkeypatch.setattr(verify, "_run_chunk", traced)
+    tracemalloc.start()
+    try:
+        verify.run_suites(configs)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2
+    assert max(peaks) <= CHUNK_PLAIN_KIB * 1024, peaks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor page faults as Linux counts them")
+def test_steady_verify_pass_page_faults():
+    src = os.path.dirname(os.path.dirname(fields.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", VERIFY_PASSES],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    counts = sorted(json.loads(proc.stdout))
+    assert counts[1] <= VERIFY_FAULT_BUDGET, counts
