@@ -56,10 +56,12 @@ def _load_config(path):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg
@@ -78,7 +80,10 @@ def _out_dir(cfg, args):
     out = os.environ.get("QNSLAB_OUT") or args.out or cfg.get("out") or "."
     if not isinstance(out, str):
         raise ConfigError(f"out must be a path, got {out!r}")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     return out
 
 
@@ -115,7 +120,7 @@ def _read_snapshot(path):
         raise ConfigError(f"snapshot not found: {path}")
     try:
         return read_field(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad snapshot: {exc}") from exc
 
 
@@ -250,8 +255,8 @@ def _suite_config(cfg):
 def cmd_verify(args):
     cfg = _load_config(args.config)
     suites = cfg.get("suites", ["identity", "inequality"])
-    if not isinstance(suites, list):
-        raise ConfigError(f"suites must be a list, got {suites!r}")
+    if not isinstance(suites, list) or not suites:
+        raise ConfigError(f"suites must be a nonempty list, got {suites!r}")
     configs = {}
     for name in suites:
         if name not in SUITE_CHECKS:
@@ -354,19 +359,21 @@ def cmd_report(args):
     path = cfg.get("monitors") or args.monitors
     if not path or not os.path.exists(path):
         raise ConfigError(f"monitors CSV not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        cols = [c for c in MONITOR_COLUMNS if rows and c in rows[0]]
+        table = {c: [float(r[c]) for r in rows] for c in cols}
+    except (OSError, ValueError, TypeError, csv.Error) as exc:
+        raise ConfigError(f"unreadable monitors CSV {path}: {exc}") from exc
     if not rows:
         raise ConfigError("monitors CSV is empty")
-    cols = [c for c in MONITOR_COLUMNS if c in rows[0]]
+    if "time" not in table:
+        raise ConfigError(f"monitors CSV has no time column: {path}")
     print(f"{'column':<28}{'initial':>15}{'final':>15}"
           f"{'sup':>15}{'time-integral':>17}")
-    times = [float(r["time"]) for r in rows]
-    for col in cols:
-        if col == "time":
-            continue
-        vals = [float(r[col]) for r in rows]
+    times = table.pop("time")
+    for col, vals in table.items():
         ti = float(np.trapezoid(vals, times)) if len(vals) > 1 else 0.0
         print(f"{col:<28}{vals[0]:>15.6e}{vals[-1]:>15.6e}"
               f"{max(vals):>15.6e}{ti:>17.6e}")

@@ -18,10 +18,9 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Transform stacks of at least this many bytes are drawn from the calling
-# thread's workspace and reused; smaller ones are plain np.empty arrays,
-# except those of the spectral operators and of lend() on a 2D or 3D grid
-# inside a workspace scope (see _lend).
+# Inside a workspace scope, 1D stacks of at least this many bytes are drawn
+# from the calling thread's workspace and reused; smaller ones are plain
+# np.empty arrays (see lend).
 # glibc hands freed heap tops above about 128 KiB back to the system, so a
 # large stack allocated afresh on every call faults its pages in again.
 POOL_MIN_BYTES = 1 << 17
@@ -232,9 +231,9 @@ _workspace = _Workspace()
 def in_workspace(fn):
     """fn run in a workspace scope: when the thread's outermost scope exits,
     normally or by an exception, every stack still lent returns to the
-    pool. Inside a scope the spectral operators (grad_arr, div_arr,
-    lap_arr, hess_arr, derivatives_arr) draw their spectra and outputs from
-    the workspace too, and so does lend() (see _lend): a spectrum goes back
+    pool. Inside a scope lend() draws stacks from the workspace, and so do
+    the spectral operators (grad_arr, div_arr, lap_arr, hess_arr,
+    derivatives_arr) for their spectra and outputs: a spectrum goes back
     once read, and an output stays lent until the outermost scope exits, so
     no array they return may outlive it. Outside any scope they return
     plain arrays."""
@@ -255,28 +254,27 @@ def in_workspace(fn):
     return scoped
 
 
-def take(grid, rows, spectral=False):
-    """An uninitialized (rows, *n) real stack, or (rows, *m) complex stack
-    in the rfft layout if spectral.
+def lend(grid, lead, spectral=False):
+    """An uninitialized stack of shape lead + the grid's nodal row shape, or
+    + its rfft-layout row shape if spectral.
 
-    A stack of POOL_MIN_BYTES or more comes from the thread's workspace. It
-    goes back through release() once read for the last time, or when the
-    enclosing in_workspace scope exits, and must not escape. The right-hand
-    sides and the step take their stacks here, and so do the spectral
-    operators inside a scope, such as a seed chunk of verify; monitor
-    records and observers run outside any scope and keep plain arrays. The
-    pool keeps the buffers of one grid only."""
-    shape, row_bytes, dtype = grid._rows[spectral]
-    nbytes = rows * row_bytes
-    if nbytes < POOL_MIN_BYTES:
-        return np.empty((rows,) + shape, dtype)
-    return _pooled(grid, (rows,) + shape, nbytes, dtype)
-
-
-def _pooled(grid, shape, nbytes, dtype):
-    """An uninitialized stack of the shape, nbytes of dtype on the grid,
-    from the workspace whatever its size."""
+    Inside an in_workspace scope a 2D or 3D stack of any size, and a 1D
+    stack of at least POOL_MIN_BYTES, comes from the thread's workspace: it
+    stays lent until release() or the outermost scope's exit and must not
+    outlive it. Every other stack is a plain array. The pool keeps the
+    buffers of one grid only."""
+    row, row_bytes, dtype = grid._rows[spectral]
+    shape = lead + row
     ws = _workspace
+    if not ws.depth:
+        return np.empty(shape, dtype)
+    # 2D and 3D stacks are pooled whatever their size: their rows are
+    # large, and a scope's many small stacks add up to more than glibc keeps
+    # at the heap top. Small 1D stacks stay plain, so a 1D chunk leaves
+    # alone the pool of the other grids of a verify pass.
+    nbytes = math.prod(lead) * row_bytes
+    if grid.dim == 1 and nbytes < POOL_MIN_BYTES:
+        return np.empty(shape, dtype)
     if ws.grid is not grid:
         if ws.grid != grid:
             ws.sizes, ws.free = [], []
@@ -292,7 +290,7 @@ def _pooled(grid, shape, nbytes, dtype):
 
 
 def release(*stacks):
-    """Return stacks from take(), or the inverse_once() of one, to the
+    """Return stacks from lend(), or the inverse_once() of one, to the
     pool; other arrays are ignored."""
     ws = _workspace
     lent = ws.lent
@@ -303,36 +301,6 @@ def release(*stacks):
                 ws.put(buf)
 
 
-def _lend(grid, lead, spectral=False):
-    """An uninitialized stack of shape lead + the grid's nodal row shape, or
-    + its rfft-layout row shape if spectral: from the workspace inside an
-    in_workspace scope, where it stays lent until release() or the scope's
-    exit, and a plain array outside any scope."""
-    row, row_bytes, dtype = grid._rows[spectral]
-    shape = lead + row
-    if not _workspace.depth:
-        return np.empty(shape, dtype)
-    # A 2D or 3D scope pools its stacks whatever their size: their rows
-    # are large, and a seed chunk's many small stacks, all lent until the
-    # scope exits, add up to more than glibc keeps at the heap top. 1D
-    # stacks keep take()'s cut, so a 1D chunk leaves alone the pool of the
-    # other grids of a verify pass (the pool keeps one grid's buffers).
-    nbytes = math.prod(lead) * row_bytes
-    if grid.dim == 1 and nbytes < POOL_MIN_BYTES:
-        return np.empty(shape, dtype)
-    return _pooled(grid, shape, nbytes, dtype)
-
-
-def lend(grid, shape):
-    """An uninitialized real array of shape, whose trailing axes are the
-    grid's, as _lend() gives it: lent from the workspace inside an
-    in_workspace scope, plain outside any scope. Inside a scope the seed
-    chunks of verify take their nodal arrays here (the generated fields,
-    the Derived pieces and the checkers' larger intermediates), so what a
-    chunk allocates plainly stays below glibc's trim threshold."""
-    return _lend(grid, shape[:len(shape) - grid.dim])
-
-
 def _lead(grid, arr, depth=0):
     """The leading batch axes of arr before its grid axes and depth
     component axes."""
@@ -340,14 +308,14 @@ def _lead(grid, arr, depth=0):
 
 
 def _forward(grid, arr):
-    """to_spectral of arr into a _lend() stack."""
-    return to_spectral(grid, arr, out=_lend(grid, _lead(grid, arr), True))
+    """to_spectral of arr into a lend() stack."""
+    return to_spectral(grid, arr, out=lend(grid, _lead(grid, arr), True))
 
 
 def forward_once(grid, stack):
-    """to_spectral of a nodal stack that is not read again, into a stack
-    from take(); the nodal stack goes back to the workspace."""
-    hat = to_spectral(grid, stack, out=take(grid, len(stack), spectral=True))
+    """_forward of a nodal stack that is not read again; the nodal stack
+    goes back to the workspace."""
+    hat = _forward(grid, stack)
     release(stack)
     return hat
 
@@ -402,9 +370,9 @@ def split_rows(arr, counts):
 
 def nodal_stack(grid, *counts):
     """An uninitialized real stack of sum(counts) rows on the grid, from
-    take(), and one view per count, so each group is written in place before
+    lend(), and one view per count, so each group is written in place before
     one batched to_spectral."""
-    arr = take(grid, sum(counts))
+    arr = lend(grid, (sum(counts),))
     return arr, split_rows(arr, counts)
 
 
@@ -418,7 +386,7 @@ def inverse_groups(grid, *groups, done=()):
     group.
     """
     rows = [row for group in groups for row in group]
-    spec = take(grid, len(rows), spectral=True)
+    spec = lend(grid, (len(rows),), spectral=True)
     for o, ((m, s), *rest) in zip(spec, rows):
         np.multiply(m, s, out=o)
         for m, s in rest:
@@ -474,8 +442,8 @@ def lap_arr(grid, arr, backend="spectral"):
 def _mult_stack(grid, fhat, mults):
     """m * fhat for each multiplier m of mults, stacked on a new axis placed
     just before the grid axes: (..., *m) -> (..., len(mults), *m), a
-    _lend() stack."""
-    out = _lend(grid, _lead(grid, fhat) + (len(mults),), spectral=True)
+    lend() stack."""
+    out = lend(grid, _lead(grid, fhat) + (len(mults),), spectral=True)
     for p, m in enumerate(mults):
         np.multiply(m, fhat, out=out[_comp(grid, p)])
     return out
@@ -493,9 +461,9 @@ def _derivative_rows(grid, arr, mults):
 
 def _ik_dot(grid, vhat):
     """sum_j ik_j * vhat[..., j, *m]: contracts the axis just before the
-    grid axes, (..., dim, *m) -> (..., *m), into a _lend() stack."""
+    grid axes, (..., dim, *m) -> (..., *m), into a lend() stack."""
     lead = (slice(None),) * (vhat.ndim - grid.dim - 1)
-    out = _lend(grid, _lead(grid, vhat, 1), spectral=True)
+    out = lend(grid, _lead(grid, vhat, 1), spectral=True)
     np.multiply(grid._ik[0], vhat[lead + (0,)], out=out)
     for j in range(1, grid.dim):
         out += grid._ik[j] * vhat[lead + (j,)]
@@ -558,9 +526,9 @@ def hess_arr(grid, arr, backend="spectral"):
 
 
 def _lent_symmetric(grid, upper):
-    """_symmetric into a _lend() stack."""
+    """_symmetric into a lend() stack."""
     return _symmetric(grid, upper,
-                      _lend(grid, _lead(grid, upper, 1) + (grid.dim,) * 2))
+                      lend(grid, _lead(grid, upper, 1) + (grid.dim,) * 2))
 
 
 def _multipliers(grid, kind):
@@ -699,7 +667,7 @@ def random_smooth_ensemble(grid, seeds, modes, floor=None, amplitude=None):
         # spectral synthesis: white noise shaped by (1 + |k|^2)^-2 within
         # the mode box; the shaped spectrum stays Hermitian, so the field
         # is real. In place, each step gives the bits of floor + s * s.
-        noise = _lend(grid, (len(rows),))
+        noise = lend(grid, (len(rows),))
         for out, r in zip(noise, rows):
             out[...] = np.random.default_rng(r).standard_normal(grid.shape)
         spec = _forward(grid, noise)

@@ -267,7 +267,8 @@ def div_vs_D_batch(d):
     ca = -grid.dim - 1
     J = d.jac_u
     divu = np.trace(J, axis1=ca - 1, axis2=ca)
-    D = np.add(J, np.swapaxes(J, ca - 1, ca), out=lend(grid, J.shape))
+    D = np.add(J, np.swapaxes(J, ca - 1, ca),
+               out=lend(grid, J.shape[:-grid.dim]))
     D *= 0.5
     D *= D
     lhs = quad(grid, r * divu ** 2)
@@ -309,7 +310,7 @@ def flux_identity_batch(d, exponents, rel_tol=1e-8):
     # one divergence for the distinct fluxes; the r = 2 flux is the right
     # factor of every pairing
     powers = sorted(set(exponents) | {2})
-    fluxes = lend(grid, gv.shape[:ca] + (len(powers),) + gv.shape[ca:])
+    fluxes = lend(grid, gv.shape[:ca] + (len(powers), grid.dim))
     for flux, r in zip(np.moveaxis(fluxes, ca - 1, 0), powers):
         np.multiply(per_node(grid, gv2 ** (r / 2)), gv, out=flux)
     divs = dict(zip(powers, np.moveaxis(div_arr(grid, fluxes), ca, 0)))
@@ -346,7 +347,8 @@ def grad_sqrtrho_u_batch(d, tol=1e-8):
     grid, r, u = d.grid, d.rho, d.u
     ca = -grid.dim - 1
     lhs = d.jac_sqrt_rho_u
-    rhs, term = lend(grid, lhs.shape), lend(grid, lhs.shape)
+    lead = lhs.shape[:-grid.dim]
+    rhs, term = lend(grid, lead), lend(grid, lead)
     np.multiply(per_node(grid, d.sqrt_rho, 2), d.jac_u, out=rhs)
     np.multiply(2 * per_node(grid, d.rho14, 2) * np.expand_dims(u, ca),
                 np.expand_dims(d.grad_rho14, ca - 1), out=term)

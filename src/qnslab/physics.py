@@ -172,6 +172,10 @@ class State:
     def __post_init__(self):
         if self.form not in ("u", "w"):
             raise ValueError(f"form must be 'u' or 'w', got {self.form!r}")
+        if not (isinstance(self.rho, ScalarField)
+                and isinstance(self.vel, VectorField)):
+            raise ValueError("rho must be a ScalarField and vel a "
+                             "VectorField")
         if self.rho.grid != self.vel.grid:
             raise ValueError("rho and vel must share the grid")
 
@@ -194,7 +198,8 @@ def _stack(grid, arrays):
     array; a single array is viewed with a unit axis, not copied."""
     if len(arrays) == 1:
         return arrays[0][None]
-    return np.stack(arrays, out=lend(grid, (len(arrays),) + arrays[0].shape))
+    lead = (len(arrays),) + arrays[0].shape[:-grid.dim]
+    return np.stack(arrays, out=lend(grid, lead))
 
 
 # The first-level pieces of a Derived bundle: name -> (input, derivative).
@@ -332,7 +337,7 @@ class Derived:
 
     def _scalar(self):
         """A lend() array of the density's shape."""
-        return lend(self.grid, self.rho.shape)
+        return lend(self.grid, self.rho.shape[:-self.grid.dim])
 
     @cached_property
     def sqrt_rho(self):
@@ -355,7 +360,7 @@ class Derived:
     @cached_property
     def sqrt_rho_u(self):
         return np.multiply(per_node(self.grid, self.sqrt_rho), self.u,
-                           out=lend(self.grid, self.u.shape))
+                           out=lend(self.grid, self.u.shape[:-self.grid.dim]))
 
     @cached_property
     def u2(self):
@@ -372,7 +377,7 @@ def _norm2(grid, vec):
     """|vec|^2 of a (..., dim, *n) stack, a lend() array."""
     ca = -grid.dim - 1
     return np.add.reduce(vec * vec, axis=ca,
-                         out=lend(grid, vec.shape[:ca] + grid.shape))
+                         out=lend(grid, vec.shape[:ca]))
 
 
 def bohm_force(rho, form="A", backend="spectral"):
@@ -405,7 +410,8 @@ def bohm_arr(d, form="A", backend="spectral"):
         return np.multiply(2.0 * per_node(grid, r), g, out=g)
     if form == "B":
         H = d.hess_log_rho if spectral else hess_arr(grid, d.log_rho, backend)
-        flux = np.multiply(per_node(grid, r, 2), H, out=lend(grid, H.shape))
+        flux = np.multiply(per_node(grid, r, 2), H,
+                           out=lend(grid, H.shape[:-grid.dim]))
         out = div_arr(grid, flux, backend)
         release(flux)
         return out
@@ -415,8 +421,7 @@ def bohm_arr(d, form="A", backend="spectral"):
         lr = d.lap_rho if spectral else lap_arr(grid, r, backend)
         ca = -grid.dim - 1
         outer = np.multiply(np.expand_dims(gv, ca), np.expand_dims(gv, ca - 1),
-                            out=lend(grid, gv.shape[:ca] + (grid.dim,)
-                                     + gv.shape[ca:]))
+                            out=lend(grid, gv.shape[:ca] + (grid.dim,) * 2))
         out = div_arr(grid, outer, backend)
         release(outer)
         out *= 4.0

@@ -16,8 +16,8 @@ import numpy as np
 
 from .fields import (ScalarField, VectorField, _symmetric, div_arr,
                      forward_once, grad_arr, hess_arr, in_workspace,
-                     inverse_groups, inverse_once, lap_arr, nodal_stack, quad,
-                     release, split_rows, take, to_spectral)
+                     inverse_groups, inverse_once, lap_arr, lend, nodal_stack,
+                     quad, release, split_rows, to_spectral)
 from .physics import bohm_force, require_positive
 
 FORMULATIONS = ("target", "approx-u", "approx-w")
@@ -58,7 +58,7 @@ def _finish(state, drho, lin, nodal, use_dealias, spectral, done):
     """
     grid, r = state.grid, state.rho.values
     lin += nodal
-    out = take(grid, 1 + grid.dim)
+    out = lend(grid, (1 + grid.dim,))
     out[0] = drho
     np.divide(lin, r, out=out[1:])
     if use_dealias or spectral:
@@ -172,7 +172,7 @@ def _rhs_u(state, params, eps, use_dealias, spectral):
         v_q = v * Q[0]
         nodal += eps * mu * v_q * glog
         pressure += eps * mu * (neg_p + v_q)
-        p_hat = take(grid, 1, spectral=True)
+        p_hat = lend(grid, (1,), spectral=True)
         to_spectral(grid, -pressure, out=p_hat[0])
         out3, (lin,) = inverse_groups(grid, lin_rows(p_hat[0]),
                                       done=(hat2, p_hat))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (ScalarField, VectorField, dealias_arr, div_arr,
-                     forward_once, grad_arr, in_workspace, inverse_once, quad,
-                     release, take)
+                     forward_once, grad_arr, in_workspace, inverse_once, lend,
+                     quad, release)
 from .functionals import (DISSIPATION_KEYS, Derived, MonitorRecord,
                           _kinetic_dissipation, bd_entropy, derived, energy,
                           energy_dissipation, mv_functional)
@@ -213,8 +213,8 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
                      form=state.form, time=t)
 
     def values():
-        """[rho, vel] of the State in a stack from take()."""
-        y = take(grid, m)
+        """[rho, vel] of the State in a stack from lend()."""
+        y = lend(grid, (m,))
         y[0] = state.rho.values
         y[1:] = state.vel.values
         return y

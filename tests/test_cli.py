@@ -201,6 +201,22 @@ class TestBadSnapshot:
         assert "truncated" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    def test_scalar_velocity_snapshot_exits_2(self, tmp_path, capsys):
+        rho = self._snapshot(tmp_path, np.full(32, 1.5))
+        cfg = _write(tmp_path, "run.json",
+                     dict(self.DOC, snapshot=str(rho),
+                          snapshot_velocity=str(rho)))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "snapshots do not match" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snapshot_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: bad snapshot")
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
     def test_non_finite_density_exits_2(self, tmp_path, capsys, bad):
         values = np.full(32, 1.5)
@@ -398,6 +414,15 @@ class TestSweep:
         assert text["1"].count(b"completed") == 2
 
 
+# a valid config of each subcommand that writes an output directory
+COMMANDS = {
+    "run": RUN_DOC,
+    "verify": {"suites": ["identity"], "num_seeds": 1, "grids": [[32]],
+               "modes": 2},
+    "sweep": dict(RUN_DOC, sweep={"eps": [1e-3]}),
+}
+
+
 class TestConfigErrors:
     """A config error exits 2 with a message, never a traceback, and
     creates no output directory."""
@@ -411,8 +436,10 @@ class TestConfigErrors:
         ("sweep", dict(RUN_DOC, params=5, sweep={"eps": [1e-3]})),
         ("run", [RUN_DOC]),
         ("verify", {"suites": 5}),
+        ("verify", {"suites": []}),
     ], ids=["params-int", "integrator-list", "suite-block-int",
-            "rel-tol-str", "sweep-params-int", "config-list", "suites-int"])
+            "rel-tol-str", "sweep-params-int", "config-list", "suites-int",
+            "suites-empty"])
     def test_malformed_block_exits_2(self, tmp_path, capsys, command, doc):
         cfg = _write(tmp_path, "c.json", doc)
         out = tmp_path / "o"
@@ -433,6 +460,39 @@ class TestConfigErrors:
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("content", [None, b'{"n": "\xff"}'],
+                             ids=["directory", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, command,
+                                       content):
+        cfg = tmp_path / "c.json"
+        if content is None:
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(content)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: cannot read config")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys, monkeypatch,
+                                        command, via):
+        out = tmp_path / "taken"
+        out.write_text("")
+        cfg = _write(tmp_path, "c.json", COMMANDS[command])
+        argv = [command, "--config", cfg]
+        if via == "flag":
+            argv += ["--out", str(out)]
+        else:
+            monkeypatch.setenv("QNSLAB_OUT", str(out))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: cannot create output directory")
+        assert out.read_text() == ""
 
     def test_out_that_is_not_a_path_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "run.json", dict(RUN_DOC, out=5))
@@ -470,6 +530,23 @@ class TestReport:
     def test_missing_monitors_exits_2(self, tmp_path):
         assert main(["report", "--monitors",
                      str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("time,mass\n0.0,1.0\n0.1,abc\n", "unreadable monitors CSV"),
+        ("mass,energy\n1.0,2.0\n1.0,2.0\n", "no time column"),
+        (None, "unreadable monitors CSV"),
+    ], ids=["non-numeric", "no-time", "directory"])
+    def test_malformed_monitors_exits_2(self, tmp_path, capsys, text,
+                                        message):
+        path = tmp_path / "monitors.csv"
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        assert main(["report", "--monitors", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert "Traceback" not in err
 
 
 def test_python_m_qnslab_runs_from_a_checkout():

@@ -119,6 +119,16 @@ class TestState:
         with pytest.raises(ValueError):
             State(rho, u)
 
+    def test_field_kinds(self):
+        # a scalar velocity of the right grid would pass the grid check and
+        # fail only inside a right-hand side
+        g = Grid(16)
+        rho = ScalarField.constant(g, 1.0)
+        u = random_smooth_vector(g, 0, 4)
+        for bad in ((rho, rho), (u, u), (rho.values, u)):
+            with pytest.raises(ValueError, match="ScalarField"):
+                State(*bad)
+
     def test_require_positive(self):
         with pytest.raises(VacuumError):
             require_positive(np.array([1.0, 0.0, 2.0]))

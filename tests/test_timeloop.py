@@ -68,6 +68,11 @@ class TestConfig:
             IntegratorConfig(t_end=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(monitor_every=0)
+        for cfl in (0.0, 1.5):
+            with pytest.raises(ValueError, match="cfl_target"):
+                IntegratorConfig(cfl_target=cfl)
+        with pytest.raises(ValueError, match="positivity_floor"):
+            IntegratorConfig(positivity_floor=0.0)
 
     def test_fixed_dt(self):
         c = IntegratorConfig.fixed_dt(1e-3, t_end=0.1)
@@ -311,6 +316,28 @@ class TestIntegrate:
         fine = cfl_dt(_acoustic(128), PARAMS,
                       IntegratorConfig(scheme="imex"))
         assert 0 < fine < coarse
+
+    @pytest.mark.parametrize("scheme", timeloop.SCHEMES)
+    def test_cfl_estimate_in_closed_form_at_rest(self, scheme):
+        # rho = 1, u = 0 on n = 32 (kmax = 15, the Nyquist mode zeroed):
+        # rate = sqrt(a gamma) kmax + kappa kmax^2, and the explicit scheme
+        # adds (2 nu + sqrt(eps) + mu) kmax^2
+        raw, _ = scenario("uniform-rest", n=32)
+        s = State(raw.rho0, raw.m0)
+        p = QnsParams(nu=1.0, kappa=1.0 / 11.0, a=2.0, gamma=1.5, eps=0.01)
+        config = IntegratorConfig(scheme=scheme, cfl_target=0.4)
+        rate = 3.0 ** 0.5 * 15 + p.kappa * 225
+        if scheme == "rk4-explicit":
+            rate += (2.0 + 0.1 + p.mu) * 225
+        assert cfl_dt(s, p, config) == pytest.approx(0.4 / rate, rel=1e-14)
+        # no wave speed and no stiffness left: the step is dt_max
+        still = QnsParams(nu=1.0, kappa=0.0, a=0.0)
+        dt = cfl_dt(s, still, config)
+        if scheme == "imex":
+            assert dt == config.dt_max
+        else:
+            assert dt == pytest.approx(0.4 / ((2.0 + still.mu) * 225),
+                                       rel=1e-14)
 
     def test_w_form_integration(self):
         st = to_w(_acoustic(64), PARAMS)
