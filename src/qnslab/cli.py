@@ -75,11 +75,20 @@ def _block(cfg, key):
     return dict(block)
 
 
+def _path(cfg, key):
+    """cfg[key], which must be a path (a string), or None if the key is
+    absent."""
+    if key not in cfg:
+        return None
+    path = cfg[key]
+    if not isinstance(path, str):
+        raise ConfigError(f"{key} must be a path, got {path!r}")
+    return path
+
+
 def _out_dir(cfg, args):
     """The output directory, created; called once the config is valid."""
-    out = os.environ.get("QNSLAB_OUT") or args.out or cfg.get("out") or "."
-    if not isinstance(out, str):
-        raise ConfigError(f"out must be a path, got {out!r}")
+    out = os.environ.get("QNSLAB_OUT") or args.out or _path(cfg, "out") or "."
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -128,8 +137,8 @@ def _initial_source(cfg):
     """The snapshot State, or the raw data of the scenario: the part of the
     initial state that no params override changes."""
     if "snapshot" in cfg:
-        rho, _, time = _read_snapshot(cfg["snapshot"])
-        vel_path = cfg.get("snapshot_velocity")
+        rho, _, time = _read_snapshot(_path(cfg, "snapshot"))
+        vel_path = _path(cfg, "snapshot_velocity")
         vel = (_read_snapshot(vel_path)[0] if vel_path
                else VectorField.zero(rho.grid))
         try:
@@ -356,7 +365,7 @@ def cmd_sweep(args):
 
 def cmd_report(args):
     cfg = _load_config(args.config) if args.config else {}
-    path = cfg.get("monitors") or args.monitors
+    path = _path(cfg, "monitors") or args.monitors
     if not path or not os.path.exists(path):
         raise ConfigError(f"monitors CSV not found: {path}")
     try:

@@ -33,7 +33,7 @@ class Grid:
     """
 
     __slots__ = ("dim", "n", "length", "spacing", "shape", "volume", "kmax",
-                 "_ik", "_lap", "_hess", "_mask", "_coords", "_rows")
+                 "_ik", "_lap", "_hess", "_sym", "_mask", "_coords", "_rows")
 
     def __init__(self, n, length=None):
         if np.isscalar(n):
@@ -74,6 +74,11 @@ class Grid:
         # ik_i * ik_j = -k_i k_j for the upper triangle i <= j, real
         self._hess = tuple(_freeze((self._ik[i] * self._ik[j]).real)
                            for i, j in _upper_pairs(dim))
+        # the index of each upper-triangle row and of the entries (i, j) and
+        # (j, i) it fills, for _symmetric
+        self._sym = tuple(
+            (_comp(self, p), tuple(_comp(self, *e) for e in {(i, j), (j, i)}))
+            for p, (i, j) in enumerate(_upper_pairs(dim)))
         self.kmax = max(np.max(np.abs(ik)) for ik in self._ik)
         mask = True
         for i, m in zip(idx, n):
@@ -359,43 +364,6 @@ def from_spectral(grid, ahat, out=None):
                          out=out)
 
 
-def split_rows(arr, counts):
-    """Consecutive leading-axis views of arr, one per count."""
-    views, start = [], 0
-    for c in counts:
-        views.append(arr[start:start + c])
-        start += c
-    return views
-
-
-def nodal_stack(grid, *counts):
-    """An uninitialized real stack of sum(counts) rows on the grid, from
-    lend(), and one view per count, so each group is written in place before
-    one batched to_spectral."""
-    arr = lend(grid, (sum(counts),))
-    return arr, split_rows(arr, counts)
-
-
-def inverse_groups(grid, *groups, done=()):
-    """Inverse-transform several groups of spectral rows as one stack.
-
-    A row is a list of (multiplier, spectrum) pairs and stands for the sum
-    of their products. The spectra in done are released once the rows are
-    formed, before the transform. Returns the nodal stack, a workspace
-    stack written over the rows, and one (len(group), *n) view of it per
-    group.
-    """
-    rows = [row for group in groups for row in group]
-    spec = lend(grid, (len(rows),), spectral=True)
-    for o, ((m, s), *rest) in zip(spec, rows):
-        np.multiply(m, s, out=o)
-        for m, s in rest:
-            o += m * s
-    release(*done)
-    out = inverse_once(grid, spec)
-    return out, split_rows(out, map(len, groups))
-
-
 def _check_backend(backend):
     if backend not in ("spectral", "fd2"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -504,10 +472,10 @@ def _symmetric(grid, upper, out=None):
     d = grid.dim
     if out is None:
         out = np.empty(upper.shape[:-grid.dim - 1] + (d, d) + grid.shape)
-    for p, (i, j) in enumerate(_upper_pairs(d)):
-        hij = upper[_comp(grid, p)]
-        out[_comp(grid, i, j)] = hij
-        out[_comp(grid, j, i)] = hij
+    for row, entries in grid._sym:
+        hij = upper[row]
+        for entry in entries:
+            out[entry] = hij
     return out
 
 

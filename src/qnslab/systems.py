@@ -9,6 +9,7 @@ right-hand side written term by term, independently of the staged ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,8 +17,7 @@ import numpy as np
 
 from .fields import (ScalarField, VectorField, _symmetric, div_arr,
                      forward_once, grad_arr, hess_arr, in_workspace,
-                     inverse_groups, inverse_once, lap_arr, lend, nodal_stack,
-                     quad, release, split_rows, to_spectral)
+                     inverse_once, lap_arr, lend, quad, release, to_spectral)
 from .physics import bohm_force, require_positive
 
 FORMULATIONS = ("target", "approx-u", "approx-w")
@@ -32,8 +32,12 @@ class Rhs:
 
 
 def _directional(J, b):
-    """(b . grad) applied through a Jacobian J[i,j] = d_j F_i."""
-    return np.einsum("ij...,j...->i...", J, b)
+    """(b . grad) applied through a Jacobian J[i,j] = d_j F_i: the sum over
+    j of J[:, j] * b[j], accumulated in the order of j."""
+    out = J[:, 0] * b[0]
+    for j in range(1, len(b)):
+        out += J[:, j] * b[j]
+    return out
 
 
 def continuity_rate(div_flux, eps=0.0, v_q=None, neg_p=None):
@@ -75,10 +79,94 @@ def _finish(state, drho, lin, nodal, use_dealias, spectral, done):
     return rhs
 
 
+def _slices(counts):
+    """Consecutive row slices, one per count."""
+    out, start = [], 0
+    for c in counts:
+        out.append(slice(start, start + c))
+        start += c
+    return tuple(out)
+
+
+def _level(counts, *groups):
+    """One dependency level of a plan: the row slices of its nodal stack,
+    one per count; its inverse rows, each a tuple of (multiplier, spectral
+    row) terms that stands for the sum of their products; and the row
+    slices of its inverse, one per group of rows."""
+    rows = tuple(tuple(row) for group in groups for row in group)
+    return _slices(counts), rows, _slices(len(g) for g in groups)
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(grid, form, reg, bohm, mu=0.0):
+    """The static layout of a staged right-hand side, one _level per
+    dependency level. Spectral rows count from the level's forward
+    transform; in level 2 of the u-form the last row holds the spectrum of
+    P, transformed with the stack without regularization and alone with it
+    (then level 3 forms div T + grad P). mu weights the one Laplacian of
+    the w-form's rows; the u-form's rows read no parameter."""
+    d, ik, dd = grid.dim, grid._ik, grid.dim ** 2
+
+    def lin(p):
+        # div T + grad P of T in rows 0..dd-1 and P in row p
+        return [[(ik[j], i * d + j) for j in range(d)] + [(ik[i], p)]
+                for i in range(d)]
+    jac = [[(ik[j], i)] for i in range(d) for j in range(d)]
+    div = [[(k, d + j) for j, k in enumerate(ik)]]
+    if form == "w":
+        rho, lg, v = 2 * d, 2 * d + 1, 2 * d + 2   # rows of rho, log, sqrt
+        div[0].append((-mu * grid._lap, rho))
+        one = _level((d, d, 1, 1, reg), jac, div,
+                     [[(k, rho)] for k in ik], [[(k, lg)] for k in ik],
+                     [[(grid._lap, i)] for i in range(d)],
+                     [[(k, v)] for k in ik] if reg else [])
+        two = _level((dd, d * reg, 1), lin(dd + d * reg),
+                     [[(k, dd + j) for j, k in enumerate(ik)]] if reg else [])
+        return one, two
+    v, lg = 2 * d, 2 * d + (reg or bohm)    # rows of sqrt(rho), log(rho)
+    one = _level((d, d, reg or bohm, reg), jac, div,
+                 [[(grid._lap, v)]] if bohm else [],
+                 [[(k, v)] for k in ik] if reg else [],
+                 [[(k, lg)] for k in ik] if reg else [],
+                 [[(m, lg)] for m in grid._hess] if reg else [])
+    q = dd + d * reg    # rows of lap sqrt(rho) / sqrt(rho), then P
+    two = _level((dd, d * reg, bohm, not reg),
+                 [[(k, dd + j) for j, k in enumerate(ik)]] if reg else [],
+                 [[(k, q)] for k in ik] if bohm else [],
+                 [] if reg else lin(q + bohm))
+    return one, two, _level((), lin(q + bohm))
+
+
+def _nodal(grid, level):
+    """An uninitialized nodal stack of the level's rows from lend(), and
+    one view per row group, each written in place before one batched
+    to_spectral."""
+    slices = level[0]
+    arr = lend(grid, (slices[-1].stop,))
+    return arr, [arr[s] for s in slices]
+
+
+def _inverse(grid, hat, level, done):
+    """The level's inverse rows formed from the spectral stack hat and
+    inverse-transformed as one stack: a workspace stack written over the
+    rows, and one view of it per row group. The spectra in done go back to
+    the workspace once the rows are formed."""
+    _, rows, slices = level
+    spec = lend(grid, (len(rows),), spectral=True)
+    for o, ((m, i), *rest) in zip(spec, rows):
+        np.multiply(m, hat[i], out=o)
+        for m, i in rest:
+            o += m * hat[i]
+    release(*done)
+    out = inverse_once(grid, spec)
+    return out, [out[s] for s in slices]
+
+
 @in_workspace
 def _rhs_u(state, params, eps, use_dealias, spectral):
     """The u-form right-hand side, evaluated one dependency level at a time
-    with one batched forward and one batched inverse transform per level.
+    with one batched forward and one batched inverse transform per level,
+    in the layout of its cached _plan: a call does only the arithmetic.
     eps = 0 is the target system. Each stack goes back to the workspace
     after its last read: a nodal stack after its forward transform, a
     level's spectra once the rows of the inverse that reads them last are
@@ -87,16 +175,17 @@ def _rhs_u(state, params, eps, use_dealias, spectral):
         raise ValueError("rhs_target and rhs_approx_u expect a u-form state")
     require_positive(state.rho.values)
     grid = state.grid
-    d, ik = grid.dim, grid._ik
+    d = grid.dim
     r, u = state.rho.values, state.vel.values
     nu, mu, p0 = params.nu, params.mu, params.p0
     reg, bohm = eps > 0, params.kappa > 0
     se = math.sqrt(eps)
     v_q = neg_p = None
+    one, two, three = _plan(grid, "u", reg, bohm)
 
     # level 1: [u, rho u, sqrt(rho), log(rho)] -> J, div(rho u), lap sqrt(rho),
     # grad sqrt(rho), grad log(rho), upper Hess log(rho)
-    a, (ua, rua, va, la) = nodal_stack(grid, d, d, reg or bohm, reg)
+    a, (ua, rua, va, la) = _nodal(grid, one)
     ua[...] = u
     np.multiply(r, u, out=rua)
     if reg or bohm:
@@ -105,39 +194,30 @@ def _rhs_u(state, params, eps, use_dealias, spectral):
     if reg:
         np.log(r, out=la[0])
     hat = forward_once(grid, a)
-    uh, ruh, vh, lh = split_rows(hat, (d, d, len(va), reg))
-    out1, (J, div_ru, lapv, gv, glog, hlog) = inverse_groups(
-        grid,
-        [[(ik[j], uh[i])] for i in range(d) for j in range(d)],
-        [list(zip(ik, ruh))],
-        [[(grid._lap, vh[0])]] if bohm else [],
-        [[(k, vh[0])] for k in ik] if reg else [],
-        [[(k, lh[0])] for k in ik] if reg else [],
-        [[(m, lh[0])] for m in grid._hess] if reg else [],
-        done=(hat,))
+    out1, (J, div_ru, lapv, gv, glog, hlog) = _inverse(grid, hat, one, (hat,))
     J = J.reshape((d, d) + grid.shape)
 
     # level 2: [T, flux, lap sqrt(rho)/sqrt(rho), P if it needs no Q] ->
     # Q = div(flux), grad(lap sqrt(rho)/sqrt(rho)); div T stays a spectrum
     # T = rho (2 nu D + sqrt(eps) J + sqrt(eps) mu Hess log rho)
-    b, (tb, fb, qb, pb) = nodal_stack(grid, d * d, d * reg, bohm, not reg)
+    b, (tb, fb, qb, pb) = _nodal(grid, two)
     T = tb.reshape(J.shape)
     np.multiply(J, nu + se, out=T)
-    T += nu * np.swapaxes(J, 0, 1)
+    T += nu * J.swapaxes(0, 1)
     # the momentum terms without an outermost derivative, summed nodally
     nodal = -r * _directional(J, u)
     if params.r0:
         nodal -= params.r0 * u
     if params.r1:
-        nodal -= params.r1 * r * np.sum(u * u, axis=0) * u
+        nodal -= params.r1 * r * np.add.reduce(u * u, axis=0) * u
     if reg:
         H = _symmetric(grid, hlog)
         T += se * mu * H
         flux = fb
-        np.multiply(np.sum(gv * gv, axis=0), gv, out=flux)
+        np.multiply(np.add.reduce(gv * gv, axis=0), gv, out=flux)
         neg_p = r ** (-p0)
         w = u + mu * glog
-        w3 = np.sum(w * w, axis=0) ** 1.5
+        w3 = np.add.reduce(w * w, axis=0) ** 1.5
         nodal += eps * v * _directional(J, flux)
         nodal += eps * mu * v * _directional(H, flux)
         nodal -= eps * neg_p * u
@@ -150,20 +230,11 @@ def _rhs_u(state, params, eps, use_dealias, spectral):
     pressure = params.a * r ** params.gamma
     if not reg:
         np.negative(pressure, out=pb[0])
-    hat2 = forward_once(grid, b)
-    th, fh, qh, ph = split_rows(hat2, (d * d, d * reg, bohm, not reg))
-    th = th.reshape((d, d) + th.shape[1:])
-
-    def lin_rows(p_hat):
-        return [[(ik[j], th[i, j]) for j in range(d)] + [(ik[i], p_hat)]
-                for i in range(d)]
-
-    out2, (Q, gq, lin) = inverse_groups(
-        grid,
-        [list(zip(ik, fh))] if reg else [],
-        [[(k, qh[0])] for k in ik] if bohm else [],
-        [] if reg else lin_rows(ph[0]),
-        done=() if reg else (hat2,))
+    # with regularization one more spectral row waits for P
+    hat2 = lend(grid, (len(b) + reg,), spectral=True)
+    to_spectral(grid, b, out=hat2[:len(b)])
+    release(b)
+    out2, (Q, gq, lin) = _inverse(grid, hat2, two, () if reg else (hat2,))
     if bohm:
         nodal += params.kappa ** 2 * (2.0 * r * gq)
     done = (out1, out2)
@@ -172,10 +243,8 @@ def _rhs_u(state, params, eps, use_dealias, spectral):
         v_q = v * Q[0]
         nodal += eps * mu * v_q * glog
         pressure += eps * mu * (neg_p + v_q)
-        p_hat = lend(grid, (1,), spectral=True)
-        to_spectral(grid, -pressure, out=p_hat[0])
-        out3, (lin,) = inverse_groups(grid, lin_rows(p_hat[0]),
-                                      done=(hat2, p_hat))
+        to_spectral(grid, -pressure, out=hat2[-1])
+        out3, (lin,) = _inverse(grid, hat2, three, (hat2,))
         done += (out3,)
     drho = continuity_rate(div_ru[0], eps, v_q, neg_p)
     return _finish(state, drho, lin, nodal, use_dealias, spectral, done)
@@ -214,23 +283,24 @@ def rhs_approx_w(state, params, use_dealias=True, spectral=False):
     derivative applied to the velocity is second order and the only density
     operators are first derivatives and one Laplacian.
 
-    Staged like rhs_approx_u; P = -a rho^gamma needs no derivative, so two
-    levels and the dealiasing pair take six FFT calls, and five with
-    spectral."""
+    Staged like rhs_approx_u, in the layout of its cached _plan;
+    P = -a rho^gamma needs no derivative, so two levels and the dealiasing
+    pair take six FFT calls, and five with spectral."""
     if state.form != "w":
         raise ValueError("rhs_approx_w expects a w-form state")
     require_positive(state.rho.values)
     grid = state.grid
-    d, ik = grid.dim, grid._ik
+    d = grid.dim
     r, w = state.rho.values, state.vel.values
     eps, mu = params.eps, params.mu
     reg = eps > 0
     v_q = neg_p = None
+    one, two = _plan(grid, "w", reg, False, mu)
 
     # level 1: [w, rho w, rho, log(rho), sqrt(rho)] -> Jw,
     # div(rho w) - mu lap(rho), grad(rho), grad log(rho), lap w,
     # grad sqrt(rho)
-    a, (wa, rwa, ra, la, va) = nodal_stack(grid, d, d, 1, 1, reg)
+    a, (wa, rwa, ra, la, va) = _nodal(grid, one)
     wa[...] = w
     np.multiply(r, w, out=rwa)
     ra[0] = r
@@ -239,25 +309,16 @@ def rhs_approx_w(state, params, use_dealias=True, spectral=False):
         v = np.sqrt(r)  # read after the stack is released
         va[0] = v
     hat = forward_once(grid, a)
-    wh, rwh, rh, lh, vh = split_rows(hat, (d, d, 1, 1, reg))
-    out1, (Jw, div_m, gr, glog, lapw, gv) = inverse_groups(
-        grid,
-        [[(ik[j], wh[i])] for i in range(d) for j in range(d)],
-        [list(zip(ik, rwh)) + [(-mu * grid._lap, rh[0])]],
-        [[(k, rh[0])] for k in ik],
-        [[(k, lh[0])] for k in ik],
-        [[(grid._lap, s)] for s in wh],
-        [[(k, vh[0])] for k in ik] if reg else [],
-        done=(hat,))
+    out1, (Jw, div_m, gr, glog, lapw, gv) = _inverse(grid, hat, one, (hat,))
     Jw = Jw.reshape((d, d) + grid.shape)
     u = w - mu * glog
 
     # level 2: [T, flux, P] -> div T + grad P, Q = div(flux)
     # T = rho (2 (nu - mu) Dw + sqrt(eps) Jw)
-    b, (tb, fb, pb) = nodal_stack(grid, d * d, d * reg, 1)
+    b, (tb, fb, pb) = _nodal(grid, two)
     T = tb.reshape(Jw.shape)
     np.multiply(Jw, params.nu - mu + math.sqrt(eps), out=T)
-    T += (params.nu - mu) * np.swapaxes(Jw, 0, 1)
+    T += (params.nu - mu) * Jw.swapaxes(0, 1)
     T *= r
     # the momentum terms without an outermost derivative, summed nodally
     nodal = -r * _directional(Jw, w)
@@ -266,25 +327,18 @@ def rhs_approx_w(state, params, use_dealias=True, spectral=False):
     if params.r0:
         nodal -= params.r0 * u
     if params.r1:
-        nodal -= params.r1 * r * np.sum(u * u, axis=0) * u
+        nodal -= params.r1 * r * np.add.reduce(u * u, axis=0) * u
     if reg:
         flux = fb
-        np.multiply(np.sum(gv * gv, axis=0), gv, out=flux)
+        np.multiply(np.add.reduce(gv * gv, axis=0), gv, out=flux)
         neg_p = r ** (-params.p0)
-        w3 = np.sum(w * w, axis=0) ** 1.5
+        w3 = np.add.reduce(w * w, axis=0) ** 1.5
         nodal += eps * v * _directional(Jw, flux)
         nodal -= (eps ** 1.5) * r * w3 * u
         nodal -= eps * neg_p * w
     np.negative(params.a * r ** params.gamma, out=pb[0])
     hat2 = forward_once(grid, b)
-    th, fh, ph = split_rows(hat2, (d * d, d * reg, 1))
-    th = th.reshape((d, d) + th.shape[1:])
-    out2, (lin, Q) = inverse_groups(
-        grid,
-        [[(ik[j], th[i, j]) for j in range(d)] + [(ik[i], ph[0])]
-         for i in range(d)],
-        [list(zip(ik, fh))] if reg else [],
-        done=(hat2,))
+    out2, (lin, Q) = _inverse(grid, hat2, two, (hat2,))
     if reg:
         v_q = v * Q[0]
     drho = continuity_rate(div_m[0], eps, v_q, neg_p)

@@ -138,17 +138,19 @@ def _phi2(z):
 
 @functools.lru_cache(maxsize=4)
 def _etd_multipliers(grid, c, dt):
-    """Read-only (exp(z), dt * phi1(z), phi2(z)) for z = c * Lap * dt in
-    the rfft layout of the grid.
+    """Read-only (c * Lap, exp(z), dt * phi1(z), phi2(z)) for
+    z = c * Lap * dt in the rfft layout of the grid: the exact linear part
+    and the ETDRK2 multipliers.
 
     A fixed-dt run reuses one entry per linear coefficient; four entries
     hold both coefficients of two step sizes. A multiplier that is the same
-    number everywhere (all three at c = 0) is kept as a broadcast scalar, so
+    number everywhere (all four at c = 0) is kept as a broadcast scalar, so
     the cache holds no array for it.
     """
-    z = c * grid._lap * dt
+    clap = c * grid._lap
+    z = clap * dt
     mults = []
-    for m in (np.exp(z), dt * _phi1(z), _phi2(z)):
+    for m in (clap, np.exp(z), dt * _phi1(z), _phi2(z)):
         bits = m.view(np.uint64)
         if (bits == bits.flat[0]).all():
             m = np.broadcast_to(m.flat[0], m.shape)
@@ -162,13 +164,13 @@ def _etd_predict(grid, blocks, a0_hat, f0_hat):
     """ETDRK2 predictor from the spectra of the values a0 and of their
     right-hand side f0, both workspace stacks of the same rows.
 
-    blocks lists (rows, clap, mults): a slice of the rows, its exact linear
-    part clap = c * Lap in the rfft layout of the grid and the multipliers
-    of _etd_multipliers. Returns the stage values, inverted over the memory
-    of a0_hat, and the spectrum M = clap * a_hat + N0 that the corrector
+    blocks lists (rows, mults): a slice of the rows and the entry of
+    _etd_multipliers for its linear coefficient c, whose first member is
+    clap = c * Lap. Returns the stage values, inverted over the memory of
+    a0_hat, and the spectrum M = clap * a_hat + N0 that the corrector
     subtracts from the stage's right-hand side, written over f0_hat.
     """
-    for rows, clap, (ez, dt_phi1, _) in blocks:
+    for rows, (clap, ez, dt_phi1, _) in blocks:
         a_hat, n_hat = a0_hat[rows], f0_hat[rows]
         n_hat -= clap * a_hat                   # N0
         a_hat[...] = ez * a_hat + dt_phi1 * n_hat
@@ -183,7 +185,7 @@ def _etd_correct(grid, blocks, dt, a, m_hat, fa_hat):
     stack."""
     fa_hat -= m_hat
     release(m_hat)
-    for rows, _, (_, _, phi2) in blocks:
+    for rows, (_, _, _, phi2) in blocks:
         fa_hat[rows] *= phi2
     out = inverse_once(grid, fa_hat)
     out *= dt
@@ -243,10 +245,8 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
         release(y0, k1, k2, k3, k4)
     elif scheme == "imex":
         c_rho, c_vel = _linear_coeffs(state.form, params, grid.dim)
-        blocks = [(slice(0, 1), c_rho * grid._lap,
-                   _etd_multipliers(grid, c_rho, dt)),
-                  (slice(1, m), c_vel * grid._lap,
-                   _etd_multipliers(grid, c_vel, dt))]
+        blocks = [(slice(0, 1), _etd_multipliers(grid, c_rho, dt)),
+                  (slice(1, m), _etd_multipliers(grid, c_vel, dt))]
         f0_hat = f(state)
         ya, m_hat = _etd_predict(grid, blocks, forward_once(grid, values()),
                                  f0_hat)

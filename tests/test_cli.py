@@ -499,6 +499,31 @@ class TestConfigErrors:
         assert main(["run", "--config", cfg]) == 2
         assert "out must be a path" in capsys.readouterr().err
 
+    # an integer would be taken as a file descriptor (0 reads standard
+    # input), a list would reach os.path.exists as a TypeError
+    @pytest.mark.parametrize("value", [["x"], 0], ids=["list", "int"])
+    @pytest.mark.parametrize("command, key", [
+        ("run", "snapshot"), ("run", "snapshot_velocity"),
+        ("sweep", "snapshot"), ("sweep", "snapshot_velocity"),
+        ("report", "monitors")])
+    def test_path_key_that_is_not_a_path_exits_2(self, tmp_path, capsys,
+                                                 command, key, value):
+        doc = dict(COMMANDS["run" if command == "report" else command])
+        if key == "snapshot_velocity":
+            rho = tmp_path / "rho.dat"
+            write_field(rho, ScalarField(Grid(32), np.full(32, 1.5)), "rho")
+            doc["snapshot"] = str(rho)
+        doc[key] = value
+        argv = [command, "--config", _write(tmp_path, "c.json", doc)]
+        out = tmp_path / "o"
+        if command != "report":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be a path")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFlags:
     @pytest.mark.parametrize("argv", [

@@ -289,6 +289,11 @@ def test_etd_cache_reuse_is_bitwise(form):
         np.testing.assert_array_equal(out.rho.values, fresh[dt].rho.values)
         np.testing.assert_array_equal(out.vel.values, fresh[dt].vel.values)
     assert timeloop._etd_multipliers.cache_info().hits == 2
+    # the entry's first member is the linear part c * Lap the step applies
+    for c in timeloop._linear_coeffs(form, PARAMS, st.grid.dim):
+        clap = timeloop._etd_multipliers(st.grid, c, dt1)[0]
+        np.testing.assert_array_equal(
+            clap.view(np.uint64), (c * st.grid._lap).view(np.uint64))
 
 
 def test_etd_cache_is_bounded_and_read_only():

@@ -1,14 +1,21 @@
-"""Ceilings on the FFT calls of the hot layers.
+"""Ceilings on the FFT calls and the Python calls of the hot layers.
 
 Every numpy.fft entry point is wrapped by a counter; a transform that calls
 another entry point internally counts once. The counts do not depend on the
-grid size, so a small 2D grid pins them. A change that lowers a count
-should lower its ceiling here; a ceiling never moves up.
+grid size, so a small 2D grid pins them. The Python calls are counted with
+sys.setprofile: every call of a function of the qnslab package and every
+builtin call made from one, so numpy's own Python wrappers do not count.
+A change that lowers a count should lower its ceiling here; a ceiling never
+moves up.
 """
+
+import os
+import sys
 
 import numpy as np
 import pytest
 
+import qnslab
 from qnslab import functionals, systems, timeloop, verify
 from qnslab.fields import Grid, random_smooth_positive, random_smooth_vector
 from qnslab.physics import Derived, QnsParams, State, to_w
@@ -54,6 +61,43 @@ def fft_calls(monkeypatch):
     def measure(fn):
         count["calls"] = 0
         fn()
+        return count["calls"]
+    return measure
+
+
+# Python and builtin calls of one right-hand side, as the IMEX step calls
+# it, and of one IMEX step, at 1D n=128 where call overhead dominates
+CALL_CEILINGS = {
+    "rhs_approx_u": 92,
+    "rhs_approx_w": 80,
+    "step_imex": 248,
+}
+
+PACKAGE = os.path.dirname(qnslab.__file__) + os.sep
+
+
+@pytest.fixture
+def py_calls():
+    count = {"calls": 0}
+
+    def profile(frame, event, arg):
+        # a call event reports the callee's frame, a c_call the caller's
+        if event in ("call", "c_call") \
+                and frame.f_code.co_filename.startswith(PACKAGE):
+            count["calls"] += 1
+
+    def measure(fn):
+        # the caches of the plans and the ETD multipliers fill, keyed by
+        # the grid of fn, so a lookup compares no other grid
+        systems._plan.cache_clear()
+        timeloop._etd_multipliers.cache_clear()
+        fn()
+        count["calls"] = 0
+        sys.setprofile(profile)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
         return count["calls"]
     return measure
 
@@ -157,6 +201,25 @@ def test_rhs_calls_exact(fft_calls, name, spectral, calls):
         state = wstate
     fn = getattr(systems, name)
     assert fft_calls(lambda: fn(state, params, spectral=spectral)) == calls
+
+
+@pytest.mark.parametrize("op", sorted(CALL_CEILINGS))
+def test_python_calls_within_ceiling(py_calls, op):
+    grid = Grid(128)
+    params = QnsParams(nu=1.0, kappa=1.0 / 11.0, eps=1e-3)
+    state = State(random_smooth_positive(grid, 3, 6, 4.0),
+                  random_smooth_vector(grid, 3, 6))
+    wstate = to_w(state, params)
+    calls = py_calls({
+        "rhs_approx_u": lambda: systems.rhs_approx_u(state, params,
+                                                     spectral=True),
+        "rhs_approx_w": lambda: systems.rhs_approx_w(wstate, params,
+                                                     spectral=True),
+        "step_imex": lambda: timeloop.step(state, params,
+                                           systems.rhs_approx_u, 1e-4,
+                                           scheme="imex"),
+    }[op])
+    assert 0 < calls <= CALL_CEILINGS[op], f"{op}: {calls} calls"
 
 
 def test_monitor_chunk_does_not_scale_with_record_count(fft_calls):

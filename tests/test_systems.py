@@ -5,6 +5,7 @@ import pytest
 
 import inspect
 
+from qnslab import systems
 from qnslab.fields import (Grid, ScalarField, VectorField, dealias_arr,
                            from_spectral, grad_arr, quad,
                            random_smooth_positive, random_smooth_vector,
@@ -289,6 +290,34 @@ class TestStaged:
             assert set(terms) == labels
             _assert_rel(sum(terms.values()) / s.rho.values,
                         plain.dvel.values, rtol=1e-12)
+
+    def test_plan_cache_is_keyed_by_layout(self):
+        # a plan key that missed a flag changing the layout would hand one
+        # layout's plan to another: each call, made again after the other
+        # layouts ran, equals its first call and a call on a fresh cache,
+        # bit for bit
+        cases = [(spec, QnsParams(nu=1.0, **kw), form)
+                 for spec in STAGED_GRIDS for kw in STAGED_PARAMS
+                 for form in "uw"]
+
+        def calls(spec, p, form):
+            st = _staged_state(spec)
+            fns = (rhs_target, rhs_approx_u)
+            if form == "w":
+                st, fns = to_w(st, p), (rhs_approx_w,)
+            out = []
+            for fn in fns:
+                rhs = fn(st, p)
+                # a spectrum outlives no call: copied before the next one
+                spec_hat = fn(st, p, spectral=True).copy()
+                out += [rhs.drho.values, rhs.dvel.values, spec_hat]
+            return [a.tobytes() for a in out]
+
+        first = [calls(*case) for case in cases]
+        again = [calls(*case) for case in reversed(cases)][::-1]
+        for case, a, b in zip(cases, first, again):
+            systems._plan.cache_clear()
+            assert a == b == calls(*case), case
 
     def test_staged_signature(self):
         for rhs_fn in (rhs_target, rhs_approx_u, rhs_approx_w):

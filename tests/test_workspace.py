@@ -117,9 +117,9 @@ def _parent_step(state, params, rhs_fn, dt, scheme):
         return y0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     c_rho, c_vel = timeloop._linear_coeffs(state.form, params, grid.dim)
     blocks = [(slice(0, 1), c_rho * grid._lap,
-               timeloop._etd_multipliers(grid, c_rho, dt)),
+               timeloop._etd_multipliers(grid, c_rho, dt)[1:]),
               (slice(1, m), c_vel * grid._lap,
-               timeloop._etd_multipliers(grid, c_vel, dt))]
+               timeloop._etd_multipliers(grid, c_vel, dt)[1:])]
     f(y0, t0, out=work[m:])
     hat = to_spectral(grid, work)
     a_hat, m_hat = np.empty_like(hat[:m]), np.empty_like(hat[:m])
@@ -145,9 +145,9 @@ def _imex_step(state, params, rhs_fn, dt):
     y0[1:] = state.vel.values
     c_rho, c_vel = timeloop._linear_coeffs(state.form, params, grid.dim)
     blocks = [(slice(0, 1), c_rho * grid._lap,
-               timeloop._etd_multipliers(grid, c_rho, dt)),
+               timeloop._etd_multipliers(grid, c_rho, dt)[1:]),
               (slice(1, m), c_vel * grid._lap,
-               timeloop._etd_multipliers(grid, c_vel, dt))]
+               timeloop._etd_multipliers(grid, c_vel, dt)[1:])]
     f0_hat = rhs_fn(state, params, spectral=True)
     y0_hat = to_spectral(grid, y0)
     a_hat, m_hat = np.empty_like(y0_hat), np.empty_like(y0_hat)
