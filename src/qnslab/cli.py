@@ -168,14 +168,16 @@ def _build_initial(cfg, params, raw):
 
 
 def _write_monitors(path, records):
+    """monitors.csv as csv.writer writes it: a header and one row per
+    record, each cell the repr of a float, which never needs quoting, and
+    CRLF line ends."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MONITOR_COLUMNS)
+        fh.write(",".join(MONITOR_COLUMNS) + "\r\n")
         for r in records:
             row = [r.time, r.mass, r.energy, r.bd_entropy, r.mv,
                    r.rho_min, r.rho_max, r.mass_balance_residual]
             row += [r.dissipation[k] for k in DISSIPATION_KEYS]
-            writer.writerow([repr(float(x)) for x in row])
+            fh.write(",".join(map(repr, map(float, row))) + "\r\n")
 
 
 def _shared(cfg):
@@ -301,6 +303,8 @@ SWEEP_AXES = ("kappa", "r0", "r1", "eps")
 
 
 def cmd_sweep(args):
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     cfg = _load_config(args.config)
     mode = _mode(cfg, args)
     _block(cfg, "params")  # each point overrides it, so it must be an object
@@ -345,7 +349,7 @@ def cmd_sweep(args):
             "final_mass": recs[-1].mass,
         }, traj.failure is not None
 
-    if args.threads and args.threads > 1:
+    if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(one_point, points))
     else:

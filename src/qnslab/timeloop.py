@@ -143,21 +143,24 @@ def _etd_multipliers(grid, c, dt):
     and the ETDRK2 multipliers.
 
     A fixed-dt run reuses one entry per linear coefficient; four entries
-    hold both coefficients of two step sizes. A multiplier that is the same
-    number everywhere (all four at c = 0) is kept as a broadcast scalar, so
-    the cache holds no array for it.
+    hold both coefficients of two step sizes. At c = 0 each multiplier is
+    one number everywhere, held as a zero-stride view of it: the entry
+    holds no array, and an adaptive run, which misses the cache on every
+    step, builds it without array work.
     """
-    clap = c * grid._lap
-    z = clap * dt
-    mults = []
-    for m in (clap, np.exp(z), dt * _phi1(z), _phi2(z)):
-        bits = m.view(np.uint64)
-        if (bits == bits.flat[0]).all():
-            m = np.broadcast_to(m.flat[0], m.shape)
-        else:
-            m.setflags(write=False)
-        mults.append(m)
-    return tuple(mults)
+    if c == 0:
+        # Lap <= 0 with -0.0 at k = 0, so c * Lap is the signed zero
+        # c * -1.0 everywhere; these are the multipliers' bits at z = that
+        values, shape = np.array((c * -1.0, 1.0, dt, 0.5)), grid._lap.shape
+        mults = tuple(np.ndarray(shape, float, values, 8 * k,
+                                 (0,) * len(shape)) for k in range(4))
+    else:
+        clap = c * grid._lap
+        z = clap * dt
+        mults = (clap, np.exp(z), dt * _phi1(z), _phi2(z))
+    for m in mults:
+        m.flags.writeable = False
+    return mults
 
 
 def _etd_predict(grid, blocks, a0_hat, f0_hat):
@@ -316,6 +319,32 @@ def _monitor_sample(state, params):
     return values, flux
 
 
+def _record_columns(d, params):
+    """The monitor values of a stacked bundle of K records, each a list of
+    K numbers: (columns of MonitorRecord fields but time, residual and
+    dissipation; dissipation columns; mass fluxes). No array of the bundle
+    is kept."""
+    values, flux = _monitor_sample(d, params)
+    count = len(d.rho)
+
+    def per_record(v):
+        # a value is one per record, or one number for all of them
+        if isinstance(v, np.ndarray):
+            return v.tolist()
+        return [v] * count
+    diss = {k: per_record(v) for k, v in values.pop("dissipation").items()}
+    columns = {k: per_record(v) for k, v in values.items()}
+    return columns, diss, per_record(flux)
+
+
+@in_workspace
+def _pooled_record_columns(states, params):
+    """_record_columns of the stacked bundle of states, evaluated in one
+    workspace scope: the bundle's stacks, its pieces and the functionals'
+    lent arrays go back to the pool when it returns."""
+    return _record_columns(Derived.stacked(states, params), params)
+
+
 def integrate(initial, params, config, observers=()):
     """Advance to t_end (or failure), recording monitors at cadence. The
     state's form picks rhs_approx_u (the target system at eps = 0) or
@@ -335,6 +364,13 @@ def integrate(initial, params, config, observers=()):
     chunk bundle: the u-form bundle of the state, whose arrays are views of
     the chunk's and must not be written to. No state is kept but the last
     record's and those of the chunk being filled.
+
+    Pooling contract: a run with observers builds its chunk bundles from
+    plain arrays, so an observer may keep any of them past the call
+    (equivalence_run keeps each record's (rho, u)). A run without observers
+    evaluates each chunk in one workspace scope: the bundle's stacks come
+    from the thread's pool, as the steps' do, and go back to it when the
+    chunk's values are read. Every value keeps its bits either way.
     """
     rhs_fn = rhs_approx_w if initial.form == "w" else rhs_approx_u
 
@@ -349,17 +385,12 @@ def integrate(initial, params, config, observers=()):
         nonlocal flux_prev
         if not pending:
             return
-        d = Derived.stacked(pending, params)
-        values, flux = _monitor_sample(d, params)
-
-        def per_record(v):
-            # a value is one per record, or one number for all of them
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            return [v] * len(pending)
-        diss = {k: per_record(v) for k, v in values.pop("dissipation").items()}
-        columns = {k: per_record(v) for k, v in values.items()}
-        for k, (s, flux) in enumerate(zip(pending, per_record(flux))):
+        if observers:
+            d = Derived.stacked(pending, params)
+            columns, diss, fluxes = _record_columns(d, params)
+        else:
+            columns, diss, fluxes = _pooled_record_columns(pending, params)
+        for k, (s, flux) in enumerate(zip(pending, fluxes)):
             rec = {key: col[k] for key, col in columns.items()}
             dissipation = {key: col[k] for key, col in diss.items()}
             residual = 0.0

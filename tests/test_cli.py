@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import qnslab
-from qnslab import timeloop
+from qnslab import cli, timeloop
 from qnslab.cli import MONITOR_COLUMNS, main
 from qnslab.fields import Grid, ScalarField, VectorField
-from qnslab.functionals import DISSIPATION_KEYS
+from qnslab.functionals import DISSIPATION_KEYS, MonitorRecord
 from qnslab.snapshots import write_field
 from qnslab.systems import rhs_approx_u
 
@@ -55,6 +55,30 @@ class TestRun:
             header = next(csv.reader(fh))
         assert tuple(header) == MONITOR_COLUMNS
         assert header[-len(DISSIPATION_KEYS):] == list(DISSIPATION_KEYS)
+
+    def test_monitors_csv_bytes_are_csv_writer_bytes(self, tmp_path):
+        # the cells are reprs of floats: nan, inf and -0.0 need no quoting
+        specials = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                    1e-300, 5e-324, -1.5e300, 0.1, 1 / 3, 12345.678]
+        records = [
+            MonitorRecord(
+                *specials[k:k + 8],
+                dissipation={key: specials[(k + j) % len(specials)]
+                             for j, key in enumerate(DISSIPATION_KEYS)})
+            for k in range(4)]
+        path = tmp_path / "monitors.csv"
+        cli._write_monitors(path, records)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(MONITOR_COLUMNS)
+            for r in records:
+                row = [r.time, r.mass, r.energy, r.bd_entropy, r.mv,
+                       r.rho_min, r.rho_max, r.mass_balance_residual]
+                row += [r.dissipation[k] for k in DISSIPATION_KEYS]
+                writer.writerow([repr(float(x)) for x in row])
+        assert path.read_bytes() == ref.read_bytes()
+        assert b"nan" in ref.read_bytes() and b"-0.0" in ref.read_bytes()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
@@ -396,6 +420,16 @@ class TestSweep:
         out = tmp_path / "o"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert "sweep axis 'kappa' lists no values" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        # not a silent serial run
+        cfg = _write(tmp_path, "s.json", dict(RUN_DOC, sweep={"eps": [1e-3]}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--threads", threads]) == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_threads_option(self, tmp_path):

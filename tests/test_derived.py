@@ -296,6 +296,24 @@ def test_etd_cache_reuse_is_bitwise(form):
             clap.view(np.uint64), (c * st.grid._lap).view(np.uint64))
 
 
+@pytest.mark.parametrize("grid", [Grid(128), Grid((16, 24)),
+                                  Grid((8, 12, 16))],
+                         ids=["128", "16x24", "8x12x16"])
+def test_etd_zero_entry_equals_array_construction(grid):
+    # at c = 0 the entry is built without array work; its bits are those of
+    # the multipliers computed on c * Lap
+    for dt in (1e-4, 3e-5, 2e-4 / 3, 1e-2, 1e-8):
+        timeloop._etd_multipliers.cache_clear()
+        clap = 0.0 * grid._lap
+        z = clap * dt
+        arrays = (clap, np.exp(z), dt * timeloop._phi1(z), timeloop._phi2(z))
+        for m, ref in zip(timeloop._etd_multipliers(grid, 0.0, dt), arrays):
+            assert m.shape == ref.shape and m.dtype == ref.dtype
+            np.testing.assert_array_equal(m.view(np.uint64),
+                                          ref.view(np.uint64))
+    timeloop._etd_multipliers.cache_clear()
+
+
 def test_etd_cache_is_bounded_and_read_only():
     st = _state(Grid(32))
     timeloop._etd_multipliers.cache_clear()

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qnslab import fields, systems, timeloop, verify
+from qnslab import cli, fields, systems, timeloop, verify
 from qnslab.fields import (Grid, ScalarField, VectorField, div_arr,
                            from_spectral, grad_arr, random_smooth_positive,
                            random_smooth_vector, to_spectral)
@@ -586,3 +586,103 @@ def test_verify_chunk_plain_bytes(workspace, monkeypatch):
 def test_steady_verify_pass_page_faults():
     counts = sorted(_fresh(VERIFY_PASSES))
     assert counts[1] <= VERIFY_FAULT_BUDGET, counts
+
+
+# --- the monitor records of integrate ------------------------------------
+
+def _run_config(steps, dt=2e-4):
+    return timeloop.IntegratorConfig.fixed_dt(dt, t_end=steps * dt)
+
+
+def _monitors_csv(path, records):
+    cli._write_monitors(path, records)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("form", ["u", "w"])
+def test_pooled_records_equal_observed_records(workspace, tmp_path, form):
+    # 11 records at 32^2: chunks of 4, 4 and 3. An observer keeps the
+    # records plain; without one each chunk is evaluated on pooled stacks.
+    s = _state((32, 32), 13, form)
+    config = _run_config(10)
+    seen = []
+    ref = timeloop.integrate(s, PARAMS, config,
+                             observers=(lambda s, d: seen.append(s.time),))
+    assert len(seen) == len(ref.records) == 11
+    for _ in range(2):
+        _poison(workspace)
+        traj = timeloop.integrate(s, PARAMS, config)
+        assert not workspace.lent
+        assert traj.records == ref.records
+        assert traj.dissipation_time_integrals \
+            == ref.dissipation_time_integrals
+        _same_state(traj.final, ref.final)
+        assert _monitors_csv(tmp_path / "pooled.csv", traj.records) \
+            == _monitors_csv(tmp_path / "plain.csv", ref.records)
+    assert workspace.free
+
+
+# Traced bytes a steady pooled 128^2 record (one-record chunk) allocates
+# plainly, as its peak over its start: 2 052 to 2 054 KiB, all of it
+# numpy's internal spectra of the bundle's inverse transforms, which no
+# workspace stack can hold. The ceiling is 5 % above 2 054 KiB, and moves
+# only down.
+RECORD_PLAIN_KIB = 2160
+
+
+def test_pooled_record_plain_bytes(workspace, monkeypatch):
+    s = _state((128, 128), 15)
+    config = _run_config(1)
+    timeloop.integrate(s, PARAMS, config)
+    peaks = []
+    columns = timeloop._pooled_record_columns
+
+    def traced(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = columns(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
+    monkeypatch.setattr(timeloop, "_pooled_record_columns", traced)
+    tracemalloc.start()
+    try:
+        timeloop.integrate(s, PARAMS, config)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2
+    assert max(peaks) <= RECORD_PLAIN_KIB * 1024, peaks
+
+
+# Minor page faults of a steady 2D 128^2 integrate of one IMEX step and two
+# one-record chunks, in a fresh interpreter (getrusage, 2-core Xeon, numpy
+# 2.4.6, glibc): 2 260 to 2 389 while every record built its bundle from
+# fresh arrays, 0 to 2 with each chunk of an observer-free run in a
+# workspace scope. The budget is 5 % of the lower figure.
+RECORD_FAULT_BUDGET = 113
+
+
+def _steady_record_faults():
+    """(median, sorted counts) of the minor page faults of three 128^2
+    integrate calls of one IMEX step and two records, after two warm-up
+    calls."""
+    grid = Grid((128, 128))
+    s = State(random_smooth_positive(grid, 3, 6, 4.0),
+              random_smooth_vector(grid, 3, 6), form="u")
+    config = _run_config(1)
+
+    def faults():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        timeloop.integrate(s, PARAMS, config)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    for _ in range(2):
+        faults()
+    counts = sorted(faults() for _ in range(3))
+    return counts[1], counts
+
+
+@linux_only
+def test_steady_record_page_faults():
+    median, counts = _fresh("import json, test_workspace as t; "
+                            "print(json.dumps(t._steady_record_faults()))")
+    assert median <= RECORD_FAULT_BUDGET, counts
