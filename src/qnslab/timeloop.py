@@ -149,8 +149,8 @@ def _etd_multipliers(grid, c, dt):
     step, builds it without array work.
     """
     if c == 0:
-        # Lap <= 0 with -0.0 at k = 0, so c * Lap is the signed zero
-        # c * -1.0 everywhere; these are the multipliers' bits at z = that
+        # Lap <= 0 with -0.0 at k = 0, so c * Lap and z are the signed
+        # zero c * -1.0 everywhere, where the multipliers are exactly these
         values, shape = np.array((c * -1.0, 1.0, dt, 0.5)), grid._lap.shape
         mults = tuple(np.ndarray(shape, float, values, 8 * k,
                                  (0,) * len(shape)) for k in range(4))
