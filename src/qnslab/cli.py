@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -28,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .fields import VectorField
+from .fields import VectorField, as_int
 from .functionals import DISSIPATION_KEYS
 from .initdata import SCENARIOS, mollify, scenario, validate_initial
 from .physics import (DESK_P0, DESK_SIGMA0, PAPER_P0, PAPER_SIGMA0, QnsParams,
@@ -253,7 +254,8 @@ def _suite_config(cfg):
         if "seeds" in cfg:
             kwargs["seeds"] = tuple(cfg["seeds"])
         elif "num_seeds" in cfg:
-            kwargs["seeds"] = tuple(range(int(cfg["num_seeds"])))
+            kwargs["seeds"] = tuple(range(as_int("num_seeds",
+                                                 cfg["num_seeds"])))
         if "grids" in cfg:
             kwargs["grids"] = tuple(tuple(g) for g in cfg["grids"])
         if "checks" in cfg:
@@ -393,14 +395,16 @@ def cmd_report(args):
     return EXIT_OK
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process; it names the command,
+    and main looks up its cmd_ function when it runs."""
     parser = argparse.ArgumentParser(
         prog="qnslab",
         description="Periodic-domain simulator and verification laboratory "
                     "for a regularized quantum Navier-Stokes system.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("run", cmd_run), ("verify", cmd_verify),
-                     ("sweep", cmd_sweep), ("report", cmd_report)):
+    for name in ("run", "verify", "sweep", "report"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config path",
                        required=(name != "report"))
@@ -414,10 +418,13 @@ def main(argv=None):
                            help="constant set (overrides config)")
         if name == "sweep":
             p.add_argument("--threads", type=int, default=1)
-        p.set_defaults(fn=fn)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 import threading
 
 import numpy as np
@@ -33,12 +34,13 @@ class Grid:
     """
 
     __slots__ = ("dim", "n", "length", "spacing", "shape", "volume", "kmax",
-                 "_ik", "_lap", "_hess", "_sym", "_mask", "_coords", "_rows")
+                 "_ik", "_lap", "_hess", "_sym", "_mask", "_coords", "_rows",
+                 "_axes")
 
     def __init__(self, n, length=None):
         if np.isscalar(n):
-            n = (int(n),)
-        n = tuple(int(m) for m in n)
+            n = (n,)
+        n = tuple(as_int("node counts", m) for m in n)
         dim = len(n)
         if dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2, or 3, got {dim}")
@@ -92,6 +94,7 @@ class Grid:
         spec = n[:-1] + (n[-1] // 2 + 1,)
         self._rows = ((n, 8 * int(np.prod(n)), float),
                       (spec, 16 * int(np.prod(spec)), complex))
+        self._axes = tuple(range(-dim, 0))    # the grid axes of a stack
 
     @property
     def node_count(self):
@@ -269,29 +272,27 @@ def lend(grid, lead, spectral=False):
     outlive it. Every other stack is a plain array. The pool keeps the
     buffers of one grid only."""
     row, row_bytes, dtype = grid._rows[spectral]
-    shape = lead + row
     ws = _workspace
-    if not ws.depth:
-        return np.empty(shape, dtype)
-    # 2D and 3D stacks are pooled whatever their size: their rows are
-    # large, and a scope's many small stacks add up to more than glibc keeps
-    # at the heap top. Small 1D stacks stay plain, so a 1D chunk leaves
-    # alone the pool of the other grids of a verify pass.
-    nbytes = math.prod(lead) * row_bytes
-    if grid.dim == 1 and nbytes < POOL_MIN_BYTES:
-        return np.empty(shape, dtype)
-    if ws.grid is not grid:
-        if ws.grid != grid:
-            ws.sizes, ws.free = [], []
-        ws.grid = grid
-    i = bisect.bisect_left(ws.sizes, nbytes)
-    if i < len(ws.sizes):
-        del ws.sizes[i]
-        buf = ws.free.pop(i)
-    else:
-        buf = np.empty(nbytes, np.uint8)
-    ws.lent[id(buf)] = buf
-    return np.ndarray(shape, dtype, buf)
+    if ws.depth:
+        # 2D and 3D stacks are pooled whatever their size: their rows are
+        # large, and a scope's many small stacks add up to more than glibc
+        # keeps at the heap top. Small 1D stacks stay plain, so a 1D chunk
+        # leaves alone the pool of the other grids of a verify pass.
+        nbytes = math.prod(lead) * row_bytes
+        if grid.dim > 1 or nbytes >= POOL_MIN_BYTES:
+            if ws.grid is not grid:
+                if ws.grid != grid:
+                    ws.sizes, ws.free = [], []
+                ws.grid = grid
+            i = bisect.bisect_left(ws.sizes, nbytes)
+            if i < len(ws.sizes):
+                del ws.sizes[i]
+                buf = ws.free.pop(i)
+            else:
+                buf = np.empty(nbytes, np.uint8)
+            ws.lent[id(buf)] = buf
+            return np.ndarray(lead + row, dtype, buf)
+    return np.empty(lead + row, dtype)
 
 
 def release(*stacks):
@@ -312,17 +313,14 @@ def _lead(grid, arr, depth=0):
     return arr.shape[:arr.ndim - grid.dim - depth]
 
 
-def _forward(grid, arr):
-    """to_spectral of arr into a lend() stack."""
-    return to_spectral(grid, arr, out=lend(grid, _lead(grid, arr), True))
-
-
-def forward_once(grid, stack):
-    """_forward of a nodal stack that is not read again; the nodal stack
-    goes back to the workspace."""
-    hat = _forward(grid, stack)
-    release(stack)
-    return hat
+def forward(grid, arr, once=False):
+    """to_spectral of arr into a lend() stack. once: arr is a nodal stack
+    that is not read again, and goes back to the workspace."""
+    out = to_spectral(grid, arr, lend(grid, arr.shape[:arr.ndim - grid.dim],
+                                      True))
+    if once:
+        release(arr)
+    return out
 
 
 def inverse_once(grid, spec):
@@ -330,12 +328,11 @@ def inverse_once(grid, spec):
     rows of a workspace stack are written over its own memory (a real row
     takes fewer bytes than a row of the rfft layout; numpy resolves the
     overlap), so release() of the result returns the buffer."""
-    if spec.base is None:
-        return from_spectral(grid, spec)
-    count = spec.size // (grid.n[-1] // 2 + 1) * grid.n[-1]
-    out = spec.reshape(-1).view(float)[:count].reshape(
-        spec.shape[:spec.ndim - grid.dim] + grid.shape)
-    return from_spectral(grid, spec, out=out)
+    out = None
+    if spec.base is not None:
+        shape = spec.shape[:spec.ndim - grid.dim] + grid.shape
+        out = spec.reshape(-1).view(float)[:math.prod(shape)].reshape(shape)
+    return from_spectral(grid, spec, out)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +349,7 @@ def to_spectral(grid, arr, out=None):
         return np.fft.rfft(arr, out=out)
     if out is None:
         out = np.empty(arr.shape[:-1] + (grid.n[-1] // 2 + 1,), dtype=complex)
-    return np.fft.rfftn(arr, axes=tuple(range(-grid.dim, 0)), out=out)
+    return np.fft.rfftn(arr, axes=grid._axes, out=out)
 
 
 def from_spectral(grid, ahat, out=None):
@@ -360,8 +357,7 @@ def from_spectral(grid, ahat, out=None):
     if given."""
     if grid.dim == 1:
         return np.fft.irfft(ahat, n=grid.n[0], out=out)
-    return np.fft.irfftn(ahat, s=grid.shape, axes=tuple(range(-grid.dim, 0)),
-                         out=out)
+    return np.fft.irfftn(ahat, s=grid.shape, axes=grid._axes, out=out)
 
 
 def _check_backend(backend):
@@ -402,40 +398,21 @@ def lap_arr(grid, arr, backend="spectral"):
             a -= grid.dim
             out += (np.roll(arr, -1, a) - 2 * arr + np.roll(arr, 1, a)) / h**2
         return out
-    hat = _forward(grid, arr)
+    hat = forward(grid, arr)
     np.multiply(grid._lap, hat, out=hat)
     return inverse_once(grid, hat)
-
-
-def _mult_stack(grid, fhat, mults):
-    """m * fhat for each multiplier m of mults, stacked on a new axis placed
-    just before the grid axes: (..., *m) -> (..., len(mults), *m), a
-    lend() stack."""
-    out = lend(grid, _lead(grid, fhat) + (len(mults),), spectral=True)
-    for p, m in enumerate(mults):
-        np.multiply(m, fhat, out=out[_comp(grid, p)])
-    return out
 
 
 def _derivative_rows(grid, arr, mults):
     """from_spectral of m * to_spectral(arr) for each multiplier m of mults,
     on a new axis before the grid axes; the spectra go back to the
     workspace once read."""
-    hat = _forward(grid, arr)
-    spec = _mult_stack(grid, hat, mults)
+    hat = forward(grid, arr)
+    spec = lend(grid, _lead(grid, hat) + (len(mults),), spectral=True)
+    for p, m in enumerate(mults):
+        np.multiply(m, hat, out=spec[_comp(grid, p)])
     release(hat)
     return inverse_once(grid, spec)
-
-
-def _ik_dot(grid, vhat):
-    """sum_j ik_j * vhat[..., j, *m]: contracts the axis just before the
-    grid axes, (..., dim, *m) -> (..., *m), into a lend() stack."""
-    lead = (slice(None),) * (vhat.ndim - grid.dim - 1)
-    out = lend(grid, _lead(grid, vhat, 1), spectral=True)
-    np.multiply(grid._ik[0], vhat[lead + (0,)], out=out)
-    for j in range(1, grid.dim):
-        out += grid._ik[j] * vhat[lead + (j,)]
-    return out
 
 
 def grad_arr(grid, arr, backend="spectral"):
@@ -456,8 +433,13 @@ def div_arr(grid, vec, backend="spectral"):
     if backend == "fd2":
         return sum(deriv_arr(grid, vec[_comp(grid, a)], a, backend)
                    for a in range(grid.dim))
-    hat = _forward(grid, vec)
-    spec = _ik_dot(grid, hat)
+    # sum_j ik_j * hat[..., j, *m] into a lend() stack
+    hat = forward(grid, vec)
+    lead = (slice(None),) * (hat.ndim - grid.dim - 1)
+    spec = lend(grid, _lead(grid, hat, 1), spectral=True)
+    np.multiply(grid._ik[0], hat[lead + (0,)], out=spec)
+    for j in range(1, grid.dim):
+        spec += grid._ik[j] * hat[lead + (j,)]
     release(hat)
     return inverse_once(grid, spec)
 
@@ -499,17 +481,13 @@ def _lent_symmetric(grid, upper):
                       lend(grid, _lead(grid, upper, 1) + (grid.dim,) * 2))
 
 
-def _multipliers(grid, kind):
-    """The spectral multipliers of a derivative kind of derivatives_arr."""
-    return {"grad": grid._ik, "hess": grid._hess, "lap": (grid._lap,)}[kind]
-
-
 def derivatives_arr(grid, arr, kinds):
     """Several derivatives of a stack with leading batch axes from one
     forward and one inverse transform, spectral, in the order of kinds:
     "grad" (the Jacobian of a vector stack), "hess" or "lap". Each equals
     grad_arr, hess_arr or lap_arr bitwise."""
-    groups = [_multipliers(grid, kind) for kind in kinds]
+    mults = {"grad": grid._ik, "hess": grid._hess, "lap": (grid._lap,)}
+    groups = [mults[kind] for kind in kinds]
     rows = _derivative_rows(grid, arr, [m for ms in groups for m in ms])
     # outside a workspace scope, a block that shares the rows with another
     # kind is copied, so the rows are freed once read; inside one they stay
@@ -593,12 +571,21 @@ def dealias(f):
     raise TypeError("dealias expects a ScalarField or VectorField")
 
 
+def as_int(name, value):
+    """value as an int; a ValueError unless it is a number with an integral
+    value and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_smooth_args(grid, modes, floor=None):
     """modes as an int, once it (0 <= modes <= n/3 on every axis, dealias-safe)
     and floor (positive unless None) are in random_smooth_ensemble's range."""
     if floor is not None and not float(floor) > 0:
         raise ValueError("floor must be positive")
-    modes = int(modes)
+    modes = as_int("modes", modes)
     if modes < 0:
         raise ValueError("modes must be nonnegative")
     if modes > min(grid.n) // 3:
@@ -638,8 +625,7 @@ def random_smooth_ensemble(grid, seeds, modes, floor=None, amplitude=None):
         noise = lend(grid, (len(rows),))
         for out, r in zip(noise, rows):
             out[...] = np.random.default_rng(r).standard_normal(grid.shape)
-        spec = _forward(grid, noise)
-        release(noise)
+        spec = forward(grid, noise, once=True)
         spec *= _smooth_amplitude(grid, modes)
         fields = inverse_once(grid, spec)
         del spec

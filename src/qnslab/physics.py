@@ -59,8 +59,8 @@ def mu_of(nu, kappa):
 class QnsParams:
     """Physical and regularization constants.
 
-    mu is always recomputed from (nu, kappa). mode is "desk" or "paper";
-    reports carry it so results are never silently mixed.
+    mu is derived from (nu, kappa), once per instance. mode is "desk" or
+    "paper"; reports carry it so results are never silently mixed.
     """
 
     nu: float = 1.0
@@ -91,7 +91,7 @@ class QnsParams:
             raise AdmissibilityError("11*kappa <= nu",
                                      f"nu={self.nu}, kappa={self.kappa}")
 
-    @property
+    @cached_property
     def mu(self):
         return mu_of(self.nu, self.kappa)
 
@@ -182,6 +182,23 @@ class State:
     @property
     def grid(self):
         return self.rho.grid
+
+
+def _state_of(grid, rho, vel, form, time):
+    """The State of the density and velocity arrays, made read-only and
+    held as they are: no copies and no checks, so it is valid only while
+    the arrays keep their values."""
+    rho.setflags(write=False)
+    vel.setflags(write=False)
+    rho_field = object.__new__(ScalarField)
+    vel_field = object.__new__(VectorField)
+    object.__setattr__(rho_field, "grid", grid)
+    object.__setattr__(rho_field, "values", rho)
+    object.__setattr__(vel_field, "grid", grid)
+    object.__setattr__(vel_field, "values", vel)
+    state = object.__new__(State)
+    state.__dict__.update(rho=rho_field, vel=vel_field, form=form, time=time)
+    return state
 
 
 def require_positive(rho_values):

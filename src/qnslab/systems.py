@@ -9,15 +9,17 @@ right-hand side written term by term, independently of the staged ones.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ScalarField, VectorField, _symmetric, div_arr,
-                     forward_once, grad_arr, hess_arr, in_workspace,
-                     inverse_once, lap_arr, lend, quad, release, to_spectral)
+from .fields import (ScalarField, VectorField, _symmetric, div_arr, forward,
+                     grad_arr, hess_arr, in_workspace, inverse_once, lap_arr,
+                     lend, quad, release, to_spectral)
 from .physics import bohm_force, require_positive
 
 FORMULATIONS = ("target", "approx-u", "approx-w")
@@ -49,7 +51,7 @@ def continuity_rate(div_flux, eps=0.0, v_q=None, neg_p=None):
     return -div_flux
 
 
-def _finish(state, drho, lin, nodal, use_dealias, spectral, done):
+def _finish(grid, r, drho, lin, nodal, use_dealias, spectral, done):
     """The right-hand side from the nodal d rho/dt and the momentum terms
     summed in spectral space (lin) and nodally (nodal): the sum divided by
     rho and [drho, dvel] dealiased as one stack. The stacks in done go back
@@ -60,14 +62,13 @@ def _finish(state, drho, lin, nodal, use_dealias, spectral, done):
     releases, valid inside the caller's in_workspace scope. Otherwise the
     spectrum is inverted into an Rhs.
     """
-    grid, r = state.grid, state.rho.values
     lin += nodal
     out = lend(grid, (1 + grid.dim,))
     out[0] = drho
     np.divide(lin, r, out=out[1:])
     if use_dealias or spectral:
         # dealias_arr on workspace stacks, stopping at the spectrum
-        hat = forward_once(grid, out)
+        hat = forward(grid, out, once=True)
         if use_dealias:
             hat *= grid._mask
         if spectral:
@@ -80,31 +81,54 @@ def _finish(state, drho, lin, nodal, use_dealias, spectral, done):
 
 
 def _slices(counts):
-    """Consecutive row slices, one per count."""
+    """Consecutive row slices, one per count, as one getter: rows(a) is the
+    tuple of the views of a, or the one view if there is one count."""
     out, start = [], 0
     for c in counts:
         out.append(slice(start, start + c))
         start += c
-    return tuple(out)
+    return start, operator.itemgetter(*out) if out else None
+
+
+_Level = collections.namedtuple(
+    "_Level", "lead rows spec_lead runs extras groups")
 
 
 def _level(counts, *groups):
-    """One dependency level of a plan: the row slices of its nodal stack,
-    one per count; its inverse rows, each a tuple of (multiplier, spectral
-    row) terms that stands for the sum of their products; and the row
-    slices of its inverse, one per group of rows."""
-    rows = tuple(tuple(row) for group in groups for row in group)
-    return _slices(counts), rows, _slices(len(g) for g in groups)
+    """One dependency level of a plan, a _Level: the leading shape of its
+    nodal stack (lead) and the getter of its row views, one per count
+    (rows, see _slices); the leading shape of its inverse rows, their runs
+    and extras; and the getter of its inverse's views, one per group of
+    rows (groups). A group lists rows, a row the (multiplier, spectral row)
+    terms that it sums; spectral rows count from the level's forward
+    transform. A run (m, spectral rows, rows) writes the first terms of
+    consecutive rows that share m and read consecutive spectral rows; then
+    each extra (m, spectral row, row) adds a further term to its row, in
+    the row's order."""
+    runs, extras, o = [], [], 0
+    for group in groups:
+        for (m, i), *rest in group:
+            if runs and runs[-1][0] is m and runs[-1][1].stop == i:
+                _, src, dst = runs[-1]
+                runs[-1] = (m, slice(src.start, i + 1),
+                            slice(dst.start, o + 1))
+            else:
+                runs.append((m, slice(i, i + 1), slice(o, o + 1)))
+            extras += [(m, i, o) for m, i in rest]
+            o += 1
+    count, nodal = _slices(counts)
+    return _Level((count,), nodal, (o,), tuple(runs), tuple(extras),
+                  _slices(len(g) for g in groups)[1])
 
 
 @functools.lru_cache(maxsize=16)
 def _plan(grid, form, reg, bohm, mu=0.0):
     """The static layout of a staged right-hand side, one _level per
-    dependency level. Spectral rows count from the level's forward
-    transform; in level 2 of the u-form the last row holds the spectrum of
-    P, transformed with the stack without regularization and alone with it
-    (then level 3 forms div T + grad P). mu weights the one Laplacian of
-    the w-form's rows; the u-form's rows read no parameter."""
+    dependency level. In level 2 of the u-form the last spectral row holds
+    the spectrum of P, transformed with the stack without regularization
+    and alone with it (then level 3 forms div T + grad P). mu weights the
+    one Laplacian of the w-form's rows; the u-form's rows read no
+    parameter."""
     d, ik, dd = grid.dim, grid._ik, grid.dim ** 2
 
     def lin(p):
@@ -118,16 +142,16 @@ def _plan(grid, form, reg, bohm, mu=0.0):
         div[0].append((-mu * grid._lap, rho))
         one = _level((d, d, 1, 1, reg), jac, div,
                      [[(k, rho)] for k in ik], [[(k, lg)] for k in ik],
-                     [[(grid._lap, i)] for i in range(d)],
-                     [[(k, v)] for k in ik] if reg else [])
+                     [[(k, v)] for k in ik] if reg else [],
+                     [[(grid._lap, i)] for i in range(d)])
         two = _level((dd, d * reg, 1), lin(dd + d * reg),
                      [[(k, dd + j) for j, k in enumerate(ik)]] if reg else [])
         return one, two
     v, lg = 2 * d, 2 * d + (reg or bohm)    # rows of sqrt(rho), log(rho)
     one = _level((d, d, reg or bohm, reg), jac, div,
-                 [[(grid._lap, v)]] if bohm else [],
                  [[(k, v)] for k in ik] if reg else [],
                  [[(k, lg)] for k in ik] if reg else [],
+                 [[(grid._lap, v)]] if bohm else [],
                  [[(m, lg)] for m in grid._hess] if reg else [])
     q = dd + d * reg    # rows of lap sqrt(rho) / sqrt(rho), then P
     two = _level((dd, d * reg, bohm, not reg),
@@ -137,29 +161,20 @@ def _plan(grid, form, reg, bohm, mu=0.0):
     return one, two, _level((), lin(q + bohm))
 
 
-def _nodal(grid, level):
-    """An uninitialized nodal stack of the level's rows from lend(), and
-    one view per row group, each written in place before one batched
-    to_spectral."""
-    slices = level[0]
-    arr = lend(grid, (slices[-1].stop,))
-    return arr, [arr[s] for s in slices]
-
-
 def _inverse(grid, hat, level, done):
     """The level's inverse rows formed from the spectral stack hat and
     inverse-transformed as one stack: a workspace stack written over the
-    rows, and one view of it per row group. The spectra in done go back to
-    the workspace once the rows are formed."""
-    _, rows, slices = level
-    spec = lend(grid, (len(rows),), spectral=True)
-    for o, ((m, i), *rest) in zip(spec, rows):
-        np.multiply(m, hat[i], out=o)
-        for m, i in rest:
-            o += m * hat[i]
+    rows, and its views by row group (see _slices). The spectra in done go
+    back to the workspace once the rows are formed."""
+    spec = lend(grid, level.spec_lead, spectral=True)
+    for m, src, dst in level.runs:
+        np.multiply(m, hat[src], out=spec[dst])
+    for m, i, o in level.extras:
+        row = spec[o]
+        row += m * hat[i]
     release(*done)
     out = inverse_once(grid, spec)
-    return out, [out[s] for s in slices]
+    return out, level.groups(out)
 
 
 @in_workspace
@@ -173,19 +188,20 @@ def _rhs_u(state, params, eps, use_dealias, spectral):
     formed."""
     if state.form != "u":
         raise ValueError("rhs_target and rhs_approx_u expect a u-form state")
-    require_positive(state.rho.values)
-    grid = state.grid
+    rho = state.rho
+    r, u, grid = rho.values, state.vel.values, rho.grid
+    require_positive(r)
     d = grid.dim
-    r, u = state.rho.values, state.vel.values
     nu, mu, p0 = params.nu, params.mu, params.p0
     reg, bohm = eps > 0, params.kappa > 0
     se = math.sqrt(eps)
     v_q = neg_p = None
     one, two, three = _plan(grid, "u", reg, bohm)
 
-    # level 1: [u, rho u, sqrt(rho), log(rho)] -> J, div(rho u), lap sqrt(rho),
-    # grad sqrt(rho), grad log(rho), upper Hess log(rho)
-    a, (ua, rua, va, la) = _nodal(grid, one)
+    # level 1: [u, rho u, sqrt(rho), log(rho)] -> J, div(rho u),
+    # grad sqrt(rho), grad log(rho), lap sqrt(rho), upper Hess log(rho)
+    a = lend(grid, one.lead)
+    ua, rua, va, la = one.rows(a)
     ua[...] = u
     np.multiply(r, u, out=rua)
     if reg or bohm:
@@ -193,14 +209,15 @@ def _rhs_u(state, params, eps, use_dealias, spectral):
         va[0] = v
     if reg:
         np.log(r, out=la[0])
-    hat = forward_once(grid, a)
-    out1, (J, div_ru, lapv, gv, glog, hlog) = _inverse(grid, hat, one, (hat,))
+    hat = forward(grid, a, once=True)
+    out1, (J, div_ru, gv, glog, lapv, hlog) = _inverse(grid, hat, one, (hat,))
     J = J.reshape((d, d) + grid.shape)
 
     # level 2: [T, flux, lap sqrt(rho)/sqrt(rho), P if it needs no Q] ->
     # Q = div(flux), grad(lap sqrt(rho)/sqrt(rho)); div T stays a spectrum
     # T = rho (2 nu D + sqrt(eps) J + sqrt(eps) mu Hess log rho)
-    b, (tb, fb, qb, pb) = _nodal(grid, two)
+    b = lend(grid, two.lead)
+    tb, fb, qb, pb = two.rows(b)
     T = tb.reshape(J.shape)
     np.multiply(J, nu + se, out=T)
     T += nu * J.swapaxes(0, 1)
@@ -244,10 +261,10 @@ def _rhs_u(state, params, eps, use_dealias, spectral):
         nodal += eps * mu * v_q * glog
         pressure += eps * mu * (neg_p + v_q)
         to_spectral(grid, -pressure, out=hat2[-1])
-        out3, (lin,) = _inverse(grid, hat2, three, (hat2,))
+        out3, lin = _inverse(grid, hat2, three, (hat2,))
         done += (out3,)
     drho = continuity_rate(div_ru[0], eps, v_q, neg_p)
-    return _finish(state, drho, lin, nodal, use_dealias, spectral, done)
+    return _finish(grid, r, drho, lin, nodal, use_dealias, spectral, done)
 
 
 def rhs_target(state, params, use_dealias=True, spectral=False):
@@ -288,19 +305,20 @@ def rhs_approx_w(state, params, use_dealias=True, spectral=False):
     pair take six FFT calls, and five with spectral."""
     if state.form != "w":
         raise ValueError("rhs_approx_w expects a w-form state")
-    require_positive(state.rho.values)
-    grid = state.grid
+    rho = state.rho
+    r, w, grid = rho.values, state.vel.values, rho.grid
+    require_positive(r)
     d = grid.dim
-    r, w = state.rho.values, state.vel.values
     eps, mu = params.eps, params.mu
     reg = eps > 0
     v_q = neg_p = None
     one, two = _plan(grid, "w", reg, False, mu)
 
     # level 1: [w, rho w, rho, log(rho), sqrt(rho)] -> Jw,
-    # div(rho w) - mu lap(rho), grad(rho), grad log(rho), lap w,
-    # grad sqrt(rho)
-    a, (wa, rwa, ra, la, va) = _nodal(grid, one)
+    # div(rho w) - mu lap(rho), grad(rho), grad log(rho), grad sqrt(rho),
+    # lap w
+    a = lend(grid, one.lead)
+    wa, rwa, ra, la, va = one.rows(a)
     wa[...] = w
     np.multiply(r, w, out=rwa)
     ra[0] = r
@@ -308,14 +326,15 @@ def rhs_approx_w(state, params, use_dealias=True, spectral=False):
     if reg:
         v = np.sqrt(r)  # read after the stack is released
         va[0] = v
-    hat = forward_once(grid, a)
-    out1, (Jw, div_m, gr, glog, lapw, gv) = _inverse(grid, hat, one, (hat,))
+    hat = forward(grid, a, once=True)
+    out1, (Jw, div_m, gr, glog, gv, lapw) = _inverse(grid, hat, one, (hat,))
     Jw = Jw.reshape((d, d) + grid.shape)
     u = w - mu * glog
 
     # level 2: [T, flux, P] -> div T + grad P, Q = div(flux)
     # T = rho (2 (nu - mu) Dw + sqrt(eps) Jw)
-    b, (tb, fb, pb) = _nodal(grid, two)
+    b = lend(grid, two.lead)
+    tb, fb, pb = two.rows(b)
     T = tb.reshape(Jw.shape)
     np.multiply(Jw, params.nu - mu + math.sqrt(eps), out=T)
     T += (params.nu - mu) * Jw.swapaxes(0, 1)
@@ -337,12 +356,12 @@ def rhs_approx_w(state, params, use_dealias=True, spectral=False):
         nodal -= (eps ** 1.5) * r * w3 * u
         nodal -= eps * neg_p * w
     np.negative(params.a * r ** params.gamma, out=pb[0])
-    hat2 = forward_once(grid, b)
+    hat2 = forward(grid, b, once=True)
     out2, (lin, Q) = _inverse(grid, hat2, two, (hat2,))
     if reg:
         v_q = v * Q[0]
     drho = continuity_rate(div_m[0], eps, v_q, neg_p)
-    return _finish(state, drho, lin, nodal, use_dealias, spectral,
+    return _finish(grid, r, drho, lin, nodal, use_dealias, spectral,
                    (out1, out2))
 
 

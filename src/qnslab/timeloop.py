@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (ScalarField, VectorField, dealias_arr, div_arr,
-                     forward_once, grad_arr, in_workspace, inverse_once, lend,
-                     quad, release)
+from .fields import (as_int, dealias_arr, div_arr, forward, grad_arr,
+                     in_workspace, inverse_once, lend, quad, release)
 from .functionals import (DISSIPATION_KEYS, Derived, MonitorRecord,
                           _kinetic_dissipation, bd_entropy, derived, energy,
                           energy_dissipation, mv_functional)
-from .physics import State, VacuumError, bohm_arr, chunk_size, to_w
+from .physics import (State, VacuumError, _state_of, bohm_arr, chunk_size,
+                      to_w)
 from .systems import continuity_rate, rhs_approx_u, rhs_approx_w
 
 SCHEMES = ("rk4-explicit", "imex")
@@ -77,7 +77,7 @@ class IntegratorConfig:
             raise ValueError("cfl_target must be in (0, 1]")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        if self.monitor_every < 1:
+        if as_int("monitor_every", self.monitor_every) < 1:
             raise ValueError("monitor_every must be >= 1")
         if self.positivity_floor <= 0:
             raise ValueError("positivity_floor must be positive")
@@ -136,65 +136,27 @@ def _phi2(z):
                     (np.expm1(z) - z) / np.where(small, 1.0, z) ** 2)
 
 
-@functools.lru_cache(maxsize=4)
-def _etd_multipliers(grid, c, dt):
-    """Read-only (c * Lap, exp(z), dt * phi1(z), phi2(z)) for
-    z = c * Lap * dt in the rfft layout of the grid: the exact linear part
-    and the ETDRK2 multipliers.
-
-    A fixed-dt run reuses one entry per linear coefficient; four entries
-    hold both coefficients of two step sizes. At c = 0 each multiplier is
-    one number everywhere, held as a zero-stride view of it: the entry
-    holds no array, and an adaptive run, which misses the cache on every
-    step, builds it without array work.
-    """
-    if c == 0:
-        # Lap <= 0 with -0.0 at k = 0, so c * Lap and z are the signed
-        # zero c * -1.0 everywhere, where the multipliers are exactly these
-        values, shape = np.array((c * -1.0, 1.0, dt, 0.5)), grid._lap.shape
-        mults = tuple(np.ndarray(shape, float, values, 8 * k,
-                                 (0,) * len(shape)) for k in range(4))
-    else:
-        clap = c * grid._lap
-        z = clap * dt
-        mults = (clap, np.exp(z), dt * _phi1(z), _phi2(z))
-    for m in mults:
-        m.flags.writeable = False
-    return mults
-
-
-def _etd_predict(grid, blocks, a0_hat, f0_hat):
-    """ETDRK2 predictor from the spectra of the values a0 and of their
-    right-hand side f0, both workspace stacks of the same rows.
-
-    blocks lists (rows, mults): a slice of the rows and the entry of
-    _etd_multipliers for its linear coefficient c, whose first member is
-    clap = c * Lap. Returns the stage values, inverted over the memory of
-    a0_hat, and the spectrum M = clap * a_hat + N0 that the corrector
-    subtracts from the stage's right-hand side, written over f0_hat.
-    """
-    for rows, (clap, ez, dt_phi1, _) in blocks:
-        a_hat, n_hat = a0_hat[rows], f0_hat[rows]
-        n_hat -= clap * a_hat                   # N0
-        a_hat[...] = ez * a_hat + dt_phi1 * n_hat
-        n_hat += clap * a_hat                   # M
-    return inverse_once(grid, a0_hat), f0_hat
-
-
-def _etd_correct(grid, blocks, dt, a, m_hat, fa_hat):
-    """ETDRK2 corrector a + dt * phi2(clap dt) (N(a) - N0), per block, with
-    N(a) - N0 = fa_hat - M for fa_hat the spectrum of the right-hand side at
-    the stage values a. Releases a, m_hat and fa_hat; returns a workspace
-    stack."""
-    fa_hat -= m_hat
-    release(m_hat)
-    for rows, (_, _, _, phi2) in blocks:
-        fa_hat[rows] *= phi2
-    out = inverse_once(grid, fa_hat)
-    out *= dt
-    out += a
-    release(a)
-    return out
+@functools.lru_cache(maxsize=2)
+def _etd_multipliers(grid, c_rho, c_vel, dt):
+    """Read-only (c * Lap, exp(z), dt * phi1(z), phi2(z)), z = c * Lap * dt,
+    in the rfft layout, each stacked like the rows of [rho, vel]: c is c_rho
+    in row 0 and c_vel in the velocity rows. One entry serves a fixed-dt
+    run, a second its shorter last step. At c = 0 each multiplier is one
+    number everywhere, written without array work: Lap <= 0 with -0.0 at
+    k = 0, so c * Lap and z are the signed zero c * -1.0 everywhere, where
+    the multipliers are exactly these."""
+    mults = np.empty((4, 1 + grid.dim) + grid._lap.shape)
+    for rows, c in ((mults[:, :1], c_rho), (mults[:, 1:], c_vel)):
+        if c == 0:
+            rows.T[...] = (c * -1.0, 1.0, dt, 0.5)
+        else:
+            clap = c * grid._lap
+            z = clap * dt
+            for row, m in zip(rows, (clap, np.exp(z), dt * _phi1(z),
+                                     _phi2(z))):
+                row[...] = m
+    mults.flags.writeable = False
+    return tuple(mults)
 
 
 @in_workspace
@@ -203,59 +165,64 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
     """Advance one step; raises PositivityError if the density drops to the
     floor or is not finite, NonFiniteError if the velocity is not finite.
 
-    The density and the velocity travel as one (1 + dim, *n) stack. Stage
-    stacks come from the workspace; the returned State holds copies. Both
-    schemes read each right-hand side as the masked spectrum
+    The density and the velocity travel as one (1 + dim, *n) stack, and
+    both schemes read each right-hand side as the masked spectrum
     rhs_fn(s, params, spectral=True) returns, a workspace stack; an RK4
-    slope is its inverse."""
+    slope is its inverse. A stage State s is valid only during its rhs_fn
+    call: its fields are read-only views of a stage stack, not copies. The
+    returned State holds copies."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    grid = state.grid
-    m = 1 + grid.dim
-
-    def unpack(y, t):
-        return State(ScalarField(grid, y[0]), VectorField(grid, y[1:]),
-                     form=state.form, time=t)
-
-    def values():
-        """[rho, vel] of the State in a stack from lend()."""
-        y = lend(grid, (m,))
-        y[0] = state.rho.values
-        y[1:] = state.vel.values
-        return y
-
-    def f(s):
-        """The spectrum of the right-hand side at the stage State s."""
-        try:
-            return rhs_fn(s, params, spectral=True)
-        except VacuumError as exc:
-            # a stage value already left the positive cone: same failure
-            # mode as a post-step violation
-            raise PositivityError(s.time, exc.bad_nodes,
-                                  exc.rho_min) from exc
-
-    def slope(s):
-        return inverse_once(grid, f(s))
-
-    t0 = state.time
-    if scheme == "rk4-explicit":
-        y0 = values()
-        k1 = slope(state)
-        k2 = slope(unpack(y0 + 0.5 * dt * k1, t0 + dt / 2))
-        k3 = slope(unpack(y0 + 0.5 * dt * k2, t0 + dt / 2))
-        k4 = slope(unpack(y0 + dt * k3, t0 + dt))
-        y1 = y0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        release(y0, k1, k2, k3, k4)
-    elif scheme == "imex":
-        c_rho, c_vel = _linear_coeffs(state.form, params, grid.dim)
-        blocks = [(slice(0, 1), _etd_multipliers(grid, c_rho, dt)),
-                  (slice(1, m), _etd_multipliers(grid, c_vel, dt))]
-        f0_hat = f(state)
-        ya, m_hat = _etd_predict(grid, blocks, forward_once(grid, values()),
-                                 f0_hat)
-        y1 = _etd_correct(grid, blocks, dt, ya, m_hat, f(unpack(ya, t0 + dt)))
-    else:
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    rho, form, t0 = state.rho, state.form, state.time
+    grid = rho.grid
+    s = state
+    try:
+        if scheme == "imex":
+            clap, ez, dt_phi1, phi2 = _etd_multipliers(
+                grid, *_linear_coeffs(form, params, grid.dim), dt)
+            f0_hat = rhs_fn(s, params, spectral=True)
+            y0 = lend(grid, (1 + grid.dim,))
+            y0[0] = rho.values
+            y0[1:] = state.vel.values
+            # predictor: N0 = f0 - clap a0 and the stage values
+            # a = exp(z) a0 + dt phi1(z) N0, over the memory of a0; the
+            # corrector's M = clap a + N0, over the memory of f0
+            a_hat = forward(grid, y0, once=True)
+            f0_hat -= clap * a_hat
+            phi1_n0 = dt_phi1 * f0_hat
+            a_hat *= ez
+            a_hat += phi1_n0
+            f0_hat += clap * a_hat
+            ya = inverse_once(grid, a_hat)
+            s = _state_of(grid, ya[0], ya[1:], form, t0 + dt)
+            # corrector a + dt phi2(z) (N(a) - N0), N(a) - N0 = f(a) - M
+            fa_hat = rhs_fn(s, params, spectral=True)
+            fa_hat -= f0_hat
+            release(f0_hat)
+            fa_hat *= phi2
+            y1 = inverse_once(grid, fa_hat)
+            y1 *= dt
+            y1 += ya
+            release(ya)
+        else:
+            y0 = lend(grid, (1 + grid.dim,))
+            y0[0] = rho.values
+            y0[1:] = state.vel.values
+            ks = [inverse_once(grid, rhs_fn(s, params, spectral=True))]
+            for c in (0.5, 0.5, 1.0):
+                y = y0 + c * dt * ks[-1]
+                s = _state_of(grid, y[0], y[1:], form, t0 + c * dt)
+                ks.append(inverse_once(grid, rhs_fn(s, params,
+                                                    spectral=True)))
+            k1, k2, k3, k4 = ks
+            y1 = y0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            release(y0, *ks)
+    except VacuumError as exc:
+        # a stage value already left the positive cone: same failure mode
+        # as a post-step violation
+        raise PositivityError(s.time, exc.bad_nodes, exc.rho_min) from exc
 
     r1 = y1[0]
     bad = r1.size - np.count_nonzero((r1 > positivity_floor)
@@ -265,7 +232,7 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
     bad = y1[1:].size - np.count_nonzero(np.isfinite(y1[1:]))
     if bad:
         raise NonFiniteError(t0 + dt, bad)
-    new = unpack(y1, t0 + dt)
+    new = _state_of(grid, r1.copy(), y1[1:].copy(), form, t0 + dt)
     release(y1)
     return new
 

@@ -52,7 +52,7 @@ class SuiteConfig:
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         if not all(isinstance(s, numbers.Integral) and s >= 0
-                   for s in self.seeds):
+                   and not isinstance(s, bool) for s in self.seeds):
             raise ValueError(f"seeds must be nonnegative integers: "
                              f"{self.seeds}")
         if not self.checks:

@@ -330,9 +330,13 @@ class TestVerify:
     @pytest.mark.parametrize("extra", [
         {"grids": [[7]]}, {"grids": [7]}, {"grids": [[32]], "modes": 20},
         {"floor": -1}, {"seeds": ["a"]}, {"seeds": 3}, {"num_seeds": "abc"},
-        {"modes": "abc"},
+        {"modes": "abc"}, {"num_seeds": 1.7}, {"num_seeds": True},
+        {"modes": 2.5}, {"modes": True}, {"grids": [[32.9]]},
+        {"seeds": [True, False]},
     ], ids=["grid7", "grid-int", "modes20", "floor-1", "seed-str",
-            "seeds-int", "num-seeds-str", "modes-str"])
+            "seeds-int", "num-seeds-str", "modes-str", "num-seeds-frac",
+            "num-seeds-bool", "modes-frac", "modes-bool", "grid-frac",
+            "seeds-bool"])
     def test_bad_numeric_input_exits_2(self, tmp_path, capsys, extra):
         doc = {"suites": ["identity"], "num_seeds": 1, "grids": [[32]],
                "modes": 2, **extra}
@@ -471,9 +475,15 @@ class TestConfigErrors:
         ("run", [RUN_DOC]),
         ("verify", {"suites": 5}),
         ("verify", {"suites": []}),
+        ("run", dict(RUN_DOC, integrator=dict(RUN_DOC["integrator"],
+                                              monitor_every=1.5))),
+        ("run", dict(RUN_DOC, integrator=dict(RUN_DOC["integrator"],
+                                              monitor_every=True))),
+        ("run", dict(RUN_DOC, n=64.5)),
     ], ids=["params-int", "integrator-list", "suite-block-int",
             "rel-tol-str", "sweep-params-int", "config-list", "suites-int",
-            "suites-empty"])
+            "suites-empty", "monitor-every-frac", "monitor-every-bool",
+            "n-frac"])
     def test_malformed_block_exits_2(self, tmp_path, capsys, command, doc):
         cfg = _write(tmp_path, "c.json", doc)
         out = tmp_path / "o"
@@ -573,6 +583,26 @@ class TestFlags:
             main(argv)
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_parser_is_built_once(self, monkeypatch):
+        # two in-process calls build at most one parser tree (a parser and
+        # its four subcommand parsers); each call still dispatches to the
+        # cmd_ function the module holds when it runs
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        calls = []
+        monkeypatch.setattr(cli, "cmd_report",
+                            lambda args: calls.append(args.monitors) or 7)
+        assert main(["report", "--monitors", "a.csv"]) == 7
+        assert main(["report", "--monitors", "b.csv"]) == 7
+        assert calls == ["a.csv", "b.csv"]
+        assert len(built) <= 5
 
 
 class TestReport:

@@ -288,29 +288,42 @@ def test_etd_cache_reuse_is_bitwise(form):
         out = _imex(st, dt)
         np.testing.assert_array_equal(out.rho.values, fresh[dt].rho.values)
         np.testing.assert_array_equal(out.vel.values, fresh[dt].vel.values)
-    assert timeloop._etd_multipliers.cache_info().hits == 2
-    # the entry's first member is the linear part c * Lap the step applies
-    for c in timeloop._linear_coeffs(form, PARAMS, st.grid.dim):
-        clap = timeloop._etd_multipliers(st.grid, c, dt1)[0]
+    # one lookup per step: the third step reuses the first one's entry
+    assert timeloop._etd_multipliers.cache_info().hits == 1
+    # the entry's first member is the linear part c * Lap the step applies,
+    # with c_rho in the density row and c_vel in each velocity row
+    c_rho, c_vel = timeloop._linear_coeffs(form, PARAMS, st.grid.dim)
+    clap = timeloop._etd_multipliers(st.grid, c_rho, c_vel, dt1)[0]
+    for row, c in zip(clap, (c_rho,) + (c_vel,) * st.grid.dim):
         np.testing.assert_array_equal(
-            clap.view(np.uint64), (c * st.grid._lap).view(np.uint64))
+            row.view(np.uint64), (c * st.grid._lap).view(np.uint64))
+
+
+def _etd_arrays(grid, c, dt):
+    """The multipliers of one coefficient computed on c * Lap."""
+    clap = c * grid._lap
+    z = clap * dt
+    return clap, np.exp(z), dt * timeloop._phi1(z), timeloop._phi2(z)
 
 
 @pytest.mark.parametrize("grid", [Grid(128), Grid((16, 24)),
                                   Grid((8, 12, 16))],
                          ids=["128", "16x24", "8x12x16"])
 def test_etd_zero_entry_equals_array_construction(grid):
-    # at c = 0 the entry is built without array work; its bits are those of
-    # the multipliers computed on c * Lap
+    # at c = 0 the rows are written without array work; their bits are
+    # those of the multipliers computed on c * Lap, in a row of either kind
     for dt in (1e-4, 3e-5, 2e-4 / 3, 1e-2, 1e-8):
-        timeloop._etd_multipliers.cache_clear()
-        clap = 0.0 * grid._lap
-        z = clap * dt
-        arrays = (clap, np.exp(z), dt * timeloop._phi1(z), timeloop._phi2(z))
-        for m, ref in zip(timeloop._etd_multipliers(grid, 0.0, dt), arrays):
-            assert m.shape == ref.shape and m.dtype == ref.dtype
-            np.testing.assert_array_equal(m.view(np.uint64),
-                                          ref.view(np.uint64))
+        for c_rho, c_vel in ((0.0, 0.0), (0.0, 2.5), (0.75, 0.0)):
+            timeloop._etd_multipliers.cache_clear()
+            rows = (c_rho,) + (c_vel,) * grid.dim
+            entry = timeloop._etd_multipliers(grid, c_rho, c_vel, dt)
+            for k, m in enumerate(entry):
+                assert m.shape == (1 + grid.dim,) + grid._lap.shape
+                assert m.dtype == grid._lap.dtype
+                for row, c in zip(m, rows):
+                    ref = _etd_arrays(grid, c, dt)[k]
+                    np.testing.assert_array_equal(row.view(np.uint64),
+                                                  ref.view(np.uint64))
     timeloop._etd_multipliers.cache_clear()
 
 
@@ -319,11 +332,13 @@ def test_etd_cache_is_bounded_and_read_only():
     timeloop._etd_multipliers.cache_clear()
     for k in range(10):
         _imex(st, 1e-5 * (k + 1))
-    assert timeloop._etd_multipliers.cache_info().currsize <= 4
+    assert timeloop._etd_multipliers.cache_info().currsize <= 2
     for c in (0.0, 1.0):
-        for m in timeloop._etd_multipliers(st.grid, c, 1e-5):
+        for m in timeloop._etd_multipliers(st.grid, c, 1.0, 1e-5):
             with pytest.raises(ValueError):
                 m[...] = 0.0
-    # at c = 0 each multiplier is one number, held without an array
-    for m in timeloop._etd_multipliers(st.grid, 0.0, 1e-5):
-        assert not any(m.strides)
+    # at c = 0 each multiplier is one number everywhere in its row
+    for m, value in zip(timeloop._etd_multipliers(st.grid, 0.0, 1.0, 1e-5),
+                        (-0.0, 1.0, 1e-5, 0.5)):
+        assert np.all(m[0].view(np.uint64)
+                      == np.float64(value).view(np.uint64))

@@ -66,11 +66,15 @@ def fft_calls(monkeypatch):
 
 
 # Python and builtin calls of one right-hand side, as the IMEX step calls
-# it, and of one IMEX step, at 1D n=128 where call overhead dominates
+# it, and of one IMEX and one RK4 step, at 1D n=128 where call overhead
+# dominates; and of one IMEX step on the small 2D grid, which pins the glue
+# of the path every dimension shares
 CALL_CEILINGS = {
-    "rhs_approx_u": 92,
-    "rhs_approx_w": 80,
-    "step_imex": 248,
+    "rhs_approx_u": 73,
+    "rhs_approx_w": 61,
+    "step_imex": 184,
+    "step_rk4": 340,
+    "step_imex_2d": 396,
 }
 
 PACKAGE = os.path.dirname(qnslab.__file__) + os.sep
@@ -210,14 +214,19 @@ def test_python_calls_within_ceiling(py_calls, op):
     state = State(random_smooth_positive(grid, 3, 6, 4.0),
                   random_smooth_vector(grid, 3, 6))
     wstate = to_w(state, params)
+    state_2d = _inputs()[1]
+
+    def step(s, scheme):
+        return lambda: timeloop.step(s, params, systems.rhs_approx_u, 1e-4,
+                                     scheme=scheme)
     calls = py_calls({
         "rhs_approx_u": lambda: systems.rhs_approx_u(state, params,
                                                      spectral=True),
         "rhs_approx_w": lambda: systems.rhs_approx_w(wstate, params,
                                                      spectral=True),
-        "step_imex": lambda: timeloop.step(state, params,
-                                           systems.rhs_approx_u, 1e-4,
-                                           scheme="imex"),
+        "step_imex": step(state, "imex"),
+        "step_rk4": step(state, "rk4-explicit"),
+        "step_imex_2d": step(state_2d, "imex"),
     }[op])
     assert 0 < calls <= CALL_CEILINGS[op], f"{op}: {calls} calls"
 

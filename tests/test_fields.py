@@ -30,6 +30,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(n)
 
+    @pytest.mark.parametrize("n", [64.5, (32.9, 16), True, "64"])
+    def test_rejects_counts_that_are_not_integers(self, n):
+        with pytest.raises(ValueError, match="node counts must be an integer"):
+            Grid(n)
+        # an integral value of another number type is a node count
+        assert Grid(64.0) == Grid(np.int64(64)) == Grid(64)
+
     def test_rejects_dim_4(self):
         with pytest.raises(ValueError):
             Grid((8, 8, 8, 8))
@@ -238,6 +245,15 @@ class TestRandomFields:
     def test_rejects_unresolvable_modes(self):
         with pytest.raises(ValueError):
             random_smooth_positive(Grid(16), 0, 9, 1.0)
+
+    @pytest.mark.parametrize("modes", [2.5, True, "2"])
+    def test_rejects_modes_that_are_not_integers(self, modes):
+        with pytest.raises(ValueError, match="modes must be an integer"):
+            random_smooth_positive(Grid(16), 0, modes, 1.0)
+        # an integral value of another number type is an integer
+        np.testing.assert_array_equal(
+            random_smooth_positive(Grid(16), 0, 2.0, 1.0).values,
+            random_smooth_positive(Grid(16), 0, 2, 1.0).values)
 
     def test_rejects_bad_floor(self):
         with pytest.raises(ValueError):

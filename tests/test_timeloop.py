@@ -68,6 +68,10 @@ class TestConfig:
             IntegratorConfig(t_end=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(monitor_every=0)
+        for every in (1.5, True, "3"):
+            with pytest.raises(ValueError, match="monitor_every"):
+                IntegratorConfig(monitor_every=every)
+        assert IntegratorConfig(monitor_every=np.int64(3)).monitor_every == 3
         for cfl in (0.0, 1.5):
             with pytest.raises(ValueError, match="cfl_target"):
                 IntegratorConfig(cfl_target=cfl)

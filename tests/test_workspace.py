@@ -116,10 +116,9 @@ def _parent_step(state, params, rhs_fn, dt, scheme):
         k4 = f(y0 + dt * k3, t0 + dt)
         return y0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     c_rho, c_vel = timeloop._linear_coeffs(state.form, params, grid.dim)
-    blocks = [(slice(0, 1), c_rho * grid._lap,
-               timeloop._etd_multipliers(grid, c_rho, dt)[1:]),
-              (slice(1, m), c_vel * grid._lap,
-               timeloop._etd_multipliers(grid, c_vel, dt)[1:])]
+    ms = timeloop._etd_multipliers(grid, c_rho, c_vel, dt)[1:]
+    blocks = [(slice(0, 1), c_rho * grid._lap, [x[0] for x in ms]),
+              (slice(1, m), c_vel * grid._lap, [x[1] for x in ms])]
     f(y0, t0, out=work[m:])
     hat = to_spectral(grid, work)
     a_hat, m_hat = np.empty_like(hat[:m]), np.empty_like(hat[:m])
@@ -144,10 +143,9 @@ def _imex_step(state, params, rhs_fn, dt):
     y0[0] = state.rho.values
     y0[1:] = state.vel.values
     c_rho, c_vel = timeloop._linear_coeffs(state.form, params, grid.dim)
-    blocks = [(slice(0, 1), c_rho * grid._lap,
-               timeloop._etd_multipliers(grid, c_rho, dt)[1:]),
-              (slice(1, m), c_vel * grid._lap,
-               timeloop._etd_multipliers(grid, c_vel, dt)[1:])]
+    ms = timeloop._etd_multipliers(grid, c_rho, c_vel, dt)[1:]
+    blocks = [(slice(0, 1), c_rho * grid._lap, [x[0] for x in ms]),
+              (slice(1, m), c_vel * grid._lap, [x[1] for x in ms])]
     f0_hat = rhs_fn(state, params, spectral=True)
     y0_hat = to_spectral(grid, y0)
     a_hat, m_hat = np.empty_like(y0_hat), np.empty_like(y0_hat)
@@ -321,6 +319,34 @@ def test_stages_see_only_live_stacks(pool, scheme, lent):
         return systems.rhs_approx_u(state, params, **kw)
     timeloop.step(_state((64, 64), 11), PARAMS, rhs, 1e-4, scheme=scheme)
     assert seen == lent
+
+
+@pytest.mark.parametrize("n", [(32,), (16, 24)])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_returned_state_shares_no_pool_memory(pool, n, scheme):
+    # a stage State holds read-only views, valid only during its
+    # right-hand side call; the State step returns shares no memory with
+    # any buffer of the pool, so later steps cannot write into it
+    stages = []
+
+    def rhs(state, params, **kw):
+        stages.append(state)
+        return systems.rhs_approx_u(state, params, **kw)
+    s = _state(n, 5)
+    new = timeloop.step(s, PARAMS, rhs, 1e-4, scheme=scheme)
+    assert pool.free and not pool.lent
+    assert len(stages) == (2 if scheme == "imex" else 4)
+    for stage in stages[1:]:
+        assert not stage.rho.values.flags.writeable
+        assert not stage.vel.values.flags.writeable
+    for arr in (new.rho.values, new.vel.values):
+        assert not arr.flags.writeable
+        assert not any(np.shares_memory(arr, buf) for buf in pool.free)
+    after = timeloop.step(new, PARAMS, systems.rhs_approx_u, 1e-4,
+                          scheme=scheme)
+    assert not any(np.shares_memory(arr, buf) for buf in pool.free
+                   for arr in (after.rho.values, after.vel.values,
+                               new.rho.values, new.vel.values))
 
 
 def test_pool_keeps_one_grid(pool):
