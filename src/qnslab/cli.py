@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .fields import VectorField, as_int
+from .fields import VectorField, as_bool, as_int
 from .functionals import DISSIPATION_KEYS
 from .initdata import SCENARIOS, mollify, scenario, validate_initial
 from .physics import (DESK_P0, DESK_SIGMA0, PAPER_P0, PAPER_SIGMA0, QnsParams,
@@ -183,7 +183,12 @@ def _write_monitors(path, records):
 
 def _shared(cfg):
     """(integrator config, initial source) of a config: what every sweep
-    point shares."""
+    point shares, its mollify and strict flags checked."""
+    try:
+        for key in ("mollify", "strict"):
+            as_bool(key, cfg.get(key, False))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return _build_integrator(cfg), _initial_source(cfg)
 
 

@@ -56,8 +56,8 @@ class Grid:
         if len(length) != dim:
             raise ValueError("length must have one entry per axis")
         for L in length:
-            if L <= 0:
-                raise ValueError("domain extents must be positive")
+            if not 0 < L < math.inf:
+                raise ValueError("domain extents must be positive and finite")
         self.dim = dim
         self.n = n
         self.length = length
@@ -580,10 +580,26 @@ def as_int(name, value):
     return int(value)
 
 
+def as_real(name, value):
+    """value; a ValueError unless it is a finite real number and not a
+    bool (JSON reads NaN, Infinity and true as numbers)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def as_bool(name, value):
+    """value; a ValueError unless it is True or False."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def check_smooth_args(grid, modes, floor=None):
     """modes as an int, once it (0 <= modes <= n/3 on every axis, dealias-safe)
     and floor (positive unless None) are in random_smooth_ensemble's range."""
-    if floor is not None and not float(floor) > 0:
+    if floor is not None and not as_real("floor", floor) > 0:
         raise ValueError("floor must be positive")
     modes = as_int("modes", modes)
     if modes < 0:

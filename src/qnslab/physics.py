@@ -14,8 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import (ScalarField, VectorField, derivatives_arr, div_arr,
-                     grad_arr, hess_arr, lap_arr, lend, per_node, release)
+from .fields import (ScalarField, VectorField, as_bool, as_real,
+                     derivatives_arr, div_arr, grad_arr, hess_arr, lap_arr,
+                     lend, per_node, release)
 
 # Analysis-mode constants: these make the regularization terms either
 # negligible or catastrophically stiff numerically, so simulation defaults
@@ -76,6 +77,10 @@ class QnsParams:
     mode: str = "desk"
 
     def __post_init__(self):
+        for name in ("nu", "kappa", "gamma", "a", "r0", "r1", "eps", "p0",
+                     "sigma0"):
+            as_real(name, getattr(self, name))
+        as_bool("strict", self.strict)
         if self.nu <= 0:
             raise ValueError("nu must be positive")
         if self.kappa < 0 or self.kappa > self.nu:

@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField
+from .fields import Grid, ScalarField, VectorField, as_real
 
 _MAGIC = "# qnslab-field v1"
 _CHUNK = 4096
@@ -85,7 +85,7 @@ def read_field(path):
         comps = int(header["components"])
         kind = header["kind"]
         name = header["name"]
-        time = float(header["time"])
+        time = as_real("time", float(header["time"]))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"corrupt snapshot header ({exc}): {path}") from exc
     if len(n) != dim:

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (as_int, dealias_arr, div_arr, forward, grad_arr,
-                     in_workspace, inverse_once, lend, quad, release)
+from .fields import (as_int, as_real, dealias_arr, div_arr, forward,
+                     grad_arr, in_workspace, inverse_once, lend, quad,
+                     release)
 from .functionals import (DISSIPATION_KEYS, Derived, MonitorRecord,
                           _kinetic_dissipation, bd_entropy, derived, energy,
                           energy_dissipation, mv_functional)
@@ -71,6 +72,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
+        for name in ("dt_init", "dt_min", "dt_max", "cfl_target", "t_end",
+                     "positivity_floor"):
+            as_real(name, getattr(self, name))
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if not (0 < self.cfl_target <= 1):
@@ -286,13 +290,17 @@ def _monitor_sample(state, params):
     return values, flux
 
 
-def _record_columns(d, params):
-    """The monitor values of a stacked bundle of K records, each a list of
-    K numbers: (columns of MonitorRecord fields but time, residual and
-    dissipation; dissipation columns; mass fluxes). No array of the bundle
-    is kept."""
+@in_workspace
+def _record_chunk(states, params, observers):
+    """The monitor values of K recorded states, each a list of K numbers:
+    (columns of MonitorRecord fields but time, residual and dissipation;
+    dissipation columns; mass fluxes), read from the Derived bundle of
+    their stack; then observe(state, row) of each observer for each state
+    in order, with the state's row of the bundle. It all runs in one
+    workspace scope (see integrate)."""
+    d = Derived.stacked(states, params)
     values, flux = _monitor_sample(d, params)
-    count = len(d.rho)
+    count = len(states)
 
     def per_record(v):
         # a value is one per record, or one number for all of them
@@ -301,15 +309,12 @@ def _record_columns(d, params):
         return [v] * count
     diss = {k: per_record(v) for k, v in values.pop("dissipation").items()}
     columns = {k: per_record(v) for k, v in values.items()}
+    if observers:
+        for k, s in enumerate(states):
+            row = d.row(k)
+            for observe in observers:
+                observe(s, row)
     return columns, diss, per_record(flux)
-
-
-@in_workspace
-def _pooled_record_columns(states, params):
-    """_record_columns of the stacked bundle of states, evaluated in one
-    workspace scope: the bundle's stacks, its pieces and the functionals'
-    lent arrays go back to the pool when it returns."""
-    return _record_columns(Derived.stacked(states, params), params)
 
 
 def integrate(initial, params, config, observers=()):
@@ -327,17 +332,16 @@ def integrate(initial, params, config, observers=()):
     bundle of the stacked states. A chunk is evaluated when it is full, at
     t_end and before a positivity or non-finite stop; its records then
     follow in order. Each observer is called as observe(state, d) for every
-    record, after the record's functionals, with the record's row of the
+    record, after the chunk's functionals, with the record's row of the
     chunk bundle: the u-form bundle of the state, whose arrays are views of
     the chunk's and must not be written to. No state is kept but the last
     record's and those of the chunk being filled.
 
-    Pooling contract: a run with observers builds its chunk bundles from
-    plain arrays, so an observer may keep any of them past the call
-    (equivalence_run keeps each record's (rho, u)). A run without observers
-    evaluates each chunk in one workspace scope: the bundle's stacks come
-    from the thread's pool, as the steps' do, and go back to it when the
-    chunk's values are read. Every value keeps its bits either way.
+    Pooling contract: each chunk, its observer calls included, runs in one
+    workspace scope, as each step does. A row bundle, every array read
+    from it and every array lent while an observer runs are valid only
+    during that observer's call, so an observer keeps copies
+    (equivalence_run copies each record's (rho, u)).
     """
     rhs_fn = rhs_approx_w if initial.form == "w" else rhs_approx_u
 
@@ -352,11 +356,7 @@ def integrate(initial, params, config, observers=()):
         nonlocal flux_prev
         if not pending:
             return
-        if observers:
-            d = Derived.stacked(pending, params)
-            columns, diss, fluxes = _record_columns(d, params)
-        else:
-            columns, diss, fluxes = _pooled_record_columns(pending, params)
+        columns, diss, fluxes = _record_chunk(pending, params, observers)
         for k, (s, flux) in enumerate(zip(pending, fluxes)):
             rec = {key: col[k] for key, col in columns.items()}
             dissipation = {key: col[k] for key, col in diss.items()}
@@ -374,10 +374,6 @@ def integrate(initial, params, config, observers=()):
                 time=s.time, mass_balance_residual=residual,
                 dissipation=dissipation, **rec))
             flux_prev = flux
-            if observers:
-                row = d.row(k)
-                for observe in observers:
-                    observe(s, row)
         traj.final = pending[-1]
         pending.clear()
 
@@ -559,7 +555,7 @@ def equivalence_run(initial, params, config):
     """Integrate matched data through both formulations and compare.
 
     The same initial u-form data is run once via approx-u and once via
-    approx-w (after the effective-velocity transform). The u-run keeps each
+    approx-w (after the effective-velocity transform). The u-run copies each
     record's (rho, u); each w-run record, mapped back with to_u, is compared
     against them and max-over-time L2 discrepancies are reported. A failed
     run raises RuntimeError from its failure.
@@ -575,7 +571,8 @@ def equivalence_run(initial, params, config):
         return traj
 
     ref = []
-    traj_u = run(initial, lambda s, d: ref.append((d.rho, d.u)))
+    traj_u = run(initial,
+                 lambda s, d: ref.append((d.rho.copy(), d.u.copy())))
     grid, errs = initial.grid, []
 
     def compare(s, d):

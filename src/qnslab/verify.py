@@ -12,14 +12,13 @@ perturbation that must fail, proving the checks are not vacuous.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (Grid, check_smooth_args, grad_arr, in_workspace, quad,
-                     random_smooth_ensemble, release)
+from .fields import (Grid, as_bool, as_real, check_smooth_args, grad_arr,
+                     in_workspace, quad, random_smooth_ensemble, release)
 from .functionals import (div_vs_D_batch, flux_identity_batch, grad6_batch,
                           grad_sqrtrho_u_batch, jungel_batch)
 from .initdata import mollify, scenario
@@ -60,10 +59,9 @@ class SuiteConfig:
         for c in self.checks:
             if c not in ALL_CHECKS:
                 raise ValueError(f"unknown check {c!r}; known: {ALL_CHECKS}")
-        if not (isinstance(self.rel_tol, numbers.Real)
-                and math.isfinite(self.rel_tol)):
-            raise ValueError(f"rel_tol must be a finite number: "
-                             f"{self.rel_tol!r}")
+        if not as_real("rel_tol", self.rel_tol) > 0:
+            raise ValueError(f"rel_tol must be positive: {self.rel_tol!r}")
+        as_bool("canary", self.canary)
         if not self.grids:
             raise ValueError("grids must be nonempty")
         # each grid's ensemble must be one random_smooth_ensemble accepts

@@ -225,6 +225,21 @@ class TestBadSnapshot:
         assert "truncated" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("time", "nan"), ("time", "inf"), ("length", "nan"),
+        ("length", "inf")])
+    def test_non_finite_header_number_exits_2(self, tmp_path, capsys, key,
+                                              value):
+        # a snapshot at time nan ran no step and reported "completed"
+        path = self._snapshot(tmp_path, np.full(32, 1.5))
+        path.write_text("".join(
+            f"{key}: {value}\n" if line.startswith(f"{key}:") else line
+            for line in path.read_text().splitlines(keepends=True)))
+        code, out = self._run(tmp_path, path)
+        assert code == 2
+        assert "bad snapshot" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scalar_velocity_snapshot_exits_2(self, tmp_path, capsys):
         rho = self._snapshot(tmp_path, np.full(32, 1.5))
         cfg = _write(tmp_path, "run.json",
@@ -332,11 +347,13 @@ class TestVerify:
         {"floor": -1}, {"seeds": ["a"]}, {"seeds": 3}, {"num_seeds": "abc"},
         {"modes": "abc"}, {"num_seeds": 1.7}, {"num_seeds": True},
         {"modes": 2.5}, {"modes": True}, {"grids": [[32.9]]},
-        {"seeds": [True, False]},
+        {"seeds": [True, False]}, {"rel_tol": True}, {"rel_tol": 0},
+        {"rel_tol": -1}, {"floor": float("inf")}, {"floor": True},
     ], ids=["grid7", "grid-int", "modes20", "floor-1", "seed-str",
             "seeds-int", "num-seeds-str", "modes-str", "num-seeds-frac",
             "num-seeds-bool", "modes-frac", "modes-bool", "grid-frac",
-            "seeds-bool"])
+            "seeds-bool", "rel-tol-bool", "rel-tol-0", "rel-tol-neg",
+            "floor-inf", "floor-bool"])
     def test_bad_numeric_input_exits_2(self, tmp_path, capsys, extra):
         doc = {"suites": ["identity"], "num_seeds": 1, "grids": [[32]],
                "modes": 2, **extra}
@@ -452,6 +469,16 @@ class TestSweep:
         assert text["1"].count(b"completed") == 2
 
 
+def _integrator(**kw):
+    """RUN_DOC with the integrator block updated by kw."""
+    return dict(RUN_DOC, integrator=dict(RUN_DOC["integrator"], **kw))
+
+
+def _params(**kw):
+    """RUN_DOC with the params block updated by kw."""
+    return dict(RUN_DOC, params=dict(RUN_DOC["params"], **kw))
+
+
 # a valid config of each subcommand that writes an output directory
 COMMANDS = {
     "run": RUN_DOC,
@@ -480,17 +507,39 @@ class TestConfigErrors:
         ("run", dict(RUN_DOC, integrator=dict(RUN_DOC["integrator"],
                                               monitor_every=True))),
         ("run", dict(RUN_DOC, n=64.5)),
+        # JSON reads NaN, Infinity and true as numbers
+        ("run", _integrator(t_end=float("nan"))),
+        ("run", _integrator(t_end=float("inf"))),
+        ("run", _integrator(t_end=True)),
+        ("run", _params(eps=float("nan"))),
+        ("run", _params(nu=float("nan"))),
+        ("run", _params(gamma=float("inf"))),
+        ("run", _params(eps=True)),
+        # a flag is JSON true or false, never a string or a number
+        ("verify", {"suites": ["identity"], "num_seeds": 1, "grids": [[32]],
+                    "modes": 2, "checks": ["bohm-forms"],
+                    "canary": "false"}),
+        ("verify", {"suites": ["identity"], "num_seeds": 1, "grids": [[32]],
+                    "modes": 2, "checks": ["bohm-forms"], "canary": 1}),
+        ("run", dict(RUN_DOC, mollify="no")),
+        ("run", dict(RUN_DOC, strict="false")),
+        ("run", _params(strict="false")),
+        ("sweep", dict(RUN_DOC, mollify="no", sweep={"eps": [1e-3]})),
     ], ids=["params-int", "integrator-list", "suite-block-int",
             "rel-tol-str", "sweep-params-int", "config-list", "suites-int",
             "suites-empty", "monitor-every-frac", "monitor-every-bool",
-            "n-frac"])
+            "n-frac", "t-end-nan", "t-end-inf", "t-end-bool", "eps-nan",
+            "nu-nan", "gamma-inf", "eps-bool", "canary-str", "canary-int",
+            "mollify-str", "strict-str", "params-strict-str",
+            "sweep-mollify-str"])
     def test_malformed_block_exits_2(self, tmp_path, capsys, command, doc):
         cfg = _write(tmp_path, "c.json", doc)
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert "Traceback" not in captured.err
+        assert not captured.out
         assert not out.exists()
 
     @pytest.mark.parametrize("command, doc", [

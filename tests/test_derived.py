@@ -134,14 +134,19 @@ class TestMonitorRecord:
                 traj.records[k].mass_balance_residual, residual, rtol=1e-10)
 
 
-def _chunked_run(state, extra=3):
+def _chunked_run(state, check=None, extra=3):
     """A fixed-dt run of chunk_size + extra records, so its second chunk
-    is partial, with the State and the observer bundle of each record."""
+    is partial, with the State of each record. check(s, d), if given, runs
+    inside each observer call, while the record's bundle d is valid."""
     size = chunk_size(state.grid)
     cfg = IntegratorConfig.fixed_dt(1e-4, t_end=(size + extra - 1) * 1e-4)
     seen = []
-    traj = integrate(state, PARAMS, cfg,
-                     observers=(lambda s, d: seen.append((s, d)),))
+
+    def observe(s, d):
+        seen.append(s)
+        if check is not None:
+            check(s, d)
+    traj = integrate(state, PARAMS, cfg, observers=(observe,))
     assert traj.status == "completed"
     assert len(traj.records) == len(seen) == size + extra
     return traj, seen
@@ -153,15 +158,15 @@ class TestChunkedRecords:
     """integrate evaluates its records a chunk at a time; every record,
     residual, integral and observer bundle is the one of its own state."""
 
-    def _traj(self, grid, form):
+    def _traj(self, grid, form, check=None):
         st = _state(grid)
-        return _chunked_run(st if form == "u" else to_w(st, PARAMS))
+        return _chunked_run(st if form == "u" else to_w(st, PARAMS), check)
 
     def test_records_equal_single_records(self, grid, form):
         traj, seen = self._traj(grid, form)
         acc = dict.fromkeys(DISSIPATION_KEYS, 0.0)
         last = flux_last = None
-        for (s, _), rec in zip(seen, traj.records):
+        for s, rec in zip(seen, traj.records):
             values, flux = timeloop._monitor_sample(s, PARAMS)
             assert rec.time == s.time
             for key in ("energy", "bd_entropy", "mv", "mass", "rho_min",
@@ -179,11 +184,12 @@ class TestChunkedRecords:
             assert rec.mass_balance_residual == residual
             last, flux_last = rec, flux
         assert traj.dissipation_time_integrals == acc
-        assert traj.final is seen[-1][0]
+        assert traj.final is seen[-1]
 
     def test_observer_bundles_equal_own_bundles(self, grid, form):
-        _, seen = self._traj(grid, form)
-        for s, d in seen:
+        # a row bundle is valid only during its observer call: every
+        # comparison runs inside it
+        def check(s, d):
             ref = Derived(s, PARAMS)
             held = [name for name, x in vars(d).items()
                     if isinstance(x, np.ndarray)]
@@ -196,6 +202,7 @@ class TestChunkedRecords:
                                               getattr(ref, name))
             # a piece the record did not load is the row's own
             np.testing.assert_array_equal(d.lap_sqrt_rho, ref.lap_sqrt_rho)
+        self._traj(grid, form, check)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=IDS)

@@ -66,15 +66,18 @@ def fft_calls(monkeypatch):
 
 
 # Python and builtin calls of one right-hand side, as the IMEX step calls
-# it, and of one IMEX and one RK4 step, at 1D n=128 where call overhead
-# dominates; and of one IMEX step on the small 2D grid, which pins the glue
-# of the path every dimension shares
+# it, of one IMEX and one RK4 step, and of one full observer-free record
+# chunk of integrate, at 1D n=128 where call overhead dominates; and of one
+# IMEX step and one one-record chunk on the small 2D grid, which pin the
+# glue of the paths every dimension shares
 CALL_CEILINGS = {
     "rhs_approx_u": 73,
     "rhs_approx_w": 61,
     "step_imex": 184,
     "step_rk4": 340,
     "step_imex_2d": 396,
+    "record_chunk_1d": 360,
+    "record_chunk_2d": 475,
 }
 
 PACKAGE = os.path.dirname(qnslab.__file__) + os.sep
@@ -215,6 +218,8 @@ def test_python_calls_within_ceiling(py_calls, op):
                   random_smooth_vector(grid, 3, 6))
     wstate = to_w(state, params)
     state_2d = _inputs()[1]
+    chunk_1d = [State(random_smooth_positive(grid, k, 6, 4.0),
+                      random_smooth_vector(grid, k, 6)) for k in range(32)]
 
     def step(s, scheme):
         return lambda: timeloop.step(s, params, systems.rhs_approx_u, 1e-4,
@@ -227,6 +232,10 @@ def test_python_calls_within_ceiling(py_calls, op):
         "step_imex": step(state, "imex"),
         "step_rk4": step(state, "rk4-explicit"),
         "step_imex_2d": step(state_2d, "imex"),
+        "record_chunk_1d": lambda: timeloop._record_chunk(chunk_1d, params,
+                                                          ()),
+        "record_chunk_2d": lambda: timeloop._record_chunk([state_2d],
+                                                          params, ()),
     }[op])
     assert 0 < calls <= CALL_CEILINGS[op], f"{op}: {calls} calls"
 

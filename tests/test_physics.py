@@ -55,7 +55,9 @@ class TestQnsParams:
     @pytest.mark.parametrize("kw", [
         dict(nu=0.0), dict(nu=1.0, kappa=-0.1), dict(gamma=1.0),
         dict(r0=-1.0), dict(r1=-1.0), dict(eps=-1e-3), dict(p0=0.0),
-        dict(sigma0=0.0),
+        dict(sigma0=0.0), dict(eps=float("nan")), dict(nu=float("nan")),
+        dict(gamma=float("inf")), dict(eps=True), dict(a=float("-inf")),
+        dict(strict="false"), dict(strict=1),
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):

@@ -77,6 +77,11 @@ class TestConfig:
                 IntegratorConfig(cfl_target=cfl)
         with pytest.raises(ValueError, match="positivity_floor"):
             IntegratorConfig(positivity_floor=0.0)
+        # JSON reads NaN, Infinity and true as numbers
+        for key in ("t_end", "dt_max", "positivity_floor"):
+            for bad in (float("nan"), float("inf"), True):
+                with pytest.raises(ValueError, match=key):
+                    IntegratorConfig(**{key: bad})
 
     def test_fixed_dt(self):
         c = IntegratorConfig.fixed_dt(1e-3, t_end=0.1)

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qnslab import cli, fields, systems, timeloop, verify
+from qnslab import cli, fields, functionals, systems, timeloop, verify
 from qnslab.fields import (Grid, ScalarField, VectorField, div_arr,
                            from_spectral, grad_arr, random_smooth_positive,
                            random_smooth_vector, to_spectral)
@@ -626,20 +626,33 @@ def _monitors_csv(path, records):
         return fh.read()
 
 
+def _budget_samples(seen):
+    """An observer that appends each record's time, energy budget rate and
+    energy, all read from the record's row bundle, to seen."""
+    def observe(s, d):
+        seen.append((s.time, timeloop._budget_rate(d, PARAMS),
+                     functionals.energy(d, PARAMS)))
+    return observe
+
+
 @pytest.mark.parametrize("form", ["u", "w"])
-def test_pooled_records_equal_observed_records(workspace, tmp_path, form):
-    # 11 records at 32^2: chunks of 4, 4 and 3. An observer keeps the
-    # records plain; without one each chunk is evaluated on pooled stacks.
+def test_records_equal_a_run_without_the_pool(workspace, tmp_path, form):
+    # 11 records at 32^2: chunks of 4, 4 and 3, each evaluated on pooled
+    # stacks, observer calls included, whether or not the run has observers
     s = _state((32, 32), 13, form)
     config = _run_config(10)
-    seen = []
-    ref = timeloop.integrate(s, PARAMS, config,
-                             observers=(lambda s, d: seen.append(s.time),))
-    assert len(seen) == len(ref.records) == 11
-    for _ in range(2):
+    ref_seen = []
+    ref = _bypassed(lambda: timeloop.integrate(
+        s, PARAMS, config, observers=(_budget_samples(ref_seen),)))
+    assert len(ref_seen) == len(ref.records) == 11
+    for observed in (True, False, True):
         _poison(workspace)
-        traj = timeloop.integrate(s, PARAMS, config)
+        seen = []
+        traj = timeloop.integrate(
+            s, PARAMS, config,
+            observers=(_budget_samples(seen),) if observed else ())
         assert not workspace.lent
+        assert seen == (ref_seen if observed else [])
         assert traj.records == ref.records
         assert traj.dissipation_time_integrals \
             == ref.dissipation_time_integrals
@@ -647,6 +660,39 @@ def test_pooled_records_equal_observed_records(workspace, tmp_path, form):
         assert _monitors_csv(tmp_path / "pooled.csv", traj.records) \
             == _monitors_csv(tmp_path / "plain.csv", ref.records)
     assert workspace.free
+
+
+def test_raising_observer_returns_every_stack(workspace):
+    s = _state((32, 32), 14)
+    config = _run_config(3)
+    ref = timeloop.integrate(s, PARAMS, config)
+
+    def fail(state, d):
+        # the chunk's bundle is lent by now
+        assert workspace.lent
+        raise VacuumError(1, -1.0)
+    with pytest.raises(VacuumError):
+        timeloop.integrate(s, PARAMS, config, observers=(fail,))
+    assert not workspace.lent
+    _poison(workspace)
+    assert timeloop.integrate(s, PARAMS, config).records == ref.records
+
+
+def test_budgeted_run_pooled_bytes_stop_growing(workspace):
+    s = _state((32, 32), 16)
+    config = _run_config(6)
+
+    def run():
+        budget = timeloop.EnergyBudget(PARAMS, config)
+        timeloop.integrate(s, PARAMS, config, observers=(budget,))
+        return budget.report()
+    ref = run()
+    warm = sum(workspace.sizes)
+    assert warm > 0
+    for _ in range(3):
+        assert run().max_residual == ref.max_residual
+        assert not workspace.lent
+        assert sum(workspace.sizes) == warm
 
 
 # Traced bytes a steady pooled 128^2 record (one-record chunk) allocates
@@ -662,15 +708,15 @@ def test_pooled_record_plain_bytes(workspace, monkeypatch):
     config = _run_config(1)
     timeloop.integrate(s, PARAMS, config)
     peaks = []
-    columns = timeloop._pooled_record_columns
+    chunk = timeloop._record_chunk
 
     def traced(*args):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = columns(*args)
+        out = chunk(*args)
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
         return out
-    monkeypatch.setattr(timeloop, "_pooled_record_columns", traced)
+    monkeypatch.setattr(timeloop, "_record_chunk", traced)
     tracemalloc.start()
     try:
         timeloop.integrate(s, PARAMS, config)
@@ -686,20 +732,27 @@ def test_pooled_record_plain_bytes(workspace, monkeypatch):
 # fresh arrays, 0 to 2 with each chunk of an observer-free run in a
 # workspace scope. The budget is 5 % of the lower figure.
 RECORD_FAULT_BUDGET = 113
+# The same run with an EnergyBudget observer: 1 938 to 2 260 while the
+# chunks of an observed run were evaluated on plain arrays, 0 to 1 with its
+# observer calls in the chunk's workspace scope. The budget is 5 % of the
+# lower figure.
+BUDGETED_RECORD_FAULT_BUDGET = 96
 
 
-def _steady_record_faults():
+def _steady_record_faults(budgeted=False):
     """(median, sorted counts) of the minor page faults of three 128^2
-    integrate calls of one IMEX step and two records, after two warm-up
-    calls."""
+    integrate calls of one IMEX step and two records, each with an
+    EnergyBudget observer if budgeted, after two warm-up calls."""
     grid = Grid((128, 128))
     s = State(random_smooth_positive(grid, 3, 6, 4.0),
               random_smooth_vector(grid, 3, 6), form="u")
     config = _run_config(1)
 
     def faults():
+        observers = ((timeloop.EnergyBudget(PARAMS, config),) if budgeted
+                     else ())
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        timeloop.integrate(s, PARAMS, config)
+        timeloop.integrate(s, PARAMS, config, observers=observers)
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     for _ in range(2):
         faults()
@@ -707,8 +760,19 @@ def _steady_record_faults():
     return counts[1], counts
 
 
+def _fresh_record_faults(budgeted):
+    """_steady_record_faults(budgeted) in a fresh interpreter."""
+    return _fresh("import json, test_workspace as t; "
+                  f"print(json.dumps(t._steady_record_faults({budgeted})))")
+
+
 @linux_only
 def test_steady_record_page_faults():
-    median, counts = _fresh("import json, test_workspace as t; "
-                            "print(json.dumps(t._steady_record_faults()))")
+    median, counts = _fresh_record_faults(False)
     assert median <= RECORD_FAULT_BUDGET, counts
+
+
+@linux_only
+def test_steady_budgeted_record_page_faults():
+    median, counts = _fresh_record_faults(True)
+    assert median <= BUDGETED_RECORD_FAULT_BUDGET, counts
