@@ -35,7 +35,7 @@ class Grid:
 
     __slots__ = ("dim", "n", "length", "spacing", "shape", "volume", "kmax",
                  "_ik", "_lap", "_hess", "_sym", "_mask", "_coords", "_rows",
-                 "_axes")
+                 "_axes", "_stack_bytes")
 
     def __init__(self, n, length=None):
         if np.isscalar(n):
@@ -95,6 +95,9 @@ class Grid:
         self._rows = ((n, 8 * int(np.prod(n)), float),
                       (spec, 16 * int(np.prod(spec)), complex))
         self._axes = tuple(range(-dim, 0))    # the grid axes of a stack
+        # the byte count of a nodal and of a spectral stack, by lead, as
+        # lend() meets them
+        self._stack_bytes = ({}, {})
 
     @property
     def node_count(self):
@@ -277,8 +280,13 @@ def lend(grid, lead, spectral=False):
         # 2D and 3D stacks are pooled whatever their size: their rows are
         # large, and a scope's many small stacks add up to more than glibc
         # keeps at the heap top. Small 1D stacks stay plain, so a 1D chunk
-        # leaves alone the pool of the other grids of a verify pass.
-        nbytes = math.prod(lead) * row_bytes
+        # leaves alone the pool of the other grids of a verify pass. A scope
+        # lends stacks of few distinct leads, so their sizes are looked up.
+        sizes = grid._stack_bytes[spectral]
+        try:
+            nbytes = sizes[lead]
+        except KeyError:
+            nbytes = sizes[lead] = math.prod(lead) * row_bytes
         if grid.dim > 1 or nbytes >= POOL_MIN_BYTES:
             if ws.grid is not grid:
                 if ws.grid != grid:
@@ -297,14 +305,17 @@ def lend(grid, lead, spectral=False):
 
 def release(*stacks):
     """Return stacks from lend(), or the inverse_once() of one, to the
-    pool; other arrays are ignored."""
+    pool; other arrays are ignored, those that own their memory unlooked
+    at."""
     ws = _workspace
     lent = ws.lent
     if lent:
         for arr in stacks:
-            buf = lent.pop(id(arr.base), None)
-            if buf is not None:
-                ws.put(buf)
+            base = arr.base
+            if base is not None:
+                buf = lent.pop(id(base), None)
+                if buf is not None:
+                    ws.put(buf)
 
 
 def _lead(grid, arr, depth=0):
@@ -640,7 +651,7 @@ def random_smooth_ensemble(grid, seeds, modes, floor=None, amplitude=None):
         # is real. In place, each step gives the bits of floor + s * s.
         noise = lend(grid, (len(rows),))
         for out, r in zip(noise, rows):
-            out[...] = np.random.default_rng(r).standard_normal(grid.shape)
+            np.random.default_rng(r).standard_normal(out=out)
         spec = forward(grid, noise, once=True)
         spec *= _smooth_amplitude(grid, modes)
         fields = inverse_once(grid, spec)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import div_arr, grad_arr, lend, per_node, quad, release
+from .fields import (_comp, div_arr, grad_arr, lend, per_node, quad,
+                     release)
 from .physics import Derived, require_positive
 
 # Inequality pass criterion: quadrature and roundoff must not flag true
@@ -55,9 +56,8 @@ class FunctionalReport:
 
     @property
     def passed(self):
-        if self.rhs is None:
-            return True
-        return self.lhs <= self.rhs * (1 + self.rel_tol) + self.abs_tol
+        return self.rhs is None or passes(self.lhs, self.rhs, self.rel_tol,
+                                          self.abs_tol)
 
     def to_json(self):
         return json.dumps({
@@ -210,75 +210,102 @@ def energy_dissipation(state, params):
 
 # The checkers take fields; each is a wrapper over a batch-aware kernel
 # that reads a Derived bundle, of one field or of a stack of them with
-# leading batch axes, and returns one FunctionalReport per field of the
-# stack. A kernel reads its first-level derivatives from the bundle.
+# leading batch axes, and returns per-field (lhs, rhs) values, which pass
+# where passes(lhs, rhs, rel_tol, abs_tol) holds, each check with the
+# tolerances its wrapper's FunctionalReport states. A kernel reads its
+# first-level derivatives from the bundle and writes its integrands in
+# place, in arrays it holds or in lend() stacks it releases before it
+# returns.
 
-def _reports(name, lhs, rhs, **tols):
-    """One FunctionalReport per field from per-field lhs and rhs values."""
-    return [FunctionalReport(name, a, b, **tols)
-            for a, b in zip(np.ravel(lhs).tolist(), np.ravel(rhs).tolist())]
+def passes(lhs, rhs, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+    """lhs <= rhs (1 + rel_tol) + abs_tol, of values or per-field arrays."""
+    return lhs <= rhs * (1 + rel_tol) + abs_tol
+
+
+def _report(name, values, **tols):
+    """The FunctionalReport of one field's (lhs, rhs) values."""
+    lhs, rhs = values
+    return FunctionalReport(name, float(lhs), float(rhs), **tols)
 
 
 def jungel_batch(d):
     """int |grad r^(1/4)|^4 <= 8 int r |hess log r|^2 and
-       int |hess r^(1/2)|^2 <= 7 int r |hess log r|^2, as two report
-       lists."""
+       int |hess r^(1/2)|^2 <= 7 int r |hess log r|^2, as two (lhs, rhs)
+    pairs."""
     grid = d.grid
     ca = -grid.dim - 1
-    g14 = d.grad_rho14
-    lhs1 = quad(grid, np.sum(g14 * g14, axis=ca) ** 2)
-    Hs = d.hess_sqrt_rho
-    lhs2 = quad(grid, np.sum(Hs * Hs, axis=(ca - 1, ca)))
-    Hlog = d.hess_log_rho
-    base = quad(grid, d.rho * np.sum(Hlog * Hlog, axis=(ca - 1, ca)))
-    return (_reports("jungel_quartic", lhs1, 8.0 * base),
-            _reports("jungel_hessian", lhs2, 7.0 * base))
+    tensor, total = (ca - 1, ca), np.add.reduce
+    g14, Hs, Hlog = d.grad_rho14, d.hess_sqrt_rho, d.hess_log_rho
+    work = lend(grid, Hs.shape[:-grid.dim])
+    g4 = total(np.multiply(g14, g14, out=work[_comp(grid, 0)]), axis=ca)
+    g4 *= g4
+    lhs1 = quad(grid, g4)
+    lhs2 = quad(grid, total(np.multiply(Hs, Hs, out=work), axis=tensor))
+    hess_log2 = total(np.multiply(Hlog, Hlog, out=work), axis=tensor)
+    release(work)
+    hess_log2 *= d.rho
+    base = quad(grid, hess_log2)
+    return (lhs1, 8.0 * base), (lhs2, 7.0 * base)
 
 
 def check_jungel(rho):
     """The two Jungel bounds of one density; see jungel_batch."""
     quartic, hessian = jungel_batch(Derived.of(rho.grid, rho.values))
-    return quartic[0], hessian[0]
+    return _report("jungel_quartic", quartic), \
+        _report("jungel_hessian", hessian)
 
 
 def grad6_batch(d):
     """int v^-2 |grad v|^6 <= 2 int |grad v|^2 |lap v|^2
-                              + 8 int |grad |grad v|^2|^2, v = sqrt(rho)."""
+                              + 8 int |grad |grad v|^2|^2, v = sqrt(rho),
+    as an (lhs, rhs) pair."""
     grid, v = d.grid, d.sqrt_rho
     require_positive(v)
-    ca = -grid.dim - 1
-    gv2 = d.grad_sqrt_rho2
-    lhs = quad(grid, v ** -2 * gv2 ** 3)
-    lv = d.lap_sqrt_rho
+    gv2, lv = d.grad_sqrt_rho2, d.lap_sqrt_rho
     g_gv2 = grad_arr(grid, gv2)
-    rhs = (2.0 * quad(grid, gv2 * lv * lv)
-           + 8.0 * quad(grid, np.sum(g_gv2 * g_gv2, axis=ca)))
-    return _reports("grad6", lhs, rhs)
+    g_gv2 *= g_gv2
+    # the per-node sum is the scratch of the other integrands
+    work = np.add.reduce(g_gv2, axis=-grid.dim - 1)
+    release(g_gv2)
+    grad_term = quad(grid, work)
+    # v^-2 |grad v|^6 = (|grad v|^2 / v)^2 |grad v|^2
+    np.divide(gv2, v, out=work)
+    work *= work
+    work *= gv2
+    lhs = quad(grid, work)
+    np.multiply(gv2, lv, out=work)
+    work *= lv
+    return lhs, 2.0 * quad(grid, work) + 8.0 * grad_term
 
 
 def check_grad6(v):
     """The |grad v|^6 bound of one field; see grad6_batch."""
-    return grad6_batch(Derived.of(v.grid, sqrt_rho=v.values))[0]
+    return _report("grad6", grad6_batch(Derived.of(v.grid, sqrt_rho=v.values)))
 
 
 def div_vs_D_batch(d):
-    """int rho (div u)^2 <= 3 int rho |D u|^2 (dimension bound, d <= 3)."""
+    """int rho (div u)^2 <= 3 int rho |D u|^2 (dimension bound, d <= 3), as
+    an (lhs, rhs) pair."""
     grid, r = d.grid, d.rho
     ca = -grid.dim - 1
     J = d.jac_u
-    divu = np.trace(J, axis1=ca - 1, axis2=ca)
-    D = np.add(J, np.swapaxes(J, ca - 1, ca),
-               out=lend(grid, J.shape[:-grid.dim]))
+    divu = J.trace(0, ca - 1, ca)
+    divu *= divu
+    divu *= r
+    lhs = quad(grid, divu)
+    D = np.add(J, J.swapaxes(ca - 1, ca), out=lend(grid, J.shape[:-grid.dim]))
     D *= 0.5
     D *= D
-    lhs = quad(grid, r * divu ** 2)
-    rhs = 3.0 * quad(grid, r * np.sum(D, axis=(ca - 1, ca)))
-    return _reports("div_vs_D", lhs, rhs)
+    D2 = np.add.reduce(D, axis=(ca - 1, ca))
+    release(D)
+    D2 *= r
+    return lhs, 3.0 * quad(grid, D2)
 
 
 def check_div_vs_D(rho, u):
     """The div-vs-D bound of one (rho, u) pair; see div_vs_D_batch."""
-    return div_vs_D_batch(Derived.of(rho.grid, rho.values, u.values))[0]
+    return _report("div_vs_D",
+                   div_vs_D_batch(Derived.of(rho.grid, rho.values, u.values)))
 
 
 def flux_identity_batch(d, exponents, rel_tol=1e-8):
@@ -290,60 +317,90 @@ def flux_identity_batch(d, exponents, rel_tol=1e-8):
              + (r+2) |Hv gv|^2 |gv|^r + |gv|^(r+2) |Hv|^2 )
 
     written with q = Hv gv, the first term is 2r (q.gv)^2 |gv|^(r-2).
-    Checked as a two-sided equality within rel_tol. The exponents share
-    grad v, Hess v and div(|gv|^2 gv); returns {r: report list}.
+    Checked as a two-sided equality within rel_tol: returns {r: (|lhs -
+    rhs|, rel_tol * max(|lhs|, |rhs|))}, which passes with rel_tol 0 and
+    abs_tol ABS_TOL. The exponents share grad v, Hess v and
+    div(|gv|^2 gv); r = 0 and r = 2 are written without powers.
     """
     if any(r < 0 for r in exponents):
         raise ValueError("r must be nonnegative")
     grid = d.grid
     ca = -grid.dim - 1
+    total = np.add.reduce
     d.load("grad_sqrt_rho", "hess_sqrt_rho")
     gv, Hv = d.grad_sqrt_rho, d.hess_sqrt_rho
     gv2 = d.grad_sqrt_rho2
-    Hv2 = np.sum(Hv * Hv, axis=(ca - 1, ca))
+    lead = gv.shape[:ca]
+    # q is held in the first row of the flux stack until the fluxes are
+    # formed; |Hv|^2 and q . gv are summed from a tensor stack
+    powers = sorted(set(exponents) | {2})
+    fluxes = lend(grid, (len(powers),) + gv.shape[:-grid.dim])
+    work = lend(grid, lead + (grid.dim,) * 2)
+    Hv2 = total(np.multiply(Hv, Hv, out=work), axis=(ca - 1, ca))
     x = "xyz"[:grid.dim]
-    q = np.einsum(f"...ij{x},...j{x}->...i{x}", Hv, gv)
-    q2 = np.sum(q * q, axis=ca)
-    qg = np.sum(q * gv, axis=ca)
+    q = np.einsum(f"...ij{x},...j{x}->...i{x}", Hv, gv, out=fluxes[0])
+    qg = total(np.multiply(q, gv, out=work[_comp(grid, 0)]), axis=ca)
+    release(work)
+    q2 = total(np.multiply(q, q, out=q), axis=ca)
     del q
 
-    # one divergence for the distinct fluxes; the r = 2 flux is the right
-    # factor of every pairing
-    powers = sorted(set(exponents) | {2})
-    fluxes = lend(grid, gv.shape[:ca] + (len(powers), grid.dim))
-    for flux, r in zip(np.moveaxis(fluxes, ca - 1, 0), powers):
-        np.multiply(per_node(grid, gv2 ** (r / 2)), gv, out=flux)
-    divs = dict(zip(powers, np.moveaxis(div_arr(grid, fluxes), ca, 0)))
+    # one divergence for the distinct fluxes, on a leading axis; the r = 2
+    # flux is the right factor of every pairing
+    for flux, r in zip(fluxes, powers):
+        if r == 0:
+            flux[...] = gv
+        elif r == 2:
+            np.multiply(per_node(grid, gv2), gv, out=flux)
+        else:
+            np.multiply(per_node(grid, gv2 ** (r / 2)), gv, out=flux)
+    divs = dict(zip(powers, div_arr(grid, fluxes)))
     release(fluxes)
     del fluxes
 
     out = {}
+    integrand, term = lend(grid, (2,) + lead)
     for r in exponents:
-        lhs = quad(grid, divs[r] * divs[2])
+        lhs = quad(grid, np.multiply(divs[r], divs[2], out=term))
         if r == 0:
-            first = np.zeros_like(gv2)
+            # 2 |q|^2 + |gv|^2 |Hv|^2
+            np.multiply(gv2, Hv2, out=integrand)
+            integrand += np.multiply(q2, 2, out=term)
+        elif r == 2:
+            # 4 (q.gv)^2 + 4 |q|^2 |gv|^2 + |gv|^4 |Hv|^2
+            np.multiply(qg, qg, out=integrand)
+            integrand *= 4
+            np.multiply(q2, 4, out=term)
+            term *= gv2
+            integrand += term
+            np.multiply(gv2, gv2, out=term)
+            term *= Hv2
+            integrand += term
         else:
             safe = np.where(gv2 > 0, gv2, 1.0)
-            first = np.where(gv2 > 0, 2 * r * qg ** 2 * safe ** (r / 2 - 1),
-                             0.0)
-        rhs = quad(grid, first + (r + 2) * q2 * gv2 ** (r / 2)
-                   + gv2 ** (r / 2 + 1) * Hv2)
+            first = np.where(gv2 > 0,
+                             2 * r * qg ** 2 * safe ** (r / 2 - 1), 0.0)
+            np.add(first + (r + 2) * q2 * gv2 ** (r / 2),
+                   gv2 ** (r / 2 + 1) * Hv2, out=integrand)
+        rhs = quad(grid, integrand)
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-        out[r] = _reports("flux_identity", np.abs(lhs - rhs),
-                          rel_tol * scale, rel_tol=0.0, abs_tol=ABS_TOL)
+        out[r] = (np.abs(lhs - rhs), rel_tol * scale)
+    release(integrand)
     return out
 
 
 def check_flux_identity(v, r, rel_tol=1e-8):
     """The quartic-flux pairing identity of one field at exponent r; see
     flux_identity_batch."""
-    return flux_identity_batch(Derived.of(v.grid, sqrt_rho=v.values), (r,),
-                               rel_tol)[r][0]
+    return _report("flux_identity", flux_identity_batch(
+        Derived.of(v.grid, sqrt_rho=v.values), (r,), rel_tol)[r],
+        rel_tol=0.0, abs_tol=ABS_TOL)
 
 
 def grad_sqrtrho_u_batch(d, tol=1e-8):
     """Nodal product rule grad(sqrt(rho) u) = sqrt(rho) grad u
-       + 2 rho^(1/4) u (x) grad rho^(1/4)."""
+       + 2 rho^(1/4) u (x) grad rho^(1/4), as the per-field (largest nodal
+    error, tol * max(largest nodal |lhs|, 1)), which passes with rel_tol and
+    abs_tol 0."""
     grid, r, u = d.grid, d.rho, d.u
     ca = -grid.dim - 1
     lhs = d.jac_sqrt_rho_u
@@ -359,12 +416,12 @@ def grad_sqrtrho_u_batch(d, tol=1e-8):
     scale = np.maximum(np.max(np.abs(lhs, out=term).reshape(flat), axis=-1),
                        1.0)
     release(rhs, term)
-    return _reports("grad_sqrtrho_u", err, tol * scale,
-                    rel_tol=0.0, abs_tol=0.0)
+    return err, tol * scale
 
 
 def check_grad_sqrtrho_u(rho, u, tol=1e-8):
     """The sqrt(rho) u product rule of one (rho, u) pair; see
     grad_sqrtrho_u_batch."""
-    return grad_sqrtrho_u_batch(Derived.of(rho.grid, rho.values, u.values),
-                                tol)[0]
+    return _report("grad_sqrtrho_u", grad_sqrtrho_u_batch(
+        Derived.of(rho.grid, rho.values, u.values), tol),
+        rel_tol=0.0, abs_tol=0.0)

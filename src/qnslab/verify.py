@@ -18,9 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (Grid, as_bool, as_real, check_smooth_args, grad_arr,
-                     in_workspace, quad, random_smooth_ensemble, release)
-from .functionals import (div_vs_D_batch, flux_identity_batch, grad6_batch,
-                          grad_sqrtrho_u_batch, jungel_batch)
+                     in_workspace, lend, quad, random_smooth_ensemble,
+                     release)
+from .functionals import (ABS_TOL, REL_TOL, div_vs_D_batch,
+                          flux_identity_batch, grad6_batch,
+                          grad_sqrtrho_u_batch, jungel_batch, passes)
 from .initdata import mollify, scenario
 from .physics import Derived, State, bohm_arr, chunk_size
 from .systems import WeakResidual, trig_test_function
@@ -141,14 +143,6 @@ class SuiteReport:
         return "\n".join(r.to_json() for r in self.results)
 
 
-def _rel_l2(grid, a, b):
-    """Per-field relative L2 distance of two vector stacks."""
-    ca = -grid.dim - 1
-    num = np.sqrt(quad(grid, np.sum((a - b) ** 2, axis=ca)))
-    den = np.sqrt(quad(grid, np.sum(a * a, axis=ca)))
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), num)
-
-
 def _canary_bohm(d):
     """Form C deliberately corrupted by +1e-3 * grad(rho)."""
     return bohm_arr(d, form="C") + 1e-3 * grad_arr(d.grid, d.rho)
@@ -156,16 +150,35 @@ def _canary_bohm(d):
 
 def _bohm_error(d, canary):
     """Per-field largest pairwise relative L2 distance of the three Bohm
-    forms (form C corrupted if canary)."""
+    forms (form C corrupted if canary); each form's norm is taken once."""
     grid = d.grid
+    ca = -grid.dim - 1
     fa = bohm_arr(d, "A")
     fb = bohm_arr(d, "B")
     fc = _canary_bohm(d) if canary else bohm_arr(d, "C")
-    errors = np.maximum(np.maximum(_rel_l2(grid, fa, fb),
-                                   _rel_l2(grid, fa, fc)),
-                        _rel_l2(grid, fb, fc)).tolist()
-    release(fa, fb, fc)
-    return errors
+    # the L2 norms of fa and fb and of the three differences, per field
+    work = lend(grid, fa.shape[:-grid.dim])
+    norms = []
+    for a, b in ((fa, fa), (fb, fb), (fa, fb), (fa, fc), (fb, fc)):
+        if a is b:
+            np.multiply(a, a, out=work)
+        else:
+            np.subtract(a, b, out=work)
+            work *= work
+        norms.append(np.sqrt(quad(grid, np.add.reduce(work, axis=ca))))
+    release(fa, fb, fc, work)
+    norms = np.array(norms)
+    num, den = norms[2:], norms[[0, 0, 1]]
+    return np.maximum.reduce(
+        np.where(den > 0, num / np.where(den > 0, den, 1.0), num))
+
+
+def _rows(values, detail, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+    """[(margin, passed, detail) per field] of a kernel's per-field (lhs,
+    rhs) arrays, as the FunctionalReport of each field gives them; detail
+    is a %-format of lhs and rhs."""
+    return [(b - a, passes(a, b, rel_tol, abs_tol), detail % (a, b))
+            for a, b in zip(values[0].tolist(), values[1].tolist())]
 
 
 def _identity_chunk(d, config):
@@ -175,23 +188,22 @@ def _identity_chunk(d, config):
     checks, tol = config.checks, config.rel_tol
     out = {}
     if "bohm-forms" in checks:
-        out["bohm-forms"] = [(tol - e, e < tol,
-                              f"max pairwise rel L2 = {e:.3e}")
-                             for e in _bohm_error(d, config.canary)]
+        errors = _bohm_error(d, config.canary)
+        out["bohm-forms"] = list(zip(
+            (tol - errors).tolist(), (errors < tol).tolist(),
+            [f"max pairwise rel L2 = {e:.3e}" for e in errors.tolist()]))
     flux = {0: "flux-identity-0", 2: "flux-identity-2"}
     exponents = [p for p, name in flux.items() if name in checks]
     if exponents:
-        reports = flux_identity_batch(d, exponents, tol)
+        values = flux_identity_batch(d, exponents, tol)
         for p in exponents:
-            out[flux[p]] = [
-                (fr.margin, fr.passed,
-                 f"|lhs-rhs| = {fr.lhs:.3e}, allowance = {fr.rhs:.3e}")
-                for fr in reports[p]]
+            out[flux[p]] = _rows(
+                values[p], "|lhs-rhs| = %.3e, allowance = %.3e",
+                0.0, ABS_TOL)
     if "grad-sqrtrho-u" in checks:
-        out["grad-sqrtrho-u"] = [
-            (fr.margin, fr.passed,
-             f"nodal max = {fr.lhs:.3e}, allowance = {fr.rhs:.3e}")
-            for fr in grad_sqrtrho_u_batch(d, tol=tol)]
+        out["grad-sqrtrho-u"] = _rows(
+            grad_sqrtrho_u_batch(d, tol=tol),
+            "nodal max = %.3e, allowance = %.3e", 0.0, 0.0)
     return out
 
 
@@ -200,17 +212,15 @@ def _inequality_chunk(d, config):
     inequalities with their stated constants on the bundle of one chunk; a
     check passes when lhs <= rhs."""
     checks = config.checks
-    reports = {}
+    values = {}
     if "jungel-quartic" in checks or "jungel-hessian" in checks:
-        reports["jungel-quartic"], reports["jungel-hessian"] = \
-            jungel_batch(d)
+        values["jungel-quartic"], values["jungel-hessian"] = jungel_batch(d)
     if "grad6" in checks:
-        reports["grad6"] = grad6_batch(d)
+        values["grad6"] = grad6_batch(d)
     if "div-vs-D" in checks:
-        reports["div-vs-D"] = div_vs_D_batch(d)
-    return {name: [(fr.margin, fr.passed,
-                    f"lhs = {fr.lhs:.6e}, rhs = {fr.rhs:.6e}") for fr in frs]
-            for name, frs in reports.items() if name in checks}
+        values["div-vs-D"] = div_vs_D_batch(d)
+    return {name: _rows(v, "lhs = %.6e, rhs = %.6e")
+            for name, v in values.items() if name in checks}
 
 
 # The bundle pieces each seeded check reads. A chunk's bundle loads those

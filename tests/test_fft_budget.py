@@ -66,18 +66,24 @@ def fft_calls(monkeypatch):
 
 
 # Python and builtin calls of one right-hand side, as the IMEX step calls
-# it, of one IMEX and one RK4 step, and of one full observer-free record
-# chunk of integrate, at 1D n=128 where call overhead dominates; and of one
+# it, of one IMEX and one RK4 step, of one full observer-free record chunk
+# of integrate and of a 31-step integrate with an EnergyBudget observer (one
+# chunk of 32 records), at 1D n=128 where call overhead dominates; of one
 # IMEX step and one one-record chunk on the small 2D grid, which pin the
-# glue of the paths every dimension shares
+# glue of the paths every dimension shares; and of one seed chunk of the
+# identity plus inequality suites, of 25 seeds on (64,) and of one seed on
+# (64, 64), where about half the calls are pool bookkeeping
 CALL_CEILINGS = {
-    "rhs_approx_u": 73,
-    "rhs_approx_w": 61,
-    "step_imex": 184,
-    "step_rk4": 340,
-    "step_imex_2d": 396,
-    "record_chunk_1d": 360,
-    "record_chunk_2d": 475,
+    "rhs_approx_u": 64,
+    "rhs_approx_w": 53,
+    "step_imex": 164,
+    "step_rk4": 303,
+    "step_imex_2d": 376,
+    "record_chunk_1d": 329,
+    "record_chunk_2d": 458,
+    "budgeted_run_1d": 12653,
+    "verify_chunk_1d": 1112,
+    "verify_chunk_2d": 972,
 }
 
 PACKAGE = os.path.dirname(qnslab.__file__) + os.sep
@@ -129,6 +135,25 @@ def _verify_pass(count, spec=(64,)):
                                        checks=verify.IDENTITY_CHECKS),
         "inequality": verify.SuiteConfig(seeds=seeds, grids=(spec,),
                                          checks=verify.INEQUALITY_CHECKS)})
+
+
+def _seed_chunk(count, spec):
+    """One seed chunk of the identity plus inequality suites, as a pass
+    evaluates it: count seeds on spec, which must fit one chunk."""
+    grid, seeds = Grid(spec), list(range(count))
+    assert count <= verify.chunk_size(grid)
+    names = ("identity", "inequality")
+    configs = {name: verify.SuiteConfig(seeds=tuple(seeds), grids=(spec,),
+                                        checks=verify.SUITE_CHECKS[name])
+               for name in names}
+    pieces = [p for name in names for check in verify.SUITE_CHECKS[name]
+              for p in verify.CHECK_PIECES[check]]
+
+    def chunk():
+        reports = {name: verify.SuiteReport(name) for name in names}
+        verify._run_chunk(grid, seeds, spec, names, configs, pieces, reports)
+        assert all(len(r.results) == 4 * count for r in reports.values())
+    return chunk
 
 
 def _inputs():
@@ -220,6 +245,13 @@ def test_python_calls_within_ceiling(py_calls, op):
     state_2d = _inputs()[1]
     chunk_1d = [State(random_smooth_positive(grid, k, 6, 4.0),
                       random_smooth_vector(grid, k, 6)) for k in range(32)]
+    run_config = timeloop.IntegratorConfig.fixed_dt(2e-4, t_end=31 * 2e-4)
+
+    def budgeted_run():
+        budget = timeloop.EnergyBudget(params, run_config)
+        traj = timeloop.integrate(state, params, run_config,
+                                  observers=(budget,))
+        assert len(traj.records) == 32
 
     def step(s, scheme):
         return lambda: timeloop.step(s, params, systems.rhs_approx_u, 1e-4,
@@ -236,6 +268,9 @@ def test_python_calls_within_ceiling(py_calls, op):
                                                           ()),
         "record_chunk_2d": lambda: timeloop._record_chunk([state_2d],
                                                           params, ()),
+        "budgeted_run_1d": budgeted_run,
+        "verify_chunk_1d": _seed_chunk(25, (64,)),
+        "verify_chunk_2d": _seed_chunk(1, (64, 64)),
     }[op])
     assert 0 < calls <= CALL_CEILINGS[op], f"{op}: {calls} calls"
 

@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from qnslab.fields import (Grid, ScalarField, VectorField, quad,
+from qnslab import verify
+from qnslab.fields import (Grid, ScalarField, VectorField, div_arr, grad_arr,
+                           in_workspace, per_node, quad,
+                           random_smooth_ensemble,
                            random_smooth_positive, random_smooth_vector)
 from qnslab.functionals import (DISSIPATION_KEYS, FunctionalReport,
                                 MonitorRecord, bd_entropy, check_div_vs_D,
                                 check_flux_identity, check_grad6,
-                                check_grad_sqrtrho_u, check_jungel, energy,
-                                energy_dissipation, log_minus, mv_functional)
-from qnslab.physics import QnsParams, State, to_w
+                                check_grad_sqrtrho_u, check_jungel,
+                                div_vs_D_batch, energy, energy_dissipation,
+                                flux_identity_batch, grad6_batch,
+                                jungel_batch, log_minus, mv_functional)
+from qnslab.physics import Derived, QnsParams, State, bohm_arr, to_w
 
 TWO_PI = 2 * np.pi
 
@@ -253,3 +258,143 @@ class TestProductRule:
             rho = random_smooth_positive(g, seed, 6, 4.0)
             u = random_smooth_vector(g, seed, 6)
             assert check_grad_sqrtrho_u(rho, u).passed
+
+
+# --- the checker kernels against their earlier arithmetic ----------------
+#
+# Reference transcriptions of the kernels as they were written with np.sum,
+# np.trace, generic powers and temporaries, on 3-seed stacks. The kernels
+# keep each reference's order of operations, so they agree bitwise, except
+# grad6's lhs, whose v^-2 |grad v|^6 is formed from products.
+
+KERNEL_GRIDS = [(64,), (48, 48), (8, 12, 16)]
+FLUX_EXPONENTS = (0, 1, 2, 3.5)
+
+
+def _old_jungel(d):
+    grid = d.grid
+    ca = -grid.dim - 1
+    g14 = d.grad_rho14
+    lhs1 = quad(grid, np.sum(g14 * g14, axis=ca) ** 2)
+    Hs = d.hess_sqrt_rho
+    lhs2 = quad(grid, np.sum(Hs * Hs, axis=(ca - 1, ca)))
+    Hlog = d.hess_log_rho
+    base = quad(grid, d.rho * np.sum(Hlog * Hlog, axis=(ca - 1, ca)))
+    return (lhs1, 8.0 * base), (lhs2, 7.0 * base)
+
+
+def _old_grad6(d):
+    grid, v = d.grid, d.sqrt_rho
+    ca = -grid.dim - 1
+    gv2 = d.grad_sqrt_rho2
+    lhs = quad(grid, v ** -2 * gv2 ** 3)
+    lv = d.lap_sqrt_rho
+    g_gv2 = grad_arr(grid, gv2)
+    rhs = (2.0 * quad(grid, gv2 * lv * lv)
+           + 8.0 * quad(grid, np.sum(g_gv2 * g_gv2, axis=ca)))
+    return lhs, rhs
+
+
+def _old_div_vs_D(d):
+    grid, r = d.grid, d.rho
+    ca = -grid.dim - 1
+    J = d.jac_u
+    divu = np.trace(J, axis1=ca - 1, axis2=ca)
+    D = 0.5 * (J + np.swapaxes(J, ca - 1, ca))
+    lhs = quad(grid, r * divu ** 2)
+    rhs = 3.0 * quad(grid, r * np.sum(D * D, axis=(ca - 1, ca)))
+    return lhs, rhs
+
+
+def _old_flux(d, exponents, rel_tol=1e-8):
+    grid = d.grid
+    ca = -grid.dim - 1
+    gv, Hv = d.grad_sqrt_rho, d.hess_sqrt_rho
+    gv2 = d.grad_sqrt_rho2
+    Hv2 = np.sum(Hv * Hv, axis=(ca - 1, ca))
+    x = "xyz"[:grid.dim]
+    q = np.einsum(f"...ij{x},...j{x}->...i{x}", Hv, gv)
+    q2 = np.sum(q * q, axis=ca)
+    qg = np.sum(q * gv, axis=ca)
+    powers = sorted(set(exponents) | {2})
+    fluxes = np.stack([per_node(grid, gv2 ** (r / 2)) * gv for r in powers],
+                      axis=ca - 1)
+    divs = dict(zip(powers, np.moveaxis(div_arr(grid, fluxes), ca, 0)))
+    out = {}
+    for r in exponents:
+        lhs = quad(grid, divs[r] * divs[2])
+        if r == 0:
+            first = np.zeros_like(gv2)
+        else:
+            safe = np.where(gv2 > 0, gv2, 1.0)
+            first = np.where(gv2 > 0, 2 * r * qg ** 2 * safe ** (r / 2 - 1),
+                             0.0)
+        rhs = quad(grid, first + (r + 2) * q2 * gv2 ** (r / 2)
+                   + gv2 ** (r / 2 + 1) * Hv2)
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+        out[r] = (np.abs(lhs - rhs), rel_tol * scale)
+    return out
+
+
+def _old_rel_l2(grid, a, b):
+    ca = -grid.dim - 1
+    num = np.sqrt(quad(grid, np.sum((a - b) ** 2, axis=ca)))
+    den = np.sqrt(quad(grid, np.sum(a * a, axis=ca)))
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), num)
+
+
+def _old_bohm_error(d, canary):
+    grid = d.grid
+    fa, fb, fc = (bohm_arr(d, form) for form in "ABC")
+    if canary:
+        fc = fc + 1e-3 * grad_arr(grid, d.rho)
+    return np.maximum(np.maximum(_old_rel_l2(grid, fa, fb),
+                                 _old_rel_l2(grid, fa, fc)),
+                      _old_rel_l2(grid, fb, fc))
+
+
+def _stack_bundle(spec):
+    grid = Grid(spec)
+    modes = min(6, min(grid.n) // 3)
+    return Derived.of(grid, *random_smooth_ensemble(
+        grid, (5, 11, 23), modes, floor=1.0, amplitude=1.0))
+
+
+def _bits(values):
+    return [np.asarray(x, dtype=float).tobytes() for x in values]
+
+
+class TestKernelsKeepTheirArithmetic:
+    @pytest.mark.parametrize("scoped", [False, True])
+    @pytest.mark.parametrize("spec", KERNEL_GRIDS)
+    def test_kernels_equal_reference(self, spec, scoped):
+        ref = _stack_bundle(spec)
+        expected = {
+            "jungel": [v for pair in _old_jungel(ref) for v in pair],
+            "div_vs_D": list(_old_div_vs_D(ref)),
+            "flux": [v for r in FLUX_EXPONENTS
+                     for v in _old_flux(ref, FLUX_EXPONENTS)[r]],
+            "bohm": [_old_bohm_error(ref, False),
+                     _old_bohm_error(ref, True)],
+        }
+        grad6 = _old_grad6(ref)
+
+        def kernels():
+            # a fresh bundle, evaluated inside a workspace scope if scoped
+            d = _stack_bundle(spec)
+            flux = flux_identity_batch(d, FLUX_EXPONENTS)
+            return {
+                "jungel": [v for pair in jungel_batch(d) for v in pair],
+                "div_vs_D": list(div_vs_D_batch(d)),
+                "flux": [v for r in FLUX_EXPONENTS for v in flux[r]],
+                "bohm": [verify._bohm_error(d, False),
+                         verify._bohm_error(d, True)],
+                "grad6": [x.copy() for x in grad6_batch(d)],
+            }
+        got = in_workspace(kernels)() if scoped else kernels()
+        for name, values in expected.items():
+            assert _bits(got[name]) == _bits(values), name
+        lhs, rhs = got["grad6"]
+        np.testing.assert_allclose(lhs, grad6[0], rtol=1e-13, atol=0)
+        assert _bits([rhs]) == _bits([grad6[1]])
+        assert all(np.shape(x) == (3,) for xs in got.values() for x in xs)
