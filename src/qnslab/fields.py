@@ -5,6 +5,15 @@ is built on the primitives here: Fourier-collocation derivatives on a uniform
 periodic lattice, rectangle-rule quadrature (exact for resolved trigonometric
 polynomials), 2/3-rule dealiasing, and a seeded smooth-positive field
 generator used by the verification suites.
+
+Every transform of the package goes through to_spectral and from_spectral.
+They call the pocketfft gufuncs of numpy's private numpy.fft._pocketfft_umath
+module directly, one axis pass at a time in the order numpy.fft.rfftn and
+irfftn use, with the factors numpy computes, so their results are bitwise
+equal to numpy.fft's. They skip its Python wrappers and argument handling,
+and the inverse reuses one complex work stack for its axis passes where
+irfftn allocates a fresh one per pass. A numpy release that changes those
+gufuncs fails the bitwise test of tests/test_fields.py.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ import numbers
 import threading
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 TWO_PI = 2.0 * np.pi
 
@@ -35,7 +45,8 @@ class Grid:
 
     __slots__ = ("dim", "n", "length", "spacing", "shape", "volume", "kmax",
                  "_ik", "_lap", "_hess", "_sym", "_mask", "_coords", "_rows",
-                 "_axes", "_stack_bytes")
+                 "_rfft_axes", "_fft_axes", "_ifft_passes", "_irfft_pass",
+                 "_stack_bytes")
 
     def __init__(self, n, length=None):
         if np.isscalar(n):
@@ -94,7 +105,18 @@ class Grid:
         spec = n[:-1] + (n[-1] // 2 + 1,)
         self._rows = ((n, 8 * int(np.prod(n)), float),
                       (spec, 16 * int(np.prod(spec)), complex))
-        self._axes = tuple(range(-dim, 0))    # the grid axes of a stack
+        # the gufunc arguments of each axis pass of the transforms: the
+        # forward is rfft on the last grid axis, then fft in place on the
+        # others from the last to the first; the inverse is ifft on each
+        # leading grid axis from the first, then irfft on the last, each
+        # scaled by 1/n of its axis (numpy's "backward" norm)
+        def axes(a):
+            return [(a,), (), (a,)]
+        self._rfft_axes = axes(-1)
+        self._fft_axes = tuple(axes(a) for a in range(-2, -dim - 1, -1))
+        self._ifft_passes = tuple((axes(a - dim), 1 / m)
+                                  for a, m in enumerate(n[:-1]))
+        self._irfft_pass = (axes(-1), 1 / n[-1])
         # the byte count of a nodal and of a spectral stack, by lead, as
         # lend() meets them
         self._stack_bytes = ({}, {})
@@ -337,8 +359,9 @@ def forward(grid, arr, once=False):
 def inverse_once(grid, spec):
     """from_spectral of a spectral stack that is not read again. The real
     rows of a workspace stack are written over its own memory (a real row
-    takes fewer bytes than a row of the rfft layout; numpy resolves the
-    overlap), so release() of the result returns the buffer."""
+    takes fewer bytes than a row of the rfft layout; in 1D numpy resolves
+    the overlap, and in 2D and 3D the last pass reads from_spectral's work
+    stack), so release() of the result returns the buffer."""
     out = None
     if spec.base is not None:
         shape = spec.shape[:spec.ndim - grid.dim] + grid.shape
@@ -353,22 +376,37 @@ def inverse_once(grid, spec):
 def to_spectral(grid, arr, out=None):
     """Real FFT over the trailing grid axes; leading axes are a batch.
 
-    The transform writes every axis pass into one output, out if given, so
-    it allocates once instead of once per axis.
+    Bitwise equal to numpy.fft.rfftn (rfft in 1D). Every axis pass writes
+    into one output, out if given, so the transform allocates at most once.
+    Node counts are even, so the last axis takes pocketfft's even rfft.
     """
-    if grid.dim == 1:
-        return np.fft.rfft(arr, out=out)
     if out is None:
-        out = np.empty(arr.shape[:-1] + (grid.n[-1] // 2 + 1,), dtype=complex)
-    return np.fft.rfftn(arr, axes=grid._axes, out=out)
+        out = np.empty(arr.shape[:-1] + (grid.n[-1] // 2 + 1,), complex)
+    _pocketfft.rfft_n_even(arr, 1, out=out, axes=grid._rfft_axes)
+    for axes in grid._fft_axes:
+        _pocketfft.fft(out, 1, out=out, axes=axes)
+    return out
 
 
 def from_spectral(grid, ahat, out=None):
     """Inverse of to_spectral: real nodal values on the grid, written to out
-    if given."""
-    if grid.dim == 1:
-        return np.fft.irfft(ahat, n=grid.n[0], out=out)
-    return np.fft.irfftn(ahat, s=grid.shape, axes=grid._axes, out=out)
+    if given.
+
+    Bitwise equal to numpy.fft.irfftn (irfft in 1D). The passes over the
+    leading grid axes share one complex work stack, where irfftn allocates
+    one per pass, and ahat is only read.
+    """
+    if out is None:
+        out = np.empty(ahat.shape[:-1] + grid.n[-1:])
+    work = ahat
+    if grid.dim > 1:
+        work = np.empty_like(ahat)
+        for axes, fct in grid._ifft_passes:
+            _pocketfft.ifft(ahat, fct, out=work, axes=axes)
+            ahat = work
+    axes, fct = grid._irfft_pass
+    _pocketfft.irfft(work, fct, out=out, axes=axes)
+    return out
 
 
 def _check_backend(backend):

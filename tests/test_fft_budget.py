@@ -1,23 +1,30 @@
-"""Ceilings on the FFT calls and the Python calls of the hot layers.
+"""Ceilings on the transforms and the Python calls of the hot layers.
 
-Every numpy.fft entry point is wrapped by a counter; a transform that calls
-another entry point internally counts once. The counts do not depend on the
-grid size, so a small 2D grid pins them. The Python calls are counted with
-sys.setprofile: every call of a function of the qnslab package and every
-builtin call made from one, so numpy's own Python wrappers do not count.
-A change that lowers a count should lower its ceiling here; a ceiling never
+Every transform of the package goes through fields.to_spectral and
+fields.from_spectral, which call numpy's pocketfft gufuncs through the module
+fields._pocketfft. The transform counter stands in for that module and counts
+one transform per rfft_n_even call (forward) and per irfft call (inverse);
+the fft and ifft axis passes inside a multi-dimensional transform do not
+count. A guard test checks that no hot path calls a numpy.fft entry point
+instead. The counts do not depend on the grid size, so a small 2D grid pins
+them. The Python calls are counted with sys.setprofile: every call of a
+function of the qnslab package or of numpy's Python code, and every builtin
+call made from one, so a numpy wrapper counts with the calls it makes. A
+change that lowers a count should lower its ceiling here; a ceiling never
 moves up.
 """
 
 import os
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import qnslab
-from qnslab import functionals, systems, timeloop, verify
-from qnslab.fields import Grid, random_smooth_positive, random_smooth_vector
+from qnslab import fields, functionals, systems, timeloop, verify
+from qnslab.fields import (Grid, from_spectral, random_smooth_positive,
+                           random_smooth_vector, to_spectral)
 from qnslab.physics import Derived, QnsParams, State, to_w
 
 ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
@@ -40,24 +47,14 @@ CEILINGS = {
 }
 
 
-@pytest.fixture
-def fft_calls(monkeypatch):
-    count = {"calls": 0, "depth": 0}
+def _counter(count, fn):
+    def counted(*args, **kwargs):
+        count["calls"] += 1
+        return fn(*args, **kwargs)
+    return counted
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            if count["depth"] == 0:
-                count["calls"] += 1
-            count["depth"] += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                count["depth"] -= 1
-        return wrapper
 
-    for name in ENTRY_POINTS:
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-
+def _measure(count):
     def measure(fn):
         count["calls"] = 0
         fn()
@@ -65,28 +62,51 @@ def fft_calls(monkeypatch):
     return measure
 
 
-# Python and builtin calls of one right-hand side, as the IMEX step calls
-# it, of one IMEX and one RK4 step, of one full observer-free record chunk
-# of integrate and of a 31-step integrate with an EnergyBudget observer (one
-# chunk of 32 records), at 1D n=128 where call overhead dominates; of one
-# IMEX step and one one-record chunk on the small 2D grid, which pin the
-# glue of the paths every dimension shares; and of one seed chunk of the
-# identity plus inequality suites, of 25 seeds on (64,) and of one seed on
-# (64, 64), where about half the calls are pool bookkeeping
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """measure(fn): the transforms fn makes, one per forward and one per
+    inverse, counted at the gufunc module fields holds."""
+    count = {"calls": 0}
+    real = fields._pocketfft
+    monkeypatch.setattr(fields, "_pocketfft", types.SimpleNamespace(
+        rfft_n_even=_counter(count, real.rfft_n_even),
+        irfft=_counter(count, real.irfft), fft=real.fft, ifft=real.ifft))
+    return _measure(count)
+
+
+@pytest.fixture
+def entry_calls(monkeypatch):
+    """measure(fn): the calls fn makes to numpy.fft's entry points."""
+    count = {"calls": 0}
+    for name in ENTRY_POINTS:
+        monkeypatch.setattr(np.fft, name,
+                            _counter(count, getattr(np.fft, name)))
+    return _measure(count)
+
+
+# Python calls of the package and of numpy, and the builtin calls made from
+# them, of one right-hand side, as the IMEX step calls it, of one IMEX and
+# one RK4 step, of one full observer-free record chunk of integrate and of a
+# 31-step integrate with an EnergyBudget observer (one chunk of 32 records),
+# at 1D n=128 where call overhead dominates; of one IMEX step and one
+# one-record chunk on the small 2D grid, which pin the glue of the paths
+# every dimension shares; and of one seed chunk of the identity plus
+# inequality suites, of 25 seeds on (64,) and of one seed on (64, 64)
 CALL_CEILINGS = {
-    "rhs_approx_u": 64,
-    "rhs_approx_w": 53,
-    "step_imex": 164,
-    "step_rk4": 303,
-    "step_imex_2d": 376,
-    "record_chunk_1d": 329,
-    "record_chunk_2d": 458,
-    "budgeted_run_1d": 12653,
-    "verify_chunk_1d": 1112,
-    "verify_chunk_2d": 972,
+    "rhs_approx_u": 70,
+    "rhs_approx_w": 58,
+    "step_imex": 184,
+    "step_rk4": 337,
+    "step_imex_2d": 396,
+    "record_chunk_1d": 460,
+    "record_chunk_2d": 502,
+    "budgeted_run_1d": 16636,
+    "verify_chunk_1d": 1491,
+    "verify_chunk_2d": 1120,
 }
 
-PACKAGE = os.path.dirname(qnslab.__file__) + os.sep
+COUNTED = (os.path.dirname(qnslab.__file__) + os.sep,
+           os.path.dirname(np.__file__) + os.sep)
 
 
 @pytest.fixture
@@ -96,14 +116,16 @@ def py_calls():
     def profile(frame, event, arg):
         # a call event reports the callee's frame, a c_call the caller's
         if event in ("call", "c_call") \
-                and frame.f_code.co_filename.startswith(PACKAGE):
+                and frame.f_code.co_filename.startswith(COUNTED):
             count["calls"] += 1
 
     def measure(fn):
-        # the caches of the plans and the ETD multipliers fill, keyed by
-        # the grid of fn, so a lookup compares no other grid
+        # the caches of the plans, the ETD multipliers and the smooth
+        # amplitudes fill, keyed by the grid of fn, so a lookup compares no
+        # other grid
         systems._plan.cache_clear()
         timeloop._etd_multipliers.cache_clear()
+        fields._smooth_amplitude.cache_clear()
         fn()
         count["calls"] = 0
         sys.setprofile(profile)
@@ -290,8 +312,23 @@ def test_verify_pass_does_not_scale_with_seed_count(fft_calls):
 
 
 def test_counter_sees_every_transform(fft_calls):
-    a = np.ones((8, 8))
+    for n in ((32,), (16, 24), (8, 12, 16)):
+        grid = Grid(n)
+        a = np.ones((3,) + grid.shape)
 
-    def pair():
-        np.fft.irfftn(np.fft.rfftn(a), s=a.shape, axes=(0, 1))
-    assert fft_calls(pair) == 2
+        def pair():
+            from_spectral(grid, to_spectral(grid, a))
+        assert fft_calls(pair) == 2, n
+
+
+def test_hot_paths_call_no_fft_entry_point(entry_calls, fft_calls):
+    # every transform of a step, a record chunk and a verify chunk goes
+    # through the counted layer
+    params, state, _ = _inputs()
+    ops = [lambda: timeloop.step(state, params, systems.rhs_approx_u, 1e-4,
+                                 scheme="imex"),
+           lambda: timeloop._record_chunk([state], params, ()),
+           _seed_chunk(1, (64, 64))]
+    for op in ops:
+        assert entry_calls(op) == 0
+        assert fft_calls(op) > 0

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from qnslab import fields
 from qnslab.fields import (Grid, ScalarField, TensorField, VectorField,
                            dealias, dealias_arr, deriv_arr, div, div_arr,
-                           grad, grad_arr, hess_arr, hessian, integrate,
-                           lap_arr, laplacian, lp_norm, quad,
+                           from_spectral, grad, grad_arr, hess_arr, hessian,
+                           in_workspace, integrate, inverse_once, lap_arr,
+                           laplacian, lend, lp_norm, quad,
                            random_smooth_positive, random_smooth_vector,
-                           sym_grad)
+                           sym_grad, to_spectral)
 
 
 class TestGrid:
@@ -153,6 +155,71 @@ class TestSpectralCalculus:
         g = Grid(16)
         with pytest.raises(ValueError):
             deriv_arr(g, np.ones(16), 0, backend="fd4")
+
+
+def _bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestTransforms:
+    """to_spectral and from_spectral call numpy's private pocketfft gufuncs
+    directly; they must give the bits of the public numpy.fft functions."""
+
+    @staticmethod
+    def _public(grid):
+        if grid.dim == 1:
+            return np.fft.rfft, lambda a: np.fft.irfft(a, n=grid.n[0])
+        axes = tuple(range(-grid.dim, 0))
+        return (lambda a: np.fft.rfftn(a, axes=axes),
+                lambda a: np.fft.irfftn(a, s=grid.shape, axes=axes))
+
+    @pytest.mark.parametrize("n", [(32,), (16, 24), (8, 12, 16)])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("given_out", [False, True])
+    def test_bitwise_equal_to_numpy_fft(self, n, lead, given_out):
+        grid = Grid(n)
+        rng = np.random.default_rng(17)
+        fwd, inv = self._public(grid)
+        a = rng.standard_normal(lead + grid.shape)
+        want = fwd(a)
+        spec = want + 0.5 * rng.standard_normal(want.shape) \
+            + 0.5j * rng.standard_normal(want.shape)
+        nodal = inv(spec)
+        kept = spec.copy()
+        if given_out:
+            out = np.empty_like(want)
+            assert to_spectral(grid, a, out) is out
+            back = np.empty_like(nodal)
+            assert from_spectral(grid, spec, back) is back
+        else:
+            out, back = to_spectral(grid, a), from_spectral(grid, spec)
+        _bitwise(out, want)
+        _bitwise(back, nodal)
+        _bitwise(spec, kept)    # the inverse only reads its input
+
+    @pytest.mark.parametrize("n", [(32,), (16, 24), (8, 12, 16)])
+    def test_inverse_once_bitwise_equal_to_numpy_fft(self, monkeypatch, n):
+        # every stack pooled, so each grid also takes the path that writes
+        # the real rows over the spectrum's own memory
+        monkeypatch.setattr(fields, "POOL_MIN_BYTES", 0)
+        monkeypatch.setattr(fields, "_workspace", fields._Workspace())
+        grid = Grid(n)
+        rng = np.random.default_rng(18)
+        _, inv = self._public(grid)
+        spec = np.fft.rfftn(rng.standard_normal((3,) + grid.shape),
+                            axes=tuple(range(-grid.dim, 0)))
+
+        @in_workspace
+        def pooled():
+            stack = lend(grid, (3,), spectral=True)
+            stack[...] = spec
+            out = inverse_once(grid, stack)
+            assert np.shares_memory(out, stack)
+            return out.copy()
+        _bitwise(pooled(), inv(spec))
+        _bitwise(inverse_once(grid, spec.copy()), inv(spec))
 
 
 class TestFieldOps:

@@ -434,6 +434,33 @@ class TestEnergyBudget:
         budget = _budget(_acoustic(64), p, cfg)
         assert np.all(budget.dissipation >= 0.0)
 
+    def test_order_fit_sees_the_eps_gradv4_channel(self, monkeypatch):
+        # criterion 9's ladder on a datum of density amplitude 0.6. On the
+        # criterion's own datum (amplitude 0.3) the channel
+        # 1/2 eps int |grad sqrt(rho)|^4 |u|^2 is below the time error, so
+        # a rate without it still fits order 1.87; here it fits about 0.05
+        g = Grid(128)
+        x = g.coords()[0]
+        st = State(ScalarField(g, 1.0 + 0.6 * np.sin(x)),
+                   VectorField(g, 0.3 * np.sin(x)[None]))
+        p = QnsParams(nu=1.0, kappa=1.0 / 11.0, eps=1e-3)
+        dts = (4e-4, 2e-4, 1e-4, 5e-5)
+
+        def order():
+            res = [_budget(st, p, IntegratorConfig.fixed_dt(dt, t_end=0.02))
+                   .max_residual for dt in dts]
+            return np.polyfit(np.log(dts), np.log(res), 1)[0]
+
+        assert abs(order() - 2.0) <= 0.3
+        kinetic = timeloop._kinetic_dissipation
+
+        def without_channel(d, params):
+            k = kinetic(d, params)
+            k["eps_gradv4_u2"] = 0.0 * k["eps_gradv4_u2"]
+            return k
+        monkeypatch.setattr(timeloop, "_kinetic_dissipation", without_channel)
+        assert abs(order() - 2.0) > 0.3
+
 
 class TestEquivalence:
     def test_matched_runs_agree(self):
