@@ -631,9 +631,14 @@ def as_int(name, value):
 
 def as_real(name, value):
     """value; a ValueError unless it is a finite real number and not a
-    bool (JSON reads NaN, Infinity and true as numbers)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value):
+    bool (JSON reads NaN, Infinity and true as numbers, and an integer
+    literal of any size)."""
+    try:
+        ok = not isinstance(value, bool) and \
+            isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
 

@@ -12,9 +12,10 @@ import pytest
 import qnslab
 from qnslab import cli, timeloop
 from qnslab.cli import MONITOR_COLUMNS, main
-from qnslab.fields import Grid, ScalarField, VectorField
+from qnslab.fields import Grid, ScalarField, VectorField, \
+    random_smooth_positive, random_smooth_vector
 from qnslab.functionals import DISSIPATION_KEYS, MonitorRecord
-from qnslab.snapshots import write_field
+from qnslab.snapshots import read_field, write_field
 from qnslab.systems import rhs_approx_u
 
 
@@ -192,93 +193,153 @@ class TestNonFiniteVelocity:
 
 class TestBadSnapshot:
     """A bad initial snapshot is an input error (exit 2), never a traceback
-    and never a completed run."""
+    and never a completed run. Each case runs on a version-1 text snapshot
+    and on a version-2 one."""
 
     DOC = {"params": {"nu": 1.0, "kappa": 0.0909, "eps": 1e-3},
            "integrator": {"scheme": "imex", "dt_init": 1e-3, "dt_min": 1e-3,
                           "dt_max": 1e-3, "t_end": 0.003}}
 
-    def _snapshot(self, tmp_path, values):
-        path = tmp_path / "rho.dat"
-        write_field(path, ScalarField(Grid(32), values), "rho")
-        return path
+    @staticmethod
+    def _snapshot(snapfiles, tmp_path, fmt, values):
+        tmp_path.mkdir(exist_ok=True)
+        return snapfiles.write(fmt, tmp_path / "rho.dat",
+                               ScalarField(Grid(32), values), "rho")
 
-    def _run(self, tmp_path, snapshot):
+    def _run(self, tmp_path, snapshot, **doc):
         cfg = _write(tmp_path, "run.json",
-                     dict(self.DOC, snapshot=str(snapshot)))
+                     dict(self.DOC, snapshot=str(snapshot), **doc))
         out = tmp_path / "o"
         return main(["run", "--config", cfg, "--out", str(out)]), out
 
-    def test_snapshot_runs(self, tmp_path):
-        path = self._snapshot(tmp_path, np.full(32, 1.5))
-        code, out = self._run(tmp_path, path)
-        assert code == 0
-        with open(out / "summary.json") as fh:
-            assert json.load(fh)["status"] == "completed"
+    def test_snapshot_runs(self, tmp_path, snapfiles):
+        for fmt in snapfiles.formats:
+            path = self._snapshot(snapfiles, tmp_path / fmt, fmt,
+                                  np.full(32, 1.5))
+            code, out = self._run(tmp_path / fmt, path)
+            assert code == 0
+            with open(out / "summary.json") as fh:
+                assert json.load(fh)["status"] == "completed"
 
-    def test_truncated_snapshot_exits_2(self, tmp_path, capsys):
-        path = self._snapshot(tmp_path, np.full(32, 1.5))
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:-5]))
-        code, out = self._run(tmp_path, path)
-        assert code == 2
-        assert "truncated" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+    def test_truncated_snapshot_exits_2(self, tmp_path, capsys, snapfiles):
+        for fmt in snapfiles.formats:
+            path = self._snapshot(snapfiles, tmp_path / fmt, fmt,
+                                  np.full(32, 1.5))
+            snapfiles.drop_values(path, 5)
+            code, out = self._run(tmp_path / fmt, path)
+            assert code == 2
+            assert "truncated" in capsys.readouterr().err
+            assert not (out / "summary.json").exists()
+
+    def test_v2_payload_of_wrong_byte_count_exits_2(self, tmp_path, capsys,
+                                                    snapfiles):
+        path = self._snapshot(snapfiles, tmp_path, "v2", np.full(32, 1.5))
+        _, payload = snapfiles.split(path)
+        for cut in (payload[:-1], payload + payload[:8]):
+            snapfiles.edit(path, payload=cut)
+            code, out = self._run(tmp_path, path)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: bad snapshot: truncated")
+            assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("time", "nan"), ("time", "inf"), ("length", "nan"),
         ("length", "inf")])
     def test_non_finite_header_number_exits_2(self, tmp_path, capsys, key,
-                                              value):
+                                              value, snapfiles):
         # a snapshot at time nan ran no step and reported "completed"
-        path = self._snapshot(tmp_path, np.full(32, 1.5))
-        path.write_text("".join(
-            f"{key}: {value}\n" if line.startswith(f"{key}:") else line
-            for line in path.read_text().splitlines(keepends=True)))
-        code, out = self._run(tmp_path, path)
-        assert code == 2
-        assert "bad snapshot" in capsys.readouterr().err
-        assert not out.exists()
+        for fmt in snapfiles.formats:
+            path = self._snapshot(snapfiles, tmp_path / fmt, fmt,
+                                  np.full(32, 1.5))
+            snapfiles.set_header_line(path, key, value)
+            code, out = self._run(tmp_path / fmt, path)
+            assert code == 2
+            assert "bad snapshot" in capsys.readouterr().err
+            assert not out.exists()
 
-    def test_scalar_velocity_snapshot_exits_2(self, tmp_path, capsys):
-        rho = self._snapshot(tmp_path, np.full(32, 1.5))
-        cfg = _write(tmp_path, "run.json",
-                     dict(self.DOC, snapshot=str(rho),
-                          snapshot_velocity=str(rho)))
-        out = tmp_path / "o"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert "snapshots do not match" in capsys.readouterr().err
-        assert not out.exists()
+    def test_scalar_velocity_snapshot_exits_2(self, tmp_path, capsys,
+                                              snapfiles):
+        for fmt in snapfiles.formats:
+            rho = self._snapshot(snapfiles, tmp_path / fmt, fmt,
+                                 np.full(32, 1.5))
+            code, out = self._run(tmp_path / fmt, rho,
+                                  snapshot_velocity=str(rho))
+            assert code == 2
+            assert "snapshots do not match" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_snapshot_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        # no file, so no format: the directory is refused before any is read
         code, out = self._run(tmp_path, tmp_path)
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: bad snapshot")
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
-    def test_non_finite_density_exits_2(self, tmp_path, capsys, bad):
+    def test_non_finite_density_exits_2(self, tmp_path, capsys, bad,
+                                        snapfiles):
         values = np.full(32, 1.5)
         values[7] = bad
-        code, out = self._run(tmp_path, self._snapshot(tmp_path, values))
-        assert code == 2
-        assert "positive and finite" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        for fmt in snapfiles.formats:
+            code, out = self._run(tmp_path / fmt, self._snapshot(
+                snapfiles, tmp_path / fmt, fmt, values))
+            assert code == 2
+            assert "positive and finite" in capsys.readouterr().err
+            assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
-    def test_non_finite_velocity_exits_2(self, tmp_path, capsys, bad):
+    def test_non_finite_velocity_exits_2(self, tmp_path, capsys, bad,
+                                         snapfiles):
         values = np.zeros((1, 32))
         values[0, 7] = bad
-        vel = tmp_path / "vel.dat"
-        write_field(vel, VectorField(Grid(32), values), "vel")
-        cfg = _write(tmp_path, "run.json",
-                     dict(self.DOC, snapshot_velocity=str(vel),
-                          snapshot=str(self._snapshot(tmp_path,
-                                                      np.full(32, 1.5)))))
-        out = tmp_path / "o"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert "initial velocity must be finite" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        for fmt in snapfiles.formats:
+            rho = self._snapshot(snapfiles, tmp_path / fmt, fmt,
+                                 np.full(32, 1.5))
+            vel = snapfiles.write(fmt, tmp_path / fmt / "vel.dat",
+                                  VectorField(Grid(32), values), "vel")
+            code, out = self._run(tmp_path / fmt, rho,
+                                  snapshot_velocity=str(vel))
+            assert code == 2
+            assert "initial velocity must be finite" in \
+                capsys.readouterr().err
+            assert not (out / "summary.json").exists()
+
+    def test_v1_and_v2_snapshots_run_alike(self, tmp_path, snapfiles):
+        # a run from a text snapshot and from its version-2 rewrite writes
+        # the same monitors and summary bytes, and version-2 final fields
+        g = Grid(32)
+        fields = {"rho": random_smooth_positive(g, 3, 4, 0.5),
+                  "vel": random_smooth_vector(g, 5, 4)}
+        doc = dict(self.DOC, integrator=dict(self.DOC["integrator"],
+                                             t_end=0.255, monitor_every=1))
+        outputs = {}
+        for fmt in snapfiles.formats:
+            d = tmp_path / fmt
+            d.mkdir()
+            if fmt == "v1":
+                paths = {key: snapfiles.write("v1", d / f"{key}.dat", f, key,
+                                              time=0.25)
+                         for key, f in fields.items()}
+            else:
+                for key, path in paths.items():
+                    field, name, time = read_field(path)
+                    write_field(d / f"{key}.dat", field, name, time)
+                paths = {key: d / f"{key}.dat" for key in fields}
+                assert paths["rho"].read_bytes().startswith(
+                    b"# qnslab-field v2\n")
+            cfg = _write(d, "run.json", dict(
+                doc, snapshot=str(paths["rho"]),
+                snapshot_velocity=str(paths["vel"])))
+            assert main(["run", "--config", cfg, "--out", str(d / "o")]) == 0
+            outputs[fmt] = {name: (d / "o" / name).read_bytes() for name in (
+                "monitors.csv", "summary.json", "final_rho.dat",
+                "final_vel.dat")}
+        assert outputs["v1"] == outputs["v2"]
+        for key in ("rho", "vel"):
+            assert outputs["v1"][f"final_{key}.dat"].startswith(
+                b"# qnslab-field v2\n")
+        assert outputs["v1"]["monitors.csv"].count(b"\r\n") == 7
 
 
 class TestVerify:
@@ -515,6 +576,7 @@ class TestConfigErrors:
         ("run", _params(nu=float("nan"))),
         ("run", _params(gamma=float("inf"))),
         ("run", _params(eps=True)),
+        ("run", _params(nu=10 ** 400)),
         # a flag is JSON true or false, never a string or a number
         ("verify", {"suites": ["identity"], "num_seeds": 1, "grids": [[32]],
                     "modes": 2, "checks": ["bohm-forms"],
@@ -529,8 +591,8 @@ class TestConfigErrors:
             "rel-tol-str", "sweep-params-int", "config-list", "suites-int",
             "suites-empty", "monitor-every-frac", "monitor-every-bool",
             "n-frac", "t-end-nan", "t-end-inf", "t-end-bool", "eps-nan",
-            "nu-nan", "gamma-inf", "eps-bool", "canary-str", "canary-int",
-            "mollify-str", "strict-str", "params-strict-str",
+            "nu-nan", "gamma-inf", "eps-bool", "nu-huge-int", "canary-str",
+            "canary-int", "mollify-str", "strict-str", "params-strict-str",
             "sweep-mollify-str"])
     def test_malformed_block_exits_2(self, tmp_path, capsys, command, doc):
         cfg = _write(tmp_path, "c.json", doc)

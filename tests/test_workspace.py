@@ -731,10 +731,10 @@ def test_budgeted_run_pooled_bytes_stop_growing(workspace):
 
 
 # Traced bytes a steady pooled 128^2 record (one-record chunk) allocates
-# plainly, as its peak over its start: 2 052 to 2 054 KiB, all of it
-# numpy's internal spectra of the bundle's inverse transforms, which no
-# workspace stack can hold. The ceiling is 5 % above 2 054 KiB, and moves
-# only down.
+# plainly, as its peak over its start: 2 052 to 2 054 KiB, all of it the
+# arithmetic temporaries of the functionals (energy_dissipation,
+# _kinetic_dissipation, Derived.rho_neg_p0, quad), which no workspace stack
+# holds yet. The ceiling is 5 % above 2 054 KiB, and moves only down.
 RECORD_PLAIN_KIB = 2160
 
 
