@@ -35,7 +35,8 @@ from .initdata import SCENARIOS, mollify, scenario, validate_initial
 from .physics import (DESK_P0, DESK_SIGMA0, PAPER_P0, PAPER_SIGMA0, QnsParams,
                       State, VacuumError, check_constraints)
 from .snapshots import read_field, write_field
-from .timeloop import IntegratorConfig, PositivityError, integrate
+from .timeloop import (T_END_TOL, IntegratorConfig, PositivityError,
+                       integrate)
 from .verify import SUITE_CHECKS, SuiteConfig, check_suites, run_suites
 
 MONITOR_COLUMNS = ("time", "mass", "energy", "bd_entropy", "mv", "rho_min",
@@ -171,25 +172,33 @@ def _build_initial(cfg, params, raw):
 def _write_monitors(path, records):
     """monitors.csv as csv.writer writes it: a header and one row per
     record, each cell the repr of a float, which never needs quoting, and
-    CRLF line ends."""
+    CRLF line ends; built as one string and written at once."""
+    lines = [",".join(MONITOR_COLUMNS)]
+    for r in records:
+        row = [r.time, r.mass, r.energy, r.bd_entropy, r.mv,
+               r.rho_min, r.rho_max, r.mass_balance_residual]
+        row += [r.dissipation[k] for k in DISSIPATION_KEYS]
+        lines.append(",".join(map(repr, map(float, row))))
+    lines.append("")
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(MONITOR_COLUMNS) + "\r\n")
-        for r in records:
-            row = [r.time, r.mass, r.energy, r.bd_entropy, r.mv,
-                   r.rho_min, r.rho_max, r.mass_balance_residual]
-            row += [r.dissipation[k] for k in DISSIPATION_KEYS]
-            fh.write(",".join(map(repr, map(float, row))) + "\r\n")
+        fh.write("\r\n".join(lines))
 
 
 def _shared(cfg):
     """(integrator config, initial source) of a config: what every sweep
-    point shares, its mollify and strict flags checked."""
+    point shares, its mollify and strict flags checked, and a snapshot's
+    time not beyond t_end."""
     try:
         for key in ("mollify", "strict"):
             as_bool(key, cfg.get(key, False))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return _build_integrator(cfg), _initial_source(cfg)
+    config, source = _build_integrator(cfg), _initial_source(cfg)
+    if isinstance(source, State) and source.time > config.t_end + T_END_TOL:
+        # no step would run, and the run would report completed
+        raise ConfigError(f"snapshot time {source.time!r} is beyond t_end "
+                          f"{config.t_end!r}")
+    return config, source
 
 
 def _prepare_run(cfg, mode, overrides=(), shared=None):

@@ -12,8 +12,20 @@ module directly, one axis pass at a time in the order numpy.fft.rfftn and
 irfftn use, with the factors numpy computes, so their results are bitwise
 equal to numpy.fft's. They skip its Python wrappers and argument handling,
 and the inverse reuses one complex work stack for its axis passes where
-irfftn allocates a fresh one per pass. A numpy release that changes those
-gufuncs fails the bitwise test of tests/test_fields.py.
+irfftn allocates a fresh one per pass. The last-axis passes run on the
+gufuncs' default axis, as rfft_n_even(arr, 1, out) and irfft(work, 1/n,
+out), with no axes to parse; the passes over the leading grid axes name
+theirs. A numpy release that changes those gufuncs fails the bitwise test
+of tests/test_fields.py.
+
+Every spectral multiply reads a table: a read-only, C-contiguous complex128
+array of the full rfft-layout shape. A grid holds ik per axis, the
+Laplacian, the upper-Hessian rows and the 2/3 mask, built once per grid
+shape (n, length) and shared by equal grids (_multipliers); the smooth
+amplitudes and the ETD multipliers of the IMEX step are tables too. Each
+entry is the complex value numpy's cast gives the real or bool
+multiplier, so a product has the bits of the cast product and runs
+without the cast or a broadcast inner loop.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ class Grid:
 
     __slots__ = ("dim", "n", "length", "spacing", "shape", "volume", "kmax",
                  "_ik", "_lap", "_hess", "_sym", "_mask", "_coords", "_rows",
-                 "_rfft_axes", "_fft_axes", "_ifft_passes", "_irfft_pass",
+                 "_fft_axes", "_ifft_passes", "_irfft_fct",
                  "_stack_bytes")
 
     def __init__(self, n, length=None):
@@ -76,27 +88,14 @@ class Grid:
         self.shape = n
         self.volume = float(np.prod(length))
 
-        # Spectral multipliers in rfft layout (last axis halved). Wavenumbers
-        # have the Nyquist mode zeroed, so d/dx of a real field is real and
-        # div(grad f) == laplacian f holds to roundoff by construction.
-        idx = mode_indices(self)
-        ks = [TWO_PI / L * np.where(2 * np.abs(i) == m, 0, i)
-              for i, m, L in zip(idx, n, length)]
-        self._ik = tuple(1j * k for k in ks)
-        self._lap = -sum(k * k for k in ks)
-        # ik_i * ik_j = -k_i k_j for the upper triangle i <= j, real
-        self._hess = tuple(_freeze((self._ik[i] * self._ik[j]).real)
-                           for i, j in _upper_pairs(dim))
+        # the spectral multipliers (see _multipliers), shared by equal grids
+        (self._ik, self._lap, self._hess, self._mask,
+         self.kmax) = _multipliers(self)
         # the index of each upper-triangle row and of the entries (i, j) and
         # (j, i) it fills, for _symmetric
         self._sym = tuple(
             (_comp(self, p), tuple(_comp(self, *e) for e in {(i, j), (j, i)}))
             for p, (i, j) in enumerate(_upper_pairs(dim)))
-        self.kmax = max(np.max(np.abs(ik)) for ik in self._ik)
-        mask = True
-        for i, m in zip(idx, n):
-            mask = mask & (np.abs(i) <= m // 3)
-        self._mask = mask
 
         self._coords = tuple(
             np.arange(m) * h for m, h in zip(n, self.spacing))
@@ -105,18 +104,18 @@ class Grid:
         spec = n[:-1] + (n[-1] // 2 + 1,)
         self._rows = ((n, 8 * int(np.prod(n)), float),
                       (spec, 16 * int(np.prod(spec)), complex))
-        # the gufunc arguments of each axis pass of the transforms: the
-        # forward is rfft on the last grid axis, then fft in place on the
-        # others from the last to the first; the inverse is ifft on each
+        # the gufunc arguments of the axis passes over the leading grid axes:
+        # the forward is rfft on the last grid axis, then fft in place on
+        # the others from the last to the first; the inverse is ifft on each
         # leading grid axis from the first, then irfft on the last, each
-        # scaled by 1/n of its axis (numpy's "backward" norm)
+        # scaled by 1/n of its axis (numpy's "backward" norm). The last-axis
+        # passes run on the gufuncs' default axis and take no axes.
         def axes(a):
             return [(a,), (), (a,)]
-        self._rfft_axes = axes(-1)
         self._fft_axes = tuple(axes(a) for a in range(-2, -dim - 1, -1))
         self._ifft_passes = tuple((axes(a - dim), 1 / m)
                                   for a, m in enumerate(n[:-1]))
-        self._irfft_pass = (axes(-1), 1 / n[-1])
+        self._irfft_fct = 1 / n[-1]
         # the byte count of a nodal and of a spectral stack, by lead, as
         # lend() meets them
         self._stack_bytes = ({}, {})
@@ -151,6 +150,43 @@ class Grid:
 def _freeze(arr):
     arr.setflags(write=False)
     return arr
+
+
+def _table(m, shape):
+    """m broadcast to shape as a read-only C-contiguous complex128 array:
+    the value numpy's cast gives each entry of a real or bool m, so a
+    product with a spectrum keeps its bits."""
+    out = np.empty(shape, complex)
+    out[...] = m
+    return _freeze(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _multipliers(grid):
+    """(ik per axis, Laplacian, upper-Hessian rows, 2/3 mask, kmax) of a
+    grid, each multiplier a _table of the rfft-layout shape. Built once per
+    grid shape (n, length), which is what grids compare by, and never
+    freed.
+
+    The wavenumbers have the Nyquist mode zeroed, so d/dx of a real field
+    is real and div(grad f) == laplacian f holds to roundoff by
+    construction. The Laplacian is -sum k^2, -0.0 at k = 0, and the
+    Hessian rows ik_i * ik_j = -k_i k_j of the upper triangle i <= j are
+    real."""
+    n = grid.n
+    idx = mode_indices(grid)
+    shape = n[:-1] + (n[-1] // 2 + 1,)
+    ks = [TWO_PI / L * np.where(2 * np.abs(i) == m, 0, i)
+          for i, m, L in zip(idx, n, grid.length)]
+    ik = [1j * k for k in ks]
+    hess = [(ik[i] * ik[j]).real for i, j in _upper_pairs(grid.dim)]
+    mask = True
+    for i, m in zip(idx, n):
+        mask = mask & (np.abs(i) <= m // 3)
+    return (tuple(_table(m, shape) for m in ik),
+            _table(-sum(k * k for k in ks), shape),
+            tuple(_table(m, shape) for m in hess), _table(mask, shape),
+            max(np.max(np.abs(k)) for k in ks))
 
 
 class ScalarField:
@@ -382,7 +418,7 @@ def to_spectral(grid, arr, out=None):
     """
     if out is None:
         out = np.empty(arr.shape[:-1] + (grid.n[-1] // 2 + 1,), complex)
-    _pocketfft.rfft_n_even(arr, 1, out=out, axes=grid._rfft_axes)
+    _pocketfft.rfft_n_even(arr, 1, out)
     for axes in grid._fft_axes:
         _pocketfft.fft(out, 1, out=out, axes=axes)
     return out
@@ -404,8 +440,7 @@ def from_spectral(grid, ahat, out=None):
         for axes, fct in grid._ifft_passes:
             _pocketfft.ifft(ahat, fct, out=work, axes=axes)
             ahat = work
-    axes, fct = grid._irfft_pass
-    _pocketfft.irfft(work, fct, out=out, axes=axes)
+    _pocketfft.irfft(work, grid._irfft_fct, out)
     return out
 
 
@@ -723,16 +758,15 @@ def random_smooth_positive(grid, seed, modes, floor):
 
 @functools.lru_cache(maxsize=8)
 def _smooth_amplitude(grid, modes):
-    """Read-only (1 + |k|^2)^-2 on the mode box |k_i| <= modes, zero
-    elsewhere, in rfft layout."""
+    """(1 + |k|^2)^-2 on the mode box |k_i| <= modes, zero elsewhere, as a
+    _table of the rfft-layout shape."""
     k2 = 0.0
     box = True
     for idx in mode_indices(grid):
         k2 = k2 + idx.astype(float) ** 2
         box = box & (np.abs(idx) <= modes)
-    amp = np.where(box, (1.0 + k2) ** -2, 0.0)
-    amp.setflags(write=False)
-    return amp
+    return _table(np.where(box, (1.0 + k2) ** -2, 0.0),
+                  grid._mask.shape)
 
 
 def random_smooth_vector(grid, seed, modes, amplitude=1.0):

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ScalarField, VectorField, _symmetric, div_arr, forward,
-                     grad_arr, hess_arr, in_workspace, inverse_once, lap_arr,
-                     lend, quad, release, to_spectral)
+from .fields import (ScalarField, VectorField, _symmetric, _table, div_arr,
+                     forward, grad_arr, hess_arr, in_workspace, inverse_once,
+                     lap_arr, lend, quad, release, to_spectral)
 from .physics import bohm_force, require_positive
 
 FORMULATIONS = ("target", "approx-u", "approx-w")
@@ -139,7 +139,7 @@ def _plan(grid, form, reg, bohm, mu=0.0):
     div = [[(k, d + j) for j, k in enumerate(ik)]]
     if form == "w":
         rho, lg, v = 2 * d, 2 * d + 1, 2 * d + 2   # rows of rho, log, sqrt
-        div[0].append((-mu * grid._lap, rho))
+        div[0].append((_table(-mu * grid._lap.real, grid._lap.shape), rho))
         one = _level((d, d, 1, 1, reg), jac, div,
                      [[(k, rho)] for k in ik], [[(k, lg)] for k in ik],
                      [[(k, v)] for k in ik] if reg else [],

@@ -29,6 +29,11 @@ from .systems import continuity_rate, rhs_approx_u, rhs_approx_w
 
 SCHEMES = ("rk4-explicit", "imex")
 
+# integrate takes a time within T_END_TOL of t_end for t_end: it steps while
+# the time is below t_end - T_END_TOL and refuses a start beyond
+# t_end + T_END_TOL
+T_END_TOL = 1e-14
+
 
 class PositivityError(RuntimeError):
     """Post-step density fell to or below the positivity floor, or is not
@@ -145,16 +150,19 @@ def _etd_multipliers(grid, c_rho, c_vel, dt):
     """Read-only (c * Lap, exp(z), dt * phi1(z), phi2(z)), z = c * Lap * dt,
     in the rfft layout, each stacked like the rows of [rho, vel]: c is c_rho
     in row 0 and c_vel in the velocity rows. One entry serves a fixed-dt
-    run, a second its shorter last step. At c = 0 each multiplier is one
-    number everywhere, written without array work: Lap <= 0 with -0.0 at
-    k = 0, so c * Lap and z are the signed zero c * -1.0 everywhere, where
-    the multipliers are exactly these."""
-    mults = np.empty((4, 1 + grid.dim) + grid._lap.shape)
+    run, a second its shorter last step. The entries are complex, so a
+    product with a spectrum needs no cast: each is computed in real
+    arithmetic and written once as its real part, the imaginary part +0.0.
+    At c = 0 each multiplier is one number everywhere, written without
+    array work: Lap <= 0 with -0.0 at k = 0, so c * Lap and z are the
+    signed zero c * -1.0 everywhere, where the multipliers are exactly
+    these."""
+    mults = np.empty((4, 1 + grid.dim) + grid._lap.shape, complex)
     for rows, c in ((mults[:, :1], c_rho), (mults[:, 1:], c_vel)):
         if c == 0:
             rows.T[...] = (c * -1.0, 1.0, dt, 0.5)
         else:
-            clap = c * grid._lap
+            clap = c * grid._lap.real
             z = clap * dt
             for row, m in zip(rows, (clap, np.exp(z), dt * _phi1(z),
                                      _phi2(z))):
@@ -321,7 +329,8 @@ def integrate(initial, params, config, observers=()):
     """Advance to t_end (or failure), recording monitors at cadence. The
     state's form picks rhs_approx_u (the target system at eps = 0) or
     rhs_approx_w; the PositivityError or NonFiniteError that stops a run
-    is kept as Trajectory.failure.
+    is kept as Trajectory.failure. An initial time beyond t_end, where no
+    step would run, is a ValueError.
 
     Time-integrated dissipation is accumulated by the trapezoid rule over
     monitor samples. The mass-balance residual column is the discrete form of
@@ -343,6 +352,9 @@ def integrate(initial, params, config, observers=()):
     during that observer's call, so an observer keeps copies
     (equivalence_run copies each record's (rho, u)).
     """
+    if initial.time > config.t_end + T_END_TOL:
+        raise ValueError(f"initial time {initial.time!r} is beyond t_end "
+                         f"{config.t_end!r}")
     rhs_fn = rhs_approx_w if initial.form == "w" else rhs_approx_u
 
     traj = Trajectory()
@@ -386,7 +398,7 @@ def integrate(initial, params, config, observers=()):
     steps = 0
     # with dt_min == dt_max the clamp below discards the CFL estimate
     fixed = config.dt_min == config.dt_max
-    while state.time < config.t_end - 1e-14:
+    while state.time < config.t_end - T_END_TOL:
         if fixed:
             dt = config.dt_max
         else:
@@ -401,7 +413,7 @@ def integrate(initial, params, config, observers=()):
             break
         steps += 1
         if (steps % config.monitor_every == 0
-                or state.time >= config.t_end - 1e-14):
+                or state.time >= config.t_end - T_END_TOL):
             record(state)
     flush()
     traj.dissipation_time_integrals = accum

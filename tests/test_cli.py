@@ -60,7 +60,8 @@ class TestRun:
     def test_monitors_csv_bytes_are_csv_writer_bytes(self, tmp_path):
         # the cells are reprs of floats: nan, inf and -0.0 need no quoting
         specials = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
-                    1e-300, 5e-324, -1.5e300, 0.1, 1 / 3, 12345.678]
+                    1e-300, 5e-324, -1.5e300, 0.1, 1 / 3, 12345.678,
+                    1.7976931348623157e308, -1.7976931348623157e308]
         records = [
             MonitorRecord(
                 *specials[k:k + 8],
@@ -79,7 +80,9 @@ class TestRun:
                 row += [r.dissipation[k] for k in DISSIPATION_KEYS]
                 writer.writerow([repr(float(x)) for x in row])
         assert path.read_bytes() == ref.read_bytes()
-        assert b"nan" in ref.read_bytes() and b"-0.0" in ref.read_bytes()
+        for cell in (b"nan", b"-0.0", b"5e-324", b"0.1",
+                     b"1.7976931348623157e+308", b"-1.7976931348623157e+308"):
+            assert cell in ref.read_bytes()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
@@ -268,6 +271,37 @@ class TestBadSnapshot:
             assert code == 2
             assert "snapshots do not match" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_snapshot_past_t_end_exits_2(self, tmp_path, capsys, command,
+                                         snapfiles):
+        # a snapshot at t=0.5 with t_end 0.003 took no step and reported
+        # "completed" with exit 0
+        for fmt in snapfiles.formats:
+            d = tmp_path / fmt
+            d.mkdir()
+            path = snapfiles.write(fmt, d / "rho.dat",
+                                   ScalarField(Grid(32), np.full(32, 1.5)),
+                                   time=0.5)
+            cfg = _write(d, "run.json", dict(self.DOC, snapshot=str(path),
+                                             sweep={"eps": [1e-3, 1e-4]}))
+            out = d / "o"
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: snapshot time 0.5 is beyond t_end 0.003\n")
+            assert not out.exists()
+
+    def test_snapshot_at_t_end_completes(self, tmp_path, snapfiles):
+        # within the integrator's tolerance of t_end a snapshot is at the
+        # end: it runs no step and records its one state
+        path = snapfiles.write("v2", tmp_path / "rho.dat",
+                               ScalarField(Grid(32), np.full(32, 1.5)),
+                               time=0.003 + 5e-15)
+        code, out = self._run(tmp_path, path)
+        assert code == 0
+        with open(out / "summary.json") as fh:
+            assert json.load(fh)["status"] == "completed"
+        assert (out / "monitors.csv").read_bytes().count(b"\r\n") == 2
 
     def test_snapshot_that_is_a_directory_exits_2(self, tmp_path, capsys):
         # no file, so no format: the directory is refused before any is read

@@ -172,6 +172,21 @@ class TestIntegrate:
         assert traj.records[-1].time == pytest.approx(0.01, abs=1e-12)
         assert traj.final.time == traj.records[-1].time
 
+    def test_start_beyond_t_end_raises(self):
+        # a start past t_end took no step and reported "completed"
+        cfg = IntegratorConfig.fixed_dt(1e-3, t_end=0.01)
+        late = dataclasses.replace(_acoustic(64), time=0.5)
+        with pytest.raises(ValueError, match="initial time 0.5 is beyond "
+                                             "t_end 0.01"):
+            integrate(late, PARAMS, cfg)
+        # within the loop's tolerance of t_end the start is the end: one
+        # record and no step
+        for time in (0.01, 0.01 + timeloop.T_END_TOL / 2):
+            traj = integrate(dataclasses.replace(late, time=time), PARAMS,
+                             cfg)
+            assert traj.status == "completed"
+            assert [r.time for r in traj.records] == [time]
+
     def test_monitor_cadence(self):
         cfg = IntegratorConfig.fixed_dt(1e-3, t_end=0.01, monitor_every=5)
         traj = integrate(_acoustic(64), PARAMS, cfg)
