@@ -186,13 +186,16 @@ def _write_monitors(path, records):
 
 def _shared(cfg):
     """(integrator config, initial source) of a config: what every sweep
-    point shares, its mollify and strict flags checked, and a snapshot's
-    time not beyond t_end."""
+    point shares, its mollify and strict flags checked, no mode in its
+    params block, and a snapshot's time not beyond t_end."""
     try:
         for key in ("mollify", "strict"):
             as_bool(key, cfg.get(key, False))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if "mode" in _block(cfg, "params"):
+        raise ConfigError("the params block takes no 'mode': set the mode "
+                          "with the top-level 'mode' key or --mode")
     config, source = _build_integrator(cfg), _initial_source(cfg)
     if isinstance(source, State) and source.time > config.t_end + T_END_TOL:
         # no step would run, and the run would report completed
@@ -208,7 +211,6 @@ def _prepare_run(cfg, mode, overrides=(), shared=None):
     built here if not given."""
     params = _build_params(cfg, mode, overrides)
     config, raw = shared or _shared(cfg)
-    initial = _build_initial(cfg, params, raw)
     constraint_report = check_constraints(params)
     if params.strict or cfg.get("strict", False):
         for c in constraint_report.checks:
@@ -216,6 +218,8 @@ def _prepare_run(cfg, mode, overrides=(), shared=None):
                 raise ConfigError(f"admissibility violated: {c.name} "
                                   f"(lhs={c.lhs:g}, rhs={c.rhs:g})")
     try:
+        # mollify raises VacuumError where its floor underflows
+        initial = _build_initial(cfg, params, raw)
         init_report = validate_initial(initial, params)
     except VacuumError as exc:
         raise ConfigError(f"initial density must be positive and finite: "

@@ -22,9 +22,9 @@ Every spectral multiply reads a table: a read-only, C-contiguous complex128
 array of the full rfft-layout shape. A grid holds ik per axis, the
 Laplacian, the upper-Hessian rows and the 2/3 mask, built once per grid
 shape (n, length) and shared by equal grids (_multipliers); the smooth
-amplitudes and the ETD multipliers of the IMEX step are tables too. Each
-entry is the complex value numpy's cast gives the real or bool
-multiplier, so a product has the bits of the cast product and runs
+amplitudes, the mollifier's low-pass box and the ETD multipliers are
+tables too. Each entry is the complex value numpy's cast gives the real or
+bool multiplier, so a product has the bits of the cast product and runs
 without the cast or a broadcast inner loop.
 """
 
@@ -180,27 +180,34 @@ def _multipliers(grid):
           for i, m, L in zip(idx, n, grid.length)]
     ik = [1j * k for k in ks]
     hess = [(ik[i] * ik[j]).real for i, j in _upper_pairs(grid.dim)]
-    mask = True
-    for i, m in zip(idx, n):
-        mask = mask & (np.abs(i) <= m // 3)
     return (tuple(_table(m, shape) for m in ik),
             _table(-sum(k * k for k in ks), shape),
-            tuple(_table(m, shape) for m in hess), _table(mask, shape),
+            tuple(_table(m, shape) for m in hess),
+            _table(_mode_box(grid, [m // 3 for m in n]), shape),
             max(np.max(np.abs(k)) for k in ks))
 
 
-class ScalarField:
-    """Nodal samples of a scalar on a Grid. Immutable once constructed."""
+class _Field:
+    """A read-only copy of nodal samples on a Grid, _depth axes of length
+    dim before the grid axes. Immutable once constructed."""
 
     __slots__ = ("grid", "values")
+    _depth = 0
 
     def __init__(self, grid, values):
-        v = np.array(values, dtype=float, copy=True).reshape(grid.shape)
+        v = np.array(values, dtype=float, copy=True)
+        v = v.reshape((grid.dim,) * self._depth + grid.shape)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", _freeze(v))
 
     def __setattr__(self, *a):
-        raise AttributeError("ScalarField is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class ScalarField(_Field):
+    """Nodal samples of a scalar on a Grid. Immutable once constructed."""
+
+    __slots__ = ()
 
     @classmethod
     def from_function(cls, grid, fn):
@@ -211,19 +218,11 @@ class ScalarField:
         return cls(grid, np.full(grid.shape, float(c)))
 
 
-class VectorField:
+class VectorField(_Field):
     """dim scalar components sharing a Grid; stored as one (dim, *n) array."""
 
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid, values):
-        v = np.array(values, dtype=float, copy=True)
-        v = v.reshape((grid.dim,) + grid.shape)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", _freeze(v))
-
-    def __setattr__(self, *a):
-        raise AttributeError("VectorField is immutable")
+    __slots__ = ()
+    _depth = 1
 
     @classmethod
     def zero(cls, grid):
@@ -233,19 +232,11 @@ class VectorField:
         return ScalarField(self.grid, self.values[i])
 
 
-class TensorField:
+class TensorField(_Field):
     """dim x dim scalar components sharing a Grid; (dim, dim, *n) array."""
 
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid, values):
-        v = np.array(values, dtype=float, copy=True)
-        v = v.reshape((grid.dim, grid.dim) + grid.shape)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", _freeze(v))
-
-    def __setattr__(self, *a):
-        raise AttributeError("TensorField is immutable")
+    __slots__ = ()
+    _depth = 2
 
     def component(self, i, j):
         return ScalarField(self.grid, self.values[i, j])
@@ -266,6 +257,15 @@ def mode_indices(grid):
         shape[a] = idx.size
         out.append(idx.reshape(shape))
     return out
+
+
+def _mode_box(grid, cutoffs):
+    """The bool mask, shaped to broadcast against the rfft layout, of the
+    modes with every |k_i| <= cutoffs[i] (integer index units)."""
+    box = True
+    for idx, c in zip(mode_indices(grid), cutoffs):
+        box = box & (np.abs(idx) <= c)
+    return box
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +482,7 @@ def lap_arr(grid, arr, backend="spectral"):
             a -= grid.dim
             out += (np.roll(arr, -1, a) - 2 * arr + np.roll(arr, 1, a)) / h**2
         return out
-    hat = forward(grid, arr)
-    np.multiply(grid._lap, hat, out=hat)
-    return inverse_once(grid, hat)
+    return derivatives_arr(grid, arr, ("lap",))[0]
 
 
 def _derivative_rows(grid, arr, mults):
@@ -553,16 +551,7 @@ def hess_arr(grid, arr, backend="spectral"):
         return _symmetric(grid, np.stack(
             [deriv_arr(grid, g[_comp(grid, i)], j, backend)
              for i, j in _upper_pairs(grid.dim)], axis=-grid.dim - 1))
-    upper = _derivative_rows(grid, arr, grid._hess)
-    out = _lent_symmetric(grid, upper)
-    release(upper)
-    return out
-
-
-def _lent_symmetric(grid, upper):
-    """_symmetric into a lend() stack."""
-    return _symmetric(grid, upper,
-                      lend(grid, _lead(grid, upper, 1) + (grid.dim,) * 2))
+    return derivatives_arr(grid, arr, ("hess",))[0]
 
 
 def derivatives_arr(grid, arr, kinds):
@@ -582,7 +571,8 @@ def derivatives_arr(grid, arr, kinds):
         block = rows[_comp(grid, slice(start, start + len(ms)))]
         start += len(ms)
         if kind == "hess":
-            out.append(_lent_symmetric(grid, block))
+            out.append(_symmetric(grid, block, lend(
+                grid, _lead(grid, block, 1) + (grid.dim,) * 2)))
             continue
         if kind == "lap":
             block = block[_comp(grid, 0)]
@@ -648,11 +638,9 @@ def lp_norm(f, p):
 
 def dealias(f):
     """Zero all modes above 2/3 of Nyquist (per axis). Idempotent."""
-    if isinstance(f, ScalarField):
-        return ScalarField(f.grid, dealias_arr(f.grid, f.values))
-    if isinstance(f, VectorField):
-        return VectorField(f.grid, dealias_arr(f.grid, f.values))
-    raise TypeError("dealias expects a ScalarField or VectorField")
+    if not isinstance(f, (ScalarField, VectorField)):
+        raise TypeError("dealias expects a ScalarField or VectorField")
+    return type(f)(f.grid, dealias_arr(f.grid, f.values))
 
 
 def as_int(name, value):
@@ -761,12 +749,10 @@ def _smooth_amplitude(grid, modes):
     """(1 + |k|^2)^-2 on the mode box |k_i| <= modes, zero elsewhere, as a
     _table of the rfft-layout shape."""
     k2 = 0.0
-    box = True
     for idx in mode_indices(grid):
         k2 = k2 + idx.astype(float) ** 2
-        box = box & (np.abs(idx) <= modes)
-    return _table(np.where(box, (1.0 + k2) ** -2, 0.0),
-                  grid._mask.shape)
+    return _table(np.where(_mode_box(grid, (modes,) * grid.dim),
+                           (1.0 + k2) ** -2, 0.0), grid._mask.shape)
 
 
 def random_smooth_vector(grid, seed, modes, amplitude=1.0):

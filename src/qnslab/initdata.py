@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Grid, ScalarField, VectorField, from_spectral,
-                     mode_indices, quad, to_spectral)
+from .fields import (Grid, ScalarField, VectorField, _mode_box, _table,
+                     from_spectral, quad, to_spectral)
 from .functionals import Derived
-from .physics import QnsParams, State
+from .physics import QnsParams, State, require_positive
 
 SCENARIOS = ("uniform-rest", "acoustic-1d", "acoustic-2d", "vacuum-bump-1d")
 
@@ -46,41 +46,33 @@ class RawData:
 
 def scenario(name, n=128, length=None):
     """Closed-form raw data by name; returns (RawData, recommended params)."""
+    params = QnsParams(nu=1.0, kappa=1.0 / 11.0)
     if name == "uniform-rest":
         grid = Grid((n,) if isinstance(n, int) else tuple(n), length)
         rho0 = ScalarField.constant(grid, 1.0)
-        m0 = VectorField.zero(grid)
-        params = QnsParams(nu=1.0, kappa=1.0 / 11.0)
     elif name == "acoustic-1d":
         grid = Grid((n,), length)
         x = grid.coords()[0]
         rho0 = ScalarField(grid, 1.0 + 0.1 * np.sin(x))
-        m0 = VectorField.zero(grid)
-        params = QnsParams(nu=1.0, kappa=1.0 / 11.0)
     elif name == "acoustic-2d":
         nn = (n, n) if isinstance(n, int) else tuple(n)
         grid = Grid(nn, length)
         x, y = grid.meshgrid()
         rho0 = ScalarField(grid, 1.0 + 0.05 * np.sin(x) + 0.05 * np.cos(y))
-        m0 = VectorField.zero(grid)
-        params = QnsParams(nu=1.0, kappa=1.0 / 11.0)
     elif name == "vacuum-bump-1d":
         grid = Grid((n,), length)
         x = grid.coords()[0]
         rho0 = ScalarField(grid, np.maximum(0.0, np.sin(x)) ** 4)
-        m0 = VectorField.zero(grid)
-        params = QnsParams(nu=1.0, kappa=1.0 / 11.0, eps=1e-3)
+        params = params.with_(eps=1e-3)
     else:
         raise KeyError(f"unknown scenario {name!r}; known: {SCENARIOS}")
-    return RawData(rho0, m0), params
+    return RawData(rho0, VectorField.zero(grid)), params
 
 
 def _lowpass(grid, arr, cutoff):
     """Keep Fourier modes with every |k_i| <= cutoff (integer index units)."""
-    mask = True
-    for idx in mode_indices(grid):
-        mask = mask & (np.abs(idx) <= cutoff)
-    return from_spectral(grid, mask * to_spectral(grid, arr))
+    box = _table(_mode_box(grid, (cutoff,) * grid.dim), grid._mask.shape)
+    return from_spectral(grid, box * to_spectral(grid, arr))
 
 
 def mollify(raw, eps, params):
@@ -88,17 +80,22 @@ def mollify(raw, eps, params):
 
     Steps: (1) low-pass rho0 at cutoff ceil(eps^-sigma0) capped at the
     dealias limit, rectified to >= 0; (2) floor via the sixth-power formula,
-    giving rho >= eps^{4 sigma0}; (3) low-pass of rho0^{-1/2} m0 (zero on
-    vacuum); (4) u = rho^{-1/2} times the smoothed momentum density.
+    giving rho >= eps^{4 sigma0}, a VacuumError where the floor underflows
+    to 0; (3) low-pass of rho0^{-1/2} m0 (zero on vacuum); (4) u =
+    rho^{-1/2} times the smoothed momentum density.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     grid = raw.grid
     sigma0 = params.sigma0
-    cutoff = min(math.ceil(eps ** -sigma0), grid.dealias_limit())
+    limit = grid.dealias_limit()
+    # compared in logs, so eps^-sigma0 is formed only below the limit
+    cutoff = (min(math.ceil(eps ** -sigma0), limit)
+              if -sigma0 * math.log(eps) < math.log(limit) else limit)
 
     rho_t = np.maximum(0.0, _lowpass(grid, raw.rho0.values, cutoff))
     rho = (rho_t ** 6 + eps ** (24 * sigma0)) ** (1.0 / 6.0)
+    require_positive(rho)
 
     r0 = raw.rho0.values
     with np.errstate(divide="ignore", invalid="ignore"):

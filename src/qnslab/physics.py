@@ -49,11 +49,14 @@ class VacuumError(ValueError):
 
 
 def mu_of(nu, kappa):
-    """mu = nu - sqrt(nu^2 - kappa^2), requires 0 <= kappa <= nu."""
+    """mu = nu - sqrt(nu^2 - kappa^2), requires 0 <= kappa <= nu; computed
+    as kappa t / (1 + sqrt(1 - t^2)), t = kappa / nu, which neither cancels
+    as kappa -> 0 nor overflows as nu^2 does."""
     if kappa < 0 or kappa > nu:
         raise AdmissibilityError("0 <= kappa <= nu",
                                  f"nu={nu}, kappa={kappa}")
-    return nu - math.sqrt(nu * nu - kappa * kappa)
+    t = kappa / nu if kappa else 0.0
+    return kappa * t / (1.0 + math.sqrt(1.0 - t * t))
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,7 @@ class QnsParams:
         as_bool("strict", self.strict)
         if self.nu <= 0:
             raise ValueError("nu must be positive")
-        if self.kappa < 0 or self.kappa > self.nu:
-            raise AdmissibilityError("0 <= kappa <= nu",
-                                     f"nu={self.nu}, kappa={self.kappa}")
+        mu = self.mu    # mu_of checks 0 <= kappa <= nu
         if self.gamma <= 1:
             raise ValueError("gamma must exceed 1")
         if self.r0 < 0 or self.r1 < 0 or self.eps < 0:
@@ -95,6 +96,20 @@ class QnsParams:
         if self.strict and 11 * self.kappa > self.nu:
             raise AdmissibilityError("11*kappa <= nu",
                                      f"nu={self.nu}, kappa={self.kappa}")
+        # coefficients that the code forms; a float power raises
+        # OverflowError where a product gives inf
+        se = math.sqrt(self.eps)
+        try:
+            finite = all(map(math.isfinite, (
+                self.kappa ** 2, self.eps ** 1.5, 400 * mu * mu,
+                self.eps ** (24 * self.sigma0), 2 * self.nu + se + mu,
+                2 * self.kappa ** 2 + 2 * mu * se, self.eps * mu,
+                self.eps * self.p0, self.a * self.gamma)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("the params form a coefficient that is not "
+                             "finite (kappa^2, eps^1.5 and the like)")
 
     @cached_property
     def mu(self):

@@ -484,8 +484,8 @@ class WeakResidual:
         # split viscous terms in grad(sqrt(rho) u) - u (x) grad(sqrt rho) form
         gsr, Jsru = d.grad_sqrt_rho, d.jac_sqrt_rho_u
         A = Jsru - u[:, None] * gsr[None, :]
-        B = np.swapaxes(Jsru, 0, 1) - gsr[:, None] * u[None, :]
-        visc = params.nu * quad(grid, v * np.sum((A + B) * Jpsi, axis=(0, 1)))
+        visc = params.nu * quad(grid, v * np.sum(
+            (A + A.swapaxes(0, 1)) * Jpsi, axis=(0, 1)))
         # damping and the two kappa^2 terms
         lv = d.lap_sqrt_rho
         u2 = d.u2

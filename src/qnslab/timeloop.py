@@ -191,13 +191,13 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
     grid = rho.grid
     s = state
     try:
+        f0_hat = rhs_fn(s, params, spectral=True)
+        y0 = lend(grid, (1 + grid.dim,))
+        y0[0] = rho.values
+        y0[1:] = state.vel.values
         if scheme == "imex":
             clap, ez, dt_phi1, phi2 = _etd_multipliers(
                 grid, *_linear_coeffs(form, params, grid.dim), dt)
-            f0_hat = rhs_fn(s, params, spectral=True)
-            y0 = lend(grid, (1 + grid.dim,))
-            y0[0] = rho.values
-            y0[1:] = state.vel.values
             # predictor: N0 = f0 - clap a0 and the stage values
             # a = exp(z) a0 + dt phi1(z) N0, over the memory of a0; the
             # corrector's M = clap a + N0, over the memory of f0
@@ -219,10 +219,7 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
             y1 += ya
             release(ya)
         else:
-            y0 = lend(grid, (1 + grid.dim,))
-            y0[0] = rho.values
-            y0[1:] = state.vel.values
-            ks = [inverse_once(grid, rhs_fn(s, params, spectral=True))]
+            ks = [inverse_once(grid, f0_hat)]
             for c in (0.5, 0.5, 1.0):
                 y = y0 + c * dt * ks[-1]
                 s = _state_of(grid, y[0], y[1:], form, t0 + c * dt)

@@ -129,6 +129,18 @@ class TestRun:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "sweep.csv").exists()
 
+    def test_mode_in_params_block_exits_2(self, tmp_path, capsys):
+        # the mode is set at the top level or with --mode, never silently
+        # replaced by them
+        doc = dict(RUN_DOC, params=dict(RUN_DOC["params"], mode="paper"))
+        cfg = _write(tmp_path, "run.json", doc)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "--mode", "paper"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "top-level 'mode'" in err
+        assert not out.exists()
+
     def test_config_mode_is_kept(self, tmp_path):
         cfg = _write(tmp_path, "run.json", dict(RUN_DOC, mode="paper"))
         out = tmp_path / "o"
@@ -574,6 +586,14 @@ def _params(**kw):
     return dict(RUN_DOC, params=dict(RUN_DOC["params"], **kw))
 
 
+def _fixed_32(scenario="acoustic-1d", **kw):
+    """RUN_DOC on scenario at n = 32 with fixed dt 1e-4, the params block
+    updated by kw."""
+    return dict(_params(**kw), scenario=scenario, n=32,
+                integrator=dict(RUN_DOC["integrator"], dt_init=1e-4,
+                                dt_min=1e-4, dt_max=1e-4))
+
+
 # a valid config of each subcommand that writes an output directory
 COMMANDS = {
     "run": RUN_DOC,
@@ -621,13 +641,20 @@ class TestConfigErrors:
         ("run", dict(RUN_DOC, strict="false")),
         ("run", _params(strict="false")),
         ("sweep", dict(RUN_DOC, mollify="no", sweep={"eps": [1e-3]})),
+        # a coefficient the run forms overflows: eps^1.5, kappa^2, and the
+        # mollifier's eps^-sigma0, whose floor eps^(24 sigma0) underflows
+        ("run", _fixed_32(eps=1e300)),
+        ("run", _fixed_32(nu=1e200, kappa=1e200)),
+        ("run", _fixed_32("vacuum-bump-1d", sigma0=1000)),
+        ("sweep", dict(_params(mode="desk"), sweep={"eps": [1e-3]})),
     ], ids=["params-int", "integrator-list", "suite-block-int",
             "rel-tol-str", "sweep-params-int", "config-list", "suites-int",
             "suites-empty", "monitor-every-frac", "monitor-every-bool",
             "n-frac", "t-end-nan", "t-end-inf", "t-end-bool", "eps-nan",
             "nu-nan", "gamma-inf", "eps-bool", "nu-huge-int", "canary-str",
             "canary-int", "mollify-str", "strict-str", "params-strict-str",
-            "sweep-mollify-str"])
+            "sweep-mollify-str", "eps-overflow", "kappa-overflow",
+            "sigma0-overflow", "sweep-params-mode"])
     def test_malformed_block_exits_2(self, tmp_path, capsys, command, doc):
         cfg = _write(tmp_path, "c.json", doc)
         out = tmp_path / "o"

@@ -65,6 +65,31 @@ class TestFieldContainers:
         with pytest.raises(AttributeError):
             f.values = np.zeros(16)
 
+    @pytest.mark.parametrize("cls, lead", [(ScalarField, ()),
+                                           (VectorField, (2,)),
+                                           (TensorField, (2, 2))])
+    def test_each_container_copies_and_freezes(self, cls, lead):
+        g = Grid((8, 8))
+        src = np.ones(lead + (64,))
+        f = cls(g, src)
+        src[...] = 2.0
+        assert f.values.shape == lead + (8, 8) and np.all(f.values == 1.0)
+        assert not f.values.flags.writeable
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is "
+                           "immutable$"):
+            f.grid = g
+        assert not hasattr(f, "__dict__")
+        others = {ScalarField, VectorField, TensorField} - {cls}
+        assert not isinstance(f, tuple(others))
+
+    def test_dealias_keeps_the_container_type(self):
+        g = Grid(16)
+        for f in (random_smooth_positive(g, 1, 3, 1.0),
+                  random_smooth_vector(g, 1, 3)):
+            assert type(dealias(f)) is type(f)
+        with pytest.raises(TypeError):
+            dealias(TensorField(g, np.ones((1, 1, 16))))
+
     def test_vector_shape_and_components(self):
         g = Grid((8, 8))
         F = VectorField(g, np.ones((2, 8, 8)))

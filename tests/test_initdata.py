@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qnslab.fields import (Grid, ScalarField, VectorField, grad_arr, quad,
+from qnslab import initdata
+from qnslab.fields import (Grid, ScalarField, VectorField, from_spectral,
+                           grad_arr, mode_indices, quad, to_spectral,
                            random_smooth_positive, random_smooth_vector)
 from qnslab.functionals import log_minus
 from qnslab.initdata import (SCENARIOS, RawData, mollify, scenario,
@@ -59,6 +61,99 @@ class TestScenarios:
     def test_uniform_rest(self):
         raw, _ = scenario("uniform-rest", n=32)
         assert np.ptp(raw.rho0.values) == 0.0
+
+    @pytest.mark.parametrize("name, params", [
+        ("uniform-rest", QnsParams(nu=1.0, kappa=1.0 / 11.0)),
+        ("acoustic-1d", QnsParams(nu=1.0, kappa=1.0 / 11.0)),
+        ("acoustic-2d", QnsParams(nu=1.0, kappa=1.0 / 11.0)),
+        ("vacuum-bump-1d", QnsParams(nu=1.0, kappa=1.0 / 11.0, eps=1e-3)),
+    ])
+    def test_recommended_params_and_rest_momentum(self, name, params):
+        raw, got = scenario(name, n=32)
+        assert got == params and got.mu == params.mu
+        assert raw.m0.values.shape == (raw.grid.dim,) + raw.grid.shape
+        assert not np.any(raw.m0.values)
+
+
+def _bool_lowpass(grid, arr, cutoff):
+    """The low-pass as the plain product of the broadcast bool mask of the
+    mode box and the spectrum: the reference of the table product."""
+    mask = True
+    for idx in mode_indices(grid):
+        mask = mask & (np.abs(idx) <= cutoff)
+    return from_spectral(grid, mask * to_spectral(grid, arr))
+
+
+def _raw_2d():
+    """Vacuum-touching 2D raw data with a momentum that vanishes there."""
+    g = Grid((32, 32))
+    x, y = g.meshgrid()
+    rho = np.maximum(0.0, np.sin(x) * np.cos(y)) ** 2
+    m = np.stack([rho * np.cos(x), rho * np.sin(y)])
+    return (RawData(ScalarField(g, rho), VectorField(g, m)),
+            QnsParams(nu=1.0, kappa=1.0 / 11.0, eps=1e-2, sigma0=0.3))
+
+
+LOWPASS_CASES = {"vacuum-bump-1d-128": lambda: scenario("vacuum-bump-1d",
+                                                        n=128),
+                 "2d-32x32": _raw_2d}
+
+
+class TestLowpassBits:
+    @pytest.mark.parametrize("case", sorted(LOWPASS_CASES))
+    def test_lowpass_equals_bool_mask_product(self, case):
+        raw, _ = LOWPASS_CASES[case]()
+        grid = raw.grid
+        for cutoff in (0, 2, 4, grid.dealias_limit(), max(grid.n)):
+            for arr in (raw.rho0.values, raw.m0.values):
+                got = initdata._lowpass(grid, arr, cutoff)
+                ref = _bool_lowpass(grid, arr, cutoff)
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(LOWPASS_CASES))
+    def test_mollify_equals_bool_mask_mollify(self, case, monkeypatch):
+        raw, params = LOWPASS_CASES[case]()
+        got = mollify(raw, params.eps, params)
+        monkeypatch.setattr(initdata, "_lowpass", _bool_lowpass)
+        ref = mollify(raw, params.eps, params)
+        assert got.rho.values.tobytes() == ref.rho.values.tobytes()
+        assert got.vel.values.tobytes() == ref.vel.values.tobytes()
+
+    @staticmethod
+    def _cutoffs(monkeypatch, raw, eps, params):
+        """(the cutoffs mollify low-passes at, its state)."""
+        seen = []
+
+        def record(grid, arr, cutoff):
+            seen.append(cutoff)
+            return _bool_lowpass(grid, arr, cutoff)
+        monkeypatch.setattr(initdata, "_lowpass", record)
+        return seen, mollify(raw, eps, params)
+
+    @pytest.mark.parametrize("eps, sigma0", [
+        (1e-3, 0.05), (1e-2, 0.3), (1e-4, 0.5), (1 / 42, 1.0), (1e-3, 1.0),
+        (0.5, 1e-10), (0.5, 2.0)])
+    def test_cutoff_is_capped_ceil_of_power(self, eps, sigma0, monkeypatch):
+        raw, _ = scenario("acoustic-1d", n=128)
+        seen, _ = self._cutoffs(monkeypatch, raw, eps,
+                                QnsParams(sigma0=sigma0))
+        limit = raw.grid.dealias_limit()
+        assert seen == [min(math.ceil(eps ** -sigma0), limit)] * 2
+
+    def test_cutoff_beyond_float_range_is_the_dealias_limit(self,
+                                                            monkeypatch):
+        # eps^-sigma0 = 1e3000 is never formed; positive data keeps a
+        # positive density although the floor eps^(24 sigma0) underflows
+        raw, _ = scenario("acoustic-1d", n=128)
+        seen, st = self._cutoffs(monkeypatch, raw, 1e-3,
+                                 QnsParams(eps=1e-3, sigma0=1000.0))
+        assert seen == [raw.grid.dealias_limit()] * 2
+        assert np.min(st.rho.values) > 0
+
+    def test_underflowing_floor_on_vacuum_is_a_vacuum_error(self):
+        raw, _ = scenario("vacuum-bump-1d", n=32)
+        with pytest.raises(VacuumError):
+            mollify(raw, 1e-3, QnsParams(eps=1e-3, sigma0=1000.0))
 
 
 class TestMollify:

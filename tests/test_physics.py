@@ -30,6 +30,26 @@ class TestMu:
         with pytest.raises(AdmissibilityError):
             mu_of(1.0, 1.5)
 
+    @pytest.mark.parametrize("nu, kappa, mu", [
+        (2.5, 0.0, 0.0), (1.5, 1.5, 1.5), (1e-300, 1e-300, 1e-300),
+        (1e300, 1e300, 1e300)])
+    def test_exact_at_zero_and_at_nu(self, nu, kappa, mu):
+        assert mu_of(nu, kappa) == mu
+
+    @pytest.mark.parametrize("kappa", [1e-4, 1e-8, 1e-9])
+    def test_small_kappa_without_cancellation(self, kappa):
+        # nu - sqrt(nu^2 - kappa^2) = kappa^2 / (2 nu) (1 + kappa^2 /
+        # (4 nu^2)) + O(kappa^6); the difference form is 1.4e-8 off at
+        # kappa = 1e-4 and 0 at 1e-9
+        nu = 1.0
+        series = kappa ** 2 / (2 * nu) * (1 + kappa ** 2 / (4 * nu ** 2))
+        assert mu_of(nu, kappa) == pytest.approx(series, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("kappa", [0.0909, 1e200 / 11, 1e200])
+    def test_large_nu_stays_finite(self, kappa):
+        mu = mu_of(1e200, kappa)
+        assert math.isfinite(mu) and 0.0 <= mu <= kappa
+
     @given(nu=st.floats(0.01, 100.0),
            frac=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
@@ -39,6 +59,12 @@ class TestMu:
         assert 0.0 <= mu <= nu
         if kappa > 0:
             assert mu_of(nu, 0.5 * kappa) <= mu + 1e-15
+
+
+# ordinary values of the QnsParams floats, and extreme finite ones
+ORDINARY = dict(nu=1.0, kappa=1.0 / 11.0, gamma=2.0, a=1.0, r0=0.1, r1=0.05,
+                eps=1e-3, p0=4.0, sigma0=0.05)
+EXTREME = st.sampled_from([1e300, -1e300, 1e-300, -1e-300])
 
 
 class TestQnsParams:
@@ -61,6 +87,32 @@ class TestQnsParams:
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
+            QnsParams(**kw)
+
+    @given(st.dictionaries(st.sampled_from(sorted(ORDINARY)), EXTREME))
+    @settings(max_examples=400, deadline=None)
+    def test_extreme_values_raise_or_form_finite_coefficients(self, extreme):
+        kw = dict(ORDINARY, **extreme)
+        try:
+            p = QnsParams(**kw)
+        except ValueError:
+            return
+        # each coefficient as the right-hand sides, the step, the energy
+        # budget, the constraint report and the mollifier form it; a power
+        # that overflows raises OverflowError and fails the test
+        mu, se = p.mu, math.sqrt(p.eps)
+        for c in (mu, p.kappa ** 2, p.eps ** 1.5, p.eps ** (24 * p.sigma0),
+                  p.nu + se, p.nu - mu + se, 2 * p.nu + se + mu, se * mu,
+                  p.eps * mu, p.kappa ** 2 + se * mu,
+                  2 * p.kappa ** 2 + 2 * mu * se, 11 * p.kappa, 20 * mu,
+                  400 * mu * mu, p.eps * p.p0, p.a * p.gamma):
+            assert math.isfinite(c), kw
+
+    @pytest.mark.parametrize("kw", [dict(eps=1e300), dict(nu=1e200,
+                                                          kappa=1e200),
+                                    dict(eps=10.0, sigma0=100.0)])
+    def test_overflowing_coefficient_is_a_value_error(self, kw):
+        with pytest.raises(ValueError, match="not finite"):
             QnsParams(**kw)
 
     def test_strict_rejects_inadmissible_ratio(self):

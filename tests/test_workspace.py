@@ -308,10 +308,11 @@ def test_pooled_bytes_stop_growing(pool, n, form, scheme):
 
 
 @pytest.mark.parametrize("scheme, lent", [("imex", [0, 2]),
-                                           ("rk4-explicit", [1, 2, 3, 4])])
+                                           ("rk4-explicit", [0, 2, 3, 4])])
 def test_stages_see_only_live_stacks(pool, scheme, lent):
     # IMEX: nothing before the predictor stage, [ya, M] at the corrector;
-    # RK4: y0 and the slopes made so far
+    # RK4: nothing before the first stage (y0 is filled after it), then y0
+    # and the slopes made so far
     seen = []
 
     def rhs(state, params, **kw):
