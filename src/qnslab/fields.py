@@ -26,6 +26,13 @@ amplitudes, the mollifier's low-pass box and the ETD multipliers are
 tables too. Each entry is the complex value numpy's cast gives the real or
 bool multiplier, so a product has the bits of the cast product and runs
 without the cast or a broadcast inner loop.
+
+Stacks have one of two owners. The right-hand sides and the time step own
+theirs: each keeps an Arena per thread, built on its first call and reused
+by every later one (arena). Everything else that works in stacks (the
+spectral operators, the Derived bundles, the functionals and the seeded
+checks) borrows them inside a workspace scope from the thread's pool
+(lend, release, in_workspace).
 """
 
 from __future__ import annotations
@@ -269,7 +276,70 @@ def _mode_box(grid, cutoffs):
 
 
 # ---------------------------------------------------------------------------
-# transform workspace: reused stacks for the right-hand sides and the step
+# arenas: the fixed stacks of the right-hand sides and the step
+# ---------------------------------------------------------------------------
+
+class Arena:
+    """The stacks one owner (a right-hand side's plan or a step scheme)
+    works in on one grid, allocated once: buffers lists them, and the owner
+    keeps its views of them as attributes. A stack holds no value from one
+    call of its owner to the next: each call writes what it reads."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.buffers = []
+
+    def stack(self, lead, spectral=False):
+        """A new stack of shape lead + the nodal (or rfft-layout) row
+        shape."""
+        row, _, dtype = self.grid._rows[spectral]
+        out = np.empty(lead + row, dtype)
+        self.buffers.append(out)
+        return out
+
+
+class _Arenas(threading.local):
+    """One thread's arenas by key, all of the one grid they were used on."""
+
+    def __init__(self):
+        self.grid = None
+        self.built = {}
+
+
+_arenas = _Arenas()
+
+
+def arena(grid, key, build, *args):
+    """The calling thread's Arena of key on grid, filled by build(arena,
+    *args) on the thread's first call with key on the grid. Like the pool,
+    the arenas keep one grid per thread: a call on another grid drops
+    those of the last one."""
+    ar = _arenas
+    if ar.grid is not grid:
+        if ar.grid != grid:
+            ar.built = {}
+        ar.grid = grid
+    try:
+        return ar.built[key]
+    except KeyError:
+        new = Arena(grid)
+        build(new, *args)
+        ar.built[key] = new
+        return new
+
+
+def real_rows(grid, spec):
+    """The real stack of spec's lead written over spec's own memory: a
+    real row takes fewer bytes than a row of the rfft layout. In 1D numpy
+    resolves the overlap of from_spectral(grid, spec, real_rows(grid,
+    spec)) by a copy; in 2D and 3D the last pass reads from_spectral's work
+    stack, so there is none."""
+    shape = spec.shape[:spec.ndim - grid.dim] + grid.shape
+    return spec.reshape(-1).view(float)[:math.prod(shape)].reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# transform workspace: pooled stacks for the bundles, functionals and checks
 # ---------------------------------------------------------------------------
 
 class _Workspace(threading.local):
@@ -394,10 +464,9 @@ def forward(grid, arr, once=False):
 
 def inverse_once(grid, spec):
     """from_spectral of a spectral stack that is not read again. The real
-    rows of a workspace stack are written over its own memory (a real row
-    takes fewer bytes than a row of the rfft layout; in 1D numpy resolves
-    the overlap, and in 2D and 3D the last pass reads from_spectral's work
-    stack), so release() of the result returns the buffer."""
+    rows of a workspace stack are written over its own memory (real_rows,
+    inlined: the record chunks call this often), so release() of the
+    result returns the buffer."""
     out = None
     if spec.base is not None:
         shape = spec.shape[:spec.ndim - grid.dim] + grid.shape

@@ -17,7 +17,7 @@ import numpy as np
 from .fields import (Grid, ScalarField, VectorField, _mode_box, _table,
                      from_spectral, quad, to_spectral)
 from .functionals import Derived
-from .physics import QnsParams, State, require_positive
+from .physics import QnsParams, State, require_formed, require_positive
 
 SCENARIOS = ("uniform-rest", "acoustic-1d", "acoustic-2d", "vacuum-bump-1d")
 
@@ -88,6 +88,8 @@ def mollify(raw, eps, params):
         raise ValueError("eps must be positive")
     grid = raw.grid
     sigma0 = params.sigma0
+    # the floor's power, checked as QnsParams checks it for params.eps
+    require_formed(lambda: (eps ** (24 * sigma0),))
     limit = grid.dealias_limit()
     # compared in logs, so eps^-sigma0 is formed only below the limit
     cutoff = (min(math.ceil(eps ** -sigma0), limit)

@@ -96,20 +96,13 @@ class QnsParams:
         if self.strict and 11 * self.kappa > self.nu:
             raise AdmissibilityError("11*kappa <= nu",
                                      f"nu={self.nu}, kappa={self.kappa}")
-        # coefficients that the code forms; a float power raises
-        # OverflowError where a product gives inf
+        # coefficients that the code forms
         se = math.sqrt(self.eps)
-        try:
-            finite = all(map(math.isfinite, (
-                self.kappa ** 2, self.eps ** 1.5, 400 * mu * mu,
-                self.eps ** (24 * self.sigma0), 2 * self.nu + se + mu,
-                2 * self.kappa ** 2 + 2 * mu * se, self.eps * mu,
-                self.eps * self.p0, self.a * self.gamma)))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError("the params form a coefficient that is not "
-                             "finite (kappa^2, eps^1.5 and the like)")
+        require_formed(lambda: (
+            self.kappa ** 2, self.eps ** 1.5, 400 * mu * mu,
+            self.eps ** (24 * self.sigma0), 2 * self.nu + se + mu,
+            2 * self.kappa ** 2 + 2 * mu * se, self.eps * mu,
+            self.eps * self.p0, self.a * self.gamma))
 
     @cached_property
     def mu(self):
@@ -219,6 +212,20 @@ def _state_of(grid, rho, vel, form, time):
     state = object.__new__(State)
     state.__dict__.update(rho=rho_field, vel=vel_field, form=form, time=time)
     return state
+
+
+def require_formed(coefficients):
+    """Raise ValueError unless coefficients(), which forms coefficients of
+    the system from its parameters, returns finite numbers only. A float
+    power that raises OverflowError, where a product would give inf, counts
+    as not finite."""
+    try:
+        finite = all(map(math.isfinite, coefficients()))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("the params form a coefficient that is not "
+                         "finite (kappa^2, eps^1.5 and the like)")
 
 
 def require_positive(rho_values):

@@ -5,6 +5,13 @@ legitimate because the solver operates strictly away from vacuum. Nonlinear
 products feeding the dynamics are dealiased by the 2/3 rule; verification
 callers pass use_dealias=False to bypass truncation. rhs_terms is the same
 right-hand side written term by term, independently of the staged ones.
+
+A staged right-hand side works in the stacks of its thread's Arena for its
+layout (_arena), built on its first call with their row views: a call
+makes no stack and no view of one. Its result is a copy (an Rhs), or with
+spectral=True a stack of that arena, valid until the next call of a
+right-hand side of the same layout on the thread. The arithmetic
+temporaries of the nodal products are plain arrays.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ScalarField, VectorField, _symmetric, _table, div_arr,
-                     forward, grad_arr, hess_arr, in_workspace, inverse_once,
-                     lap_arr, lend, quad, release, to_spectral)
+from .fields import (ScalarField, VectorField, _symmetric, _table, arena,
+                     div_arr, from_spectral, grad_arr, hess_arr, lap_arr,
+                     quad, real_rows, to_spectral)
 from .physics import bohm_force, require_positive
 
 FORMULATIONS = ("target", "approx-u", "approx-w")
@@ -51,33 +58,31 @@ def continuity_rate(div_flux, eps=0.0, v_q=None, neg_p=None):
     return -div_flux
 
 
-def _finish(grid, r, drho, lin, nodal, use_dealias, spectral, done):
+def _finish(grid, ar, r, drho, lin, nodal, use_dealias, spectral):
     """The right-hand side from the nodal d rho/dt and the momentum terms
     summed in spectral space (lin) and nodally (nodal): the sum divided by
-    rho and [drho, dvel] dealiased as one stack. The stacks in done go back
-    to the workspace once the result holds its values.
+    rho and [drho, dvel] dealiased as one stack, in the stacks of the arena
+    ar that the levels are done with.
 
     spectral stops at the spectrum of [drho, dvel] in the rfft layout, 2/3
-    masked if use_dealias: a workspace stack of 1 + dim rows that the caller
-    releases, valid inside the caller's in_workspace scope. Otherwise the
-    spectrum is inverted into an Rhs.
+    masked if use_dealias: a stack of the arena, valid until the next call
+    of a right-hand side of the same layout on the thread (rhs_target and
+    rhs_approx_u at eps = 0 share one). Otherwise the spectrum is inverted
+    into an Rhs, which holds copies.
     """
     lin += nodal
-    out = lend(grid, (1 + grid.dim,))
+    out = ar.fin
     out[0] = drho
-    np.divide(lin, r, out=out[1:])
+    np.divide(lin, r, out=ar.fin_vel)
     if use_dealias or spectral:
-        # dealias_arr on workspace stacks, stopping at the spectrum
-        hat = forward(grid, out, once=True)
+        # dealias_arr in the arena, stopping at the spectrum
+        hat = to_spectral(grid, out, ar.fin_hat)
         if use_dealias:
             hat *= grid._mask
         if spectral:
-            release(*done)
             return hat
-        out = inverse_once(grid, hat)
-    rhs = Rhs(ScalarField(grid, out[0]), VectorField(grid, out[1:]))
-    release(out, *done)
-    return rhs
+        from_spectral(grid, hat, out)
+    return Rhs(ScalarField(grid, out[0]), VectorField(grid, out[1:]))
 
 
 def _slices(counts):
@@ -161,31 +166,103 @@ def _plan(grid, form, reg, bohm, mu=0.0):
     return one, two, _level((), lin(q + bohm))
 
 
-def _inverse(grid, hat, level, done):
-    """The level's inverse rows formed from the spectral stack hat and
-    inverse-transformed as one stack: a workspace stack written over the
-    rows, and its views by row group (see _slices). The spectra in done go
-    back to the workspace once the rows are formed."""
-    spec = lend(grid, level.spec_lead, spectral=True)
-    for m, src, dst in level.runs:
-        np.multiply(m, hat[src], out=spec[dst])
-    for m, i, o in level.extras:
-        row = spec[o]
-        row += m * hat[i]
-    release(*done)
-    out = inverse_once(grid, spec)
-    return out, level.groups(out)
+_Bound = collections.namedtuple(
+    "_Bound", "rows nodal hat runs extras spec out groups")
 
 
-@in_workspace
+def _build(ar, plan):
+    """The stacks of a staged right-hand side on the Arena ar, for every
+    plan of plan's layout. One nodal and one spectral stack serve each
+    level in turn, and then _finish: a level's nodal rows are dead once
+    transformed, and its spectra once its inverse rows are formed (the
+    u-form's level 2 spectra, with P's row after them, once level 3's
+    are). Each level has the spectral stack of its inverse rows and the
+    real stack the inverse writes: over the spectral stack's memory
+    (real_rows) in 2D and 3D, a stack of its own in 1D, where numpy would
+    copy the overlap. The inverse spectra of each later level lie over
+    the first bytes of level 1's, where the Jacobian's real rows lie in 2D
+    and 3D, if they fit there: the Jacobian is read only by level 2's
+    nodal products, and each later level's spectra are read before the
+    next level's are formed. sqrt(rho), read by every level, has a stack
+    of its own; the Hessian of log rho, read only in level 2 before its
+    forward transform, lies over the spectral stack, which no level reads
+    then."""
+    grid = ar.grid
+    m = 1 + grid.dim
+    read = [src.stop - 1 for level in plan for _, src, _ in level.runs]
+    read += [i for level in plan for _, i, _ in level.extras]
+    ar.nodal = ar.stack((max(m, *(level.lead[0] for level in plan)),))
+    ar.hat = ar.stack((max(m, grid.dim ** 2, 1 + max(read)),), spectral=True)
+    # the bytes of level 1's first d^2 inverse rows, the Jacobian, dead
+    # once level 2's nodal rows are formed
+    first = ar.stack(plan[0].spec_lead, spectral=True).reshape(-1)
+    jac = grid.dim ** 2 * grid._rows[0][1]
+    ar.specs = [first.reshape(plan[0].spec_lead + grid._rows[1][0])]
+    for level in plan[1:]:
+        spec_bytes = level.spec_lead[0] * grid._rows[1][1]
+        ar.specs.append(
+            first[:spec_bytes // 16].reshape(level.spec_lead
+                                            + grid._rows[1][0])
+            if spec_bytes <= jac else ar.stack(level.spec_lead, spectral=True))
+    ar.outs = [real_rows(grid, spec) if grid.dim > 1
+               else ar.stack(level.spec_lead)
+               for level, spec in zip(plan, ar.specs)]
+    ar.v = ar.stack(())
+    ar.H = real_rows(grid, ar.hat)[:grid.dim ** 2].reshape(
+        (grid.dim,) * 2 + grid.shape)
+    ar.fin, ar.fin_hat = ar.nodal[:m], ar.hat[:m]
+    ar.fin_vel = ar.fin[1:]
+    _bind(ar, plan)
+
+
+def _bind(ar, plan):
+    """The views of plan's levels on the Arena ar, one _Bound per level:
+    the views of its nodal rows (rows, see _slices) and its nodal stack,
+    the spectral rows its forward transform writes (hat), its runs and
+    extras with their multiplier, spectral input and spectral output
+    views, its spectral stack, the real stack of its inverse rows and
+    their views by row group."""
+    hat = ar.hat
+    ar.levels = []
+    for level, spec, out in zip(plan, ar.specs, ar.outs):
+        nodal = ar.nodal[:level.lead[0]]
+        ar.levels.append(_Bound(
+            level.rows(nodal) if level.rows else None, nodal,
+            hat[:level.lead[0]],
+            tuple((m, hat[src], spec[dst]) for m, src, dst in level.runs),
+            tuple((m, hat[i], spec[o]) for m, i, o in level.extras),
+            spec, out, level.groups(out)))
+    ar.plan = plan
+
+
+def _arena(grid, key, plan):
+    """The calling thread's Arena of the right-hand side layout key
+    (form, eps > 0, kappa > 0), bound to plan: plans of one layout share
+    the stacks, so a plan with other multipliers (the w-form's mu) binds
+    its views anew."""
+    ar = arena(grid, key, _build, plan)
+    if ar.plan is not plan:
+        _bind(ar, plan)
+    return ar
+
+
+def _inverse(grid, bound):
+    """A level's inverse rows, formed from the spectral rows of the arena
+    and inverse-transformed as one stack, by row group (see _slices)."""
+    for m, src, dst in bound.runs:
+        np.multiply(m, src, out=dst)
+    for m, src, dst in bound.extras:
+        dst += m * src
+    from_spectral(grid, bound.spec, bound.out)
+    return bound.groups
+
+
 def _rhs_u(state, params, eps, use_dealias, spectral):
     """The u-form right-hand side, evaluated one dependency level at a time
     with one batched forward and one batched inverse transform per level,
-    in the layout of its cached _plan: a call does only the arithmetic.
-    eps = 0 is the target system. Each stack goes back to the workspace
-    after its last read: a nodal stack after its forward transform, a
-    level's spectra once the rows of the inverse that reads them last are
-    formed."""
+    in the layout of its cached _plan and the stacks and views of its
+    thread's arena (_arena): a call does only the arithmetic. eps = 0 is
+    the target system."""
     if state.form != "u":
         raise ValueError("rhs_target and rhs_approx_u expect a u-form state")
     rho = state.rho
@@ -196,28 +273,27 @@ def _rhs_u(state, params, eps, use_dealias, spectral):
     reg, bohm = eps > 0, params.kappa > 0
     se = math.sqrt(eps)
     v_q = neg_p = None
-    one, two, three = _plan(grid, "u", reg, bohm)
+    ar = _arena(grid, ("u", reg, bohm), _plan(grid, "u", reg, bohm))
+    one, two, three = ar.levels
 
     # level 1: [u, rho u, sqrt(rho), log(rho)] -> J, div(rho u),
     # grad sqrt(rho), grad log(rho), lap sqrt(rho), upper Hess log(rho)
-    a = lend(grid, one.lead)
-    ua, rua, va, la = one.rows(a)
+    ua, rua, va, la = one.rows
     ua[...] = u
     np.multiply(r, u, out=rua)
     if reg or bohm:
-        v = np.sqrt(r)  # read after the stack is released
+        v = np.sqrt(r, out=ar.v)  # read after level 2 reuses the stack
         va[0] = v
     if reg:
         np.log(r, out=la[0])
-    hat = forward(grid, a, once=True)
-    out1, (J, div_ru, gv, glog, lapv, hlog) = _inverse(grid, hat, one, (hat,))
+    to_spectral(grid, one.nodal, one.hat)
+    J, div_ru, gv, glog, lapv, hlog = _inverse(grid, one)
     J = J.reshape((d, d) + grid.shape)
 
     # level 2: [T, flux, lap sqrt(rho)/sqrt(rho), P if it needs no Q] ->
     # Q = div(flux), grad(lap sqrt(rho)/sqrt(rho)); div T stays a spectrum
     # T = rho (2 nu D + sqrt(eps) J + sqrt(eps) mu Hess log rho)
-    b = lend(grid, two.lead)
-    tb, fb, qb, pb = two.rows(b)
+    tb, fb, qb, pb = two.rows
     T = tb.reshape(J.shape)
     np.multiply(J, nu + se, out=T)
     T += nu * J.swapaxes(0, 1)
@@ -228,7 +304,7 @@ def _rhs_u(state, params, eps, use_dealias, spectral):
     if params.r1:
         nodal -= params.r1 * r * np.add.reduce(u * u, axis=0) * u
     if reg:
-        H = _symmetric(grid, hlog)
+        H = _symmetric(grid, hlog, ar.H)
         T += se * mu * H
         flux = fb
         np.multiply(np.add.reduce(gv * gv, axis=0), gv, out=flux)
@@ -247,24 +323,19 @@ def _rhs_u(state, params, eps, use_dealias, spectral):
     pressure = params.a * r ** params.gamma
     if not reg:
         np.negative(pressure, out=pb[0])
-    # with regularization one more spectral row waits for P
-    hat2 = lend(grid, (len(b) + reg,), spectral=True)
-    to_spectral(grid, b, out=hat2[:len(b)])
-    release(b)
-    out2, (Q, gq, lin) = _inverse(grid, hat2, two, () if reg else (hat2,))
+    to_spectral(grid, two.nodal, two.hat)
+    Q, gq, lin = _inverse(grid, two)
     if bohm:
         nodal += params.kappa ** 2 * (2.0 * r * gq)
-    done = (out1, out2)
     if reg:
-        # level 3: [P] -> div T + grad P
+        # level 3: [P] -> div T + grad P; P's spectral row follows level 2's
         v_q = v * Q[0]
         nodal += eps * mu * v_q * glog
         pressure += eps * mu * (neg_p + v_q)
-        to_spectral(grid, -pressure, out=hat2[-1])
-        out3, lin = _inverse(grid, hat2, three, (hat2,))
-        done += (out3,)
+        to_spectral(grid, -pressure, ar.hat[len(two.hat)])
+        lin = _inverse(grid, three)
     drho = continuity_rate(div_ru[0], eps, v_q, neg_p)
-    return _finish(grid, r, drho, lin, nodal, use_dealias, spectral, done)
+    return _finish(grid, ar, r, drho, lin, nodal, use_dealias, spectral)
 
 
 def rhs_target(state, params, use_dealias=True, spectral=False):
@@ -288,12 +359,13 @@ def rhs_approx_u(state, params, use_dealias=True, spectral=False):
     P = -(a rho^gamma + eps mu rho^-p0 + eps mu sqrt(rho) Q).
 
     spectral (for the time step) returns the masked spectrum of [drho,
-    dvel] instead, a workspace stack (see _finish), and skips the inverse
-    of the dealiasing pair: seven calls."""
+    dvel] instead, a stack of the thread's arena that the next call of a
+    right-hand side of the same layout on the thread writes over (see
+    _finish), and skips the inverse of the dealiasing pair: seven
+    calls."""
     return _rhs_u(state, params, params.eps, use_dealias, spectral)
 
 
-@in_workspace
 def rhs_approx_w(state, params, use_dealias=True, spectral=False):
     """Regularized system in (rho, w): the effective-velocity form. The
     momentum line contains no third-order dispersive operator; the highest
@@ -312,29 +384,28 @@ def rhs_approx_w(state, params, use_dealias=True, spectral=False):
     eps, mu = params.eps, params.mu
     reg = eps > 0
     v_q = neg_p = None
-    one, two = _plan(grid, "w", reg, False, mu)
+    ar = _arena(grid, ("w", reg, False), _plan(grid, "w", reg, False, mu))
+    one, two = ar.levels
 
     # level 1: [w, rho w, rho, log(rho), sqrt(rho)] -> Jw,
     # div(rho w) - mu lap(rho), grad(rho), grad log(rho), grad sqrt(rho),
     # lap w
-    a = lend(grid, one.lead)
-    wa, rwa, ra, la, va = one.rows(a)
+    wa, rwa, ra, la, va = one.rows
     wa[...] = w
     np.multiply(r, w, out=rwa)
     ra[0] = r
     np.log(r, out=la[0])
     if reg:
-        v = np.sqrt(r)  # read after the stack is released
+        v = np.sqrt(r, out=ar.v)  # read after level 2 reuses the stack
         va[0] = v
-    hat = forward(grid, a, once=True)
-    out1, (Jw, div_m, gr, glog, gv, lapw) = _inverse(grid, hat, one, (hat,))
+    to_spectral(grid, one.nodal, one.hat)
+    Jw, div_m, gr, glog, gv, lapw = _inverse(grid, one)
     Jw = Jw.reshape((d, d) + grid.shape)
     u = w - mu * glog
 
     # level 2: [T, flux, P] -> div T + grad P, Q = div(flux)
     # T = rho (2 (nu - mu) Dw + sqrt(eps) Jw)
-    b = lend(grid, two.lead)
-    tb, fb, pb = two.rows(b)
+    tb, fb, pb = two.rows
     T = tb.reshape(Jw.shape)
     np.multiply(Jw, params.nu - mu + math.sqrt(eps), out=T)
     T += (params.nu - mu) * Jw.swapaxes(0, 1)
@@ -356,13 +427,12 @@ def rhs_approx_w(state, params, use_dealias=True, spectral=False):
         nodal -= (eps ** 1.5) * r * w3 * u
         nodal -= eps * neg_p * w
     np.negative(params.a * r ** params.gamma, out=pb[0])
-    hat2 = forward(grid, b, once=True)
-    out2, (lin, Q) = _inverse(grid, hat2, two, (hat2,))
+    to_spectral(grid, two.nodal, two.hat)
+    lin, Q = _inverse(grid, two)
     if reg:
         v_q = v * Q[0]
     drho = continuity_rate(div_m[0], eps, v_q, neg_p)
-    return _finish(grid, r, drho, lin, nodal, use_dealias, spectral,
-                   (out1, out2))
+    return _finish(grid, ar, r, drho, lin, nodal, use_dealias, spectral)
 
 
 def rhs_terms(state, params, formulation):

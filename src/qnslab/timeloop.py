@@ -7,6 +7,12 @@ Fourier space and everything else explicitly.
 
 Positivity failure is a hard stop with diagnostics, never clamping: the
 no-vacuum regime is a property to observe, not enforce.
+
+A step works in the stacks of its thread's Arena for its scheme
+(_step_stacks) and the right-hand sides in theirs; neither lends from the
+workspace pool, which serves the record chunks' Derived bundles and
+functionals. A step copies into its own stacks what it keeps across a
+right-hand side call, and returns a State of copies.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (as_int, as_real, dealias_arr, div_arr, forward,
-                     grad_arr, in_workspace, inverse_once, lend, quad,
-                     release)
+from .fields import (arena, as_int, as_real, dealias_arr, div_arr,
+                     from_spectral, grad_arr, in_workspace, quad, real_rows,
+                     to_spectral)
 from .functionals import (DISSIPATION_KEYS, Derived, MonitorRecord,
                           _kinetic_dissipation, bd_entropy, derived, energy,
                           energy_dissipation, mv_functional)
@@ -123,8 +129,15 @@ def _linear_coeffs(form, params, dim):
 
 
 def _phi1(z):
-    return np.where(np.abs(z) > 1e-7, np.expm1(z) / np.where(z == 0, 1.0, z),
-                    1.0 + z / 2 + z * z / 6)
+    """(e^z - 1) / z of an array z, by its Taylor polynomial where
+    |z| <= 1e-7. Each form is evaluated on its own entries only, so the
+    polynomial of a large |z| cannot overflow."""
+    out = np.empty_like(z)
+    closed = np.abs(z) > 1e-7
+    zc, zt = z[closed], z[~closed]
+    out[closed] = np.expm1(zc) / zc
+    out[~closed] = 1.0 + zt / 2 + zt * zt / 6
+    return out
 
 
 # Horner coefficients of phi2(z) = sum_k z^k / (k + 2)!, k <= 16; the first
@@ -133,16 +146,22 @@ _PHI2_TAYLOR = tuple(1.0 / math.factorial(k + 2) for k in range(16, -1, -1))
 
 
 def _phi2(z):
-    """(e^z - 1 - z) / z^2. The closed form loses about eps / |z| of its
-    relative accuracy to cancellation, so |z| < 1 sums the Taylor series
-    instead: within 4e-16 relative of the exact value for z <= 0."""
+    """(e^z - 1 - z) / z^2 of an array z. The closed form loses about
+    eps / |z| of its relative accuracy to cancellation, so |z| < 1 sums the
+    Taylor series instead: within 4e-16 relative of the exact value for
+    z <= 0. Each form is evaluated on its own entries only."""
+    out = np.empty_like(z)
     small = np.abs(z) < 1.0
-    zs = np.where(small, z, 0.0)
+    zs, zc = z[small], z[~small]
     taylor = 0.0
     for c in _PHI2_TAYLOR:
         taylor = taylor * zs + c
-    return np.where(small, taylor,
-                    (np.expm1(z) - z) / np.where(small, 1.0, z) ** 2)
+    out[small] = taylor
+    with np.errstate(over="ignore"):
+        # z^2 is inf beyond |z| = 1.3e154, where phi2, below 1e-154, is
+        # +0.0
+        out[~small] = (np.expm1(zc) - zc) / zc ** 2
+    return out
 
 
 @functools.lru_cache(maxsize=2)
@@ -171,7 +190,26 @@ def _etd_multipliers(grid, c_rho, c_vel, dt):
     return tuple(mults)
 
 
-@in_workspace
+def _step_stacks(ar, scheme):
+    """The stacks of a step of scheme on the Arena ar, each (1 + dim, *n).
+    IMEX: a_hat, with the stage values ya over its memory in 2D and 3D (as
+    real_rows), and M, kept across the corrector's right-hand side; y0
+    lies over M's memory, which it leaves once transformed, and y1 once M
+    is read. RK4: y0, the stage values, written over by y1, and the four
+    slopes."""
+    grid = ar.grid
+    lead = (1 + grid.dim,)
+    if scheme == "imex":
+        ar.a_hat = ar.stack(lead, spectral=True)
+        ar.ya = real_rows(grid, ar.a_hat) if grid.dim > 1 else ar.stack(lead)
+        ar.m_hat = ar.stack(lead, spectral=True)
+        ar.y0 = real_rows(grid, ar.m_hat)
+    else:
+        ar.y0 = ar.stack(lead)
+        ar.y = ar.stack(lead)
+        ar.ks = tuple(ar.stack(lead) for _ in range(4))
+
+
 def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
          positivity_floor=1e-10):
     """Advance one step; raises PositivityError if the density drops to the
@@ -179,8 +217,10 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
 
     The density and the velocity travel as one (1 + dim, *n) stack, and
     both schemes read each right-hand side as the masked spectrum
-    rhs_fn(s, params, spectral=True) returns, a workspace stack; an RK4
-    slope is its inverse. A stage State s is valid only during its rhs_fn
+    rhs_fn(s, params, spectral=True) returns; an RK4 slope is its inverse.
+    That spectrum is valid only until rhs_fn's next call on the thread, so
+    what the step keeps across that call goes to the stacks of its own
+    arena (_step_stacks). A stage State s is valid only during its rhs_fn
     call: its fields are read-only views of a stage stack, not copies. The
     returned State holds copies."""
     if dt <= 0:
@@ -189,10 +229,11 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
         raise ValueError(f"unknown scheme {scheme!r}")
     rho, form, t0 = state.rho, state.form, state.time
     grid = rho.grid
+    ar = arena(grid, scheme, _step_stacks, scheme)
     s = state
     try:
         f0_hat = rhs_fn(s, params, spectral=True)
-        y0 = lend(grid, (1 + grid.dim,))
+        y0 = ar.y0
         y0[0] = rho.values
         y0[1:] = state.vel.values
         if scheme == "imex":
@@ -200,34 +241,31 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
                 grid, *_linear_coeffs(form, params, grid.dim), dt)
             # predictor: N0 = f0 - clap a0 and the stage values
             # a = exp(z) a0 + dt phi1(z) N0, over the memory of a0; the
-            # corrector's M = clap a + N0, over the memory of f0
-            a_hat = forward(grid, y0, once=True)
+            # corrector's M = clap a + N0, over the memory of y0
+            a_hat = to_spectral(grid, y0, ar.a_hat)
             f0_hat -= clap * a_hat
             phi1_n0 = dt_phi1 * f0_hat
             a_hat *= ez
             a_hat += phi1_n0
-            f0_hat += clap * a_hat
-            ya = inverse_once(grid, a_hat)
+            m_hat = np.add(f0_hat, clap * a_hat, out=ar.m_hat)
+            ya = from_spectral(grid, a_hat, ar.ya)
             s = _state_of(grid, ya[0], ya[1:], form, t0 + dt)
             # corrector a + dt phi2(z) (N(a) - N0), N(a) - N0 = f(a) - M
             fa_hat = rhs_fn(s, params, spectral=True)
-            fa_hat -= f0_hat
-            release(f0_hat)
+            fa_hat -= m_hat
             fa_hat *= phi2
-            y1 = inverse_once(grid, fa_hat)
+            y1 = from_spectral(grid, fa_hat, y0)    # over M, now read
             y1 *= dt
             y1 += ya
-            release(ya)
         else:
-            ks = [inverse_once(grid, f0_hat)]
-            for c in (0.5, 0.5, 1.0):
-                y = y0 + c * dt * ks[-1]
+            y, ks = ar.y, ar.ks
+            from_spectral(grid, f0_hat, ks[0])
+            for c, k, slope in zip((0.5, 0.5, 1.0), ks, ks[1:]):
+                np.add(y0, c * dt * k, out=y)
                 s = _state_of(grid, y[0], y[1:], form, t0 + c * dt)
-                ks.append(inverse_once(grid, rhs_fn(s, params,
-                                                    spectral=True)))
+                from_spectral(grid, rhs_fn(s, params, spectral=True), slope)
             k1, k2, k3, k4 = ks
-            y1 = y0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            release(y0, *ks)
+            y1 = np.add(y0, dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), out=y)
     except VacuumError as exc:
         # a stage value already left the positive cone: same failure mode
         # as a post-step violation
@@ -241,9 +279,7 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
     bad = y1[1:].size - np.count_nonzero(np.isfinite(y1[1:]))
     if bad:
         raise NonFiniteError(t0 + dt, bad)
-    new = _state_of(grid, r1.copy(), y1[1:].copy(), form, t0 + dt)
-    release(y1)
-    return new
+    return _state_of(grid, r1.copy(), y1[1:].copy(), form, t0 + dt)
 
 
 def cfl_dt(state, params, config):

@@ -810,12 +810,31 @@ class TestReport:
         assert "Traceback" not in err
 
 
-def test_python_m_qnslab_runs_from_a_checkout():
-    # the package directory's parent on PYTHONPATH, nothing installed
+def _python_m_qnslab(*args):
+    """python -m qnslab args in a fresh interpreter, the package
+    directory's parent on PYTHONPATH, nothing installed."""
     src = os.path.dirname(os.path.dirname(qnslab.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "qnslab", "--help"],
+    return subprocess.run([sys.executable, "-m", "qnslab", *args],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
+
+
+def test_huge_implicit_coefficient_run_writes_no_warning(tmp_path):
+    # nu = 1e200 makes |z| of the ETD multipliers reach 1e197: the phi
+    # functions' Taylor forms and z^2 would overflow there
+    cfg = _write(tmp_path, "run.json", {
+        "scenario": "acoustic-1d", "n": 32, "params": {"nu": 1e200},
+        "integrator": {"scheme": "imex", "dt_init": 1e-4, "dt_min": 1e-4,
+                       "dt_max": 1e-4, "t_end": 5e-4}})
+    proc = _python_m_qnslab("run", "--config", cfg, "--out",
+                            str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "status=completed" in proc.stdout
+
+
+def test_python_m_qnslab_runs_from_a_checkout():
+    proc = _python_m_qnslab("--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: qnslab")

@@ -85,22 +85,28 @@ def entry_calls(monkeypatch):
 
 
 # Python calls of the package and of numpy, and the builtin calls made from
-# them, of one right-hand side, as the IMEX step calls it, of one IMEX and
+# them, of each right-hand side, as the IMEX step calls it, of one IMEX and
 # one RK4 step, of one full observer-free record chunk of integrate and of a
 # 31-step integrate with an EnergyBudget observer (one chunk of 32 records),
-# at 1D n=128 where call overhead dominates; of one IMEX step and one
-# one-record chunk on the small 2D grid, which pin the glue of the paths
-# every dimension shares; and of one seed chunk of the identity plus
-# inequality suites, of 25 seeds on (64,) and of one seed on (64, 64)
+# at 1D n=128 where call overhead dominates; of one rhs_approx_u, one IMEX
+# step and one one-record chunk on the small 2D grid, which pin the glue of
+# the paths every dimension shares; and of one seed chunk of the identity
+# plus inequality suites, of 25 seeds on (64,) and of one seed on (64, 64).
+# With their stacks and row views in the arenas, the right-hand sides went
+# from 70 (rhs_approx_u) and 58 (rhs_approx_w) calls to 36 and 30, the
+# steps from 184 (IMEX), 337 (RK4) and 396 (2D IMEX) to 103, 186 and 111,
+# and the budgeted run from 16 636 to 14 124.
 CALL_CEILINGS = {
-    "rhs_approx_u": 70,
-    "rhs_approx_w": 58,
-    "step_imex": 184,
-    "step_rk4": 337,
-    "step_imex_2d": 396,
+    "rhs_target": 25,
+    "rhs_approx_u": 36,
+    "rhs_approx_w": 30,
+    "rhs_approx_u_2d": 39,
+    "step_imex": 103,
+    "step_rk4": 186,
+    "step_imex_2d": 111,
     "record_chunk_1d": 460,
     "record_chunk_2d": 502,
-    "budgeted_run_1d": 16636,
+    "budgeted_run_1d": 14124,
     "verify_chunk_1d": 1491,
     "verify_chunk_2d": 1120,
 }
@@ -279,8 +285,12 @@ def test_python_calls_within_ceiling(py_calls, op):
         return lambda: timeloop.step(s, params, systems.rhs_approx_u, 1e-4,
                                      scheme=scheme)
     calls = py_calls({
+        "rhs_target": lambda: systems.rhs_target(state, params,
+                                                 spectral=True),
         "rhs_approx_u": lambda: systems.rhs_approx_u(state, params,
                                                      spectral=True),
+        "rhs_approx_u_2d": lambda: systems.rhs_approx_u(state_2d, params,
+                                                        spectral=True),
         "rhs_approx_w": lambda: systems.rhs_approx_w(wstate, params,
                                                      spectral=True),
         "step_imex": step(state, "imex"),

@@ -169,6 +169,16 @@ class TestMollify:
         with pytest.raises(ValueError):
             mollify(raw, 0.0, params)
 
+    def test_overflowing_floor_is_the_params_value_error(self):
+        # eps^(24 sigma0) = 1e480 with an eps other than params.eps: the
+        # ValueError QnsParams gives for a coefficient it cannot form
+        raw, _ = scenario("vacuum-bump-1d", n=32)
+        with pytest.raises(ValueError) as params_error:
+            QnsParams(eps=1e10, sigma0=2.0)
+        with pytest.raises(ValueError) as mollify_error:
+            mollify(raw, 1e10, QnsParams(sigma0=2.0))
+        assert str(mollify_error.value) == str(params_error.value)
+
     def test_pure_vacuum_gives_exact_floor(self):
         g = Grid(32)
         raw = RawData(ScalarField.constant(g, 0.0), VectorField.zero(g))

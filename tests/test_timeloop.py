@@ -45,6 +45,29 @@ def test_phi2_relative_error_at_roundoff():
     assert np.max(err) <= 1e-14, (np.max(err), z[np.argmax(err)])
 
 
+def test_phi_forms_equal_two_branch_transcription():
+    # each entry has the bits of the form np.where picked from both forms
+    # evaluated everywhere, on both sides of each switch, at 0 and at
+    # |z| where the unpicked form overflows
+    z = np.logspace(-20, 250, 2701)
+    z = np.concatenate([[0.0, 1e-7, np.nextafter(1e-7, 1), 1.0,
+                         np.nextafter(1.0, 0)], z])
+    z = np.concatenate([-z, z])
+    with np.errstate(all="ignore"):
+        phi1 = np.where(np.abs(z) > 1e-7,
+                        np.expm1(z) / np.where(z == 0, 1.0, z),
+                        1.0 + z / 2 + z * z / 6)
+        small = np.abs(z) < 1.0
+        zs, taylor = np.where(small, z, 0.0), 0.0
+        for c in timeloop._PHI2_TAYLOR:
+            taylor = taylor * zs + c
+        phi2 = np.where(small, taylor,
+                        (np.expm1(z) - z) / np.where(small, 1.0, z) ** 2)
+        got1, got2 = timeloop._phi1(z), timeloop._phi2(z)
+    for got, ref in ((got1, phi1), (got2, phi2)):
+        assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+
+
 def _poisoned_velocity(last_call, rhs_fn=rhs_approx_u):
     """rhs_fn whose call number last_call returns a NaN velocity node."""
     count = {"n": 0}

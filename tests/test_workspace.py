@@ -1,6 +1,10 @@
-"""The transform workspace: pooled stacks keep every bit of the right-hand
-sides and steps, go back to the pool after use (also when a stage raises),
-stay bounded, and are kept per thread."""
+"""The stacks of the hot paths. The arenas of the right-hand sides and the
+step keep every bit however their stacks were left, stop growing after the
+first step, share no memory with a returned State, and are kept per thread
+for one grid; those paths lend nothing from the pool. The pool's stacks,
+used by the bundles, functionals and checks, keep every bit, go back to the
+pool after use (also when a check or an observer raises), stay bounded,
+and are kept per thread."""
 
 import functools
 import json
@@ -22,7 +26,7 @@ from qnslab.physics import (PIECES, Derived, QnsParams, State, VacuumError,
                             to_w)
 from qnslab.timeloop import PositivityError
 
-GRIDS = [(32,), (64, 64), (16, 16, 16)]
+GRIDS = [(32,), (16, 24), (8, 12, 16)]
 PARAMS = QnsParams(nu=1.0, kappa=1.0 / 11.0, eps=1e-3)
 RHS = {"target": systems.rhs_target, "approx-u": systems.rhs_approx_u,
        "approx-w": systems.rhs_approx_w}
@@ -63,6 +67,42 @@ def _poison(ws):
         buf[...] = 0xFF
 
 
+@pytest.fixture
+def arenas(monkeypatch):
+    """The arenas of the thread, from an empty set of the test's own."""
+    ar = fields._Arenas()
+    monkeypatch.setattr(fields, "_arenas", ar)
+    return ar
+
+
+def _arena_buffers(ar):
+    return [buf for a in ar.built.values() for buf in a.buffers]
+
+
+def _poison_arenas(ar):
+    """Fill every buffer of every arena with NaN bit patterns, as _poison
+    does the pool's."""
+    for buf in _arena_buffers(ar):
+        buf.view(np.uint8)[...] = 0xFF
+
+
+def _fresh_arenas(fn):
+    """fn() on arenas built afresh for it, as a first call builds them;
+    the thread's arenas stay as they were."""
+    saved = fields._arenas
+    fields._arenas = fields._Arenas()
+    try:
+        return fn()
+    finally:
+        fields._arenas = saved
+
+
+def _untouched(pool):
+    """The hot paths lend nothing: the pool, which would take every stack
+    lent in a scope, holds none."""
+    assert not pool.free and not pool.lent and pool.grid is None
+
+
 def _state(n, seed, form="u"):
     grid = Grid(n)
     s = State(random_smooth_positive(grid, seed, 2, 4.0),
@@ -78,11 +118,6 @@ def _same(a, b):
 def _same_state(a, b):
     _same(a.rho.values, b.rho.values)
     _same(a.vel.values, b.vel.values)
-
-
-def _same_rhs(a, b):
-    _same(a.drho.values, b.drho.values)
-    _same(a.dvel.values, b.dvel.values)
 
 
 def _parent_step(state, params, rhs_fn, dt, scheme):
@@ -166,41 +201,61 @@ def _rhs_for_state(state):
     return systems.rhs_approx_w if state.form == "w" else systems.rhs_approx_u
 
 
+VARIANTS = [(use_dealias, spectral) for use_dealias in (True, False)
+            for spectral in (False, True)]
+
+
+def _rhs_bytes(rhs):
+    if isinstance(rhs, np.ndarray):
+        return rhs.tobytes()
+    return rhs.drho.values.tobytes() + rhs.dvel.values.tobytes()
+
+
 @pytest.mark.parametrize("n", GRIDS)
 @pytest.mark.parametrize("formulation", sorted(RHS))
-def test_rhs_sequence_equals_fresh_calls(pool, n, formulation):
+def test_rhs_sequence_equals_fresh_calls(arenas, pool, n, formulation):
+    # every variant of each right-hand side, called in turn on poisoned
+    # arenas, equals its call on arenas built afresh
     form = "w" if formulation == "approx-w" else "u"
     fn = RHS[formulation]
     s1, s2 = _state(n, 3, form), _state(n, 4, form)
-    refs = [_bypassed(lambda s=s: fn(s, PARAMS)) for s in (s1, s2)]
+    refs = {(k, v): _fresh_arenas(lambda s=s, v=v: _rhs_bytes(fn(
+        s, PARAMS, use_dealias=v[0], spectral=v[1])))
+        for k, s in enumerate((s1, s2)) for v in VARIANTS}
     kept = []
-    for s, ref in ((s1, refs[0]), (s2, refs[1]), (s1, refs[0])):
-        _poison(pool)
-        kept.append(fn(s, PARAMS))
-        _same_rhs(kept[-1], ref)
-        _same_rhs(fn(s, PARAMS, use_dealias=False),
-                  _bypassed(lambda s=s: fn(s, PARAMS, use_dealias=False)))
-        assert not pool.lent
-    assert pool.free
-    # nothing an Rhs holds lives in the pool: later calls left them intact
-    for rhs, ref in zip(kept, (refs[0], refs[1], refs[0])):
-        _same_rhs(rhs, ref)
+    for k, s in ((0, s1), (1, s2), (0, s1)):
+        for use_dealias, spectral in VARIANTS:
+            _poison_arenas(arenas)
+            got = fn(s, PARAMS, use_dealias=use_dealias, spectral=spectral)
+            assert _rhs_bytes(got) == refs[k, (use_dealias, spectral)]
+            if spectral:
+                # a spectrum is a stack of the arena
+                assert any(np.shares_memory(got, buf)
+                           for buf in _arena_buffers(arenas))
+            else:
+                kept.append((got, refs[k, (use_dealias, spectral)]))
+    assert arenas.built
+    _untouched(pool)
+    # nothing an Rhs holds lives in an arena: later calls left them intact
+    for rhs, ref in kept:
+        assert _rhs_bytes(rhs) == ref
 
 
 @pytest.mark.parametrize("n", GRIDS)
 @pytest.mark.parametrize("form", ["u", "w"])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_step_equals_parent_transcription(pool, n, form, scheme):
+def test_step_equals_parent_transcription(arenas, pool, n, form, scheme):
     # RK4 keeps the parent's bits. The IMEX step takes each right-hand
     # side's masked spectrum where the parent inverted it and transformed
     # it again, so it matches the parent to roundoff only.
     s = _state(n, 5, form)
     rhs_fn = _rhs_for_state(s)
     for dt in (1e-4, 2e-4):
-        ref = _bypassed(lambda: _parent_step(s, PARAMS, rhs_fn, dt, scheme))
-        _poison(pool)
+        ref = _fresh_arenas(lambda: _parent_step(s, PARAMS, rhs_fn, dt,
+                                                 scheme))
+        _poison_arenas(arenas)
         new = timeloop.step(s, PARAMS, rhs_fn, dt, scheme=scheme)
-        assert not pool.lent
+        _untouched(pool)
         for got, want in ((new.rho.values, ref[0]), (new.vel.values, ref[1:])):
             if scheme == "imex":
                 assert np.max(np.abs(got - want)) \
@@ -213,21 +268,21 @@ def test_step_equals_parent_transcription(pool, n, form, scheme):
 @pytest.mark.parametrize("n", GRIDS)
 @pytest.mark.parametrize("form", ["u", "w"])
 @pytest.mark.parametrize("use_dealias", [True, False])
-def test_imex_step_equals_transcription(pool, n, form, use_dealias):
+def test_imex_step_equals_transcription(arenas, pool, n, form, use_dealias):
     # the step has no dealiasing option: an undealiased run passes a
     # right-hand side that carries use_dealias=False itself
     s = _state(n, 5, form)
     rhs_fn = functools.partial(_rhs_for_state(s), use_dealias=use_dealias)
     for dt in (1e-4, 2e-4):
-        refs = [_bypassed(lambda: _imex_step(s, PARAMS, rhs_fn, dt))]
+        refs = [_fresh_arenas(lambda: _imex_step(s, PARAMS, rhs_fn, dt))]
         if not use_dealias:
             # the spectrum of an undealiased right-hand side is the forward
             # transform the parent step made: the parent's bits
-            refs.append(_bypassed(lambda: _parent_step(s, PARAMS, rhs_fn, dt,
-                                                       "imex")))
-        _poison(pool)
+            refs.append(_fresh_arenas(lambda: _parent_step(
+                s, PARAMS, rhs_fn, dt, "imex")))
+        _poison_arenas(arenas)
         new = timeloop.step(s, PARAMS, rhs_fn, dt, scheme="imex")
-        assert not pool.lent
+        _untouched(pool)
         for ref in refs:
             _same(new.rho.values, ref[0])
             _same(new.vel.values, ref[1:])
@@ -257,62 +312,68 @@ def _draining(state, params, spectral):
 
 @pytest.mark.parametrize("n", GRIDS)
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_failed_stage_returns_every_stack(pool, monkeypatch, n, scheme):
+def test_failed_stage_returns_every_stack(arenas, pool, monkeypatch, n,
+                                          scheme):
+    # a step or right-hand side that raises leaves its arena's stacks
+    # written part way; the next step writes what it reads and keeps the
+    # bits of a step on arenas built afresh
     s = _state(n, 6)
-    clean = _bypassed(lambda: timeloop.step(s, PARAMS, systems.rhs_approx_u,
-                                            1e-4, scheme=scheme))
+    clean = _fresh_arenas(lambda: timeloop.step(
+        s, PARAMS, systems.rhs_approx_u, 1e-4, scheme=scheme))
     last = 2 if scheme == "imex" else 4
 
     # a stage whose right-hand side fails after the step took its stacks
     with pytest.raises(PositivityError):
         timeloop.step(s, PARAMS, _raising(systems.rhs_approx_u, last), 1e-4,
                       scheme=scheme)
-    assert not pool.lent
+    _same_state(timeloop.step(s, PARAMS, systems.rhs_approx_u, 1e-4,
+                              scheme=scheme), clean)
     # a density that leaves the positive cone: raised after the update
     with pytest.raises(PositivityError):
         timeloop.step(s, PARAMS, _draining, 1e-4, scheme=scheme)
-    assert not pool.lent
-    # a failure inside the right-hand side, with its level stacks lent
+    _same_state(timeloop.step(s, PARAMS, systems.rhs_approx_u, 1e-4,
+                              scheme=scheme), clean)
+    # a failure inside the right-hand side, with its level stacks written
     with monkeypatch.context() as mp:
         def fail(*args, **kwargs):
             raise VacuumError(1, -1.0)
         mp.setattr(systems, "continuity_rate", fail)
         with pytest.raises(VacuumError):
             systems.rhs_approx_u(s, PARAMS)
-        assert not pool.lent
         with pytest.raises(PositivityError):
             timeloop.step(s, PARAMS, systems.rhs_approx_u, 1e-4,
                           scheme=scheme)
-        assert not pool.lent
 
-    _poison(pool)
+    _poison_arenas(arenas)
     _same_state(timeloop.step(s, PARAMS, systems.rhs_approx_u, 1e-4,
                               scheme=scheme), clean)
-    assert not pool.lent
+    _untouched(pool)
 
 
 @pytest.mark.parametrize("n", GRIDS)
 @pytest.mark.parametrize("form", ["u", "w"])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_pooled_bytes_stop_growing(pool, n, form, scheme):
+def test_pooled_bytes_stop_growing(arenas, pool, n, form, scheme):
+    # the arenas are built by the first step and only reused after it
     s = _state(n, 7, form)
     rhs_fn = _rhs_for_state(s)
-    for _ in range(2):
-        s = timeloop.step(s, PARAMS, rhs_fn, 1e-4, scheme=scheme)
-    warm = sum(pool.sizes)
-    assert warm > 0
+    s = timeloop.step(s, PARAMS, rhs_fn, 1e-4, scheme=scheme)
+    warm = [(id(buf), buf.nbytes) for buf in _arena_buffers(arenas)]
+    assert sum(nbytes for _, nbytes in warm) > 0
+    assert len(arenas.built) == 2     # the right-hand side's and the step's
     for _ in range(3):
         s = timeloop.step(s, PARAMS, rhs_fn, 1e-4, scheme=scheme)
-        assert not pool.lent
-        assert sum(pool.sizes) == warm
+        assert [(id(buf), buf.nbytes)
+                for buf in _arena_buffers(arenas)] == warm
+    _untouched(pool)
 
 
-@pytest.mark.parametrize("scheme, lent", [("imex", [0, 2]),
-                                           ("rk4-explicit", [0, 2, 3, 4])])
-def test_stages_see_only_live_stacks(pool, scheme, lent):
-    # IMEX: nothing before the predictor stage, [ya, M] at the corrector;
-    # RK4: nothing before the first stage (y0 is filled after it), then y0
-    # and the slopes made so far
+@pytest.mark.parametrize("scheme, lent", [("imex", [0, 0]),
+                                           ("rk4-explicit", [0, 0, 0, 0])])
+def test_stages_see_only_live_stacks(arenas, pool, scheme, lent):
+    # each stage lends nothing from the pool, and what the step keeps
+    # across a stage lives in the step's arena, which shares no memory
+    # with the arena the stage's right-hand side writes
     seen = []
 
     def rhs(state, params, **kw):
@@ -320,14 +381,20 @@ def test_stages_see_only_live_stacks(pool, scheme, lent):
         return systems.rhs_approx_u(state, params, **kw)
     timeloop.step(_state((64, 64), 11), PARAMS, rhs, 1e-4, scheme=scheme)
     assert seen == lent
+    (rhs_arena,) = [a for key, a in arenas.built.items() if key != scheme]
+    kept = arenas.built[scheme].buffers
+    assert not any(np.shares_memory(a, b)
+                   for a in rhs_arena.buffers for b in kept)
+    _untouched(pool)
 
 
 @pytest.mark.parametrize("n", [(32,), (16, 24)])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_returned_state_shares_no_pool_memory(pool, n, scheme):
+def test_returned_state_shares_no_pool_memory(arenas, pool, n, scheme):
     # a stage State holds read-only views, valid only during its
     # right-hand side call; the State step returns shares no memory with
-    # any buffer of the pool, so later steps cannot write into it
+    # any stack of an arena or of the pool, so later steps cannot write
+    # into it
     stages = []
 
     def rhs(state, params, **kw):
@@ -335,55 +402,67 @@ def test_returned_state_shares_no_pool_memory(pool, n, scheme):
         return systems.rhs_approx_u(state, params, **kw)
     s = _state(n, 5)
     new = timeloop.step(s, PARAMS, rhs, 1e-4, scheme=scheme)
-    assert pool.free and not pool.lent
     assert len(stages) == (2 if scheme == "imex" else 4)
     for stage in stages[1:]:
         assert not stage.rho.values.flags.writeable
         assert not stage.vel.values.flags.writeable
+    buffers = _arena_buffers(arenas)
+    assert buffers
     for arr in (new.rho.values, new.vel.values):
         assert not arr.flags.writeable
-        assert not any(np.shares_memory(arr, buf) for buf in pool.free)
+        assert not any(np.shares_memory(arr, buf) for buf in buffers)
     after = timeloop.step(new, PARAMS, systems.rhs_approx_u, 1e-4,
                           scheme=scheme)
-    assert not any(np.shares_memory(arr, buf) for buf in pool.free
+    assert not any(np.shares_memory(arr, buf) for buf in buffers
                    for arr in (after.rho.values, after.vel.values,
                                new.rho.values, new.vel.values))
+    _untouched(pool)
 
 
-def test_pool_keeps_one_grid(pool):
-    timeloop.step(_state((64, 64), 8), PARAMS, systems.rhs_approx_u, 1e-4,
-                  scheme="imex")
-    smallest = min(pool.sizes)
-    timeloop.step(_state((32,), 8), PARAMS, systems.rhs_approx_u, 1e-4,
-                  scheme="imex")
-    # the 64^2 buffers were dropped when the step moved to another grid
-    assert pool.sizes and max(pool.sizes) < smallest
+def test_pool_keeps_one_grid(arenas, pool):
+    # the arenas and the pool each keep the stacks of one grid: a step and
+    # a record chunk on another grid drop those of the last one
+    def run(n):
+        s = _state(n, 8)
+        timeloop.step(s, PARAMS, systems.rhs_approx_u, 1e-4, scheme="imex")
+        timeloop._record_chunk([s], PARAMS, ())
+    run((64, 64))
+    smallest = min(buf.nbytes for buf in _arena_buffers(arenas))
+    smallest_pooled = min(pool.sizes)
+    run((32,))
+    assert set(arenas.built) == {("u", True, True), "imex"}
+    assert max(buf.nbytes for buf in _arena_buffers(arenas)) < smallest
+    assert pool.sizes and max(pool.sizes) < smallest_pooled
 
 
 def test_small_stacks_bypass_the_pool(monkeypatch):
+    # at the pool's real cut a 1D n=128 run, steps and record chunks,
+    # lends nothing
     ws = fields._Workspace()
     monkeypatch.setattr(fields, "_workspace", ws)
-    s = _state((128,), 9)
-    timeloop.step(s, PARAMS, systems.rhs_approx_u, 1e-4, scheme="imex")
+    timeloop.integrate(_state((128,), 9), PARAMS, _run_config(3))
     assert not ws.free and not ws.lent
 
 
-def test_workspace_is_per_thread(pool):
-    # more threads than cores, switching often: a pool shared between
+def test_workspace_is_per_thread(arenas):
+    # more threads than cores, switching often: arenas shared between
     # threads would hand one stack to two stages
     states = [_state((32, 32), seed) for seed in range(4)]
-    refs = [_bypassed(lambda s=s: timeloop.step(
+    refs = [_fresh_arenas(lambda s=s: timeloop.step(
         s, PARAMS, systems.rhs_approx_u, 1e-4, scheme="imex"))
         for s in states]
-    systems.rhs_approx_u(states[0], PARAMS)
+    timeloop.step(states[0], PARAMS, systems.rhs_approx_u, 1e-4,
+                  scheme="imex")
+    mine = _arena_buffers(arenas)
     seen = {}
 
     def worker(k):
-        seen[k] = [len(fields._workspace.free)]
+        seen[k] = [len(fields._arenas.built)]
         for _ in range(5):
             seen[k].append(timeloop.step(states[k], PARAMS,
                                          systems.rhs_approx_u, 1e-4,
                                          scheme="imex"))
+        seen[k].append(_arena_buffers(fields._arenas))
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -397,10 +476,16 @@ def test_workspace_is_per_thread(pool):
         sys.setswitchinterval(saved)
     assert not any(t.is_alive() for t in threads)
     for k, ref in enumerate(refs):
-        assert seen[k][0] == 0  # a new thread starts with an empty pool
-        for new in seen[k][1:]:
+        assert seen[k][0] == 0  # a new thread starts with no arena
+        for new in seen[k][1:-1]:
             _same_state(new, ref)
-    assert pool.free and not pool.lent
+        # no thread wrote into another's stacks
+        for j in range(k):
+            assert not any(np.shares_memory(a, b) for a in seen[k][-1]
+                           for b in seen[j][-1])
+        assert not any(np.shares_memory(a, b) for a in seen[k][-1]
+                       for b in mine)
+    assert _arena_buffers(arenas) == mine
 
 
 # Minor page faults of one steady 2D 128^2 IMEX step: 3829 to 4204 before
