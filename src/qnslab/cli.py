@@ -30,17 +30,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .fields import VectorField, as_bool, as_int
-from .functionals import DISSIPATION_KEYS
+from .functionals import MONITOR_COLUMNS
 from .initdata import SCENARIOS, mollify, scenario, validate_initial
-from .physics import (DESK_P0, DESK_SIGMA0, PAPER_P0, PAPER_SIGMA0, QnsParams,
-                      State, VacuumError, check_constraints)
+from .physics import (AdmissibilityError, QnsParams, State, VacuumError,
+                      check_constraints, paper_params)
 from .snapshots import read_field, write_field
 from .timeloop import (T_END_TOL, IntegratorConfig, PositivityError,
                        integrate)
 from .verify import SUITE_CHECKS, SuiteConfig, check_suites, run_suites
-
-MONITOR_COLUMNS = ("time", "mass", "energy", "bd_entropy", "mv", "rho_min",
-                   "rho_max", "mass_balance_residual") + DISSIPATION_KEYS
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -48,6 +45,14 @@ EXIT_CONFIG_ERROR = 2
 EXIT_POSITIVITY = 3
 
 MODES = ("desk", "paper")
+
+# The keys a config may hold. run and sweep read one format (run ignores the
+# sweep block); a verify config takes SUITE_KEYS, at the top level and in a
+# block for each suite it runs.
+RUN_KEYS = ("scenario", "n", "snapshot", "snapshot_velocity", "mollify",
+            "strict", "mode", "params", "integrator", "sweep", "out")
+SUITE_KEYS = ("seeds", "num_seeds", "grids", "modes", "floor", "rel_tol",
+              "canary", "checks")
 
 
 class ConfigError(ValueError):
@@ -75,6 +80,14 @@ def _block(cfg, key):
     if not isinstance(block, dict):
         raise ConfigError(f"{key!r} must be an object, got {block!r}")
     return dict(block)
+
+
+def _require_known(cfg, keys, where):
+    """Raise ConfigError naming the keys of cfg that are not among keys."""
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}; "
+                          f"allowed: {sorted(keys)}")
 
 
 def _path(cfg, key):
@@ -106,14 +119,16 @@ def _mode(cfg, args):
 
 
 def _build_params(cfg, mode, overrides=()):
+    """The params of the params block with the overrides, in the mode; a
+    top-level strict sets params.strict. Call it after _shared(cfg)."""
     block = _block(cfg, "params")
     block.update(overrides)
-    paper = mode == "paper"
-    block.setdefault("p0", PAPER_P0 if paper else DESK_P0)
-    block.setdefault("sigma0", PAPER_SIGMA0 if paper else DESK_SIGMA0)
-    block["mode"] = mode
+    if cfg.get("strict", False):
+        block["strict"] = True
     try:
-        return QnsParams(**block)
+        return (paper_params if mode == "paper" else QnsParams)(**block)
+    except AdmissibilityError as exc:
+        raise ConfigError(str(exc)) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid params block: {exc}") from exc
 
@@ -175,10 +190,7 @@ def _write_monitors(path, records):
     CRLF line ends; built as one string and written at once."""
     lines = [",".join(MONITOR_COLUMNS)]
     for r in records:
-        row = [r.time, r.mass, r.energy, r.bd_entropy, r.mv,
-               r.rho_min, r.rho_max, r.mass_balance_residual]
-        row += [r.dissipation[k] for k in DISSIPATION_KEYS]
-        lines.append(",".join(map(repr, map(float, row))))
+        lines.append(",".join(map(repr, map(float, r.row()))))
     lines.append("")
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines))
@@ -209,14 +221,9 @@ def _prepare_run(cfg, mode, overrides=(), shared=None):
     initial-data report) of a run config with the params overrides applied;
     raises ConfigError unless the run may start. shared is _shared(cfg),
     built here if not given."""
-    params = _build_params(cfg, mode, overrides)
     config, raw = shared or _shared(cfg)
+    params = _build_params(cfg, mode, overrides)
     constraint_report = check_constraints(params)
-    if params.strict or cfg.get("strict", False):
-        for c in constraint_report.checks:
-            if not (c.passed or c.informational):
-                raise ConfigError(f"admissibility violated: {c.name} "
-                                  f"(lhs={c.lhs:g}, rhs={c.rhs:g})")
     try:
         # mollify raises VacuumError where its floor underflows
         initial = _build_initial(cfg, params, raw)
@@ -234,6 +241,7 @@ def _prepare_run(cfg, mode, overrides=(), shared=None):
 
 def cmd_run(args):
     cfg = _load_config(args.config)
+    _require_known(cfg, RUN_KEYS, "the run config")
     params, config, initial, constraint_report, init_report = _prepare_run(
         cfg, _mode(cfg, args))
     out = _out_dir(cfg, args)
@@ -265,19 +273,18 @@ def cmd_run(args):
     return EXIT_OK if traj.failure is None else EXIT_CHECK_FAILURE
 
 
-def _suite_config(cfg):
-    kwargs = {key: cfg[key] for key in ("modes", "floor", "rel_tol", "canary")
-              if key in cfg}
+def _suite_config(block):
+    """The SuiteConfig of a block of SUITE_KEYS; seeds win over num_seeds."""
+    kwargs = {key: block[key] for key in SUITE_KEYS if key in block}
     try:
-        if "seeds" in cfg:
-            kwargs["seeds"] = tuple(cfg["seeds"])
-        elif "num_seeds" in cfg:
-            kwargs["seeds"] = tuple(range(as_int("num_seeds",
-                                                 cfg["num_seeds"])))
-        if "grids" in cfg:
-            kwargs["grids"] = tuple(tuple(g) for g in cfg["grids"])
-        if "checks" in cfg:
-            kwargs["checks"] = tuple(cfg["checks"])
+        if "num_seeds" in kwargs:
+            count = as_int("num_seeds", kwargs.pop("num_seeds"))
+            kwargs.setdefault("seeds", range(count))
+        for key in ("seeds", "checks"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
+        if "grids" in kwargs:
+            kwargs["grids"] = tuple(tuple(g) for g in kwargs["grids"])
         return SuiteConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid suite config: {exc}") from exc
@@ -288,17 +295,18 @@ def cmd_verify(args):
     suites = cfg.get("suites", ["identity", "inequality"])
     if not isinstance(suites, list) or not suites:
         raise ConfigError(f"suites must be a nonempty list, got {suites!r}")
-    configs = {}
     for name in suites:
         if name not in SUITE_CHECKS:
             raise ConfigError(f"unknown suite {name!r}")
+    _require_known(cfg, ("suites", "out", *SUITE_KEYS, *suites),
+                   "the verify config")
+    shared = {key: cfg[key] for key in SUITE_KEYS if key in cfg}
+    configs = {}
+    for name in suites:
         block = _block(cfg, name)
-        for key in ("seeds", "num_seeds", "grids", "modes", "floor",
-                    "rel_tol", "canary", "checks"):
-            if key in cfg and key not in block:
-                block[key] = cfg[key]
-        block.setdefault("checks", list(SUITE_CHECKS[name]))
-        configs[name] = _suite_config(block)
+        _require_known(block, SUITE_KEYS, f"the {name!r} block")
+        configs[name] = _suite_config(
+            {"checks": SUITE_CHECKS[name], **shared, **block})
     try:
         check_suites(configs)
     except ValueError as exc:
@@ -326,8 +334,9 @@ def cmd_sweep(args):
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     cfg = _load_config(args.config)
+    _require_known(cfg, RUN_KEYS, "the sweep config")
     mode = _mode(cfg, args)
-    _block(cfg, "params")  # each point overrides it, so it must be an object
+    shared = _shared(cfg)
     sweep = _block(cfg, "sweep")
     for key, vals in sweep.items():
         if key not in SWEEP_AXES:
@@ -343,7 +352,6 @@ def cmd_sweep(args):
         axes = [("eps", [_build_params(cfg, mode).eps])]
     points = list(itertools.product(*(vals for _, vals in axes)))
     names = [k for k, _ in axes]
-    shared = _shared(cfg)
     out = _out_dir(cfg, args)
 
     def one_point(point):
@@ -390,6 +398,7 @@ def cmd_sweep(args):
 def cmd_report(args):
     cfg = _load_config(args.config) if args.config else {}
     path = _path(cfg, "monitors") or args.monitors
+    _require_known(cfg, ("monitors",), "the report config")
     if not path or not os.path.exists(path):
         raise ConfigError(f"monitors CSV not found: {path}")
     try:

@@ -10,7 +10,7 @@ rule).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .physics import Derived, require_positive
 # inequalities.
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
+# Default tolerance of the exact identities and of the identity suite.
+IDENTITY_TOL = 1e-8
 
 DISSIPATION_KEYS = (
     "nu_rho_Du2",            # nu * int rho |D u|^2
@@ -81,11 +83,21 @@ class MonitorRecord:
     mass_balance_residual: float
     dissipation: dict = field(default_factory=dict)
 
+    def row(self):
+        """The record's values of MONITOR_COLUMNS, in order."""
+        return ([getattr(self, name) for name in _NUMBER_FIELDS]
+                + [self.dissipation[k] for k in DISSIPATION_KEYS])
+
     def is_finite(self):
-        vals = [self.mass, self.energy, self.bd_entropy, self.mv,
-                self.rho_min, self.rho_max, self.mass_balance_residual]
+        vals = [getattr(self, name) for name in _NUMBER_FIELDS]
         vals += list(self.dissipation.values())
         return bool(np.all(np.isfinite(vals)))
+
+
+# The columns of monitors.csv: the record's number fields, then dissipation.
+_NUMBER_FIELDS = tuple(f.name for f in fields(MonitorRecord)
+                       if f.name != "dissipation")
+MONITOR_COLUMNS = _NUMBER_FIELDS + DISSIPATION_KEYS
 
 
 def derived(state, params=None):
@@ -308,7 +320,7 @@ def check_div_vs_D(rho, u):
                    div_vs_D_batch(Derived.of(rho.grid, rho.values, u.values)))
 
 
-def flux_identity_batch(d, exponents, rel_tol=1e-8):
+def flux_identity_batch(d, exponents, rel_tol=IDENTITY_TOL):
     """Pairing identity for the quartic flux of v = sqrt(rho), for each
     exponent r >= 0:
 
@@ -388,7 +400,7 @@ def flux_identity_batch(d, exponents, rel_tol=1e-8):
     return out
 
 
-def check_flux_identity(v, r, rel_tol=1e-8):
+def check_flux_identity(v, r, rel_tol=IDENTITY_TOL):
     """The quartic-flux pairing identity of one field at exponent r; see
     flux_identity_batch."""
     return _report("flux_identity", flux_identity_batch(
@@ -396,7 +408,7 @@ def check_flux_identity(v, r, rel_tol=1e-8):
         rel_tol=0.0, abs_tol=ABS_TOL)
 
 
-def grad_sqrtrho_u_batch(d, tol=1e-8):
+def grad_sqrtrho_u_batch(d, tol=IDENTITY_TOL):
     """Nodal product rule grad(sqrt(rho) u) = sqrt(rho) grad u
        + 2 rho^(1/4) u (x) grad rho^(1/4), as the per-field (largest nodal
     error, tol * max(largest nodal |lhs|, 1)), which passes with rel_tol and
@@ -419,7 +431,7 @@ def grad_sqrtrho_u_batch(d, tol=1e-8):
     return err, tol * scale
 
 
-def check_grad_sqrtrho_u(rho, u, tol=1e-8):
+def check_grad_sqrtrho_u(rho, u, tol=IDENTITY_TOL):
     """The sqrt(rho) u product rule of one (rho, u) pair; see
     grad_sqrtrho_u_batch."""
     return _report("grad_sqrtrho_u", grad_sqrtrho_u_batch(

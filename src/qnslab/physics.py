@@ -18,16 +18,6 @@ from .fields import (ScalarField, VectorField, as_bool, as_real,
                      derivatives_arr, div_arr, grad_arr, hess_arr, lap_arr,
                      lend, per_node, release)
 
-# Analysis-mode constants: these make the regularization terms either
-# negligible or catastrophically stiff numerically, so simulation defaults
-# differ (see QnsParams). Selectable via paper_params().
-PAPER_P0 = 50.0
-PAPER_EPS_MAX = 1e-10
-PAPER_SIGMA0 = 1e-10
-
-DESK_P0 = 4.0
-DESK_SIGMA0 = 0.05
-
 
 class AdmissibilityError(ValueError):
     """A strict-mode parameter constraint is violated."""
@@ -63,8 +53,11 @@ def mu_of(nu, kappa):
 class QnsParams:
     """Physical and regularization constants.
 
-    mu is derived from (nu, kappa), once per instance. mode is "desk" or
-    "paper"; reports carry it so results are never silently mixed.
+    mu is derived from (nu, kappa), once per instance. p0 and sigma0
+    default to desk-scale exponents, resolvable on modest grids; mode is
+    "desk" or "paper" (paper_params); reports carry it so results are never
+    silently mixed. With strict, params that fail a non-informational check
+    of check_constraints raise AdmissibilityError naming that check.
     """
 
     nu: float = 1.0
@@ -74,8 +67,8 @@ class QnsParams:
     r0: float = 0.0
     r1: float = 0.0
     eps: float = 0.0
-    p0: float = DESK_P0
-    sigma0: float = DESK_SIGMA0
+    p0: float = 4.0
+    sigma0: float = 0.05
     strict: bool = False
     mode: str = "desk"
 
@@ -93,9 +86,6 @@ class QnsParams:
             raise ValueError("r0, r1, eps must be nonnegative")
         if self.p0 <= 0 or self.sigma0 <= 0:
             raise ValueError("p0 and sigma0 must be positive")
-        if self.strict and 11 * self.kappa > self.nu:
-            raise AdmissibilityError("11*kappa <= nu",
-                                     f"nu={self.nu}, kappa={self.kappa}")
         # coefficients that the code forms
         se = math.sqrt(self.eps)
         require_formed(lambda: (
@@ -103,6 +93,11 @@ class QnsParams:
             self.eps ** (24 * self.sigma0), 2 * self.nu + se + mu,
             2 * self.kappa ** 2 + 2 * mu * se, self.eps * mu,
             self.eps * self.p0, self.a * self.gamma))
+        if self.strict:
+            for c in check_constraints(self).checks:
+                if not (c.passed or c.informational):
+                    raise AdmissibilityError(
+                        c.name, f"lhs={c.lhs:g}, rhs={c.rhs:g}")
 
     @cached_property
     def mu(self):
@@ -113,12 +108,10 @@ class QnsParams:
 
 
 def paper_params(**kw):
-    """QnsParams with the analysis-mode constants (p0=50, sigma0=1e-10)."""
-    kw.setdefault("p0", PAPER_P0)
-    kw.setdefault("sigma0", PAPER_SIGMA0)
-    kw.setdefault("eps", PAPER_EPS_MAX)
-    kw.setdefault("mode", "paper")
-    return QnsParams(**kw)
+    """QnsParams of mode "paper", with the analysis-scale constants p0 = 50
+    and sigma0 = 1e-10 unless kw sets them. They make the regularization
+    terms either negligible or catastrophically stiff numerically."""
+    return QnsParams(**{"p0": 50.0, "sigma0": 1e-10, "mode": "paper", **kw})
 
 
 @dataclass(frozen=True)
@@ -146,14 +139,13 @@ class ConstraintReport:
         raise KeyError(name)
 
 
-def check_constraints(params, strict=None):
-    """Admissibility report: 11k <= nu and the two derived inequalities.
+def check_constraints(params):
+    """Admissibility report: 11k <= nu, the two derived inequalities and
+    gamma in (1, 3).
 
     With kappa = 0 the chain 400 mu^2 < kappa^2 degenerates to 0 < 0; it is
     reported as informational rather than a failure (no-dispersion runs).
     """
-    if strict is None:
-        strict = params.strict
     nu, kappa, mu = params.nu, params.kappa, params.mu
     degenerate = kappa == 0.0
     checks = (
@@ -166,11 +158,7 @@ def check_constraints(params, strict=None):
         ConstraintCheck("gamma in (1,3)", params.gamma, 3.0,
                         1.0 < params.gamma < 3.0),
     )
-    report = ConstraintReport(checks=checks, mode=params.mode)
-    if strict and not report.checks[0].passed:
-        raise AdmissibilityError("11*kappa <= nu",
-                                 f"nu={nu}, kappa={kappa}")
-    return report
+    return ConstraintReport(checks=checks, mode=params.mode)
 
 
 @dataclass(frozen=True)

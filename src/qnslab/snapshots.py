@@ -144,7 +144,8 @@ def _read_text(fh, path):
 
 def _header(lines, marker, path):
     """(grid, kind, components, name, time) of the seven header lines and
-    the data marker line that follow the magic line."""
+    the data marker line that follow the magic line; every ValueError it
+    raises names path."""
     header = {}
     for line in lines[:7]:
         key, _, rest = line.partition(":")
@@ -159,11 +160,12 @@ def _header(lines, marker, path):
         kind = header["kind"]
         name = header["name"]
         time = as_real("time", float(header["time"]))
+        if len(n) != dim:
+            raise ValueError("n/dim mismatch")
+        grid = Grid(n, length)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"corrupt snapshot header ({exc}): {path}") from exc
-    if len(n) != dim:
-        raise ValueError("corrupt header: n/dim mismatch")
     if (kind, comps) not in (("scalar", 1), ("vector", dim)):
         raise ValueError(f"corrupt header: kind {kind!r} with {comps} "
                          f"components: {path}")
-    return Grid(n, length), kind, comps, name, time
+    return grid, kind, comps, name, time

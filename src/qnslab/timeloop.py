@@ -211,7 +211,7 @@ def _step_stacks(ar, scheme):
 
 
 def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
-         positivity_floor=1e-10):
+         positivity_floor=IntegratorConfig.positivity_floor):
     """Advance one step; raises PositivityError if the density drops to the
     floor or is not finite, NonFiniteError if the velocity is not finite.
 

@@ -15,6 +15,7 @@ from qnslab.cli import MONITOR_COLUMNS, main
 from qnslab.fields import Grid, ScalarField, VectorField, \
     random_smooth_positive, random_smooth_vector
 from qnslab.functionals import DISSIPATION_KEYS, MonitorRecord
+from qnslab.physics import AdmissibilityError, QnsParams, paper_params
 from qnslab.snapshots import read_field, write_field
 from qnslab.systems import rhs_approx_u
 
@@ -739,6 +740,104 @@ class TestConfigErrors:
         assert err.startswith(f"config error: {key} must be a path")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+# (params, the check strict rejects them by, or None if it accepts them)
+STRICT_CASES = [
+    ({"nu": 1.0, "kappa": 0.5, "eps": 1e-3}, "11*kappa <= nu"),
+    ({"nu": 1.0, "kappa": 0.05, "gamma": 3.5, "eps": 1e-3}, "gamma in (1,3)"),
+    ({"nu": 1.0, "kappa": 0.05, "gamma": 2.0, "eps": 1e-3}, None),
+]
+
+
+class TestStrictParity:
+    """QnsParams(strict=True) and a strict run config accept and reject the
+    same params, and name the same failed check."""
+
+    @pytest.mark.parametrize("params, failed", STRICT_CASES,
+                             ids=["kappa", "gamma", "admissible"])
+    @pytest.mark.parametrize("where", ["top-level", "params"])
+    def test_library_and_cli_agree(self, tmp_path, capsys, params, failed,
+                                   where):
+        if failed:
+            with pytest.raises(AdmissibilityError) as info:
+                QnsParams(strict=True, **params)
+            assert info.value.inequality == failed
+        else:
+            QnsParams(strict=True, **params)
+        if where == "params":
+            doc = dict(RUN_DOC, params=dict(params, strict=True))
+        else:
+            doc = dict(RUN_DOC, params=params, strict=True)
+        out = tmp_path / "o"
+        code = main(["run", "--config", _write(tmp_path, "run.json", doc),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        if failed:
+            assert code == 2
+            assert err.startswith(f"config error: admissibility violated: "
+                                  f"{failed} (")
+            assert not out.exists()
+        else:
+            assert code == 0 and not err
+
+    @pytest.mark.parametrize("mode, build", [("paper", paper_params),
+                                             ("desk", QnsParams)])
+    def test_mode_params_are_the_library_params(self, mode, build):
+        # no eps in the block: neither the CLI nor paper_params sets one
+        block = {"nu": 1.0, "kappa": 0.0909, "r0": 0.1}
+        cfg = {"params": block}
+        assert cli._build_params(cfg, mode) == build(**block)
+        assert cli._build_params(cfg, mode).mode == mode
+
+
+class TestUnknownKeys:
+    """A key that a command does not read is a configuration error that
+    names the key, never a silently ignored misspelling."""
+
+    VERIFY = {"suites": ["identity", "inequality"], "num_seeds": 1,
+              "grids": [[32]], "modes": 2}
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("run", _params(kappa=0.5, strict=False) | {"stritc": True},
+         "stritc"),
+        ("sweep", dict(RUN_DOC, sweeps={"eps": [1e-3]}), "sweeps"),
+        ("verify", dict(VERIFY, seed=[0, 1]), "seed"),
+        ("verify", dict(VERIFY, identity={"rel_tl": 1e-8}), "rel_tl"),
+        ("verify", dict(VERIFY, inequality={"num_seed": 2}), "num_seed"),
+        ("verify", {"suites": ["dynamics"], "dynamics": {"chekcs": []}},
+         "chekcs"),
+        # a block of a suite the config does not run is not read either
+        ("verify", dict(VERIFY, dynamics={}), "dynamics"),
+        ("report", {"monitors": "m.csv", "monitor": "m.csv"}, "monitor"),
+    ], ids=["run", "sweep", "verify", "identity-block", "inequality-block",
+            "dynamics-block", "suite-not-run", "report"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, command, doc, key):
+        argv = [command, "--config", _write(tmp_path, "c.json", doc)]
+        out = tmp_path / "o"
+        if command != "report":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown key(s) ['{key}']")
+        assert not out.exists()
+
+    def test_benchmark_config_keys_are_accepted(self, tmp_path):
+        # the keys of the benchmark's generated run and verify configs
+        rho = tmp_path / "rho.dat"
+        vel = tmp_path / "vel.dat"
+        grid = Grid(32)
+        write_field(rho, random_smooth_positive(grid, 0, 2, 4.0), "rho")
+        write_field(vel, random_smooth_vector(grid, 0, 2), "vel")
+        run = {"snapshot": str(rho), "snapshot_velocity": str(vel),
+               "params": RUN_DOC["params"],
+               "integrator": dict(RUN_DOC["integrator"], t_end=2e-3)}
+        verify = {"suites": ["identity", "inequality"], "seeds": [0, 1],
+                  "grids": [[64]], "canary": False}
+        for command, doc in (("run", run), ("verify", verify)):
+            cfg = _write(tmp_path, f"{command}.json", doc)
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path / command)]) == 0
 
 
 class TestFlags:

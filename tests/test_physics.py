@@ -123,6 +123,7 @@ class TestQnsParams:
         p = paper_params(nu=1.0, kappa=1.0 / 11.0)
         assert p.p0 == 50.0
         assert p.sigma0 == 1e-10
+        assert p.eps == 0.0
         assert p.mode == "paper"
 
 
@@ -153,10 +154,6 @@ class TestConstraintChain:
         rep = check_constraints(QnsParams(nu=1.0, kappa=0.5))
         assert not rep.by_name("11*kappa <= nu").passed
         assert not rep.passed
-
-    def test_strict_raises(self):
-        with pytest.raises(AdmissibilityError):
-            check_constraints(QnsParams(nu=1.0, kappa=0.5), strict=True)
 
 
 class TestState:

@@ -183,6 +183,28 @@ def test_rejects_bad_header(tmp_path, snapfiles):
             read_field(path)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n", "16 16", "n/dim mismatch"),
+    ("length", "1.0 1.0", "length must have one entry per axis"),
+    ("length", "inf", "domain extents must be positive and finite"),
+    ("n", "15", "node counts must be even and >= 8, got 15"),
+    ("dim", "one", "invalid literal"),
+    ("components", "3", "with 3 components"),
+], ids=["n-dim", "length-count", "length-inf", "n-odd", "dim-text",
+        "components"])
+def test_header_error_names_the_file(tmp_path, snapfiles, key, value,
+                                     message):
+    # with two snapshots, the error tells which file is bad
+    f = ScalarField.constant(Grid(16), 2.0)
+    for fmt in snapfiles.formats:
+        path = snapfiles.write(fmt, tmp_path / f"{fmt}.dat", f)
+        snapfiles.set_header_line(path, key, value)
+        with pytest.raises(ValueError) as info:
+            read_field(path)
+        assert message in str(info.value)
+        assert str(info.value).endswith(f": {path}")
+
+
 def _v1_payload(tmp_path, snapfiles, field):
     path = snapfiles.write("v1", tmp_path / "text.dat", field)
     return snapfiles.split(path)[1]

@@ -698,13 +698,15 @@ print(json.dumps([faults() for _ in range(3)]))
 # Traced bytes a steady 64^2 seed chunk allocates plainly, as its peak over
 # its start: 719 KiB with only its transform stacks pooled, 305 KiB with its
 # nodal arrays (generated fields, Derived pieces, the checkers' larger
-# intermediates) pooled too; what remains is mostly irfftn's internal
-# spectrum. glibc trims its heap top once that exceeds twice the largest
-# block it has mmapped and freed, here the bundle's 8-row inverse spectrum
-# of 264 KiB, and it grows the heap by what it needs plus a 128 KiB pad; a
-# chunk that allocates under 528 - 128 = 400 KiB plainly leaves no heap
-# top to trim, wherever the heap puts its blocks. The ceiling is 5 % above
-# 305 KiB, and moves only down.
+# intermediates) pooled too, 270 KiB with numpy 2.4.6 on the direct
+# transform layer. What remains is mostly the complex work stack that
+# from_spectral allocates for its leading-axis passes: 264 KiB for the
+# bundle's 8-row inverse spectrum. glibc trims its heap top once that
+# exceeds twice the largest block it has mmapped and freed, here that same
+# 264 KiB spectrum, and it grows the heap by what it needs plus a 128 KiB
+# pad; a chunk that allocates under 528 - 128 = 400 KiB plainly leaves no
+# heap top to trim, wherever the heap puts its blocks. The ceiling is 5 %
+# above 305 KiB, and moves only down.
 CHUNK_PLAIN_KIB = 320
 
 
