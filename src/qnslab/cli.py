@@ -32,8 +32,8 @@ import numpy as np
 from .fields import VectorField, as_bool, as_int
 from .functionals import MONITOR_COLUMNS
 from .initdata import SCENARIOS, mollify, scenario, validate_initial
-from .physics import (AdmissibilityError, QnsParams, State, VacuumError,
-                      check_constraints, paper_params)
+from .physics import (MODES, AdmissibilityError, QnsParams, State,
+                      VacuumError, check_constraints, paper_params)
 from .snapshots import read_field, write_field
 from .timeloop import (T_END_TOL, IntegratorConfig, PositivityError,
                        integrate)
@@ -43,8 +43,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_POSITIVITY = 3
-
-MODES = ("desk", "paper")
 
 # The keys a config may hold. run and sweep read one format (run ignores the
 # sweep block); a verify config takes SUITE_KEYS, at the top level and in a
@@ -296,7 +294,7 @@ def cmd_verify(args):
     if not isinstance(suites, list) or not suites:
         raise ConfigError(f"suites must be a nonempty list, got {suites!r}")
     for name in suites:
-        if name not in SUITE_CHECKS:
+        if not isinstance(name, str) or name not in SUITE_CHECKS:
             raise ConfigError(f"unknown suite {name!r}")
     _require_known(cfg, ("suites", "out", *SUITE_KEYS, *suites),
                    "the verify config")

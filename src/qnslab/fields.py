@@ -27,19 +27,23 @@ tables too. Each entry is the complex value numpy's cast gives the real or
 bool multiplier, so a product has the bits of the cast product and runs
 without the cast or a broadcast inner loop.
 
-Stacks have one of two owners. The right-hand sides and the time step own
-theirs: each keeps an Arena per thread, built on its first call and reused
-by every later one (arena). Everything else that works in stacks (the
-spectral operators, the Derived bundles, the functionals and the seeded
-checks) borrows them inside a workspace scope from the thread's pool
-(lend, release, in_workspace).
+Stacks have one owner, the calling thread's store of raw byte buffers
+(_Store). The right-hand sides and the time step carve theirs from it
+once, each an Arena built on its first call and reused by every later one
+(arena); a stack of an arena is valid until its owner's next call or the
+next workspace scope on the thread. Everything else that works in stacks
+(the spectral operators, the Derived bundles, the functionals and the
+seeded checks) borrows them inside a workspace scope, from the store's
+first byte over the idle arenas, and gives them back last first (lend,
+release, in_workspace); a lent stack is valid until it is given back or
+the outermost scope exits.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
+import mmap
 import numbers
 import threading
 
@@ -48,12 +52,9 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 
 TWO_PI = 2.0 * np.pi
 
-# Inside a workspace scope, 1D stacks of at least this many bytes are drawn
-# from the calling thread's workspace and reused; smaller ones are plain
-# np.empty arrays (see lend).
-# glibc hands freed heap tops above about 128 KiB back to the system, so a
-# large stack allocated afresh on every call faults its pages in again.
-POOL_MIN_BYTES = 1 << 17
+# The bytes of a thread's first store buffer (see _Store). It reserves
+# address space, not memory: a 32^3 run's stacks (25 MB) fit without growth.
+STORE_BYTES = 1 << 26
 
 class Grid:
     """Uniform periodic lattice on [0, L1) x ... x [0, Ld), d in {1,2,3}.
@@ -64,8 +65,7 @@ class Grid:
 
     __slots__ = ("dim", "n", "length", "spacing", "shape", "volume", "kmax",
                  "_ik", "_lap", "_hess", "_sym", "_mask", "_coords", "_rows",
-                 "_fft_axes", "_ifft_passes", "_irfft_fct",
-                 "_stack_bytes")
+                 "_fft_axes", "_ifft_passes", "_irfft_fct")
 
     def __init__(self, n, length=None):
         if np.isscalar(n):
@@ -123,9 +123,6 @@ class Grid:
         self._ifft_passes = tuple((axes(a - dim), 1 / m)
                                   for a, m in enumerate(n[:-1]))
         self._irfft_fct = 1 / n[-1]
-        # the byte count of a nodal and of a spectral stack, by lead, as
-        # lend() meets them
-        self._stack_bytes = ({}, {})
 
     @property
     def node_count(self):
@@ -276,14 +273,67 @@ def _mode_box(grid, cutoffs):
 
 
 # ---------------------------------------------------------------------------
-# arenas: the fixed stacks of the right-hand sides and the step
+# the stack store: the arenas of the right-hand sides and the step, and the
+# workspace scopes of the bundles, functionals and checks
 # ---------------------------------------------------------------------------
+
+class _Store(threading.local):
+    """One thread's stacks, in raw byte buffers: anonymous memory maps,
+    which start on a page boundary and hold only the pages written. A
+    buffer never moves, so a view of it stays valid. The first holds
+    STORE_BYTES. The store grows by adding a buffer at least as large as
+    all before it, and the outermost scope's exit replaces a grown store
+    by one buffer of its size; arenas on another grid empty it (see
+    arena). Every stack starts on a 64-byte boundary.
+
+    A mark (buffer index, offset) is a position in the store. The arenas
+    carve their stacks one after another from the first byte, up to
+    carved, and keep them: arenas maps a key to the Arena of grid. A
+    workspace scope lends from the first byte too, over the arenas, which
+    hold no value while it runs (see arena): index, buf and at are its top
+    mark and the buffer it lies in, lent holds (the mark before it, the
+    stack) of each stack it has lent and not given back, and depth counts
+    the nested scopes."""
+
+    def __init__(self):
+        self.depth = 0
+        self.empty()
+
+    def empty(self):
+        """Drop every buffer and arena: the store starts over."""
+        self.buffers = [mmap.mmap(-1, STORE_BYTES)]
+        self.grid, self.arenas, self.carved = None, {}, (0, 0)
+        self.index, self.buf, self.at = 0, self.buffers[0], 0
+        self.lent = []
+
+    def take(self, mark, shape, dtype):
+        """A stack of shape and dtype at mark, or at the start of the first
+        later buffer that holds it, adding one if none does; and the mark
+        after it."""
+        i, at = mark
+        while True:
+            if i == len(self.buffers):
+                self.buffers.append(mmap.mmap(-1, max(
+                    math.prod(shape) * np.dtype(dtype).itemsize,
+                    sum(map(len, self.buffers)))))
+            try:
+                out = np.ndarray(shape, dtype, self.buffers[i], at)
+            except TypeError:   # it runs past the buffer's end
+                i, at = i + 1, 0
+                continue
+            return out, (i, at + -(-out.nbytes // 64) * 64)
+
+
+_store = _Store()
+
 
 class Arena:
     """The stacks one owner (a right-hand side's plan or a step scheme)
-    works in on one grid, allocated once: buffers lists them, and the owner
-    keeps its views of them as attributes. A stack holds no value from one
-    call of its owner to the next: each call writes what it reads."""
+    works in on one grid, carved from the thread's store once: buffers
+    lists them, and the owner keeps its views of them as attributes. A
+    stack holds no value from one call of its owner to the next: each call
+    writes what it reads, and a workspace scope may write over it between
+    calls."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -293,38 +343,31 @@ class Arena:
         """A new stack of shape lead + the nodal (or rfft-layout) row
         shape."""
         row, _, dtype = self.grid._rows[spectral]
-        out = np.empty(lead + row, dtype)
+        out, _store.carved = _store.take(_store.carved, lead + row, dtype)
         self.buffers.append(out)
         return out
 
 
-class _Arenas(threading.local):
-    """One thread's arenas by key, all of the one grid they were used on."""
-
-    def __init__(self):
-        self.grid = None
-        self.built = {}
-
-
-_arenas = _Arenas()
-
-
 def arena(grid, key, build, *args):
     """The calling thread's Arena of key on grid, filled by build(arena,
-    *args) on the thread's first call with key on the grid. Like the pool,
-    the arenas keep one grid per thread: a call on another grid drops
-    those of the last one."""
-    ar = _arenas
-    if ar.grid is not grid:
-        if ar.grid != grid:
-            ar.built = {}
-        ar.grid = grid
+    *args) on the thread's first call with key on the grid. The arenas
+    keep one grid per thread: a call on another grid empties the store, so
+    the thread keeps only what the new grid needs. A RuntimeError inside a
+    workspace scope, whose stacks lie over the arenas'."""
+    st = _store
+    if st.depth:
+        raise RuntimeError("an arena is not available inside a workspace "
+                           "scope")
+    if st.grid is not grid:
+        if st.grid != grid:
+            st.empty()
+        st.grid = grid
     try:
-        return ar.built[key]
+        return st.arenas[key]
     except KeyError:
         new = Arena(grid)
         build(new, *args)
-        ar.built[key] = new
+        st.arenas[key] = new
         return new
 
 
@@ -338,58 +381,33 @@ def real_rows(grid, spec):
     return spec.reshape(-1).view(float)[:math.prod(shape)].reshape(shape)
 
 
-# ---------------------------------------------------------------------------
-# transform workspace: pooled stacks for the bundles, functionals and checks
-# ---------------------------------------------------------------------------
-
-class _Workspace(threading.local):
-    """One thread's pool of transform stacks.
-
-    A free buffer is raw bytes; sizes holds their byte counts in ascending
-    order, parallel to free. A stack is a view of the smallest free buffer
-    that holds it, so a buffer serves stacks of any row count and either
-    dtype. lent maps id(buffer) to the buffer, which is the base of every
-    view of the stack. grid is the grid the free buffers were used on, and
-    depth counts the nested in_workspace scopes."""
-
-    def __init__(self):
-        self.grid = None
-        self.sizes, self.free = [], []
-        self.lent = {}
-        self.depth = 0
-
-    def put(self, buf):
-        i = bisect.bisect_left(self.sizes, buf.nbytes)
-        self.sizes.insert(i, buf.nbytes)
-        self.free.insert(i, buf)
-
-
-_workspace = _Workspace()
-
-
 def in_workspace(fn):
-    """fn run in a workspace scope: when the thread's outermost scope exits,
-    normally or by an exception, every stack still lent returns to the
-    pool. Inside a scope lend() draws stacks from the workspace, and so do
-    the spectral operators (grad_arr, div_arr, lap_arr, hess_arr,
-    derivatives_arr) for their spectra and outputs: a spectrum goes back
-    once read, and an output stays lent until the outermost scope exits, so
-    no array they return may outlive it. Outside any scope they return
-    plain arrays."""
+    """fn run in a workspace scope: lend() draws stacks from the thread's
+    store, and when the outermost scope exits, normally or by an
+    exception, every stack still lent returns to it. The spectral
+    operators (grad_arr, div_arr, lap_arr, hess_arr, derivatives_arr) lend
+    their spectra and outputs, so no array they return may outlive the
+    scope. A scope's stacks lie over the arenas', so no right-hand side or
+    step runs inside one (arena raises)."""
     @functools.wraps(fn)
     def scoped(*args, **kwargs):
-        ws = _workspace
-        ws.depth += 1
+        st = _store
+        st.depth += 1
         try:
             return fn(*args, **kwargs)
         finally:
-            ws.depth -= 1
-            if not ws.depth and ws.lent:
+            st.depth -= 1
+            if not st.depth:
                 # a stage that raised left its stacks lent; nothing reads
                 # them
-                for buf in ws.lent.values():
-                    ws.put(buf)
-                ws.lent.clear()
+                st.lent = []
+                if len(st.buffers) > 1:
+                    # the store grew: one buffer in place of them all, so
+                    # later scopes and arenas find no seam; the arenas,
+                    # which hold no value, are carved anew by their owners
+                    st.buffers = [mmap.mmap(-1, sum(map(len, st.buffers)))]
+                    st.arenas, st.carved = {}, (0, 0)
+                st.index, st.buf, st.at = 0, st.buffers[0], 0
     return scoped
 
 
@@ -397,53 +415,42 @@ def lend(grid, lead, spectral=False):
     """An uninitialized stack of shape lead + the grid's nodal row shape, or
     + its rfft-layout row shape if spectral.
 
-    Inside an in_workspace scope a 2D or 3D stack of any size, and a 1D
-    stack of at least POOL_MIN_BYTES, comes from the thread's workspace: it
-    stays lent until release() or the outermost scope's exit and must not
-    outlive it. Every other stack is a plain array. The pool keeps the
-    buffers of one grid only."""
-    row, row_bytes, dtype = grid._rows[spectral]
-    ws = _workspace
-    if ws.depth:
-        # 2D and 3D stacks are pooled whatever their size: their rows are
-        # large, and a scope's many small stacks add up to more than glibc
-        # keeps at the heap top. Small 1D stacks stay plain, so a 1D chunk
-        # leaves alone the pool of the other grids of a verify pass. A scope
-        # lends stacks of few distinct leads, so their sizes are looked up.
-        sizes = grid._stack_bytes[spectral]
-        try:
-            nbytes = sizes[lead]
-        except KeyError:
-            nbytes = sizes[lead] = math.prod(lead) * row_bytes
-        if grid.dim > 1 or nbytes >= POOL_MIN_BYTES:
-            if ws.grid is not grid:
-                if ws.grid != grid:
-                    ws.sizes, ws.free = [], []
-                ws.grid = grid
-            i = bisect.bisect_left(ws.sizes, nbytes)
-            if i < len(ws.sizes):
-                del ws.sizes[i]
-                buf = ws.free.pop(i)
-            else:
-                buf = np.empty(nbytes, np.uint8)
-            ws.lent[id(buf)] = buf
-            return np.ndarray(lead + row, dtype, buf)
-    return np.empty(lead + row, dtype)
+    Inside an in_workspace scope it comes from the thread's store, on top
+    of the stacks lent before it: it stays lent until release() or the
+    outermost scope's exit and must not outlive it. Outside any scope it
+    is a plain array."""
+    row, _, dtype = grid._rows[spectral]
+    st = _store
+    if not st.depth:
+        return np.empty(lead + row, dtype)
+    mark = st.index, st.at
+    try:
+        out = np.ndarray(lead + row, dtype, st.buf, st.at)
+        st.at += -(-out.nbytes // 64) * 64
+    except TypeError:   # it runs past the end of the top buffer
+        out, (st.index, st.at) = st.take((st.index + 1, 0), lead + row,
+                                         dtype)
+        st.buf = st.buffers[st.index]
+    st.lent += ((mark, out),)  # in place, without append's method call
+    return out
 
 
 def release(*stacks):
-    """Return stacks from lend(), or the inverse_once() of one, to the
-    pool; other arrays are ignored, those that own their memory unlooked
-    at."""
-    ws = _workspace
-    lent = ws.lent
-    if lent:
-        for arr in stacks:
-            base = arr.base
-            if base is not None:
-                buf = lent.pop(id(base), None)
-                if buf is not None:
-                    ws.put(buf)
+    """Give back, last first, each of stacks that is the last stack lent
+    in the workspace scope, or a view of it (such as inverse_once of it).
+    A stack lent below one still lent stays lent until the outermost scope
+    exits; other arrays are ignored."""
+    st = _store
+    lent = st.lent
+    for arr in stacks[::-1]:
+        if lent:
+            mark, top = lent[-1]
+            # a view of a stack has the stack as its base: the store's
+            # buffers are not arrays, so numpy stops there
+            if arr is top or arr.base is top:
+                del lent[-1]
+                st.index, st.at = mark
+                st.buf = st.buffers[st.index]
 
 
 def _lead(grid, arr, depth=0):
@@ -452,26 +459,17 @@ def _lead(grid, arr, depth=0):
     return arr.shape[:arr.ndim - grid.dim - depth]
 
 
-def forward(grid, arr, once=False):
-    """to_spectral of arr into a lend() stack. once: arr is a nodal stack
-    that is not read again, and goes back to the workspace."""
-    out = to_spectral(grid, arr, lend(grid, arr.shape[:arr.ndim - grid.dim],
-                                      True))
-    if once:
-        release(arr)
-    return out
-
-
 def inverse_once(grid, spec):
-    """from_spectral of a spectral stack that is not read again. The real
-    rows of a workspace stack are written over its own memory (real_rows,
-    inlined: the record chunks call this often), so release() of the
-    result returns the buffer."""
-    out = None
-    if spec.base is not None:
-        shape = spec.shape[:spec.ndim - grid.dim] + grid.shape
-        out = spec.reshape(-1).view(float)[:math.prod(shape)].reshape(shape)
-    return from_spectral(grid, spec, out)
+    """from_spectral of a spectral stack that is not read again. In 2D and
+    3D the real rows of a lent stack are written over its own memory
+    (real_rows), so release() of the result gives the stack back; in 1D
+    they are a plain array, and the stack goes back at once."""
+    if spec.base is None or grid.dim == 1:
+        # a plain array, or a 1D stack, whose real rows numpy would copy
+        out = from_spectral(grid, spec)
+        release(spec)
+        return out
+    return from_spectral(grid, spec, real_rows(grid, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +554,11 @@ def lap_arr(grid, arr, backend="spectral"):
 
 def _derivative_rows(grid, arr, mults):
     """from_spectral of m * to_spectral(arr) for each multiplier m of mults,
-    on a new axis before the grid axes; the spectra go back to the
-    workspace once read."""
-    hat = forward(grid, arr)
-    spec = lend(grid, _lead(grid, hat) + (len(mults),), spectral=True)
+    on a new axis before the grid axes. The output's stack is lent before
+    the forward spectrum, so the spectrum, once read, is the last stack
+    lent and goes back."""
+    spec = lend(grid, _lead(grid, arr) + (len(mults),), spectral=True)
+    hat = to_spectral(grid, arr, lend(grid, _lead(grid, arr), True))
     for p, m in enumerate(mults):
         np.multiply(m, hat, out=spec[_comp(grid, p)])
     release(hat)
@@ -584,10 +583,11 @@ def div_arr(grid, vec, backend="spectral"):
     if backend == "fd2":
         return sum(deriv_arr(grid, vec[_comp(grid, a)], a, backend)
                    for a in range(grid.dim))
-    # sum_j ik_j * hat[..., j, *m] into a lend() stack
-    hat = forward(grid, vec)
+    # sum_j ik_j * hat[..., j, *m] into a lend() stack, lent before the
+    # spectrum, as in _derivative_rows
+    spec = lend(grid, _lead(grid, vec, 1), spectral=True)
+    hat = to_spectral(grid, vec, lend(grid, _lead(grid, vec), True))
     lead = (slice(None),) * (hat.ndim - grid.dim - 1)
-    spec = lend(grid, _lead(grid, hat, 1), spectral=True)
     np.multiply(grid._ik[0], hat[lead + (0,)], out=spec)
     for j in range(1, grid.dim):
         spec += grid._ik[j] * hat[lead + (j,)]
@@ -634,7 +634,7 @@ def derivatives_arr(grid, arr, kinds):
     # outside a workspace scope, a block that shares the rows with another
     # kind is copied, so the rows are freed once read; inside one they stay
     # lent until the scope exits anyway
-    copy = len(kinds) > 1 and not _workspace.depth
+    copy = len(kinds) > 1 and not _store.depth
     out, start = [], 0
     for kind, ms in zip(kinds, groups):
         block = rows[_comp(grid, slice(start, start + len(ms)))]
@@ -646,8 +646,6 @@ def derivatives_arr(grid, arr, kinds):
         if kind == "lap":
             block = block[_comp(grid, 0)]
         out.append(block.copy() if copy else block)
-    if all(kind == "hess" for kind in kinds):
-        release(rows)  # no view of them is returned
     return out
 
 
@@ -787,7 +785,7 @@ def random_smooth_ensemble(grid, seeds, modes, floor=None, amplitude=None):
         noise = lend(grid, (len(rows),))
         for out, r in zip(noise, rows):
             np.random.default_rng(r).standard_normal(out=out)
-        spec = forward(grid, noise, once=True)
+        spec = to_spectral(grid, noise, lend(grid, (len(rows),), True))
         spec *= _smooth_amplitude(grid, modes)
         fields = inverse_once(grid, spec)
         del spec

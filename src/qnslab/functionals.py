@@ -366,8 +366,6 @@ def flux_identity_batch(d, exponents, rel_tol=IDENTITY_TOL):
         else:
             np.multiply(per_node(grid, gv2 ** (r / 2)), gv, out=flux)
     divs = dict(zip(powers, div_arr(grid, fluxes)))
-    release(fluxes)
-    del fluxes
 
     out = {}
     integrand, term = lend(grid, (2,) + lead)

@@ -38,6 +38,9 @@ class VacuumError(ValueError):
             f"nonpositive density at {bad_nodes} node(s), min={rho_min:g}")
 
 
+MODES = ("desk", "paper")   # see QnsParams and paper_params
+
+
 def mu_of(nu, kappa):
     """mu = nu - sqrt(nu^2 - kappa^2), requires 0 <= kappa <= nu; computed
     as kappa t / (1 + sqrt(1 - t^2)), t = kappa / nu, which neither cancels
@@ -77,6 +80,9 @@ class QnsParams:
                      "sigma0"):
             as_real(name, getattr(self, name))
         as_bool("strict", self.strict)
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got "
+                             f"{self.mode!r}")
         if self.nu <= 0:
             raise ValueError("nu must be positive")
         mu = self.mu    # mu_of checks 0 <= kappa <= nu
@@ -358,8 +364,6 @@ class Derived:
         for (_, kinds), members in stacks.items():
             x = _stack(self.grid, [x for x, _ in members])
             parts = derivatives_arr(self.grid, x, kinds)
-            if len(members) > 1:
-                release(x)  # a stack of its own, not read again
             for k, (_, named) in enumerate(members):
                 for kind, part in zip(kinds, parts):
                     self.__dict__[named[kind]] = part[k]
@@ -444,9 +448,7 @@ def bohm_arr(d, form="A", backend="spectral"):
         H = d.hess_log_rho if spectral else hess_arr(grid, d.log_rho, backend)
         flux = np.multiply(per_node(grid, r, 2), H,
                            out=lend(grid, H.shape[:-grid.dim]))
-        out = div_arr(grid, flux, backend)
-        release(flux)
-        return out
+        return div_arr(grid, flux, backend)
     if form == "C":
         gv = (d.grad_sqrt_rho if spectral
               else grad_arr(grid, d.sqrt_rho, backend))
@@ -455,7 +457,6 @@ def bohm_arr(d, form="A", backend="spectral"):
         outer = np.multiply(np.expand_dims(gv, ca), np.expand_dims(gv, ca - 1),
                             out=lend(grid, gv.shape[:ca] + (grid.dim,) * 2))
         out = div_arr(grid, outer, backend)
-        release(outer)
         out *= 4.0
         g = grad_arr(grid, lr, backend)
         np.subtract(g, out, out=out)

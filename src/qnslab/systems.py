@@ -7,11 +7,12 @@ callers pass use_dealias=False to bypass truncation. rhs_terms is the same
 right-hand side written term by term, independently of the staged ones.
 
 A staged right-hand side works in the stacks of its thread's Arena for its
-layout (_arena), built on its first call with their row views: a call
-makes no stack and no view of one. Its result is a copy (an Rhs), or with
-spectral=True a stack of that arena, valid until the next call of a
-right-hand side of the same layout on the thread. The arithmetic
-temporaries of the nodal products are plain arrays.
+layout (_arena), carved from the thread's store on its first call with
+their row views: a call makes no stack and no view of one. Its result is
+a copy (an Rhs), or with spectral=True a stack of that arena, valid until
+the next call of a right-hand side of the same layout or the next
+workspace scope on the thread. The arithmetic temporaries of the nodal
+products are plain arrays.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ def _finish(grid, ar, r, drho, lin, nodal, use_dealias, spectral):
 
     spectral stops at the spectrum of [drho, dvel] in the rfft layout, 2/3
     masked if use_dealias: a stack of the arena, valid until the next call
-    of a right-hand side of the same layout on the thread (rhs_target and
-    rhs_approx_u at eps = 0 share one). Otherwise the spectrum is inverted
-    into an Rhs, which holds copies.
+    of a right-hand side of the same layout (rhs_target and rhs_approx_u at
+    eps = 0 share one) or the next workspace scope on the thread. Otherwise
+    the spectrum is inverted into an Rhs, which holds copies.
     """
     lin += nodal
     out = ar.fin
@@ -360,9 +361,9 @@ def rhs_approx_u(state, params, use_dealias=True, spectral=False):
 
     spectral (for the time step) returns the masked spectrum of [drho,
     dvel] instead, a stack of the thread's arena that the next call of a
-    right-hand side of the same layout on the thread writes over (see
-    _finish), and skips the inverse of the dealiasing pair: seven
-    calls."""
+    right-hand side of the same layout or the next workspace scope on the
+    thread writes over (see _finish), and skips the inverse of the
+    dealiasing pair: seven calls."""
     return _rhs_u(state, params, params.eps, use_dealias, spectral)
 
 

@@ -9,10 +9,11 @@ Positivity failure is a hard stop with diagnostics, never clamping: the
 no-vacuum regime is a property to observe, not enforce.
 
 A step works in the stacks of its thread's Arena for its scheme
-(_step_stacks) and the right-hand sides in theirs; neither lends from the
-workspace pool, which serves the record chunks' Derived bundles and
-functionals. A step copies into its own stacks what it keeps across a
-right-hand side call, and returns a State of copies.
+(_step_stacks) and the right-hand sides in theirs. The record chunks'
+Derived bundles and functionals borrow the same bytes of the thread's
+store in a workspace scope between steps (see fields). A step copies into
+its own stacks what it keeps across a right-hand side call, and returns a
+State of copies.
 """
 
 from __future__ import annotations
@@ -218,8 +219,9 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
     The density and the velocity travel as one (1 + dim, *n) stack, and
     both schemes read each right-hand side as the masked spectrum
     rhs_fn(s, params, spectral=True) returns; an RK4 slope is its inverse.
-    That spectrum is valid only until rhs_fn's next call on the thread, so
-    what the step keeps across that call goes to the stacks of its own
+    That spectrum is valid only until rhs_fn's next call or the next
+    workspace scope on the thread, so what the step keeps across that call
+    goes to the stacks of its own
     arena (_step_stacks). A stage State s is valid only during its rhs_fn
     call: its fields are read-only views of a stage stack, not copies. The
     returned State holds copies."""
@@ -379,8 +381,9 @@ def integrate(initial, params, config, observers=()):
     the chunk's and must not be written to. No state is kept but the last
     record's and those of the chunk being filled.
 
-    Pooling contract: each chunk, its observer calls included, runs in one
-    workspace scope, as each step does. A row bundle, every array read
+    Storage contract: each chunk, its observer calls included, runs in one
+    workspace scope, over the bytes of the steps' arenas, so an observer
+    runs no right-hand side and no step. A row bundle, every array read
     from it and every array lent while an observer runs are valid only
     during that observer's call, so an observer keeps copies
     (equivalence_run copies each record's (rho, u)).

@@ -266,8 +266,8 @@ def _run_seeded(names, configs, reports):
 @in_workspace
 def _run_chunk(grid, chunk, spec, names, configs, pieces, reports):
     """Generate one seed chunk, load its bundle's pieces and append every
-    suite's results, in one workspace scope: the chunk's transform stacks
-    come from the pool and return to it when the chunk is done. Only
+    suite's results, in one workspace scope: the chunk's stacks come from
+    the thread's store and return to it when the chunk is done. Only
     margins and detail strings leave the chunk."""
     config = configs[names[0]]
     d = Derived.of(grid, *random_smooth_ensemble(

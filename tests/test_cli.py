@@ -125,6 +125,9 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert "unknown mode 'banana'" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+        cfg = _write(tmp_path, "run.json", dict(RUN_DOC, mode=["desk"]))
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown mode ['desk']" in capsys.readouterr().err
         doc = dict(RUN_DOC, mode="banana", sweep={"eps": [1e-3]})
         cfg = _write(tmp_path, "s.json", doc)
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
@@ -475,6 +478,18 @@ class TestVerify:
         cfg = _write(tmp_path, "v.json", {"suites": ["mystery"]})
         assert main(["verify", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("entry", [["identity"], {"identity": 1}, 7,
+                                       None],
+                             ids=["list", "dict", "int", "null"])
+    def test_non_string_suite_exits_2(self, tmp_path, capsys, entry):
+        # one config error line, not an unhashable-type traceback
+        cfg = _write(tmp_path, "v.json", {"suites": ["identity", entry]})
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown suite")
+        assert err.count("\n") == 1
 
 
 class TestSweep:

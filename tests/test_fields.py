@@ -226,10 +226,11 @@ class TestTransforms:
 
     @pytest.mark.parametrize("n", [(32,), (16, 24), (8, 12, 16)])
     def test_inverse_once_bitwise_equal_to_numpy_fft(self, monkeypatch, n):
-        # every stack pooled, so each grid also takes the path that writes
-        # the real rows over the spectrum's own memory
-        monkeypatch.setattr(fields, "POOL_MIN_BYTES", 0)
-        monkeypatch.setattr(fields, "_workspace", fields._Workspace())
+        # on a stack of the store, which in 2D and 3D takes the path that
+        # writes the real rows over the spectrum's own memory, and which in
+        # 1D goes back to the store at once; and on a plain array
+        store = fields._Store()
+        monkeypatch.setattr(fields, "_store", store)
         grid = Grid(n)
         rng = np.random.default_rng(18)
         _, inv = self._public(grid)
@@ -237,13 +238,14 @@ class TestTransforms:
                             axes=tuple(range(-grid.dim, 0)))
 
         @in_workspace
-        def pooled():
+        def lent():
             stack = lend(grid, (3,), spectral=True)
             stack[...] = spec
             out = inverse_once(grid, stack)
-            assert np.shares_memory(out, stack)
+            assert np.shares_memory(out, stack) == (grid.dim > 1)
+            assert len(store.lent) == (grid.dim > 1)
             return out.copy()
-        _bitwise(pooled(), inv(spec))
+        _bitwise(lent(), inv(spec))
         _bitwise(inverse_once(grid, spec.copy()), inv(spec))
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnslab import cli, physics
 from qnslab.fields import (Grid, ScalarField, grad_arr,
                            random_smooth_positive, random_smooth_vector)
 from qnslab.physics import (AdmissibilityError, QnsParams, State, VacuumError,
@@ -72,6 +73,17 @@ class TestQnsParams:
         p = QnsParams()
         assert p.mu == 0.0
         assert p.mode == "desk"
+
+    @pytest.mark.parametrize("mode", ["banana", "", "Desk", None, 1,
+                                      ("desk",)])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            QnsParams(mode=mode)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            paper_params(mode=mode)
+
+    def test_modes_defined_once(self):
+        assert cli.MODES is physics.MODES == ("desk", "paper")
 
     def test_mu_derived_not_stored(self):
         p = QnsParams(nu=1.0, kappa=1.0 / 11.0)
