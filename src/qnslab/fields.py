@@ -34,9 +34,10 @@ once, each an Arena built on its first call and reused by every later one
 next workspace scope on the thread. Everything else that works in stacks
 (the spectral operators, the Derived bundles, the functionals and the
 seeded checks) borrows them inside a workspace scope, from the store's
-first byte over the idle arenas, and gives them back last first (lend,
-release, in_workspace); a lent stack is valid until it is given back or
-the outermost scope exits.
+first byte over the idle arenas, and gives them back (lend, release,
+in_workspace): a stack's bytes return once it and every stack lent after
+it are given back. A lent stack is valid until it is given back or the
+outermost scope exits.
 """
 
 from __future__ import annotations
@@ -436,21 +437,30 @@ def lend(grid, lead, spectral=False):
 
 
 def release(*stacks):
-    """Give back, last first, each of stacks that is the last stack lent
-    in the workspace scope, or a view of it (such as inverse_once of it).
-    A stack lent below one still lent stays lent until the outermost scope
-    exits; other arrays are ignored."""
+    """Give back each of stacks that is a stack lent in the workspace scope
+    and not given back yet, or a view of one (such as inverse_once of it);
+    other arrays are ignored. The last stack lent goes back at once. One
+    lent below it is marked given back: its bytes join the stack lent just
+    after it and go back with that one, so a stack goes back once every
+    stack lent after it has."""
     st = _store
     lent = st.lent
     for arr in stacks[::-1]:
-        if lent:
-            mark, top = lent[-1]
-            # a view of a stack has the stack as its base: the store's
-            # buffers are not arrays, so numpy stops there
-            if arr is top or arr.base is top:
-                del lent[-1]
-                st.index, st.at = mark
-                st.buf = st.buffers[st.index]
+        # a view of a stack has the stack as its base: the store's buffers
+        # are not arrays, so numpy stops there
+        base = arr.base
+        k = -1
+        for mark, stack in lent[::-1]:
+            if stack is arr or stack is base:
+                if k == -1:
+                    del lent[-1]
+                    st.index, st.at = mark
+                    st.buf = st.buffers[st.index]
+                else:
+                    lent[k + 1] = mark, lent[k + 1][1]
+                    del lent[k]
+                break
+            k -= 1
 
 
 def _lead(grid, arr, depth=0):
@@ -646,6 +656,10 @@ def derivatives_arr(grid, arr, kinds):
         if kind == "lap":
             block = block[_comp(grid, 0)]
         out.append(block.copy() if copy else block)
+    if "grad" not in kinds and "lap" not in kinds:
+        # every block went to its symmetric tensor, and no view of the rows
+        # is returned
+        release(rows)
     return out
 
 

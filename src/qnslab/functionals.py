@@ -183,11 +183,14 @@ def energy_dissipation(state, params):
     d = derived(state, params)
     grid = d.grid
     ca = -grid.dim - 1
-    r, u, v = d.rho, d.u, d.sqrt_rho
     eps, mu, p0 = params.eps, params.mu, params.p0
 
+    # loaded before sqrt rho is read, so that load computes sqrt rho and
+    # log rho straight into their one stack, as it does sqrt(rho) u next to
+    # a copy of u
     d.load("grad_sqrt_rho", "hess_sqrt_rho", "grad_log_rho", "hess_log_rho",
            "jac_u", "jac_sqrt_rho_u")
+    r, u, v = d.rho, d.u, d.sqrt_rho
     Hv, Hlog, Jsu = d.hess_sqrt_rho, d.hess_log_rho, d.jac_sqrt_rho_u
     gv, gv2 = d.grad_sqrt_rho, d.grad_sqrt_rho2
     g_rg = grad_arr(grid, r ** (params.gamma / 2))
@@ -365,7 +368,9 @@ def flux_identity_batch(d, exponents, rel_tol=IDENTITY_TOL):
             np.multiply(per_node(grid, gv2), gv, out=flux)
         else:
             np.multiply(per_node(grid, gv2 ** (r / 2)), gv, out=flux)
-    divs = dict(zip(powers, div_arr(grid, fluxes)))
+    div_stack = div_arr(grid, fluxes)
+    release(fluxes)
+    divs = dict(zip(powers, div_stack))
 
     out = {}
     integrand, term = lend(grid, (2,) + lead)
@@ -394,7 +399,7 @@ def flux_identity_batch(d, exponents, rel_tol=IDENTITY_TOL):
         rhs = quad(grid, integrand)
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
         out[r] = (np.abs(lhs - rhs), rel_tol * scale)
-    release(integrand)
+    release(div_stack, integrand)
     return out
 
 

@@ -256,6 +256,22 @@ PIECES = {
 }
 
 
+# The inputs of PIECES a Derived bundle computes, besides its own rho and u:
+# name -> fn(d, out), which writes the input's value to out. Each is
+# computed on first use into a lend() array, lent inside a workspace scope
+# (a seed chunk of verify, a record chunk of integrate) and plain outside
+# any, or by load straight into a row of a stacked input.
+INPUTS = {
+    "sqrt_rho": lambda d, out: np.sqrt(d.rho, out=out),
+    "log_rho": lambda d, out: np.log(d.rho, out=out),
+    "rho14": lambda d, out: np.power(d.rho, 0.25, out=out),
+    "sqrt_rho_u": lambda d, out: np.multiply(per_node(d.grid, d.sqrt_rho),
+                                             d.u, out=out),
+}
+# The inputs of PIECES that are vectors; the others are scalars.
+VECTORS = ("u", "sqrt_rho_u")
+
+
 # A chunk is the stack of fields one Derived bundle holds at a time: the
 # seeds of a verify pass, the monitor records of integrate. It holds at most
 # this many grid nodes per field (32 fields at 1D n=128, one at 64^2 and
@@ -338,18 +354,29 @@ class Derived:
             grid, u, self.log_rho, -params.mu)
 
     def __getattr__(self, name):
-        # reached only for a piece that is not held yet
+        # reached only for a nodal input or a piece that is not held yet
+        if name in INPUTS:
+            self.__dict__[name] = value = INPUTS[name](
+                self, self._lend(name in VECTORS))
+            return value
         if name not in PIECES:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
         self.load(name)
         return self.__dict__[name]
 
+    def _lend(self, vector, rows=()):
+        """A lend() array of shape rows + the density's shape, or + the
+        velocity's if vector."""
+        x = self.u if vector else self.rho
+        return lend(self.grid, rows + x.shape[:-self.grid.dim])
+
     def load(self, *names):
         """Compute the named pieces that are not held yet. Each input is
         transformed once and its pieces are inverted together; inputs of one
         shape that ask for the same derivatives share one stacked transform
-        pair."""
+        pair. Their stack is lent, and an input not held yet is computed
+        straight into its row, which it then is."""
         wanted = {}
         for name in names:
             if name not in self.__dict__:
@@ -357,46 +384,29 @@ class Derived:
                 wanted.setdefault(source, {})[kind] = name
         stacks = {}
         for source, named in wanted.items():
-            x = getattr(self, source)
             # one order of the kinds, so equal requests share a stack
-            kinds = tuple(sorted(named))
-            stacks.setdefault((x.shape, kinds), []).append((x, named))
-        for (_, kinds), members in stacks.items():
-            x = _stack(self.grid, [x for x, _ in members])
+            key = source in VECTORS, tuple(sorted(named))
+            stacks.setdefault(key, []).append((source, named))
+        held = self.__dict__
+        for (vector, kinds), members in stacks.items():
+            if members[1:]:
+                x = self._lend(vector, (len(members),))
+                for row, (source, _) in zip(x, members):
+                    if source in held:
+                        row[...] = held[source]
+                    else:
+                        held[source] = INPUTS[source](self, row)
+            else:
+                x = getattr(self, members[0][0])[None]
             parts = derivatives_arr(self.grid, x, kinds)
             for k, (_, named) in enumerate(members):
                 for kind, part in zip(kinds, parts):
-                    self.__dict__[named[kind]] = part[k]
-
-    # The nodal inputs are lend() arrays: lent inside a workspace scope, such
-    # as a seed chunk of verify, plain outside any.
-
-    def _scalar(self):
-        """A lend() array of the density's shape."""
-        return lend(self.grid, self.rho.shape[:-self.grid.dim])
-
-    @cached_property
-    def sqrt_rho(self):
-        return np.sqrt(self.rho, out=self._scalar())
-
-    @cached_property
-    def log_rho(self):
-        return np.log(self.rho, out=self._scalar())
-
-    @cached_property
-    def rho14(self):
-        """rho^(1/4)."""
-        return np.power(self.rho, 0.25, out=self._scalar())
+                    held[named[kind]] = part[k]
 
     @cached_property
     def rho_neg_p0(self):
         """rho^-p0."""
         return self.rho ** (-self.params.p0)
-
-    @cached_property
-    def sqrt_rho_u(self):
-        return np.multiply(per_node(self.grid, self.sqrt_rho), self.u,
-                           out=lend(self.grid, self.u.shape[:-self.grid.dim]))
 
     @cached_property
     def u2(self):
@@ -448,7 +458,9 @@ def bohm_arr(d, form="A", backend="spectral"):
         H = d.hess_log_rho if spectral else hess_arr(grid, d.log_rho, backend)
         flux = np.multiply(per_node(grid, r, 2), H,
                            out=lend(grid, H.shape[:-grid.dim]))
-        return div_arr(grid, flux, backend)
+        out = div_arr(grid, flux, backend)
+        release(flux)
+        return out
     if form == "C":
         gv = (d.grad_sqrt_rho if spectral
               else grad_arr(grid, d.sqrt_rho, backend))
@@ -457,6 +469,7 @@ def bohm_arr(d, form="A", backend="spectral"):
         outer = np.multiply(np.expand_dims(gv, ca), np.expand_dims(gv, ca - 1),
                             out=lend(grid, gv.shape[:ca] + (grid.dim,) * 2))
         out = div_arr(grid, outer, backend)
+        release(outer)
         out *= 4.0
         g = grad_arr(grid, lr, backend)
         np.subtract(g, out, out=out)

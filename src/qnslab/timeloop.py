@@ -37,7 +37,8 @@ from .systems import continuity_rate, rhs_approx_u, rhs_approx_w
 SCHEMES = ("rk4-explicit", "imex")
 
 # integrate takes a time within T_END_TOL of t_end for t_end: it steps while
-# the time is below t_end - T_END_TOL and refuses a start beyond
+# the time is below t_end - T_END_TOL, takes a last remainder within
+# T_END_TOL of its step as the step, and refuses a start beyond
 # t_end + T_END_TOL
 T_END_TOL = 1e-14
 
@@ -170,13 +171,14 @@ def _etd_multipliers(grid, c_rho, c_vel, dt):
     """Read-only (c * Lap, exp(z), dt * phi1(z), phi2(z)), z = c * Lap * dt,
     in the rfft layout, each stacked like the rows of [rho, vel]: c is c_rho
     in row 0 and c_vel in the velocity rows. One entry serves a fixed-dt
-    run, a second its shorter last step. The entries are complex, so a
-    product with a spectrum needs no cast: each is computed in real
-    arithmetic and written once as its real part, the imaginary part +0.0.
-    At c = 0 each multiplier is one number everywhere, written without
-    array work: Lap <= 0 with -0.0 at k = 0, so c * Lap and z are the
-    signed zero c * -1.0 everywhere, where the multipliers are exactly
-    these."""
+    run whose t_end is a multiple of dt within T_END_TOL (see integrate),
+    a second the shorter last step of one whose t_end is not. The entries
+    are complex, so a product with a spectrum needs no cast: each is
+    computed in real arithmetic and written once as its real part, the
+    imaginary part +0.0. At c = 0 each multiplier is one number
+    everywhere, written without array work: Lap <= 0 with -0.0 at k = 0,
+    so c * Lap and z are the signed zero c * -1.0 everywhere, where the
+    multipliers are exactly these."""
     mults = np.empty((4, 1 + grid.dim) + grid._lap.shape, complex)
     for rows, c in ((mults[:, :1], c_rho), (mults[:, 1:], c_vel)):
         if c == 0:
@@ -367,6 +369,14 @@ def integrate(initial, params, config, observers=()):
     is kept as Trajectory.failure. An initial time beyond t_end, where no
     step would run, is a ValueError.
 
+    Each step is the IntegratorConfig's, and the last one lands on t_end:
+    a remainder t_end - time shorter than the step by more than T_END_TOL
+    is the last step, one within T_END_TOL of it is taken as the step
+    itself. So a fixed-dt run whose t_end is a multiple of dt takes every
+    step, the last included, at exactly dt and ends within T_END_TOL of
+    t_end, though its time accumulates roundoff; one whose t_end is not
+    ends with a shorter step, at t_end.
+
     Time-integrated dissipation is accumulated by the trapezoid rule over
     monitor samples. The mass-balance residual column is the discrete form of
     d(int rho)/dt + eps*int|grad v|^4 - eps*int rho^-p0.
@@ -440,7 +450,9 @@ def integrate(initial, params, config, observers=()):
         else:
             dt = min(cfl_dt(state, params, config), config.dt_max)
             dt = max(dt, config.dt_min)
-        dt = min(dt, config.t_end - state.time)
+        # a remainder within T_END_TOL of dt is taken as dt
+        if config.t_end - state.time < dt - T_END_TOL:
+            dt = config.t_end - state.time
         try:
             state = step(state, params, rhs_fn, dt, scheme=config.scheme,
                          positivity_floor=config.positivity_floor)

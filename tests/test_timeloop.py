@@ -357,6 +357,39 @@ class TestIntegrate:
         assert adaptive.status == "completed"
         assert len(calls) == len(adaptive.records) - 1
 
+    def test_fixed_dt_run_keeps_one_step_size(self, monkeypatch):
+        # ten steps of 2e-4 accumulate a time whose remainder before the
+        # last step is 1.9999999999999966e-4, within T_END_TOL of dt: the
+        # last step is taken at dt, so the run builds one ETD entry
+        dts = []
+
+        def recorded(state, params, rhs_fn, dt, **kw):
+            dts.append((state.time, dt))
+            return step(state, params, rhs_fn, dt, **kw)
+        monkeypatch.setattr(timeloop, "step", recorded)
+        dt, t_end = 2e-4, 10 * 2e-4
+        timeloop._etd_multipliers.cache_clear()
+        traj = integrate(_acoustic(32), PARAMS,
+                         IntegratorConfig.fixed_dt(dt, t_end=t_end))
+        assert traj.status == "completed"
+        assert timeloop._etd_multipliers.cache_info().misses == 1
+        assert len(dts) == 10 and all(h == dt for _, h in dts)
+        last_start = dts[-1][0]
+        assert t_end - last_start != dt
+        assert abs(traj.final.time - t_end) <= timeloop.T_END_TOL
+        assert traj.records[-1].time == traj.final.time
+        # a t_end that is not a multiple of dt keeps its short last step,
+        # a second entry, and lands on t_end
+        dts.clear()
+        timeloop._etd_multipliers.cache_clear()
+        traj = integrate(_acoustic(32), PARAMS,
+                         IntegratorConfig.fixed_dt(dt, t_end=2.1e-3))
+        assert traj.status == "completed"
+        assert timeloop._etd_multipliers.cache_info().misses == 2
+        assert len(dts) == 11 and all(h == dt for _, h in dts[:-1])
+        assert dts[-1][1] == pytest.approx(1e-4)
+        assert traj.final.time == 2.1e-3
+
     def test_cfl_estimate_positive_and_resolution_dependent(self):
         coarse = cfl_dt(_acoustic(32), PARAMS,
                         IntegratorConfig(scheme="imex"))

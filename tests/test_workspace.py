@@ -506,6 +506,88 @@ def test_stacks_are_64_byte_aligned(store, n):
     assert len(store.buffers) == 1
 
 
+def test_release_below_the_top(store):
+    # a stack given back below the top goes back once every stack lent
+    # after it has, in any order; a view of a stack gives it back, and a
+    # plain array or a stack given back twice changes nothing
+    grid = Grid((16, 24))
+
+    def top():
+        return store.index, store.at
+
+    @in_workspace
+    def scope():
+        marks, stacks = [top()], []
+        for k in range(1, 5):
+            stacks.append(lend(grid, (k,)))
+            marks.append(top())
+        a, b, c, d = stacks
+        release(b, np.ones(3), b[0][None])
+        assert top() == marks[4]
+        release(c)
+        assert top() == marks[4]
+        release(d[1:])
+        assert top() == marks[1]
+        assert len(store.lent) == 1 and store.lent[0][1] is a
+        e = lend(grid, (2,))
+        release(a)
+        assert top() != marks[0]
+        release(e, e)
+        assert top() == marks[0] and not store.lent
+    scope()
+
+
+class _Tracked(fields._Store):
+    """A store that keeps the highest top its scopes reach in the first
+    buffer, as high."""
+
+    def __init__(self):
+        self.high = 0
+        super().__init__()
+
+    def _set_at(self, at):
+        self._at = at
+        if self.index == 0:
+            self.high = max(self.high, at)
+    at = property(lambda self: self._at, _set_at)
+
+
+# The store's high-water in a steady workspace scope, in bytes: the top of
+# a one-record chunk of integrate at 128^2 and 32^3, and of a one-seed
+# chunk of the identity and inequality suites at 64^2 (lend positions, so
+# the same on every machine). A record chunk took 5 683 200 bytes at 128^2
+# and 20 627 456 at 32^3 while Derived.load copied its stacked inputs
+# [sqrt rho, log rho] and [u, sqrt(rho) u] from arrays of their own; the
+# seed chunk took 2 323 456 while release gave back only the last stack
+# lent. The bounds move only down.
+STORE_HIGH_WATER = {"record_128x128": 5158912, "record_32x32x32": 19316736,
+                    "seed_chunk_64x64": 1967104}
+
+
+@pytest.mark.parametrize("op", sorted(STORE_HIGH_WATER))
+def test_store_high_water(monkeypatch, op):
+    st = _Tracked()
+    monkeypatch.setattr(fields, "_store", st)
+    kind, n = op.rsplit("_", 1)
+    n = tuple(int(m) for m in n.split("x"))
+    if kind == "record":
+        s = _state(n, 18)
+        timeloop.step(s, PARAMS, systems.rhs_approx_u, 1e-4, scheme="imex")
+
+        def call():
+            timeloop._record_chunk([s], PARAMS, ())
+    else:
+        configs = _suites(seeds=(500,), grids=(n,))
+
+        def call():
+            verify.run_suites(configs)
+    call()
+    st.high = 0
+    call()
+    assert len(st.buffers) == 1 and not st.lent
+    assert 0 < st.high <= STORE_HIGH_WATER[op], st.high
+
+
 def test_no_arena_inside_a_scope(store):
     # a scope's stacks lie over the arenas' bytes: a right-hand side or a
     # step inside one raises, and leaves the store as it was
