@@ -14,29 +14,27 @@ error; 3 positivity failure during integration. Configs are JSON files; the
 QNSLAB_OUT environment variable may override the output directory (nothing
 else is overridable from the environment). The output directory is created
 only once the config is validated, so a configuration error writes nothing.
+
+The run-only modules (the time integrator, the scenarios, snapshot I/O)
+are imported by the functions that use them, so `verify` without the
+dynamics suite loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .fields import VectorField, as_bool, as_int
 from .functionals import MONITOR_COLUMNS
-from .initdata import SCENARIOS, mollify, scenario, validate_initial
 from .physics import (MODES, AdmissibilityError, QnsParams, State,
                       VacuumError, check_constraints, paper_params)
-from .snapshots import read_field, write_field
-from .timeloop import (T_END_TOL, IntegratorConfig, PositivityError,
-                       integrate)
 from .verify import SUITE_CHECKS, SuiteConfig, check_suites, run_suites
 
 EXIT_OK = 0
@@ -132,6 +130,7 @@ def _build_params(cfg, mode, overrides=()):
 
 
 def _build_integrator(cfg):
+    from .timeloop import IntegratorConfig
     block = _block(cfg, "integrator")
     try:
         return IntegratorConfig(**block)
@@ -140,6 +139,7 @@ def _build_integrator(cfg):
 
 
 def _read_snapshot(path):
+    from .snapshots import read_field
     if not os.path.exists(path):
         raise ConfigError(f"snapshot not found: {path}")
     try:
@@ -151,6 +151,7 @@ def _read_snapshot(path):
 def _initial_source(cfg):
     """The snapshot State, or the raw data of the scenario: the part of the
     initial state that no params override changes."""
+    from .initdata import SCENARIOS, scenario
     if "snapshot" in cfg:
         rho, _, time = _read_snapshot(_path(cfg, "snapshot"))
         vel_path = _path(cfg, "snapshot_velocity")
@@ -173,6 +174,7 @@ def _initial_source(cfg):
 def _build_initial(cfg, params, raw):
     """The initial State from _initial_source: a snapshot as it is, scenario
     data mollified if it asks for it or touches vacuum."""
+    from .initdata import mollify
     if isinstance(raw, State):
         return raw
     if cfg.get("mollify", False) or np.min(raw.rho0.values) <= 0:
@@ -198,6 +200,7 @@ def _shared(cfg):
     """(integrator config, initial source) of a config: what every sweep
     point shares, its mollify and strict flags checked, no mode in its
     params block, and a snapshot's time not beyond t_end."""
+    from .timeloop import T_END_TOL
     try:
         for key in ("mollify", "strict"):
             as_bool(key, cfg.get(key, False))
@@ -219,6 +222,7 @@ def _prepare_run(cfg, mode, overrides=(), shared=None):
     initial-data report) of a run config with the params overrides applied;
     raises ConfigError unless the run may start. shared is _shared(cfg),
     built here if not given."""
+    from .initdata import validate_initial
     config, raw = shared or _shared(cfg)
     params = _build_params(cfg, mode, overrides)
     constraint_report = check_constraints(params)
@@ -238,6 +242,8 @@ def _prepare_run(cfg, mode, overrides=(), shared=None):
 
 
 def cmd_run(args):
+    from .snapshots import write_field
+    from .timeloop import PositivityError, integrate
     cfg = _load_config(args.config)
     _require_known(cfg, RUN_KEYS, "the run config")
     params, config, initial, constraint_report, init_report = _prepare_run(
@@ -312,11 +318,12 @@ def cmd_verify(args):
     out = _out_dir(cfg, args)
     overall = True
     for name, report in run_suites(configs).items():
+        aggregates = report.aggregates()
         with open(os.path.join(out, f"{name}_report.json"), "w") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(report.to_json(aggregates) + "\n")
         with open(os.path.join(out, f"{name}_results.jsonl"), "w") as fh:
             fh.write(report.to_jsonl() + "\n")
-        for agg in report.aggregates():
+        for agg in aggregates:
             status = "ok" if agg.failures == 0 else "FAIL"
             print(f"verify[{name}] {agg.check}: {agg.count} checks, "
                   f"{agg.failures} failures, worst margin "
@@ -329,6 +336,10 @@ SWEEP_AXES = ("kappa", "r0", "r1", "eps")
 
 
 def cmd_sweep(args):
+    import csv
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .timeloop import integrate
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     cfg = _load_config(args.config)
@@ -394,6 +405,7 @@ def cmd_sweep(args):
 
 
 def cmd_report(args):
+    import csv
     cfg = _load_config(args.config) if args.config else {}
     path = _path(cfg, "monitors") or args.monitors
     _require_known(cfg, ("monitors",), "the report config")

@@ -278,14 +278,23 @@ def _mode_box(grid, cutoffs):
 # workspace scopes of the bundles, functionals and checks
 # ---------------------------------------------------------------------------
 
+def _anonymous_map(size):
+    """An anonymous memory map of size bytes, private to the process: a
+    child forked from it writes its own copy of the pages, not the
+    parent's (mmap's default on POSIX, MAP_SHARED, would share them)."""
+    if hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    return mmap.mmap(-1, size)
+
+
 class _Store(threading.local):
-    """One thread's stacks, in raw byte buffers: anonymous memory maps,
-    which start on a page boundary and hold only the pages written. A
-    buffer never moves, so a view of it stays valid. The first holds
-    STORE_BYTES. The store grows by adding a buffer at least as large as
-    all before it, and the outermost scope's exit replaces a grown store
-    by one buffer of its size; arenas on another grid empty it (see
-    arena). Every stack starts on a 64-byte boundary.
+    """One thread's stacks, in raw byte buffers: private anonymous memory
+    maps (_anonymous_map), which start on a page boundary and hold only the
+    pages written. A buffer never moves, so a view of it stays valid. The
+    first holds STORE_BYTES. The store grows by adding a buffer at least as
+    large as all before it, and the outermost scope's exit replaces a
+    grown store by one buffer of its size; arenas on another grid empty it
+    (see arena). Every stack starts on a 64-byte boundary.
 
     A mark (buffer index, offset) is a position in the store. The arenas
     carve their stacks one after another from the first byte, up to
@@ -302,7 +311,7 @@ class _Store(threading.local):
 
     def empty(self):
         """Drop every buffer and arena: the store starts over."""
-        self.buffers = [mmap.mmap(-1, STORE_BYTES)]
+        self.buffers = [_anonymous_map(STORE_BYTES)]
         self.grid, self.arenas, self.carved = None, {}, (0, 0)
         self.index, self.buf, self.at = 0, self.buffers[0], 0
         self.lent = []
@@ -314,7 +323,7 @@ class _Store(threading.local):
         i, at = mark
         while True:
             if i == len(self.buffers):
-                self.buffers.append(mmap.mmap(-1, max(
+                self.buffers.append(_anonymous_map(max(
                     math.prod(shape) * np.dtype(dtype).itemsize,
                     sum(map(len, self.buffers)))))
             try:
@@ -406,7 +415,7 @@ def in_workspace(fn):
                     # the store grew: one buffer in place of them all, so
                     # later scopes and arenas find no seam; the arenas,
                     # which hold no value, are carved anew by their owners
-                    st.buffers = [mmap.mmap(-1, sum(map(len, st.buffers)))]
+                    st.buffers = [_anonymous_map(sum(map(len, st.buffers)))]
                     st.arenas, st.carved = {}, (0, 0)
                 st.index, st.buf, st.at = 0, st.buffers[0], 0
     return scoped

@@ -256,17 +256,23 @@ PIECES = {
 }
 
 
-# The inputs of PIECES a Derived bundle computes, besides its own rho and u:
-# name -> fn(d, out), which writes the input's value to out. Each is
-# computed on first use into a lend() array, lent inside a workspace scope
-# (a seed chunk of verify, a record chunk of integrate) and plain outside
-# any, or by load straight into a row of a stacked input.
+# The inputs of PIECES a Derived bundle computes, besides its own rho and
+# the u of a u-form bundle: name -> fn(d, out), which writes the input's
+# value to out. Each is computed on first use into a lend() array, lent
+# inside a workspace scope (a seed chunk of verify, a record chunk of
+# integrate) and plain outside any, or by load straight into a row of a
+# stacked input. The u of a w-form bundle is w - mu * grad(log rho), from
+# the bundle's own grad_log_rho piece, with the bits of to_u: a load that
+# asks for both computes log rho into its stacked row, and no gradient is
+# lent for the map alone.
 INPUTS = {
     "sqrt_rho": lambda d, out: np.sqrt(d.rho, out=out),
     "log_rho": lambda d, out: np.log(d.rho, out=out),
     "rho14": lambda d, out: np.power(d.rho, 0.25, out=out),
     "sqrt_rho_u": lambda d, out: np.multiply(per_node(d.grid, d.sqrt_rho),
                                              d.u, out=out),
+    "u": lambda d, out: _shift_velocity(d.w, d.grad_log_rho, -d.params.mu,
+                                        out),
 }
 # The inputs of PIECES that are vectors; the others are scalars.
 VECTORS = ("u", "sqrt_rho_u")
@@ -297,7 +303,8 @@ class Derived:
     of monitor records; the functionals, the checker kernels and bohm_arr
     read from one bundle.
 
-    Nodal inputs (sqrt_rho, log_rho, ...) are computed once on first use.
+    Nodal inputs (sqrt_rho, log_rho, ...) are computed once on first use,
+    and so is the u of a w-form bundle, whose velocity it holds as w.
     The derivative pieces of PIECES come from load(), or on first use one
     at a time. No spectrum is kept. Each array equals, bitwise, what the
     plain operators of fields give for it.
@@ -321,9 +328,9 @@ class Derived:
     @classmethod
     def stacked(cls, states, params):
         """The bundle of the (K, *n) densities and (K, dim, *n) velocities
-        of K states of one grid and form. w-form velocities map to u with
-        one batched gradient of log rho, with the bits of to_u row by
-        row."""
+        of K states of one grid and form. w-form velocities map to u on
+        first use with the bundle's batched gradient of log rho (INPUTS),
+        with the bits of to_u row by row."""
         d = cls.__new__(cls)
         grid = states[0].grid
         d._init(grid, _stack(grid, [s.rho.values for s in states]),
@@ -341,8 +348,10 @@ class Derived:
         d.grid, d.params = self.grid, self.params
         return d
 
+    # the velocity of a w-form bundle, which maps to u on first use (INPUTS)
+    w = None
+
     def _init(self, grid, rho, u, params, form="u"):
-        # a w-form velocity maps to u with the bundle's log rho
         if form != "u" and params is None:
             raise ValueError("w-form state needs params to map back to u")
         if rho is not None:
@@ -350,8 +359,10 @@ class Derived:
         self.grid = grid
         self.rho = rho
         self.params = params
-        self.u = u if form == "u" else _shift_velocity(
-            grid, u, self.log_rho, -params.mu)
+        if form == "u":
+            self.u = u
+        else:
+            self.w = u
 
     def __getattr__(self, name):
         # reached only for a nodal input or a piece that is not held yet
@@ -368,7 +379,10 @@ class Derived:
     def _lend(self, vector, rows=()):
         """A lend() array of shape rows + the density's shape, or + the
         velocity's if vector."""
-        x = self.u if vector else self.rho
+        if not vector:
+            x = self.rho
+        else:   # u, or the w of the same shape that u is formed from
+            x = self.u if self.w is None else self.w
         return lend(self.grid, rows + x.shape[:-self.grid.dim])
 
     def load(self, *names):
@@ -478,11 +492,11 @@ def bohm_arr(d, form="A", backend="spectral"):
     raise ValueError(f"form must be 'A', 'B', or 'C', got {form!r}")
 
 
-def _shift_velocity(grid, vel, log_rho, coeff):
+def _shift_velocity(vel, grad_log_rho, coeff, out=None):
     """vel + coeff * grad(log rho), per state of a stack: w of u at coeff =
     mu, u of w at -mu (-mu * g is -(mu * g), so u keeps the bits of
     w - mu * g). The one w <-> u map of to_w, to_u and Derived."""
-    return vel + coeff * grad_arr(grid, log_rho)
+    return np.add(vel, coeff * grad_log_rho, out=out)
 
 
 def _to_form(state, form, coeff):
@@ -490,8 +504,9 @@ def _to_form(state, form, coeff):
     if state.form != source:
         raise ValueError(f"to_{form} expects a {source}-form state")
     require_positive(state.rho.values)
-    vel = _shift_velocity(state.grid, state.vel.values,
-                          np.log(state.rho.values), coeff)
+    vel = _shift_velocity(state.vel.values,
+                          grad_arr(state.grid, np.log(state.rho.values)),
+                          coeff)
     return State(state.rho, VectorField(state.grid, vel), form, state.time)
 
 

@@ -3,7 +3,8 @@
 Three suites: identity (exact algebraic identities of the operators),
 inequality (the functional inequalities with their stated constants), and
 dynamics (time-dependent structure: steady states, mass balance,
-formulation equivalence, weak residual). Reports are machine-readable and
+formulation equivalence, weak residual), whose checks live in the dynamics
+module and load only when that suite runs. Reports are machine-readable and
 every failure carries enough metadata (check, seed, grid) to reproduce it
 in isolation. Each identity suite can also run a deliberate "canary"
 perturbation that must fail, proving the checks are not vacuous.
@@ -23,11 +24,7 @@ from .fields import (Grid, as_bool, as_real, check_smooth_args, grad_arr,
 from .functionals import (ABS_TOL, IDENTITY_TOL, REL_TOL, div_vs_D_batch,
                           flux_identity_batch, grad6_batch,
                           grad_sqrtrho_u_batch, jungel_batch, passes)
-from .initdata import mollify, scenario
-from .physics import Derived, State, bohm_arr, chunk_size
-from .systems import WeakResidual, trig_test_function
-from .timeloop import (EnergyBudget, IntegratorConfig, equivalence_run,
-                       integrate)
+from .physics import Derived, bohm_arr, chunk_size
 
 IDENTITY_CHECKS = ("bohm-forms", "flux-identity-0", "flux-identity-2",
                    "grad-sqrtrho-u")
@@ -128,7 +125,11 @@ class SuiteReport:
     def failures(self):
         return [r for r in self.results if not r.passed]
 
-    def to_json(self):
+    def to_json(self, aggregates=None):
+        """The report as JSON; aggregates, if given, is self.aggregates()
+        built already."""
+        if aggregates is None:
+            aggregates = self.aggregates()
         return json.dumps({
             "suite": self.suite,
             "overall_pass": self.overall_pass,
@@ -136,7 +137,7 @@ class SuiteReport:
                 "check": a.check, "count": a.count, "failures": a.failures,
                 "worst_margin": a.worst_margin, "worst_seed": a.worst_seed,
                 "worst_grid": list(a.worst_grid),
-            } for a in self.aggregates()],
+            } for a in aggregates],
         }, indent=2)
 
     def to_jsonl(self):
@@ -321,7 +322,10 @@ def run_suites(configs):
     for names in shared.values():
         _run_seeded(names, configs, reports)
     if "dynamics" in configs:
-        reports["dynamics"] = _run_dynamics(configs["dynamics"])
+        # the dynamics checks run the time integrator: their module, and the
+        # integrator with it, loads only when the suite is asked for
+        from . import dynamics
+        reports["dynamics"] = dynamics.report(configs["dynamics"])
     return reports
 
 
@@ -337,86 +341,10 @@ def run_inequality_suite(config):
     return run_suite("inequality", config)
 
 
-def _steady_battery():
-    """Constant state: mass, energy-budget, and weak residuals ~ roundoff."""
-    raw, params = scenario("uniform-rest", n=64)
-    state = State(raw.rho0, raw.m0, form="u")
-    config = IntegratorConfig.fixed_dt(1e-3, t_end=2e-2, monitor_every=1)
-    budget = EnergyBudget(params, config)
-    weak = WeakResidual(trig_test_function(state.grid, config.t_end), params)
-    traj = integrate(state, params, config, observers=(budget, weak))
-    recs = traj.records
-    mass_drift = max(abs(r.mass - recs[0].mass) / recs[0].mass for r in recs)
-    budget = budget.report()
-    wres = weak.value()
-    worst = max(mass_drift, budget.max_residual, wres)
-    return state.grid, worst, traj.failure is None, (
-        f"mass drift {mass_drift:.2e}, budget {budget.max_residual:.2e}, "
-        f"weak {wres:.2e}, status {traj.status}")
-
-
-def _mass_balance():
-    """eps > 0 continuity-source balance residual stays at truncation level."""
-    raw, params = scenario("acoustic-1d", n=128)
-    params = params.with_(eps=1e-3)
-    state = State(raw.rho0, raw.m0, form="u")
-    config = IntegratorConfig.fixed_dt(2e-4, t_end=2e-2, monitor_every=1)
-    traj = integrate(state, params, config)
-    worst = max(r.mass_balance_residual for r in traj.records)
-    return state.grid, worst, traj.failure is None, (
-        f"worst residual {worst:.3e}, status {traj.status}")
-
-
-def _equivalence():
-    """u-form vs w-form short matched run stays within tolerance."""
-    raw, params = scenario("acoustic-1d", n=128)
-    params = params.with_(eps=1e-3)
-    state = State(raw.rho0, raw.m0, form="u")
-    config = IntegratorConfig.fixed_dt(1e-4, t_end=2e-2, monitor_every=10)
-    rep = equivalence_run(state, params, config)
-    # equivalence_run raises unless both runs complete
-    return state.grid, rep.max_error, True, (
-        f"max-in-time L2 discrepancy {rep.max_error:.3e}")
-
-
-def _vacuum_band():
-    """Mollified vacuum data integrates with a strictly positive band."""
-    raw, params = scenario("vacuum-bump-1d", n=128)
-    state = mollify(raw, params.eps, params)
-    config = IntegratorConfig.fixed_dt(1e-4, t_end=1e-2, monitor_every=10)
-    traj = integrate(state, params, config)
-    rho_min = min(r.rho_min for r in traj.records)
-    rho_max = max(r.rho_max for r in traj.records)
-    # the band's minimum must stay above 0, so -rho_min is its worst value
-    return state.grid, -rho_min, traj.failure is None, (
-        f"band [{rho_min:.4e}, {rho_max:.4e}], status {traj.status}")
-
-
-# The dynamics checks in report order, each with its limit. A check runs its
-# canonical scenario and returns (grid, worst value, whether the run
-# completed, detail); it passes when the run completed and the worst value
-# is below the limit, with margin limit - worst.
-DYNAMICS = {"steady-battery": (_steady_battery, 1e-10),
-            "mass-balance": (_mass_balance, 1e-4),
-            "equivalence": (_equivalence, 1e-5),
-            "vacuum-band": (_vacuum_band, 0.0)}
-
-
 def run_dynamics_suite(config):
     """Time-dependent structure checks on canonical scenarios (seeds unused:
     each check is a deterministic canonical run)."""
     return run_suite("dynamics", config)
-
-
-def _run_dynamics(config):
-    report = SuiteReport("dynamics")
-    for check, (run, limit) in DYNAMICS.items():
-        if check in config.checks:
-            grid, worst, completed, detail = run()
-            report.results.append(CheckResult(
-                check, -1, grid.n, limit - worst,
-                completed and worst < limit, detail))
-    return report
 
 
 def run_suite(name, config):

@@ -316,9 +316,11 @@ def test_monitor_chunk_does_not_scale_with_record_count(fft_calls):
     one = fft_calls(_monitor_chunk(1))
     assert fft_calls(_monitor_chunk(5)) == fft_calls(_monitor_chunk(32)) \
         == one
-    # a w-form chunk maps to u with one batched gradient of log rho
+    # a w-form chunk maps to u with the bundle's own gradient of log rho,
+    # which its u-form twin transforms as well: no transform of its own
+    # (one + 2 while the map took a batched gradient of its own)
     assert fft_calls(_monitor_chunk(1, "w")) \
-        == fft_calls(_monitor_chunk(32, "w")) == one + 2
+        == fft_calls(_monitor_chunk(32, "w")) == one
 
 
 def test_verify_pass_does_not_scale_with_seed_count(fft_calls):

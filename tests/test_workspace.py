@@ -12,9 +12,11 @@ import json
 import mmap
 import os
 import resource
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -553,14 +555,17 @@ class _Tracked(fields._Store):
 
 
 # The store's high-water in a steady workspace scope, in bytes: the top of
-# a one-record chunk of integrate at 128^2 and 32^3, and of a one-seed
-# chunk of the identity and inequality suites at 64^2 (lend positions, so
-# the same on every machine). A record chunk took 5 683 200 bytes at 128^2
-# and 20 627 456 at 32^3 while Derived.load copied its stacked inputs
-# [sqrt rho, log rho] and [u, sqrt(rho) u] from arrays of their own; the
-# seed chunk took 2 323 456 while release gave back only the last stack
-# lent. The bounds move only down.
-STORE_HIGH_WATER = {"record_128x128": 5158912, "record_32x32x32": 19316736,
+# a one-record chunk of integrate at 128^2 (u-form and w-form) and 32^3,
+# and of a one-seed chunk of the identity and inequality suites at 64^2
+# (lend positions, so the same on every machine). A record chunk took
+# 5 683 200 bytes at 128^2 and 20 627 456 at 32^3 while Derived.load
+# copied its stacked inputs [sqrt rho, log rho] and [u, sqrt(rho) u] from
+# arrays of their own; the w-form one took 5 556 224 while its bundle lent
+# log rho on its own and the gradient that maps w to u below it; the seed
+# chunk took 2 323 456 while release gave back only the last stack lent.
+# The bounds move only down.
+STORE_HIGH_WATER = {"record_128x128": 5158912, "record_w_128x128": 5158912,
+                    "record_32x32x32": 19316736,
                     "seed_chunk_64x64": 1967104}
 
 
@@ -570,9 +575,9 @@ def test_store_high_water(monkeypatch, op):
     monkeypatch.setattr(fields, "_store", st)
     kind, n = op.rsplit("_", 1)
     n = tuple(int(m) for m in n.split("x"))
-    if kind == "record":
-        s = _state(n, 18)
-        timeloop.step(s, PARAMS, systems.rhs_approx_u, 1e-4, scheme="imex")
+    if kind.startswith("record"):
+        s = _state(n, 18, "w" if kind == "record_w" else "u")
+        timeloop.step(s, PARAMS, _rhs_for_state(s), 1e-4, scheme="imex")
 
         def call():
             timeloop._record_chunk([s], PARAMS, ())
@@ -672,6 +677,40 @@ def test_workspace_is_per_thread(store):
         assert not any(np.shares_memory(a, b) for a in seen[k][-1]
                        for b in mine)
     assert _arena_buffers(store) == mine
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_writes_its_own_store(store):
+    # the store's maps are private: a child forked after a right-hand side
+    # runs one on another state in its copy of the arenas (and grows its
+    # store), and the parent's stacks, the spectrum its call returned
+    # among them, keep every bit
+    s, other = _state((16, 24), 13), _state((16, 24), 14)
+    spec = systems.rhs_approx_u(s, PARAMS, spectral=True)
+    assert any(np.shares_memory(spec, buf)
+               for buf in _arena_buffers(store))
+    held = [bytes(buf) for buf in store.buffers]
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            systems.rhs_approx_u(other, PARAMS, spectral=True)
+            timeloop._record_chunk([other], PARAMS, ())
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish in 60 s")
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert [bytes(buf) for buf in store.buffers] == held
 
 
 # Minor page faults of one steady 2D 128^2 IMEX step: 3829 to 4204 before
