@@ -42,6 +42,7 @@ outermost scope exits.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import mmap
@@ -335,6 +336,23 @@ class _Store(threading.local):
 
 
 _store = _Store()
+
+
+@contextlib.contextmanager
+def store_kept_from_forks():
+    """A block whose forked children inherit none of the thread's store
+    maps (MADV_DONTFORK, where the platform has it): this process then
+    writes their pages after the fork without a copy-on-write fault each.
+    A child forked in it must call _store.empty() before it uses the
+    store, and may read no view of the store taken before the fork."""
+    buffers = list(_store.buffers) if hasattr(mmap, "MADV_DONTFORK") else []
+    for buf in buffers:
+        buf.madvise(mmap.MADV_DONTFORK)
+    try:
+        yield
+    finally:
+        for buf in buffers:
+            buf.madvise(mmap.MADV_DOFORK)
 
 
 class Arena:

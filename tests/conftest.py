@@ -1,10 +1,12 @@
-"""Snapshot files in both formats, and byte-level edits of them."""
+"""Snapshot files in both formats, and byte-level edits of them; seeded
+verify passes kept in one process."""
 
 import io
 
 import numpy as np
 import pytest
 
+from qnslab import verify
 from qnslab.fields import ScalarField
 from qnslab.snapshots import write_field
 
@@ -73,3 +75,11 @@ class SnapshotFiles:
 @pytest.fixture
 def snapfiles():
     return SnapshotFiles()
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """Seeded verify passes run every chunk in this process, as on a
+    one-CPU machine, so what a test counts in the process is the whole
+    pass's work."""
+    monkeypatch.setattr(verify, "_workers", lambda jobs: 1)

@@ -9,9 +9,10 @@ count. A guard test checks that no hot path calls a numpy.fft entry point
 instead. The counts do not depend on the grid size, so a small 2D grid pins
 them. The Python calls are counted with sys.setprofile: every call of a
 function of the qnslab package or of numpy's Python code, and every builtin
-call made from one, so a numpy wrapper counts with the calls it makes. A
-change that lowers a count should lower its ceiling here; a ceiling never
-moves up.
+call made from one, so a numpy wrapper counts with the calls it makes.
+Seeded verify passes run in this process alone (the serial fixture), so
+the counters see every chunk. A change that lowers a count should lower its
+ceiling here; a ceiling never moves up.
 """
 
 import os
@@ -26,6 +27,8 @@ from qnslab import fields, functionals, systems, timeloop, verify
 from qnslab.fields import (Grid, from_spectral, random_smooth_positive,
                            random_smooth_vector, to_spectral)
 from qnslab.physics import Derived, QnsParams, State, to_w
+
+pytestmark = pytest.mark.usefixtures("serial")
 
 ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
                 "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft",

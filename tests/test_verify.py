@@ -1,16 +1,25 @@
-"""Suite orchestration: configs, reports, canaries, dynamics checks."""
+"""Suite orchestration: configs, reports, canaries, dynamics checks, and
+seed chunks split over forked worker processes."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from qnslab import cli, verify
 from qnslab.fields import (Grid, div_arr, grad_arr, hess_arr, lap_arr, quad,
                            random_smooth_ensemble, random_smooth_positive,
                            random_smooth_vector)
 from qnslab.functionals import ABS_TOL, FunctionalReport
-from qnslab.physics import Derived
+from qnslab.physics import Derived, VacuumError
 from qnslab.verify import (ALL_CHECKS, CHECK_PIECES, IDENTITY_CHECKS,
                            INEQUALITY_CHECKS, CheckResult, SuiteConfig,
                            _identity_chunk, chunk_size,
@@ -392,3 +401,209 @@ def test_suites_with_different_ensembles_keep_their_own(field, value):
 def test_run_suites_rejects_unknown_suite():
     with pytest.raises(ValueError):
         run_suites({"identity": SuiteConfig(**SMALL), "nope": SuiteConfig()})
+
+
+# --- the seed chunks on worker processes ----------------------------------
+
+forking = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not hasattr(os, "fork"),
+    reason="seed chunks run on forked workers on Linux only")
+
+
+def _force_workers(monkeypatch, count):
+    """Seeded passes on count processes (at most one per chunk), whatever
+    the machine's CPUs; returns the list each os.fork call appends to."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(verify, "_workers", lambda jobs: min(count, jobs))
+    return forks
+
+
+@contextlib.contextmanager
+def _no_child_left(seconds=60):
+    """A block that must end within seconds (SIGALRM raises TimeoutError
+    in it; a forked child inherits no timer) and leave no child process,
+    running or unreaped."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not done in {seconds} s")
+    saved = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, saved)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def _verify_outputs(tmp_path, label, canary):
+    """{file name: bytes} of what `qnslab verify` writes for the identity
+    and inequality suites of unsorted seeds on (128,) and (64, 64), with
+    its exit code and stdout among them."""
+    config = tmp_path / f"{label}.json"
+    config.write_text(json.dumps({
+        "suites": ["identity", "inequality"], "seeds": [9, 2, 14, 0, 5, 3],
+        "grids": [[128], [64, 64]], "canary": canary}))
+    out = tmp_path / label
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["verify", "--config", str(config), "--out",
+                         str(out)])
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    return dict(files, exit_code=code, stdout=buf.getvalue())
+
+
+@forking
+@pytest.mark.parametrize("canary", [False, True])
+def test_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
+                                                   canary):
+    # one (128,) chunk of six seeds and six (64, 64) chunks, split over one,
+    # two and three processes
+    outputs = {}
+    for count in (1, 2, 3):
+        with monkeypatch.context() as mp, _no_child_left():
+            forks = _force_workers(mp, count)
+            outputs[count] = _verify_outputs(tmp_path, f"w{count}", canary)
+        assert len(forks) == count - 1
+    assert outputs[1]["exit_code"] == (1 if canary else 0)
+    assert len(outputs[1]) == 6 and outputs[2] == outputs[1] \
+        and outputs[3] == outputs[1]
+
+
+def _pass(seeds=(0, 1)):
+    """Identity and inequality suites of one seed chunk per seed."""
+    return {name: SuiteConfig(seeds=seeds, grids=((48, 48),), modes=2,
+                              checks=checks)
+            for name, checks in (("identity", IDENTITY_CHECKS),
+                                 ("inequality", INEQUALITY_CHECKS))}
+
+
+def _raise_in(monkeypatch, where, action):
+    """grad6_batch does action() first in this process (where "parent") or
+    in a forked child (where "child")."""
+    parent, real = os.getpid(), verify.grad6_batch
+
+    def grad6(d):
+        if (os.getpid() == parent) == (where == "parent"):
+            action()
+        return real(d)
+    monkeypatch.setattr(verify, "grad6_batch", grad6)
+
+
+@forking
+def test_a_check_that_raises_in_a_child_raises_here(monkeypatch):
+    # the exception comes back with its class, message and attributes
+    _force_workers(monkeypatch, 2)
+
+    def vacuum():
+        raise VacuumError(3, -0.5)
+    _raise_in(monkeypatch, "child", vacuum)
+    with _no_child_left(), pytest.raises(VacuumError) as info:
+        run_suites(_pass())
+    assert str(info.value) == "nonpositive density at 3 node(s), min=-0.5"
+    assert (info.value.bad_nodes, info.value.rho_min) == (3, -0.5)
+
+
+@forking
+def test_an_exception_pickle_cannot_name_raises_its_message(monkeypatch):
+    _force_workers(monkeypatch, 2)
+
+    class Local(Exception):
+        pass
+
+    def local():
+        raise Local("in a child")
+    _raise_in(monkeypatch, "child", local)
+    with _no_child_left(), pytest.raises(
+            RuntimeError, match="could not send .*Local: in a child"):
+        run_suites(_pass())
+
+
+@forking
+def test_a_child_that_dies_raises_here(monkeypatch):
+    _force_workers(monkeypatch, 2)
+    _raise_in(monkeypatch, "child", lambda: os.kill(os.getpid(),
+                                                    signal.SIGKILL))
+    with _no_child_left(), pytest.raises(RuntimeError, match="exit code -9"):
+        run_suites(_pass())
+
+
+class _Interrupt(KeyboardInterrupt):
+    pass
+
+
+@forking
+@pytest.mark.parametrize("error", [VacuumError(1, -1.0), _Interrupt()],
+                         ids=["vacuum", "interrupt"])
+def test_an_error_in_this_share_kills_the_children(monkeypatch, error):
+    # the children would run for a minute: they are killed and reaped
+    forks = _force_workers(monkeypatch, 3)
+    _raise_in(monkeypatch, "child", lambda: time.sleep(60))
+    parent, real = os.getpid(), verify.jungel_batch
+
+    def jungel(d):
+        if os.getpid() == parent:
+            raise error
+        return real(d)
+    monkeypatch.setattr(verify, "jungel_batch", jungel)
+    start = time.monotonic()
+    with _no_child_left(), pytest.raises(type(error)):
+        run_suites(_pass(seeds=(0, 1, 2)))
+    assert len(forks) == 2 and time.monotonic() - start < 30
+
+
+def test_no_fork_while_another_thread_is_alive(monkeypatch):
+    configs = _pass()
+    ref = {name: rep.to_jsonl() for name, rep in run_suites(configs).items()}
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        assert verify._workers(2) == 1
+        reports = run_suites(configs)
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive() and not forks
+    assert {name: rep.to_jsonl() for name, rep in reports.items()} == ref
+
+
+def test_one_worker_where_forking_is_unavailable(monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                   raising=False)
+        mp.setattr(sys, "platform", "linux")
+        mp.setattr(os, "fork", lambda: 0, raising=False)
+        assert [verify._workers(jobs) for jobs in (1, 3, 9)] == [1, 3, 4]
+        mp.setattr(os, "sched_getaffinity", lambda pid: {5})
+        assert verify._workers(9) == 1
+    with monkeypatch.context() as mp:
+        mp.setattr(sys, "platform", "darwin")
+        assert verify._workers(9) == 1
+    with monkeypatch.context() as mp:
+        mp.delattr(os, "fork", raising=False)
+        assert verify._workers(9) == 1
+
+
+@pytest.mark.parametrize("costs, count, shares", [
+    # a (128,) chunk of 25 seeds and 25 (64, 64) chunks of one
+    ([3200] + [4096] * 25, 2, [(0, 13), (13, 26)]),
+    ([3200] + [4096] * 25, 3, [(0, 9), (9, 17), (17, 26)]),
+    ([5, 5, 5], 3, [(0, 1), (1, 2), (2, 3)]),
+    # a costly first job takes a share of its own, and every share is
+    # nonempty
+    ([100, 1, 1, 1], 2, [(0, 1), (1, 4)]),
+    ([100, 1, 1, 1], 3, [(0, 1), (1, 2), (2, 4)]),
+    ([1, 1, 1, 100], 3, [(0, 2), (2, 3), (3, 4)]),
+    ([7], 1, [(0, 1)]),
+])
+def test_shares_are_contiguous_and_balanced(costs, count, shares):
+    assert verify._shares(costs, count) == shares
