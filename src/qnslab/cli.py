@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .fields import VectorField, as_bool, as_int
+from .fields import VectorField, as_bool, as_int, fork_map
 from .functionals import MONITOR_COLUMNS
 from .physics import (MODES, AdmissibilityError, QnsParams, State,
                       VacuumError, check_constraints, paper_params)
@@ -337,7 +337,6 @@ SWEEP_AXES = ("kappa", "r0", "r1", "eps")
 
 def cmd_sweep(args):
     import csv
-    from concurrent.futures import ThreadPoolExecutor
 
     from .timeloop import integrate
     if args.threads < 1:
@@ -386,11 +385,7 @@ def cmd_sweep(args):
             "final_mass": recs[-1].mass,
         }, traj.failure is not None
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one_point, points))
-    else:
-        results = [one_point(p) for p in points]
+    results = fork_map(one_point, points, [1] * len(points), args.threads)
     rows = [row for row, _ in results]
     failed = sum(bad for _, bad in results)
 

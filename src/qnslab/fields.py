@@ -38,15 +38,22 @@ first byte over the idle arenas, and gives them back (lend, release,
 in_workspace): a stack's bytes return once it and every stack lent after
 it are given back. A lent stack is valid until it is given back or the
 outermost scope exits.
+
+Independent jobs (a verify pass's seed chunks, a sweep's points) run on
+one process map, fork_map: a forked child, on an empty store of its own,
+runs each share of them after the first.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
+import itertools
 import math
 import mmap
 import numbers
+import os
+import pickle
+import sys
 import threading
 
 import numpy as np
@@ -338,21 +345,132 @@ class _Store(threading.local):
 _store = _Store()
 
 
-@contextlib.contextmanager
-def store_kept_from_forks():
-    """A block whose forked children inherit none of the thread's store
-    maps (MADV_DONTFORK, where the platform has it): this process then
-    writes their pages after the fork without a copy-on-write fault each.
-    A child forked in it must call _store.empty() before it uses the
-    store, and may read no view of the store taken before the fork."""
-    buffers = list(_store.buffers) if hasattr(mmap, "MADV_DONTFORK") else []
-    for buf in buffers:
-        buf.madvise(mmap.MADV_DONTFORK)
+# ---------------------------------------------------------------------------
+# the process map: independent jobs split over forked children
+# ---------------------------------------------------------------------------
+
+def _workers(jobs):
+    """The number of processes fork_map runs jobs jobs on: one per usable
+    CPU (the affinity mask), at most one per job. One where os.fork is
+    missing or not Linux's, and while another Python thread is alive: a
+    child forked then could inherit a lock held by a thread that does not
+    run in it."""
+    if (not sys.platform.startswith("linux") or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), jobs)
+
+
+def _shares(costs, count):
+    """count contiguous, nonempty (start, stop) ranges of the jobs with
+    costs, each ending at the job whose running cost total comes nearest
+    its equal part of the whole."""
+    cum = list(itertools.accumulate(costs))
+    cuts = [0]
+    for k in range(1, count):
+        target = cum[-1] * k / count
+        stop = min(range(len(cum)), key=lambda i: abs(cum[i] - target)) + 1
+        cuts.append(min(max(stop, cuts[-1] + 1), len(cum) - count + k))
+    cuts.append(len(cum))
+    return list(zip(cuts, cuts[1:]))
+
+
+def fork_map(fn, jobs, costs, cap=None):
+    """[fn(job) for job in jobs], on _workers() processes, at most cap.
+
+    The jobs are cut into contiguous shares of about equal cost (costs, one
+    per job). This process runs the first share and a forked child each
+    later one (_fork); the results come in job order, whatever the number
+    of processes. The children inherit none of the store's maps
+    (MADV_DONTFORK, where the platform has it), so this process writes
+    their pages after the fork without a copy-on-write fault each. Every
+    child is reaped before this returns or raises."""
+    count = _workers(len(jobs) if cap is None else min(cap, len(jobs)))
+    shares = [jobs[start:stop] for start, stop in _shares(costs, count)]
+    kept = list(_store.buffers) if hasattr(mmap, "MADV_DONTFORK") else []
+    children = []
     try:
-        yield
+        for buf in kept:
+            buf.madvise(mmap.MADV_DONTFORK)
+        try:
+            for share in shares[1:]:
+                _fork(fn, share, children)
+        finally:
+            for buf in kept:
+                buf.madvise(mmap.MADV_DOFORK)
+        results = [fn(job) for job in shares[0]]
+        while children:
+            results += _receive(children)
+        return results
     finally:
-        for buf in buffers:
-            buf.madvise(mmap.MADV_DOFORK)
+        for pid, pipe in children:
+            from signal import SIGKILL   # loads only when a child is left
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork(fn, share, children):
+    """Fork a child that runs fn on each job of share, on a store of its
+    own, and sends back through a pipe, pickled, the list of what fn
+    returns or the class, args and attributes of what it raises, then ends
+    by os._exit: it runs no exit handler or buffer flush of this process.
+    Append (its pid, the pipe's read end) to children."""
+    r, w = os.pipe()
+    pipe = open(r, "rb")
+    try:
+        pid = os.fork()
+    except BaseException:
+        pipe.close()
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            pipe.close()
+            what = "its results"
+            try:
+                _store.empty()
+                payload = True, [fn(job) for job in share]
+            except BaseException as exc:
+                payload = False, (type(exc), exc.args, vars(exc))
+                what = f"{type(exc).__qualname__}: {exc}"
+            try:
+                data = pickle.dumps(payload)
+            except Exception as exc:   # a class or value pickle cannot name
+                data = pickle.dumps((False, (RuntimeError, (
+                    f"a forked worker could not send {what} ({exc})",),
+                    {})))
+            with open(w, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    children.append((pid, pipe))
+    os.close(w)
+
+
+def _receive(children):
+    """What the first of children [(pid, pipe)] sent, once it has ended and
+    been reaped (it leaves the list then). What it raised is raised here,
+    with its class, args and attributes; a RuntimeError if it ended without
+    sending."""
+    pid, pipe = children[0]
+    with pipe:
+        data = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    del children[0]
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        raise RuntimeError(f"a forked worker ended with exit code {code} "
+                           f"before it sent its results")
+    ok, value = pickle.loads(data)
+    if ok:
+        return value
+    cls, args, attributes = value
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(attributes)
+    raise exc
 
 
 class Arena:

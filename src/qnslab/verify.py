@@ -12,22 +12,15 @@ perturbation that must fail, proving the checks are not vacuous.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import numbers
-import os
-import pickle
-import sys
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fields
-from .fields import (Grid, as_bool, as_real, check_smooth_args, grad_arr,
-                     in_workspace, lend, quad, random_smooth_ensemble,
-                     release, store_kept_from_forks)
+from .fields import (Grid, as_bool, as_real, check_smooth_args, fork_map,
+                     grad_arr, in_workspace, lend, quad,
+                     random_smooth_ensemble, release)
 from .functionals import (ABS_TOL, IDENTITY_TOL, REL_TOL, div_vs_D_batch,
                           flux_identity_batch, grad6_batch,
                           grad_sqrtrho_u_batch, jungel_batch, passes)
@@ -256,42 +249,13 @@ def _ensemble_key(config):
             config.modes, config.floor)
 
 
-def _workers(jobs):
-    """The number of processes a seeded pass of jobs seed chunks runs on:
-    one per usable CPU (the affinity mask), at most one per job. One where
-    os.fork is missing or not Linux's, and while another Python thread is
-    alive: a child forked then could inherit a lock held by a thread that
-    does not run in it."""
-    if (not sys.platform.startswith("linux") or not hasattr(os, "fork")
-            or threading.active_count() > 1):
-        return 1
-    return min(len(os.sched_getaffinity(0)), jobs)
-
-
-def _shares(costs, count):
-    """count contiguous, nonempty (start, stop) ranges of the jobs with
-    costs, each ending at the job whose running cost total comes nearest
-    its equal part of the whole."""
-    cum = list(itertools.accumulate(costs))
-    cuts = [0]
-    for k in range(1, count):
-        target = cum[-1] * k / count
-        stop = min(range(len(cum)), key=lambda i: abs(cum[i] - target)) + 1
-        cuts.append(min(max(stop, cuts[-1] + 1), len(cum) - count + k))
-    cuts.append(len(cum))
-    return list(zip(cuts, cuts[1:]))
-
-
 def _run_seeded(names, configs, reports):
     """Evaluate the seeded suites that share one ensemble, chunk by chunk:
     each chunk is generated once and read by every suite of names.
 
-    The chunks of every grid are cut into _workers() contiguous shares of
-    about equal cost (nodes x seeds). This process runs the first; a child
-    forked for each later one runs it and sends its results back (_fork),
-    and they are appended in chunk order, so the reports do not depend on
-    the number of processes. Every child is reaped before this returns or
-    raises."""
+    The chunks of every grid are the jobs of one fork_map, whose cost is
+    nodes x seeds; their results are appended in chunk order, so the
+    reports do not depend on the number of processes."""
     config = configs[names[0]]
     seeds = list(config.seeds)
     pieces = [p for name in names for check in SUITE_CHECKS[name]
@@ -303,115 +267,33 @@ def _run_seeded(names, configs, reports):
         jobs += [(grid, seeds[start:start + size], spec)
                  for start in range(0, len(seeds), size)]
     costs = [grid.node_count * len(chunk) for grid, chunk, _ in jobs]
-    shares = [jobs[start:stop]
-              for start, stop in _shares(costs, _workers(len(jobs)))]
-
-    def run(share, out):
-        for grid, chunk, spec in share:
-            _run_chunk(grid, chunk, spec, names, configs, pieces, out)
-        return {name: out[name].results for name in names}
-
-    def child(share):
-        fields._store.empty()   # the store's maps stayed with the parent
-        return run(share, {name: SuiteReport(name) for name in names})
-
-    children = []
-    try:
-        with store_kept_from_forks():
-            for share in shares[1:]:
-                _fork(functools.partial(child, share), children)
-        run(shares[0], reports)
-        while children:
-            for name, results in _receive(children).items():
-                reports[name].results += results
-    finally:
-        for pid, pipe in children:
-            from signal import SIGKILL   # loads only when a child is left
-            pipe.close()
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _fork(fn, children):
-    """Fork a child that runs fn() and sends back through a pipe, pickled,
-    what it returns or the class, args and attributes of what it raises,
-    then ends by os._exit: it runs no exit handler or buffer flush of this
-    process. Append (its pid, the pipe's read end) to children."""
-    r, w = os.pipe()
-    pipe = open(r, "rb")
-    try:
-        pid = os.fork()
-    except BaseException:
-        pipe.close()
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            pipe.close()
-            what = "its results"
-            try:
-                payload = True, fn()
-            except BaseException as exc:
-                payload = False, (type(exc), exc.args, vars(exc))
-                what = f"{type(exc).__qualname__}: {exc}"
-            try:
-                data = pickle.dumps(payload)
-            except Exception as exc:   # a class or value pickle cannot name
-                data = pickle.dumps((False, (RuntimeError, (
-                    f"a seed-chunk worker could not send {what} ({exc})",),
-                    {})))
-            with open(w, "wb") as fh:
-                fh.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    children.append((pid, pipe))
-    os.close(w)
-
-
-def _receive(children):
-    """What the first of children [(pid, pipe)] sent, once it has ended and
-    been reaped (it leaves the list then). What it raised is raised here,
-    with its class, args and attributes; a RuntimeError if it ended without
-    sending."""
-    pid, pipe = children[0]
-    with pipe:
-        data = pipe.read()
-    status = os.waitpid(pid, 0)[1]
-    del children[0]
-    code = os.waitstatus_to_exitcode(status)
-    if code:
-        raise RuntimeError(f"a seed-chunk worker ended with exit code {code} "
-                           f"before it sent its results")
-    ok, value = pickle.loads(data)
-    if ok:
-        return value
-    cls, args, attributes = value
-    exc = cls.__new__(cls, *args)
-    exc.__dict__.update(attributes)
-    raise exc
+    for out in fork_map(lambda job: _run_chunk(*job, names, configs, pieces),
+                        jobs, costs):
+        for name, results in out.items():
+            reports[name].results += results
 
 
 @in_workspace
-def _run_chunk(grid, chunk, spec, names, configs, pieces, reports):
-    """Generate one seed chunk, load its bundle's pieces and append every
-    suite's results, in one workspace scope: the chunk's stacks come from
-    the thread's store and return to it when the chunk is done. Only
-    margins and detail strings leave the chunk."""
+def _run_chunk(grid, chunk, spec, names, configs, pieces):
+    """{suite: [CheckResult]} of every suite of names on one seed chunk,
+    generated and its bundle's pieces loaded in one workspace scope: the
+    chunk's stacks come from the thread's store and return to it when the
+    chunk is done. Only margins and detail strings leave the chunk."""
     config = configs[names[0]]
     d = Derived.of(grid, *random_smooth_ensemble(
         grid, chunk, config.modes, floor=config.floor, amplitude=1.0))
     d.load(*pieces)
+    reports = {}
     for name in names:
         out = SEEDED_SUITES[name](d, configs[name])
-        results = reports[name].results
+        results = reports[name] = []
         for k, seed in enumerate(chunk):
             for check in SUITE_CHECKS[name]:
                 if check in out:
                     margin, passed, detail = out[check][k]
                     results.append(CheckResult(
                         check, seed, spec, margin, passed, detail))
+    return reports
 
 
 def check_suites(configs):

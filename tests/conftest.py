@@ -1,12 +1,17 @@
-"""Snapshot files in both formats, and byte-level edits of them; seeded
-verify passes kept in one process."""
+"""Snapshot files in both formats, and byte-level edits of them; the
+process map (fields.fork_map) kept in one process or forced onto a count
+of processes, and blocks that must leave no child process."""
 
+import contextlib
 import io
+import os
+import signal
+import sys
 
 import numpy as np
 import pytest
 
-from qnslab import verify
+from qnslab import fields
 from qnslab.fields import ScalarField
 from qnslab.snapshots import write_field
 
@@ -79,7 +84,45 @@ def snapfiles():
 
 @pytest.fixture
 def serial(monkeypatch):
-    """Seeded verify passes run every chunk in this process, as on a
-    one-CPU machine, so what a test counts in the process is the whole
+    """fork_map runs every job in this process, as on a one-CPU machine:
+    what a test counts in the process of a seeded verify pass is the whole
     pass's work."""
-    monkeypatch.setattr(verify, "_workers", lambda jobs: 1)
+    monkeypatch.setattr(fields, "_workers", lambda jobs: 1)
+
+
+forking = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not hasattr(os, "fork"),
+    reason="fork_map forks workers on Linux only")
+
+
+def force_workers(monkeypatch, count):
+    """fork_map on count processes (at most one per job, and at most its
+    cap), whatever the machine's CPUs; returns the list each os.fork call
+    appends to."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(fields, "_workers", lambda jobs: min(count, jobs))
+    return forks
+
+
+@contextlib.contextmanager
+def no_child_left(seconds=60):
+    """A block that must end within seconds (SIGALRM raises TimeoutError
+    in it; a forked child inherits no timer) and leave no child process,
+    running or unreaped."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not done in {seconds} s")
+    saved = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, saved)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

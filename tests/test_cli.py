@@ -19,6 +19,8 @@ from qnslab.physics import AdmissibilityError, QnsParams, paper_params
 from qnslab.snapshots import read_field, write_field
 from qnslab.systems import rhs_approx_u
 
+from conftest import force_workers, forking, no_child_left
+
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name
@@ -577,7 +579,8 @@ class TestSweep:
         assert not out.exists()
 
     def test_threads_option(self, tmp_path):
-        # a 2D grid whose transform stacks come from each thread's workspace
+        # a 2D grid, whose stacks come from the store of the process that
+        # runs the point: with --threads 2 a forked child may run one
         doc = dict(RUN_DOC, scenario="acoustic-2d", n=64,
                    sweep={"eps": [1e-3, 1e-4]})
         cfg = _write(tmp_path, "s.json", doc)
@@ -590,6 +593,51 @@ class TestSweep:
                 text[threads] = fh.read()
         assert text["2"] == text["1"]
         assert text["1"].count(b"completed") == 2
+
+    @forking
+    def test_rows_do_not_depend_on_the_worker_count(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # a completed point, a positivity failure (r0 = 1e4 takes rho_min
+        # below the floor) and two admissibility error rows (strict, kappa
+        # 0.5), on one, two and three processes
+        doc = dict(RUN_DOC, strict=True,
+                   sweep={"kappa": [0.05, 0.5], "r0": [0.0, 1e4]},
+                   integrator=dict(RUN_DOC["integrator"],
+                                   positivity_floor=0.88))
+        cfg = _write(tmp_path, "s.json", doc)
+        outputs = {}
+        for count in (1, 2, 3):
+            out = tmp_path / f"w{count}"
+            with monkeypatch.context() as mp, no_child_left():
+                forks = force_workers(mp, count)
+                code = main(["sweep", "--config", cfg, "--out", str(out),
+                             "--threads", "3"])
+            assert len(forks) == count - 1
+            outputs[count] = (code, capsys.readouterr().out,
+                              (out / "sweep.csv").read_bytes())
+        code, stdout, table = outputs[1]
+        assert (code, stdout) == (1, "sweep: 4 runs, 3 failed\n")
+        status = [row["status"] for row in
+                  csv.DictReader(table.decode().splitlines())]
+        assert status[0] == "completed"
+        assert status[1].startswith("positivity-failure at")
+        assert all(s.startswith("error: admissibility violated")
+                   for s in status[2:])
+        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+    @forking
+    def test_threads_caps_the_processes(self, tmp_path, monkeypatch):
+        # on five workers, two points fork one child with --threads 5 (one
+        # process per point at most) and none with --threads 1
+        cfg = _write(tmp_path, "s.json",
+                     dict(RUN_DOC, sweep={"eps": [1e-3, 1e-4]}))
+        for threads, children in (("5", 1), ("1", 0)):
+            with monkeypatch.context() as mp, no_child_left():
+                forks = force_workers(mp, 5)
+                assert main(["sweep", "--config", cfg, "--out",
+                             str(tmp_path / threads),
+                             "--threads", threads]) == 0
+            assert len(forks) == children
 
 
 def _integrator(**kw):

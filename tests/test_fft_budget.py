@@ -185,9 +185,9 @@ def _seed_chunk(count, spec):
               for p in verify.CHECK_PIECES[check]]
 
     def chunk():
-        reports = {name: verify.SuiteReport(name) for name in names}
-        verify._run_chunk(grid, seeds, spec, names, configs, pieces, reports)
-        assert all(len(r.results) == 4 * count for r in reports.values())
+        results = verify._run_chunk(grid, seeds, spec, names, configs, pieces)
+        assert sorted(results) == sorted(names)
+        assert all(len(r) == 4 * count for r in results.values())
     return chunk
 
 

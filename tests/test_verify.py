@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from qnslab import cli, verify
+from qnslab import cli, fields, verify
 from qnslab.fields import (Grid, div_arr, grad_arr, hess_arr, lap_arr, quad,
                            random_smooth_ensemble, random_smooth_positive,
                            random_smooth_vector)
@@ -25,6 +25,8 @@ from qnslab.verify import (ALL_CHECKS, CHECK_PIECES, IDENTITY_CHECKS,
                            _identity_chunk, chunk_size,
                            run_dynamics_suite, run_identity_suite,
                            run_inequality_suite, run_suite, run_suites)
+
+from conftest import force_workers, forking, no_child_left
 
 SMALL = dict(seeds=(0, 1, 2), grids=((64,),))
 
@@ -405,43 +407,6 @@ def test_run_suites_rejects_unknown_suite():
 
 # --- the seed chunks on worker processes ----------------------------------
 
-forking = pytest.mark.skipif(
-    not sys.platform.startswith("linux") or not hasattr(os, "fork"),
-    reason="seed chunks run on forked workers on Linux only")
-
-
-def _force_workers(monkeypatch, count):
-    """Seeded passes on count processes (at most one per chunk), whatever
-    the machine's CPUs; returns the list each os.fork call appends to."""
-    forks = []
-    real = os.fork
-
-    def fork():
-        forks.append(os.getpid())
-        return real()
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(verify, "_workers", lambda jobs: min(count, jobs))
-    return forks
-
-
-@contextlib.contextmanager
-def _no_child_left(seconds=60):
-    """A block that must end within seconds (SIGALRM raises TimeoutError
-    in it; a forked child inherits no timer) and leave no child process,
-    running or unreaped."""
-    def expire(signum, frame):
-        raise TimeoutError(f"not done in {seconds} s")
-    saved = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, saved)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
 def _verify_outputs(tmp_path, label, canary):
     """{file name: bytes} of what `qnslab verify` writes for the identity
     and inequality suites of unsorted seeds on (128,) and (64, 64), with
@@ -467,8 +432,8 @@ def test_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
     # two and three processes
     outputs = {}
     for count in (1, 2, 3):
-        with monkeypatch.context() as mp, _no_child_left():
-            forks = _force_workers(mp, count)
+        with monkeypatch.context() as mp, no_child_left():
+            forks = force_workers(mp, count)
             outputs[count] = _verify_outputs(tmp_path, f"w{count}", canary)
         assert len(forks) == count - 1
     assert outputs[1]["exit_code"] == (1 if canary else 0)
@@ -499,12 +464,12 @@ def _raise_in(monkeypatch, where, action):
 @forking
 def test_a_check_that_raises_in_a_child_raises_here(monkeypatch):
     # the exception comes back with its class, message and attributes
-    _force_workers(monkeypatch, 2)
+    force_workers(monkeypatch, 2)
 
     def vacuum():
         raise VacuumError(3, -0.5)
     _raise_in(monkeypatch, "child", vacuum)
-    with _no_child_left(), pytest.raises(VacuumError) as info:
+    with no_child_left(), pytest.raises(VacuumError) as info:
         run_suites(_pass())
     assert str(info.value) == "nonpositive density at 3 node(s), min=-0.5"
     assert (info.value.bad_nodes, info.value.rho_min) == (3, -0.5)
@@ -512,7 +477,7 @@ def test_a_check_that_raises_in_a_child_raises_here(monkeypatch):
 
 @forking
 def test_an_exception_pickle_cannot_name_raises_its_message(monkeypatch):
-    _force_workers(monkeypatch, 2)
+    force_workers(monkeypatch, 2)
 
     class Local(Exception):
         pass
@@ -520,17 +485,17 @@ def test_an_exception_pickle_cannot_name_raises_its_message(monkeypatch):
     def local():
         raise Local("in a child")
     _raise_in(monkeypatch, "child", local)
-    with _no_child_left(), pytest.raises(
+    with no_child_left(), pytest.raises(
             RuntimeError, match="could not send .*Local: in a child"):
         run_suites(_pass())
 
 
 @forking
 def test_a_child_that_dies_raises_here(monkeypatch):
-    _force_workers(monkeypatch, 2)
+    force_workers(monkeypatch, 2)
     _raise_in(monkeypatch, "child", lambda: os.kill(os.getpid(),
                                                     signal.SIGKILL))
-    with _no_child_left(), pytest.raises(RuntimeError, match="exit code -9"):
+    with no_child_left(), pytest.raises(RuntimeError, match="exit code -9"):
         run_suites(_pass())
 
 
@@ -543,7 +508,7 @@ class _Interrupt(KeyboardInterrupt):
                          ids=["vacuum", "interrupt"])
 def test_an_error_in_this_share_kills_the_children(monkeypatch, error):
     # the children would run for a minute: they are killed and reaped
-    forks = _force_workers(monkeypatch, 3)
+    forks = force_workers(monkeypatch, 3)
     _raise_in(monkeypatch, "child", lambda: time.sleep(60))
     parent, real = os.getpid(), verify.jungel_batch
 
@@ -553,7 +518,7 @@ def test_an_error_in_this_share_kills_the_children(monkeypatch, error):
         return real(d)
     monkeypatch.setattr(verify, "jungel_batch", jungel)
     start = time.monotonic()
-    with _no_child_left(), pytest.raises(type(error)):
+    with no_child_left(), pytest.raises(type(error)):
         run_suites(_pass(seeds=(0, 1, 2)))
     assert len(forks) == 2 and time.monotonic() - start < 30
 
@@ -567,7 +532,7 @@ def test_no_fork_while_another_thread_is_alive(monkeypatch):
     thread = threading.Thread(target=release.wait, args=(60,))
     thread.start()
     try:
-        assert verify._workers(2) == 1
+        assert fields._workers(2) == 1
         reports = run_suites(configs)
     finally:
         release.set()
@@ -582,15 +547,15 @@ def test_one_worker_where_forking_is_unavailable(monkeypatch):
                    raising=False)
         mp.setattr(sys, "platform", "linux")
         mp.setattr(os, "fork", lambda: 0, raising=False)
-        assert [verify._workers(jobs) for jobs in (1, 3, 9)] == [1, 3, 4]
+        assert [fields._workers(jobs) for jobs in (1, 3, 9)] == [1, 3, 4]
         mp.setattr(os, "sched_getaffinity", lambda pid: {5})
-        assert verify._workers(9) == 1
+        assert fields._workers(9) == 1
     with monkeypatch.context() as mp:
         mp.setattr(sys, "platform", "darwin")
-        assert verify._workers(9) == 1
+        assert fields._workers(9) == 1
     with monkeypatch.context() as mp:
         mp.delattr(os, "fork", raising=False)
-        assert verify._workers(9) == 1
+        assert fields._workers(9) == 1
 
 
 @pytest.mark.parametrize("costs, count, shares", [
@@ -606,4 +571,4 @@ def test_one_worker_where_forking_is_unavailable(monkeypatch):
     ([7], 1, [(0, 1)]),
 ])
 def test_shares_are_contiguous_and_balanced(costs, count, shares):
-    assert verify._shares(costs, count) == shares
+    assert fields._shares(costs, count) == shares

@@ -909,8 +909,8 @@ VERIFY_FAULT_BUDGET = 431
 VERIFY_FORKED_FAULT_BUDGET = 2238
 VERIFY_PASSES = """
 import json, resource
-from qnslab import verify
-verify._workers = lambda jobs: min(WORKERS, jobs)
+from qnslab import fields, verify
+fields._workers = lambda jobs: min(WORKERS, jobs)
 counted = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
 configs = {name: verify.SuiteConfig(seeds=tuple(range(500, 525)),
                                     grids=((128,), (64, 64)), checks=checks)
@@ -951,8 +951,9 @@ def test_verify_chunk_plain_bytes(store, monkeypatch, serial):
     def traced(*args):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        run_chunk(*args)
+        out = run_chunk(*args)
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
     monkeypatch.setattr(verify, "_run_chunk", traced)
     tracemalloc.start()
     try:
