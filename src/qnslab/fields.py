@@ -474,7 +474,7 @@ def _receive(children):
 
 
 class Arena:
-    """The stacks one owner (a right-hand side's plan or a step scheme)
+    """The stacks one owner (a right-hand side's layout or a step scheme)
     works in on one grid, carved from the thread's store once: buffers
     lists them, and the owner keeps its views of them as attributes. A
     stack holds no value from one call of its owner to the next: each call

@@ -7,18 +7,17 @@ callers pass use_dealias=False to bypass truncation. rhs_terms is the same
 right-hand side written term by term, independently of the staged ones.
 
 A staged right-hand side works in the stacks of its thread's Arena for its
-layout (_arena), carved from the thread's store on its first call with
-their row views: a call makes no stack and no view of one. Its result is
-a copy (an Rhs), or with spectral=True a stack of that arena, valid until
-the next call of a right-hand side of the same layout or the next
-workspace scope on the thread. The arithmetic temporaries of the nodal
-products are plain arrays.
+layout, carved from the thread's store on its first call with their row
+views: a call makes no stack. Its result is a copy (an Rhs), or with
+spectral=True a stack of that arena, valid until the next call of a
+right-hand side of the same layout or the next workspace scope on the
+thread. The arithmetic temporaries of the nodal products are plain
+arrays.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -127,14 +126,13 @@ def _level(counts, *groups):
                   _slices(len(g) for g in groups)[1])
 
 
-@functools.lru_cache(maxsize=16)
 def _plan(grid, form, reg, bohm, mu=0.0):
     """The static layout of a staged right-hand side, one _level per
-    dependency level. In level 2 of the u-form the last spectral row holds
-    the spectrum of P, transformed with the stack without regularization
-    and alone with it (then level 3 forms div T + grad P). mu weights the
-    one Laplacian of the w-form's rows; the u-form's rows read no
-    parameter."""
+    dependency level, built once per arena (see _build). In level 2 of the
+    u-form the last spectral row holds the spectrum of P, transformed with
+    the stack without regularization and alone with it (then level 3 forms
+    div T + grad P). mu weights the one Laplacian of the w-form's rows;
+    the u-form's rows read no parameter."""
     d, ik, dd = grid.dim, grid._ik, grid.dim ** 2
 
     def lin(p):
@@ -171,61 +169,52 @@ _Bound = collections.namedtuple(
     "_Bound", "rows nodal hat runs extras spec out groups")
 
 
-def _build(ar, plan):
-    """The stacks of a staged right-hand side on the Arena ar, for every
-    plan of plan's layout. One nodal and one spectral stack serve each
-    level in turn, and then _finish: a level's nodal rows are dead once
-    transformed, and its spectra once its inverse rows are formed (the
-    u-form's level 2 spectra, with P's row after them, once level 3's
-    are). Each level has the spectral stack of its inverse rows and the
-    real stack the inverse writes: over the spectral stack's memory
-    (real_rows) in 2D and 3D, a stack of its own in 1D, where numpy would
-    copy the overlap. The inverse spectra of each later level lie over
-    the first bytes of level 1's, where the Jacobian's real rows lie in 2D
-    and 3D, if they fit there: the Jacobian is read only by level 2's
-    nodal products, and each later level's spectra are read before the
-    next level's are formed. sqrt(rho), read by every level, has a stack
-    of its own; the Hessian of log rho, read only in level 2 before its
-    forward transform, lies over the spectral stack, which no level reads
-    then."""
+def _build(ar, form, reg, bohm, mu=0.0):
+    """The stacks of the staged right-hand side of _plan(grid, form, reg,
+    bohm, mu) on the Arena ar, and the views of each level, a _Bound: the
+    views of its nodal rows (rows, see _slices) and its nodal stack, the
+    spectral rows its forward transform writes (hat), its runs and extras
+    with their multiplier, spectral input and spectral output views, its
+    spectral stack, the real stack of its inverse rows and their views by
+    row group.
+
+    One nodal and one spectral stack serve each level in turn, and then
+    _finish: a level's nodal rows are dead once transformed, and its
+    spectra once its inverse rows are formed (the u-form's level 2
+    spectra, with P's row after them, once level 3's are). Each level has
+    the spectral stack of its inverse rows and the real stack the inverse
+    writes: over the spectral stack's memory (real_rows) in 2D and 3D, a
+    stack of its own in 1D, where numpy would copy the overlap. The
+    inverse spectra of each later level lie over the first bytes of level
+    1's, where the Jacobian's real rows lie in 2D and 3D, if they fit
+    there: the Jacobian is read only by level 2's nodal products, and each
+    later level's spectra are read before the next level's are formed.
+    sqrt(rho), read by every level, has a stack of its own; the Hessian of
+    log rho, read only in level 2 before its forward transform, lies over
+    the spectral stack, which no level reads then."""
     grid = ar.grid
+    plan = _plan(grid, form, reg, bohm, mu)
     m = 1 + grid.dim
     read = [src.stop - 1 for level in plan for _, src, _ in level.runs]
     read += [i for level in plan for _, i, _ in level.extras]
     ar.nodal = ar.stack((max(m, *(level.lead[0] for level in plan)),))
-    ar.hat = ar.stack((max(m, grid.dim ** 2, 1 + max(read)),), spectral=True)
+    hat = ar.hat = ar.stack((max(m, grid.dim ** 2, 1 + max(read)),),
+                            spectral=True)
     # the bytes of level 1's first d^2 inverse rows, the Jacobian, dead
     # once level 2's nodal rows are formed
     first = ar.stack(plan[0].spec_lead, spectral=True).reshape(-1)
     jac = grid.dim ** 2 * grid._rows[0][1]
-    ar.specs = [first.reshape(plan[0].spec_lead + grid._rows[1][0])]
+    specs = [first.reshape(plan[0].spec_lead + grid._rows[1][0])]
     for level in plan[1:]:
         spec_bytes = level.spec_lead[0] * grid._rows[1][1]
-        ar.specs.append(
+        specs.append(
             first[:spec_bytes // 16].reshape(level.spec_lead
                                             + grid._rows[1][0])
             if spec_bytes <= jac else ar.stack(level.spec_lead, spectral=True))
-    ar.outs = [real_rows(grid, spec) if grid.dim > 1
-               else ar.stack(level.spec_lead)
-               for level, spec in zip(plan, ar.specs)]
-    ar.v = ar.stack(())
-    ar.H = real_rows(grid, ar.hat)[:grid.dim ** 2].reshape(
-        (grid.dim,) * 2 + grid.shape)
-    ar.fin, ar.fin_hat = ar.nodal[:m], ar.hat[:m]
-    ar.fin_vel = ar.fin[1:]
-    _bind(ar, plan)
-
-
-def _bind(ar, plan):
-    """The views of plan's levels on the Arena ar, one _Bound per level:
-    the views of its nodal rows (rows, see _slices) and its nodal stack,
-    the spectral rows its forward transform writes (hat), its runs and
-    extras with their multiplier, spectral input and spectral output
-    views, its spectral stack, the real stack of its inverse rows and
-    their views by row group."""
-    hat = ar.hat
     ar.levels = []
-    for level, spec, out in zip(plan, ar.specs, ar.outs):
+    for level, spec in zip(plan, specs):
+        out = (real_rows(grid, spec) if grid.dim > 1
+               else ar.stack(level.spec_lead))
         nodal = ar.nodal[:level.lead[0]]
         ar.levels.append(_Bound(
             level.rows(nodal) if level.rows else None, nodal,
@@ -233,18 +222,11 @@ def _bind(ar, plan):
             tuple((m, hat[src], spec[dst]) for m, src, dst in level.runs),
             tuple((m, hat[i], spec[o]) for m, i, o in level.extras),
             spec, out, level.groups(out)))
-    ar.plan = plan
-
-
-def _arena(grid, key, plan):
-    """The calling thread's Arena of the right-hand side layout key
-    (form, eps > 0, kappa > 0), bound to plan: plans of one layout share
-    the stacks, so a plan with other multipliers (the w-form's mu) binds
-    its views anew."""
-    ar = arena(grid, key, _build, plan)
-    if ar.plan is not plan:
-        _bind(ar, plan)
-    return ar
+    ar.v = ar.stack(())
+    ar.H = real_rows(grid, hat)[:grid.dim ** 2].reshape(
+        (grid.dim,) * 2 + grid.shape)
+    ar.fin, ar.fin_hat = ar.nodal[:m], hat[:m]
+    ar.fin_vel = ar.fin[1:]
 
 
 def _inverse(grid, bound):
@@ -261,8 +243,8 @@ def _inverse(grid, bound):
 def _rhs_u(state, params, eps, use_dealias, spectral):
     """The u-form right-hand side, evaluated one dependency level at a time
     with one batched forward and one batched inverse transform per level,
-    in the layout of its cached _plan and the stacks and views of its
-    thread's arena (_arena): a call does only the arithmetic. eps = 0 is
+    in the stacks and views of its thread's arena for the layout (eps > 0,
+    kappa > 0) (see _build): a call does only the arithmetic. eps = 0 is
     the target system."""
     if state.form != "u":
         raise ValueError("rhs_target and rhs_approx_u expect a u-form state")
@@ -274,7 +256,7 @@ def _rhs_u(state, params, eps, use_dealias, spectral):
     reg, bohm = eps > 0, params.kappa > 0
     se = math.sqrt(eps)
     v_q = neg_p = None
-    ar = _arena(grid, ("u", reg, bohm), _plan(grid, "u", reg, bohm))
+    ar = arena(grid, ("u", reg, bohm), _build, "u", reg, bohm)
     one, two, three = ar.levels
 
     # level 1: [u, rho u, sqrt(rho), log(rho)] -> J, div(rho u),
@@ -373,7 +355,7 @@ def rhs_approx_w(state, params, use_dealias=True, spectral=False):
     derivative applied to the velocity is second order and the only density
     operators are first derivatives and one Laplacian.
 
-    Staged like rhs_approx_u, in the layout of its cached _plan;
+    Staged like rhs_approx_u, in the arena of the layout (eps > 0, mu);
     P = -a rho^gamma needs no derivative, so two levels and the dealiasing
     pair take six FFT calls, and five with spectral."""
     if state.form != "w":
@@ -385,7 +367,7 @@ def rhs_approx_w(state, params, use_dealias=True, spectral=False):
     eps, mu = params.eps, params.mu
     reg = eps > 0
     v_q = neg_p = None
-    ar = _arena(grid, ("w", reg, False), _plan(grid, "w", reg, False, mu))
+    ar = arena(grid, ("w", reg, mu), _build, "w", reg, False, mu)
     one, two = ar.levels
 
     # level 1: [w, rho w, rho, log(rho), sqrt(rho)] -> Jw,

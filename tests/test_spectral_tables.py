@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from qnslab import fields, systems, timeloop
+from qnslab import fields, timeloop
 from qnslab.fields import (TWO_PI, Grid, ScalarField, VectorField, _comp,
                            _upper_pairs, dealias, derivatives_arr, div_arr,
                            from_spectral, grad_arr, hess_arr, lap_arr,
@@ -258,14 +258,14 @@ def test_step_matches_old_multipliers_bitwise(n, form, scheme):
     dt = 1e-4
     y0 = np.concatenate([state.rho.values[None], state.vel.values])
     old = _OldGrid(grid)
-    # the plans are cached by grid and the grids are equal: the reference
-    # builds its plans from the old multipliers
-    systems._plan.cache_clear()
+    # the arenas keep one grid per thread and the grids are equal: the
+    # reference builds its arenas from the old multipliers
+    fields._store.empty()
     try:
         ref = (_ref_imex if scheme == "imex" else _ref_rk4)(
             old, rhs, y0, form, dt)
     finally:
-        systems._plan.cache_clear()
+        fields._store.empty()
     new = timeloop.step(state, PARAMS, rhs, dt, scheme=scheme)
     assert math.isclose(new.time, dt)
     _assert_bitwise(new.rho.values, ref[0])

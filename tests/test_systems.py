@@ -5,7 +5,7 @@ import pytest
 
 import inspect
 
-from qnslab import systems
+from qnslab import fields
 from qnslab.fields import (Grid, ScalarField, VectorField, dealias_arr,
                            from_spectral, grad_arr, quad,
                            random_smooth_positive, random_smooth_vector,
@@ -332,11 +332,11 @@ class TestStaged:
             _assert_rel(sum(terms.values()) / s.rho.values,
                         plain.dvel.values, rtol=1e-12)
 
-    def test_plan_cache_is_keyed_by_layout(self):
-        # a plan key that missed a flag changing the layout would hand one
-        # layout's plan to another: each call, made again after the other
-        # layouts ran, equals its first call and a call on a fresh cache,
-        # bit for bit
+    def test_arena_is_keyed_by_layout(self):
+        # an arena key that missed a flag changing the layout would hand
+        # one layout's arena to another: each call, made again after the
+        # other layouts ran, equals its first call and a call on a fresh
+        # store, bit for bit
         cases = [(spec, QnsParams(nu=1.0, **kw), form)
                  for spec in STAGED_GRIDS for kw in STAGED_PARAMS
                  for form in "uw"]
@@ -357,7 +357,7 @@ class TestStaged:
         first = [calls(*case) for case in cases]
         again = [calls(*case) for case in reversed(cases)][::-1]
         for case, a, b in zip(cases, first, again):
-            systems._plan.cache_clear()
+            fields._store.empty()
             assert a == b == calls(*case), case
 
     def test_staged_signature(self):

@@ -247,6 +247,35 @@ def test_rhs_sequence_equals_fresh_calls(store, n, formulation):
         assert _rhs_bytes(rhs) == ref
 
 
+def test_w_form_arena_per_mu(store):
+    # mu weights a multiplier of the w-form's layout, so each mu has an
+    # arena of its own: a call after one at another mu equals a call on a
+    # fresh store, and nothing is bound anew over another mu's stacks
+    params = [QnsParams(nu=1.0, kappa=kappa, eps=1e-3)
+              for kappa in (1.0 / 11.0, 0.05)]
+    state = _state((16, 24), 3, "w")
+    for p in (params[0], params[1], params[0]):
+        ref = _fresh_store(lambda p=p: _rhs_bytes(
+            systems.rhs_approx_w(state, p)))
+        assert _rhs_bytes(systems.rhs_approx_w(state, p)) == ref
+    assert sorted(key[2] for key in store.arenas if key[0] == "w") \
+        == sorted(p.mu for p in params)
+
+
+def test_plan_built_once_per_arena(store, monkeypatch):
+    # the layout is planned when the arena is built, not on every call
+    built = []
+    plan = systems._plan
+    monkeypatch.setattr(systems, "_plan",
+                        lambda *args: built.append(args) or plan(*args))
+    state = _state((32,), 3)
+    for _ in range(50):
+        systems.rhs_approx_u(state, PARAMS)
+    assert len(built) == 1
+    systems.rhs_approx_u(_state((16, 24), 3), PARAMS)
+    assert len(built) == 2
+
+
 @pytest.mark.parametrize("n", GRIDS)
 @pytest.mark.parametrize("form", ["u", "w"])
 @pytest.mark.parametrize("scheme", SCHEMES)
