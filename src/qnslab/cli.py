@@ -43,12 +43,14 @@ EXIT_CONFIG_ERROR = 2
 EXIT_POSITIVITY = 3
 
 # The keys a config may hold. run and sweep read one format (run ignores the
-# sweep block); a verify config takes SUITE_KEYS, at the top level and in a
-# block for each suite it runs.
+# sweep block). A verify suite's block takes the keys its suite reads, and the
+# top level the ensemble keys SUITE_KEYS[:5] and those of each listed block.
 RUN_KEYS = ("scenario", "n", "snapshot", "snapshot_velocity", "mollify",
             "strict", "mode", "params", "integrator", "sweep", "out")
 SUITE_KEYS = ("seeds", "num_seeds", "grids", "modes", "floor", "rel_tol",
               "canary", "checks")
+_BLOCK_KEYS = {"identity": SUITE_KEYS, "dynamics": ("checks",),
+               "inequality": (*SUITE_KEYS[:5], "checks")}
 
 
 class ConfigError(ValueError):
@@ -83,7 +85,7 @@ def _require_known(cfg, keys, where):
     unknown = sorted(set(cfg) - set(keys))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; "
-                          f"allowed: {sorted(keys)}")
+                          f"allowed: {sorted(set(keys))}")
 
 
 def _path(cfg, key):
@@ -302,13 +304,14 @@ def cmd_verify(args):
     for name in suites:
         if not isinstance(name, str) or name not in SUITE_CHECKS:
             raise ConfigError(f"unknown suite {name!r}")
-    _require_known(cfg, ("suites", "out", *SUITE_KEYS, *suites),
+    read = [key for name in suites for key in _BLOCK_KEYS[name]]
+    _require_known(cfg, ("suites", "out", *SUITE_KEYS[:5], *suites, *read),
                    "the verify config")
     shared = {key: cfg[key] for key in SUITE_KEYS if key in cfg}
     configs = {}
     for name in suites:
         block = _block(cfg, name)
-        _require_known(block, SUITE_KEYS, f"the {name!r} block")
+        _require_known(block, _BLOCK_KEYS[name], f"the {name!r} block")
         configs[name] = _suite_config(
             {"checks": SUITE_CHECKS[name], **shared, **block})
     try:
@@ -339,8 +342,6 @@ def cmd_sweep(args):
     import csv
 
     from .timeloop import integrate
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     cfg = _load_config(args.config)
     _require_known(cfg, RUN_KEYS, "the sweep config")
     mode = _mode(cfg, args)
@@ -385,7 +386,7 @@ def cmd_sweep(args):
             "final_mass": recs[-1].mass,
         }, traj.failure is not None
 
-    results = fork_map(one_point, points, [1] * len(points), args.threads)
+    results = fork_map(one_point, points, [1] * len(points))
     rows = [row for row, _ in results]
     failed = sum(bad for _, bad in results)
 
@@ -402,7 +403,8 @@ def cmd_sweep(args):
 def cmd_report(args):
     import csv
     cfg = _load_config(args.config) if args.config else {}
-    path = _path(cfg, "monitors") or args.monitors
+    path = _path(cfg, "monitors")
+    path = args.monitors or path
     _require_known(cfg, ("monitors",), "the report config")
     if not path or not os.path.exists(path):
         raise ConfigError(f"monitors CSV not found: {path}")
@@ -448,8 +450,6 @@ def _parser():
         if name in ("run", "sweep"):
             p.add_argument("--mode", choices=MODES,
                            help="constant set (overrides config)")
-        if name == "sweep":
-            p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -457,7 +457,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

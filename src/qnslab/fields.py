@@ -375,8 +375,8 @@ def _shares(costs, count):
     return list(zip(cuts, cuts[1:]))
 
 
-def fork_map(fn, jobs, costs, cap=None):
-    """[fn(job) for job in jobs], on _workers() processes, at most cap.
+def fork_map(fn, jobs, costs):
+    """[fn(job) for job in jobs], on _workers() processes.
 
     The jobs are cut into contiguous shares of about equal cost (costs, one
     per job). This process runs the first share and a forked child each
@@ -385,7 +385,7 @@ def fork_map(fn, jobs, costs, cap=None):
     (MADV_DONTFORK, where the platform has it), so this process writes
     their pages after the fork without a copy-on-write fault each. Every
     child is reaped before this returns or raises."""
-    count = _workers(len(jobs) if cap is None else min(cap, len(jobs)))
+    count = _workers(len(jobs))
     shares = [jobs[start:stop] for start, stop in _shares(costs, count)]
     kept = list(_store.buffers) if hasattr(mmap, "MADV_DONTFORK") else []
     children = []

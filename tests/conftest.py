@@ -96,9 +96,8 @@ forking = pytest.mark.skipif(
 
 
 def force_workers(monkeypatch, count):
-    """fork_map on count processes (at most one per job, and at most its
-    cap), whatever the machine's CPUs; returns the list each os.fork call
-    appends to."""
+    """fork_map on count processes (at most one per job), whatever the
+    machine's CPUs; returns the list each os.fork call appends to."""
     forks = []
     real = os.fork
 

@@ -568,31 +568,25 @@ class TestSweep:
         assert "sweep axis 'kappa' lists no values" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
-        # not a silent serial run
-        cfg = _write(tmp_path, "s.json", dict(RUN_DOC, sweep={"eps": [1e-3]}))
-        out = tmp_path / "o"
-        assert main(["sweep", "--config", cfg, "--out", str(out),
-                     "--threads", threads]) == 2
-        assert "--threads must be at least 1" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_threads_option(self, tmp_path):
+    @forking
+    def test_2d_rows_do_not_depend_on_the_worker_count(self, tmp_path,
+                                                       monkeypatch):
         # a 2D grid, whose stacks come from the store of the process that
-        # runs the point: with --threads 2 a forked child may run one
+        # runs the point: on two workers a forked child runs one
         doc = dict(RUN_DOC, scenario="acoustic-2d", n=64,
                    sweep={"eps": [1e-3, 1e-4]})
         cfg = _write(tmp_path, "s.json", doc)
         text = {}
-        for threads in ("1", "2"):
-            out = str(tmp_path / f"out{threads}")
-            assert main(["sweep", "--config", cfg, "--out", out,
-                         "--threads", threads]) == 0
-            with open(os.path.join(out, "sweep.csv"), "rb") as fh:
-                text[threads] = fh.read()
-        assert text["2"] == text["1"]
-        assert text["1"].count(b"completed") == 2
+        for count in (1, 2):
+            out = tmp_path / f"out{count}"
+            with monkeypatch.context() as mp, no_child_left():
+                forks = force_workers(mp, count)
+                assert main(["sweep", "--config", cfg,
+                             "--out", str(out)]) == 0
+            assert len(forks) == count - 1
+            text[count] = (out / "sweep.csv").read_bytes()
+        assert text[2] == text[1]
+        assert text[1].count(b"completed") == 2
 
     @forking
     def test_rows_do_not_depend_on_the_worker_count(self, tmp_path,
@@ -610,8 +604,7 @@ class TestSweep:
             out = tmp_path / f"w{count}"
             with monkeypatch.context() as mp, no_child_left():
                 forks = force_workers(mp, count)
-                code = main(["sweep", "--config", cfg, "--out", str(out),
-                             "--threads", "3"])
+                code = main(["sweep", "--config", cfg, "--out", str(out)])
             assert len(forks) == count - 1
             outputs[count] = (code, capsys.readouterr().out,
                               (out / "sweep.csv").read_bytes())
@@ -626,17 +619,21 @@ class TestSweep:
         assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
 
     @forking
-    def test_threads_caps_the_processes(self, tmp_path, monkeypatch):
-        # on five workers, two points fork one child with --threads 5 (one
-        # process per point at most) and none with --threads 1
+    def test_points_run_on_the_usable_cpus(self, tmp_path, monkeypatch):
+        # one process per CPU of the affinity mask, at most one per point:
+        # four points fork two children on three CPUs and none on one
         cfg = _write(tmp_path, "s.json",
-                     dict(RUN_DOC, sweep={"eps": [1e-3, 1e-4]}))
-        for threads, children in (("5", 1), ("1", 0)):
+                     dict(RUN_DOC, sweep={"eps": [1e-3, 1e-4],
+                                          "r0": [0.0, 0.1]}))
+        real = os.fork
+        for cpus, children in ((3, 2), (1, 0)):
+            forks = []
             with monkeypatch.context() as mp, no_child_left():
-                forks = force_workers(mp, 5)
+                mp.setattr(os, "sched_getaffinity",
+                           lambda pid, cpus=cpus: set(range(cpus)))
+                mp.setattr(os, "fork", lambda: forks.append(1) or real())
                 assert main(["sweep", "--config", cfg, "--out",
-                             str(tmp_path / threads),
-                             "--threads", threads]) == 0
+                             str(tmp_path / f"cpus{cpus}")]) == 0
             assert len(forks) == children
 
 
@@ -774,6 +771,20 @@ class TestConfigErrors:
             "config error: cannot create output directory")
         assert out.read_text() == ""
 
+    @pytest.mark.parametrize("command, name", [
+        ("run", "monitors.csv"), ("run", "summary.json"),
+        ("verify", "identity_results.jsonl"), ("sweep", "sweep.csv")])
+    def test_output_that_cannot_be_written_exits_2(self, tmp_path, capsys,
+                                                   command, name):
+        # a directory in an output file's place: one line, no traceback
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        cfg = _write(tmp_path, "c.json", COMMANDS[command])
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and name in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_out_that_is_not_a_path_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "run.json", dict(RUN_DOC, out=5))
         assert main(["run", "--config", cfg]) == 2
@@ -873,8 +884,18 @@ class TestUnknownKeys:
         # a block of a suite the config does not run is not read either
         ("verify", dict(VERIFY, dynamics={}), "dynamics"),
         ("report", {"monitors": "m.csv", "monitor": "m.csv"}, "monitor"),
+        # a suite block takes only the keys its suite reads, and the top
+        # level only those some listed suite reads
+        ("verify", dict(VERIFY, inequality={"canary": True}), "canary"),
+        ("verify", dict(VERIFY, inequality={"rel_tol": 1e-3}), "rel_tol"),
+        ("verify", {"suites": ["dynamics"], "dynamics": {"seeds": [0]}},
+         "seeds"),
+        ("verify", {"suites": ["inequality"], "seeds": [0], "grids": [[64]],
+                    "canary": True}, "canary"),
     ], ids=["run", "sweep", "verify", "identity-block", "inequality-block",
-            "dynamics-block", "suite-not-run", "report"])
+            "dynamics-block", "suite-not-run", "report",
+            "inequality-block-canary", "inequality-block-rel-tol",
+            "dynamics-block-seeds", "top-level-canary-without-identity"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, command, doc, key):
         argv = [command, "--config", _write(tmp_path, "c.json", doc)]
         out = tmp_path / "o"
@@ -897,15 +918,20 @@ class TestUnknownKeys:
                "integrator": dict(RUN_DOC["integrator"], t_end=2e-3)}
         verify = {"suites": ["identity", "inequality"], "seeds": [0, 1],
                   "grids": [[64]], "canary": False}
-        for command, doc in (("run", run), ("verify", verify)):
-            cfg = _write(tmp_path, f"{command}.json", doc)
+        dynamics = {"suites": ["dynamics"], "seeds": [0],
+                    "grids": [[128], [64, 64]]}
+        for name, command, doc in (("run", "run", run),
+                                   ("verify", "verify", verify),
+                                   ("dynamics", "verify", dynamics)):
+            cfg = _write(tmp_path, f"{name}.json", doc)
             assert main([command, "--config", cfg,
-                         "--out", str(tmp_path / command)]) == 0
+                         "--out", str(tmp_path / name)]) == 0
 
 
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["verify", "--config", "v.json", "--threads", "2"],
+        ["sweep", "--config", "s.json", "--threads", "2"],
         ["run", "--config", "r.json", "--threads", "2"],
         ["report", "--monitors", "m.csv", "--threads", "2"],
         ["verify", "--config", "v.json", "--mode", "paper"],
@@ -949,6 +975,19 @@ class TestReport:
                      os.path.join(out, "monitors.csv")]) == 0
         text = capsys.readouterr().out
         assert "energy" in text and "mass_balance_residual" in text
+
+    def test_monitors_flag_overrides_the_config(self, tmp_path, capsys):
+        # as --out and --mode override their keys; the key is still checked
+        cfg = _write(tmp_path, "run.json", RUN_DOC)
+        out = str(tmp_path / "out")
+        main(["run", "--config", cfg, "--out", out])
+        monitors = os.path.join(out, "monitors.csv")
+        capsys.readouterr()
+        for value, code in (("missing.csv", 0), (["x"], 2)):
+            report = _write(tmp_path, "r.json", {"monitors": value})
+            assert main(["report", "--config", report,
+                         "--monitors", monitors]) == code
+        assert "monitors must be a path" in capsys.readouterr().err
 
     def test_missing_monitors_exits_2(self, tmp_path):
         assert main(["report", "--monitors",

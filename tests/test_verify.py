@@ -2,6 +2,7 @@
 seed chunks split over forked worker processes."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -521,6 +522,28 @@ def test_an_error_in_this_share_kills_the_children(monkeypatch, error):
     with no_child_left(), pytest.raises(type(error)):
         run_suites(_pass(seeds=(0, 1, 2)))
     assert len(forks) == 2 and time.monotonic() - start < 30
+
+
+@forking
+def test_a_refused_fork_kills_the_children(monkeypatch):
+    # the second fork fails as on a full process table: the map raises that
+    # error, the child already forked is killed and reaped, no pipe is left
+    forks = force_workers(monkeypatch, 3)
+    counted = os.fork
+
+    def fork():
+        if forks:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return counted()
+    monkeypatch.setattr(os, "fork", fork)
+    _raise_in(monkeypatch, "child", lambda: time.sleep(60))
+    fds = len(os.listdir("/proc/self/fd"))
+    start = time.monotonic()
+    with no_child_left(), pytest.raises(OSError) as info:
+        run_suites(_pass(seeds=(0, 1, 2)))
+    assert info.value.errno == errno.EAGAIN and len(forks) == 1
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert time.monotonic() - start < 30
 
 
 def test_no_fork_while_another_thread_is_alive(monkeypatch):
