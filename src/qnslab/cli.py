@@ -406,7 +406,10 @@ def cmd_report(args):
     path = _path(cfg, "monitors")
     path = args.monitors or path
     _require_known(cfg, ("monitors",), "the report config")
-    if not path or not os.path.exists(path):
+    if not path:
+        raise ConfigError("no monitors CSV given: pass --monitors PATH or "
+                          "set \"monitors\" in the --config file")
+    if not os.path.exists(path):
         raise ConfigError(f"monitors CSV not found: {path}")
     try:
         with open(path, newline="") as fh:

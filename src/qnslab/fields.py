@@ -6,17 +6,18 @@ periodic lattice, rectangle-rule quadrature (exact for resolved trigonometric
 polynomials), 2/3-rule dealiasing, and a seeded smooth-positive field
 generator used by the verification suites.
 
-Every transform of the package goes through to_spectral and from_spectral.
-They call the pocketfft gufuncs of numpy's private numpy.fft._pocketfft_umath
-module directly, one axis pass at a time in the order numpy.fft.rfftn and
-irfftn use, with the factors numpy computes, so their results are bitwise
-equal to numpy.fft's. They skip its Python wrappers and argument handling,
-and the inverse reuses one complex work stack for its axis passes where
-irfftn allocates a fresh one per pass. The last-axis passes run on the
-gufuncs' default axis, as rfft_n_even(arr, 1, out) and irfft(work, 1/n,
-out), with no axes to parse; the passes over the leading grid axes name
-theirs. A numpy release that changes those gufuncs fails the bitwise test
-of tests/test_fields.py.
+Every transform of the package goes through to_spectral, its 2/3-masked
+form to_spectral_masked, and from_spectral. They call the pocketfft
+gufuncs of numpy's private numpy.fft._pocketfft_umath module directly, one
+axis pass at a time in the order numpy.fft.rfftn and irfftn use, with the
+factors numpy computes, so their results are bitwise equal to numpy.fft's
+(the masked form's on the modes it keeps). They skip its Python wrappers
+and argument handling, and the inverse reuses one complex work stack for
+its axis passes where irfftn allocates a fresh one per pass. The
+last-axis passes run on the gufuncs' default axis, as rfft_n_even(arr, 1,
+out) and irfft(work, 1/n, out), with no axes to parse; the passes over the
+leading grid axes name theirs. A numpy release that changes those gufuncs
+fails the bitwise test of tests/test_fields.py.
 
 Every spectral multiply reads a table: a read-only, C-contiguous complex128
 array of the full rfft-layout shape. A grid holds ik per axis, the
@@ -74,7 +75,7 @@ class Grid:
 
     __slots__ = ("dim", "n", "length", "spacing", "shape", "volume", "kmax",
                  "_ik", "_lap", "_hess", "_sym", "_mask", "_coords", "_rows",
-                 "_fft_axes", "_ifft_passes", "_irfft_fct")
+                 "_fft_axes", "_ifft_passes", "_irfft_fct", "_masked")
 
     def __init__(self, n, length=None):
         if np.isscalar(n):
@@ -132,6 +133,7 @@ class Grid:
         self._ifft_passes = tuple((axes(a - dim), 1 / m)
                                   for a, m in enumerate(n[:-1]))
         self._irfft_fct = 1 / n[-1]
+        self._masked = _masked_passes(n)
 
     @property
     def node_count(self):
@@ -158,6 +160,32 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(n={self.n}, length={self.length})"
+
+
+def _masked_passes(n):
+    """The axis passes and the zero fills of to_spectral_masked on a grid
+    of node counts n, each a row index (Ellipsis first, so batch axes pass
+    through). After the last-axis rfft, the pass over each leading axis,
+    from the last to the first, runs on the rows that the 2/3 mask keeps of
+    the axes passed before it, one index per run of kept rows; then each
+    axis's dropped modes are zeroed, on the kept columns of the last axis
+    (the last axis's dropped columns on every row). Along a leading axis
+    of m nodes the mask keeps the rows of |k| <= m // 3, 0..k and m-k..m-1;
+    along the last it keeps the columns 0..k."""
+    dim, full = len(n), slice(None)
+    ks = [m // 3 for m in n]
+    kept = [(slice(0, k + 1), slice(m - k, None)) for m, k in
+            zip(n[:-1], ks)] + [(slice(0, ks[-1] + 1),)]
+    cols = kept[-1][0]
+    passes = tuple(
+        ((Ellipsis,) + (full,) * (a + 1) + later, [(a - dim,), (), (a - dim,)])
+        for a in range(dim - 2, -1, -1)
+        for later in itertools.product(*kept[a + 1:]))
+    zeros = ((Ellipsis, slice(ks[-1] + 1, None)),) + tuple(
+        (Ellipsis,) + (full,) * a + (slice(k + 1, m - k),)
+        + (full,) * (dim - 2 - a) + (cols,)
+        for a, (m, k) in enumerate(zip(n[:-1], ks)))
+    return passes, zeros
 
 
 def _freeze(arr):
@@ -646,6 +674,24 @@ def to_spectral(grid, arr, out=None):
     return out
 
 
+def to_spectral_masked(grid, arr, out=None):
+    """grid._mask * to_spectral(grid, arr): the 2/3-masked spectrum, whose
+    kept modes have the bits of to_spectral's and whose dropped modes are
+    zero. After the last-axis rfft the passes over the leading grid axes
+    run only on the rows the mask keeps of the axes passed before them, and
+    the dropped modes are filled with zeros (_masked_passes)."""
+    if out is None:
+        out = np.empty(arr.shape[:-1] + (grid.n[-1] // 2 + 1,), complex)
+    _pocketfft.rfft_n_even(arr, 1, out)
+    passes, zeros = grid._masked
+    for index, axes in passes:
+        rows = out[index]
+        _pocketfft.fft(rows, 1, out=rows, axes=axes)
+    for index in zeros:
+        out[index] = 0
+    return out
+
+
 def from_spectral(grid, ahat, out=None):
     """Inverse of to_spectral: real nodal values on the grid, written to out
     if given.
@@ -820,7 +866,7 @@ def quad(grid, arr):
 
 def dealias_arr(grid, arr):
     """2/3-rule truncation of a scalar or of each component of a stack."""
-    return from_spectral(grid, grid._mask * to_spectral(grid, arr))
+    return from_spectral(grid, to_spectral_masked(grid, arr))
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,10 @@ class State:
     vel: VectorField
     form: str = "u"
     time: float = 0.0
+    # the spectrum of [rho, vel] in the rfft layout, which a right-hand
+    # side reads in place of transforming those rows itself; only a stage
+    # State that timeloop.step builds carries one (see _state_of)
+    _spectrum = None
 
     def __post_init__(self):
         if self.form not in ("u", "w"):
@@ -191,12 +195,14 @@ class State:
         return self.rho.grid
 
 
-def _state_of(grid, rho, vel, form, time):
+def _state_of(grid, rho, vel, form, time, spectrum=None):
     """The State of the density and velocity arrays, made read-only and
     held as they are: no copies and no checks, so it is valid only while
-    the arrays keep their values."""
-    rho.setflags(write=False)
-    vel.setflags(write=False)
+    the arrays keep their values. spectrum, if given, is to_spectral of
+    [rho, vel] and must keep its values as long."""
+    # attribute stores: setflags and dict.update would each be a call
+    rho.flags.writeable = False
+    vel.flags.writeable = False
     rho_field = object.__new__(ScalarField)
     vel_field = object.__new__(VectorField)
     object.__setattr__(rho_field, "grid", grid)
@@ -204,7 +210,9 @@ def _state_of(grid, rho, vel, form, time):
     object.__setattr__(vel_field, "grid", grid)
     object.__setattr__(vel_field, "values", vel)
     state = object.__new__(State)
-    state.__dict__.update(rho=rho_field, vel=vel_field, form=form, time=time)
+    object.__setattr__(state, "__dict__", {
+        "rho": rho_field, "vel": vel_field, "form": form, "time": time,
+        "_spectrum": spectrum})
     return state
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .fields import (ScalarField, VectorField, _symmetric, _table, arena,
                      div_arr, from_spectral, grad_arr, hess_arr, lap_arr,
-                     quad, real_rows, to_spectral)
+                     quad, real_rows, to_spectral, to_spectral_masked)
 from .physics import bohm_force, require_positive
 
 FORMULATIONS = ("target", "approx-u", "approx-w")
@@ -76,9 +76,8 @@ def _finish(grid, ar, r, drho, lin, nodal, use_dealias, spectral):
     np.divide(lin, r, out=ar.fin_vel)
     if use_dealias or spectral:
         # dealias_arr in the arena, stopping at the spectrum
-        hat = to_spectral(grid, out, ar.fin_hat)
-        if use_dealias:
-            hat *= grid._mask
+        hat = (to_spectral_masked if use_dealias else to_spectral)(
+            grid, out, ar.fin_hat)
         if spectral:
             return hat
         from_spectral(grid, hat, out)
@@ -128,26 +127,31 @@ def _level(counts, *groups):
 
 def _plan(grid, form, reg, bohm, mu=0.0):
     """The static layout of a staged right-hand side, one _level per
-    dependency level, built once per arena (see _build). In level 2 of the
-    u-form the last spectral row holds the spectrum of P, transformed with
-    the stack without regularization and alone with it (then level 3 forms
-    div T + grad P). mu weights the one Laplacian of the w-form's rows;
-    the u-form's rows read no parameter."""
+    dependency level, built once per arena (see _build). Level 1's rows
+    begin with those of the state that it transforms, in the order of
+    [rho, vel]: the velocity's in the u-form, the density's and the
+    velocity's in the w-form, so a stage State's spectrum fills their
+    spectral rows in one copy. In level 2 of the u-form the last spectral
+    row holds the spectrum of P, transformed with the stack without
+    regularization and alone with it (then level 3 forms div T + grad P).
+    mu weights the one Laplacian of the w-form's rows; the u-form's rows
+    read no parameter."""
     d, ik, dd = grid.dim, grid._ik, grid.dim ** 2
+    vel = 1 if form == "w" else 0   # the velocity's first row
 
     def lin(p):
         # div T + grad P of T in rows 0..dd-1 and P in row p
         return [[(ik[j], i * d + j) for j in range(d)] + [(ik[i], p)]
                 for i in range(d)]
-    jac = [[(ik[j], i)] for i in range(d) for j in range(d)]
-    div = [[(k, d + j) for j, k in enumerate(ik)]]
+    jac = [[(ik[j], vel + i)] for i in range(d) for j in range(d)]
+    div = [[(k, vel + d + j) for j, k in enumerate(ik)]]
     if form == "w":
-        rho, lg, v = 2 * d, 2 * d + 1, 2 * d + 2   # rows of rho, log, sqrt
-        div[0].append((_table(-mu * grid._lap.real, grid._lap.shape), rho))
-        one = _level((d, d, 1, 1, reg), jac, div,
-                     [[(k, rho)] for k in ik], [[(k, lg)] for k in ik],
+        lg, v = 2 * d + 1, 2 * d + 2   # rows of log(rho), sqrt(rho)
+        div[0].append((_table(-mu * grid._lap.real, grid._lap.shape), 0))
+        one = _level((1, d, d, 1, reg), jac, div,
+                     [[(k, 0)] for k in ik], [[(k, lg)] for k in ik],
                      [[(k, v)] for k in ik] if reg else [],
-                     [[(grid._lap, i)] for i in range(d)])
+                     [[(grid._lap, 1 + i)] for i in range(d)])
         two = _level((dd, d * reg, 1), lin(dd + d * reg),
                      [[(k, dd + j) for j, k in enumerate(ik)]] if reg else [])
         return one, two
@@ -262,14 +266,20 @@ def _rhs_u(state, params, eps, use_dealias, spectral):
     # level 1: [u, rho u, sqrt(rho), log(rho)] -> J, div(rho u),
     # grad sqrt(rho), grad log(rho), lap sqrt(rho), upper Hess log(rho)
     ua, rua, va, la = one.rows
-    ua[...] = u
     np.multiply(r, u, out=rua)
     if reg or bohm:
         v = np.sqrt(r, out=ar.v)  # read after level 2 reuses the stack
         va[0] = v
     if reg:
         np.log(r, out=la[0])
-    to_spectral(grid, one.nodal, one.hat)
+    spectrum = state._spectrum
+    if spectrum is None:
+        ua[...] = u
+        to_spectral(grid, one.nodal, one.hat)
+    else:
+        # u's spectral rows are those of the stage State's [rho, u]
+        one.hat[:d] = spectrum[1:]
+        to_spectral(grid, one.nodal[d:], one.hat[d:])
     J, div_ru, gv, glog, lapv, hlog = _inverse(grid, one)
     J = J.reshape((d, d) + grid.shape)
 
@@ -345,7 +355,13 @@ def rhs_approx_u(state, params, use_dealias=True, spectral=False):
     dvel] instead, a stack of the thread's arena that the next call of a
     right-hand side of the same layout or the next workspace scope on the
     thread writes over (see _finish), and skips the inverse of the
-    dealiasing pair: seven calls."""
+    dealiasing pair: seven calls. The dealiasing transform passes the
+    leading grid axes on the kept modes only (fields.to_spectral_masked).
+
+    A stage State of timeloop.step carries the spectrum of [rho, u]: level
+    1 then copies u's spectral rows from it and forward-transforms only
+    [rho u, sqrt(rho), log(rho)], with the bits of the call on a State
+    without one."""
     return _rhs_u(state, params, params.eps, use_dealias, spectral)
 
 
@@ -357,7 +373,11 @@ def rhs_approx_w(state, params, use_dealias=True, spectral=False):
 
     Staged like rhs_approx_u, in the arena of the layout (eps > 0, mu);
     P = -a rho^gamma needs no derivative, so two levels and the dealiasing
-    pair take six FFT calls, and five with spectral."""
+    pair take six FFT calls, and five with spectral. Level 1's rows begin
+    with [rho, w], so when a stage State of timeloop.step carries their
+    spectrum it fills their spectral rows in one copy, and level 1
+    forward-transforms only [rho w, log(rho), sqrt(rho)], with the bits of
+    the call on a State without one."""
     if state.form != "w":
         raise ValueError("rhs_approx_w expects a w-form state")
     rho = state.rho
@@ -370,18 +390,24 @@ def rhs_approx_w(state, params, use_dealias=True, spectral=False):
     ar = arena(grid, ("w", reg, mu), _build, "w", reg, False, mu)
     one, two = ar.levels
 
-    # level 1: [w, rho w, rho, log(rho), sqrt(rho)] -> Jw,
+    # level 1: [rho, w, rho w, log(rho), sqrt(rho)] -> Jw,
     # div(rho w) - mu lap(rho), grad(rho), grad log(rho), grad sqrt(rho),
     # lap w
-    wa, rwa, ra, la, va = one.rows
-    wa[...] = w
+    ra, wa, rwa, la, va = one.rows
     np.multiply(r, w, out=rwa)
-    ra[0] = r
     np.log(r, out=la[0])
     if reg:
         v = np.sqrt(r, out=ar.v)  # read after level 2 reuses the stack
         va[0] = v
-    to_spectral(grid, one.nodal, one.hat)
+    spectrum = state._spectrum
+    if spectrum is None:
+        ra[0] = r
+        wa[...] = w
+        to_spectral(grid, one.nodal, one.hat)
+    else:
+        # [rho, w]'s spectral rows are the stage State's spectrum
+        one.hat[:1 + d] = spectrum
+        to_spectral(grid, one.nodal[1 + d:], one.hat[1 + d:])
     Jw, div_m, gr, glog, gv, lapw = _inverse(grid, one)
     Jw = Jw.reshape((d, d) + grid.shape)
     u = w - mu * glog

@@ -168,26 +168,24 @@ def _phi2(z):
 
 @functools.lru_cache(maxsize=2)
 def _etd_multipliers(grid, c_rho, c_vel, dt):
-    """Read-only (c * Lap, exp(z), dt * phi1(z), phi2(z)), z = c * Lap * dt,
-    in the rfft layout, each stacked like the rows of [rho, vel]: c is c_rho
-    in row 0 and c_vel in the velocity rows. One entry serves a fixed-dt
-    run whose t_end is a multiple of dt within T_END_TOL (see integrate),
-    a second the shorter last step of one whose t_end is not. The entries
+    """Read-only (exp(z), dt * phi1(z), phi2(z)), z = c * Lap * dt, in the
+    rfft layout, each stacked like the rows of [rho, vel]: c is c_rho in
+    row 0 and c_vel in the velocity rows. One entry serves a fixed-dt run
+    whose t_end is a multiple of dt within T_END_TOL (see integrate), a
+    second the shorter last step of one whose t_end is not. The entries
     are complex, so a product with a spectrum needs no cast: each is
     computed in real arithmetic and written once as its real part, the
     imaginary part +0.0. At c = 0 each multiplier is one number
     everywhere, written without array work: Lap <= 0 with -0.0 at k = 0,
-    so c * Lap and z are the signed zero c * -1.0 everywhere, where the
+    so z is the signed zero c * -1.0 * dt everywhere, where the
     multipliers are exactly these."""
-    mults = np.empty((4, 1 + grid.dim) + grid._lap.shape, complex)
+    mults = np.empty((3, 1 + grid.dim) + grid._lap.shape, complex)
     for rows, c in ((mults[:, :1], c_rho), (mults[:, 1:], c_vel)):
         if c == 0:
-            rows.T[...] = (c * -1.0, 1.0, dt, 0.5)
+            rows.T[...] = (1.0, dt, 0.5)
         else:
-            clap = c * grid._lap.real
-            z = clap * dt
-            for row, m in zip(rows, (clap, np.exp(z), dt * _phi1(z),
-                                     _phi2(z))):
+            z = c * grid._lap.real * dt
+            for row, m in zip(rows, (np.exp(z), dt * _phi1(z), _phi2(z))):
                 row[...] = m
     mults.flags.writeable = False
     return tuple(mults)
@@ -195,11 +193,14 @@ def _etd_multipliers(grid, c_rho, c_vel, dt):
 
 def _step_stacks(ar, scheme):
     """The stacks of a step of scheme on the Arena ar, each (1 + dim, *n).
-    IMEX: a_hat, with the stage values ya over its memory in 2D and 3D (as
-    real_rows), and M, kept across the corrector's right-hand side; y0
-    lies over M's memory, which it leaves once transformed, and y1 once M
-    is read. RK4: y0, the stage values, written over by y1, and the four
-    slopes."""
+    IMEX: y0, the stage values [rho, vel] of the first right-hand side;
+    a_hat, their spectrum, which that right-hand side reads with its stage
+    State and the predictor then updates in place, with the predictor's
+    stage values ya over its memory in 2D and 3D (as real_rows); and M,
+    kept across the corrector's right-hand side. y0 lies over M's memory,
+    which it leaves once the first right-hand side has read it, and y1
+    once M is read. RK4: y0, the stage values, written over by y1, and the
+    four slopes."""
     grid = ar.grid
     lead = (1 + grid.dim,)
     if scheme == "imex":
@@ -223,10 +224,16 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
     rhs_fn(s, params, spectral=True) returns; an RK4 slope is its inverse.
     That spectrum is valid only until rhs_fn's next call or the next
     workspace scope on the thread, so what the step keeps across that call
-    goes to the stacks of its own
-    arena (_step_stacks). A stage State s is valid only during its rhs_fn
-    call: its fields are read-only views of a stage stack, not copies. The
-    returned State holds copies."""
+    goes to the stacks of its own arena (_step_stacks). A stage State s is
+    valid only during its rhs_fn call: its fields are read-only views of a
+    stage stack, not copies. The returned State holds copies.
+
+    IMEX (ETDRK2) transforms [rho, vel] once, and its first stage State
+    carries that spectrum a0, so the right-hand side does not transform
+    those rows again. Since dt phi1(z) c Lap = exp(z) - 1, the predictor
+    exp(z) a0 + dt phi1(z) (f0 - c Lap a0) is a0 + dt phi1(z) f0, formed
+    over a0, and the corrector a + dt phi2(z) (N(a) - N0), N = f - c Lap,
+    reads N(a) - N0 as f(a) - exp(z) f0."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if scheme not in SCHEMES:
@@ -234,27 +241,25 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
     rho, form, t0 = state.rho, state.form, state.time
     grid = rho.grid
     ar = arena(grid, scheme, _step_stacks, scheme)
+    y0 = ar.y0
+    y0[0] = rho.values
+    y0[1:] = state.vel.values
     s = state
     try:
-        f0_hat = rhs_fn(s, params, spectral=True)
-        y0 = ar.y0
-        y0[0] = rho.values
-        y0[1:] = state.vel.values
         if scheme == "imex":
-            clap, ez, dt_phi1, phi2 = _etd_multipliers(
+            ez, dt_phi1, phi2 = _etd_multipliers(
                 grid, *_linear_coeffs(form, params, grid.dim), dt)
-            # predictor: N0 = f0 - clap a0 and the stage values
-            # a = exp(z) a0 + dt phi1(z) N0, over the memory of a0; the
-            # corrector's M = clap a + N0, over the memory of y0
             a_hat = to_spectral(grid, y0, ar.a_hat)
-            f0_hat -= clap * a_hat
-            phi1_n0 = dt_phi1 * f0_hat
-            a_hat *= ez
-            a_hat += phi1_n0
-            m_hat = np.add(f0_hat, clap * a_hat, out=ar.m_hat)
+            s = _state_of(grid, y0[0], y0[1:], form, t0, a_hat)
+            f0_hat = rhs_fn(s, params, spectral=True)
+            # M = exp(z) f0 over y0, which the call has read; then the
+            # predictor a = a0 + dt phi1(z) f0 over a0
+            m_hat = np.multiply(ez, f0_hat, out=ar.m_hat)
+            f0_hat *= dt_phi1
+            a_hat += f0_hat
             ya = from_spectral(grid, a_hat, ar.ya)
             s = _state_of(grid, ya[0], ya[1:], form, t0 + dt)
-            # corrector a + dt phi2(z) (N(a) - N0), N(a) - N0 = f(a) - M
+            # corrector a + dt phi2(z) (f(a) - M)
             fa_hat = rhs_fn(s, params, spectral=True)
             fa_hat -= m_hat
             fa_hat *= phi2
@@ -263,7 +268,7 @@ def step(state, params, rhs_fn, dt, scheme="rk4-explicit",
             y1 += ya
         else:
             y, ks = ar.y, ar.ks
-            from_spectral(grid, f0_hat, ks[0])
+            from_spectral(grid, rhs_fn(s, params, spectral=True), ks[0])
             for c, k, slope in zip((0.5, 0.5, 1.0), ks, ks[1:]):
                 np.add(y0, c * dt * k, out=y)
                 s = _state_of(grid, y[0], y[1:], form, t0 + c * dt)

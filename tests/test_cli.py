@@ -993,6 +993,16 @@ class TestReport:
         assert main(["report", "--monitors",
                      str(tmp_path / "nope.csv")]) == 2
 
+    def test_no_monitors_given_exits_2(self, tmp_path, capsys):
+        # neither --monitors nor a config's monitors key: the message says
+        # how to give one, not "not found: None"
+        report = _write(tmp_path, "r.json", {})
+        for args in ([], ["--config", report]):
+            assert main(["report", *args]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: no monitors CSV given")
+            assert "--monitors" in err and "None" not in err
+
     @pytest.mark.parametrize("text, message", [
         ("time,mass\n0.0,1.0\n0.1,abc\n", "unreadable monitors CSV"),
         ("mass,energy\n1.0,2.0\n1.0,2.0\n", "no time column"),

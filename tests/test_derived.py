@@ -297,12 +297,13 @@ def test_etd_cache_reuse_is_bitwise(form):
         np.testing.assert_array_equal(out.vel.values, fresh[dt].vel.values)
     # one lookup per step: the third step reuses the first one's entry
     assert timeloop._etd_multipliers.cache_info().hits == 1
-    # the entry's first member is the linear part c * Lap the step applies,
-    # with c_rho in the density row and c_vel in each velocity row
+    # the entry's first member is exp(z), z = c * Lap * dt, of the linear
+    # part the step applies, with c_rho in the density row and c_vel in
+    # each velocity row
     c_rho, c_vel = timeloop._linear_coeffs(form, PARAMS, st.grid.dim)
-    clap = timeloop._etd_multipliers(st.grid, c_rho, c_vel, dt1)[0]
-    for row, c in zip(clap, (c_rho,) + (c_vel,) * st.grid.dim):
-        _assert_complex_of(row, c * st.grid._lap.real)
+    ez = timeloop._etd_multipliers(st.grid, c_rho, c_vel, dt1)[0]
+    for row, c in zip(ez, (c_rho,) + (c_vel,) * st.grid.dim):
+        _assert_complex_of(row, np.exp(c * st.grid._lap.real * dt1))
 
 
 def _assert_complex_of(entry, ref):
@@ -316,10 +317,9 @@ def _assert_complex_of(entry, ref):
 
 def _etd_arrays(grid, c, dt):
     """The multipliers of one coefficient computed in real arithmetic on
-    c * Lap."""
-    clap = c * grid._lap.real
-    z = clap * dt
-    return clap, np.exp(z), dt * timeloop._phi1(z), timeloop._phi2(z)
+    z = c * Lap * dt."""
+    z = c * grid._lap.real * dt
+    return np.exp(z), dt * timeloop._phi1(z), timeloop._phi2(z)
 
 
 @pytest.mark.parametrize("grid", [Grid(128), Grid((16, 24)),
@@ -333,6 +333,7 @@ def test_etd_zero_entry_equals_array_construction(grid):
             timeloop._etd_multipliers.cache_clear()
             rows = (c_rho,) + (c_vel,) * grid.dim
             entry = timeloop._etd_multipliers(grid, c_rho, c_vel, dt)
+            assert len(entry) == 3
             for k, m in enumerate(entry):
                 assert m.shape == (1 + grid.dim,) + grid._lap.shape
                 assert m.dtype == grid._lap.dtype
@@ -353,5 +354,5 @@ def test_etd_cache_is_bounded_and_read_only():
                 m[...] = 0.0
     # at c = 0 each multiplier is one number everywhere in its row
     for m, value in zip(timeloop._etd_multipliers(st.grid, 0.0, 1.0, 1e-5),
-                        (-0.0, 1.0, 1e-5, 0.5)):
+                        (1.0, 1e-5, 0.5)):
         _assert_complex_of(m[0], np.full(m[0].shape, value))

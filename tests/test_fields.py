@@ -10,7 +10,7 @@ from qnslab.fields import (Grid, ScalarField, TensorField, VectorField,
                            in_workspace, integrate, inverse_once, lap_arr,
                            laplacian, lend, lp_norm, quad,
                            random_smooth_positive, random_smooth_vector,
-                           sym_grad, to_spectral)
+                           sym_grad, to_spectral, to_spectral_masked)
 
 
 class TestGrid:
@@ -247,6 +247,27 @@ class TestTransforms:
             return out.copy()
         _bitwise(lent(), inv(spec))
         _bitwise(inverse_once(grid, spec.copy()), inv(spec))
+
+
+    @pytest.mark.parametrize("n", [(32,), (18, 24), (8, 12, 16)])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("given_out", [False, True])
+    def test_masked_forward_keeps_the_kept_modes_bits(self, n, lead,
+                                                      given_out):
+        # the masked forward transform passes the leading axes on the kept
+        # modes only: those have the bits of the full transform's masked
+        # product, and every mode the 2/3 mask drops is zero
+        grid = Grid(n)
+        a = np.random.default_rng(19).standard_normal(lead + grid.shape)
+        want = grid._mask * to_spectral(grid, a)
+        out = np.full_like(want, np.nan)   # every entry must be written
+        got = to_spectral_masked(grid, a, out if given_out else None)
+        assert (got is out) == given_out
+        keep = np.broadcast_to(grid._mask.real != 0, got.shape)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got[keep].tobytes() == want[keep].tobytes()
+        assert not np.any(got[~keep])
+        assert np.count_nonzero(keep) < got.size
 
 
 class TestFieldOps:

@@ -212,21 +212,18 @@ def _ref_imex(grid, rhs, y0, form, dt):
     lap = _old(grid)[1]
     per_row = []
     for c in (c_rho,) + (c_vel,) * grid.dim:
-        clap = c * lap
-        z = clap * dt
-        per_row.append((clap, np.exp(z), dt * timeloop._phi1(z),
+        z = c * lap * dt
+        per_row.append((np.exp(z), dt * timeloop._phi1(z),
                         timeloop._phi2(z)))
-    clap, ez, dt_phi1, phi2 = (np.stack(m) for m in zip(*per_row))
-    f0_hat = _spectrum(rhs, _state_of(grid, y0, form))
+    ez, dt_phi1, phi2 = (np.stack(m) for m in zip(*per_row))
     a_hat = to_spectral(grid, y0)
-    f0_hat -= clap * a_hat
-    phi1_n0 = dt_phi1 * f0_hat
-    a_hat *= ez
-    a_hat += phi1_n0
-    f0_hat += clap * a_hat
+    f0_hat = _spectrum(rhs, _state_of(grid, y0, form))
+    m_hat = ez * f0_hat
+    f0_hat *= dt_phi1
+    a_hat += f0_hat
     ya = from_spectral(grid, a_hat)
     fa_hat = _spectrum(rhs, _state_of(grid, ya, form, dt))
-    fa_hat -= f0_hat
+    fa_hat -= m_hat
     fa_hat *= phi2
     y1 = from_spectral(grid, fa_hat)
     y1 *= dt
